@@ -123,7 +123,7 @@ def _contraction_matrix_at(omega: Form, point) -> Mat:
             continue
         for pos, i in enumerate(idx):
             key = idx[:pos] + idx[pos + 1:]
-            m.rows[rows_index[key]][i] += c * ((-1) ** pos)
+            m.add(rows_index[key], i, c * ((-1) ** pos))
     return m
 
 

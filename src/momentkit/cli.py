@@ -548,8 +548,10 @@ def parse_problem(text) -> ProblemFile:
             ks = []
             while True:
                 t = ts.peek()
-                if t is None or t[0] != "number" or t[1].denominator != 1 or t[1] < 1:
+                if t is None or t[0] != "number" or t[1].denominator != 1:
                     ts.fail("expected a degree", expected={"integer"})
+                if not 1 <= t[1] <= omega.degree - 1:
+                    ts.fail(_degree_range_message(int(t[1]), omega.degree - 1))
                 ts.next()
                 ks.append(int(t[1]))
                 nxt = ts.peek()
@@ -571,6 +573,10 @@ def parse_problem(text) -> ProblemFile:
         else:
             raise MmkError(f"unknown option {key[1]!r}", line=line_no)
     return pf
+
+
+def _degree_range_message(k, n):
+    return f"degree {k} is outside the allowed range 1..{n} (plectic degree n = {n})"
 
 
 def serialize_problem(pf: ProblemFile) -> str:
@@ -900,8 +906,6 @@ def _parse_k_list(text):
         ks = sorted({int(part) for part in text.split(",")})
     except ValueError:
         raise argparse.ArgumentTypeError("expected a comma-separated list of degrees")
-    if any(k < 1 for k in ks):
-        raise argparse.ArgumentTypeError("degrees must be >= 1")
     return ks
 
 
@@ -941,6 +945,11 @@ def main(argv=None):
         return 2
     if args.max_poly_degree is not None and args.max_poly_degree < 0:
         print("error: --max-poly-degree must be >= 0", file=sys.stderr)
+        return 2
+    n = pf.omega.degree - 1
+    bad = [k for k in args.k or () if not 1 <= k <= n]
+    if bad:
+        print(f"error: --k: {_degree_range_message(bad[0], n)}", file=sys.stderr)
         return 2
     report = Report(args.command, os.path.basename(path))
     try:

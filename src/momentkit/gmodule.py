@@ -112,11 +112,6 @@ def dual_lie_kernel_module(g: LieAlgebra, k: int) -> GModule:
 # cochain spaces and the differential
 # ---------------------------------------------------------------------------
 
-def cochain_basis(g: LieAlgebra, m: GModule, k: int):
-    """Ordered basis of C^k(g, M): (k-tuple, module index), tuple-major."""
-    return [(t, u) for t in exterior_basis(g.dim, k) for u in range(m.dim)]
-
-
 def cochain_dim(g: LieAlgebra, m: GModule, k: int) -> int:
     return len(exterior_basis(g.dim, k)) * m.dim
 
@@ -138,13 +133,8 @@ def ce_module_differential(m: GModule, k: int) -> Mat:
             rest = s[:a] + s[a + 1:]
             col_t = dompos[rest]
             sign = (-1) ** a
-            rhoa = m.rho[s[a]]
-            for u in range(m.dim):
-                rowvec = out.rows[row_t * m.dim + u]
-                rrow = rhoa.rows[u]
-                for v in range(m.dim):
-                    if rrow[v]:
-                        rowvec[col_t * m.dim + v] += sign * rrow[v]
+            for u, v, x in m.rho[s[a]].nonzeros():
+                out.add(row_t * m.dim + u, col_t * m.dim + v, sign * x)
         # bracket terms: (-1)^(a+b) f([e_{s_a}, e_{s_b}] ^ rest)
         for a in range(len(s)):
             for b in range(a + 1, len(s)):
@@ -160,7 +150,7 @@ def ce_module_differential(m: GModule, k: int) -> Mat:
                     col_t = dompos[t]
                     coeff = sign * tsign * c
                     for u in range(m.dim):
-                        out.rows[row_t * m.dim + u][col_t * m.dim + u] += coeff
+                        out.add(row_t * m.dim + u, col_t * m.dim + u, coeff)
     return out
 
 

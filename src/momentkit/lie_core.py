@@ -127,11 +127,6 @@ def mv_add(a: dict, b: dict, coeff=1) -> dict:
     return {t: x for t, x in out.items() if x}
 
 
-def mv_scale(a: dict, coeff) -> dict:
-    c = frac(coeff)
-    return {t: c * x for t, x in a.items() if c * x}
-
-
 def mv_term(target: dict, indices, coeff) -> None:
     """Accumulate coeff * e_{indices} (unsorted, may repeat) into target."""
     if not coeff:
@@ -227,7 +222,7 @@ def boundary_matrix(g: LieAlgebra, k: int) -> Mat:
     pos = {t: i for i, t in enumerate(cod)}
     for j, t in enumerate(dom):
         for u, x in boundary_of_tuple(g, t).items():
-            m.rows[pos[u]][j] = x
+            m.add(pos[u], j, x)
     return m
 
 
@@ -274,7 +269,7 @@ def ad_matrix(g: LieAlgebra, xi, k: int) -> Mat:
     pos = {t: i for i, t in enumerate(basis)}
     for j, t in enumerate(basis):
         for u, x in ad_multivector(g, xi, {t: Fraction(1)}).items():
-            m.rows[pos[u]][j] = x
+            m.add(pos[u], j, x)
     return m
 
 

@@ -5,11 +5,21 @@ bases, solvers) reduces to the handful of primitives in this module.  All
 entries are `fractions.Fraction`; there are no tolerances anywhere.
 
 Conventions:
-  * a matrix is a `Mat`: dense list-of-rows with explicit ncols so that
-    0-row and 0-column shapes stay well defined,
-  * `rref` returns the unique reduced row echelon form (forward pass is
-    fraction-free integer elimination after clearing denominators, which
-    only changes row scaling and therefore not the RREF),
+  * a matrix is a `Mat`: a list of sparse rows, each a `{col: Fraction}`
+    dict that never stores a zero, with an explicit shape so that 0-row and
+    0-column matrices stay well defined.  Only this module reads the rows;
+    callers use `entry`, `add`, `nonzeros`, `col` and `dense`,
+  * all elimination is one Gauss-Jordan routine, `_eliminate`: a forward
+    pass over the columns left to right, then back-substitution when the
+    RREF is wanted (`rank` skips it; `rref`, `nullspace` and the solvers
+    use it).  In each column the pivot is the candidate row with the fewest
+    nonzeros (Markowitz's rule, ties broken by row index), which keeps
+    fill-in low on the Kronecker-structured differentials this package
+    builds,
+  * `rref` returns the unique reduced row echelon form.  Which row supplies
+    a pivot changes only the order of row operations, not the row space, and
+    a row space has exactly one RREF; so the pivot rule never changes the
+    result,
   * `nullspace` returns the canonical RREF-normalized kernel basis: one
     vector per free column, with entry 1 in that free column,
   * `solve` returns the particular solution with all free variables set
@@ -19,7 +29,6 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 ZERO = Fraction(0)
@@ -31,12 +40,14 @@ def frac(x) -> Fraction:
 
 
 class Mat:
-    """Dense exact-rational matrix with explicit shape."""
+    """Sparse exact-rational matrix with explicit shape.
+
+    `Mat(rows, ncols)` builds one from dense rows (lists of numbers)."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows, ncols=None):
-        rows = [[frac(x) for x in row] for row in rows]
+        rows = [list(row) for row in rows]
         if ncols is None:
             if not rows:
                 raise ValueError("ncols is required for a matrix with no rows")
@@ -44,17 +55,26 @@ class Mat:
         for row in rows:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-        self.rows = rows
+        self.rows = [{j: frac(x) for j, x in enumerate(row) if x} for row in rows]
         self.nrows = len(rows)
         self.ncols = ncols
 
     @classmethod
+    def _of(cls, rows, ncols):
+        """Wrap sparse rows (dicts without zeros) as they are, uncopied."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
+    @classmethod
     def zeros(cls, m, n):
-        return cls([[ZERO] * n for _ in range(m)], n)
+        return cls._of([{} for _ in range(m)], n)
 
     @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n)
+        return cls._of([{i: ONE} for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, cols, nrows):
@@ -63,25 +83,55 @@ class Mat:
             if len(col) != nrows:
                 raise ValueError("column length mismatch")
             for i, x in enumerate(col):
-                m.rows[i][j] = frac(x)
+                if x:
+                    m.rows[i][j] = frac(x)
         return m
 
     @property
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def copy(self):
-        return Mat([row[:] for row in self.rows], self.ncols)
+    def _check(self, i, j):
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"entry ({i}, {j}) outside a "
+                             f"{self.nrows}x{self.ncols} matrix")
+
+    def entry(self, i, j) -> Fraction:
+        self._check(i, j)
+        return self.rows[i].get(j, ZERO)
+
+    def add(self, i, j, x) -> None:
+        """Add x to entry (i, j) in place."""
+        self._check(i, j)
+        row = self.rows[i]
+        value = row.get(j, ZERO) + frac(x)
+        if value:
+            row[j] = value
+        else:
+            row.pop(j, None)
+
+    def nonzeros(self):
+        """(i, j, x) for every nonzero entry, row by row, columns ascending."""
+        for i, row in enumerate(self.rows):
+            for j in sorted(row):
+                yield i, j, row[j]
+
+    def dense(self):
+        """The rows as lists of Fractions."""
+        return [[row.get(j, ZERO) for j in range(self.ncols)] for row in self.rows]
 
     def col(self, j):
-        return [row[j] for row in self.rows]
+        return [row.get(j, ZERO) for row in self.rows]
 
     def transpose(self):
-        return Mat([[self.rows[i][j] for i in range(self.nrows)]
-                    for j in range(self.ncols)], self.nrows)
+        out = Mat.zeros(self.ncols, self.nrows)
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                out.rows[j][i] = x
+        return out
 
     def is_zero(self):
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.shape == other.shape
@@ -91,20 +141,30 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols})"
 
 
+def _axpy(row, f, other):
+    """row += f * other, in place, dropping entries that cancel."""
+    for j, y in other.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = f * y
+        else:
+            x += f * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if a.ncols != b.nrows:
         raise ValueError(f"shape mismatch {a.shape} * {b.shape}")
-    out = Mat.zeros(a.nrows, b.ncols)
-    brows = b.rows
-    for i, arow in enumerate(a.rows):
-        orow = out.rows[i]
-        for k, x in enumerate(arow):
-            if x:
-                brow = brows[k]
-                for j, y in enumerate(brow):
-                    if y:
-                        orow[j] += x * y
-    return out
+    out = []
+    for arow in a.rows:
+        orow = {}
+        for k, x in arow.items():
+            _axpy(orow, x, b.rows[k])
+        out.append(orow)
+    return Mat._of(out, b.ncols)
 
 
 def mat_vec(a: Mat, v) -> list:
@@ -113,8 +173,9 @@ def mat_vec(a: Mat, v) -> list:
     out = []
     for row in a.rows:
         s = ZERO
-        for x, y in zip(row, v):
-            if x and y:
+        for j, x in row.items():
+            y = v[j]
+            if y:
                 s += x * y
         out.append(s)
     return out
@@ -123,174 +184,164 @@ def mat_vec(a: Mat, v) -> list:
 def mat_add(a: Mat, b: Mat) -> Mat:
     if a.shape != b.shape:
         raise ValueError("shape mismatch in mat_add")
-    return Mat([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)],
-               a.ncols)
+    out = [dict(ra) for ra in a.rows]
+    for row, rb in zip(out, b.rows):
+        _axpy(row, ONE, rb)
+    return Mat._of(out, a.ncols)
 
 
 def mat_scale(a: Mat, c) -> Mat:
     c = frac(c)
-    return Mat([[c * x for x in row] for row in a.rows], a.ncols)
+    if not c:
+        return Mat.zeros(*a.shape)
+    return Mat._of([{j: c * x for j, x in row.items()} for row in a.rows], a.ncols)
 
 
 def mat_hstack(a: Mat, b: Mat) -> Mat:
     if a.nrows != b.nrows:
         raise ValueError("shape mismatch in mat_hstack")
-    return Mat([ra + rb for ra, rb in zip(a.rows, b.rows)], a.ncols + b.ncols)
+    off = a.ncols
+    out = []
+    for ra, rb in zip(a.rows, b.rows):
+        row = dict(ra)
+        for j, x in rb.items():
+            row[off + j] = x
+        out.append(row)
+    return Mat._of(out, a.ncols + b.ncols)
 
 
 def mat_vstack(a: Mat, b: Mat) -> Mat:
     if a.ncols != b.ncols:
         raise ValueError("shape mismatch in mat_vstack")
-    return Mat([row[:] for row in a.rows] + [row[:] for row in b.rows], a.ncols)
+    return Mat._of([dict(row) for row in a.rows] + [dict(row) for row in b.rows],
+                   a.ncols)
 
 
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product (row/col index = a-index major, b-index minor)."""
-    out = Mat.zeros(a.nrows * b.nrows, a.ncols * b.ncols)
-    for i, arow in enumerate(a.rows):
-        for k, x in enumerate(arow):
-            if x:
-                for p, brow in enumerate(b.rows):
-                    orow = out.rows[i * b.nrows + p]
-                    base = k * b.ncols
-                    for q, y in enumerate(brow):
-                        if y:
-                            orow[base + q] += x * y
-    return out
+    out = []
+    for arow in a.rows:
+        for brow in b.rows:
+            out.append({k * b.ncols + q: x * y
+                        for k, x in arow.items() for q, y in brow.items()})
+    return Mat._of(out, a.ncols * b.ncols)
 
 
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
 
-def _integer_rows(m: Mat):
-    """Scale each row by the lcm of denominators: same row space, int entries."""
-    out = []
-    for row in m.rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append([int(x * den) for x in row])
-    return out
+def _eliminate(rows, ncols, reduce):
+    """Gauss-Jordan elimination on sparse rows, in place.
 
+    Columns are taken left to right.  In each column the pivot is the
+    candidate row with the fewest nonzeros (ties: lowest row index); it is
+    scaled to a leading 1 and cleared from every other candidate.  An index
+    column -> rows not yet used as pivots finds the candidates without
+    scanning rows.  With `reduce`, back-substitution then clears each pivot
+    column above its pivot, so the pivot rows form the RREF.  Rows never
+    chosen end up empty.
 
-def _forward_eliminate(rows, ncols, pivot_order=None):
-    """Fraction-free (Bareiss) forward elimination on integer rows, in place.
-
-    Returns the list of (row, col) pivot positions.  `pivot_order` selects the
-    pivot row among candidates (default: first nonzero, which yields the
-    row-order-determined echelon form used for RREF).
-    """
+    Returns the (row index, column) pivots in column order."""
+    where = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            where[j].add(i)
     pivots = []
-    prev = 1
-    r = 0
-    nrows = len(rows)
     for c in range(ncols):
-        cand = [i for i in range(r, nrows) if rows[i][c]]
+        cand = where[c]
         if not cand:
             continue
-        if pivot_order is not None:
-            cand.sort(key=pivot_order(rows, c))
-        i = cand[0]
-        if i != r:
-            rows[r], rows[i] = rows[i], rows[r]
-        piv = rows[r][c]
-        for k in range(r + 1, nrows):
-            x = rows[k][c]
-            rowk, rowr = rows[k], rows[r]
-            if x:
-                for j in range(c, ncols):
-                    rowk[j] = (piv * rowk[j] - x * rowr[j]) // prev
-            else:
-                # Bareiss needs the uniform update on every row to keep all
-                # later divisions exact; with x == 0 it is a pure rescale.
-                for j in range(c, ncols):
-                    if rowk[j]:
-                        rowk[j] = (piv * rowk[j]) // prev
-        prev = piv
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
+        p = min(cand, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        for j in prow:
+            where[j].discard(p)
+        x = prow[c]
+        if x != 1:
+            inv = 1 / x
+            prow = rows[p] = {j: inv * y for j, y in prow.items()}
+        for i in list(cand):
+            row = rows[i]
+            f = -row[c]
+            for j, y in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = f * y
+                    where[j].add(i)
+                else:
+                    x += f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        where[j].discard(i)
+        pivots.append((p, c))
+    if reduce:
+        # A pivot row's support lies at and right of its pivot, so clearing
+        # column c (right to left) never touches an entry left of c: the rows
+        # holding column c can all be listed before the sweep starts.
+        above = {c: [] for _, c in pivots}
+        for p, c in pivots:
+            for j in rows[p]:
+                if j != c and j in above:
+                    above[j].append(p)
+        for p, c in reversed(pivots):
+            prow = rows[p]
+            for i in above[c]:
+                row = rows[i]
+                _axpy(row, -row[c], prow)
     return pivots
 
 
-def _sparse_pivot_key(rows, c):
-    def key(i):
-        nz = sum(1 for x in rows[i] if x)
-        return (nz, abs(rows[i][c]), i)
-    return key
-
-
 def rank(m: Mat) -> int:
-    """Exact rank, fraction-free elimination with sparsity-aware pivoting."""
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    rows = _integer_rows(m)
-    pivots = _forward_eliminate(rows, m.ncols,
-                                pivot_order=lambda rs, c: _sparse_pivot_key(rs, c))
-    return len(pivots)
+    """Exact rank by sparse elimination."""
+    return len(_eliminate([dict(row) for row in m.rows], m.ncols, reduce=False))
 
 
 def rref(m: Mat):
     """Unique reduced row echelon form.  Returns (Mat, pivot column tuple)."""
-    if m.nrows == 0 or m.ncols == 0:
-        return m.copy(), ()
-    rows = _integer_rows(m)
-    pivots = _forward_eliminate(rows, m.ncols)
-    frows = [[Fraction(x) for x in row] for row in rows]
-    # normalize pivot rows and eliminate above the pivots
-    for r, c in reversed(pivots):
-        piv = frows[r][c]
-        frows[r] = [x / piv for x in frows[r]]
-        for i in range(r):
-            x = frows[i][c]
-            if x:
-                frows[i] = [a - x * b for a, b in zip(frows[i], frows[r])]
-    out = Mat(frows, m.ncols)
-    return out, tuple(c for _, c in pivots)
+    rows = [dict(row) for row in m.rows]
+    pivots = _eliminate(rows, m.ncols, reduce=True)
+    out = [rows[p] for p, _ in pivots]
+    out += [{} for _ in range(m.nrows - len(pivots))]
+    return Mat._of(out, m.ncols), tuple(c for _, c in pivots)
 
 
 def nullspace(m: Mat):
     """Canonical kernel basis (RREF-normalized), as a list of vectors."""
     r, pivots = rref(m)
     pivset = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivset]
-    basis = []
-    for j in free:
-        v = [ZERO] * m.ncols
+    basis = {j: [ZERO] * m.ncols for j in range(m.ncols) if j not in pivset}
+    for j, v in basis.items():
         v[j] = ONE
-        for i, c in enumerate(pivots):
-            v[c] = -r.rows[i][j]
-        basis.append(v)
-    return basis
+    for row, c in zip(r.rows, pivots):
+        for j, x in row.items():
+            if j != c:
+                basis[j][c] = -x
+    return list(basis.values())
+
+
+def solve_many(a: Mat, b: Mat):
+    """Solve a X = b: the solution with free variables zero, or None if any
+    column of b is inconsistent.  One elimination of [a | b] serves every
+    column, since the RREF restricted to a's columns is a's RREF."""
+    if a.nrows != b.nrows:
+        raise ValueError("shape mismatch in solve_many")
+    r, pivots = rref(mat_hstack(a, b))
+    if pivots and pivots[-1] >= a.ncols:
+        return None  # inconsistent: pivot in the right-hand side
+    out = Mat.zeros(a.ncols, b.ncols)
+    for row, c in zip(r.rows, pivots):
+        out.rows[c] = {j - a.ncols: x for j, x in row.items() if j >= a.ncols}
+    return out
 
 
 def solve(a: Mat, b):
     """Particular solution of a x = b with free variables set to zero, or None."""
     if a.nrows != len(b):
         raise ValueError("shape mismatch in solve")
-    if a.ncols == 0:
-        return [] if all(x == 0 for x in b) else None
-    aug = mat_hstack(a, Mat.from_columns([b], a.nrows))
-    r, pivots = rref(aug)
-    if pivots and pivots[-1] == a.ncols:
-        return None  # inconsistent: pivot in the augmented column
-    x = [ZERO] * a.ncols
-    for i, c in enumerate(pivots):
-        x[c] = r.rows[i][a.ncols]
-    return x
-
-
-def solve_many(a: Mat, b: Mat):
-    """Column-wise solve of a X = b; returns Mat or None if any column fails."""
-    cols = []
-    for j in range(b.ncols):
-        x = solve(a, b.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return Mat.from_columns(cols, a.ncols)
+    x = solve_many(a, Mat.from_columns([b], a.nrows))
+    return None if x is None else x.col(0)
 
 
 def in_span(vectors, v) -> bool:

@@ -179,7 +179,7 @@ def construct_brackets(action: LieAction, ks=None) -> MomentMap:
             cols = []
             for a in range(r):
                 for j in range(g.dim):
-                    cols.append([-kernel_mod.rho[j].rows[b][a] for b in range(r)])
+                    cols.append([-kernel_mod.rho[j].entry(b, a) for b in range(r)])
             bracket_mat = Mat.from_columns(cols, r)
             basis_k = exterior_basis(g.dim, k)
             term_forms = {}
@@ -226,7 +226,7 @@ def sigma_cochain(mm: MomentMap, k: int):
         for a in range(len(comp)):
             val = lie_derivative(action.fields[i], comp[a]) * Fraction(-s)
             for b in range(len(comp)):
-                c = rho_i.rows[b][a]
+                c = rho_i.entry(b, a)
                 if c:
                     val = val + comp[b] * c
             row.append(val)
@@ -255,7 +255,7 @@ def check_sigma_cocycle(mm: MomentMap, k: int) -> bool:
         for a in range(r):
             val = lie_derivative(action.fields[i], row[a]) * Fraction(s)
             for b in range(r):
-                c = kernel_mod.rho[i].rows[b][a]
+                c = kernel_mod.rho[i].entry(b, a)
                 if c:
                     val = val - row[b] * c
             out.append(val)

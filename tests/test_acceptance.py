@@ -118,7 +118,7 @@ def test_betti_tables_match_frozen_values_and_plain_elimination():
         g = catalog_algebra(name)
         betti = list(ce_betti(g))
         assert betti == frozen[name], name
-        ranks = {k: plain_rank([list(r) for r in boundary_matrix(g, k).rows])
+        ranks = {k: plain_rank(boundary_matrix(g, k).dense())
                  for k in range(1, g.dim + 1)}
         for k in range(g.dim + 1):
             expected = comb(g.dim, k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
@@ -323,6 +323,29 @@ def test_equivariantization_repair_and_obstruction():
     assert fixed.components[2] == mm.components[2]   # unique, hence recovered
     assert uniqueness_check(action, 2, 0) == {
         "dim_invariants": 0, "unique": True, "representatives": []}
+
+
+# ---------------------------------------------------------------------------
+# full truncated-Hom diagnose of so(4) on R^4, every degree, D <= 1
+# ---------------------------------------------------------------------------
+
+def test_so4_full_diagnose_at_truncation_one(capsys):
+    # answers frozen from the dense Bareiss elimination that preceded the sparse core
+    frozen = {
+        "1": {"hom_module_dim": 156, "h0_hom": 2, "h1_hom": 0,
+              "poincare_applies": True, "exactness_applies": True,
+              "brackets_apply": True},
+        "2": {"hom_module_dim": 126, "h0_hom": 1, "h1_hom": 0,
+              "poincare_applies": True, "exactness_applies": True,
+              "brackets_apply": True},
+        "3": {"hom_module_dim": 11, "h0_hom": 2, "h1_hom": 0,
+              "poincare_applies": True, "exactness_applies": False,
+              "brackets_apply": False},
+    }
+    argv = ["diagnose", "so4_r4.mmk", "--max-poly-degree", "1", "--format", "machine"]
+    assert cli_main(argv) == 0
+    degrees = json.loads(capsys.readouterr().out)["sections"][0]["data"]["degrees"]
+    assert {k: {f: e[f] for f in frozen[k]} for k, e in degrees.items()} == frozen
 
 
 # ---------------------------------------------------------------------------

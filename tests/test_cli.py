@@ -166,6 +166,36 @@ def test_parse_error_is_input_error(tmp_path, capsys):
     assert "line 6" in err
 
 
+# so3_r3 has plectic degree 2, so the allowed degrees are 1..2.
+def test_k_flag_above_plectic_degree_is_input_error(capsys):
+    rc, out, err = run_main(["construct", bundled("so3_r3.mmk"), "--k", "3"], capsys)
+    assert rc == 2 and out == ""
+    assert "1..2" in err and "values must be" not in err
+
+
+def test_k_flag_far_above_plectic_degree_does_not_leak(capsys):
+    rc, out, err = run_main(["diagnose", bundled("so3_r3.mmk"), "--k", "7"], capsys)
+    assert rc == 2 and out == ""
+    assert "1..2" in err and "non-negative" not in err
+
+
+def test_k_flag_never_prints_an_empty_map(capsys):
+    rc, out, err = run_main(["construct", bundled("so3_r3.mmk"), "--k", "5"], capsys)
+    assert rc == 2 and out == ""
+    assert "1..2" in err
+
+
+def test_problem_file_degree_out_of_range(tmp_path, capsys):
+    bad = tmp_path / "degrees.mmk"
+    bad.write_text('[algebra]\nalgebra = "so3"\n\n[action]\ndim = 3\n'
+                   'V1 = x3*d/dx2 - x2*d/dx3\nV2 = x1*d/dx3 - x3*d/dx1\n'
+                   'V3 = x2*d/dx1 - x1*d/dx2\n\n[omega]\nomega = dx(1,2,3)\n'
+                   '\n[options]\nk = 1, 3\n')
+    rc, out, err = run_main(["construct", str(bad)], capsys)
+    assert rc == 2 and out == ""
+    assert "line 14, col 8" in err and "1..2" in err
+
+
 def test_bundled_names_resolve_without_path(capsys):
     rc, out, _ = run_main(["cohomology", "u2_r4.mmk"], capsys)
     assert rc == 0

@@ -62,7 +62,7 @@ def test_betti_numbers_match_naive_rank_oracle():
         ranks = {}
         for k in range(1, g.dim + 1):
             m = boundary_matrix(g, k)
-            ranks[k] = naive_rank([list(r) for r in m.rows]) if m.nrows else 0
+            ranks[k] = naive_rank(m.dense()) if m.nrows else 0
         for k in range(g.dim + 1):
             dim_k = comb(g.dim, k)
             rk = ranks.get(k, 0)        # rank of boundary leaving degree k

@@ -3,17 +3,22 @@
 import random
 from fractions import Fraction
 
-from momentkit.linalg import (Mat, frac, in_span, kron, mat_hstack, mat_mul,
-                              mat_vec, mat_vstack, nullspace, rank, rref,
-                              solve, solve_many)
+from momentkit.linalg import (Mat, frac, in_span, kron, mat_add, mat_hstack,
+                              mat_mul, mat_scale, mat_vec, mat_vstack,
+                              nullspace, rank, rref, solve, solve_many)
 
 
 def naive_rank(rows):
     """Plain fraction Gaussian elimination, no pivot heuristics."""
-    rows = [[Fraction(x) for x in r] for r in rows]
     if not rows:
         return 0
-    ncols = len(rows[0])
+    return len(naive_rref(rows, len(rows[0]))[1])
+
+
+def naive_rref(rows, ncols):
+    """Dense Gauss-Jordan, first nonzero row as pivot: (rows, pivot columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
     r = 0
     for c in range(ncols):
         piv = None
@@ -30,8 +35,9 @@ def naive_rank(rows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
         r += 1
-    return r
+    return rows, tuple(pivots)
 
 
 def random_matrix(rng, m, n, density=0.7):
@@ -57,7 +63,7 @@ def test_rref_reproduces_row_space():
         r, pivots = rref(a)
         assert rank(r) == rank(a) == len(pivots)
         # every original row lies in the span of the reduced rows
-        rvecs = [list(row) for row in r.rows if any(row)]
+        rvecs = [list(row) for row in r.dense() if any(row)]
         for row in rows:
             assert in_span(rvecs, list(row))
 
@@ -108,7 +114,7 @@ def test_stack_and_kron_shapes():
     assert mat_hstack(a, b).shape == (1, 4)
     k = kron(Mat([[1, 2], [0, 1]], ncols=2), Mat([[0, 1], [1, 0]], ncols=2))
     assert k.shape == (4, 4)
-    assert k.rows[0] == [frac(0), frac(1), frac(0), frac(2)]
+    assert k.dense()[0] == [frac(0), frac(1), frac(0), frac(2)]
 
 
 def test_fraction_exactness_on_hilbert_block():
@@ -118,3 +124,104 @@ def test_fraction_exactness_on_hilbert_block():
             ncols=n)
     assert rank(h) == n
     assert len(nullspace(h)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination core against the dense oracle
+# ---------------------------------------------------------------------------
+
+def naive_solve(a_rows, ncols, b):
+    """Column solve from the dense RREF of [a | b]: free variables zero."""
+    rows, pivots = naive_rref([list(r) + [y] for r, y in zip(a_rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(rows, pivots):
+        x[c] = row[ncols]
+    return x
+
+
+def stores_no_zero(m):
+    # rebuilding from dense rows drops zeros, so this fails on a stored zero
+    return m == Mat(m.dense(), m.ncols)
+
+
+def edge_case_matrices(rng):
+    """Seeded sparse matrices, with the shapes elimination gets wrong first."""
+    yield [], 4                                    # 0 x n
+    yield [[] for _ in range(3)], 0                # n x 0
+    yield [[0] * 5 for _ in range(4)], 5           # all zero
+    for _ in range(60):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        rows = random_matrix(rng, m, n, density=rng.choice((0.15, 0.3, 0.6)))
+        kind = rng.randrange(4)
+        if kind == 0:                              # zero rows
+            rows[rng.randrange(m)] = [Fraction(0)] * n
+        elif kind == 1:                            # duplicate rows
+            rows.append(list(rows[rng.randrange(m)]))
+        elif kind == 2 and m >= 2:                 # a row that cancels to zero
+            i, j = rng.sample(range(m), 2)
+            c = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+            rows.append([x - c * y for x, y in zip(rows[i], rows[j])])
+            rows.append([c * y for y in rows[j]])
+        yield rows, n
+
+
+def test_sparse_core_matches_dense_oracle():
+    rng = random.Random(2024)
+    for rows, n in edge_case_matrices(rng):
+        a = Mat(rows, ncols=n)
+        assert stores_no_zero(a)
+        assert a.dense() == [[Fraction(x) for x in r] for r in rows]
+        assert rank(a) == naive_rank(rows)
+
+        r, pivots = rref(a)
+        want_rows, want_pivots = naive_rref(rows, n)
+        assert (r.dense(), pivots) == (want_rows, want_pivots)
+        assert stores_no_zero(r)
+
+        null = nullspace(a)
+        assert len(null) == n - len(pivots)
+        for v in null:
+            assert not any(mat_vec(a, v))
+
+        # right-hand sides: some consistent (a times a vector), some random
+        ncols_b = rng.randint(0, 3)
+        cols = []
+        for _ in range(ncols_b):
+            if rng.random() < 0.6:
+                cols.append(mat_vec(a, [Fraction(rng.randint(-3, 3)) for _ in range(n)]))
+            else:
+                cols.append([Fraction(rng.randint(-3, 3)) for _ in range(len(rows))])
+        b = Mat.from_columns(cols, len(rows))
+        per_column = [naive_solve(rows, n, col) for col in cols]
+        assert [solve(a, col) for col in cols] == per_column
+        got = solve_many(a, b)
+        if any(x is None for x in per_column):
+            assert got is None
+        else:
+            assert got is not None and got.shape == (n, ncols_b)
+            assert stores_no_zero(got)
+            assert [got.col(j) for j in range(ncols_b)] == per_column
+
+
+def test_builders_store_no_zeros():
+    rng = random.Random(5)
+    for _ in range(30):
+        m, n, p = rng.randint(0, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = Mat(random_matrix(rng, m, n, density=0.4), ncols=n)
+        b = Mat(random_matrix(rng, n, p, density=0.4), ncols=p)
+        assert mat_add(a, mat_scale(a, -1)) == Mat.zeros(*a.shape)
+        assert mat_scale(a, 0) == Mat.zeros(*a.shape)
+        prod = mat_mul(a, b)
+        assert prod.dense() == [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+                                 for col in zip(*b.dense())] for row in a.dense()]
+        for out in (prod, mat_add(a, a), a.transpose(), kron(a, b),
+                    mat_hstack(a, a), mat_vstack(b, b)):
+            assert stores_no_zero(out)
+        assert a.transpose().transpose() == a
+    c = Mat.zeros(2, 3)
+    c.add(1, 2, Fraction(1, 3))
+    assert c.entry(1, 2) == Fraction(1, 3) and not c.is_zero()
+    c.add(1, 2, Fraction(-1, 3))
+    assert c == Mat.zeros(2, 3) and c.is_zero()

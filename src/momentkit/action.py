@@ -12,6 +12,16 @@ algebra both signs hold vacuously and the default is s = -1 (the classical
 left-action convention, which fixes the sign of the equivariance cocycle
 for the translation examples).
 
+A LieAction owns the objects derived from it and builds each one once, on
+first use (an action is not changed after it is built):
+  * `kernel(k)`: the degree-k Lie kernel P_k (`LieKernel`): canonical basis,
+    kernel module and its dual, display names, and the contractions
+    V_p . omega of the basis elements;
+  * `truncated_forms(k, D)`: closed (n-k)-forms of coefficient degree <= D
+    as a module;
+  * `hom_module(k, D)`: Hom(P_k, those closed forms), whose cohomology
+    decides equivariant existence and uniqueness.
+
 Also here: infinitesimal generators of multivectors, truncated spaces of
 (invariant) closed forms as finite-dimensional modules, and the boundary
 identity linking d, contraction, and Lie derivatives (`cartan_residual`).
@@ -21,12 +31,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from .linalg import Mat, frac, mat_vstack, nullspace, rank, solve_many
 from .lie_core import (LieAlgebra, StructureError, abelian, catalog_algebra,
-                       mv_boundary)
-from .gmodule import GModule
+                       exterior_basis, format_multivector, lie_kernel_basis,
+                       mv_boundary, mv_from_coords)
+from .gmodule import GModule, dual_module, lie_kernel_module, tensor_module
 from .polyform import (Form, MultiField, Poly, contract, exterior_d,
                        lie_derivative, vf_bracket, volume_form, wedge)
 
@@ -49,6 +60,7 @@ class LieAction:
         self.ambient_dim = omega.n
         self.name = name or algebra.name
         self.bracket_sign: int | None = None  # set by validate_action
+        self._derived: dict = {}
 
     def plectic_degree(self) -> int:
         return self.omega.degree - 1
@@ -63,9 +75,71 @@ class LieAction:
         return out
 
     def sign(self) -> int:
+        """The bracket sign; validates the action on first use and raises
+        StructureError (leaving the sign unset) if the generators do not
+        close."""
         if self.bracket_sign is None:
             validate_action(self)
         return self.bracket_sign
+
+    def _derive(self, key, build):
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
+    def kernel(self, k: int) -> "LieKernel":
+        return self._derive(("kernel", k), lambda: LieKernel(self, k))
+
+    def truncated_forms(self, k: int, max_degree: int) -> "TruncatedFormModule":
+        """Closed (n-k)-forms of coefficient degree <= max_degree (the values
+        of f_k) as a module."""
+        return self._derive(("forms", k, max_degree), lambda: TruncatedFormModule(
+            self, self.plectic_degree() - k, max_degree))
+
+    def hom_module(self, k: int, max_degree: int) -> GModule:
+        """Hom(P_k, truncated_forms(k, max_degree)) = dual kernel (x) forms."""
+        return self._derive(("hom", k, max_degree), lambda: tensor_module(
+            self.kernel(k).dual, self.truncated_forms(k, max_degree).module))
+
+
+class LieKernel:
+    """The degree-k Lie kernel P_k of an action and the objects derived from
+    it; each attribute is computed on first access and kept."""
+
+    def __init__(self, action: LieAction, k: int):
+        self.action = action
+        self.degree = k
+
+    @cached_property
+    def basis(self):
+        """Canonical basis, as coordinate vectors over exterior_basis(dim, k)."""
+        return lie_kernel_basis(self.action.algebra, self.degree)
+
+    @cached_property
+    def multivectors(self):
+        basis = exterior_basis(self.action.algebra.dim, self.degree)
+        return [mv_from_coords(vec, basis) for vec in self.basis]
+
+    @cached_property
+    def names(self):
+        return [format_multivector(mv) for mv in self.multivectors]
+
+    @cached_property
+    def module(self) -> GModule:
+        """The kernel with the extended adjoint action, in the basis above."""
+        return lie_kernel_module(self.action.algebra, self.degree)
+
+    @cached_property
+    def dual(self) -> GModule:
+        return dual_module(self.module)
+
+    @cached_property
+    def contractions(self):
+        """V_p . omega for each basis element p: the right-hand side of the
+        defining equation, up to the factor -zeta(k)."""
+        omega = self.action.omega
+        return [contract(infinitesimal_generator(self.action, mv), omega)
+                for mv in self.multivectors]
 
 
 def validate_action(action: LieAction, default_sign: int = -1) -> int:
@@ -129,22 +203,24 @@ def _contraction_matrix_at(omega: Form, point) -> Mat:
 
 def check_multisymplectic(action: LieAction) -> dict:
     """Closedness of omega (exact) and nondegeneracy of v -> v . omega on
-    constant vectors, sampled at the origin and three fixed rational points
-    (exact and sufficient for constant-coefficient omega)."""
+    constant vectors, evaluated at the origin and three fixed rational
+    points.  `nondegenerate` is True only for constant coefficients (exact);
+    False when the rank drops at a sample point, given as
+    `nondegenerate_witness`; None (not certified) otherwise."""
     omega = action.omega
     n = omega.n
-    closed = exterior_d(omega).is_zero()
-    nondeg = True
-    constant_coeffs = omega.max_coeff_degree() <= 0
+    out = {"closed": exterior_d(omega).is_zero(), "nondegenerate": None,
+           "plectic_degree": omega.degree - 1}
     for seed in _SAMPLE_SEEDS:
         point = [Fraction(0)] * n if seed is None else seed(n)
         if rank(_contraction_matrix_at(omega, point)) != n:
-            nondeg = False
+            out["nondegenerate"] = False
+            out["nondegenerate_witness"] = [str(x) for x in point]
             break
-        if constant_coeffs:
+        if omega.max_coeff_degree() <= 0:
+            out["nondegenerate"] = True
             break  # all sample points give the same matrix
-    return {"closed": closed, "nondegenerate": nondeg,
-            "plectic_degree": omega.degree - 1}
+    return out
 
 
 def preserves_omega(action: LieAction):

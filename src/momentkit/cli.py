@@ -30,16 +30,15 @@ import sys
 from fractions import Fraction
 
 from .lie_core import (LieAlgebra, StructureError, catalog_algebra,
-                       format_multivector, lie_kernel_basis, validate_jacobi,
+                       format_multivector, sort_with_sign, validate_jacobi,
                        ALGEBRA_CATALOG, ce_betti)
 from .polyform import Form, MultiField, Poly, format_field, format_form
 from .action import (LieAction, check_multisymplectic, invariant_closed_forms,
-                     preserves_omega, validate_action)
+                     preserves_omega)
 from .moment import (construct_brackets, construct_exactness,
-                     construct_poincare, defining_residuals, existence_diagnostic,
-                     make_equivariant, sigma_cochain, sigma_is_zero,
-                     check_sigma_cocycle, check_module_morphism, uniqueness_check,
-                     describe_kernel)
+                     construct_poincare, existence_diagnostic, make_equivariant,
+                     sigma_is_zero, check_sigma_cocycle, check_module_morphism,
+                     uniqueness_check)
 
 
 class MmkError(Exception):
@@ -274,15 +273,7 @@ def terms_to_form(terms, n, line):
                 raise MmkError(f"variable x{v} out of range for dim {n}",
                                line=line, col=term["col"])
             mono[v - 1] += e
-        # sort indices, tracking the permutation sign
-        idx0 = [i - 1 for i in idx1]
-        sign = 1
-        for a in range(len(idx0)):
-            for b in range(len(idx0) - 1 - a):
-                if idx0[b] > idx0[b + 1]:
-                    idx0[b], idx0[b + 1] = idx0[b + 1], idx0[b]
-                    sign = -sign
-        key = tuple(idx0)
+        sign, key = sort_with_sign(i - 1 for i in idx1)
         poly = comps.setdefault(key, {})
         mono = tuple(mono)
         poly[mono] = poly.get(mono, Fraction(0)) + term["coeff"] * sign
@@ -635,7 +626,7 @@ def _kernel_section(report, action, ks):
     lines = []
     payload = {}
     for k in ks:
-        names = describe_kernel(action, k)
+        names = action.kernel(k).names
         payload[str(k)] = names
         lines.append(f"k={k}: dim {len(names)}")
         for s in names:
@@ -643,17 +634,10 @@ def _kernel_section(report, action, ks):
     report.section("Lie kernel bases", payload, lines)
 
 
-def _cohomology_payload(action, ks):
-    g = action.algebra
-    betti = list(ce_betti(g))
-    kernels = {str(k): len(lie_kernel_basis(g, k)) for k in ks}
-    return betti, kernels
-
-
-def cmd_cohomology(pf, args, report):
-    action = pf.build_action()
+def cmd_cohomology(pf, action, args, report):
     ks = pf.degrees(args.k)
-    betti, kernels = _cohomology_payload(action, ks)
+    betti = list(ce_betti(action.algebra))
+    kernels = {str(k): len(action.kernel(k).basis) for k in ks}
     lines = ["H^k dimensions (trivial coefficients), k = 0.."
              + str(len(betti) - 1) + ":",
              "  (" + ", ".join(str(b) for b in betti) + ")",
@@ -664,19 +648,17 @@ def cmd_cohomology(pf, args, report):
     return 0
 
 
-def cmd_kernel(pf, args, report):
-    action = pf.build_action()
+def cmd_kernel(pf, action, args, report):
     _kernel_section(report, action, pf.degrees(args.k))
     return 0
 
 
-def cmd_check_action(pf, args, report):
-    action = pf.build_action()
+def cmd_check_action(pf, action, args, report):
     ok = True
     payload = {}
     lines = []
     try:
-        s = validate_action(action)
+        s = action.sign()
         payload["closes"] = True
         payload["bracket_sign"] = s
         lines.append(f"generators close under the bracket: yes (sign {s:+d})")
@@ -688,8 +670,15 @@ def cmd_check_action(pf, args, report):
     msy = check_multisymplectic(action)
     payload.update(msy)
     lines.append(f"omega closed: {'yes' if msy['closed'] else 'NO'}")
-    lines.append(f"omega nondegenerate on constant vectors: "
-                 f"{'yes' if msy['nondegenerate'] else 'NO'}")
+    if msy["nondegenerate"] is None:
+        verdict = ("not certified (polynomial coefficients; full rank at the "
+                   "sample points only)")
+    elif msy["nondegenerate"]:
+        verdict = "yes"
+    else:
+        verdict = ("NO — degenerate at x = ("
+                   + ", ".join(msy["nondegenerate_witness"]) + ")")
+    lines.append(f"omega nondegenerate on constant vectors: {verdict}")
     lines.append(f"plectic degree n = {msy['plectic_degree']}")
     bad = preserves_omega(action)
     payload["omega_preserved"] = not bad
@@ -699,15 +688,14 @@ def cmd_check_action(pf, args, report):
                      + ", ".join(f"V{i + 1}" for i in bad))
     else:
         lines.append("omega preserved by all generators: yes")
-    if not (msy["closed"] and msy["nondegenerate"]):
+    if not (msy["closed"] and msy["nondegenerate"] is True):
         ok = False
     report.section("Action checks", payload, lines)
     return 0 if ok else 1
 
 
-def cmd_invariants(pf, args, report):
-    action = pf.build_action()
-    validate_action(action)
+def cmd_invariants(pf, action, args, report):
+    action.sign()
     D = pf.max_poly_degree if args.max_poly_degree is None else args.max_poly_degree
     n = action.plectic_degree()
     payload = {}
@@ -725,16 +713,16 @@ def cmd_invariants(pf, args, report):
     return 0
 
 
-def cmd_diagnose(pf, args, report):
-    action = pf.build_action()
-    validate_action(action)
+def cmd_diagnose(pf, action, args, report):
+    action.sign()
     D = pf.max_poly_degree if args.max_poly_degree is None else args.max_poly_degree
     diag = existence_diagnostic(action, ks=pf.degrees(args.k), max_degree=D)
+    nondeg = diag["omega_nondegenerate"]
     lines = [f"bracket sign: {diag['bracket_sign']:+d}",
              "H^k (trivial coefficients): ("
              + ", ".join(str(b) for b in diag["betti"]) + ")",
-             f"omega closed/nondegenerate/preserved: "
-             f"{diag['omega_closed']}/{diag['omega_nondegenerate']}/"
+             f"omega closed/nondegenerate/preserved: {diag['omega_closed']}/"
+             f"{'not certified' if nondeg is None else nondeg}/"
              f"{diag['omega_preserved']}"]
     for k, e in sorted(diag["degrees"].items()):
         lines.append(
@@ -767,10 +755,9 @@ _METHODS = {
 def _moment_section(report, action, mm, title):
     payload = {}
     lines = []
-    residuals = defining_residuals(mm)
-    all_zero = all(r.is_zero() for r in residuals.values())
+    all_zero = all(r.is_zero() for r in mm.residuals().values())
     for k in mm.degrees():
-        names = describe_kernel(action, k)
+        names = action.kernel(k).names
         entries = []
         for a, nm in enumerate(names):
             val = format_form(mm.components[k][a])
@@ -783,9 +770,8 @@ def _moment_section(report, action, mm, title):
     return all_zero
 
 
-def cmd_construct(pf, args, report):
-    action = pf.build_action()
-    validate_action(action)
+def cmd_construct(pf, action, args, report):
+    action.sign()
     ks = pf.degrees(args.k)
     try:
         mm = _METHODS[args.method](action, ks=ks)
@@ -797,9 +783,8 @@ def cmd_construct(pf, args, report):
     return 0 if ok else 1
 
 
-def cmd_equivariance(pf, args, report):
-    action = pf.build_action()
-    validate_action(action)
+def cmd_equivariance(pf, action, args, report):
+    action.sign()
     ks = pf.degrees(args.k)
     D = pf.max_poly_degree if args.max_poly_degree is None else args.max_poly_degree
     try:
@@ -812,10 +797,10 @@ def cmd_equivariance(pf, args, report):
     for k in ks:
         payload = {}
         lines = []
-        sigma = sigma_cochain(mm, k)
+        sigma = mm.sigma(k)
         zero = sigma_is_zero(sigma)
         payload["sigma_zero"] = zero
-        names = describe_kernel(action, k)
+        names = action.kernel(k).names
         if not zero:
             entries = []
             for i in range(action.algebra.dim):
@@ -866,16 +851,10 @@ def cmd_equivariance(pf, args, report):
     return 0 if ok else 1
 
 
-def cmd_report(pf, args, report):
-    rc = 0
-    rc = max(rc, cmd_check_action(pf, args, report))
-    rc = max(rc, cmd_cohomology(pf, args, report))
-    cmd_kernel(pf, args, report)
-    rc = max(rc, cmd_diagnose(pf, args, report))
-    rc = max(rc, cmd_invariants(pf, args, report))
-    rc = max(rc, cmd_construct(pf, args, report))
-    rc = max(rc, cmd_equivariance(pf, args, report))
-    return rc
+def cmd_report(pf, action, args, report):
+    return max(cmd(pf, action, args, report) for cmd in (
+        cmd_check_action, cmd_cohomology, cmd_kernel, cmd_diagnose,
+        cmd_invariants, cmd_construct, cmd_equivariance))
 
 
 COMMANDS = {
@@ -953,7 +932,7 @@ def main(argv=None):
         return 2
     report = Report(args.command, os.path.basename(path))
     try:
-        rc = COMMANDS[args.command](pf, args, report)
+        rc = COMMANDS[args.command](pf, pf.build_action(), args, report)
     except (StructureError, ValueError) as e:
         report.section("Error", {"error": str(e)}, [f"error: {e}"])
         rc = 1

@@ -101,13 +101,6 @@ def lie_kernel_module(g: LieAlgebra, k: int) -> GModule:
     return GModule(g, rho, name=f"lie_kernel(k={k})")
 
 
-def dual_lie_kernel_module(g: LieAlgebra, k: int) -> GModule:
-    """Dual of the Lie kernel module: rho(x) = -(ad_x restricted)^T."""
-    m = dual_module(lie_kernel_module(g, k))
-    m.name = f"dual_lie_kernel(k={k})"
-    return m
-
-
 # ---------------------------------------------------------------------------
 # cochain spaces and the differential
 # ---------------------------------------------------------------------------

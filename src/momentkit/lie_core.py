@@ -166,24 +166,35 @@ def mv_from_vector(vec) -> dict:
     return {(i,): frac(x) for i, x in enumerate(vec) if x}
 
 
+def format_term(coeff: str, body: str) -> str:
+    """One rendered term, coefficient times basis element: 'x1', '-x1',
+    '3/2*x1', '(x1 + 1)*dx(2)'; an empty body leaves the bare coefficient."""
+    if not body:
+        return coeff
+    if coeff == "1":
+        return body
+    if coeff == "-1":
+        return "-" + body
+    if " + " in coeff or " - " in coeff:
+        return f"({coeff})*{body}"
+    return f"{coeff}*{body}"
+
+
+def format_sum(terms) -> str:
+    """Join rendered terms into 'a + b - c' (a term's leading '-' becomes the
+    separator); '0' when there are none."""
+    if not terms:
+        return "0"
+    out = terms[0]
+    for term in terms[1:]:
+        out += (" - " + term[1:]) if term.startswith("-") else (" + " + term)
+    return out
+
+
 def format_multivector(a: dict) -> str:
     """Deterministic rendering like 'e1^e2 - 2*e3^e4'; '0' when zero."""
-    if not a:
-        return "0"
-    parts = []
-    for t in sorted(a):
-        c = a[t]
-        body = "^".join(f"e{i + 1}" for i in t) if t else "1"
-        if t and c == 1:
-            parts.append(body)
-        elif t and c == -1:
-            parts.append("-" + body)
-        else:
-            parts.append(f"{c}*{body}" if t else str(c))
-    out = parts[0]
-    for part in parts[1:]:
-        out += (" - " + part[1:]) if part.startswith("-") else (" + " + part)
-    return out
+    return format_sum([format_term(str(a[t]), "^".join(f"e{i + 1}" for i in t))
+                       for t in sorted(a)])
 
 
 # ---------------------------------------------------------------------------

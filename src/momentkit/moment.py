@@ -6,7 +6,10 @@ maps f_k from the degree-k Lie kernel to (n-k)-forms satisfying
     d f_k(p) = -zeta(k) * (V_p . omega),      zeta(k) = -(-1)^(k(k+1)/2),
 
 for k = 1..n.  Maps are stored by their values on the canonical kernel
-basis and extended linearly.
+basis and extended linearly.  The kernel basis, the contractions V_p . omega
+and the Hom modules are read from the action, which builds each once
+(`LieAction.kernel`, `LieAction.hom_module`); a MomentMap keeps its own
+residuals and Sigma cochains once computed.
 
 Three constructors (each re-verifies the defining equation before
 returning):
@@ -34,15 +37,12 @@ from fractions import Fraction
 
 from .linalg import Mat, frac, mat_hstack, rank, solve
 from .lie_core import (StructureError, boundary_matrix, ce_betti,
-                       exterior_basis, format_multivector, lie_kernel_basis,
-                       mv_coords, mv_from_coords)
-from .gmodule import (cochain_dim, coboundary_solve, dual_lie_kernel_module,
-                      dual_module, invariants_basis, lie_kernel_module,
-                      module_cohomology_dim, tensor_module)
-from .polyform import (Form, contract, exterior_d, lie_derivative,
-                       poincare_homotopy, wedge)
-from .action import (LieAction, TruncatedFormModule, check_multisymplectic,
-                     infinitesimal_generator, preserves_omega)
+                       exterior_basis, mv_coords, mv_from_coords)
+from .gmodule import (cochain_dim, coboundary_solve, invariants_basis,
+                      module_cohomology_dim)
+from .polyform import Form, contract, exterior_d, lie_derivative, poincare_homotopy
+from .action import (LieAction, check_multisymplectic, infinitesimal_generator,
+                     preserves_omega)
 
 
 def zeta(k: int) -> int:
@@ -50,14 +50,18 @@ def zeta(k: int) -> int:
 
 
 class MomentMap:
-    """Values of each f_k on the canonical degree-k kernel basis."""
+    """Values of each f_k on the canonical degree-k kernel basis.  The
+    components are fixed at construction, so `residuals` and `sigma` are
+    computed once."""
 
     def __init__(self, action: LieAction, components: dict):
         n = action.plectic_degree()
         self.action = action
         self.components = {}
+        self._residuals = None
+        self._sigma = {}
         for k, forms in components.items():
-            kb = lie_kernel_basis(action.algebra, k)
+            kb = action.kernel(k).basis
             if len(forms) != len(kb):
                 raise ValueError(f"degree {k}: need one form per kernel basis element")
             for f in forms:
@@ -69,7 +73,17 @@ class MomentMap:
         return sorted(self.components)
 
     def kernel_basis(self, k: int):
-        return lie_kernel_basis(self.action.algebra, k)
+        return self.action.kernel(k).basis
+
+    def residuals(self) -> dict:
+        if self._residuals is None:
+            self._residuals = defining_residuals(self)
+        return self._residuals
+
+    def sigma(self, k: int):
+        if k not in self._sigma:
+            self._sigma[k] = sigma_cochain(self, k)
+        return self._sigma[k]
 
     def value(self, k: int, mv: dict) -> Form:
         """f_k on an arbitrary kernel element (multivector dict)."""
@@ -91,24 +105,20 @@ class MomentMap:
 def defining_residuals(mm: MomentMap) -> dict:
     """(k, basis index) -> d f_k(p) + zeta(k) (V_p . omega); all-zero
     certifies the moment map."""
-    action = mm.action
     out = {}
     for k in mm.degrees():
-        z = zeta(k)
-        for a, vec in enumerate(mm.kernel_basis(k)):
-            v_p = infinitesimal_generator(action, mv_from_coords(
-                vec, exterior_basis(action.algebra.dim, k)))
-            out[(k, a)] = (exterior_d(mm.components[k][a])
-                           + contract(v_p, action.omega) * Fraction(z))
+        z = Fraction(zeta(k))
+        for a, rhs in enumerate(mm.action.kernel(k).contractions):
+            out[(k, a)] = exterior_d(mm.components[k][a]) + rhs * z
     return out
 
 
 def verify_moment(mm: MomentMap) -> bool:
-    return all(r.is_zero() for r in defining_residuals(mm).values())
+    return all(r.is_zero() for r in mm.residuals().values())
 
 
 def _checked(mm: MomentMap, route: str) -> MomentMap:
-    bad = [key for key, r in defining_residuals(mm).items() if not r.is_zero()]
+    bad = [key for key, r in mm.residuals().items() if not r.is_zero()]
     if bad:
         raise StructureError(
             f"{route} construction failed its defining-equation recheck at {bad}")
@@ -126,13 +136,9 @@ def construct_poincare(action: LieAction, ks=None) -> MomentMap:
     the closed form omega (then V_p . omega is closed for kernel p)."""
     components = {}
     for k in _default_degrees(action, ks):
-        z = zeta(k)
-        forms = []
-        for vec in lie_kernel_basis(action.algebra, k):
-            v_p = infinitesimal_generator(action, mv_from_coords(
-                vec, exterior_basis(action.algebra.dim, k)))
-            forms.append(poincare_homotopy(contract(v_p, action.omega)) * Fraction(-z))
-        components[k] = forms
+        z = Fraction(-zeta(k))
+        components[k] = [poincare_homotopy(rhs) * z
+                         for rhs in action.kernel(k).contractions]
     return _checked(MomentMap(action, components), "homotopy-operator")
 
 
@@ -147,7 +153,7 @@ def construct_exactness(action: LieAction, ks=None) -> MomentMap:
         bmat = boundary_matrix(g, k + 1)
         basis_next = exterior_basis(g.dim, k + 1)
         forms = []
-        for a, vec in enumerate(lie_kernel_basis(g, k)):
+        for a, vec in enumerate(action.kernel(k).basis):
             q = solve(bmat, vec)
             if q is None:
                 raise StructureError(
@@ -164,24 +170,24 @@ def construct_brackets(action: LieAction, ks=None) -> MomentMap:
     decomposition p = sum_i c_i [q_i, xi_i] with q_i in the kernel;
     applicable only when the kernel equals its bracket with the algebra.
     (The sign follows from d(q ^ xi) = (-1)^k [q, xi] for kernel q and the
-    boundary identity for the preserved closed form omega.)"""
+    boundary identity for the preserved closed form omega.  The term
+    (V_q ^ V_xi) . omega is computed as V_xi . (V_q . omega).)"""
     g = action.algebra
     s = action.sign()
     components = {}
     for k in _default_degrees(action, ks):
         z = Fraction(zeta(k) * s)
-        kb = lie_kernel_basis(g, k)
-        r = len(kb)
+        kernel = action.kernel(k)
+        r = len(kernel.basis)
         forms = []
         if r:
-            kernel_mod = lie_kernel_module(g, k)
+            kernel_mod = kernel.module
             # columns: [q_a, e_j] = -ad_{e_j} q_a in kernel coordinates
             cols = []
             for a in range(r):
                 for j in range(g.dim):
                     cols.append([-kernel_mod.rho[j].entry(b, a) for b in range(r)])
             bracket_mat = Mat.from_columns(cols, r)
-            basis_k = exterior_basis(g.dim, k)
             term_forms = {}
             for a in range(r):
                 target = [Fraction(int(b == a)) for b in range(r)]
@@ -197,10 +203,8 @@ def construct_brackets(action: LieAction, ks=None) -> MomentMap:
                         continue
                     b, j = divmod(idx, g.dim)
                     if (b, j) not in term_forms:
-                        v_q = infinitesimal_generator(action, mv_from_coords(
-                            kb[b], basis_k))
                         term_forms[(b, j)] = contract(
-                            wedge(v_q, action.fields[j]), action.omega) * z
+                            action.fields[j], kernel.contractions[b]) * z
                     out = out + term_forms[(b, j)] * c
                 forms.append(out)
         components[k] = forms
@@ -217,7 +221,7 @@ def sigma_cochain(mm: MomentMap, k: int):
     action = mm.action
     g = action.algebra
     s = action.sign()
-    kernel_mod = lie_kernel_module(g, k)
+    kernel_mod = action.kernel(k).module
     comp = mm.components[k]
     out = []
     for i in range(g.dim):
@@ -245,8 +249,8 @@ def check_sigma_cocycle(mm: MomentMap, k: int) -> bool:
     action = mm.action
     g = action.algebra
     s = action.sign()
-    kernel_mod = lie_kernel_module(g, k)
-    sigma = sigma_cochain(mm, k)
+    kernel_mod = action.kernel(k).module
+    sigma = mm.sigma(k)
     r = len(mm.components[k])
 
     def module_act(i, row):
@@ -279,19 +283,9 @@ def check_module_morphism(mm: MomentMap, k: int):
     """Quotient identity d f([xi,p]) = s d L_{V_xi} f(p) (holds for every
     verified moment map) and the strong identity f([xi,p]) = s L_{V_xi} f(p)
     (holds iff Sigma vanishes).  Returns (quotient_ok, strong_ok)."""
-    action = mm.action
-    sigma = sigma_cochain(mm, k)
+    sigma = mm.sigma(k)
     quotient_ok = all(exterior_d(form).is_zero() for row in sigma for form in row)
     return quotient_ok, sigma_is_zero(sigma)
-
-
-def _hom_module(action: LieAction, k: int, max_degree: int):
-    """Hom(kernel_k, closed (n-k)-forms of coefficient degree <= D) as a
-    GModule, with the truncated form module it was built from."""
-    trunc = TruncatedFormModule(action, action.plectic_degree() - k, max_degree)
-    dual_kernel = dual_module(lie_kernel_module(action.algebra, k))
-    dual_kernel.name = f"dual_lie_kernel(k={k})"
-    return tensor_module(dual_kernel, trunc.module), trunc
 
 
 def make_equivariant(mm: MomentMap, k: int, max_degree: int):
@@ -300,10 +294,11 @@ def make_equivariant(mm: MomentMap, k: int, max_degree: int):
     'already equivariant', 'repaired', 'obstructed at degree D'.
     StructureError if Sigma escapes the truncation (raise max_degree)."""
     action = mm.action
-    sigma = sigma_cochain(mm, k)
+    sigma = mm.sigma(k)
     if sigma_is_zero(sigma):
         return mm, None, "already equivariant"
-    hom, trunc = _hom_module(action, k, max_degree)
+    hom = action.hom_module(k, max_degree)
+    trunc = action.truncated_forms(k, max_degree)
     g = action.algebra
     r = len(mm.components[k])
     t = trunc.module.dim
@@ -325,7 +320,7 @@ def make_equivariant(mm: MomentMap, k: int, max_degree: int):
     components = {kk: list(forms) for kk, forms in mm.components.items()}
     components[k] = [f + l for f, l in zip(components[k], l_forms)]
     new_mm = _checked(MomentMap(action, components), "equivariantized")
-    if not sigma_is_zero(sigma_cochain(new_mm, k)):
+    if not sigma_is_zero(new_mm.sigma(k)):
         raise StructureError("equivariantization failed its Sigma recheck")
     return new_mm, l_forms, "repaired"
 
@@ -333,7 +328,8 @@ def make_equivariant(mm: MomentMap, k: int, max_degree: int):
 def uniqueness_check(action: LieAction, k: int, max_degree: int):
     """Equivariant moment maps at degree k differ by invariant elements of
     Hom(kernel, closed forms); reports that space within the truncation."""
-    hom, trunc = _hom_module(action, k, max_degree)
+    hom = action.hom_module(k, max_degree)
+    trunc = action.truncated_forms(k, max_degree)
     inv = invariants_basis(hom)
     t = trunc.module.dim
     r = hom.dim // t if t else 0
@@ -360,7 +356,8 @@ def existence_diagnostic(action: LieAction, ks=None, max_degree=None):
            "omega_preserved": preserved, "bracket_sign": action.sign(),
            "betti": list(betti), "degrees": {}}
     for k in _default_degrees(action, ks):
-        kb = lie_kernel_basis(g, k)
+        kernel = action.kernel(k)
+        kb = kernel.basis
         r = len(kb)
         entry = {"dim_kernel": r,
                  "betti_k": betti[k] if k < len(betti) else 0}
@@ -368,17 +365,17 @@ def existence_diagnostic(action: LieAction, ks=None, max_degree=None):
         if r:
             aug = mat_hstack(bmat, Mat.from_columns(kb, bmat.nrows))
             entry["exactness_applies"] = rank(aug) == rank(bmat)
-            h0_dual = len(invariants_basis(dual_lie_kernel_module(g, k)))
+            h0_dual = len(invariants_basis(kernel.dual))
             entry["h0_dual_kernel"] = h0_dual
             entry["brackets_apply"] = h0_dual == 0
         else:
             entry["exactness_applies"] = True
             entry["h0_dual_kernel"] = 0
             entry["brackets_apply"] = True
-        entry["poincare_applies"] = (msy["closed"] and msy["nondegenerate"]
+        entry["poincare_applies"] = (msy["closed"] and msy["nondegenerate"] is True
                                      and preserved)
         if max_degree is not None:
-            hom, _ = _hom_module(action, k, max_degree)
+            hom = action.hom_module(k, max_degree)
             entry["hom_module_dim"] = hom.dim
             entry["h0_hom"] = module_cohomology_dim(hom, 0)
             entry["h1_hom"] = module_cohomology_dim(hom, 1)
@@ -389,7 +386,4 @@ def existence_diagnostic(action: LieAction, ks=None, max_degree=None):
 
 def describe_kernel(action: LieAction, k: int):
     """Canonical kernel basis at degree k as formatted multivector strings."""
-    g = action.algebra
-    basis = exterior_basis(g.dim, k)
-    return [format_multivector(mv_from_coords(vec, basis))
-            for vec in lie_kernel_basis(g, k)]
+    return list(action.kernel(k).names)

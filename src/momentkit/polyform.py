@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import frac
-from .lie_core import sort_with_sign
+from .lie_core import format_sum, format_term, sort_with_sign
 
 ZERO = Fraction(0)
 
@@ -121,31 +121,12 @@ class Poly:
 
 def format_poly(p: Poly) -> str:
     """Deterministic human/machine form, e.g. '3/2*x1^2*x3 - x2'."""
-    if not p.terms:
-        return "0"
-    items = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    parts = []
-    for mono, c in items:
-        factors = []
-        for i, e in enumerate(mono):
-            if e == 1:
-                factors.append(f"x{i + 1}")
-            elif e > 1:
-                factors.append(f"x{i + 1}^{e}")
-        coeff = str(c)
-        if factors and c == 1:
-            body = "*".join(factors)
-        elif factors and c == -1:
-            body = "-" + "*".join(factors)
-        elif factors:
-            body = coeff + "*" + "*".join(factors)
-        else:
-            body = coeff
-        parts.append(body)
-    out = parts[0]
-    for part in parts[1:]:
-        out += (" - " + part[1:]) if part.startswith("-") else (" + " + part)
-    return out
+    terms = []
+    for mono, c in sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                   for i, e in enumerate(mono) if e]
+        terms.append(format_term(str(c), "*".join(factors)))
+    return format_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -415,51 +396,20 @@ def volume_form(n: int) -> Form:
     return Form(n, n, {tuple(range(n)): Poly.const(n, 1)})
 
 
+def _format_graded(x, basis) -> str:
+    """Polynomial coefficient times basis(index tuple), summed over the
+    components of a form or multivector field."""
+    return format_sum([format_term(format_poly(x.comps[idx]),
+                                   basis(idx) if idx else "")
+                       for idx in sorted(x.comps)])
+
+
 def format_form(alpha: Form) -> str:
     """Deterministic rendering like 'x3*dx(1,2) - 1/2*dx(1,3)'; '0' when zero."""
-    if not alpha.comps:
-        return "0"
-    parts = []
-    for idx in sorted(alpha.comps):
-        body = format_poly(alpha.comps[idx])
-        if alpha.degree == 0:
-            parts.append(body)
-            continue
-        dx = "dx(" + ",".join(str(i + 1) for i in idx) + ")"
-        if body == "1":
-            parts.append(dx)
-        elif body == "-1":
-            parts.append("-" + dx)
-        elif " + " in body or " - " in body:
-            parts.append(f"({body})*{dx}")
-        else:
-            parts.append(f"{body}*{dx}")
-    out = parts[0]
-    for part in parts[1:]:
-        out += (" - " + part[1:]) if part.startswith("-") else (" + " + part)
-    return out
+    return _format_graded(
+        alpha, lambda idx: "dx(" + ",".join(str(i + 1) for i in idx) + ")")
 
 
 def format_field(x: MultiField) -> str:
     """Deterministic rendering like 'x3*d/dx1 - x1*d/dx3'; '0' when zero."""
-    if not x.comps:
-        return "0"
-    parts = []
-    for idx in sorted(x.comps):
-        body = format_poly(x.comps[idx])
-        d = "^".join(f"d/dx{i + 1}" for i in idx) if idx else body
-        if not idx:
-            parts.append(body)
-            continue
-        if body == "1":
-            parts.append(d)
-        elif body == "-1":
-            parts.append("-" + d)
-        elif " + " in body or " - " in body:
-            parts.append(f"({body})*{d}")
-        else:
-            parts.append(f"{body}*{d}")
-    out = parts[0]
-    for part in parts[1:]:
-        out += (" - " + part[1:]) if part.startswith("-") else (" + " + part)
-    return out
+    return _format_graded(x, lambda idx: "^".join(f"d/dx{i + 1}" for i in idx))

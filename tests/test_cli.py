@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import momentkit
 from momentkit.cli import (MmkError, main, parse_problem, serialize_problem,
                            tokenize)
 
@@ -104,6 +105,17 @@ def test_serialize_parse_round_trip_is_idempotent():
         assert once == twice, name
 
 
+def test_form_indices_are_sorted_with_the_permutation_sign():
+    from momentkit.polyform import format_form
+    head = ('[algebra]\nalgebra = "abelian3"\n\n[action]\ndim = 3\n'
+            'V1 = d/dx1\nV2 = d/dx2\nV3 = d/dx3\n\n[omega]\nomega = ')
+    for omega, want in (("dx(2,1,3)", "-dx(1,2,3)"),
+                        ("dx(3,1,2)", "dx(1,2,3)"),
+                        ("2*x1*dx(3,2,1)", "-2*x1*dx(1,2,3)"),
+                        ("dx(1,1,2) + dx(2,3,1)", "dx(1,2,3)")):
+        assert format_form(parse_problem(head + omega + "\n").omega) == want, omega
+
+
 def test_inline_algebra_round_trip():
     text = ('[algebra]\ndim = 3\n[e2,e1] = 2*e3\n\n[action]\ndim = 3\n'
             'V1 = d/dx1\nV2 = d/dx2 + x1*d/dx3\nV3 = d/dx3\n\n'
@@ -149,6 +161,34 @@ def test_check_action_pass_and_fail(tmp_path, capsys):
     rc, out, _ = run_main(["check-action", str(bad)], capsys)
     assert rc == 1
     assert "pair" in out
+
+
+def test_nondegeneracy_is_proven_or_labelled(tmp_path, capsys):
+    def problem(omega):
+        path = tmp_path / "omega.mmk"
+        path.write_text('[algebra]\nalgebra = "abelian3"\n\n[action]\ndim = 3\n'
+                        'V1 = 0\nV2 = d/dx2\nV3 = d/dx3\n\n[omega]\nomega = '
+                        + omega + "\n")
+        return str(path)
+
+    # degenerate on the plane x1 = 5, of full rank at every sample point
+    plane = problem("x1*dx(1,2,3) - 5*dx(1,2,3)")
+    rc, out, _ = run_main(["check-action", plane], capsys)
+    assert rc == 1
+    assert "omega nondegenerate on constant vectors: not certified" in out
+    rc, out, _ = run_main(["diagnose", plane], capsys)
+    assert rc == 0
+    assert "omega closed/nondegenerate/preserved: True/not certified/True" in out
+    assert "routes: homotopy-operator no" in out
+    # degenerate at the origin, which is a sample point
+    rc, out, _ = run_main(["check-action", problem("x1*dx(1,2,3)"), "--format",
+                           "machine"], capsys)
+    assert rc == 1
+    data = json.loads(out)["sections"][0]["data"]
+    assert data["nondegenerate"] is False
+    assert data["nondegenerate_witness"] == ["0", "0", "0"]
+    rc, out, _ = run_main(["check-action", problem("x1*dx(1,2,3)")], capsys)
+    assert "nondegenerate on constant vectors: NO — degenerate at x = (0, 0, 0)" in out
 
 
 def test_missing_file_is_input_error(capsys):
@@ -251,8 +291,62 @@ def test_equivariance_command_reports_obstruction(capsys):
 
 
 def test_console_entry_point_runs():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(momentkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     rc = subprocess.run(
         [sys.executable, "-m", "momentkit.cli", "cohomology", "so3_r3.mmk"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert rc.returncode == 0
     assert "(1, 0, 0, 1)" in rc.stdout
+
+
+# ---------------------------------------------------------------------------
+# derived objects are built once per run
+# ---------------------------------------------------------------------------
+
+def count_calls(monkeypatch, fn):
+    """Replace `fn` in every loaded momentkit module that holds it with a
+    wrapper recording each call's positional arguments."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "momentkit" and mod is not None:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_report_builds_each_derived_object_once(monkeypatch, capsys):
+    from momentkit.action import TruncatedFormModule
+    from momentkit.gmodule import lie_kernel_module
+    kernel_modules = count_calls(monkeypatch, lie_kernel_module)
+    truncations = []
+    init = TruncatedFormModule.__init__
+
+    def counted_init(self, *args):
+        truncations.append(args[1:])
+        init(self, *args)
+
+    monkeypatch.setattr(TruncatedFormModule, "__init__", counted_init)
+    rc, _, _ = run_main(["report", bundled("u2_r4.mmk")], capsys)
+    assert rc == 0
+    assert sorted(k for _, k in kernel_modules) == [1, 2, 3]
+    assert sorted(truncations) == [(0, 1), (1, 1), (2, 1)]  # (n - k, D)
+
+
+def test_poincare_construct_builds_one_generator_per_kernel_element(
+        monkeypatch, capsys):
+    from momentkit.action import infinitesimal_generator
+    from momentkit.lie_core import catalog_algebra, lie_kernel_basis
+    g = catalog_algebra("so4")
+    kernel_elements = sum(len(lie_kernel_basis(g, k)) for k in (1, 2, 3))
+    calls = count_calls(monkeypatch, infinitesimal_generator)
+    rc, _, _ = run_main(["construct", bundled("so4_r4.mmk")], capsys)
+    assert rc == 0
+    assert 0 < len(calls) <= kernel_elements

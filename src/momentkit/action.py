@@ -67,12 +67,7 @@ class LieAction:
 
     def field_of(self, coeffs) -> MultiField:
         """Generator field of a general algebra element (coefficient list)."""
-        out = MultiField.zero(self.ambient_dim, 1)
-        for c, v in zip(coeffs, self.fields):
-            c = frac(c)
-            if c:
-                out = out + v * c
-        return out
+        return MultiField.linear_combination(self.ambient_dim, 1, zip(coeffs, self.fields))
 
     def sign(self) -> int:
         """The bracket sign; validates the action on first use and raises
@@ -127,7 +122,7 @@ class LieKernel:
     @cached_property
     def module(self) -> GModule:
         """The kernel with the extended adjoint action, in the basis above."""
-        return lie_kernel_module(self.action.algebra, self.degree)
+        return lie_kernel_module(self.action.algebra, self.degree, basis=self.basis)
 
     @cached_property
     def dual(self) -> GModule:
@@ -240,17 +235,15 @@ def infinitesimal_generator(action: LieAction, mv) -> MultiField:
         mv = {mv: Fraction(1)}
     n = action.ambient_dim
     degree = len(next(iter(mv))) if mv else 0
-    out = MultiField.zero(n, degree)
-    one = MultiField(n, 0, {(): Poly.const(n, 1)})
-    for idx, c in mv.items():
-        c = frac(c)
-        if not c:
-            continue
-        term = one
-        for t in idx:
-            term = wedge(term, action.fields[t])
-        out = out + term * c
-    return out
+    return MultiField.linear_combination(n, degree, (
+        (c, _wedge_fields(action, idx)) for idx, c in mv.items() if c))
+
+
+def _wedge_fields(action: LieAction, idx) -> MultiField:
+    """V_{t1} ^ ... ^ V_{tk} for an index tuple (the constant 1 when empty)."""
+    n = action.ambient_dim
+    return reduce(wedge, (action.fields[t] for t in idx),
+                  MultiField(n, 0, {(): Poly.const(n, 1)}))
 
 
 def cartan_residual(action: LieAction, mv, tau: Form) -> Form:
@@ -272,28 +265,19 @@ def cartan_residual(action: LieAction, mv, tau: Form) -> Form:
     if tau.degree < k:
         raise ValueError("tau degree must be at least the multivector degree")
     s = action.sign()
-    n = action.ambient_dim
-    one = MultiField(n, 0, {(): Poly.const(n, 1)})
-
     v_p = infinitesimal_generator(action, mv)
-    lhs = exterior_d(contract(v_p, tau)) * Fraction((-1) ** k)
-
+    # LHS and then each RHS term with the opposite sign
+    pairs = [((-1) ** k, exterior_d(contract(v_p, tau))),
+             (-1, contract(v_p, exterior_d(tau)))]
     boundary_field = infinitesimal_generator(action, mv_boundary(action.algebra, mv))
-    if boundary_field.is_zero():
-        rhs = Form.zero(n, tau.degree - k + 1)
-    else:
-        rhs = contract(boundary_field, tau) * Fraction(s)
+    if not boundary_field.is_zero():
+        pairs.append((-s, contract(boundary_field, tau)))
     for idx, c in mv.items():
-        c = frac(c)
         for a, t in enumerate(idx):
-            rest = one
-            for b, u in enumerate(idx):
-                if b != a:
-                    rest = wedge(rest, action.fields[u])
+            rest = _wedge_fields(action, idx[:a] + idx[a + 1:])
             ltau = lie_derivative(action.fields[t], tau)
-            term = contract(rest, ltau) * (c * Fraction((-1) ** (a + 1)))
-            rhs = rhs + term
-    return (lhs - rhs) - contract(v_p, exterior_d(tau))
+            pairs.append((frac(c) * (-1) ** a, contract(rest, ltau)))
+    return Form.linear_combination(action.ambient_dim, tau.degree - k + 1, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +306,9 @@ def form_key_basis(n: int, p: int, max_degree: int):
 
 
 def form_to_vector(alpha: Form, keys, key_index=None):
-    """Coefficient vector of a form in a key basis; StructureError if the
-    form has a component outside the basis (degree truncation escape)."""
+    """Coefficient vector of a form in a key basis; StructureError naming the
+    smallest (index tuple, monomial) key outside the basis if the form has
+    one (degree truncation escape)."""
     if key_index is None:
         key_index = {key: r for r, key in enumerate(keys)}
     vec = [Fraction(0)] * len(keys)
@@ -332,17 +317,15 @@ def form_to_vector(alpha: Form, keys, key_index=None):
             try:
                 vec[key_index[(idx, mono)]] = c
             except KeyError:
+                escaped = min((i, m) for i, p in alpha.comps.items()
+                              for m in p.terms if (i, m) not in key_index)
                 raise StructureError(
-                    f"form escapes the truncated space at key {(idx, mono)}") from None
+                    f"form escapes the truncated space at key {escaped}") from None
     return vec
 
 
 def vector_to_form(vec, keys, n: int, p: int) -> Form:
-    comps: dict = {}
-    for c, (idx, mono) in zip(vec, keys):
-        if c:
-            comps.setdefault(idx, {})[mono] = c
-    return Form(n, p, {idx: Poly(n, terms) for idx, terms in comps.items()})
+    return Form.from_terms(n, p, ((c, mono, idx) for c, (idx, mono) in zip(vec, keys) if c))
 
 
 def _operator_matrix(op, keys_in, keys_out, n: int, p_in: int):
@@ -351,7 +334,7 @@ def _operator_matrix(op, keys_in, keys_out, n: int, p_in: int):
     out_index = {key: r for r, key in enumerate(keys_out)}
     cols = []
     for idx, mono in keys_in:
-        image = op(Form(n, p_in, {idx: Poly(n, {mono: Fraction(1)})}))
+        image = op(Form.from_terms(n, p_in, [(1, mono, idx)]))
         cols.append(form_to_vector(image, keys_out, out_index))
     return Mat.from_columns(cols, nrows=len(keys_out))
 
@@ -432,12 +415,8 @@ class TruncatedFormModule:
         return None if sol is None else sol.col(0)
 
     def from_coords(self, coords) -> Form:
-        out = Form.zero(self.action.ambient_dim, self.form_degree)
-        for c, b in zip(coords, self.forms):
-            c = frac(c)
-            if c:
-                out = out + b * c
-        return out
+        return Form.linear_combination(self.action.ambient_dim, self.form_degree,
+                                       zip(coords, self.forms))
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +425,8 @@ class TruncatedFormModule:
 
 def _linear_field(n: int, terms) -> MultiField:
     """Vector field sum of c * x_var * d/dx_direction terms (0-based indices)."""
-    comps = [Poly(n) for _ in range(n)]
-    for c, var, direction in terms:
-        comps[direction] = comps[direction] + Poly.var(var, n) * frac(c)
-    return MultiField.vector(n, comps)
+    return MultiField.from_terms(n, 1, ((c, [int(i == var) for i in range(n)], (direction,))
+                                        for c, var, direction in terms))
 
 
 def translations_r3() -> LieAction:

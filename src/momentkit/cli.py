@@ -30,9 +30,9 @@ import sys
 from fractions import Fraction
 
 from .lie_core import (LieAlgebra, StructureError, catalog_algebra,
-                       format_multivector, sort_with_sign, validate_jacobi,
+                       format_multivector, validate_jacobi,
                        ALGEBRA_CATALOG, ce_betti)
-from .polyform import Form, MultiField, Poly, format_field, format_form
+from .polyform import Form, MultiField, format_field, format_form
 from .action import (LieAction, check_multisymplectic, invariant_closed_forms,
                      preserves_omega)
 from .moment import (construct_brackets, construct_exactness,
@@ -249,7 +249,7 @@ def terms_to_form(terms, n, line):
     if _is_zero_literal(terms):
         return None  # degree unknown; caller decides
     degree = None
-    comps = {}
+    triples = []
     for term in terms:
         basis = term["basis"]
         if basis is None or basis[0] != "dx":
@@ -273,20 +273,17 @@ def terms_to_form(terms, n, line):
                 raise MmkError(f"variable x{v} out of range for dim {n}",
                                line=line, col=term["col"])
             mono[v - 1] += e
-        sign, key = sort_with_sign(i - 1 for i in idx1)
-        poly = comps.setdefault(key, {})
-        mono = tuple(mono)
-        poly[mono] = poly.get(mono, Fraction(0)) + term["coeff"] * sign
+        triples.append((term["coeff"], mono, [i - 1 for i in idx1]))
     if degree is None:
         raise MmkError("form expression has no nonzero term", line=line, col=1)
-    return Form(n, degree, {k: Poly(n, v) for k, v in comps.items()})
+    return Form.from_terms(n, degree, triples)
 
 
 def terms_to_field(terms, n, line):
     """Build a vector field on R^n; every term needs one d/dx<i> factor."""
-    comps = [Poly(n) for _ in range(n)]
     if _is_zero_literal(terms):
-        return MultiField.vector(n, comps)
+        return MultiField.zero(n, 1)
+    triples = []
     for term in terms:
         basis = term["basis"]
         if basis is None or basis[0] != "ddx":
@@ -302,8 +299,8 @@ def terms_to_field(terms, n, line):
                 raise MmkError(f"variable x{v} out of range for dim {n}",
                                line=line, col=term["col"])
             mono[v - 1] += e
-        comps[i - 1] = comps[i - 1] + Poly(n, {tuple(mono): term["coeff"]})
-    return MultiField.vector(n, comps)
+        triples.append((term["coeff"], mono, (i - 1,)))
+    return MultiField.from_terms(n, 1, triples)
 
 
 def terms_to_algebra_vector(terms, dim, line):

@@ -82,11 +82,12 @@ def tensor_module(a: GModule, b: GModule) -> GModule:
     return GModule(a.algebra, rho, name=f"{a.name}(x){b.name}", validate=False)
 
 
-def lie_kernel_module(g: LieAlgebra, k: int) -> GModule:
+def lie_kernel_module(g: LieAlgebra, k: int, basis=None) -> GModule:
     """The degree-k Lie kernel with the extended adjoint action, in the
-    canonical kernel basis.  The adjoint action preserves the kernel; this
-    construction verifies that fact exactly while restricting."""
-    kb = lie_kernel_basis(g, k)
+    canonical kernel basis (`lie_kernel_basis(g, k)`, computed here unless
+    passed in).  The adjoint action preserves the kernel; this construction
+    verifies that fact exactly while restricting."""
+    kb = lie_kernel_basis(g, k) if basis is None else basis
     ncoords = len(exterior_basis(g.dim, k))
     kmat = Mat.from_columns(kb, ncoords) if kb else Mat.zeros(ncoords, 0)
     rho = []

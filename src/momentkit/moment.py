@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, frac, mat_hstack, rank, solve
+from .linalg import Mat, mat_hstack, rank, solve
 from .lie_core import (StructureError, boundary_matrix, ce_betti,
                        exterior_basis, mv_coords, mv_from_coords)
 from .gmodule import (cochain_dim, coboundary_solve, invariants_basis,
@@ -94,22 +94,21 @@ class MomentMap:
         coeffs = solve(kmat, vec)
         if coeffs is None:
             raise ValueError("element is not in the Lie kernel")
-        out = Form.zero(self.action.ambient_dim, self.action.plectic_degree() - k)
-        for c, f in zip(coeffs, self.components[k]):
-            c = frac(c)
-            if c:
-                out = out + f * c
-        return out
+        return Form.linear_combination(self.action.ambient_dim,
+                                       self.action.plectic_degree() - k,
+                                       zip(coeffs, self.components[k]))
 
 
 def defining_residuals(mm: MomentMap) -> dict:
     """(k, basis index) -> d f_k(p) + zeta(k) (V_p . omega); all-zero
     certifies the moment map."""
     out = {}
+    n = mm.action.ambient_dim
     for k in mm.degrees():
-        z = Fraction(zeta(k))
         for a, rhs in enumerate(mm.action.kernel(k).contractions):
-            out[(k, a)] = exterior_d(mm.components[k][a]) + rhs * z
+            f = mm.components[k][a]
+            out[(k, a)] = Form.linear_combination(
+                n, f.degree + 1, ((1, exterior_d(f)), (zeta(k), rhs)))
     return out
 
 
@@ -176,7 +175,7 @@ def construct_brackets(action: LieAction, ks=None) -> MomentMap:
     s = action.sign()
     components = {}
     for k in _default_degrees(action, ks):
-        z = Fraction(zeta(k) * s)
+        z = zeta(k) * s
         kernel = action.kernel(k)
         r = len(kernel.basis)
         forms = []
@@ -188,7 +187,7 @@ def construct_brackets(action: LieAction, ks=None) -> MomentMap:
                 for j in range(g.dim):
                     cols.append([-kernel_mod.rho[j].entry(b, a) for b in range(r)])
             bracket_mat = Mat.from_columns(cols, r)
-            term_forms = {}
+            term_forms = {}  # column -> V_{xi_j} . (V_{q_b} . omega)
             for a in range(r):
                 target = [Fraction(int(b == a)) for b in range(r)]
                 coeffs = solve(bracket_mat, target)
@@ -196,17 +195,16 @@ def construct_brackets(action: LieAction, ks=None) -> MomentMap:
                     raise StructureError(
                         f"bracket route does not apply at degree {k}: kernel basis "
                         f"element {a} is not a bracket combination")
-                out = Form.zero(action.ambient_dim, action.plectic_degree() - k)
-                for idx, c in enumerate(coeffs):
-                    c = frac(c)
-                    if not c:
-                        continue
-                    b, j = divmod(idx, g.dim)
-                    if (b, j) not in term_forms:
-                        term_forms[(b, j)] = contract(
-                            action.fields[j], kernel.contractions[b]) * z
-                    out = out + term_forms[(b, j)] * c
-                forms.append(out)
+                pairs = []
+                for col, c in enumerate(coeffs):
+                    if c:
+                        if col not in term_forms:
+                            b, j = divmod(col, g.dim)
+                            term_forms[col] = contract(action.fields[j],
+                                                       kernel.contractions[b])
+                        pairs.append((z * c, term_forms[col]))
+                forms.append(Form.linear_combination(
+                    action.ambient_dim, action.plectic_degree() - k, pairs))
         components[k] = forms
     return _checked(MomentMap(action, components), "bracket")
 
@@ -215,27 +213,27 @@ def construct_brackets(action: LieAction, ks=None) -> MomentMap:
 # equivariance
 # ---------------------------------------------------------------------------
 
-def sigma_cochain(mm: MomentMap, k: int):
-    """Sigma(e_i)(p_a) = f([e_i, p_a]) - s L_{V_i} f(p_a), as a list indexed
-    [i][a] of forms.  Entries are closed for a verified moment map."""
-    action = mm.action
-    g = action.algebra
+def _module_act(action: LieAction, k: int, i: int, row, scale=1):
+    """scale * (e_i . alpha)(p_a) for every kernel basis element p_a, where
+    alpha takes the values `row` on the kernel basis and
+    (e_i . alpha)(p) = s L_{V_i}(alpha(p)) - alpha([e_i, p]), i.e.
+    (e_i . alpha)(p_a) = s L_{V_i} alpha(p_a) - sum_b rho_i[b, a] alpha(p_b)."""
     s = action.sign()
-    kernel_mod = action.kernel(k).module
-    comp = mm.components[k]
-    out = []
-    for i in range(g.dim):
-        rho_i = kernel_mod.rho[i]
-        row = []
-        for a in range(len(comp)):
-            val = lie_derivative(action.fields[i], comp[a]) * Fraction(-s)
-            for b in range(len(comp)):
-                c = rho_i.entry(b, a)
-                if c:
-                    val = val + comp[b] * c
-            row.append(val)
-        out.append(row)
-    return out
+    rho_i = action.kernel(k).module.rho[i]
+    v_i = action.fields[i]
+    return [Form.linear_combination(
+                action.ambient_dim, alpha.degree,
+                [(scale * s, lie_derivative(v_i, alpha))]
+                + [(-scale * rho_i.entry(b, a), beta) for b, beta in enumerate(row)])
+            for a, alpha in enumerate(row)]
+
+
+def sigma_cochain(mm: MomentMap, k: int):
+    """Sigma(e_i)(p_a) = f([e_i, p_a]) - s L_{V_i} f(p_a) = -(e_i . f)(p_a),
+    as a list indexed [i][a] of forms.  Entries are closed for a verified
+    moment map."""
+    return [_module_act(mm.action, k, i, mm.components[k], -1)
+            for i in range(mm.action.algebra.dim)]
 
 
 def sigma_is_zero(sigma) -> bool:
@@ -248,33 +246,17 @@ def check_sigma_cocycle(mm: MomentMap, k: int) -> bool:
     (no truncation: the check is symbolic in the form entries)."""
     action = mm.action
     g = action.algebra
-    s = action.sign()
-    kernel_mod = action.kernel(k).module
     sigma = mm.sigma(k)
-    r = len(mm.components[k])
-
-    def module_act(i, row):
-        # (e_i . alpha) for alpha given by its values on the kernel basis
-        out = []
-        for a in range(r):
-            val = lie_derivative(action.fields[i], row[a]) * Fraction(s)
-            for b in range(r):
-                c = kernel_mod.rho[i].entry(b, a)
-                if c:
-                    val = val - row[b] * c
-            out.append(val)
-        return out
-
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = module_act(i, sigma[j])
-            rhs = module_act(j, sigma[i])
-            bracket_row = [Form.zero(action.ambient_dim, f.degree) for f in sigma[i]]
-            for m, c in enumerate(g.bracket_basis(i, j)):
-                if c:
-                    bracket_row = [acc + f * c for acc, f in zip(bracket_row, sigma[m])]
-            for a in range(r):
-                if not (lhs[a] - rhs[a] - bracket_row[a]).is_zero():
+            lhs = _module_act(action, k, i, sigma[j])
+            rhs = _module_act(action, k, j, sigma[i])
+            bracket = g.bracket_basis(i, j)
+            for a, (x, y) in enumerate(zip(lhs, rhs)):
+                delta = Form.linear_combination(
+                    action.ambient_dim, x.degree,
+                    [(1, x), (-1, y)] + [(-c, row[a]) for c, row in zip(bracket, sigma)])
+                if not delta.is_zero():
                     return False
     return True
 

@@ -5,6 +5,18 @@ A Poly is a sparse polynomial in x_1..x_n with Fraction coefficients
 p-index tuples (0-based) to Poly coefficients; a MultiField does the same
 for polynomial multivector fields.
 
+Invariants of every Poly, Form and MultiField: component keys are
+increasing index tuples, no stored coefficient is zero, and no component is
+the zero Poly.  The public constructors (`Poly(n, terms)`,
+`Form(n, degree, comps)`, `MultiField(...)`, `MultiField.vector`,
+`from_terms` / `form_from_terms`) validate their input.  Internal results
+are not validated again: every operator on forms and fields (sums, scalar
+and Poly products, `linear_combination`, wedge, d, contraction, K, the
+vector-field bracket) streams (index tuple, monomial, coefficient) terms
+into one accumulator, `_build`, which keeps the invariants by construction
+and builds no intermediate form; Poly arithmetic wraps its results the same
+way (`_poly`).
+
 Conventions:
   * contraction: (X_1 ^ ... ^ X_k) . alpha applies iota_{X_1} innermost,
     i.e. equals alpha(X_1, ..., X_k, .),
@@ -17,6 +29,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .linalg import frac
 from .lie_core import format_sum, format_term, sort_with_sign
@@ -66,10 +79,10 @@ class Poly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, ZERO) + c
-        return Poly(self.n, terms)
+        return _poly(self.n, {m: c for m, c in terms.items() if c})
 
     def __neg__(self) -> "Poly":
-        return Poly(self.n, {m: -c for m, c in self.terms.items()})
+        return _poly(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -79,11 +92,11 @@ class Poly:
             terms: dict = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
+                    m = tuple(map(add, m1, m2))
                     terms[m] = terms.get(m, ZERO) + c1 * c2
-            return Poly(self.n, terms)
+            return _poly(self.n, {m: c for m, c in terms.items() if c})
         c = frac(other)
-        return Poly(self.n, {m: c * x for m, x in self.terms.items()})
+        return _poly(self.n, {m: c * x for m, x in self.terms.items()} if c else {})
 
     __rmul__ = __mul__
 
@@ -101,13 +114,8 @@ class Poly:
         return total
 
     def diff(self, i: int) -> "Poly":
-        terms = {}
-        for m, c in self.terms.items():
-            if m[i]:
-                mm = list(m)
-                mm[i] -= 1
-                terms[tuple(mm)] = terms.get(tuple(mm), ZERO) + c * m[i]
-        return Poly(self.n, terms)
+        return _poly(self.n, {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
+                              for m, c in self.terms.items() if m[i]})
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
@@ -117,6 +125,15 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
+
+
+def _poly(n: int, terms: dict) -> Poly:
+    """Wrap a {monomial: nonzero Fraction} dict as a Poly, uncopied and
+    unchecked."""
+    p = Poly.__new__(Poly)
+    p.n = n
+    p.terms = terms
+    return p
 
 
 def format_poly(p: Poly) -> str:
@@ -132,6 +149,51 @@ def format_poly(p: Poly) -> str:
 # ---------------------------------------------------------------------------
 # graded objects: forms and multivector fields
 # ---------------------------------------------------------------------------
+
+def _build(cls, n: int, degree: int, terms):
+    """The form or multivector field (of class cls) summing a stream of
+    (index tuple, monomial, Fraction) terms.
+
+    An index tuple may be unsorted: sort_with_sign gives its key and sign,
+    once per distinct tuple, and a repeated index drops the term.  A
+    coefficient that sums to zero is removed at once, empty components are
+    dropped at the end, and the result is wrapped without validating it
+    again."""
+    acc: dict = {}
+    slots: dict = {}
+    for idx, mono, c in terms:
+        slot = slots.get(idx)
+        if slot is None:
+            sign, key = sort_with_sign(idx)
+            slot = slots[idx] = (sign, acc.setdefault(key, {}) if sign else None)
+        sign, poly = slot
+        if sign:
+            if sign < 0:
+                c = -c
+            old = poly.get(mono)
+            if old is not None:
+                c += old
+            if c:
+                poly[mono] = c
+            elif old is not None:
+                del poly[mono]
+    x = cls.__new__(cls)
+    x.n = n
+    x.degree = degree
+    x.comps = {key: _poly(n, poly) for key, poly in acc.items() if poly}
+    return x
+
+
+def _scaled_terms(n: int, degree: int, pairs):
+    for c, x in pairs:
+        if x.n != n or x.degree != degree:
+            raise ValueError("degree/dimension mismatch")
+        c = frac(c)
+        if c:
+            for idx, p in x.comps.items():
+                for mono, a in p.terms.items():
+                    yield idx, mono, c * a
+
 
 class _Graded:
     """Shared machinery: Poly coefficients over increasing index tuples."""
@@ -153,37 +215,51 @@ class _Graded:
                 clean[tuple(idx)] = p
         self.comps = clean
 
+    @classmethod
+    def zero(cls, n: int, degree: int):
+        return cls(n, degree, {})
+
     def is_zero(self) -> bool:
         return not self.comps
 
-    def _binary(self, other, op):
-        if self.n != other.n or self.degree != other.degree:
-            raise ValueError("degree/dimension mismatch")
-        comps = dict(self.comps)
-        for idx, p in other.comps.items():
-            q = op(comps.get(idx, Poly(self.n)), p)
-            if q.is_zero():
-                comps.pop(idx, None)
-            else:
-                comps[idx] = q
-        return type(self)(self.n, self.degree, comps)
+    @classmethod
+    def from_terms(cls, n: int, degree: int, terms):
+        """Sum of (coefficient, monomial exponents, index tuple) terms, with
+        0-based indices in any order (a repeated index makes a term zero);
+        each term is checked against n and the degree."""
+        checked = []
+        for c, mono, idx in terms:
+            mono, idx = tuple(mono), tuple(idx)
+            if len(mono) != n:
+                raise ValueError("monomial length mismatch")
+            if len(idx) != degree or any(i < 0 or i >= n for i in idx):
+                raise ValueError(f"index tuple {idx} is not a {degree}-tuple in 0..{n - 1}")
+            checked.append((idx, mono, frac(c)))
+        return _build(cls, n, degree, checked)
+
+    @classmethod
+    def linear_combination(cls, n: int, degree: int, pairs):
+        """sum c * x over (scalar c, x) pairs, every x of this dimension and
+        degree, in one pass."""
+        return _build(cls, n, degree, _scaled_terms(n, degree, pairs))
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self.linear_combination(self.n, self.degree, ((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self.linear_combination(self.n, self.degree, ((1, self), (-1, other)))
 
     def __neg__(self):
-        return self * Fraction(-1)
+        return self * -1
 
     def __mul__(self, scalar):
         if isinstance(scalar, Poly):
-            return type(self)(self.n, self.degree,
-                              {i: p * scalar for i, p in self.comps.items()})
-        c = frac(scalar)
-        return type(self)(self.n, self.degree,
-                          {i: p * c for i, p in self.comps.items()})
+            return _build(type(self), self.n, self.degree, (
+                (idx, tuple(map(add, m1, m2)), c1 * c2)
+                for idx, p in self.comps.items()
+                for m1, c1 in p.terms.items()
+                for m2, c2 in scalar.terms.items()))
+        return self.linear_combination(self.n, self.degree, ((scalar, self),))
 
     __rmul__ = __mul__
 
@@ -198,31 +274,9 @@ class _Graded:
     def max_coeff_degree(self) -> int:
         return max((p.degree() for p in self.comps.values()), default=-1)
 
-    def _wedge(self, other):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch in wedge")
-        comps: dict = {}
-        for i1, p1 in self.comps.items():
-            for i2, p2 in other.comps.items():
-                sign, idx = sort_with_sign(i1 + i2)
-                if sign == 0:
-                    continue
-                add = (p1 * p2) * sign
-                q = comps.get(idx)
-                q = add if q is None else q + add
-                if q.is_zero():
-                    comps.pop(idx, None)
-                else:
-                    comps[idx] = q
-        return type(self)(self.n, self.degree + other.degree, comps)
-
 
 class Form(_Graded):
     """Polynomial differential form of fixed degree on R^n."""
-
-    @classmethod
-    def zero(cls, n: int, degree: int) -> "Form":
-        return cls(n, degree, {})
 
     @classmethod
     def constant(cls, n: int, c) -> "Form":
@@ -243,10 +297,6 @@ class MultiField(_Graded):
     """Polynomial multivector field of fixed degree on R^n."""
 
     @classmethod
-    def zero(cls, n: int, degree: int) -> "MultiField":
-        return cls(n, degree, {})
-
-    @classmethod
     def vector(cls, n: int, components) -> "MultiField":
         """Vector field from its n component polynomials."""
         comps = {}
@@ -257,55 +307,28 @@ class MultiField(_Graded):
                 comps[(i,)] = p
         return cls(n, 1, comps)
 
-    def component(self, i: int) -> Poly:
-        if self.degree != 1:
-            raise ValueError("component() needs a vector field")
-        return self.comps.get((i,), Poly(self.n))
-
 
 def wedge(a, b):
     """Wedge of two forms or two multivector fields."""
     if type(a) is not type(b):
         raise TypeError("wedge needs two forms or two multivector fields")
-    return a._wedge(b)
+    if a.n != b.n:
+        raise ValueError("dimension mismatch in wedge")
+    return _build(type(a), a.n, a.degree + b.degree, (
+        (i1 + i2, tuple(map(add, m1, m2)), c1 * c2)
+        for i1, p1 in a.comps.items()
+        for i2, p2 in b.comps.items() if set(i1).isdisjoint(i2)
+        for m1, c1 in p1.terms.items()
+        for m2, c2 in p2.terms.items()))
 
 
 def exterior_d(alpha: Form) -> Form:
     """Exterior derivative."""
-    comps: dict = {}
-    for idx, p in alpha.comps.items():
-        for i in range(alpha.n):
-            dp = p.diff(i)
-            if dp.is_zero():
-                continue
-            sign, key = sort_with_sign((i,) + idx)
-            if sign == 0:
-                continue
-            add = dp * sign
-            q = comps.get(key)
-            q = add if q is None else q + add
-            if q.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = q
-    return Form(alpha.n, alpha.degree + 1, comps)
-
-
-def _iota_basis(i: int, alpha: Form) -> Form:
-    """Contraction with the coordinate field d/dx_i."""
-    comps: dict = {}
-    for idx, p in alpha.comps.items():
-        if i in idx:
-            pos = idx.index(i)
-            key = idx[:pos] + idx[pos + 1:]
-            add = p * ((-1) ** pos)
-            q = comps.get(key)
-            q = add if q is None else q + add
-            if q.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = q
-    return Form(alpha.n, alpha.degree - 1, comps)
+    return _build(Form, alpha.n, alpha.degree + 1, (
+        ((i,) + idx, mono[:i] + (e - 1,) + mono[i + 1:], c * e)
+        for idx, p in alpha.comps.items()
+        for mono, c in p.terms.items()
+        for i, e in enumerate(mono) if e and i not in idx))
 
 
 def contract(field: MultiField, alpha: Form) -> Form:
@@ -315,14 +338,21 @@ def contract(field: MultiField, alpha: Form) -> Form:
         raise ValueError("dimension mismatch in contract")
     if field.degree > alpha.degree:
         raise ValueError("cannot contract: field degree exceeds form degree")
-    out = Form.zero(alpha.n, alpha.degree - field.degree)
-    for idx, coeff in field.comps.items():
-        partial = alpha
-        for i in idx:
-            partial = _iota_basis(i, partial)
-        if not partial.is_zero():
-            out = out + partial * coeff
-    return out
+    return _build(Form, alpha.n, alpha.degree - field.degree,
+                  _contract_terms(field, alpha))
+
+
+def _contract_terms(field: MultiField, alpha: Form):
+    for t, q in field.comps.items():
+        for idx, p in alpha.comps.items():
+            rest = tuple(i for i in idx if i not in t)
+            if len(rest) + len(t) != len(idx):
+                continue
+            # dx^idx = sign * dx^t ^ dx^rest; iota over t_0 first takes dx^t off
+            sign = sort_with_sign(t + rest)[0]
+            for m1, c1 in q.terms.items():
+                for m2, c2 in p.terms.items():
+                    yield rest, tuple(map(add, m1, m2)), sign * c1 * c2
 
 
 def lie_derivative(x: MultiField, alpha: Form) -> Form:
@@ -340,17 +370,14 @@ def vf_bracket(x: MultiField, y: MultiField) -> MultiField:
         raise ValueError("vf_bracket needs vector fields")
     if x.n != y.n:
         raise ValueError("dimension mismatch in vf_bracket")
-    comps = []
-    for i in range(x.n):
-        p = Poly(x.n)
-        for j in range(x.n):
-            xj, yj = x.component(j), y.component(j)
-            if not xj.is_zero():
-                p = p + xj * y.component(i).diff(j)
-            if not yj.is_zero():
-                p = p - yj * x.component(i).diff(j)
-        comps.append(p)
-    return MultiField.vector(x.n, comps)
+    # sign * a^j d_j b^i, for (a, b, sign) = (x, y, +1) and (y, x, -1)
+    return _build(MultiField, x.n, 1, (
+        (i, tuple(map(add, m1, m2[:j] + (m2[j] - 1,) + m2[j + 1:])), sign * c1 * c2 * m2[j])
+        for a, b, sign in ((x, y, 1), (y, x, -1))
+        for (j,), p1 in a.comps.items()
+        for i, p2 in b.comps.items()
+        for m2, c2 in p2.terms.items() if m2[j]
+        for m1, c1 in p1.terms.items()))
 
 
 def poincare_homotopy(alpha: Form) -> Form:
@@ -359,37 +386,16 @@ def poincare_homotopy(alpha: Form) -> Form:
     is zero by convention."""
     if alpha.degree == 0:
         return Form.zero(alpha.n, 0)
-    out = Form.zero(alpha.n, alpha.degree - 1)
     p = alpha.degree
-    for idx, poly in alpha.comps.items():
-        for mono, c in poly.terms.items():
-            weight = Fraction(1, sum(mono) + p)
-            for jpos, i in enumerate(idx):
-                mm = list(mono)
-                mm[i] += 1
-                key = idx[:jpos] + idx[jpos + 1:]
-                coeff = c * weight * ((-1) ** jpos)
-                term = Poly(alpha.n, {tuple(mm): coeff})
-                cur = out.comps.get(key)
-                cur = term if cur is None else cur + term
-                if cur.is_zero():
-                    out.comps.pop(key, None)
-                else:
-                    out.comps[key] = cur
-    return out
+    return _build(Form, alpha.n, p - 1, (
+        (idx[:j] + idx[j + 1:], mono[:i] + (mono[i] + 1,) + mono[i + 1:],
+         (-c if j % 2 else c) / (sum(mono) + p))
+        for idx, poly in alpha.comps.items()
+        for mono, c in poly.terms.items()
+        for j, i in enumerate(idx)))
 
 
-def form_from_terms(n: int, degree: int, terms) -> Form:
-    """Form from (coefficient, monomial-exponents, index-tuple) triples;
-    indices are 0-based and need not be sorted."""
-    out = Form.zero(n, degree)
-    for c, mono, idx in terms:
-        sign, key = sort_with_sign(tuple(idx))
-        if sign == 0:
-            continue
-        poly = Poly(n, {tuple(mono): frac(c) * sign})
-        out = out + Form(n, degree, {key: poly})
-    return out
+form_from_terms = Form.from_terms
 
 
 def volume_form(n: int) -> Form:

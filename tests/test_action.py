@@ -13,6 +13,7 @@ from momentkit.polyform import (Form, MultiField, Poly, exterior_d,
 from momentkit.action import (ACTION_CATALOG, LieAction, TruncatedFormModule,
                               cartan_residual, catalog_action,
                               check_multisymplectic, closed_form_basis,
+                              form_key_basis, form_to_vector,
                               infinitesimal_generator, invariant_closed_forms,
                               monomial_basis, preserves_omega, validate_action)
 
@@ -200,3 +201,14 @@ def test_truncated_module_action_and_escape():
     with pytest.raises(StructureError) as err:
         TruncatedFormModule(bad, 1, 0)
     assert "truncat" in str(err.value)
+
+
+def test_truncation_escape_names_the_smallest_key():
+    # the message must not depend on the order the form's terms were built in
+    keys = form_key_basis(3, 1, 1)
+    x3_sq = Poly(3, {(0, 0, 2): 1})
+    x1_cubed = Poly(3, {(3, 0, 0): 1, (1, 0, 0): 1})
+    for comps in ({(2,): x1_cubed, (0,): x3_sq}, {(0,): x3_sq, (2,): x1_cubed}):
+        with pytest.raises(StructureError) as err:
+            form_to_vector(Form(3, 1, comps), keys)
+        assert str(err.value).endswith("at key ((0,), (0, 0, 2))")

@@ -325,7 +325,9 @@ def count_calls(monkeypatch, fn):
 def test_report_builds_each_derived_object_once(monkeypatch, capsys):
     from momentkit.action import TruncatedFormModule
     from momentkit.gmodule import lie_kernel_module
+    from momentkit.lie_core import lie_kernel_basis
     kernel_modules = count_calls(monkeypatch, lie_kernel_module)
+    kernel_bases = count_calls(monkeypatch, lie_kernel_basis)
     truncations = []
     init = TruncatedFormModule.__init__
 
@@ -337,6 +339,7 @@ def test_report_builds_each_derived_object_once(monkeypatch, capsys):
     rc, _, _ = run_main(["report", bundled("u2_r4.mmk")], capsys)
     assert rc == 0
     assert sorted(k for _, k in kernel_modules) == [1, 2, 3]
+    assert sorted(k for _, k in kernel_bases) == [1, 2, 3]
     assert sorted(truncations) == [(0, 1), (1, 1), (2, 1)]  # (n - k, D)
 
 

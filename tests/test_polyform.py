@@ -238,3 +238,52 @@ def test_format_form_and_field():
                               Poly(n, {(0, 1, 0): Fraction(-1)})])
     assert format_field(v) == "x3*d/dx2 - x2*d/dx3"
     assert format_form(Form.zero(n, 2)) == "0"
+
+
+# ---------------------------------------------------------------------------
+# every operator keeps the invariants (one accumulator, no re-validation)
+# ---------------------------------------------------------------------------
+
+def assert_canonical(x):
+    """x is what the validating constructors would build from its terms:
+    increasing keys, no empty component, no zero coefficient."""
+    for idx, p in x.comps.items():
+        assert all(a < b for a, b in zip(idx, idx[1:])), idx
+        assert p.terms, idx
+        assert all(p.terms.values()), idx
+    rebuilt = type(x)(x.n, x.degree, {idx: Poly(x.n, p.terms)
+                                      for idx, p in x.comps.items()})
+    assert rebuilt == x
+
+
+def test_every_operator_result_is_canonical():
+    rng = random.Random(53)
+    n = 4
+    seen_zero = 0
+    for _ in range(12):
+        a = random_form(rng, n, 1, 2)
+        b = random_form(rng, n, 2, 2)
+        c = random_form(rng, n, 1, 2)
+        x = MultiField.vector(n, [random_poly(rng, n, 1) for _ in range(n)])
+        y = MultiField.vector(n, [random_poly(rng, n, 2) for _ in range(n)])
+        q = random_poly(rng, n, 1)
+        results = [
+            a + c, a - c, a - a, a + a * -1, -b, b * Fraction(3, 2), b * 0,
+            b * q, b * (q - q), wedge(a, c), wedge(a, a), wedge(a, b),
+            wedge(x, y), wedge(x, x), exterior_d(b), exterior_d(exterior_d(a)),
+            contract(x, b), contract(wedge(x, y), b), contract(x, a - a),
+            poincare_homotopy(b), poincare_homotopy(exterior_d(a)),
+            lie_derivative(x, a), lie_derivative(x, b),
+            vf_bracket(x, y), vf_bracket(x, x),
+            Form.linear_combination(n, 1, [(1, a), (2, c), (-1, a), (-2, c)]),
+            Form.linear_combination(n, 2, [(0, b), (Fraction(1, 3), b), (-1, b)]),
+            MultiField.linear_combination(n, 1, [(3, x), (-1, y), (1, y)]),
+            form_from_terms(n, 2, [(1, (0,) * n, (1, 0)), (1, (0,) * n, (0, 1)),
+                                   (2, (1,) * n, (3, 2)), (5, (0,) * n, (2, 2))]),
+        ]
+        for r in results:
+            assert_canonical(r)
+            seen_zero += r.is_zero()
+        for p in (q + q * -1, q * q, q - q, q.diff(0), q * 0):
+            assert all(p.terms.values())
+    assert seen_zero >= 12 * 8  # the cancelling cases really cancel

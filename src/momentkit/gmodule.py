@@ -5,16 +5,23 @@ rho([x,y]) = rho(x) rho(y) - rho(y) rho(x); construction validates this
 identity exactly.  Cochains C^k(g, M) are stored as coordinate vectors over
 the basis {(T, u)}: T an increasing k-tuple over the algebra basis (ordered
 lexicographically, major index) and u a module basis index (minor index).
+
+The differential d^k: C^k(g, M) -> C^{k+1}(g, M) of the Chevalley-Eilenberg
+complex with coefficients in M is its action terms plus
+boundary_matrix(g, k+1)^T (x) 1_M (`ce_module_differential`), so the
+algebra's boundary is written once, in `lie_core.boundary_of_tuple`, and
+trivial coefficients give d^k = boundary^T.  H^0(g, M) = ker d^0.  A GModule
+keeps the rank of each d^k once computed, not the matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, kron, mat_add, mat_mul, mat_scale, mat_vec, mat_vstack, \
-    nullspace, rank, solve, solve_many
-from .lie_core import LieAlgebra, StructureError, ad_matrix, exterior_basis, \
-    lie_kernel_basis, sort_with_sign, unit_vector
+from .linalg import Mat, kron, mat_add, mat_mul, mat_scale, mat_vec, nullspace, \
+    rank, solve, solve_many
+from .lie_core import LieAlgebra, StructureError, ad_matrix, boundary_matrix, \
+    exterior_basis, lie_kernel_basis, unit_vector
 
 ZERO = Fraction(0)
 
@@ -29,6 +36,7 @@ class GModule:
         self.rho = list(rho)
         self.dim = rho[0].nrows if rho else 0
         self.name = name
+        self._ranks = {}
         for m in self.rho:
             if m.shape != (self.dim, self.dim):
                 raise ValueError("action matrices must be square of equal size")
@@ -59,6 +67,12 @@ class GModule:
                     if x:
                         out[r] += c * x
         return out
+
+    def differential_rank(self, k: int) -> int:
+        """Rank of ce_module_differential(self, k), computed once."""
+        if k not in self._ranks:
+            self._ranks[k] = rank(ce_module_differential(self, k))
+        return self._ranks[k]
 
     def __repr__(self):
         return f"GModule({self.name or ''} dim={self.dim} over {self.algebra.name})"
@@ -111,40 +125,25 @@ def cochain_dim(g: LieAlgebra, m: GModule, k: int) -> int:
 
 
 def ce_module_differential(m: GModule, k: int) -> Mat:
-    """Matrix of the cochain differential C^k(g, M) -> C^{k+1}(g, M):
+    """Matrix of the cochain differential d^k: C^k(g, M) -> C^{k+1}(g, M),
 
     (d f)(x_1..x_{k+1}) = sum_i (-1)^(i+1) x_i . f(..x_i-hat..)
-                        + sum_{i<j} (-1)^(i+j) f([x_i,x_j], ..hats..)
+                        + sum_{i<j} (-1)^(i+j) f([x_i,x_j], ..hats..).
+
+    The bracket terms are the algebra's boundary acting on the arguments, so
+    they form boundary_matrix(g, k+1)^T (x) 1_M; the action terms add
+    (-1)^a rho(e_{s_a}) in the block of rows s and columns s minus s_a.  With
+    trivial coefficients the action terms vanish and d^k is the transposed
+    boundary: the Chevalley-Eilenberg complex.
     """
     g = m.algebra
-    dom = exterior_basis(g.dim, k)
-    cod = exterior_basis(g.dim, k + 1)
-    dompos = {t: i for i, t in enumerate(dom)}
-    out = Mat.zeros(len(cod) * m.dim, len(dom) * m.dim)
-    for row_t, s in enumerate(cod):
-        # action terms: (-1)^a rho(e_{s_a}) applied to f(s minus position a)
-        for a in range(len(s)):
-            rest = s[:a] + s[a + 1:]
-            col_t = dompos[rest]
-            sign = (-1) ** a
-            for u, v, x in m.rho[s[a]].nonzeros():
-                out.add(row_t * m.dim + u, col_t * m.dim + v, sign * x)
-        # bracket terms: (-1)^(a+b) f([e_{s_a}, e_{s_b}] ^ rest)
-        for a in range(len(s)):
-            for b in range(a + 1, len(s)):
-                sign = (-1) ** (a + b)
-                vec = g.bracket_basis(s[a], s[b])
-                rest = s[:a] + s[a + 1:b] + s[b + 1:]
-                for w, c in enumerate(vec):
-                    if not c:
-                        continue
-                    tsign, t = sort_with_sign((w,) + rest)
-                    if tsign == 0:
-                        continue
-                    col_t = dompos[t]
-                    coeff = sign * tsign * c
-                    for u in range(m.dim):
-                        out.add(row_t * m.dim + u, col_t * m.dim + u, coeff)
+    dompos = {t: i for i, t in enumerate(exterior_basis(g.dim, k))}
+    out = kron(boundary_matrix(g, k + 1).transpose(), Mat.identity(m.dim))
+    for row_t, s in enumerate(exterior_basis(g.dim, k + 1)):
+        for a, i in enumerate(s):
+            col_t = dompos[s[:a] + s[a + 1:]]
+            for u, v, x in m.rho[i].nonzeros():
+                out.add(row_t * m.dim + u, col_t * m.dim + v, (-1) ** a * x)
     return out
 
 
@@ -153,21 +152,14 @@ def module_cohomology_dim(m: GModule, k: int) -> int:
     g = m.algebra
     if k < 0 or k > g.dim:
         return 0
-    rank_out = rank(ce_module_differential(m, k))
-    rank_in = rank(ce_module_differential(m, k - 1)) if k > 0 else 0
-    return cochain_dim(g, m, k) - rank_out - rank_in
+    rank_in = m.differential_rank(k - 1) if k > 0 else 0
+    return cochain_dim(g, m, k) - m.differential_rank(k) - rank_in
 
 
 def invariants_basis(m: GModule):
-    """Canonical basis of H^0(g, M) = the joint kernel of all rho(e_i)."""
-    if m.dim == 0:
-        return []
-    if m.algebra.dim == 0:
-        return [unit_vector(i, m.dim) for i in range(m.dim)]
-    stacked = m.rho[0]
-    for r in m.rho[1:]:
-        stacked = mat_vstack(stacked, r)
-    return nullspace(stacked)
+    """Canonical basis of H^0(g, M) = ker d^0, the joint kernel of all
+    rho(e_i) (d^0 stacks them)."""
+    return nullspace(ce_module_differential(m, 0))
 
 
 def coboundary_solve(m: GModule, k: int, target):

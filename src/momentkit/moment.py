@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, mat_hstack, rank, solve
+from .linalg import Mat, mat_hstack, rref, solve_many
 from .lie_core import (StructureError, boundary_matrix, ce_betti,
                        exterior_basis, mv_coords, mv_from_coords)
 from .gmodule import (cochain_dim, coboundary_solve, invariants_basis,
@@ -86,13 +86,18 @@ class MomentMap:
         return self._sigma[k]
 
     def value(self, k: int, mv: dict) -> Form:
-        """f_k on an arbitrary kernel element (multivector dict)."""
-        g = self.action.algebra
+        """f_k on an arbitrary kernel element (multivector dict).
+
+        The kernel basis is RREF-normalised: each basis vector's last nonzero
+        entry is its free column, where it is 1 and every other basis vector
+        is 0.  So an element's coordinates are its entries at those columns,
+        and it lies in the kernel iff they rebuild it."""
         kb = self.kernel_basis(k)
-        vec = mv_coords(mv, exterior_basis(g.dim, k))
-        kmat = Mat.from_columns(kb, len(vec)) if kb else Mat.zeros(len(vec), 0)
-        coeffs = solve(kmat, vec)
-        if coeffs is None:
+        vec = mv_coords(mv, exterior_basis(self.action.algebra.dim, k))
+        coeffs = [vec[max(j for j, x in enumerate(v) if x)] for v in kb]
+        rebuilt = [sum((c * v[j] for c, v in zip(coeffs, kb)), Fraction(0))
+                   for j in range(len(vec))]
+        if rebuilt != vec:
             raise ValueError("element is not in the Lie kernel")
         return Form.linear_combination(self.action.ambient_dim,
                                        self.action.plectic_degree() - k,
@@ -124,6 +129,13 @@ def _checked(mm: MomentMap, route: str) -> MomentMap:
     return mm
 
 
+def _first_unsolvable(a: Mat, b: Mat) -> int:
+    """Index of the first column of b outside a's column space, once
+    solve_many(a, b) has failed: in the RREF of [a | b] it is the first pivot
+    right of a, since every column of b before it reduces into a's pivots."""
+    return next(c for c in rref(mat_hstack(a, b))[1] if c >= a.ncols) - a.ncols
+
+
 def _default_degrees(action: LieAction, ks):
     if ks is None:
         return list(range(1, action.plectic_degree() + 1))
@@ -151,15 +163,16 @@ def construct_exactness(action: LieAction, ks=None) -> MomentMap:
         z = Fraction(zeta(k) * s * (-1) ** k)
         bmat = boundary_matrix(g, k + 1)
         basis_next = exterior_basis(g.dim, k + 1)
+        kmat = Mat.from_columns(action.kernel(k).basis, bmat.nrows)
+        preimages = solve_many(bmat, kmat)
+        if preimages is None:
+            raise StructureError(
+                f"exactness route does not apply at degree {k}: kernel basis "
+                f"element {_first_unsolvable(bmat, kmat)} is not a boundary")
         forms = []
-        for a, vec in enumerate(action.kernel(k).basis):
-            q = solve(bmat, vec)
-            if q is None:
-                raise StructureError(
-                    f"exactness route does not apply at degree {k}: kernel basis "
-                    f"element {a} is not a boundary")
-            v_q = infinitesimal_generator(action, mv_from_coords(q, basis_next))
-            forms.append(contract(v_q, action.omega) * z)
+        for a in range(kmat.ncols):
+            q = mv_from_coords(preimages.col(a), basis_next)
+            forms.append(contract(infinitesimal_generator(action, q), action.omega) * z)
         components[k] = forms
     return _checked(MomentMap(action, components), "exactness")
 
@@ -187,16 +200,17 @@ def construct_brackets(action: LieAction, ks=None) -> MomentMap:
                 for j in range(g.dim):
                     cols.append([-kernel_mod.rho[j].entry(b, a) for b in range(r)])
             bracket_mat = Mat.from_columns(cols, r)
+            targets = Mat.identity(r)
+            decompositions = solve_many(bracket_mat, targets)
+            if decompositions is None:
+                raise StructureError(
+                    f"bracket route does not apply at degree {k}: kernel basis element "
+                    f"{_first_unsolvable(bracket_mat, targets)} is not a bracket "
+                    f"combination")
             term_forms = {}  # column -> V_{xi_j} . (V_{q_b} . omega)
             for a in range(r):
-                target = [Fraction(int(b == a)) for b in range(r)]
-                coeffs = solve(bracket_mat, target)
-                if coeffs is None:
-                    raise StructureError(
-                        f"bracket route does not apply at degree {k}: kernel basis "
-                        f"element {a} is not a bracket combination")
                 pairs = []
-                for col, c in enumerate(coeffs):
+                for col, c in enumerate(decompositions.col(a)):
                     if c:
                         if col not in term_forms:
                             b, j = divmod(col, g.dim)
@@ -343,10 +357,10 @@ def existence_diagnostic(action: LieAction, ks=None, max_degree=None):
         r = len(kb)
         entry = {"dim_kernel": r,
                  "betti_k": betti[k] if k < len(betti) else 0}
-        bmat = boundary_matrix(g, k + 1)
         if r:
-            aug = mat_hstack(bmat, Mat.from_columns(kb, bmat.nrows))
-            entry["exactness_applies"] = rank(aug) == rank(bmat)
+            bmat = boundary_matrix(g, k + 1)
+            entry["exactness_applies"] = solve_many(
+                bmat, Mat.from_columns(kb, bmat.nrows)) is not None
             h0_dual = len(invariants_basis(kernel.dual))
             entry["h0_dual_kernel"] = h0_dual
             entry["brackets_apply"] = h0_dual == 0

@@ -279,18 +279,8 @@ class Form(_Graded):
     """Polynomial differential form of fixed degree on R^n."""
 
     @classmethod
-    def constant(cls, n: int, c) -> "Form":
-        return cls(n, 0, {(): Poly.const(n, c)})
-
-    @classmethod
     def from_poly(cls, p: Poly) -> "Form":
         return cls(p.n, 0, {(): p})
-
-    def scalar(self) -> Poly:
-        """The coefficient of a 0-form."""
-        if self.degree != 0:
-            raise ValueError("scalar() needs a 0-form")
-        return self.comps.get((), Poly(self.n))
 
 
 class MultiField(_Graded):

@@ -305,27 +305,33 @@ def test_console_entry_point_runs():
 # derived objects are built once per run
 # ---------------------------------------------------------------------------
 
+def replace_everywhere(monkeypatch, fn, replacement):
+    """Replace `fn` in every loaded momentkit module that holds it."""
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "momentkit" and mod is not None:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
 def count_calls(monkeypatch, fn):
-    """Replace `fn` in every loaded momentkit module that holds it with a
-    wrapper recording each call's positional arguments."""
+    """Wrap `fn` everywhere with a recorder of each call's positional
+    arguments."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return fn(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "momentkit" and mod is not None:
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, counted)
+    replace_everywhere(monkeypatch, fn, counted)
     return calls
 
 
 def test_report_builds_each_derived_object_once(monkeypatch, capsys):
     from momentkit.action import TruncatedFormModule
-    from momentkit.gmodule import lie_kernel_module
+    from momentkit.gmodule import ce_module_differential, lie_kernel_module
     from momentkit.lie_core import lie_kernel_basis
+    from momentkit.linalg import rank
     kernel_modules = count_calls(monkeypatch, lie_kernel_module)
     kernel_bases = count_calls(monkeypatch, lie_kernel_basis)
     truncations = []
@@ -336,11 +342,30 @@ def test_report_builds_each_derived_object_once(monkeypatch, capsys):
         init(self, *args)
 
     monkeypatch.setattr(TruncatedFormModule, "__init__", counted_init)
+    # id(matrix) -> (matrix, module, k); holding both keeps their ids unique
+    differentials = {}
+    ranked = []
+
+    def recorded_differential(m, k):
+        d = ce_module_differential(m, k)
+        differentials[id(d)] = (d, m, k)
+        return d
+
+    def recorded_rank(a):
+        if id(a) in differentials:
+            _, m, k = differentials[id(a)]
+            ranked.append((id(m), k))
+        return rank(a)
+
+    replace_everywhere(monkeypatch, ce_module_differential, recorded_differential)
+    replace_everywhere(monkeypatch, rank, recorded_rank)
     rc, _, _ = run_main(["report", bundled("u2_r4.mmk")], capsys)
     assert rc == 0
     assert sorted(k for _, k in kernel_modules) == [1, 2, 3]
     assert sorted(k for _, k in kernel_bases) == [1, 2, 3]
     assert sorted(truncations) == [(0, 1), (1, 1), (2, 1)]  # (n - k, D)
+    assert sorted(k for _, k in ranked) == [0, 0, 0, 1, 1, 1]  # d0, d1 per Hom module
+    assert len(set(ranked)) == len(ranked)
 
 
 def test_poincare_construct_builds_one_generator_per_kernel_element(

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from momentkit.lie_core import (StructureError, catalog_algebra,
-                                lie_kernel_basis)
-from momentkit.linalg import Mat, mat_mul, mat_vec
+from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError,
+                                boundary_matrix, catalog_algebra, exterior_basis,
+                                lie_kernel_basis, sort_with_sign)
+from momentkit.linalg import Mat, mat_mul, mat_vec, nullspace
 from momentkit.gmodule import (GModule, ce_module_differential, cochain_dim,
                                coboundary_solve, dual_module, invariants_basis,
                                lie_kernel_module, module_cohomology_dim,
@@ -17,6 +18,46 @@ def adjoint_module(g):
     mats = [Mat([[g.bracket_basis(i, j)[m] for j in range(g.dim)]
                  for m in range(g.dim)], ncols=g.dim) for i in range(g.dim)]
     return GModule(g, mats, name="adjoint")
+
+
+def sample_modules(g):
+    """Trivial, adjoint and dual adjoint modules, and each nonzero Lie-kernel
+    module and its dual."""
+    ad = adjoint_module(g)
+    out = [trivial_module(g), ad, dual_module(ad)]
+    for k in range(1, g.dim + 1):
+        if lie_kernel_basis(g, k):
+            kernel = lie_kernel_module(g, k)
+            out += [kernel, dual_module(kernel)]
+    return out
+
+
+def reference_differential(m, k):
+    """The Chevalley-Eilenberg differential written entry by entry, action
+    terms and bracket terms alike (the oracle for ce_module_differential)."""
+    g = m.algebra
+    dom = exterior_basis(g.dim, k)
+    cod = exterior_basis(g.dim, k + 1)
+    dompos = {t: i for i, t in enumerate(dom)}
+    out = Mat.zeros(len(cod) * m.dim, len(dom) * m.dim)
+    for row_t, s in enumerate(cod):
+        for a in range(len(s)):
+            col_t = dompos[s[:a] + s[a + 1:]]
+            for u, v, x in m.rho[s[a]].nonzeros():
+                out.add(row_t * m.dim + u, col_t * m.dim + v, (-1) ** a * x)
+        for a in range(len(s)):
+            for b in range(a + 1, len(s)):
+                rest = s[:a] + s[a + 1:b] + s[b + 1:]
+                for w, c in enumerate(g.bracket_basis(s[a], s[b])):
+                    if not c:
+                        continue
+                    tsign, t = sort_with_sign((w,) + rest)
+                    if tsign == 0:
+                        continue
+                    for u in range(m.dim):
+                        out.add(row_t * m.dim + u, dompos[t] * m.dim + u,
+                                (-1) ** (a + b) * tsign * c)
+    return out
 
 
 def test_representation_property_is_validated():
@@ -40,11 +81,39 @@ def test_dual_and_tensor_dimensions():
     assert tensor_module(ad, dual_module(ad)).dim == 36
 
 
-def test_module_differential_squares_to_zero():
-    for name in ("su2", "heisenberg3", "u2"):
+def test_differential_matches_the_entrywise_reference():
+    for name in ALGEBRA_CATALOG:
         g = catalog_algebra(name)
-        for m in (trivial_module(g), adjoint_module(g),
-                  dual_module(adjoint_module(g))):
+        for m in sample_modules(g):
+            for k in range(g.dim + 1):
+                assert ce_module_differential(m, k) == reference_differential(m, k), \
+                    (name, m.name, k)
+
+
+def test_trivial_coefficients_give_the_transposed_boundary():
+    for name in ALGEBRA_CATALOG:
+        g = catalog_algebra(name)
+        m = trivial_module(g)
+        for k in range(g.dim + 1):
+            assert ce_module_differential(m, k) == boundary_matrix(g, k + 1).transpose()
+
+
+def test_invariants_are_the_joint_kernel_of_the_action():
+    def stacked_nullspace(m):
+        rows = [row for r in m.rho for row in r.dense()]
+        return nullspace(Mat(rows, ncols=m.dim))
+
+    cases = [trivial_module(LieAlgebra(0)), trivial_module(catalog_algebra("so3"), 0)]
+    for name in ALGEBRA_CATALOG:
+        cases += sample_modules(catalog_algebra(name))
+    for m in cases:
+        assert invariants_basis(m) == stacked_nullspace(m), m
+
+
+def test_module_differential_squares_to_zero():
+    for name in ("su2", "so3", "so4", "heisenberg3", "u2"):
+        g = catalog_algebra(name)
+        for m in sample_modules(g):
             for k in range(g.dim):
                 d1 = ce_module_differential(m, k)
                 d2 = ce_module_differential(m, k + 1)

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from momentkit.lie_core import (StructureError, catalog_algebra, exterior_basis,
-                                lie_kernel_basis, mv_boundary, mv_from_coords,
-                                mv_from_vector, mv_wedge, schouten)
+from momentkit.lie_core import (LieAlgebra, StructureError, catalog_algebra,
+                                exterior_basis, lie_kernel_basis, mv_add,
+                                mv_boundary, mv_from_coords, mv_from_vector,
+                                mv_wedge, schouten, unit_vector, validate_jacobi)
 from momentkit.polyform import Form, exterior_d, form_from_terms, format_form
-from momentkit.action import catalog_action
+from momentkit.action import LieAction, catalog_action, u2_r4
 from momentkit.moment import (MomentMap, check_module_morphism,
                               check_sigma_cocycle, construct_brackets,
                               construct_exactness, construct_poincare,
@@ -99,17 +100,51 @@ def test_value_is_linear_in_the_kernel_argument():
     assert a == b
 
 
+def test_value_reads_kernel_coordinates_and_rejects_other_elements():
+    action = catalog_action("so4_r4")
+    mm = construct_poincare(action, ks=[2])
+    kernel = action.kernel(2)
+    f = mm.components[2]
+    p = mv_add(kernel.multivectors[1], kernel.multivectors[4], -3)
+    assert mm.value(2, p) == f[1] - f[4] * Fraction(3)
+    for outside in ({(0, 1): Fraction(1)}, mv_add(p, {(0, 1): Fraction(1, 2)})):
+        with pytest.raises(ValueError, match="not in the Lie kernel"):
+            mm.value(2, outside)
+
+
 def test_exactness_route_refuses_on_translations():
     action = catalog_action("translations_r3")
     with pytest.raises(StructureError) as err:
         construct_exactness(action, ks=[1])
-    assert "not a boundary" in str(err.value)
+    assert str(err.value) == ("exactness route does not apply at degree 1: "
+                              "kernel basis element 0 is not a boundary")
 
 
 def test_brackets_route_refuses_on_translations():
     action = catalog_action("translations_r3")
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError) as err:
         construct_brackets(action, ks=[2])
+    assert str(err.value) == ("bracket route does not apply at degree 2: kernel "
+                              "basis element 0 is not a bracket combination")
+
+
+def test_route_refusals_name_the_first_failing_kernel_element():
+    # u(2) with its central element last: at degree 1 the kernel basis is
+    # e1..e4 and e1, e2, e3 are brackets, so element 3 is the first to fail
+    u2 = u2_r4()
+    g = LieAlgebra(4, {(0, 1): unit_vector(2, 4), (1, 2): unit_vector(0, 4),
+                       (0, 2): [0, -1, 0, 0]}, name="su2+R")
+    validate_jacobi(g)
+    action = LieAction(g, u2.fields[1:] + u2.fields[:1], u2.omega)
+    with pytest.raises(StructureError) as err:
+        construct_exactness(action, ks=[1])
+    assert str(err.value) == ("exactness route does not apply at degree 1: "
+                              "kernel basis element 3 is not a boundary")
+    with pytest.raises(StructureError) as err:
+        construct_brackets(action, ks=[1])
+    assert str(err.value) == ("bracket route does not apply at degree 1: kernel "
+                              "basis element 3 is not a bracket combination")
+    assert existence_diagnostic(action, ks=[1])["degrees"][1]["exactness_applies"] is False
 
 
 def test_theorem_routes_refuse_on_u2():

@@ -7,10 +7,10 @@ uniform bracket sign s with
 
     [V_xi, V_eta] = s * V_[xi,eta]    (s in {+1, -1}).
 
-Rotation-style catalog actions below close with s = +1; for an abelian
-algebra both signs hold vacuously and the default is s = -1 (the classical
+The rotation actions of the bundled problem files close with s = +1; for an
+abelian algebra both signs hold vacuously and s = -1 is taken (the classical
 left-action convention, which fixes the sign of the equivariance cocycle
-for the translation examples).
+for the translation example).
 
 A LieAction owns the objects derived from it and builds each one once, on
 first use (an action is not changed after it is built):
@@ -34,19 +34,19 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 from .linalg import Mat, frac, mat_vstack, nullspace, rank, solve_many
-from .lie_core import (LieAlgebra, StructureError, abelian, catalog_algebra,
-                       exterior_basis, format_multivector, lie_kernel_basis,
-                       mv_boundary, mv_from_coords)
+from .lie_core import (LieAlgebra, StructureError, exterior_basis,
+                       format_multivector, lie_kernel_basis, mv_boundary,
+                       mv_from_coords)
 from .gmodule import GModule, dual_module, lie_kernel_module, tensor_module
 from .polyform import (Form, MultiField, Poly, contract, exterior_d,
-                       lie_derivative, vf_bracket, volume_form, wedge)
+                       lie_derivative, vf_bracket, wedge)
 
 
 class LieAction:
     """A Lie algebra acting on R^n by polynomial vector fields, with a
     distinguished form omega on the same space."""
 
-    def __init__(self, algebra: LieAlgebra, fields, omega: Form, name: str = ""):
+    def __init__(self, algebra: LieAlgebra, fields, omega: Form):
         if len(fields) != algebra.dim:
             raise ValueError("need one generator field per basis element")
         for v in fields:
@@ -58,7 +58,6 @@ class LieAction:
         self.fields = list(fields)
         self.omega = omega
         self.ambient_dim = omega.n
-        self.name = name or algebra.name
         self.bracket_sign: int | None = None  # set by validate_action
         self._derived: dict = {}
 
@@ -137,13 +136,13 @@ class LieKernel:
                 for mv in self.multivectors]
 
 
-def validate_action(action: LieAction, default_sign: int = -1) -> int:
+def validate_action(action: LieAction) -> int:
     """Check the generators close per the structure constants and detect the
     bracket sign; raises StructureError naming the first failing pair."""
     g = action.algebra
     plus_ok, minus_ok = True, True
     saw_nonzero = False
-    first_fail = {1: None, -1: None}
+    first_fail = None
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             got = vf_bracket(action.fields[i], action.fields[j])
@@ -152,19 +151,16 @@ def validate_action(action: LieAction, default_sign: int = -1) -> int:
                 saw_nonzero = True
             if got != want:
                 plus_ok = False
-                first_fail[1] = first_fail[1] or (i, j)
+                first_fail = first_fail or (i, j)
             if got != -want:
                 minus_ok = False
-                first_fail[-1] = first_fail[-1] or (i, j)
-    if not saw_nonzero:
-        action.bracket_sign = default_sign
-        return default_sign
-    if plus_ok:
+    # when every bracket is zero both signs hold, and -1 is taken
+    if plus_ok and saw_nonzero:
         action.bracket_sign = 1
     elif minus_ok:
         action.bracket_sign = -1
     else:
-        i, j = first_fail[1]
+        i, j = first_fail
         raise StructureError(
             f"generator fields do not close under the bracket: pair (e{i + 1}, e{j + 1}) "
             f"matches neither sign convention")
@@ -417,72 +413,3 @@ class TruncatedFormModule:
     def from_coords(self, coords) -> Form:
         return Form.linear_combination(self.action.ambient_dim, self.form_degree,
                                        zip(coords, self.forms))
-
-
-# ---------------------------------------------------------------------------
-# catalog actions
-# ---------------------------------------------------------------------------
-
-def _linear_field(n: int, terms) -> MultiField:
-    """Vector field sum of c * x_var * d/dx_direction terms (0-based indices)."""
-    return MultiField.from_terms(n, 1, ((c, [int(i == var) for i in range(n)], (direction,))
-                                        for c, var, direction in terms))
-
-
-def translations_r3() -> LieAction:
-    fields = [MultiField.vector(3, [int(i == j) for j in range(3)])
-              for i in range(3)]
-    act = LieAction(abelian(3), fields, volume_form(3), name="translations_r3")
-    validate_action(act)
-    return act
-
-
-def so3_r3() -> LieAction:
-    fields = [
-        _linear_field(3, [(1, 2, 1), (-1, 1, 2)]),   # x3 d2 - x2 d3
-        _linear_field(3, [(1, 0, 2), (-1, 2, 0)]),   # x1 d3 - x3 d1
-        _linear_field(3, [(1, 1, 0), (-1, 0, 1)]),   # x2 d1 - x1 d2
-    ]
-    act = LieAction(catalog_algebra("so3"), fields, volume_form(3), name="so3_r3")
-    validate_action(act)
-    return act
-
-
-def so4_r4() -> LieAction:
-    fields = [_linear_field(4, [(1, i, j), (-1, j, i)])  # x_i d_j - x_j d_i
-              for (i, j) in itertools.combinations(range(4), 2)]
-    act = LieAction(catalog_algebra("so4"), fields, volume_form(4), name="so4_r4")
-    validate_action(act)
-    return act
-
-
-def u2_r4() -> LieAction:
-    half = Fraction(1, 2)
-    fields = [
-        # complex structure: -x2 d1 + x1 d2 - x4 d3 + x3 d4
-        _linear_field(4, [(-1, 1, 0), (1, 0, 1), (-1, 3, 2), (1, 2, 3)]),
-        # su(2) triple, realified spin-1/2 generators
-        _linear_field(4, [(-half, 3, 0), (half, 2, 1), (-half, 1, 2), (half, 0, 3)]),
-        _linear_field(4, [(half, 2, 0), (half, 3, 1), (-half, 0, 2), (-half, 1, 3)]),
-        _linear_field(4, [(-half, 1, 0), (half, 0, 1), (half, 3, 2), (-half, 2, 3)]),
-    ]
-    act = LieAction(catalog_algebra("u2"), fields, volume_form(4), name="u2_r4")
-    validate_action(act)
-    return act
-
-
-ACTION_CATALOG = {
-    "translations_r3": translations_r3,
-    "so3_r3": so3_r3,
-    "so4_r4": so4_r4,
-    "u2_r4": u2_r4,
-}
-
-
-def catalog_action(name: str) -> LieAction:
-    try:
-        factory = ACTION_CATALOG[name]
-    except KeyError:
-        raise KeyError(f"unknown catalog action {name!r}; "
-                       f"available: {sorted(ACTION_CATALOG)}") from None
-    return factory()

@@ -12,10 +12,16 @@ Problem files are line-oriented with four sections:
                 max_poly_degree = 1      (truncation for invariants/repair;
                                           default 0)
 
-`#` starts a comment.  Expressions are sums of terms; a term is a product of
-a rational literal, variables `x<i>` with optional `^<exp>`, and one basis
-factor: `dx(i,j,...)` for forms, `d/dx<i>` for vector fields, `e<i>` for
-algebra elements.  All numerics are exact rationals (`p/q`).
+`#` starts a comment.  Each statement appears at most once in its section,
+except `V<i>` (once per index) and brackets (once per pair), and ends at the
+end of its line; anything after its value is an error (trailing input).
+Expressions are sums of terms; a term is a product of a rational literal,
+variables `x<i>` with optional `^<exp>`, and one basis factor: `dx(i,j,...)`
+for forms, `d/dx<i>` for vector fields, `e<i>` for algebra elements.  All
+numerics are exact rationals (`p/q`).
+
+`catalog_action(name)` reads the bundled file `problems/<name>.mmk`, the one
+definition of each example action.
 
 Exit status: 0 = success, 1 = a check failed, 2 = input error.
 """
@@ -71,7 +77,8 @@ _TOKEN_RE = re.compile(r"""
 
 
 def tokenize(text, line_no):
-    """One statement line -> list of (kind, value, col); col is 1-based."""
+    """One statement line -> list of (kind, value, col); col is 1-based.
+    The kind is the name of the outermost matching group."""
     out = []
     pos = 0
     while pos < len(text):
@@ -79,34 +86,19 @@ def tokenize(text, line_no):
         if m is None:
             raise MmkError(f"unexpected character {text[pos]!r}",
                            line=line_no, col=pos + 1)
-        kind = m.lastgroup if m.lastgroup in ("ws", "comment") else None
-        if kind is None:
-            for k in ("ddx", "dx", "var", "eb", "number", "string", "name", "sym"):
-                if m.group(k):
-                    kind = k
-                    break
-        col = pos + 1
-        if kind == "dx":
-            out.append(("dx", "dx", col))
-        elif kind == "ddx":
-            out.append(("ddx", int(m.group("ddxi")), col))
-        elif kind == "var":
-            out.append(("var", int(m.group("vari")), col))
-        elif kind == "eb":
-            out.append(("eb", int(m.group("ebi")), col))
+        kind, value = m.lastgroup, m.group()
+        if kind in ("ddx", "var", "eb"):
+            value = int(m.group(kind + "i"))
         elif kind == "number":
             try:
-                value = Fraction(m.group("number"))
+                value = Fraction(value)
             except ZeroDivisionError:
                 raise MmkError("division by zero in rational literal",
-                               line=line_no, col=col)
-            out.append(("number", value, col))
+                               line=line_no, col=pos + 1)
         elif kind == "string":
-            out.append(("string", m.group("string")[1:-1], col))
-        elif kind == "name":
-            out.append(("name", m.group("name"), col))
-        elif kind == "sym":
-            out.append(("sym", m.group("sym"), col))
+            value = value[1:-1]
+        if kind not in ("ws", "comment"):
+            out.append((kind, value, pos + 1))
         pos = m.end()
     return out
 
@@ -135,112 +127,135 @@ class _TokenStream:
     def fail(self, message, expected=None):
         raise MmkError(message, line=self.line, col=self.col(), expected=expected)
 
-    def expect_sym(self, sym):
+    def accept(self, sym):
+        """Consume and return the next token if it is the symbol `sym`."""
         t = self.peek()
-        if t is None or t[0] != "sym" or t[1] != sym:
-            self.fail(f"expected {sym!r}", expected={repr(sym)})
+        if t is not None and t[0] == "sym" and t[1] == sym:
+            return self.next()
+        return None
+
+    def expect_sym(self, sym):
+        return self.accept(sym) or self.fail(f"expected {sym!r}",
+                                             expected={repr(sym)})
+
+    def take(self, kind, message, expected=None):
+        """Consume and return the next token, which must be of `kind`."""
+        t = self.peek()
+        if t is None or t[0] != kind:
+            self.fail(message, expected and {expected})
         return self.next()
+
+    def integer(self, message, low=0, col=None):
+        """Consume an integer literal >= low; the error is at `col` if given."""
+        t = self.peek()
+        if t is None or t[0] != "number" or t[1].denominator != 1 or t[1] < low:
+            raise MmkError(message, line=self.line, col=col or self.col(),
+                           expected={"integer"})
+        self.next()
+        return int(t[1])
+
+    def commas(self, read):
+        """read() once, then again after each ','; the list of results."""
+        items = [read()]
+        while self.accept(","):
+            items.append(read())
+        return items
+
+    def end(self, message):
+        if self.peek() is not None:
+            self.fail(message)
 
 
 # ---------------------------------------------------------------------------
 # expression parser: sums of product terms
 # ---------------------------------------------------------------------------
 
+_FACTORS = {"number", "x<i>", "dx(...)", "d/dx<i>", "e<i>"}
+
+
 def _parse_factor(ts, term):
     t = ts.peek()
-    if t is None:
-        ts.fail("expected a factor", expected={"number", "x<i>", "dx(...)",
-                                               "d/dx<i>", "e<i>"})
-    kind, value, col = t
+    if t is None or t[0] not in ("number", "var", "ddx", "eb", "dx"):
+        ts.fail("expected a factor" if t is None else f"unexpected {t[1]!r}",
+                expected=_FACTORS)
+    kind, value, col = ts.next()
     if kind == "number":
-        ts.next()
         term["coeff"] *= value
     elif kind == "var":
-        ts.next()
-        exp = 1
-        nxt = ts.peek()
-        if nxt is not None and nxt[0] == "sym" and nxt[1] == "^":
-            caret = ts.next()
-            num = ts.peek()
-            if num is None or num[0] != "number" or num[1].denominator != 1:
-                raise MmkError("exponent must be a positive integer",
-                               line=ts.line, col=caret[2], expected={"integer"})
-            ts.next()
-            exp = int(num[1])
-            if exp < 1:
-                raise MmkError("exponent must be a positive integer",
-                               line=ts.line, col=caret[2], expected={"integer"})
+        caret = ts.accept("^")
+        exp = ts.integer("exponent must be a positive integer", 1,
+                         caret[2]) if caret else 1
         term["powers"][value] = term["powers"].get(value, 0) + exp
-    elif kind == "ddx":
-        ts.next()
-        if term["basis"] is not None:
-            ts.fail("more than one basis factor in a term")
-        term["basis"] = ("ddx", value, col)
-    elif kind == "eb":
-        ts.next()
-        if term["basis"] is not None:
-            ts.fail("more than one basis factor in a term")
-        term["basis"] = ("e", value, col)
-    elif kind == "dx":
-        ts.next()
-        ts.expect_sym("(")
-        indices = []
-        while True:
-            num = ts.peek()
-            if num is None or num[0] != "number" or num[1].denominator != 1:
-                ts.fail("expected a coordinate index", expected={"integer"})
-            ts.next()
-            indices.append(int(num[1]))
-            nxt = ts.peek()
-            if nxt is not None and nxt[0] == "sym" and nxt[1] == ",":
-                ts.next()
-                continue
-            break
-        ts.expect_sym(")")
-        if term["basis"] is not None:
-            ts.fail("more than one basis factor in a term")
-        term["basis"] = ("dx", tuple(indices), col)
     else:
-        ts.fail(f"unexpected {value!r}", expected={"number", "x<i>", "dx(...)",
-                                                   "d/dx<i>", "e<i>"})
+        if kind == "dx":
+            ts.expect_sym("(")
+            value = tuple(ts.commas(
+                lambda: ts.integer("expected a coordinate index")))
+            ts.expect_sym(")")
+        if term["basis"] is not None:
+            ts.fail("more than one basis factor in a term")
+        term["basis"] = (kind, value if kind == "dx" else (value,), col)
 
 
 def parse_expression(ts):
     """List of term dicts: coeff (Fraction), powers (var index -> exp, 1-based),
-    basis (None or tagged tuple)."""
+    basis (None or (token kind, 1-based index tuple, col)); the expression
+    runs to the end of the statement."""
     terms = []
-    sign = Fraction(1)
-    t = ts.peek()
-    if t is not None and t[0] == "sym" and t[1] in "+-":
-        ts.next()
-        if t[1] == "-":
-            sign = -sign
+    sign = ts.accept("+") or ts.accept("-")
     while True:
-        term = {"coeff": sign, "powers": {}, "basis": None, "col": ts.col()}
+        term = {"coeff": Fraction(-1 if sign and sign[1] == "-" else 1),
+                "powers": {}, "basis": None, "col": ts.col()}
         _parse_factor(ts, term)
-        while True:
-            nxt = ts.peek()
-            if nxt is not None and nxt[0] == "sym" and nxt[1] == "*":
-                ts.next()
-                _parse_factor(ts, term)
-            else:
-                break
+        while ts.accept("*"):
+            _parse_factor(ts, term)
         terms.append(term)
-        nxt = ts.peek()
-        if nxt is None:
-            break
-        if nxt[0] == "sym" and nxt[1] in "+-":
-            ts.next()
-            sign = Fraction(1) if nxt[1] == "+" else Fraction(-1)
-        else:
+        if ts.peek() is None:
+            return terms
+        sign = ts.accept("+") or ts.accept("-")
+        if sign is None:
             ts.fail("expected '+', '-' or end of expression",
                     expected={"'+'", "'-'"})
-    return terms
 
 
 def _is_zero_literal(terms):
     return (len(terms) == 1 and terms[0]["basis"] is None
             and not terms[0]["powers"] and terms[0]["coeff"] == 0)
+
+
+_BASIS = {  # basis token kind -> (missing-factor message, index display)
+    "dx": ("form term needs a dx(...) factor", "coordinate index {}"),
+    "ddx": ("vector-field term needs a d/dx<i> factor", "direction d/dx{}"),
+    "eb": ("algebra term needs an e<i> factor", "basis element e{}"),
+}
+
+
+def _basis(term, kind, n, line):
+    """0-based indices of the term's basis factor, which must be of `kind`
+    with every index in 1..n."""
+    basis = term["basis"]
+    missing, index = _BASIS[kind]
+    if basis is None or basis[0] != kind:
+        raise MmkError(missing, line=line, col=term["col"])
+    if kind == "eb" and term["powers"]:
+        raise MmkError("algebra expressions cannot contain variables",
+                       line=line, col=term["col"])
+    for i in basis[1]:
+        if not 1 <= i <= n:
+            raise MmkError(f"{index.format(i)} out of range for dim {n}",
+                           line=line, col=basis[2])
+    return tuple(i - 1 for i in basis[1])
+
+
+def _monomial(term, n, line):
+    """Exponent list of the term's variables on R^n."""
+    mono = [0] * n
+    for v, e in term["powers"].items():
+        if not 1 <= v <= n:
+            raise MmkError(f"variable x{v} out of range for dim {n}",
+                           line=line, col=term["col"])
+        mono[v - 1] += e
+    return mono
 
 
 def terms_to_form(terms, n, line):
@@ -251,29 +266,15 @@ def terms_to_form(terms, n, line):
     degree = None
     triples = []
     for term in terms:
-        basis = term["basis"]
-        if basis is None or basis[0] != "dx":
-            raise MmkError("form term needs a dx(...) factor",
-                           line=line, col=term["col"])
-        idx1 = basis[1]
-        for i in idx1:
-            if not (1 <= i <= n):
-                raise MmkError(f"coordinate index {i} out of range for dim {n}",
-                               line=line, col=basis[2])
-        if len(set(idx1)) != len(idx1):
+        idx = _basis(term, "dx", n, line)
+        if len(set(idx)) != len(idx):
             continue  # repeated index: the term is zero
         if degree is None:
-            degree = len(idx1)
-        elif degree != len(idx1):
+            degree = len(idx)
+        elif degree != len(idx):
             raise MmkError("mixed form degrees in one expression",
-                           line=line, col=basis[2])
-        mono = [0] * n
-        for v, e in term["powers"].items():
-            if not (1 <= v <= n):
-                raise MmkError(f"variable x{v} out of range for dim {n}",
-                               line=line, col=term["col"])
-            mono[v - 1] += e
-        triples.append((term["coeff"], mono, [i - 1 for i in idx1]))
+                           line=line, col=term["basis"][2])
+        triples.append((term["coeff"], _monomial(term, n, line), idx))
     if degree is None:
         raise MmkError("form expression has no nonzero term", line=line, col=1)
     return Form.from_terms(n, degree, triples)
@@ -285,42 +286,18 @@ def terms_to_field(terms, n, line):
         return MultiField.zero(n, 1)
     triples = []
     for term in terms:
-        basis = term["basis"]
-        if basis is None or basis[0] != "ddx":
-            raise MmkError("vector-field term needs a d/dx<i> factor",
-                           line=line, col=term["col"])
-        i = basis[1]
-        if not (1 <= i <= n):
-            raise MmkError(f"direction d/dx{i} out of range for dim {n}",
-                           line=line, col=basis[2])
-        mono = [0] * n
-        for v, e in term["powers"].items():
-            if not (1 <= v <= n):
-                raise MmkError(f"variable x{v} out of range for dim {n}",
-                               line=line, col=term["col"])
-            mono[v - 1] += e
-        triples.append((term["coeff"], mono, (i - 1,)))
+        idx = _basis(term, "ddx", n, line)
+        triples.append((term["coeff"], _monomial(term, n, line), idx))
     return MultiField.from_terms(n, 1, triples)
 
 
 def terms_to_algebra_vector(terms, dim, line):
     """Coefficient vector over e1..e<dim> from an algebra expression."""
     vec = [Fraction(0)] * dim
-    if _is_zero_literal(terms):
-        return vec
-    for term in terms:
-        basis = term["basis"]
-        if basis is None or basis[0] != "e":
-            raise MmkError("algebra term needs an e<i> factor",
-                           line=line, col=term["col"])
-        if term["powers"]:
-            raise MmkError("algebra expressions cannot contain variables",
-                           line=line, col=term["col"])
-        i = basis[1]
-        if not (1 <= i <= dim):
-            raise MmkError(f"basis element e{i} out of range for dim {dim}",
-                           line=line, col=basis[2])
-        vec[i - 1] += term["coeff"]
+    if not _is_zero_literal(terms):
+        for term in terms:
+            i, = _basis(term, "eb", dim, line)
+            vec[i] += term["coeff"]
     return vec
 
 
@@ -328,7 +305,11 @@ def terms_to_algebra_vector(terms, dim, line):
 # problem files
 # ---------------------------------------------------------------------------
 
+PROBLEMS = os.path.join(os.path.dirname(__file__), "problems")
 SECTIONS = ("algebra", "action", "omega", "options")
+# statements that may appear once per section (V<i> and brackets are indexed)
+_SINGLE = {("name", key) for key in ("algebra", "dim", "omega", "k",
+                                     "max_poly_degree")}
 
 
 class ProblemFile:
@@ -378,30 +359,33 @@ def _split_sections(text):
 
 
 def _statement(ts):
-    """Parse 'name = <rest>' or '[ei,ej] = <rest>'; returns (key, ts-after-=)."""
-    t = ts.peek()
-    if t is None:
-        ts.fail("empty statement")
-    if t[0] == "sym" and t[1] == "[":
-        ts.next()
-        left = ts.peek()
-        if left is None or left[0] != "eb":
-            ts.fail("expected e<i>", expected={"e<i>"})
-        ts.next()
+    """Parse 'name = ' or '[ei,ej] = '; the key ('name', name) or
+    ('bracket', i, j), with `ts` left after the '='."""
+    if ts.accept("["):
+        left = ts.take("eb", "expected e<i>", "e<i>")
         ts.expect_sym(",")
-        right = ts.peek()
-        if right is None or right[0] != "eb":
-            ts.fail("expected e<j>", expected={"e<j>"})
-        ts.next()
+        right = ts.take("eb", "expected e<j>", "e<j>")
         ts.expect_sym("]")
         ts.expect_sym("=")
-        return ("bracket", left[1], right[1]), ts
-    if t[0] == "name":
-        # plain identifiers: algebra, dim, omega, k, max_poly_degree, V<i>
-        ts.next()
-        ts.expect_sym("=")
-        return ("name", t[1]), ts
-    ts.fail("expected a statement")
+        return ("bracket", left[1], right[1])
+    # plain identifiers: algebra, dim, omega, k, max_poly_degree, V<i>
+    name = ts.take("name", "expected a statement")
+    ts.expect_sym("=")
+    return ("name", name[1])
+
+
+def _statements(sections, name):
+    """(line, key, token stream after the '=') for each statement of a
+    section; a repeated single statement is an error."""
+    seen = set()
+    for line_no, stmt in sections.get(name, ()):
+        ts = _TokenStream(tokenize(stmt, line_no), line_no)
+        key = _statement(ts)
+        if key in seen:
+            raise MmkError(f"duplicate {key[1]} statement", line=line_no)
+        if key in _SINGLE:
+            seen.add(key)
+        yield line_no, key, ts
 
 
 def parse_problem(text) -> ProblemFile:
@@ -412,28 +396,18 @@ def parse_problem(text) -> ProblemFile:
     dim = None
     brackets = {}
     bracket_lines = []
-    for line_no, stmt in sections["algebra"]:
-        ts = _TokenStream(tokenize(stmt, line_no), line_no)
-        key, ts = _statement(ts)
+    for line_no, key, ts in _statements(sections, "algebra"):
         if key == ("name", "algebra"):
-            t = ts.peek()
-            if t is None or t[0] != "string":
-                ts.fail("expected a quoted catalog name", expected={"string"})
-            ts.next()
-            if ts.peek() is not None:
-                ts.fail("trailing input after catalog name")
+            t = ts.take("string", "expected a quoted catalog name", "string")
+            ts.end("trailing input after catalog name")
             if t[1] not in ALGEBRA_CATALOG:
                 raise MmkError(f"unknown catalog algebra {t[1]!r} "
                                f"(available: {', '.join(sorted(ALGEBRA_CATALOG))})",
                                line=line_no, col=t[2])
             pf.algebra_ref = t[1]
         elif key == ("name", "dim"):
-            t = ts.peek()
-            if t is None or t[0] != "number" or t[1].denominator != 1 or t[1] <= 0:
-                ts.fail("expected a positive integer dimension",
-                        expected={"integer"})
-            ts.next()
-            dim = int(t[1])
+            dim = ts.integer("expected a positive integer dimension", 1)
+            ts.end("trailing input")
         elif key[0] == "bracket":
             bracket_lines.append((line_no, key[1], key[2], ts))
         else:
@@ -455,8 +429,6 @@ def parse_problem(text) -> ProblemFile:
                 raise MmkError(f"bracket [e{i},e{i}] must be zero and cannot "
                                f"be assigned", line=line_no)
             vec = terms_to_algebra_vector(parse_expression(ts), dim, line_no)
-            if ts.peek() is not None:
-                ts.fail("trailing input after expression")
             sign = 1
             if i > j:
                 i, j, sign = j, i, -1
@@ -473,16 +445,10 @@ def parse_problem(text) -> ProblemFile:
     # ---- action ----
     n = None
     field_stmts = {}
-    for line_no, stmt in sections["action"]:
-        ts = _TokenStream(tokenize(stmt, line_no), line_no)
-        key, ts = _statement(ts)
+    for line_no, key, ts in _statements(sections, "action"):
         if key == ("name", "dim"):
-            t = ts.peek()
-            if t is None or t[0] != "number" or t[1].denominator != 1 or t[1] <= 0:
-                ts.fail("expected a positive integer dimension",
-                        expected={"integer"})
-            ts.next()
-            n = int(t[1])
+            n = ts.integer("expected a positive integer dimension", 1)
+            ts.end("trailing input")
         elif key[0] == "name" and re.fullmatch(r"V[0-9]+", key[1]):
             idx = int(key[1][1:])
             if n is None:
@@ -491,8 +457,6 @@ def parse_problem(text) -> ProblemFile:
             if idx in field_stmts:
                 raise MmkError(f"duplicate generator V{idx}", line=line_no)
             field_stmts[idx] = terms_to_field(parse_expression(ts), n, line_no)
-            if ts.peek() is not None:
-                ts.fail("trailing input after expression")
         else:
             raise MmkError(f"unexpected statement in [action]", line=line_no)
     if n is None:
@@ -509,17 +473,11 @@ def parse_problem(text) -> ProblemFile:
 
     # ---- omega ----
     omega = None
-    for line_no, stmt in sections["omega"]:
-        ts = _TokenStream(tokenize(stmt, line_no), line_no)
-        key, ts = _statement(ts)
+    for line_no, key, ts in _statements(sections, "omega"):
         if key != ("name", "omega"):
             raise MmkError("only omega = <form> is allowed in [omega]",
                            line=line_no)
-        if omega is not None:
-            raise MmkError("duplicate omega statement", line=line_no)
         omega = terms_to_form(parse_expression(ts), n, line_no)
-        if ts.peek() is not None:
-            ts.fail("trailing input after expression")
         if omega is None:
             raise MmkError("omega must not be the zero form", line=line_no)
     if omega is None:
@@ -529,38 +487,32 @@ def parse_problem(text) -> ProblemFile:
     pf.omega = omega
 
     # ---- options ----
-    for line_no, stmt in sections.get("options", []):
-        ts = _TokenStream(tokenize(stmt, line_no), line_no)
-        key, ts = _statement(ts)
+    top = omega.degree - 1
+    for line_no, key, ts in _statements(sections, "options"):
         if key == ("name", "k"):
-            ks = []
-            while True:
-                t = ts.peek()
-                if t is None or t[0] != "number" or t[1].denominator != 1:
-                    ts.fail("expected a degree", expected={"integer"})
-                if not 1 <= t[1] <= omega.degree - 1:
-                    ts.fail(_degree_range_message(int(t[1]), omega.degree - 1))
-                ts.next()
-                ks.append(int(t[1]))
-                nxt = ts.peek()
-                if nxt is not None and nxt[0] == "sym" and nxt[1] == ",":
-                    ts.next()
-                    continue
-                break
-            if ts.peek() is not None:
-                ts.fail("trailing input after degree list")
-            pf.ks = sorted(set(ks))
+            def degree():
+                col, k = ts.col(), ts.integer("expected a degree")
+                if not 1 <= k <= top:
+                    raise MmkError(_degree_range_message(k, top),
+                                   line=line_no, col=col)
+                return k
+            pf.ks = sorted(set(ts.commas(degree)))
+            ts.end("trailing input after degree list")
         elif key == ("name", "max_poly_degree"):
-            t = ts.peek()
-            if t is None or t[0] != "number" or t[1].denominator != 1 or t[1] < 0:
-                ts.fail("expected a nonnegative integer", expected={"integer"})
-            ts.next()
-            if ts.peek() is not None:
-                ts.fail("trailing input")
-            pf.max_poly_degree = int(t[1])
+            pf.max_poly_degree = ts.integer("expected a nonnegative integer")
+            ts.end("trailing input")
         else:
             raise MmkError(f"unknown option {key[1]!r}", line=line_no)
     return pf
+
+
+def catalog_action(name: str) -> LieAction:
+    """The validated action of the bundled problem file `problems/<name>.mmk`
+    (abelian_r3, so3_r3, so4_r4 or u2_r4)."""
+    with open(os.path.join(PROBLEMS, f"{name}.mmk"), encoding="utf-8") as fh:
+        action = parse_problem(fh.read()).build_action()
+    action.sign()  # validates the generators
+    return action
 
 
 def _degree_range_message(k, n):
@@ -869,7 +821,7 @@ COMMANDS = {
 def _resolve_path(name):
     if os.path.exists(name):
         return name
-    bundled = os.path.join(os.path.dirname(__file__), "problems", name)
+    bundled = os.path.join(PROBLEMS, name)
     if os.path.exists(bundled):
         return bundled
     if not name.endswith(".mmk") and os.path.exists(bundled + ".mmk"):

@@ -141,29 +141,19 @@ def mv_term(target: dict, indices, coeff) -> None:
         target.pop(t, None)
 
 
-def mv_wedge(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ta, xa in a.items():
-        for tb, xb in b.items():
-            mv_term(out, ta + tb, xa * xb)
-    return out
-
-
 def mv_coords(a: dict, basis) -> list:
+    """Coordinates over `basis`; ValueError for a term outside it."""
     pos = {t: i for i, t in enumerate(basis)}
     out = [ZERO] * len(basis)
     for t, x in a.items():
+        if t not in pos:
+            raise ValueError(f"multivector term {t} is not in the basis")
         out[pos[t]] = x
     return out
 
 
 def mv_from_coords(coords, basis) -> dict:
     return {t: frac(x) for t, x in zip(basis, coords) if x}
-
-
-def mv_from_vector(vec) -> dict:
-    """Degree-1 multivector from an algebra coefficient vector."""
-    return {(i,): frac(x) for i, x in enumerate(vec) if x}
 
 
 def format_term(coeff: str, body: str) -> str:

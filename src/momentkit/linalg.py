@@ -342,11 +342,3 @@ def solve(a: Mat, b):
         raise ValueError("shape mismatch in solve")
     x = solve_many(a, Mat.from_columns([b], a.nrows))
     return None if x is None else x.col(0)
-
-
-def in_span(vectors, v) -> bool:
-    """Is v in the span of the given vectors (all plain lists)?"""
-    if not vectors:
-        return all(x == 0 for x in v)
-    a = Mat.from_columns(vectors, len(v))
-    return solve(a, v) is not None

@@ -92,6 +92,8 @@ class MomentMap:
         entry is its free column, where it is 1 and every other basis vector
         is 0.  So an element's coordinates are its entries at those columns,
         and it lies in the kernel iff they rebuild it."""
+        if k not in self.components:
+            raise ValueError(f"the map has no degree-{k} component")
         kb = self.kernel_basis(k)
         vec = mv_coords(mv, exterior_basis(self.action.algebra.dim, k))
         coeffs = [vec[max(j for j, x in enumerate(v) if x)] for v in kb]
@@ -347,7 +349,7 @@ def existence_diagnostic(action: LieAction, ks=None, max_degree=None):
     msy = check_multisymplectic(action)
     preserved = not preserves_omega(action)
     betti = ce_betti(g)
-    out = {"action": action.name, "plectic_degree": action.plectic_degree(),
+    out = {"action": action.algebra.name, "plectic_degree": action.plectic_degree(),
            "omega_closed": msy["closed"], "omega_nondegenerate": msy["nondegenerate"],
            "omega_preserved": preserved, "bracket_sign": action.sign(),
            "betti": list(betti), "degrees": {}}

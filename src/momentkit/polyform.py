@@ -113,10 +113,6 @@ class Poly:
             total += v
         return total
 
-    def diff(self, i: int) -> "Poly":
-        return _poly(self.n, {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i]
-                              for m, c in self.terms.items() if m[i]})
-
     def __eq__(self, other):
         return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
 
@@ -277,10 +273,6 @@ class _Graded:
 
 class Form(_Graded):
     """Polynomial differential form of fixed degree on R^n."""
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "Form":
-        return cls(p.n, 0, {(): p})
 
 
 class MultiField(_Graded):

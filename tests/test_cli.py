@@ -2,6 +2,8 @@
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -81,6 +83,46 @@ def test_division_by_zero_literal():
     with pytest.raises(MmkError) as err:
         tokenize("1/0 * dx(1,2)", 2)
     assert "zero" in str(err.value)
+
+
+SO3_LINES = ['[algebra]', 'algebra = "so3"', '[action]', 'dim = 3',
+             'V1 = x3*d/dx2 - x2*d/dx3', 'V2 = x1*d/dx3 - x3*d/dx1',
+             'V3 = x2*d/dx1 - x1*d/dx2', '[omega]', 'omega = dx(1,2,3)',
+             '[options]', 'k = 1', 'max_poly_degree = 1']
+
+
+def so3_with(line_no, statement, replace=False):
+    """The so3_r3 problem text with `statement` put at 1-based `line_no`."""
+    lines = list(SO3_LINES)
+    lines[line_no - 1:line_no - 1 + replace] = [statement]
+    return "\n".join(lines) + "\n"
+
+
+def test_trailing_input_after_a_dimension_is_an_error():
+    for line_no in (2, 4):  # [algebra] and [action]
+        with pytest.raises(MmkError) as err:
+            parse_problem(so3_with(line_no, "dim = 3 x1", replace=True))
+        assert str(err.value) == f"line {line_no}, col 9: trailing input"
+
+
+def test_repeated_single_statements_are_errors(tmp_path, capsys):
+    for line_no, statement in ((3, 'algebra = "so3"'), (5, "dim = 3"),
+                               (8, "dim = 3"), (12, "k = 2"), (13, "k = 1"),
+                               (13, "max_poly_degree = 1")):
+        key = statement.split()[0]
+        with pytest.raises(MmkError) as err:
+            parse_problem(so3_with(line_no, statement))
+        assert str(err.value) == f"line {line_no}: duplicate {key} statement"
+    inline = so3_with(2, "dim = 3", replace=True)
+    with pytest.raises(MmkError) as err:
+        parse_problem(inline.replace("dim = 3\n", "dim = 3\ndim = 2\n", 1))
+    assert str(err.value) == "line 3: duplicate dim statement"
+    # a second [action] dim after the generators used to reach LieAction
+    path = tmp_path / "second_dim.mmk"
+    path.write_text(so3_with(8, "dim = 4"))
+    rc, out, err = run_main(["check-action", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {path}: line 8: duplicate dim statement\n"
 
 
 def test_inline_algebra_jacobi_failure():
@@ -378,3 +420,80 @@ def test_poincare_construct_builds_one_generator_per_kernel_element(
     rc, _, _ = run_main(["construct", bundled("so4_r4.mmk")], capsys)
     assert rc == 0
     assert 0 < len(calls) <= kernel_elements
+
+
+# ---------------------------------------------------------------------------
+# parser fuzz: seeded mutations of the bundled files
+# ---------------------------------------------------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+MUTATION_BASES = [bundled(name) for name in BUNDLED] + [
+    os.path.join(GOLDEN, "so5_seed1.mmk")]  # inline structure constants
+MUTATION_PIECES = ("0", "1", "2", "7", "-", "+", "*", "^", ",", "(", ")", "[",
+                   "]", "=", "/", " ", "#", "\n", '"', "x", "e", "d", "V", "_",
+                   "@")
+MUTATION_LINES = ("dim = 3 x1", "dim = 4", "dim = 10", "k = 1", "k = 2,1",
+                  "max_poly_degree = 2", 'algebra = "so3"', 'algebra = "u2"',
+                  "omega = dx(1,2,3)", "[e1,e2] = e3", "[e2,e1] = -e3",
+                  "V1 = d/dx1", "V5 = x1*d/dx2", "[options]", "[omega]",
+                  "[action]", "[algebra]")
+
+
+def mutate(text, rng):
+    """One random edit: a character deleted, inserted or replaced, or a line
+    deleted, duplicated or inserted."""
+    op = rng.randrange(6)
+    if op < 3:
+        pos = rng.randrange(len(text))
+        piece = rng.choice(MUTATION_PIECES)
+        return text[:pos] + ("", piece, piece)[op] + text[pos + (op != 1):]
+    lines = text.splitlines()
+    at = rng.randrange(len(lines))
+    if op == 3:
+        del lines[at]
+    elif op == 4:
+        lines.insert(at, lines[at])
+    else:
+        lines.insert(at, rng.choice(MUTATION_LINES))
+    return "\n".join(lines) + "\n"
+
+
+def mutated_problems(count, seed):
+    """`count` problem texts, each one or two random edits of a bundled
+    file; the same seed gives the same texts."""
+    bases = []
+    for path in MUTATION_BASES:
+        with open(path, encoding="utf-8") as fh:
+            bases.append(fh.read())
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = rng.choice(bases)
+        for _ in range(rng.randint(1, 2)):
+            text = mutate(text, rng)
+        yield text
+
+
+def check_action_outcome(text, path, capsys):
+    """(exit code, stdout, stderr with the file path replaced by <file>)
+    of `check-action` on a problem text."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    rc, out, err = run_main(["check-action", path], capsys)
+    return rc, out, err.replace(path, "<file>")
+
+
+def test_mutated_problem_files_exit_cleanly_with_positions(tmp_path, capsys):
+    # tests/golden/parse_errors.json holds the exit code and stderr of each
+    # input, recorded before the reader was rebuilt on token primitives.
+    with open(os.path.join(GOLDEN, "parse_errors.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    path = str(tmp_path / "mutated.mmk")
+    got = []
+    for text in mutated_problems(len(golden), seed=2026):
+        rc, out, err = check_action_outcome(text, path, capsys)
+        assert rc in (0, 1, 2), text
+        assert "Traceback" not in out + err, text
+        if rc == 2:
+            assert re.match(r"error: <file>: (line \d+|input)", err), err
+        got.append({"rc": rc, "stderr": err})
+    assert got == golden

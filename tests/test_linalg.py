@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from momentkit.linalg import (Mat, frac, in_span, kron, mat_add, mat_hstack,
+from momentkit.linalg import (Mat, frac, kron, mat_add, mat_hstack,
                               mat_mul, mat_scale, mat_vec, mat_vstack,
                               nullspace, rank, rref, solve, solve_many)
 
@@ -38,6 +38,14 @@ def naive_rref(rows, ncols):
         pivots.append(c)
         r += 1
     return rows, tuple(pivots)
+
+
+def in_span(vectors, v) -> bool:
+    """Is v in the span of the given vectors (all plain lists)?"""
+    if not vectors:
+        return all(x == 0 for x in v)
+    a = Mat.from_columns(vectors, len(v))
+    return solve(a, v) is not None
 
 
 def random_matrix(rng, m, n, density=0.7):

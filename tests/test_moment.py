@@ -6,10 +6,11 @@ import pytest
 
 from momentkit.lie_core import (LieAlgebra, StructureError, catalog_algebra,
                                 exterior_basis, lie_kernel_basis, mv_add,
-                                mv_boundary, mv_from_coords, mv_from_vector,
-                                mv_wedge, schouten, unit_vector, validate_jacobi)
+                                mv_boundary, mv_from_coords, mv_term, schouten,
+                                unit_vector, validate_jacobi)
 from momentkit.polyform import Form, exterior_d, form_from_terms, format_form
-from momentkit.action import LieAction, catalog_action, u2_r4
+from momentkit.action import LieAction
+from momentkit.cli import catalog_action
 from momentkit.moment import (MomentMap, check_module_morphism,
                               check_sigma_cocycle, construct_brackets,
                               construct_exactness, construct_poincare,
@@ -19,6 +20,16 @@ from momentkit.moment import (MomentMap, check_module_morphism,
                               verify_moment, zeta)
 
 CATALOG_ALGEBRAS = ("abelian3", "su2", "so3", "heisenberg3", "so4", "u2")
+
+
+def mv_wedge(a, b):
+    """Wedge product of two multivectors (dicts), the reference for the
+    graded boundary/bracket identity."""
+    out = {}
+    for ta, xa in a.items():
+        for tb, xb in b.items():
+            mv_term(out, ta + tb, xa * xb)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +85,14 @@ def test_exactness_and_brackets_verify_on_so4_low_degrees():
 
 
 def test_poincare_constructs_everywhere_on_catalog():
-    for name in ("translations_r3", "so3_r3", "so4_r4", "u2_r4"):
+    for name in ("abelian_r3", "so3_r3", "so4_r4", "u2_r4"):
         action = catalog_action(name)
         mm = construct_poincare(action)
         assert verify_moment(mm), name
 
 
 def test_translation_moment_values_are_pinned():
-    action = catalog_action("translations_r3")
+    action = catalog_action("abelian_r3")
     mm = construct_poincare(action)
     # f_2(e1^e2) = -x3
     val2 = mm.value(2, {(0, 1): Fraction(1)})
@@ -112,8 +123,17 @@ def test_value_reads_kernel_coordinates_and_rejects_other_elements():
             mm.value(2, outside)
 
 
+def test_value_rejects_other_degrees_and_indices():
+    mm = construct_poincare(catalog_action("so4_r4"), ks=[2])
+    for k, mv, message in ((2, {(0,): Fraction(1)}, "not in the basis"),
+                           (2, {(0, 6): Fraction(1)}, "not in the basis"),
+                           (1, {(0,): Fraction(1)}, "no degree-1 component")):
+        with pytest.raises(ValueError, match=message):
+            mm.value(k, mv)
+
+
 def test_exactness_route_refuses_on_translations():
-    action = catalog_action("translations_r3")
+    action = catalog_action("abelian_r3")
     with pytest.raises(StructureError) as err:
         construct_exactness(action, ks=[1])
     assert str(err.value) == ("exactness route does not apply at degree 1: "
@@ -121,7 +141,7 @@ def test_exactness_route_refuses_on_translations():
 
 
 def test_brackets_route_refuses_on_translations():
-    action = catalog_action("translations_r3")
+    action = catalog_action("abelian_r3")
     with pytest.raises(StructureError) as err:
         construct_brackets(action, ks=[2])
     assert str(err.value) == ("bracket route does not apply at degree 2: kernel "
@@ -131,7 +151,7 @@ def test_brackets_route_refuses_on_translations():
 def test_route_refusals_name_the_first_failing_kernel_element():
     # u(2) with its central element last: at degree 1 the kernel basis is
     # e1..e4 and e1, e2, e3 are brackets, so element 3 is the first to fail
-    u2 = u2_r4()
+    u2 = catalog_action("u2_r4")
     g = LieAlgebra(4, {(0, 1): unit_vector(2, 4), (1, 2): unit_vector(0, 4),
                        (0, 2): [0, -1, 0, 0]}, name="su2+R")
     validate_jacobi(g)
@@ -168,7 +188,7 @@ def test_routes_agree_up_to_closed_forms_on_so3():
 
 
 def test_manual_moment_map_is_rejected_when_wrong():
-    action = catalog_action("translations_r3")
+    action = catalog_action("abelian_r3")
     mm = construct_poincare(action, ks=[2])
     # corrupt one component by a non-closed form
     bad = dict(mm.components)
@@ -190,7 +210,7 @@ def test_sigma_vanishes_for_rotation_actions():
 
 
 def test_sigma_entries_for_translations():
-    action = catalog_action("translations_r3")
+    action = catalog_action("abelian_r3")
     mm = construct_poincare(action, ks=[1, 2])
     sigma2 = sigma_cochain(mm, 2)
     # Sigma(e3)(e1^e2) = -1 (constant 0-form)
@@ -201,7 +221,7 @@ def test_sigma_entries_for_translations():
 
 
 def test_sigma_is_always_a_cocycle():
-    for name in ("translations_r3", "so3_r3", "so4_r4", "u2_r4"):
+    for name in ("abelian_r3", "so3_r3", "so4_r4", "u2_r4"):
         action = catalog_action(name)
         mm = construct_poincare(action)
         for k in mm.degrees():
@@ -216,7 +236,7 @@ def test_module_morphism_quotient_and_strong():
         quotient_ok, strong_ok = check_module_morphism(mm, k)
         assert quotient_ok and strong_ok
 
-    action = catalog_action("translations_r3")
+    action = catalog_action("abelian_r3")
     mm = construct_poincare(action, ks=[1, 2])
     for k in (1, 2):
         quotient_ok, strong_ok = check_module_morphism(mm, k)
@@ -229,7 +249,7 @@ def test_module_morphism_quotient_and_strong():
 # ---------------------------------------------------------------------------
 
 def test_translations_are_obstructed_at_every_truncation():
-    action = catalog_action("translations_r3")
+    action = catalog_action("abelian_r3")
     mm = construct_poincare(action, ks=[2])
     for D in (0, 1, 2):
         fixed, l_forms, status = make_equivariant(mm, 2, D)
@@ -300,7 +320,7 @@ def test_existence_diagnostic_u2():
 
 
 def test_describe_kernel_formatting():
-    action = catalog_action("translations_r3")
+    action = catalog_action("abelian_r3")
     assert describe_kernel(action, 2) == ["e1^e2", "e1^e3", "e2^e3"]
 
 

@@ -12,8 +12,10 @@ abelian algebra both signs hold vacuously and s = -1 is taken (the classical
 left-action convention, which fixes the sign of the equivariance cocycle
 for the translation example).
 
-A LieAction owns the objects derived from it and builds each one once, on
-first use (an action is not changed after it is built):
+A LieAction owns the answers derived from it and builds each one once, on
+first use, through `derive(key, build)` (an action is not changed after it
+is built; a build that raises stores nothing):
+  * `sign()`: the bracket sign, from `validate_action`;
   * `kernel(k)`: the degree-k Lie kernel P_k (`LieKernel`): canonical basis,
     kernel module and its dual, display names, and the contractions
     V_p . omega of the basis elements;
@@ -21,6 +23,8 @@ first use (an action is not changed after it is built):
     as a module;
   * `hom_module(k, D)`: Hom(P_k, those closed forms), whose cohomology
     decides equivariant existence and uniqueness.
+Callers key their own answers with `derive` too: the command line keeps the
+run's moment map there, so every section of a report reads the same map.
 
 Also here: infinitesimal generators of multivectors, truncated spaces of
 (invariant) closed forms as finite-dimensional modules, and the boundary
@@ -58,7 +62,6 @@ class LieAction:
         self.fields = list(fields)
         self.omega = omega
         self.ambient_dim = omega.n
-        self.bracket_sign: int | None = None  # set by validate_action
         self._derived: dict = {}
 
     def plectic_degree(self) -> int:
@@ -70,29 +73,27 @@ class LieAction:
 
     def sign(self) -> int:
         """The bracket sign; validates the action on first use and raises
-        StructureError (leaving the sign unset) if the generators do not
-        close."""
-        if self.bracket_sign is None:
-            validate_action(self)
-        return self.bracket_sign
+        StructureError (keeping nothing) if the generators do not close."""
+        return self.derive("sign", lambda: validate_action(self))
 
-    def _derive(self, key, build):
+    def derive(self, key, build):
+        """The answer stored under `key`, from `build()` on first use."""
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
 
     def kernel(self, k: int) -> "LieKernel":
-        return self._derive(("kernel", k), lambda: LieKernel(self, k))
+        return self.derive(("kernel", k), lambda: LieKernel(self, k))
 
     def truncated_forms(self, k: int, max_degree: int) -> "TruncatedFormModule":
         """Closed (n-k)-forms of coefficient degree <= max_degree (the values
         of f_k) as a module."""
-        return self._derive(("forms", k, max_degree), lambda: TruncatedFormModule(
+        return self.derive(("forms", k, max_degree), lambda: TruncatedFormModule(
             self, self.plectic_degree() - k, max_degree))
 
     def hom_module(self, k: int, max_degree: int) -> GModule:
         """Hom(P_k, truncated_forms(k, max_degree)) = dual kernel (x) forms."""
-        return self._derive(("hom", k, max_degree), lambda: tensor_module(
+        return self.derive(("hom", k, max_degree), lambda: tensor_module(
             self.kernel(k).dual, self.truncated_forms(k, max_degree).module))
 
 
@@ -137,8 +138,9 @@ class LieKernel:
 
 
 def validate_action(action: LieAction) -> int:
-    """Check the generators close per the structure constants and detect the
-    bracket sign; raises StructureError naming the first failing pair."""
+    """Check the generators close per the structure constants and return the
+    bracket sign (kept by `LieAction.sign`); raises StructureError naming the
+    first failing pair."""
     g = action.algebra
     plus_ok, minus_ok = True, True
     saw_nonzero = False
@@ -156,19 +158,17 @@ def validate_action(action: LieAction) -> int:
                 minus_ok = False
     # when every bracket is zero both signs hold, and -1 is taken
     if plus_ok and saw_nonzero:
-        action.bracket_sign = 1
-    elif minus_ok:
-        action.bracket_sign = -1
-    else:
-        i, j = first_fail
-        raise StructureError(
-            f"generator fields do not close under the bracket: pair (e{i + 1}, e{j + 1}) "
-            f"matches neither sign convention")
-    return action.bracket_sign
+        return 1
+    if minus_ok:
+        return -1
+    i, j = first_fail
+    raise StructureError(
+        f"generator fields do not close under the bracket: pair (e{i + 1}, e{j + 1}) "
+        f"matches neither sign convention")
 
 
 _SAMPLE_SEEDS = (
-    None,  # origin
+    lambda n: [Fraction(0)] * n,
     lambda n: [Fraction(1)] * n,
     lambda n: [Fraction(i + 1) for i in range(n)],
     lambda n: [Fraction((-1) ** i, i + 2) for i in range(n)],
@@ -203,7 +203,7 @@ def check_multisymplectic(action: LieAction) -> dict:
     out = {"closed": exterior_d(omega).is_zero(), "nondegenerate": None,
            "plectic_degree": omega.degree - 1}
     for seed in _SAMPLE_SEEDS:
-        point = [Fraction(0)] * n if seed is None else seed(n)
+        point = seed(n)
         if rank(_contraction_matrix_at(omega, point)) != n:
             out["nondegenerate"] = False
             out["nondegenerate_witness"] = [str(x) for x in point]
@@ -339,13 +339,8 @@ def closed_form_basis(n: int, p: int, max_degree: int):
     """Canonical basis (list of Forms) of closed p-forms of coefficient
     degree <= max_degree, plus the key basis and coordinate matrix."""
     keys = form_key_basis(n, p, max_degree)
-    if p >= n:
-        # top-degree (and beyond) forms are all closed
-        vecs = [Mat.identity(len(keys)).col(j) for j in range(len(keys))]
-    else:
-        keys_out = form_key_basis(n, p + 1, max(max_degree - 1, 0))
-        dmat = _operator_matrix(exterior_d, keys, keys_out, n, p)
-        vecs = nullspace(dmat)
+    keys_out = form_key_basis(n, p + 1, max(max_degree - 1, 0))
+    vecs = nullspace(_operator_matrix(exterior_d, keys, keys_out, n, p))
     basis_mat = Mat.from_columns(vecs, nrows=len(keys))
     forms = [vector_to_form(v, keys, n, p) for v in vecs]
     return forms, keys, basis_mat
@@ -359,10 +354,8 @@ def invariant_closed_forms(action: LieAction, p: int, max_degree: int):
     field_deg = max((v.max_coeff_degree() for v in action.fields), default=0)
     out_degree = max_degree + max(field_deg - 1, 0)
     keys_lie = form_key_basis(n, p, out_degree)
-    blocks = []
-    if p < n:
-        keys_d = form_key_basis(n, p + 1, max(max_degree - 1, 0))
-        blocks.append(_operator_matrix(exterior_d, keys, keys_d, n, p))
+    keys_d = form_key_basis(n, p + 1, max(max_degree - 1, 0))
+    blocks = [_operator_matrix(exterior_d, keys, keys_d, n, p)]
     for v in action.fields:
         blocks.append(_operator_matrix(lambda a, v=v: lie_derivative(v, a),
                                        keys, keys_lie, n, p))
@@ -400,7 +393,7 @@ class TruncatedFormModule:
         self.keys = keys
         self.key_index = key_index
         self.basis_mat = basis_mat
-        self.module = GModule(action.algebra, rho,
+        self.module = GModule(action.algebra, rho, dim=len(forms),
                               name=f"closed_forms(p={p},D<={max_degree})")
 
     def to_coords(self, alpha: Form):

@@ -23,6 +23,12 @@ numerics are exact rationals (`p/q`).
 `catalog_action(name)` reads the bundled file `problems/<name>.mmk`, the one
 definition of each example action.
 
+`main` settles each run once: `--k` and `--max-poly-degree` override the
+file's `k` and `max_poly_degree`, and the resolved degrees and truncation
+replace them in the parsed arguments.  Every command is then called as
+`cmd(action, args, report)` on one action, which keeps the run's moment map
+(`_moment_map`), so the sections of `report` share it.
+
 Exit status: 0 = success, 1 = a check failed, 2 = input error.
 """
 
@@ -325,13 +331,6 @@ class ProblemFile:
     def build_action(self) -> LieAction:
         return LieAction(self.algebra, self.fields, self.omega)
 
-    def degrees(self, override=None):
-        if override is not None:
-            return override
-        if self.ks is not None:
-            return self.ks
-        return list(range(1, self.omega.degree))  # 1..n, n = degree - 1
-
 
 def _split_sections(text):
     """section name -> list of (line_no, raw statement)."""
@@ -374,6 +373,11 @@ def _statement(ts):
     return ("name", name[1])
 
 
+def _written(key):
+    """A statement key as the file writes it: 'V1' or '[e1,e2]'."""
+    return key[1] if key[0] == "name" else f"[e{key[1]},e{key[2]}]"
+
+
 def _statements(sections, name):
     """(line, key, token stream after the '=') for each statement of a
     section; a repeated single statement is an error."""
@@ -411,7 +415,7 @@ def parse_problem(text) -> ProblemFile:
         elif key[0] == "bracket":
             bracket_lines.append((line_no, key[1], key[2], ts))
         else:
-            raise MmkError(f"unexpected statement {key[1]!r} in [algebra]",
+            raise MmkError(f"unexpected statement {_written(key)!r} in [algebra]",
                            line=line_no)
     if pf.algebra_ref is not None:
         if dim is not None or bracket_lines:
@@ -458,7 +462,8 @@ def parse_problem(text) -> ProblemFile:
                 raise MmkError(f"duplicate generator V{idx}", line=line_no)
             field_stmts[idx] = terms_to_field(parse_expression(ts), n, line_no)
         else:
-            raise MmkError(f"unexpected statement in [action]", line=line_no)
+            raise MmkError(f"unexpected statement {_written(key)!r} in [action]",
+                           line=line_no)
     if n is None:
         raise MmkError("[action] needs dim = <n>")
     d = pf.algebra.dim
@@ -502,7 +507,7 @@ def parse_problem(text) -> ProblemFile:
             pf.max_poly_degree = ts.integer("expected a nonnegative integer")
             ts.end("trailing input")
         else:
-            raise MmkError(f"unknown option {key[1]!r}", line=line_no)
+            raise MmkError(f"unknown option {_written(key)!r}", line=line_no)
     return pf
 
 
@@ -571,38 +576,33 @@ class Report:
         return "\n".join(out)
 
 
-def _kernel_section(report, action, ks):
+def cmd_cohomology(action, args, report):
+    betti = list(ce_betti(action.algebra))
+    kernels = {str(k): len(action.kernel(k).basis) for k in args.k}
+    lines = ["H^k dimensions (trivial coefficients), k = 0.."
+             + str(len(betti) - 1) + ":",
+             "  (" + ", ".join(str(b) for b in betti) + ")",
+             "Lie kernel dimensions:"]
+    for k in args.k:
+        lines.append(f"  k={k}: {kernels[str(k)]}")
+    report.section("Cohomology", {"betti": betti, "kernel_dims": kernels}, lines)
+    return 0
+
+
+def cmd_kernel(action, args, report):
     lines = []
     payload = {}
-    for k in ks:
+    for k in args.k:
         names = action.kernel(k).names
         payload[str(k)] = names
         lines.append(f"k={k}: dim {len(names)}")
         for s in names:
             lines.append(f"  {s}")
     report.section("Lie kernel bases", payload, lines)
-
-
-def cmd_cohomology(pf, action, args, report):
-    ks = pf.degrees(args.k)
-    betti = list(ce_betti(action.algebra))
-    kernels = {str(k): len(action.kernel(k).basis) for k in ks}
-    lines = ["H^k dimensions (trivial coefficients), k = 0.."
-             + str(len(betti) - 1) + ":",
-             "  (" + ", ".join(str(b) for b in betti) + ")",
-             "Lie kernel dimensions:"]
-    for k in ks:
-        lines.append(f"  k={k}: {kernels[str(k)]}")
-    report.section("Cohomology", {"betti": betti, "kernel_dims": kernels}, lines)
     return 0
 
 
-def cmd_kernel(pf, action, args, report):
-    _kernel_section(report, action, pf.degrees(args.k))
-    return 0
-
-
-def cmd_check_action(pf, action, args, report):
+def cmd_check_action(action, args, report):
     ok = True
     payload = {}
     lines = []
@@ -643,16 +643,14 @@ def cmd_check_action(pf, action, args, report):
     return 0 if ok else 1
 
 
-def cmd_invariants(pf, action, args, report):
+def cmd_invariants(action, args, report):
     action.sign()
-    D = pf.max_poly_degree if args.max_poly_degree is None else args.max_poly_degree
+    D = args.max_poly_degree
     n = action.plectic_degree()
     payload = {}
     lines = [f"invariant closed forms, coefficient degree <= {D}:"]
-    for k in pf.degrees(args.k):
+    for k in args.k:
         p = n - k
-        if p < 0:
-            continue
         forms = invariant_closed_forms(action, p, D)
         payload[str(k)] = [format_form(f) for f in forms]
         lines.append(f"k={k} (form degree {p}): dim {len(forms)}")
@@ -662,10 +660,9 @@ def cmd_invariants(pf, action, args, report):
     return 0
 
 
-def cmd_diagnose(pf, action, args, report):
+def cmd_diagnose(action, args, report):
     action.sign()
-    D = pf.max_poly_degree if args.max_poly_degree is None else args.max_poly_degree
-    diag = existence_diagnostic(action, ks=pf.degrees(args.k), max_degree=D)
+    diag = existence_diagnostic(action, ks=args.k, max_degree=args.max_poly_degree)
     nondeg = diag["omega_nondegenerate"]
     lines = [f"bracket sign: {diag['bracket_sign']:+d}",
              "H^k (trivial coefficients): ("
@@ -719,31 +716,36 @@ def _moment_section(report, action, mm, title):
     return all_zero
 
 
-def cmd_construct(pf, action, args, report):
-    action.sign()
-    ks = pf.degrees(args.k)
+def _moment_map(action, args, report):
+    """The run's moment map by `args.method` at degrees `args.k`, built and
+    verified once and kept by the action.  A failed construction is reported
+    and gives None; it is not kept, so every section that asks reports it."""
     try:
-        mm = _METHODS[args.method](action, ks=ks)
+        return action.derive(("moment", args.method, tuple(args.k)),
+                             lambda: _METHODS[args.method](action, ks=args.k))
     except StructureError as e:
         report.section(f"Moment map ({args.method})",
                        {"error": str(e)}, [f"construction failed: {e}"])
+        return None
+
+
+def cmd_construct(action, args, report):
+    action.sign()
+    mm = _moment_map(action, args, report)
+    if mm is None:
         return 1
     ok = _moment_section(report, action, mm, f"Moment map ({args.method})")
     return 0 if ok else 1
 
 
-def cmd_equivariance(pf, action, args, report):
+def cmd_equivariance(action, args, report):
     action.sign()
-    ks = pf.degrees(args.k)
-    D = pf.max_poly_degree if args.max_poly_degree is None else args.max_poly_degree
-    try:
-        mm = _METHODS[args.method](action, ks=ks)
-    except StructureError as e:
-        report.section(f"Moment map ({args.method})",
-                       {"error": str(e)}, [f"construction failed: {e}"])
+    D = args.max_poly_degree
+    mm = _moment_map(action, args, report)
+    if mm is None:
         return 1
     ok = True
-    for k in ks:
+    for k in args.k:
         payload = {}
         lines = []
         sigma = mm.sigma(k)
@@ -800,8 +802,8 @@ def cmd_equivariance(pf, action, args, report):
     return 0 if ok else 1
 
 
-def cmd_report(pf, action, args, report):
-    return max(cmd(pf, action, args, report) for cmd in (
+def cmd_report(action, args, report):
+    return max(cmd(action, args, report) for cmd in (
         cmd_check_action, cmd_cohomology, cmd_kernel, cmd_diagnose,
         cmd_invariants, cmd_construct, cmd_equivariance))
 
@@ -879,9 +881,12 @@ def main(argv=None):
     if bad:
         print(f"error: --k: {_degree_range_message(bad[0], n)}", file=sys.stderr)
         return 2
+    args.k = args.k or pf.ks or list(range(1, n + 1))
+    if args.max_poly_degree is None:
+        args.max_poly_degree = pf.max_poly_degree
     report = Report(args.command, os.path.basename(path))
     try:
-        rc = COMMANDS[args.command](pf, pf.build_action(), args, report)
+        rc = COMMANDS[args.command](pf.build_action(), args, report)
     except (StructureError, ValueError) as e:
         report.section("Error", {"error": str(e)}, [f"error: {e}"])
         rc = 1

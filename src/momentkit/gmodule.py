@@ -2,9 +2,11 @@
 
 A GModule packages exact matrices rho(e_i) satisfying
 rho([x,y]) = rho(x) rho(y) - rho(y) rho(x); construction validates this
-identity exactly.  Cochains C^k(g, M) are stored as coordinate vectors over
-the basis {(T, u)}: T an increasing k-tuple over the algebra basis (ordered
-lexicographically, major index) and u a module basis index (minor index).
+identity exactly.  Its dimension is the size of the matrices, or the `dim`
+argument over a 0-dimensional algebra, which has none.  Cochains C^k(g, M)
+are stored as coordinate vectors over the basis {(T, u)}: T an increasing
+k-tuple over the algebra basis (ordered lexicographically, major index) and
+u a module basis index (minor index).
 
 The differential d^k: C^k(g, M) -> C^{k+1}(g, M) of the Chevalley-Eilenberg
 complex with coefficients in M is its action terms plus
@@ -29,12 +31,15 @@ ZERO = Fraction(0)
 class GModule:
     """Finite-dimensional module over a Lie algebra, given by action matrices."""
 
-    def __init__(self, algebra: LieAlgebra, rho, name: str = "", validate: bool = True):
+    def __init__(self, algebra: LieAlgebra, rho, name: str = "", validate: bool = True,
+                 dim: int | None = None):
         if len(rho) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
         self.algebra = algebra
         self.rho = list(rho)
-        self.dim = rho[0].nrows if rho else 0
+        self.dim = rho[0].nrows if rho else (dim or 0)
+        if dim is not None and dim != self.dim:
+            raise ValueError(f"dim {dim} disagrees with {self.dim}x{self.dim} action matrices")
         self.name = name
         self._ranks = {}
         for m in self.rho:
@@ -79,12 +84,12 @@ class GModule:
 
 
 def trivial_module(g: LieAlgebra, n: int = 1) -> GModule:
-    return GModule(g, [Mat.zeros(n, n) for _ in range(g.dim)], name="trivial")
+    return GModule(g, [Mat.zeros(n, n) for _ in range(g.dim)], name="trivial", dim=n)
 
 
 def dual_module(m: GModule) -> GModule:
     rho = [mat_scale(r.transpose(), -1) for r in m.rho]
-    return GModule(m.algebra, rho, name=f"dual({m.name})", validate=False)
+    return GModule(m.algebra, rho, name=f"dual({m.name})", validate=False, dim=m.dim)
 
 
 def tensor_module(a: GModule, b: GModule) -> GModule:
@@ -93,7 +98,8 @@ def tensor_module(a: GModule, b: GModule) -> GModule:
         raise ValueError("tensor factors must share the algebra")
     ia, ib = Mat.identity(a.dim), Mat.identity(b.dim)
     rho = [mat_add(kron(ra, ib), kron(ia, rb)) for ra, rb in zip(a.rho, b.rho)]
-    return GModule(a.algebra, rho, name=f"{a.name}(x){b.name}", validate=False)
+    return GModule(a.algebra, rho, name=f"{a.name}(x){b.name}", validate=False,
+                   dim=a.dim * b.dim)
 
 
 def lie_kernel_module(g: LieAlgebra, k: int, basis=None) -> GModule:
@@ -102,8 +108,7 @@ def lie_kernel_module(g: LieAlgebra, k: int, basis=None) -> GModule:
     passed in).  The adjoint action preserves the kernel; this construction
     verifies that fact exactly while restricting."""
     kb = lie_kernel_basis(g, k) if basis is None else basis
-    ncoords = len(exterior_basis(g.dim, k))
-    kmat = Mat.from_columns(kb, ncoords) if kb else Mat.zeros(ncoords, 0)
+    kmat = Mat.from_columns(kb, len(exterior_basis(g.dim, k)))
     rho = []
     for i in range(g.dim):
         a = ad_matrix(g, unit_vector(i, g.dim), k)

@@ -251,25 +251,15 @@ def schouten(g: LieAlgebra, a: dict, b: dict) -> dict:
     return out
 
 
-def ad_multivector(g: LieAlgebra, xi, a: dict) -> dict:
-    """Extension of ad_xi as a derivation: replace one factor at a time."""
-    out: dict = {}
-    for t, x in a.items():
-        for pos in range(len(t)):
-            vec = g.bracket(xi, unit_vector(t[pos], g.dim))
-            for m, c in enumerate(vec):
-                if c:
-                    mv_term(out, t[:pos] + (m,) + t[pos + 1:], x * c)
-    return out
-
-
 def ad_matrix(g: LieAlgebra, xi, k: int) -> Mat:
-    """Matrix of ad_xi on Lambda^k in the canonical basis."""
+    """Matrix of ad_xi on Lambda^k in the canonical basis: the Schouten
+    bracket with xi as a 1-vector, which extends ad_xi as a derivation."""
     basis = exterior_basis(g.dim, k)
     m = Mat.zeros(len(basis), len(basis))
     pos = {t: i for i, t in enumerate(basis)}
+    x1 = mv_from_coords(xi, exterior_basis(g.dim, 1))
     for j, t in enumerate(basis):
-        for u, x in ad_multivector(g, xi, {t: Fraction(1)}).items():
+        for u, x in schouten(g, x1, {t: Fraction(1)}).items():
             m.add(pos[u], j, x)
     return m
 

@@ -8,8 +8,11 @@ maps f_k from the degree-k Lie kernel to (n-k)-forms satisfying
 for k = 1..n.  Maps are stored by their values on the canonical kernel
 basis and extended linearly.  The kernel basis, the contractions V_p . omega
 and the Hom modules are read from the action, which builds each once
-(`LieAction.kernel`, `LieAction.hom_module`); a MomentMap keeps its own
-residuals and Sigma cochains once computed.
+(`LieAction.kernel`, `LieAction.hom_module`), like the bracket sign s
+(`LieAction.sign`); a MomentMap keeps its own residuals and Sigma cochains
+once computed.  Each constructor call builds and verifies a new map; a caller
+that asks several questions of one map keeps it with `LieAction.derive`, as
+the command line does with the moment map of each run.
 
 Three constructors (each re-verifies the defining equation before
 returning):
@@ -193,34 +196,32 @@ def construct_brackets(action: LieAction, ks=None) -> MomentMap:
         z = zeta(k) * s
         kernel = action.kernel(k)
         r = len(kernel.basis)
+        # columns: [q_a, e_j] = -ad_{e_j} q_a in kernel coordinates
+        cols = []
+        for a in range(r):
+            for j in range(g.dim):
+                cols.append([-kernel.module.rho[j].entry(b, a) for b in range(r)])
+        bracket_mat = Mat.from_columns(cols, r)
+        targets = Mat.identity(r)
+        decompositions = solve_many(bracket_mat, targets)
+        if decompositions is None:
+            raise StructureError(
+                f"bracket route does not apply at degree {k}: kernel basis element "
+                f"{_first_unsolvable(bracket_mat, targets)} is not a bracket "
+                f"combination")
+        term_forms = {}  # column -> V_{xi_j} . (V_{q_b} . omega)
         forms = []
-        if r:
-            kernel_mod = kernel.module
-            # columns: [q_a, e_j] = -ad_{e_j} q_a in kernel coordinates
-            cols = []
-            for a in range(r):
-                for j in range(g.dim):
-                    cols.append([-kernel_mod.rho[j].entry(b, a) for b in range(r)])
-            bracket_mat = Mat.from_columns(cols, r)
-            targets = Mat.identity(r)
-            decompositions = solve_many(bracket_mat, targets)
-            if decompositions is None:
-                raise StructureError(
-                    f"bracket route does not apply at degree {k}: kernel basis element "
-                    f"{_first_unsolvable(bracket_mat, targets)} is not a bracket "
-                    f"combination")
-            term_forms = {}  # column -> V_{xi_j} . (V_{q_b} . omega)
-            for a in range(r):
-                pairs = []
-                for col, c in enumerate(decompositions.col(a)):
-                    if c:
-                        if col not in term_forms:
-                            b, j = divmod(col, g.dim)
-                            term_forms[col] = contract(action.fields[j],
-                                                       kernel.contractions[b])
-                        pairs.append((z * c, term_forms[col]))
-                forms.append(Form.linear_combination(
-                    action.ambient_dim, action.plectic_degree() - k, pairs))
+        for a in range(r):
+            pairs = []
+            for col, c in enumerate(decompositions.col(a)):
+                if c:
+                    if col not in term_forms:
+                        b, j = divmod(col, g.dim)
+                        term_forms[col] = contract(action.fields[j],
+                                                   kernel.contractions[b])
+                    pairs.append((z * c, term_forms[col]))
+            forms.append(Form.linear_combination(
+                action.ambient_dim, action.plectic_degree() - k, pairs))
         components[k] = forms
     return _checked(MomentMap(action, components), "bracket")
 
@@ -330,7 +331,7 @@ def uniqueness_check(action: LieAction, k: int, max_degree: int):
     trunc = action.truncated_forms(k, max_degree)
     inv = invariants_basis(hom)
     t = trunc.module.dim
-    r = hom.dim // t if t else 0
+    r = len(action.kernel(k).basis)
     reps = []
     for v in inv:
         reps.append([trunc.from_coords(v[a * t:(a + 1) * t]) for a in range(r)])
@@ -355,21 +356,14 @@ def existence_diagnostic(action: LieAction, ks=None, max_degree=None):
            "betti": list(betti), "degrees": {}}
     for k in _default_degrees(action, ks):
         kernel = action.kernel(k)
-        kb = kernel.basis
-        r = len(kb)
-        entry = {"dim_kernel": r,
+        entry = {"dim_kernel": len(kernel.basis),
                  "betti_k": betti[k] if k < len(betti) else 0}
-        if r:
-            bmat = boundary_matrix(g, k + 1)
-            entry["exactness_applies"] = solve_many(
-                bmat, Mat.from_columns(kb, bmat.nrows)) is not None
-            h0_dual = len(invariants_basis(kernel.dual))
-            entry["h0_dual_kernel"] = h0_dual
-            entry["brackets_apply"] = h0_dual == 0
-        else:
-            entry["exactness_applies"] = True
-            entry["h0_dual_kernel"] = 0
-            entry["brackets_apply"] = True
+        bmat = boundary_matrix(g, k + 1)
+        entry["exactness_applies"] = solve_many(
+            bmat, Mat.from_columns(kernel.basis, bmat.nrows)) is not None
+        h0_dual = len(invariants_basis(kernel.dual))
+        entry["h0_dual_kernel"] = h0_dual
+        entry["brackets_apply"] = h0_dual == 0
         entry["poincare_applies"] = (msy["closed"] and msy["nondegenerate"] is True
                                      and preserved)
         if max_degree is not None:

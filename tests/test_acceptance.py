@@ -20,10 +20,10 @@ from momentkit.linalg import Mat, mat_mul
 from momentkit.gmodule import (GModule, ce_module_differential, dual_module,
                                lie_kernel_module, trivial_module)
 from momentkit.polyform import (exterior_d, form_from_terms, format_form,
-                                lie_derivative, poincare_homotopy, wedge)
-from momentkit.action import (LieAction, cartan_residual,
-                              check_multisymplectic, invariant_closed_forms,
-                              preserves_omega, validate_action)
+                                poincare_homotopy)
+from momentkit.action import (cartan_residual, check_multisymplectic,
+                              invariant_closed_forms, preserves_omega,
+                              validate_action)
 from momentkit.moment import (MomentMap, check_module_morphism,
                               check_sigma_cocycle, construct_brackets,
                               construct_exactness, construct_poincare,

@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from momentkit.lie_core import StructureError, catalog_algebra, exterior_basis, \
-    lie_kernel_basis, mv_from_coords
+from momentkit.lie_core import LieAlgebra, StructureError, catalog_algebra, \
+    exterior_basis, lie_kernel_basis, mv_from_coords
 from momentkit.polyform import (Form, MultiField, Poly, exterior_d,
-                                form_from_terms, format_form, lie_derivative,
-                                volume_form, wedge)
+                                form_from_terms, volume_form, wedge)
 from momentkit.action import (LieAction, TruncatedFormModule, cartan_residual,
                               check_multisymplectic, closed_form_basis,
                               form_key_basis, form_to_vector,
@@ -201,6 +200,12 @@ def test_truncated_module_action_and_escape():
     with pytest.raises(StructureError) as err:
         TruncatedFormModule(bad, 1, 0)
     assert "truncat" in str(err.value)
+
+
+def test_truncated_module_over_the_zero_algebra_keeps_its_dimension():
+    action = LieAction(LieAlgebra(0), [], volume_form(3))
+    trunc = TruncatedFormModule(action, 1, 1)
+    assert trunc.module.dim == len(trunc.forms) == 9  # d of x_i and x_i x_j
 
 
 def test_truncation_escape_names_the_smallest_key():

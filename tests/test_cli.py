@@ -125,6 +125,20 @@ def test_repeated_single_statements_are_errors(tmp_path, capsys):
     assert err == f"error: {path}: line 8: duplicate dim statement\n"
 
 
+def test_unexpected_action_statement_is_named_as_written():
+    for statement, name in (("k = 1", "k"), ("[e2,e1] = -e3", "[e2,e1]")):
+        with pytest.raises(MmkError) as err:
+            parse_problem(so3_with(5, statement))
+        assert str(err.value) == f"line 5: unexpected statement '{name}' in [action]"
+
+
+def test_unknown_option_is_named_as_written():
+    for statement, name in (("V1 = d/dx1", "V1"), ("[e1,e2] = e3", "[e1,e2]")):
+        with pytest.raises(MmkError) as err:
+            parse_problem(so3_with(12, statement))
+        assert str(err.value) == f"line 12: unknown option '{name}'"
+
+
 def test_inline_algebra_jacobi_failure():
     text = ('[algebra]\ndim = 3\n[e1,e2] = e3\n[e1,e3] = e2\n[e2,e3] = e2\n\n'
             '[action]\ndim = 3\nV1 = d/dx1\nV2 = d/dx2\nV3 = d/dx3\n\n'
@@ -348,12 +362,17 @@ def test_console_entry_point_runs():
 # ---------------------------------------------------------------------------
 
 def replace_everywhere(monkeypatch, fn, replacement):
-    """Replace `fn` in every loaded momentkit module that holds it."""
+    """Replace `fn` in every loaded momentkit module that holds it, as a
+    global or as a value of a module-level dict such as `cli._METHODS`."""
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "momentkit" and mod is not None:
             for attr, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, replacement)
+                elif isinstance(value, dict):
+                    for key, item in list(value.items()):
+                        if item is fn:
+                            monkeypatch.setitem(value, key, replacement)
 
 
 def count_calls(monkeypatch, fn):
@@ -408,6 +427,21 @@ def test_report_builds_each_derived_object_once(monkeypatch, capsys):
     assert sorted(truncations) == [(0, 1), (1, 1), (2, 1)]  # (n - k, D)
     assert sorted(k for _, k in ranked) == [0, 0, 0, 1, 1, 1]  # d0, d1 per Hom module
     assert len(set(ranked)) == len(ranked)
+
+
+def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):
+    # construct and equivariance read the same map, kept by the action
+    from momentkit.action import validate_action
+    from momentkit.moment import construct_poincare, defining_residuals
+    from momentkit.polyform import poincare_homotopy
+    counted = [count_calls(monkeypatch, fn) for fn in (
+        construct_poincare, defining_residuals, poincare_homotopy, validate_action)]
+    for problem, homotopies in (("so4_r4.mmk", 26), ("u2_r4.mmk", 8)):
+        for calls in counted:
+            calls.clear()
+        rc, _, _ = run_main(["report", bundled(problem)], capsys)
+        assert rc == 0
+        assert [len(calls) for calls in counted] == [1, 1, homotopies, 1], problem
 
 
 def test_poincare_construct_builds_one_generator_per_kernel_element(

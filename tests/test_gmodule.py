@@ -81,6 +81,15 @@ def test_dual_and_tensor_dimensions():
     assert tensor_module(ad, dual_module(ad)).dim == 36
 
 
+def test_module_over_the_zero_algebra_keeps_its_dimension():
+    m = trivial_module(LieAlgebra(0), 3)
+    assert m.dim == 3
+    assert module_cohomology_dim(m, 0) == 3
+    assert dual_module(m).dim == 3 and tensor_module(m, m).dim == 9
+    with pytest.raises(ValueError):
+        GModule(catalog_algebra("so3"), [Mat.zeros(2, 2)] * 3, dim=3)
+
+
 def test_differential_matches_the_entrywise_reference():
     for name in ALGEBRA_CATALOG:
         g = catalog_algebra(name)

@@ -6,10 +6,11 @@ from math import comb
 import pytest
 
 from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError,
-                                ad_multivector, boundary_matrix, catalog_algebra,
-                                ce_betti, exterior_basis, format_multivector,
+                                boundary_matrix, catalog_algebra, ce_betti,
+                                exterior_basis, format_multivector,
                                 lie_kernel_basis, mv_boundary, mv_coords,
-                                mv_from_coords, schouten, validate_jacobi)
+                                mv_from_coords, mv_term, schouten,
+                                unit_vector, validate_jacobi)
 from momentkit.linalg import mat_mul
 
 from test_linalg import naive_rank
@@ -121,13 +122,20 @@ def test_schouten_graded_antisymmetry():
 
 
 def test_schouten_extends_ad_action():
+    # [xi, e_a ^ e_b] = [xi, e_a] ^ e_b + e_a ^ [xi, e_b] on so4 basis 2-vectors
     g = catalog_algebra("so4")
-    xi = [Fraction(0)] * 6
-    xi[0] = Fraction(1)
-    a = {(1, 2): Fraction(1), (3, 5): Fraction(-2)}
-    viaschouten = schouten(g, {(0,): Fraction(1)}, a)
-    viaad = ad_multivector(g, xi, a)
-    assert viaschouten == viaad
+    xis = [unit_vector(i, 6) for i in range(6)]
+    xis.append([Fraction(x) for x in (1, 0, -2, 0, 3, 1)])
+    for xi in xis:
+        for a, b in exterior_basis(6, 2):
+            want = {}
+            for m, c in enumerate(g.bracket(xi, unit_vector(a, 6))):
+                mv_term(want, (m, b), c)
+            for m, c in enumerate(g.bracket(xi, unit_vector(b, 6))):
+                mv_term(want, (a, m), c)
+            got = schouten(g, mv_from_coords(xi, exterior_basis(6, 1)),
+                           {(a, b): Fraction(1)})
+            assert got == want
 
 
 def test_format_multivector_output():

@@ -8,7 +8,7 @@ from momentkit.lie_core import (LieAlgebra, StructureError, catalog_algebra,
                                 exterior_basis, lie_kernel_basis, mv_add,
                                 mv_boundary, mv_from_coords, mv_term, schouten,
                                 unit_vector, validate_jacobi)
-from momentkit.polyform import Form, exterior_d, form_from_terms, format_form
+from momentkit.polyform import exterior_d, form_from_terms, format_form
 from momentkit.action import LieAction
 from momentkit.cli import catalog_action
 from momentkit.moment import (MomentMap, check_module_morphism,

@@ -18,7 +18,8 @@ is built; a build that raises stores nothing):
   * `sign()`: the bracket sign, from `validate_action`;
   * `kernel(k)`: the degree-k Lie kernel P_k (`LieKernel`): canonical basis,
     kernel module and its dual, display names, and the contractions
-    V_p . omega of the basis elements;
+    V_p . omega of the basis elements (the fields V_p come from one
+    `infinitesimal_generators` pass and are not kept);
   * `truncated_forms(k, D)`: closed (n-k)-forms of coefficient degree <= D
     as a module;
   * `hom_module(k, D)`: Hom(P_k, those closed forms), whose cohomology
@@ -26,9 +27,11 @@ is built; a build that raises stores nothing):
 Callers key their own answers with `derive` too: the command line keeps the
 run's moment map there, so every section of a report reads the same map.
 
-Also here: infinitesimal generators of multivectors, truncated spaces of
-(invariant) closed forms as finite-dimensional modules, and the boundary
-identity linking d, contraction, and Lie derivatives (`cartan_residual`).
+Also here: infinitesimal generators of multivectors, all those of one list
+built in one pass that wedges each shared index-tuple prefix once
+(`infinitesimal_generators`), truncated spaces of (invariant) closed forms
+as finite-dimensional modules, and the boundary identity linking d,
+contraction, and Lie derivatives (`cartan_residual`).
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from .lie_core import (LieAlgebra, StructureError, exterior_basis,
                        format_multivector, lie_kernel_basis, mv_boundary,
                        mv_from_coords)
 from .gmodule import GModule, dual_module, lie_kernel_module, tensor_module
-from .polyform import (Form, MultiField, Poly, contract, exterior_d,
-                       lie_derivative, vf_bracket, wedge)
+from .polyform import (Form, MultiField, Poly, _accumulate, _wrap, contract,
+                       exterior_d, lie_derivative, vf_bracket, wedge)
 
 
 class LieAction:
@@ -133,8 +136,8 @@ class LieKernel:
         """V_p . omega for each basis element p: the right-hand side of the
         defining equation, up to the factor -zeta(k)."""
         omega = self.action.omega
-        return [contract(infinitesimal_generator(self.action, mv), omega)
-                for mv in self.multivectors]
+        return [contract(v_p, omega)
+                for v_p in infinitesimal_generators(self.action, self.multivectors)]
 
 
 def validate_action(action: LieAction) -> int:
@@ -224,22 +227,59 @@ def preserves_omega(action: LieAction):
 
 
 def infinitesimal_generator(action: LieAction, mv) -> MultiField:
-    """Multivector field of a multivector: each basis term e_{t1}^...^e_{tk}
-    maps to V_{t1} ^ ... ^ V_{tk}, extended linearly.  `mv` is a dict from
-    increasing index tuples to coefficients (a single tuple is accepted)."""
+    """Multivector field of one multivector (see `infinitesimal_generators`);
+    a single index tuple is accepted for the multivector with coefficient 1
+    on it."""
     if isinstance(mv, tuple):
         mv = {mv: Fraction(1)}
-    n = action.ambient_dim
-    degree = len(next(iter(mv))) if mv else 0
-    return MultiField.linear_combination(n, degree, (
-        (c, _wedge_fields(action, idx)) for idx, c in mv.items() if c))
+    return infinitesimal_generators(action, [mv])[0]
 
 
-def _wedge_fields(action: LieAction, idx) -> MultiField:
-    """V_{t1} ^ ... ^ V_{tk} for an index tuple (the constant 1 when empty)."""
+def infinitesimal_generators(action: LieAction, mvs) -> list:
+    """Multivector fields V_p of the multivectors p in `mvs`, each a dict
+    from index tuples to coefficients: each basis term e_{t1}^...^e_{tk}
+    maps to V_{t1} ^ ... ^ V_{tk}, extended linearly.  A multivector's degree
+    is the length of its first tuple, and a nonzero term of another length
+    raises ValueError.
+
+    All fields are built in one pass.  The distinct index tuples are visited
+    in lexicographic order, with a stack holding 1, V_{t1},
+    V_{t1} ^ V_{t2}, ... for the current tuple; the stack is cut back to the
+    prefix the tuple shares with the previous one before the rest is wedged
+    on, so each distinct prefix is wedged once per call.  Each tuple's
+    wedge, times its coefficient, is streamed into the accumulator of every
+    multivector that uses it.  Nothing is kept after the call."""
     n = action.ambient_dim
-    return reduce(wedge, (action.fields[t] for t in idx),
-                  MultiField(n, 0, {(): Poly.const(n, 1)}))
+    degrees = []
+    users: dict = {}  # index tuple -> [(position in mvs, coefficient)]
+    for a, mv in enumerate(mvs):
+        degree = len(next(iter(mv))) if mv else 0
+        for idx, c in mv.items():
+            c = frac(c)
+            if c:
+                if len(idx) != degree:
+                    raise ValueError(f"multivector mixes degrees {degree} and {len(idx)}")
+                users.setdefault(idx, []).append((a, c))
+        degrees.append(degree)
+    accs = [{} for _ in degrees]
+    slots = [{} for _ in degrees]
+    stack = [MultiField(n, 0, {(): Poly.const(n, 1)})]  # stack[j]: wedge of prev[:j]
+    prev = ()
+    for idx in sorted(users):
+        shared = 0
+        for s, t in zip(prev, idx):
+            if s != t:
+                break
+            shared += 1
+        del stack[shared + 1:]
+        for t in idx[shared:]:
+            stack.append(wedge(stack[-1], action.fields[t]))
+        prev = idx
+        for a, c in users[idx]:
+            _accumulate(accs[a], slots[a], (
+                (key, mono, c * x) for key, p in stack[-1].comps.items()
+                for mono, x in p.terms.items()))
+    return [_wrap(MultiField, n, degree, acc) for degree, acc in zip(degrees, accs)]
 
 
 def cartan_residual(action: LieAction, mv, tau: Form) -> Form:
@@ -270,7 +310,7 @@ def cartan_residual(action: LieAction, mv, tau: Form) -> Form:
         pairs.append((-s, contract(boundary_field, tau)))
     for idx, c in mv.items():
         for a, t in enumerate(idx):
-            rest = _wedge_fields(action, idx[:a] + idx[a + 1:])
+            rest = infinitesimal_generator(action, idx[:a] + idx[a + 1:])
             ltau = lie_derivative(action.fields[t], tau)
             pairs.append((frac(c) * (-1) ** a, contract(rest, ltau)))
     return Form.linear_combination(action.ambient_dim, tau.degree - k + 1, pairs)

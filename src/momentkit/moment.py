@@ -44,7 +44,7 @@ from .lie_core import (StructureError, boundary_matrix, ce_betti,
 from .gmodule import (cochain_dim, coboundary_solve, invariants_basis,
                       module_cohomology_dim)
 from .polyform import Form, contract, exterior_d, lie_derivative, poincare_homotopy
-from .action import (LieAction, check_multisymplectic, infinitesimal_generator,
+from .action import (LieAction, check_multisymplectic, infinitesimal_generators,
                      preserves_omega)
 
 
@@ -174,11 +174,9 @@ def construct_exactness(action: LieAction, ks=None) -> MomentMap:
             raise StructureError(
                 f"exactness route does not apply at degree {k}: kernel basis "
                 f"element {_first_unsolvable(bmat, kmat)} is not a boundary")
-        forms = []
-        for a in range(kmat.ncols):
-            q = mv_from_coords(preimages.col(a), basis_next)
-            forms.append(contract(infinitesimal_generator(action, q), action.omega) * z)
-        components[k] = forms
+        qs = [mv_from_coords(preimages.col(a), basis_next) for a in range(kmat.ncols)]
+        components[k] = [contract(v_q, action.omega) * z
+                         for v_q in infinitesimal_generators(action, qs)]
     return _checked(MomentMap(action, components), "exactness")
 
 

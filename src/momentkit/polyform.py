@@ -8,13 +8,15 @@ for polynomial multivector fields.
 Invariants of every Poly, Form and MultiField: component keys are
 increasing index tuples, no stored coefficient is zero, and no component is
 the zero Poly.  The public constructors (`Poly(n, terms)`,
-`Form(n, degree, comps)`, `MultiField(...)`, `MultiField.vector`,
-`from_terms` / `form_from_terms`) validate their input.  Internal results
-are not validated again: every operator on forms and fields (sums, scalar
-and Poly products, `linear_combination`, wedge, d, contraction, K, the
-vector-field bracket) streams (index tuple, monomial, coefficient) terms
-into one accumulator, `_build`, which keeps the invariants by construction
-and builds no intermediate form; Poly arithmetic wraps its results the same
+`Form(n, degree, comps)`, `MultiField(...)`, `from_terms` /
+`form_from_terms`) validate their input.  Internal results are not
+validated again: every operator on forms and fields (sums, scalar and Poly
+products, `linear_combination`, wedge, d, contraction, K, the vector-field
+bracket) streams (index tuple, monomial, coefficient) terms into one
+accumulator, `_accumulate`, which keeps the invariants by construction and
+builds no intermediate form; `_build` is that accumulator and one wrap step
+(`_wrap`), and `action.infinitesimal_generators` feeds one accumulator per
+multivector field it builds.  Poly arithmetic wraps its results the same
 way (`_poly`).
 
 Conventions:
@@ -148,15 +150,20 @@ def format_poly(p: Poly) -> str:
 
 def _build(cls, n: int, degree: int, terms):
     """The form or multivector field (of class cls) summing a stream of
-    (index tuple, monomial, Fraction) terms.
+    (index tuple, monomial, Fraction) terms."""
+    acc: dict = {}
+    _accumulate(acc, {}, terms)
+    return _wrap(cls, n, degree, acc)
+
+
+def _accumulate(acc: dict, slots: dict, terms):
+    """Add a stream of (index tuple, monomial, Fraction) terms into acc
+    (increasing index tuple -> {monomial: nonzero Fraction}); slots caches
+    each tuple's sign and component across calls on the same acc.
 
     An index tuple may be unsorted: sort_with_sign gives its key and sign,
     once per distinct tuple, and a repeated index drops the term.  A
-    coefficient that sums to zero is removed at once, empty components are
-    dropped at the end, and the result is wrapped without validating it
-    again."""
-    acc: dict = {}
-    slots: dict = {}
+    coefficient that sums to zero is removed at once."""
     for idx, mono, c in terms:
         slot = slots.get(idx)
         if slot is None:
@@ -173,6 +180,11 @@ def _build(cls, n: int, degree: int, terms):
                 poly[mono] = c
             elif old is not None:
                 del poly[mono]
+
+
+def _wrap(cls, n: int, degree: int, acc: dict):
+    """The form or multivector field (of class cls) of an accumulated dict,
+    its empty components dropped, wrapped without validating it again."""
     x = cls.__new__(cls)
     x.n = n
     x.degree = degree
@@ -278,17 +290,6 @@ class Form(_Graded):
 class MultiField(_Graded):
     """Polynomial multivector field of fixed degree on R^n."""
 
-    @classmethod
-    def vector(cls, n: int, components) -> "MultiField":
-        """Vector field from its n component polynomials."""
-        comps = {}
-        for i, p in enumerate(components):
-            if not isinstance(p, Poly):
-                p = Poly.const(n, p)
-            if not p.is_zero():
-                comps[(i,)] = p
-        return cls(n, 1, comps)
-
 
 def wedge(a, b):
     """Wedge of two forms or two multivector fields."""
@@ -378,10 +379,6 @@ def poincare_homotopy(alpha: Form) -> Form:
 
 
 form_from_terms = Form.from_terms
-
-
-def volume_form(n: int) -> Form:
-    return Form(n, n, {tuple(range(n)): Poly.const(n, 1)})
 
 
 def _format_graded(x, basis) -> str:

@@ -1,22 +1,34 @@
 """Lie algebra actions on R^n: validation, Cartan identity, invariant forms."""
 
+import os
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from momentkit.lie_core import LieAlgebra, StructureError, catalog_algebra, \
     exterior_basis, lie_kernel_basis, mv_from_coords
-from momentkit.polyform import (Form, MultiField, Poly, exterior_d,
-                                form_from_terms, volume_form, wedge)
+from momentkit.polyform import (Form, MultiField, Poly, contract, exterior_d,
+                                form_from_terms, wedge)
 from momentkit.action import (LieAction, TruncatedFormModule, cartan_residual,
                               check_multisymplectic, closed_form_basis,
                               form_key_basis, form_to_vector,
-                              infinitesimal_generator, invariant_closed_forms,
-                              monomial_basis, preserves_omega, validate_action)
-from momentkit.cli import catalog_action
+                              infinitesimal_generator, infinitesimal_generators,
+                              invariant_closed_forms, monomial_basis,
+                              preserves_omega, validate_action)
+from momentkit.cli import catalog_action, parse_problem
 
 ACTIONS = ("abelian_r3", "so3_r3", "so4_r4", "u2_r4")
+
+
+def vector_field(n, components):
+    """Vector field from its n component polynomials."""
+    return MultiField(n, 1, {(i,): p for i, p in enumerate(components)})
+
+
+def volume_form(n):
+    return Form(n, n, {tuple(range(n)): Poly.const(n, 1)})
 
 
 def euler_one_form(n):
@@ -51,7 +63,7 @@ def test_corrupted_action_names_failing_pair():
     base = catalog_action("so3_r3")
     fields = list(base.fields)
     n = base.ambient_dim
-    fields[1] = fields[1] + MultiField.vector(
+    fields[1] = fields[1] + vector_field(
         n, [Poly.var(0, n), Poly(n), Poly(n)])
     bad = LieAction(base.algebra, fields, base.omega)
     with pytest.raises(StructureError) as err:
@@ -71,8 +83,8 @@ def test_multisymplectic_checks_on_catalog():
 def test_degenerate_omega_is_flagged():
     g = catalog_algebra("abelian3")
     n = 3
-    fields = [MultiField.vector(n, [Poly.const(n, 1 if j == i else 0)
-                                    for j in range(n)]) for i in range(3)]
+    fields = [vector_field(n, [Poly.const(n, 1 if j == i else 0)
+                                for j in range(n)]) for i in range(3)]
     omega = form_from_terms(n, 2, [(1, (0, 0, 0), (0, 1))])  # dx1^dx2 on R^3
     action = LieAction(g, fields, omega)
     assert check_multisymplectic(action)["nondegenerate"] is False
@@ -82,7 +94,7 @@ def test_non_preserving_generator_is_listed():
     base = catalog_action("abelian_r3")
     n = 3
     fields = list(base.fields)
-    fields[0] = MultiField.vector(n, [Poly.var(0, n), Poly(n), Poly(n)])  # x1 d/dx1
+    fields[0] = vector_field(n, [Poly.var(0, n), Poly(n), Poly(n)])  # x1 d/dx1
     action = LieAction(base.algebra, fields, base.omega)
     assert preserves_omega(action) == [0]
 
@@ -96,6 +108,63 @@ def test_generator_of_decomposable_wedges_fields():
     mv = {(0, 1): Fraction(1)}
     vp = infinitesimal_generator(action, mv)
     assert vp == wedge(action.fields[0], action.fields[1])
+
+
+def oracle_generator(action, mv):
+    """V_p as the sum of c * V_{t1} ^ ... ^ V_{tk}, each term wedged from
+    scratch."""
+    n = action.ambient_dim
+    unit = MultiField(n, 0, {(): Poly.const(n, 1)})
+    degree = len(next(iter(mv))) if mv else 0
+    return MultiField.linear_combination(n, degree, (
+        (c, reduce(wedge, (action.fields[t] for t in idx), unit))
+        for idx, c in mv.items()))
+
+
+def oracle_actions():
+    actions = [catalog_action(name) for name in ACTIONS]
+    so5 = os.path.join(os.path.dirname(__file__), "golden", "so5_seed1.mmk")
+    with open(so5, encoding="utf-8") as fh:
+        actions.append(parse_problem(fh.read()).build_action())
+    return actions
+
+
+def test_generators_of_every_kernel_match_the_wedge_oracle():
+    for action in oracle_actions():
+        for k in range(1, action.plectic_degree() + 1):
+            kernel = action.kernel(k)
+            oracle = [oracle_generator(action, mv) for mv in kernel.multivectors]
+            assert infinitesimal_generators(action, kernel.multivectors) == oracle, \
+                (action.algebra.name, k)
+            assert kernel.contractions == [contract(v, action.omega) for v in oracle], \
+                (action.algebra.name, k)
+
+
+def test_generators_edge_cases():
+    action = catalog_action("so4_r4")
+    n = action.ambient_dim
+    v = action.fields
+    assert infinitesimal_generators(action, []) == []
+    assert infinitesimal_generators(action, [{}]) == [MultiField.zero(n, 0)]
+    assert infinitesimal_generators(action, [{(): Fraction(-2, 3)}, {(): 0}]) == [
+        MultiField(n, 0, {(): Poly.const(n, Fraction(-2, 3))}), MultiField.zero(n, 0)]
+    assert infinitesimal_generators(action, [{(0, 1): 0}, {(0, 1): 0, (1, 2): 3}]) == [
+        MultiField.zero(n, 2), wedge(v[1], v[2]) * 3]
+    # one tuple shared by several multivectors, and an unsorted tuple
+    mvs = [{(0, 1): 1}, {(0, 1): Fraction(-1, 2), (0, 2): 1, (3, 4): 2},
+           {(1, 0): 1, (0, 1): 1}, {(0, 1): 2}]
+    assert infinitesimal_generators(action, mvs) == [
+        oracle_generator(action, mv) for mv in mvs]
+    assert infinitesimal_generators(action, mvs)[2].is_zero()
+    assert infinitesimal_generator(action, (0, 1)) == wedge(v[0], v[1])
+    assert infinitesimal_generator(action, ()) == MultiField(n, 0, {(): Poly.const(n, 1)})
+    # a term of another length counts only with a nonzero coefficient
+    assert infinitesimal_generator(action, {(0, 1): 1, (2,): 0}) == wedge(v[0], v[1])
+    for mv in ({(0,): 1, (0, 1): 1}, {(0, 1): 0, (2,): 1}):
+        with pytest.raises(ValueError):
+            infinitesimal_generators(action, [{(0,): 1}, mv])
+        with pytest.raises(ValueError):
+            infinitesimal_generator(action, mv)
 
 
 def kernel_multivectors(g, k):
@@ -192,7 +261,7 @@ def test_truncated_module_action_and_escape():
     def sq(i):
         expo = tuple(2 if j == i else 0 for j in range(n))
         return Poly(n, {expo: Fraction(1)})
-    quad = [MultiField.vector(n, [sq(i) if j == i else Poly(n) for j in range(n)])
+    quad = [vector_field(n, [sq(i) if j == i else Poly(n) for j in range(n)])
             for i in range(3)]
     omega = volume_form(3)
     bad = LieAction(g, quad, omega)

@@ -444,16 +444,29 @@ def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):
         assert [len(calls) for calls in counted] == [1, 1, homotopies, 1], problem
 
 
-def test_poincare_construct_builds_one_generator_per_kernel_element(
-        monkeypatch, capsys):
-    from momentkit.action import infinitesimal_generator
-    from momentkit.lie_core import catalog_algebra, lie_kernel_basis
-    g = catalog_algebra("so4")
-    kernel_elements = sum(len(lie_kernel_basis(g, k)) for k in (1, 2, 3))
-    calls = count_calls(monkeypatch, infinitesimal_generator)
+def test_construct_wedges_each_kernel_prefix_once(monkeypatch, capsys):
+    # one infinitesimal_generators pass per degree; it wedges each distinct
+    # nonempty prefix of the kernel basis' index tuples once, and each V_p
+    # is contracted into omega once
+    from momentkit.action import infinitesimal_generators
+    from momentkit.cli import catalog_action
+    from momentkit.polyform import contract, wedge
+    action = catalog_action("so4_r4")
+    kernels = {k: action.kernel(k).multivectors for k in (1, 2, 3)}
+    prefixes = sum(len({idx[:j] for mv in mvs for idx, c in mv.items() if c
+                        for j in range(1, k + 1)})
+                   for k, mvs in kernels.items())
+    generators = count_calls(monkeypatch, infinitesimal_generators)
+    wedges = count_calls(monkeypatch, wedge)
+    contractions = count_calls(monkeypatch, contract)
     rc, _, _ = run_main(["construct", bundled("so4_r4.mmk")], capsys)
     assert rc == 0
-    assert 0 < len(calls) <= kernel_elements
+    assert [mvs for _, mvs in generators] == list(kernels.values())
+    assert len(wedges) == prefixes
+    into_omega = [field for field, alpha in contractions if alpha == action.omega]
+    assert len(into_omega) == sum(len(mvs) for mvs in kernels.values())
+    assert sorted(field.degree for field in into_omega) == sorted(
+        k for k, mvs in kernels.items() for _ in mvs)
 
 
 # ---------------------------------------------------------------------------

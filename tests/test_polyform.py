@@ -8,7 +8,16 @@ import pytest
 from momentkit.polyform import (Form, MultiField, Poly, contract, exterior_d,
                                 form_from_terms, format_field, format_form,
                                 format_poly, lie_derivative, poincare_homotopy,
-                                vf_bracket, volume_form, wedge)
+                                vf_bracket, wedge)
+
+
+def vector_field(n, components):
+    """Vector field from its n component polynomials."""
+    return MultiField(n, 1, {(i,): p for i, p in enumerate(components)})
+
+
+def volume_form(n):
+    return Form(n, n, {tuple(range(n)): Poly.const(n, 1)})
 
 
 def random_poly(rng, n, max_degree, max_coeff=6):
@@ -108,8 +117,8 @@ def test_d_leibniz_rule():
 def test_contraction_applies_first_factor_first():
     # (X1 ^ X2) _| alpha = iota_{X2} iota_{X1} alpha = alpha(X1, X2, ...)
     n = 3
-    x = MultiField.vector(n, [Poly.const(n, 1), Poly.const(n, 0), Poly.const(n, 0)])
-    y = MultiField.vector(n, [Poly.const(n, 0), Poly.const(n, 1), Poly.const(n, 0)])
+    x = vector_field(n, [Poly.const(n, 1), Poly.const(n, 0), Poly.const(n, 0)])
+    y = vector_field(n, [Poly.const(n, 0), Poly.const(n, 1), Poly.const(n, 0)])
     vol = volume_form(n)
     xy = wedge(x, y)
     res = contract(xy, vol)             # should be dx3 with + sign
@@ -121,8 +130,8 @@ def test_contraction_applies_first_factor_first():
 def test_contraction_of_basis_covector():
     # iota_{d/dx_m} dx_J = (-1)^pos dx_{J minus m}
     n = 4
-    f = MultiField.vector(n, [Poly.const(n, 0), Poly.const(n, 0),
-                              Poly.const(n, 1), Poly.const(n, 0)])  # d/dx3
+    f = vector_field(n, [Poly.const(n, 0), Poly.const(n, 0),
+                          Poly.const(n, 1), Poly.const(n, 0)])  # d/dx3
     alpha = form_from_terms(n, 3, [(1, (0,) * 4, (0, 2, 3))])       # dx(1,3,4)
     # position of index 2 in (0,2,3) is 1 -> sign (-1)^1
     assert contract(f, alpha) == form_from_terms(n, 2, [(-1, (0,) * 4, (0, 3))])
@@ -130,9 +139,9 @@ def test_contraction_of_basis_covector():
 
 def test_contraction_degree_overflow_raises():
     n = 3
-    f = wedge(wedge(MultiField.vector(n, [Poly.const(n, 1)] + [Poly.const(n, 0)] * 2),
-                    MultiField.vector(n, [Poly.const(n, 0), Poly.const(n, 1), Poly.const(n, 0)])),
-              MultiField.vector(n, [Poly.const(n, 0)] * 2 + [Poly.const(n, 1)]))
+    f = wedge(wedge(vector_field(n, [Poly.const(n, 1)] + [Poly.const(n, 0)] * 2),
+                    vector_field(n, [Poly.const(n, 0), Poly.const(n, 1), Poly.const(n, 0)])),
+              vector_field(n, [Poly.const(n, 0)] * 2 + [Poly.const(n, 1)]))
     alpha = form_from_terms(n, 2, [(1, (0, 0, 0), (0, 1))])
     with pytest.raises(ValueError):
         contract(f, alpha)
@@ -146,7 +155,7 @@ def test_cartan_magic_formula_random():
     rng = random.Random(23)
     n = 3
     for _ in range(6):
-        x = MultiField.vector(n, [random_poly(rng, n, 2) for _ in range(n)])
+        x = vector_field(n, [random_poly(rng, n, 2) for _ in range(n)])
         a = random_form(rng, n, 2, 2)
         lhs = lie_derivative(x, a)
         rhs = exterior_d(contract(x, a)) + contract(x, exterior_d(a))
@@ -157,8 +166,8 @@ def test_lie_derivative_commutator_identity():
     rng = random.Random(29)
     n = 3
     for _ in range(5):
-        x = MultiField.vector(n, [random_poly(rng, n, 1) for _ in range(n)])
-        y = MultiField.vector(n, [random_poly(rng, n, 1) for _ in range(n)])
+        x = vector_field(n, [random_poly(rng, n, 1) for _ in range(n)])
+        y = vector_field(n, [random_poly(rng, n, 1) for _ in range(n)])
         a = random_form(rng, n, 1, 2)
         lhs = lie_derivative(x, lie_derivative(y, a)) \
             - lie_derivative(y, lie_derivative(x, a))
@@ -169,7 +178,7 @@ def test_lie_derivative_commutator_identity():
 def test_vf_bracket_jacobi():
     rng = random.Random(31)
     n = 3
-    x, y, z = (MultiField.vector(n, [random_poly(rng, n, 1) for _ in range(n)])
+    x, y, z = (vector_field(n, [random_poly(rng, n, 1) for _ in range(n)])
                for _ in range(3))
     s = vf_bracket(x, vf_bracket(y, z)) + vf_bracket(y, vf_bracket(z, x)) \
         + vf_bracket(z, vf_bracket(x, y))
@@ -205,9 +214,9 @@ def test_homotopy_vanishes_on_zero_forms():
 def test_homotopy_commutes_with_linear_field_derivatives():
     rng = random.Random(43)
     n = 3
-    rot = MultiField.vector(n, [Poly(n, {(0, 1, 0): Fraction(-1)}),
-                                Poly(n, {(1, 0, 0): Fraction(1)}),
-                                Poly(n)])
+    rot = vector_field(n, [Poly(n, {(0, 1, 0): Fraction(-1)}),
+                            Poly(n, {(1, 0, 0): Fraction(1)}),
+                            Poly(n)])
     for _ in range(6):
         a = random_form(rng, n, 2, 3)
         assert lie_derivative(rot, poincare_homotopy(a)) \
@@ -235,8 +244,8 @@ def test_format_form_and_field():
     n = 3
     f = form_from_terms(n, 1, [(1, (0, 0, 1), (0,)), (Fraction(-1, 2), (0, 0, 0), (1,))])
     assert format_form(f) == "x3*dx(1) - 1/2*dx(2)"
-    v = MultiField.vector(n, [Poly(n), Poly(n, {(0, 0, 1): Fraction(1)}),
-                              Poly(n, {(0, 1, 0): Fraction(-1)})])
+    v = vector_field(n, [Poly(n), Poly(n, {(0, 0, 1): Fraction(1)}),
+                          Poly(n, {(0, 1, 0): Fraction(-1)})])
     assert format_field(v) == "x3*d/dx2 - x2*d/dx3"
     assert format_form(Form.zero(n, 2)) == "0"
 
@@ -265,8 +274,8 @@ def test_every_operator_result_is_canonical():
         a = random_form(rng, n, 1, 2)
         b = random_form(rng, n, 2, 2)
         c = random_form(rng, n, 1, 2)
-        x = MultiField.vector(n, [random_poly(rng, n, 1) for _ in range(n)])
-        y = MultiField.vector(n, [random_poly(rng, n, 2) for _ in range(n)])
+        x = vector_field(n, [random_poly(rng, n, 1) for _ in range(n)])
+        y = vector_field(n, [random_poly(rng, n, 2) for _ in range(n)])
         q = random_poly(rng, n, 1)
         results = [
             a + c, a - c, a - a, a + a * -1, -b, b * Fraction(3, 2), b * 0,

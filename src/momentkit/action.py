@@ -16,6 +16,9 @@ A LieAction owns the answers derived from it and builds each one once, on
 first use, through `derive(key, build)` (an action is not changed after it
 is built; a build that raises stores nothing):
   * `sign()`: the bracket sign, from `validate_action`;
+  * `omega_checks()`, `omega_failures()` and `betti()`: the answers of
+    `check_multisymplectic`, `preserves_omega` and the algebra's
+    `ce_betti`, which `check-action`, `cohomology` and `diagnose` share;
   * `kernel(k)`: the degree-k Lie kernel P_k (`LieKernel`): canonical basis,
     kernel module and its dual, display names, and the contractions
     V_p . omega of the basis elements (the fields V_p come from one
@@ -41,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 from .linalg import Mat, frac, mat_vstack, nullspace, rank, solve_many
-from .lie_core import (LieAlgebra, StructureError, exterior_basis,
+from .lie_core import (LieAlgebra, StructureError, ce_betti, exterior_basis,
                        format_multivector, lie_kernel_basis, mv_boundary,
                        mv_from_coords)
 from .gmodule import GModule, dual_module, lie_kernel_module, tensor_module
@@ -78,6 +81,18 @@ class LieAction:
         """The bracket sign; validates the action on first use and raises
         StructureError (keeping nothing) if the generators do not close."""
         return self.derive("sign", lambda: validate_action(self))
+
+    def omega_checks(self) -> dict:
+        """`check_multisymplectic` of this action, computed once."""
+        return self.derive("omega_checks", lambda: check_multisymplectic(self))
+
+    def omega_failures(self) -> list:
+        """`preserves_omega` of this action, computed once."""
+        return self.derive("omega_failures", lambda: preserves_omega(self))
+
+    def betti(self) -> tuple:
+        """`ce_betti` of the algebra, computed once."""
+        return self.derive("betti", lambda: ce_betti(self.algebra))
 
     def derive(self, key, build):
         """The answer stored under `key`, from `build()` on first use."""

@@ -43,10 +43,9 @@ from fractions import Fraction
 
 from .lie_core import (LieAlgebra, StructureError, catalog_algebra,
                        format_multivector, validate_jacobi,
-                       ALGEBRA_CATALOG, ce_betti)
+                       ALGEBRA_CATALOG)
 from .polyform import Form, MultiField, format_field, format_form
-from .action import (LieAction, check_multisymplectic, invariant_closed_forms,
-                     preserves_omega)
+from .action import LieAction, invariant_closed_forms
 from .moment import (construct_brackets, construct_exactness,
                      construct_poincare, existence_diagnostic, make_equivariant,
                      sigma_is_zero, check_sigma_cocycle, check_module_morphism,
@@ -577,7 +576,7 @@ class Report:
 
 
 def cmd_cohomology(action, args, report):
-    betti = list(ce_betti(action.algebra))
+    betti = list(action.betti())
     kernels = {str(k): len(action.kernel(k).basis) for k in args.k}
     lines = ["H^k dimensions (trivial coefficients), k = 0.."
              + str(len(betti) - 1) + ":",
@@ -616,7 +615,7 @@ def cmd_check_action(action, args, report):
         payload["closes"] = False
         payload["error"] = str(e)
         lines.append(f"generators close under the bracket: NO — {e}")
-    msy = check_multisymplectic(action)
+    msy = action.omega_checks()
     payload.update(msy)
     lines.append(f"omega closed: {'yes' if msy['closed'] else 'NO'}")
     if msy["nondegenerate"] is None:
@@ -629,7 +628,7 @@ def cmd_check_action(action, args, report):
                    + ", ".join(msy["nondegenerate_witness"]) + ")")
     lines.append(f"omega nondegenerate on constant vectors: {verdict}")
     lines.append(f"plectic degree n = {msy['plectic_degree']}")
-    bad = preserves_omega(action)
+    bad = action.omega_failures()
     payload["omega_preserved"] = not bad
     if bad:
         ok = False

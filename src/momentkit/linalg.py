@@ -1,21 +1,26 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (boundary operators, cochain differentials, kernel
-bases, solvers) reduces to the handful of primitives in this module.  All
-entries are `fractions.Fraction`; there are no tolerances anywhere.
+bases, solvers) reduces to the handful of primitives in this module.  Every
+matrix entry a caller sees is a `fractions.Fraction`; there are no
+tolerances anywhere.
 
 Conventions:
   * a matrix is a `Mat`: a list of sparse rows, each a `{col: Fraction}`
     dict that never stores a zero, with an explicit shape so that 0-row and
     0-column matrices stay well defined.  Only this module reads the rows;
     callers use `entry`, `add`, `nonzeros`, `col` and `dense`,
-  * all elimination is one Gauss-Jordan routine, `_eliminate`: a forward
-    pass over the columns left to right, then back-substitution when the
-    RREF is wanted (`rank` skips it; `rref`, `nullspace` and the solvers
-    use it).  In each column the pivot is the candidate row with the fewest
-    nonzeros (Markowitz's rule, ties broken by row index), which keeps
-    fill-in low on the Kronecker-structured differentials this package
-    builds,
+  * all elimination is one fraction-free Gauss-Jordan routine,
+    `_eliminate`, on integer rows: `rank` and `rref` scale each row of a
+    `Mat` to a primitive integer row on entry (same row space), and `rref`
+    divides each pivot row by its pivot entry on exit; in between there is
+    no `Fraction` arithmetic, only `int` multiplies, adds and gcds.  It makes
+    a forward pass over the columns left to right, then back-substitution
+    when the RREF is wanted (`rank` skips it; `rref`, `nullspace` and the
+    solvers use it).  In each column the pivot is the candidate row with
+    the fewest nonzeros (Markowitz's rule, ties broken by row index), which
+    keeps fill-in low on the Kronecker-structured differentials this
+    package builds,
   * `rref` returns the unique reduced row echelon form.  Which row supplies
     a pivot changes only the order of row operations, not the row space, and
     a row space has exactly one RREF; so the pivot rule never changes the
@@ -29,6 +34,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 ZERO = Fraction(0)
@@ -232,15 +238,23 @@ def kron(a: Mat, b: Mat) -> Mat:
 # ---------------------------------------------------------------------------
 
 def _eliminate(rows, ncols, reduce):
-    """Gauss-Jordan elimination on sparse rows, in place.
+    """Fraction-free Gauss-Jordan elimination on sparse integer rows, in place.
 
-    Columns are taken left to right.  In each column the pivot is the
-    candidate row with the fewest nonzeros (ties: lowest row index); it is
-    scaled to a leading 1 and cleared from every other candidate.  An index
-    column -> rows not yet used as pivots finds the candidates without
-    scanning rows.  With `reduce`, back-substitution then clears each pivot
-    column above its pivot, so the pivot rows form the RREF.  Rows never
-    chosen end up empty.
+    Every row holds nonzero `int`s and is kept primitive (the gcd of its
+    entries is 1).  Columns are taken left to right.  In each column the
+    pivot is the candidate row with the fewest nonzeros (ties: lowest row
+    index).  Every other candidate row becomes a*row + b*prow, with the
+    smallest a > 0 and b that cancel its entry in the pivot column
+    (`_multipliers`), divided by its content.  An index column -> rows not
+    yet used as pivots finds the candidates without scanning rows.  With
+    `reduce`, back-substitution then clears each pivot column above its
+    pivot the same way.  Rows never chosen end up empty.
+
+    Each step scales a row by a nonzero number or adds a multiple of another
+    row to it, and every row stays a nonzero multiple of the row that
+    Fraction elimination with pivots scaled to 1 would hold.  So the
+    sparsity, the pivot choices and the row space are the same, and after
+    `reduce` each pivot row divided by its pivot entry is a row of the RREF.
 
     Returns the (row index, column) pivots in column order."""
     where = [set() for _ in range(ncols)]
@@ -256,25 +270,25 @@ def _eliminate(rows, ncols, reduce):
         prow = rows[p]
         for j in prow:
             where[j].discard(p)
-        x = prow[c]
-        if x != 1:
-            inv = 1 / x
-            prow = rows[p] = {j: inv * y for j, y in prow.items()}
+        pv = prow[c]
         for i in list(cand):
             row = rows[i]
-            f = -row[c]
+            a, b = _multipliers(pv, row[c])
+            if a != 1:
+                row = rows[i] = {j: a * x for j, x in row.items()}
             for j, y in prow.items():
                 x = row.get(j)
                 if x is None:
-                    row[j] = f * y
+                    row[j] = b * y
                     where[j].add(i)
                 else:
-                    x += f * y
+                    x += b * y
                     if x:
                         row[j] = x
                     else:
                         del row[j]
                         where[j].discard(i)
+            _make_primitive(row)
         pivots.append((p, c))
     if reduce:
         # A pivot row's support lies at and right of its pivot, so clearing
@@ -287,22 +301,67 @@ def _eliminate(rows, ncols, reduce):
                     above[j].append(p)
         for p, c in reversed(pivots):
             prow = rows[p]
+            pv = prow[c]
             for i in above[c]:
                 row = rows[i]
-                _axpy(row, -row[c], prow)
+                a, b = _multipliers(pv, row[c])
+                if a != 1:
+                    row = rows[i] = {j: a * x for j, x in row.items()}
+                for j, y in prow.items():
+                    x = row.get(j, 0) + b * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                _make_primitive(row)
     return pivots
+
+
+def _multipliers(pv, x):
+    """(a, b) with a > 0 and a*x + b*pv = 0, as small as they can be: the
+    row operation row := a*row + b*prow clears the entry x against the
+    pivot entry pv.  (The sign of a row never matters, so a = -1 is
+    avoided: a = 1 needs no scaling pass.)"""
+    g = gcd(pv, x)
+    if pv < 0:
+        g = -g
+    return pv // g, -x // g
+
+
+def _make_primitive(row):
+    """Divide an integer row, in place, by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        for j, x in row.items():
+            row[j] = x // g
+
+
+def _integer_rows(m: Mat):
+    """The rows of m as primitive integer rows: each row times the lcm of
+    its denominators, divided by the gcd of the result."""
+    out = []
+    for row in m.rows:
+        scale = lcm(*(x.denominator for x in row.values()))
+        irow = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+        _make_primitive(irow)
+        out.append(irow)
+    return out
 
 
 def rank(m: Mat) -> int:
     """Exact rank by sparse elimination."""
-    return len(_eliminate([dict(row) for row in m.rows], m.ncols, reduce=False))
+    return len(_eliminate(_integer_rows(m), m.ncols, reduce=False))
 
 
 def rref(m: Mat):
     """Unique reduced row echelon form.  Returns (Mat, pivot column tuple)."""
-    rows = [dict(row) for row in m.rows]
+    rows = _integer_rows(m)
     pivots = _eliminate(rows, m.ncols, reduce=True)
-    out = [rows[p] for p, _ in pivots]
+    out = []
+    for p, c in pivots:
+        row = rows[p]
+        pv = row[c]
+        out.append({j: Fraction(y, pv) for j, y in row.items()})
     out += [{} for _ in range(m.nrows - len(pivots))]
     return Mat._of(out, m.ncols), tuple(c for _, c in pivots)
 

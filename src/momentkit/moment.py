@@ -39,13 +39,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import Mat, mat_hstack, rref, solve_many
-from .lie_core import (StructureError, boundary_matrix, ce_betti,
-                       exterior_basis, mv_coords, mv_from_coords)
+from .lie_core import (StructureError, boundary_matrix, exterior_basis,
+                       mv_coords, mv_from_coords)
 from .gmodule import (cochain_dim, coboundary_solve, invariants_basis,
                       module_cohomology_dim)
 from .polyform import Form, contract, exterior_d, lie_derivative, poincare_homotopy
-from .action import (LieAction, check_multisymplectic, infinitesimal_generators,
-                     preserves_omega)
+from .action import LieAction, infinitesimal_generators
 
 
 def zeta(k: int) -> int:
@@ -345,9 +344,9 @@ def existence_diagnostic(action: LieAction, ks=None, max_degree=None):
     (optionally) cohomology of the truncated coefficient module governing
     equivariant existence and uniqueness."""
     g = action.algebra
-    msy = check_multisymplectic(action)
-    preserved = not preserves_omega(action)
-    betti = ce_betti(g)
+    msy = action.omega_checks()
+    preserved = not action.omega_failures()
+    betti = action.betti()
     out = {"action": action.algebra.name, "plectic_degree": action.plectic_degree(),
            "omega_closed": msy["closed"], "omega_nondegenerate": msy["nondegenerate"],
            "omega_preserved": preserved, "bracket_sign": action.sign(),

@@ -430,18 +430,24 @@ def test_report_builds_each_derived_object_once(monkeypatch, capsys):
 
 
 def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):
-    # construct and equivariance read the same map, kept by the action
-    from momentkit.action import validate_action
+    # construct and equivariance read the same map, kept by the action;
+    # check-action, cohomology and diagnose share the omega checks and the
+    # Betti numbers, kept by the action too
+    from momentkit.action import (check_multisymplectic, preserves_omega,
+                                  validate_action)
+    from momentkit.lie_core import ce_betti
     from momentkit.moment import construct_poincare, defining_residuals
     from momentkit.polyform import poincare_homotopy
     counted = [count_calls(monkeypatch, fn) for fn in (
-        construct_poincare, defining_residuals, poincare_homotopy, validate_action)]
+        construct_poincare, defining_residuals, poincare_homotopy, validate_action,
+        check_multisymplectic, preserves_omega, ce_betti)]
     for problem, homotopies in (("so4_r4.mmk", 26), ("u2_r4.mmk", 8)):
         for calls in counted:
             calls.clear()
         rc, _, _ = run_main(["report", bundled(problem)], capsys)
         assert rc == 0
-        assert [len(calls) for calls in counted] == [1, 1, homotopies, 1], problem
+        assert [len(calls) for calls in counted] == [1, 1, homotopies, 1,
+                                                     1, 1, 1], problem
 
 
 def test_construct_wedges_each_kernel_prefix_once(monkeypatch, capsys):

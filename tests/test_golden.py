@@ -35,7 +35,11 @@ def golden_cases():
     cases["diagnose_so4_r4_k2_D1.machine"] = [
         "diagnose", os.path.join(PROBLEMS, "so4_r4.mmk"), "--k", "2",
         "--max-poly-degree", "1", "--format", "machine"]
-    so5 = os.path.join(GOLDEN, "so5_seed1.mmk")
+    # every degree at truncation 2: the largest Hom-module ranks in the suite
+    cases["diagnose_u2_r4_D2.machine"] = [
+        "diagnose", os.path.join(PROBLEMS, "u2_r4.mmk"),
+        "--max-poly-degree", "2", "--format", "machine"]
+    so5= os.path.join(GOLDEN, "so5_seed1.mmk")
     cases["construct_so5_seed1_k1234.machine"] = [
         "construct", so5, "--k", "1,2,3,4", "--format", "machine"]
     cases["construct_so5_seed1_exactness_k12.machine"] = [

@@ -2,10 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
-from momentkit.linalg import (Mat, frac, kron, mat_add, mat_hstack,
-                              mat_mul, mat_scale, mat_vec, mat_vstack,
-                              nullspace, rank, rref, solve, solve_many)
+from momentkit.linalg import (Mat, _axpy, _eliminate, _integer_rows, frac,
+                              kron, mat_add, mat_hstack, mat_mul, mat_scale,
+                              mat_vec, mat_vstack, nullspace, rank, rref,
+                              solve, solve_many)
 
 
 def naive_rank(rows):
@@ -233,3 +235,163 @@ def test_builders_store_no_zeros():
     assert c.entry(1, 2) == Fraction(1, 3) and not c.is_zero()
     c.add(1, 2, Fraction(-1, 3))
     assert c == Mat.zeros(2, 3) and c.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the integer core against the Fraction elimination it replaced
+# ---------------------------------------------------------------------------
+
+def fraction_eliminate(rows, ncols, reduce):
+    """The Fraction Gauss-Jordan core that `linalg._eliminate` replaced,
+    kept as its oracle: the same column order and pivot rule (fewest
+    nonzeros, then lowest row index), each pivot scaled to a leading 1 and
+    cleared from every other candidate.  In place; returns the pivots."""
+    where = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            where[j].add(i)
+    pivots = []
+    for c in range(ncols):
+        cand = where[c]
+        if not cand:
+            continue
+        p = min(cand, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        for j in prow:
+            where[j].discard(p)
+        x = prow[c]
+        if x != 1:
+            inv = 1 / x
+            prow = rows[p] = {j: inv * y for j, y in prow.items()}
+        for i in list(cand):
+            row = rows[i]
+            f = -row[c]
+            for j, y in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = f * y
+                    where[j].add(i)
+                else:
+                    x += f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        where[j].discard(i)
+        pivots.append((p, c))
+    if reduce:
+        # A pivot row's support lies at and right of its pivot, so clearing
+        # column c (right to left) never touches an entry left of c: the rows
+        # holding column c can all be listed before the sweep starts.
+        above = {c: [] for _, c in pivots}
+        for p, c in pivots:
+            for j in rows[p]:
+                if j != c and j in above:
+                    above[j].append(p)
+        for p, c in reversed(pivots):
+            prow = rows[p]
+            for i in above[c]:
+                row = rows[i]
+                _axpy(row, -row[c], prow)
+    return pivots
+
+
+def fraction_rank(m):
+    return len(fraction_eliminate([dict(row) for row in m.rows], m.ncols, False))
+
+
+def fraction_rref(m):
+    rows = [dict(row) for row in m.rows]
+    pivots = fraction_eliminate(rows, m.ncols, True)
+    out = [rows[p] for p, _ in pivots] + [{} for _ in range(m.nrows - len(pivots))]
+    return Mat._of(out, m.ncols), tuple(c for _, c in pivots)
+
+
+def all_fractions(values):
+    return all(type(x) is Fraction for x in values)
+
+
+def hard_matrices(rng):
+    """Seeded sparse Mats the integer core could get wrong: empty shapes,
+    zero rows, negative pivots, large coprime denominators, and
+    rank-deficient Kronecker-shaped differentials."""
+    primes = (65537, 999983, 1000003, 2 ** 31 - 1, 2 ** 61 - 1)
+    yield Mat([], ncols=5)                                         # 0 x n
+    yield Mat([[] for _ in range(4)], ncols=0)                     # n x 0
+    yield Mat([[0] * 3, [0] * 3], ncols=3)
+    for _ in range(40):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        rows = random_matrix(rng, m, n, density=rng.choice((0.2, 0.4, 0.8)))
+        kind = rng.randrange(4)
+        if kind == 0:                                              # big denominators
+            rows = [[Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice(primes))
+                     if x else x for x in row] for row in rows]
+        elif kind == 1:                                            # negative pivots
+            rows = [[-abs(x) for x in row] for row in rows]
+        elif kind == 2:                                            # zero rows
+            for i in rng.sample(range(m), rng.randint(1, m)):
+                rows[i] = [Fraction(0)] * n
+        else:                                                      # dependent rows
+            c = Fraction(rng.randint(-9, 9), rng.choice(primes))
+            rows.append([x - c * y for x, y in zip(rows[0], rows[-1])])
+        yield Mat(rows, ncols=n)
+    for _ in range(12):
+        # d = A (x) 1 - 1 (x) B, with A, B singular: the shape of the
+        # module differentials, rank-deficient by construction
+        p, q = rng.randint(2, 4), rng.randint(1, 4)
+        a = Mat(random_matrix(rng, p, p, density=0.5), ncols=p)
+        b = Mat(random_matrix(rng, q, q, density=0.5), ncols=q)
+        a.rows[-1] = dict(a.rows[0])
+        b.rows[0] = {}
+        d = mat_add(kron(a, Mat.identity(q)), mat_scale(kron(Mat.identity(p), b), -1))
+        yield mat_vstack(d, kron(a, b))
+
+
+def test_integer_core_matches_fraction_oracle(monkeypatch):
+    from momentkit import linalg
+    rng = random.Random(909)
+    deficient = 0
+    for a in hard_matrices(rng):
+        cols = [mat_vec(a, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                            for _ in range(a.ncols)]) for _ in range(2)]
+        cols.append([Fraction(rng.randint(-4, 4), rng.choice((1, 7, 65537)))
+                     for _ in range(a.nrows)])
+        b = Mat.from_columns(cols, a.nrows)
+        got = (rank(a), rref(a), nullspace(a), solve_many(a, b),
+               solve_many(a, Mat.from_columns(cols[:2], a.nrows)),
+               [solve(a, col) for col in cols])
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "rref", fraction_rref)
+            want = (fraction_rank(a), fraction_rref(a), nullspace(a),
+                    solve_many(a, b), solve_many(a, Mat.from_columns(cols[:2], a.nrows)),
+                    [solve(a, col) for col in cols])
+        assert got == want
+        r, _ = got[1]
+        assert all_fractions(x for _, _, x in r.nonzeros())
+        assert all_fractions(x for v in got[2] for x in v)
+        for sol in got[3:5]:
+            assert sol is None or all_fractions(x for _, _, x in sol.nonzeros())
+        assert all_fractions(x for sol in got[5] if sol for x in sol)
+        deficient += 0 < got[0] < min(a.shape)
+        # in between, the core holds primitive rows of plain ints
+        rows = _integer_rows(a)
+        _eliminate(rows, a.ncols, reduce=True)
+        assert all(type(x) is int for row in rows for x in row.values())
+        assert all(gcd(*row.values()) == 1 for row in rows if row)
+    assert deficient >= 10
+
+
+def test_integer_core_keeps_int_rows_and_canonical_pivots():
+    # the pivot row {4, 6} has content 2, and clearing column 0 from the
+    # second row leaves 2*(2, 5, 8) - (4, 6, 0), of content 4
+    rows = [{0: 4, 1: 6}, {0: 2, 1: 5, 2: 8}, {1: -3, 2: 12}]
+    pivots = _eliminate(rows, 3, reduce=True)
+    assert all(type(x) is int for row in rows for x in row.values())
+    got = [{j: Fraction(x, rows[p][c]) for j, x in rows[p].items()} for p, c in pivots]
+    want, want_pivots = fraction_rref(Mat([[4, 6, 0], [2, 5, 8], [0, -3, 12]]))
+    assert (got, tuple(c for _, c in pivots)) == (want.rows[:len(pivots)], want_pivots)
+    # a Mat row is made primitive on entry, so its scale never shows
+    for scale in (1, 2, -6, Fraction(1, 10)):
+        r, piv = rref(Mat([[scale * 2, scale * 4, 0], [0, 0, scale * 3]], ncols=3))
+        assert r.dense() == [[1, 2, 0], [0, 0, 1]] and piv == (0, 2)
+        assert all_fractions(x for _, _, x in r.nonzeros())

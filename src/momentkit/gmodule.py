@@ -1,31 +1,30 @@
 """Lie algebra modules and cohomology with coefficients.
 
-A GModule packages exact matrices rho(e_i) satisfying
-rho([x,y]) = rho(x) rho(y) - rho(y) rho(x); construction validates this
-identity exactly.  Its dimension is the size of the matrices, or the `dim`
-argument over a 0-dimensional algebra, which has none.  Cochains C^k(g, M)
-are stored as coordinate vectors over the basis {(T, u)}: T an increasing
-k-tuple over the algebra basis (ordered lexicographically, major index) and
-u a module basis index (minor index).
+A GModule packages exact matrices rho(e_i).  Its dimension is the size of
+the matrices, or the `dim` argument over a 0-dimensional algebra, which has
+none.  Cochains C^k(g, M) = Lambda^k(g)^* (x) M are stored as coordinate
+vectors over the basis {(T, u)}: T an increasing k-tuple over the algebra
+basis (ordered lexicographically, major index) and u a module basis index
+(minor index), the layout of `linalg.kron_sum`.
 
 The differential d^k: C^k(g, M) -> C^{k+1}(g, M) of the Chevalley-Eilenberg
-complex with coefficients in M is its action terms plus
-boundary_matrix(g, k+1)^T (x) 1_M (`ce_module_differential`), so the
-algebra's boundary is written once, in `lie_core.boundary_of_tuple`, and
-trivial coefficients give d^k = boundary^T.  H^0(g, M) = ker d^0.  A GModule
-keeps the rank of each d^k once computed, not the matrix.
+complex with coefficients in M is
+
+    d^k = boundary_matrix(g, k+1)^T (x) 1_M + sum_i wedge_matrix(dim, i, k) (x) rho(e_i)
+
+(`ce_module_differential`), so the algebra's bracket is written once, in
+`lie_core.boundary_of_tuple`, and trivial coefficients give
+d^k = boundary^T.  rho is a representation exactly when d^1 d^0 = 0, which
+is how construction validates it.  H^0(g, M) = ker d^0.  A GModule keeps
+the rank of each d^k once computed, not the matrix.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linalg import Mat, kron, mat_add, mat_mul, mat_scale, mat_vec, nullspace, \
-    rank, solve, solve_many
+from .linalg import Mat, kron_sum, mat_mul, mat_scale, mat_vec, nullspace, rank, \
+    solve, solve_many
 from .lie_core import LieAlgebra, StructureError, ad_matrix, boundary_matrix, \
-    exterior_basis, lie_kernel_basis, unit_vector
-
-ZERO = Fraction(0)
+    exterior_basis, lie_kernel_basis, unit_vector, wedge_matrix
 
 
 class GModule:
@@ -49,29 +48,16 @@ class GModule:
             self.validate()
 
     def validate(self) -> None:
-        g = self.algebra
-        for i in range(g.dim):
-            for j in range(i + 1, g.dim):
-                lhs = Mat.zeros(self.dim, self.dim)
-                for m, c in enumerate(g.bracket_basis(i, j)):
-                    if c:
-                        lhs = mat_add(lhs, mat_scale(self.rho[m], c))
-                comm = mat_add(mat_mul(self.rho[i], self.rho[j]),
-                               mat_scale(mat_mul(self.rho[j], self.rho[i]), -1))
-                if lhs != comm:
-                    raise StructureError(
-                        f"module action is not a representation on pair (e{i}, e{j})"
-                        + (f" of {self.name}" if self.name else ""))
-
-    def act(self, xi, v):
-        """Action of the algebra element with coefficient vector xi on v."""
-        out = [ZERO] * self.dim
-        for i, c in enumerate(xi):
-            if c:
-                for r, x in enumerate(mat_vec(self.rho[i], v)):
-                    if x:
-                        out[r] += c * x
-        return out
+        """StructureError unless d^1 d^0 = 0, naming the pair (e_i, e_j) of
+        the first nonzero row: row block e_i^e_j of d^1 d^0 is
+        [rho(e_i), rho(e_j)] - rho([e_i, e_j])."""
+        square = mat_mul(ce_module_differential(self, 1), ce_module_differential(self, 0))
+        first = next(square.nonzeros(), None)
+        if first is not None:
+            i, j = exterior_basis(self.algebra.dim, 2)[first[0] // self.dim]
+            raise StructureError(
+                f"module action is not a representation on pair (e{i}, e{j})"
+                + (f" of {self.name}" if self.name else ""))
 
     def differential_rank(self, k: int) -> int:
         """Rank of ce_module_differential(self, k), computed once."""
@@ -97,7 +83,7 @@ def tensor_module(a: GModule, b: GModule) -> GModule:
     if a.algebra is not b.algebra:
         raise ValueError("tensor factors must share the algebra")
     ia, ib = Mat.identity(a.dim), Mat.identity(b.dim)
-    rho = [mat_add(kron(ra, ib), kron(ia, rb)) for ra, rb in zip(a.rho, b.rho)]
+    rho = [kron_sum([(ra, ib), (ia, rb)]) for ra, rb in zip(a.rho, b.rho)]
     return GModule(a.algebra, rho, name=f"{a.name}(x){b.name}", validate=False,
                    dim=a.dim * b.dim)
 
@@ -135,21 +121,15 @@ def ce_module_differential(m: GModule, k: int) -> Mat:
     (d f)(x_1..x_{k+1}) = sum_i (-1)^(i+1) x_i . f(..x_i-hat..)
                         + sum_{i<j} (-1)^(i+j) f([x_i,x_j], ..hats..).
 
-    The bracket terms are the algebra's boundary acting on the arguments, so
-    they form boundary_matrix(g, k+1)^T (x) 1_M; the action terms add
-    (-1)^a rho(e_{s_a}) in the block of rows s and columns s minus s_a.  With
-    trivial coefficients the action terms vanish and d^k is the transposed
-    boundary: the Chevalley-Eilenberg complex.
+    The bracket terms are the algebra's boundary acting on the arguments,
+    boundary_matrix(g, k+1)^T (x) 1_M, and the action terms are
+    sum_i wedge_matrix(dim, i, k) (x) rho(e_i): one sum of Kronecker
+    products.  With trivial coefficients the action terms vanish and d^k is
+    the transposed boundary: the Chevalley-Eilenberg complex.
     """
     g = m.algebra
-    dompos = {t: i for i, t in enumerate(exterior_basis(g.dim, k))}
-    out = kron(boundary_matrix(g, k + 1).transpose(), Mat.identity(m.dim))
-    for row_t, s in enumerate(exterior_basis(g.dim, k + 1)):
-        for a, i in enumerate(s):
-            col_t = dompos[s[:a] + s[a + 1:]]
-            for u, v, x in m.rho[i].nonzeros():
-                out.add(row_t * m.dim + u, col_t * m.dim + v, (-1) ** a * x)
-    return out
+    return kron_sum([(boundary_matrix(g, k + 1).transpose(), Mat.identity(m.dim))]
+                    + [(wedge_matrix(g.dim, i, k), r) for i, r in enumerate(m.rho)])
 
 
 def module_cohomology_dim(m: GModule, k: int) -> int:

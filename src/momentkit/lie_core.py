@@ -5,6 +5,12 @@ A multivector in Lambda^k(g) is a dict mapping strictly increasing index
 tuples (0-based, length k) to Fraction coefficients.  The canonical ordered
 basis of Lambda^k(g) is the list of increasing k-tuples in lexicographic
 order, and all matrices below are written in that basis (columns = domain).
+
+The bracket enters the exterior algebra in one place, the boundary of a
+basis k-vector (`boundary_of_tuple`), and the sign of a wedge product in
+one, `sort_with_sign`.  `wedge_matrix(dim, i, k)` is the matrix of e_i ^ .
+on Lambda^k.  `validate_jacobi` checks the Jacobi identity as
+boundary_2 boundary_3 = 0, which is equivalent to it.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Mat, frac, nullspace, rank
+from .linalg import Mat, frac, mat_mul, nullspace, rank
 
 ZERO = Fraction(0)
 
@@ -51,39 +57,8 @@ class LieAlgebra:
         vec = self.table.get((j, i))
         return (ZERO,) * self.dim if vec is None else tuple(-x for x in vec)
 
-    def bracket(self, x, y):
-        """Bilinear extension of the bracket to coefficient vectors."""
-        out = [ZERO] * self.dim
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                vec = self.bracket_basis(i, j)
-                ab = a * b
-                for m, c in enumerate(vec):
-                    if c:
-                        out[m] += ab * c
-        return out
-
     def __repr__(self):
         return f"LieAlgebra({self.name or self.dim})"
-
-
-def validate_jacobi(g: LieAlgebra) -> None:
-    """Raise StructureError on the first basis triple violating Jacobi."""
-    for i, j, k in combinations(range(g.dim), 3):
-        ei = unit_vector(i, g.dim)
-        ej = unit_vector(j, g.dim)
-        ek = unit_vector(k, g.dim)
-        total = [ZERO] * g.dim
-        for a, b, c in ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej)):
-            term = g.bracket(g.bracket(a, b), c)
-            total = [u + v for u, v in zip(total, term)]
-        if any(total):
-            raise StructureError(
-                f"Jacobi identity fails on basis triple (e{i}, e{j}, e{k})")
 
 
 def unit_vector(i: int, n: int):
@@ -225,6 +200,31 @@ def boundary_matrix(g: LieAlgebra, k: int) -> Mat:
         for u, x in boundary_of_tuple(g, t).items():
             m.add(pos[u], j, x)
     return m
+
+
+def wedge_matrix(dim: int, i: int, k: int) -> Mat:
+    """Matrix of e_i ^ . : Lambda^k -> Lambda^{k+1} in the canonical bases;
+    the column of a tuple that holds i is zero."""
+    dom = exterior_basis(dim, k)
+    cod = exterior_basis(dim, k + 1)
+    m = Mat.zeros(len(cod), len(dom))
+    pos = {t: r for r, t in enumerate(cod)}
+    for j, t in enumerate(dom):
+        sign, s = sort_with_sign((i,) + t)
+        if sign:
+            m.add(pos[s], j, sign)
+    return m
+
+
+def validate_jacobi(g: LieAlgebra) -> None:
+    """Raise StructureError on the first basis triple violating Jacobi.  The
+    boundary of the boundary of e_i^e_j^e_k is the Jacobiator of the triple,
+    so the failing triples are the nonzero columns of boundary_2 boundary_3."""
+    jacobiators = mat_mul(boundary_matrix(g, 2), boundary_matrix(g, 3))
+    cols = [j for _, j, _ in jacobiators.nonzeros()]
+    if cols:
+        i, j, k = exterior_basis(g.dim, 3)[min(cols)]
+        raise StructureError(f"Jacobi identity fails on basis triple (e{i}, e{j}, e{k})")
 
 
 def lie_kernel_basis(g: LieAlgebra, k: int):

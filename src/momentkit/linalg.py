@@ -10,6 +10,10 @@ Conventions:
     dict that never stores a zero, with an explicit shape so that 0-row and
     0-column matrices stay well defined.  Only this module reads the rows;
     callers use `entry`, `add`, `nonzeros`, `col` and `dense`,
+  * a matrix on a tensor product is a sum of Kronecker products, built by
+    `kron_sum`, the one place that writes that block layout: row and column
+    index = first factor's index major, second factor's minor.  Vectors over
+    a tensor product use the same order,
   * all elimination is one fraction-free Gauss-Jordan routine,
     `_eliminate`, on integer rows: `rank` and `rref` scale each row of a
     `Mat` to a primitive integer row on entry (same row space), and `rref`
@@ -147,9 +151,11 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols})"
 
 
-def _axpy(row, f, other):
-    """row += f * other, in place, dropping entries that cancel."""
+def _axpy(row, f, other, off=0):
+    """row += f * other shifted right by off columns, in place, dropping
+    entries that cancel."""
     for j, y in other.items():
+        j += off
         x = row.get(j)
         if x is None:
             row[j] = f * y
@@ -187,15 +193,6 @@ def mat_vec(a: Mat, v) -> list:
     return out
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch in mat_add")
-    out = [dict(ra) for ra in a.rows]
-    for row, rb in zip(out, b.rows):
-        _axpy(row, ONE, rb)
-    return Mat._of(out, a.ncols)
-
-
 def mat_scale(a: Mat, c) -> Mat:
     c = frac(c)
     if not c:
@@ -223,14 +220,21 @@ def mat_vstack(a: Mat, b: Mat) -> Mat:
                    a.ncols)
 
 
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product (row/col index = a-index major, b-index minor)."""
-    out = []
-    for arow in a.rows:
-        for brow in b.rows:
-            out.append({k * b.ncols + q: x * y
-                        for k, x in arow.items() for q, y in brow.items()})
-    return Mat._of(out, a.ncols * b.ncols)
+def kron_sum(pairs: list) -> Mat:
+    """Sum of the Kronecker products kron(a, b) over the (a, b) pairs, with
+    row and column index = a-index major, b-index minor.  Every a has one
+    shape and every b another; ValueError otherwise."""
+    if not pairs or any(a.shape != pairs[0][0].shape or b.shape != pairs[0][1].shape
+                        for a, b in pairs):
+        raise ValueError("kron_sum needs pairs of equal shapes")
+    a0, b0 = pairs[0]
+    out = [{} for _ in range(a0.nrows * b0.nrows)]
+    for a, b in pairs:
+        for r, arow in enumerate(a.rows):
+            for k, x in arow.items():
+                for s, brow in enumerate(b.rows):
+                    _axpy(out[r * b.nrows + s], x, brow, k * b.ncols)
+    return Mat._of(out, a0.ncols * b0.ncols)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,7 @@ from fractions import Fraction
 from .linalg import Mat, mat_hstack, rref, solve_many
 from .lie_core import (StructureError, boundary_matrix, exterior_basis,
                        mv_coords, mv_from_coords)
-from .gmodule import (cochain_dim, coboundary_solve, invariants_basis,
-                      module_cohomology_dim)
+from .gmodule import coboundary_solve, invariants_basis, module_cohomology_dim
 from .polyform import Form, contract, exterior_d, lie_derivative, poincare_homotopy
 from .action import LieAction, infinitesimal_generators
 
@@ -298,7 +297,7 @@ def make_equivariant(mm: MomentMap, k: int, max_degree: int):
     g = action.algebra
     r = len(mm.components[k])
     t = trunc.module.dim
-    target = [Fraction(0)] * cochain_dim(g, hom, 1)
+    target = []  # over Lambda^1 (x) P* (x) Omega, in the layout of kron_sum
     for i in range(g.dim):
         for a in range(r):
             coords = trunc.to_coords(sigma[i][a])
@@ -306,9 +305,7 @@ def make_equivariant(mm: MomentMap, k: int, max_degree: int):
                 raise StructureError(
                     "Sigma entry escapes the truncated closed-form space; "
                     "raise the truncation degree")
-            for b, c in enumerate(coords):
-                if c:
-                    target[i * (r * t) + a * t + b] = c
+            target += coords
     sol = coboundary_solve(hom, 1, target)
     if sol is None:
         return None, None, f"obstructed at degree {max_degree}"

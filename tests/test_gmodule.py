@@ -68,10 +68,24 @@ def test_representation_property_is_validated():
         GModule(g, broken)
 
 
+def test_validation_names_the_first_failing_pair():
+    g = catalog_algebra("abelian3")
+    a = Mat([[0, 1], [0, 0]], ncols=2)
+    b = Mat([[0, 0], [1, 0]], ncols=2)
+    # [a, b, a] fails on (e0, e1) and (e1, e2); the first is named
+    for rho, pair in (([Mat.zeros(2, 2), a, b], "(e1, e2)"), ([a, b, a], "(e0, e1)")):
+        with pytest.raises(StructureError) as err:
+            GModule(g, rho)
+        assert str(err.value).endswith(f"on pair {pair}")
+    GModule(g, [Mat.zeros(0, 0)] * 3)
+    GModule(LieAlgebra(0), [], dim=2)
+    GModule(LieAlgebra(1), [Mat([[1, 2], [0, 3]], ncols=2)])
+
+
 def test_trivial_module_acts_by_zero():
     g = catalog_algebra("so3")
     m = trivial_module(g)
-    assert m.act([1, 2, 3], [Fraction(5)]) == [Fraction(0)]
+    assert all(r.is_zero() for r in m.rho)
 
 
 def test_dual_and_tensor_dimensions():

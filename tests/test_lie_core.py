@@ -10,7 +10,7 @@ from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError,
                                 exterior_basis, format_multivector,
                                 lie_kernel_basis, mv_boundary, mv_coords,
                                 mv_from_coords, mv_term, schouten,
-                                unit_vector, validate_jacobi)
+                                unit_vector, validate_jacobi, wedge_matrix)
 from momentkit.linalg import mat_mul
 
 from test_linalg import naive_rank
@@ -28,6 +28,31 @@ def test_jacobi_violation_is_reported():
     bad = LieAlgebra(3, {(0, 1): [0, 0, 1], (0, 2): [0, 1, 0], (1, 2): [0, 1, 0]})
     with pytest.raises(StructureError):
         validate_jacobi(bad)
+
+
+def test_jacobi_failure_names_the_first_failing_triple():
+    # [e0,e1] = e2, [e1,e3] = e1, [e2,e3] = e0: the Jacobiator of (e0, e1, e3)
+    # is e0 - e2 and that of (e1, e2, e3) is e2; (e0, e1, e2) and (e0, e2, e3)
+    # satisfy Jacobi
+    bad = LieAlgebra(4, {(0, 1): [0, 0, 1, 0], (1, 3): [0, 1, 0, 0],
+                         (2, 3): [1, 0, 0, 0]})
+    with pytest.raises(StructureError) as err:
+        validate_jacobi(bad)
+    assert str(err.value) == "Jacobi identity fails on basis triple (e0, e1, e3)"
+
+
+def test_wedge_matrix_against_mv_term():
+    for dim in range(7):
+        for i in range(dim):
+            for k in range(dim + 1):
+                dom, cod = exterior_basis(dim, k), exterior_basis(dim, k + 1)
+                m = wedge_matrix(dim, i, k)
+                assert m.shape == (len(cod), len(dom))
+                for j, t in enumerate(dom):
+                    want = {}
+                    mv_term(want, (i,) + t, Fraction(1))
+                    assert mv_coords(want, cod) == m.col(j), (dim, i, k, t)
+                    assert any(m.col(j)) == (i not in t)
 
 
 def test_su2_boundary_of_e1_wedge_e2():
@@ -124,14 +149,20 @@ def test_schouten_graded_antisymmetry():
 def test_schouten_extends_ad_action():
     # [xi, e_a ^ e_b] = [xi, e_a] ^ e_b + e_a ^ [xi, e_b] on so4 basis 2-vectors
     g = catalog_algebra("so4")
+
+    def ad(xi, a):
+        """Coefficient vector of [xi, e_a]."""
+        return [sum((x * g.bracket_basis(i, a)[m] for i, x in enumerate(xi)), Fraction(0))
+                for m in range(g.dim)]
+
     xis = [unit_vector(i, 6) for i in range(6)]
     xis.append([Fraction(x) for x in (1, 0, -2, 0, 3, 1)])
     for xi in xis:
         for a, b in exterior_basis(6, 2):
             want = {}
-            for m, c in enumerate(g.bracket(xi, unit_vector(a, 6))):
+            for m, c in enumerate(ad(xi, a)):
                 mv_term(want, (m, b), c)
-            for m, c in enumerate(g.bracket(xi, unit_vector(b, 6))):
+            for m, c in enumerate(ad(xi, b)):
                 mv_term(want, (a, m), c)
             got = schouten(g, mv_from_coords(xi, exterior_basis(6, 1)),
                            {(a, b): Fraction(1)})

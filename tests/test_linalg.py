@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from momentkit.linalg import (Mat, _axpy, _eliminate, _integer_rows, frac,
-                              kron, mat_add, mat_hstack, mat_mul, mat_scale,
+                              kron_sum, mat_hstack, mat_mul, mat_scale,
                               mat_vec, mat_vstack, nullspace, rank, rref,
                               solve, solve_many)
 
@@ -122,7 +124,7 @@ def test_stack_and_kron_shapes():
     b = Mat([[3, 4]], ncols=2)
     assert mat_vstack(a, b).shape == (2, 2)
     assert mat_hstack(a, b).shape == (1, 4)
-    k = kron(Mat([[1, 2], [0, 1]], ncols=2), Mat([[0, 1], [1, 0]], ncols=2))
+    k = kron_sum([(Mat([[1, 2], [0, 1]], ncols=2), Mat([[0, 1], [1, 0]], ncols=2))])
     assert k.shape == (4, 4)
     assert k.dense()[0] == [frac(0), frac(1), frac(0), frac(2)]
 
@@ -221,13 +223,14 @@ def test_builders_store_no_zeros():
         m, n, p = rng.randint(0, 5), rng.randint(1, 5), rng.randint(1, 5)
         a = Mat(random_matrix(rng, m, n, density=0.4), ncols=n)
         b = Mat(random_matrix(rng, n, p, density=0.4), ncols=p)
-        assert mat_add(a, mat_scale(a, -1)) == Mat.zeros(*a.shape)
+        one = Mat.identity(1)
+        assert kron_sum([(a, one), (mat_scale(a, -1), one)]) == Mat.zeros(*a.shape)
         assert mat_scale(a, 0) == Mat.zeros(*a.shape)
         prod = mat_mul(a, b)
         assert prod.dense() == [[sum((x * y for x, y in zip(row, col)), Fraction(0))
                                  for col in zip(*b.dense())] for row in a.dense()]
-        for out in (prod, mat_add(a, a), a.transpose(), kron(a, b),
-                    mat_hstack(a, a), mat_vstack(b, b)):
+        for out in (prod, kron_sum([(a, one), (a, one)]), a.transpose(),
+                    kron_sum([(a, b)]), mat_hstack(a, a), mat_vstack(b, b)):
             assert stores_no_zero(out)
         assert a.transpose().transpose() == a
     c = Mat.zeros(2, 3)
@@ -235,6 +238,45 @@ def test_builders_store_no_zeros():
     assert c.entry(1, 2) == Fraction(1, 3) and not c.is_zero()
     c.add(1, 2, Fraction(-1, 3))
     assert c == Mat.zeros(2, 3) and c.is_zero()
+
+
+def dense_kron_sum(pairs):
+    """Entry (r * p + s, k * q + j) = sum of a[r][k] * b[s][j] over the
+    pairs, b of shape p x q."""
+    (m, n), (p, q) = pairs[0][0].shape, pairs[0][1].shape
+    out = [[Fraction(0)] * (n * q) for _ in range(m * p)]
+    for a, b in pairs:
+        for r, arow in enumerate(a.dense()):
+            for s, brow in enumerate(b.dense()):
+                for k, x in enumerate(arow):
+                    for j, y in enumerate(brow):
+                        out[r * p + s][k * q + j] += x * y
+    return out
+
+
+def test_kron_sum_matches_the_dense_oracle():
+    rng = random.Random(13)
+    for trial in range(60):
+        m, n, p, q = (rng.randint(0, 3) for _ in range(4))
+        pairs = [(Mat(random_matrix(rng, m, n, density=0.5), ncols=n),
+                  Mat(random_matrix(rng, p, q, density=0.5), ncols=q))
+                 for _ in range(rng.randint(1, 3))]
+        if trial % 2:  # the first product cancels, entry by entry
+            pairs.append((mat_scale(pairs[0][0], -1), pairs[0][1]))
+        got = kron_sum(pairs)
+        assert got.shape == (m * p, n * q)
+        assert got.dense() == dense_kron_sum(pairs)
+        assert stores_no_zero(got)
+    a = Mat([[1, 2], [3, 4]], ncols=2)
+    assert kron_sum([(a, Mat.identity(2)), (mat_scale(a, -1), Mat.identity(2))]).is_zero()
+
+
+def test_kron_sum_rejects_mismatched_shapes():
+    one, two = Mat.identity(1), Mat.identity(2)
+    for pairs in ([], [(two, one), (two, two)], [(two, one), (one, one)],
+                  [(Mat.zeros(2, 0), one), (Mat.zeros(0, 2), one)]):
+        with pytest.raises(ValueError):
+            kron_sum(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +385,8 @@ def hard_matrices(rng):
         b = Mat(random_matrix(rng, q, q, density=0.5), ncols=q)
         a.rows[-1] = dict(a.rows[0])
         b.rows[0] = {}
-        d = mat_add(kron(a, Mat.identity(q)), mat_scale(kron(Mat.identity(p), b), -1))
-        yield mat_vstack(d, kron(a, b))
+        d = kron_sum([(a, Mat.identity(q)), (Mat.identity(p), mat_scale(b, -1))])
+        yield mat_vstack(d, kron_sum([(a, b)]))
 
 
 def test_integer_core_matches_fraction_oracle(monkeypatch):

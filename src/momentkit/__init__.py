@@ -1,14 +1,15 @@
 """momentkit: exact computational algebra for multisymplectic moment maps.
 
-Lie algebra (co)homology with module coefficients, Lie kernels, Schouten
-brackets, polynomial differential forms on R^n, and construction/verification
-of weak homotopy moment maps - all over exact rational arithmetic.
+Lie algebra (co)homology with module coefficients, Lie kernels with the
+extended adjoint action, polynomial differential forms on R^n, and
+construction/verification of weak homotopy moment maps - all over exact
+rational arithmetic.
 """
 
 __version__ = "0.1.0"
 
 from .lie_core import (LieAlgebra, StructureError, catalog_algebra, ce_betti,
-                       lie_kernel_basis, schouten)
+                       lie_kernel_basis)
 from .gmodule import (GModule, dual_module, tensor_module, lie_kernel_module,
                       module_cohomology_dim, trivial_module)
 from .polyform import (Form, MultiField, Poly, contract, exterior_d,

@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 
-from .linalg import Mat, frac, mat_vstack, nullspace, rank, solve_many
+from .linalg import Mat, coordinates, frac, nullspace, rank
 from .lie_core import (LieAlgebra, StructureError, ce_betti, exterior_basis,
                        format_multivector, lie_kernel_basis, mv_boundary,
                        mv_from_coords)
@@ -403,19 +403,20 @@ def closed_form_basis(n: int, p: int, max_degree: int):
 
 def invariant_closed_forms(action: LieAction, p: int, max_degree: int):
     """Basis of closed p-forms of coefficient degree <= max_degree killed by
-    every L_{V_i}."""
+    every L_{V_i}: the combinations of `closed_form_basis` over the canonical
+    nullspace of the stacked L_{V_i} images of that basis.  A closed form's
+    coordinates are its entries at d's free columns, in order, so this is
+    the canonical basis of the same space over the keys."""
     n = action.ambient_dim
-    keys = form_key_basis(n, p, max_degree)
+    forms, _, _ = closed_form_basis(n, p, max_degree)
     field_deg = max((v.max_coeff_degree() for v in action.fields), default=0)
-    out_degree = max_degree + max(field_deg - 1, 0)
-    keys_lie = form_key_basis(n, p, out_degree)
-    keys_d = form_key_basis(n, p + 1, max(max_degree - 1, 0))
-    blocks = [_operator_matrix(exterior_d, keys, keys_d, n, p)]
-    for v in action.fields:
-        blocks.append(_operator_matrix(lambda a, v=v: lie_derivative(v, a),
-                                       keys, keys_lie, n, p))
-    return [vector_to_form(v, keys, n, p)
-            for v in nullspace(reduce(mat_vstack, blocks))]
+    keys_lie = form_key_basis(n, p, max_degree + max(field_deg - 1, 0))
+    lie_index = {key: r for r, key in enumerate(keys_lie)}
+    cols = [[x for v in action.fields
+             for x in form_to_vector(lie_derivative(v, b), keys_lie, lie_index)]
+            for b in forms]
+    images = Mat.from_columns(cols, nrows=len(action.fields) * len(keys_lie))
+    return [Form.linear_combination(n, p, zip(c, forms)) for c in nullspace(images)]
 
 
 class TruncatedFormModule:
@@ -434,8 +435,7 @@ class TruncatedFormModule:
             for b in forms:
                 image = lie_derivative(v, b) * Fraction(s)
                 cols.append(form_to_vector(image, keys, key_index))
-            coords = solve_many(basis_mat,
-                                Mat.from_columns(cols, nrows=len(keys)))
+            coords = coordinates(basis_mat, Mat.from_columns(cols, nrows=len(keys)))
             if coords is None:
                 raise StructureError(
                     "Lie derivative leaves the truncated closed-form space; "
@@ -455,7 +455,7 @@ class TruncatedFormModule:
         """Coordinates of a closed form in this basis; StructureError if it
         escapes the truncation, None if it is not closed (not in span)."""
         vec = form_to_vector(alpha, self.keys, self.key_index)
-        sol = solve_many(self.basis_mat, Mat.from_columns([vec], nrows=len(self.keys)))
+        sol = coordinates(self.basis_mat, Mat.from_columns([vec], nrows=len(self.keys)))
         return None if sol is None else sol.col(0)
 
     def from_coords(self, coords) -> Form:

@@ -21,10 +21,10 @@ the rank of each d^k once computed, not the matrix.
 
 from __future__ import annotations
 
-from .linalg import Mat, kron_sum, mat_mul, mat_scale, mat_vec, nullspace, rank, \
-    solve, solve_many
-from .lie_core import LieAlgebra, StructureError, ad_matrix, boundary_matrix, \
-    exterior_basis, lie_kernel_basis, unit_vector, wedge_matrix
+from .linalg import Mat, coordinates, kron_sum, mat_mul, mat_scale, mat_vec, \
+    nullspace, rank, solve
+from .lie_core import LieAlgebra, StructureError, boundary_matrix, exterior_basis, \
+    lie_kernel_basis, wedge_matrix
 
 
 class GModule:
@@ -56,7 +56,7 @@ class GModule:
         if first is not None:
             i, j = exterior_basis(self.algebra.dim, 2)[first[0] // self.dim]
             raise StructureError(
-                f"module action is not a representation on pair (e{i}, e{j})"
+                f"module action is not a representation on pair (e{i + 1}, e{j + 1})"
                 + (f" of {self.name}" if self.name else ""))
 
     def differential_rank(self, k: int) -> int:
@@ -89,20 +89,23 @@ def tensor_module(a: GModule, b: GModule) -> GModule:
 
 
 def lie_kernel_module(g: LieAlgebra, k: int, basis=None) -> GModule:
-    """The degree-k Lie kernel with the extended adjoint action, in the
-    canonical kernel basis (`lie_kernel_basis(g, k)`, computed here unless
-    passed in).  The adjoint action preserves the kernel; this construction
-    verifies that fact exactly while restricting."""
+    """The degree-k Lie kernel P_k = ker boundary_k with the extended adjoint
+    action, in the canonical kernel basis (`lie_kernel_basis(g, k)`, computed
+    here unless passed in).  On Lambda g, ad_xi = -(boundary e_xi + e_xi
+    boundary) with e_xi = xi ^ . (`wedge_matrix`), so on P_k the action of
+    e_i is -boundary_{k+1} e_i.  Its image is a boundary, which lies in P_k
+    because boundary boundary = 0 (the Jacobi identity); this construction
+    verifies that exactly while reading the image's kernel coordinates."""
     kb = lie_kernel_basis(g, k) if basis is None else basis
     kmat = Mat.from_columns(kb, len(exterior_basis(g.dim, k)))
+    minus_boundary = mat_scale(boundary_matrix(g, k + 1), -1)
     rho = []
     for i in range(g.dim):
-        a = ad_matrix(g, unit_vector(i, g.dim), k)
-        image = mat_mul(a, kmat)
-        restricted = solve_many(kmat, image)
+        image = mat_mul(minus_boundary, mat_mul(wedge_matrix(g.dim, i, k), kmat))
+        restricted = coordinates(kmat, image)
         if restricted is None:
             raise StructureError(
-                f"adjoint action of e{i} does not preserve the degree-{k} Lie kernel")
+                f"adjoint action of e{i + 1} does not preserve the degree-{k} Lie kernel")
         rho.append(restricted)
     return GModule(g, rho, name=f"lie_kernel(k={k})")
 

@@ -1,5 +1,5 @@
 """Lie algebras over Q: exterior algebra, homology boundary, Lie kernels,
-Schouten brackets, extended adjoint action, Betti numbers.
+Betti numbers.
 
 A multivector in Lambda^k(g) is a dict mapping strictly increasing index
 tuples (0-based, length k) to Fraction coefficients.  The canonical ordered
@@ -10,7 +10,11 @@ The bracket enters the exterior algebra in one place, the boundary of a
 basis k-vector (`boundary_of_tuple`), and the sign of a wedge product in
 one, `sort_with_sign`.  `wedge_matrix(dim, i, k)` is the matrix of e_i ^ .
 on Lambda^k.  `validate_jacobi` checks the Jacobi identity as
-boundary_2 boundary_3 = 0, which is equivalent to it.
+boundary_2 boundary_3 = 0, which is equivalent to it.  The adjoint action
+extended to Lambda g as a derivation (the Schouten bracket with a 1-vector)
+needs no formula of its own: ad_xi = -(boundary e_xi + e_xi boundary), with
+e_xi = xi ^ . (Koszul's identity), so on the Lie kernel it is
+-boundary e_xi (`gmodule.lie_kernel_module`).
 """
 
 from __future__ import annotations
@@ -163,7 +167,7 @@ def format_multivector(a: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# boundary, Lie kernel, Schouten bracket, adjoint action
+# boundary, wedge, Lie kernel
 # ---------------------------------------------------------------------------
 
 def boundary_of_tuple(g: LieAlgebra, t: tuple) -> dict:
@@ -224,44 +228,14 @@ def validate_jacobi(g: LieAlgebra) -> None:
     cols = [j for _, j, _ in jacobiators.nonzeros()]
     if cols:
         i, j, k = exterior_basis(g.dim, 3)[min(cols)]
-        raise StructureError(f"Jacobi identity fails on basis triple (e{i}, e{j}, e{k})")
+        raise StructureError(f"Jacobi identity fails on basis triple "
+                             f"(e{i + 1}, e{j + 1}, e{k + 1})")
 
 
 def lie_kernel_basis(g: LieAlgebra, k: int):
     """Canonical basis of the degree-k Lie kernel (kernel of the boundary),
     as coordinate vectors over exterior_basis(g.dim, k)."""
     return nullspace(boundary_matrix(g, k))
-
-
-def schouten(g: LieAlgebra, a: dict, b: dict) -> dict:
-    """Schouten bracket of multivectors, bilinear extension of
-    [x_1^..^x_k, y_1^..^y_l] = sum_{i,j} (-1)^(i+j) [x_i,y_j] ^ (rest)."""
-    out: dict = {}
-    for ta, xa in a.items():
-        for tb, xb in b.items():
-            xab = xa * xb
-            for i in range(len(ta)):
-                for j in range(len(tb)):
-                    sign = (-1) ** ((i + 1) + (j + 1))
-                    vec = g.bracket_basis(ta[i], tb[j])
-                    rest = ta[:i] + ta[i + 1:] + tb[:j] + tb[j + 1:]
-                    for m, c in enumerate(vec):
-                        if c:
-                            mv_term(out, (m,) + rest, sign * xab * c)
-    return out
-
-
-def ad_matrix(g: LieAlgebra, xi, k: int) -> Mat:
-    """Matrix of ad_xi on Lambda^k in the canonical basis: the Schouten
-    bracket with xi as a 1-vector, which extends ad_xi as a derivation."""
-    basis = exterior_basis(g.dim, k)
-    m = Mat.zeros(len(basis), len(basis))
-    pos = {t: i for i, t in enumerate(basis)}
-    x1 = mv_from_coords(xi, exterior_basis(g.dim, 1))
-    for j, t in enumerate(basis):
-        for u, x in schouten(g, x1, {t: Fraction(1)}).items():
-            m.add(pos[u], j, x)
-    return m
 
 
 def ce_betti(g: LieAlgebra):

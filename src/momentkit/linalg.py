@@ -31,6 +31,11 @@ Conventions:
     result,
   * `nullspace` returns the canonical RREF-normalized kernel basis: one
     vector per free column, with entry 1 in that free column,
+  * coordinates in such a basis are read, not solved for: a basis vector's
+    free column is its last nonzero entry, where it is 1 and every other
+    basis vector is 0, so a vector's coordinates are its entries at the free
+    columns, in order, and it lies in the span iff they rebuild it
+    (`coordinates`, for a `Mat` whose columns are the basis),
   * `solve` returns the particular solution with all free variables set
     to zero (deterministic minimal-pivot-support choice), or None.
 """
@@ -382,6 +387,21 @@ def nullspace(m: Mat):
             if j != c:
                 basis[j][c] = -x
     return list(basis.values())
+
+
+def coordinates(basis: Mat, m: Mat):
+    """X with basis X = m, or None if a column of m is outside the span of
+    basis's columns, which must be a canonical kernel basis as `nullspace`
+    returns it: row a of X is m's row at column a's free row, its last
+    nonzero row.  One product checks every column at once."""
+    if basis.nrows != m.nrows:
+        raise ValueError("shape mismatch in coordinates")
+    free = [0] * basis.ncols
+    for i, row in enumerate(basis.rows):
+        for a in row:
+            free[a] = i
+    x = Mat._of([dict(m.rows[i]) for i in free], m.ncols)
+    return x if mat_mul(basis, x) == m else None
 
 
 def solve_many(a: Mat, b: Mat):

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, mat_hstack, rref, solve_many
+from .linalg import Mat, coordinates, mat_hstack, rref, solve_many
 from .lie_core import (StructureError, boundary_matrix, exterior_basis,
                        mv_coords, mv_from_coords)
 from .gmodule import coboundary_solve, invariants_basis, module_cohomology_dim
@@ -87,24 +87,18 @@ class MomentMap:
         return self._sigma[k]
 
     def value(self, k: int, mv: dict) -> Form:
-        """f_k on an arbitrary kernel element (multivector dict).
-
-        The kernel basis is RREF-normalised: each basis vector's last nonzero
-        entry is its free column, where it is 1 and every other basis vector
-        is 0.  So an element's coordinates are its entries at those columns,
-        and it lies in the kernel iff they rebuild it."""
+        """f_k on an arbitrary kernel element (multivector dict), by its
+        coordinates in the kernel basis (`linalg.coordinates`)."""
         if k not in self.components:
             raise ValueError(f"the map has no degree-{k} component")
-        kb = self.kernel_basis(k)
-        vec = mv_coords(mv, exterior_basis(self.action.algebra.dim, k))
-        coeffs = [vec[max(j for j, x in enumerate(v) if x)] for v in kb]
-        rebuilt = [sum((c * v[j] for c, v in zip(coeffs, kb)), Fraction(0))
-                   for j in range(len(vec))]
-        if rebuilt != vec:
+        basis = exterior_basis(self.action.algebra.dim, k)
+        coeffs = coordinates(Mat.from_columns(self.kernel_basis(k), len(basis)),
+                             Mat.from_columns([mv_coords(mv, basis)], len(basis)))
+        if coeffs is None:
             raise ValueError("element is not in the Lie kernel")
         return Form.linear_combination(self.action.ambient_dim,
                                        self.action.plectic_degree() - k,
-                                       zip(coeffs, self.components[k]))
+                                       zip(coeffs.col(0), self.components[k]))
 
 
 def defining_residuals(mm: MomentMap) -> dict:
@@ -340,7 +334,6 @@ def existence_diagnostic(action: LieAction, ks=None, max_degree=None):
     """Per-degree applicability report for the three constructors, plus
     (optionally) cohomology of the truncated coefficient module governing
     equivariant existence and uniqueness."""
-    g = action.algebra
     msy = action.omega_checks()
     preserved = not action.omega_failures()
     betti = action.betti()
@@ -352,10 +345,9 @@ def existence_diagnostic(action: LieAction, ks=None, max_degree=None):
         kernel = action.kernel(k)
         entry = {"dim_kernel": len(kernel.basis),
                  "betti_k": betti[k] if k < len(betti) else 0}
-        bmat = boundary_matrix(g, k + 1)
-        entry["exactness_applies"] = solve_many(
-            bmat, Mat.from_columns(kernel.basis, bmat.nrows)) is not None
-        h0_dual = len(invariants_basis(kernel.dual))
+        # ker boundary_k lies in im boundary_{k+1} exactly when b_k = 0
+        entry["exactness_applies"] = entry["betti_k"] == 0
+        h0_dual = module_cohomology_dim(kernel.dual, 0)
         entry["h0_dual_kernel"] = h0_dual
         entry["brackets_apply"] = h0_dual == 0
         entry["poincare_applies"] = (msy["closed"] and msy["nondegenerate"] is True

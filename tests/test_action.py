@@ -9,14 +9,15 @@ import pytest
 
 from momentkit.lie_core import LieAlgebra, StructureError, catalog_algebra, \
     exterior_basis, lie_kernel_basis, mv_from_coords
+from momentkit.linalg import mat_vstack, nullspace
 from momentkit.polyform import (Form, MultiField, Poly, contract, exterior_d,
-                                form_from_terms, wedge)
-from momentkit.action import (LieAction, TruncatedFormModule, cartan_residual,
-                              check_multisymplectic, closed_form_basis,
-                              form_key_basis, form_to_vector,
+                                form_from_terms, lie_derivative, wedge)
+from momentkit.action import (LieAction, TruncatedFormModule, _operator_matrix,
+                              cartan_residual, check_multisymplectic,
+                              closed_form_basis, form_key_basis, form_to_vector,
                               infinitesimal_generator, infinitesimal_generators,
                               invariant_closed_forms, monomial_basis,
-                              preserves_omega, validate_action)
+                              preserves_omega, validate_action, vector_to_form)
 from momentkit.cli import catalog_action, parse_problem
 
 ACTIONS = ("abelian_r3", "so3_r3", "so4_r4", "u2_r4")
@@ -121,12 +122,15 @@ def oracle_generator(action, mv):
         for idx, c in mv.items()))
 
 
-def oracle_actions():
-    actions = [catalog_action(name) for name in ACTIONS]
+def so5_action():
+    """The generated so(5) action on R^5 of tests/golden/so5_seed1.mmk."""
     so5 = os.path.join(os.path.dirname(__file__), "golden", "so5_seed1.mmk")
     with open(so5, encoding="utf-8") as fh:
-        actions.append(parse_problem(fh.read()).build_action())
-    return actions
+        return parse_problem(fh.read()).build_action()
+
+
+def oracle_actions():
+    return [catalog_action(name) for name in ACTIONS] + [so5_action()]
 
 
 def test_generators_of_every_kernel_match_the_wedge_oracle():
@@ -244,6 +248,39 @@ def test_u2_invariants_oracle():
     kahler = form_from_terms(4, 2, [(1, (0,) * 4, (0, 1)), (1, (0,) * 4, (2, 3))])
     assert invariant_closed_forms(action, 2, 0) == [kahler]
     assert euler_one_form(4) in invariant_closed_forms(action, 1, 1)
+
+
+def stacked_invariant_closed_forms(action, p, max_degree):
+    """Invariant closed p-forms as the nullspace of d stacked over every
+    L_{V_i}, all over the key basis (the oracle)."""
+    n = action.ambient_dim
+    keys = form_key_basis(n, p, max_degree)
+    field_deg = max((v.max_coeff_degree() for v in action.fields), default=0)
+    keys_lie = form_key_basis(n, p, max_degree + max(field_deg - 1, 0))
+    keys_d = form_key_basis(n, p + 1, max(max_degree - 1, 0))
+    blocks = [_operator_matrix(exterior_d, keys, keys_d, n, p)]
+    blocks += [_operator_matrix(lambda a, v=v: lie_derivative(v, a), keys, keys_lie, n, p)
+               for v in action.fields]
+    return [vector_to_form(v, keys, n, p) for v in nullspace(reduce(mat_vstack, blocks))]
+
+
+def monomial_field(n, i, j, e):
+    """x_j^e d/dx_i, 0-based."""
+    return vector_field(n, [Poly(n, {tuple(e if m == j else 0 for m in range(n)): 1})
+                            if m == i else Poly(n) for m in range(n)])
+
+
+def test_invariant_closed_forms_match_the_stacked_nullspace():
+    cases = [(catalog_action(name), D) for name in ACTIONS for D in (0, 1, 2)]
+    # nonlinear fields: x2^2 d/dx1 on R^3, and x2^2 d/dx1, x4^3 d/dx3 on R^4
+    r3 = LieAction(LieAlgebra(1), [monomial_field(3, 0, 1, 2)], volume_form(3))
+    r4 = LieAction(LieAlgebra(2), [monomial_field(4, 0, 1, 2), monomial_field(4, 2, 3, 3)],
+                   volume_form(4))
+    cases += [(action, D) for action in (r3, r4) for D in (0, 1, 2, 3)]
+    for action, D in cases:
+        for p in range(action.ambient_dim + 1):
+            want = stacked_invariant_closed_forms(action, p, D)
+            assert invariant_closed_forms(action, p, D) == want, (action.algebra, p, D)
 
 
 def test_truncated_module_action_and_escape():

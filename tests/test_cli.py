@@ -425,7 +425,8 @@ def test_report_builds_each_derived_object_once(monkeypatch, capsys):
     assert sorted(k for _, k in kernel_modules) == [1, 2, 3]
     assert sorted(k for _, k in kernel_bases) == [1, 2, 3]
     assert sorted(truncations) == [(0, 1), (1, 1), (2, 1)]  # (n - k, D)
-    assert sorted(k for _, k in ranked) == [0, 0, 0, 1, 1, 1]  # d0, d1 per Hom module
+    # d0 per dual kernel (h0 of the dual kernel), d0 and d1 per Hom module
+    assert sorted(k for _, k in ranked) == [0, 0, 0, 0, 0, 0, 1, 1, 1]
     assert len(set(ranked)) == len(ranked)
 
 

@@ -1,17 +1,22 @@
 """Module coefficients: representations, CE differentials, cohomology dims."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError,
                                 boundary_matrix, catalog_algebra, exterior_basis,
-                                lie_kernel_basis, sort_with_sign)
-from momentkit.linalg import Mat, mat_mul, mat_vec, nullspace
+                                lie_kernel_basis, mv_coords, mv_from_coords,
+                                sort_with_sign)
+from momentkit.linalg import Mat, mat_mul, mat_vec, nullspace, solve_many
 from momentkit.gmodule import (GModule, ce_module_differential, cochain_dim,
                                coboundary_solve, dual_module, invariants_basis,
                                lie_kernel_module, module_cohomology_dim,
                                tensor_module, trivial_module)
+
+from test_action import so5_action
+from test_lie_core import schouten
 
 
 def adjoint_module(g):
@@ -72,8 +77,9 @@ def test_validation_names_the_first_failing_pair():
     g = catalog_algebra("abelian3")
     a = Mat([[0, 1], [0, 0]], ncols=2)
     b = Mat([[0, 0], [1, 0]], ncols=2)
-    # [a, b, a] fails on (e0, e1) and (e1, e2); the first is named
-    for rho, pair in (([Mat.zeros(2, 2), a, b], "(e1, e2)"), ([a, b, a], "(e0, e1)")):
+    # [a, b, a] fails on (e0, e1) and (e1, e2), 0-based; the first is named,
+    # counting from e1
+    for rho, pair in (([Mat.zeros(2, 2), a, b], "(e2, e3)"), ([a, b, a], "(e1, e2)")):
         with pytest.raises(StructureError) as err:
             GModule(g, rho)
         assert str(err.value).endswith(f"on pair {pair}")
@@ -164,6 +170,68 @@ def test_lie_kernel_module_is_preserved_by_the_action():
             if not lie_kernel_basis(g, k):
                 continue
             lie_kernel_module(g, k)  # raises if ad does not preserve the kernel
+
+
+def schouten_kernel_module(g, k):
+    """What lie_kernel_module(g, k) should give, from the term-by-term
+    Schouten bracket [e_i, p] of each kernel basis element p, read in kernel
+    coordinates by solve_many: the module's rho, or the StructureError
+    message of the first e_i that leaves the kernel or of the failed
+    representation check."""
+    basis = exterior_basis(g.dim, k)
+    kb = lie_kernel_basis(g, k)
+    kmat = Mat.from_columns(kb, len(basis))
+    rho = []
+    for i in range(g.dim):
+        images = [mv_coords(schouten(g, {(i,): Fraction(1)}, mv_from_coords(v, basis)),
+                            basis) for v in kb]
+        coords = solve_many(kmat, Mat.from_columns(images, len(basis)))
+        if coords is None:
+            return f"adjoint action of e{i + 1} does not preserve the degree-{k} Lie kernel"
+        rho.append(coords)
+    return outcome(lambda: GModule(g, rho, name=f"lie_kernel(k={k})"))
+
+
+def outcome(build):
+    """The built module's rho, or the message of the StructureError raised."""
+    try:
+        return build().rho
+    except StructureError as err:
+        return str(err)
+
+
+def test_lie_kernel_action_is_the_schouten_bracket():
+    cases = [(catalog_algebra(name), k) for name in sorted(ALGEBRA_CATALOG)
+             for k in range(catalog_algebra(name).dim + 1)]
+    cases += [(so5_action().algebra, k) for k in range(4)]
+    for g, k in cases:
+        want = schouten_kernel_module(g, k)
+        assert isinstance(want, list), (g, k)
+        assert lie_kernel_module(g, k).rho == want, (g, k)
+
+
+def test_lie_kernel_refusal_names_the_first_generator_leaving_the_kernel():
+    # not a Lie algebra: [e1,e3] = e1 - e2 - e3 + e4, [e2,e3] = e3 (1-based)
+    bad = LieAlgebra(4, {(0, 2): [1, -1, -1, 1], (1, 2): [0, 0, 1, 0]})
+    with pytest.raises(StructureError) as err:
+        lie_kernel_module(bad, 2)
+    assert str(err.value) == "adjoint action of e3 does not preserve the degree-2 Lie kernel"
+    # random bracket tables, nearly all failing Jacobi: the module, the
+    # refusal and the representation check's failure all match the oracle
+    rng = random.Random(4)
+    seen = set()
+    for _ in range(60):
+        dim = rng.randint(2, 4)
+        table = {(i, j): [rng.choice((0, 0, 1, -1)) for _ in range(dim)]
+                 for i in range(dim) for j in range(i + 1, dim) if rng.random() < 0.6}
+        g = LieAlgebra(dim, table)
+        for k in range(1, dim + 1):
+            want = schouten_kernel_module(g, k)
+            assert outcome(lambda: lie_kernel_module(g, k)) == want, (table, k)
+            seen.add(want.split()[0] if isinstance(want, str) else "rho")
+    # every outcome occurs: a module, a refusal ("adjoint action of ..."), and
+    # a kernel kept by a map that is not a representation ("module action ...")
+    assert seen == {"rho", "adjoint", "module"}
 
 
 def test_dual_kernel_invariants_dimensions():

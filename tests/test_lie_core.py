@@ -1,4 +1,8 @@
-"""Lie algebra layer: boundaries, Betti numbers, kernels, Schouten bracket."""
+"""Lie algebra layer: boundaries, Betti numbers, kernels, Schouten bracket.
+
+`schouten` is written here term by term, as the oracle for the adjoint
+action that `gmodule.lie_kernel_module` builds from the boundary and wedge
+matrices; `test_moment.py` and `test_acceptance.py` import it from here."""
 
 from fractions import Fraction
 from math import comb
@@ -9,14 +13,32 @@ from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError,
                                 boundary_matrix, catalog_algebra, ce_betti,
                                 exterior_basis, format_multivector,
                                 lie_kernel_basis, mv_boundary, mv_coords,
-                                mv_from_coords, mv_term, schouten,
-                                unit_vector, validate_jacobi, wedge_matrix)
+                                mv_from_coords, mv_term, unit_vector,
+                                validate_jacobi, wedge_matrix)
 from momentkit.linalg import mat_mul
 
 from test_linalg import naive_rank
 
 
 CATALOG = sorted(ALGEBRA_CATALOG)
+
+
+def schouten(g, a, b):
+    """Schouten bracket of multivectors, bilinear extension of
+    [x_1^..^x_k, y_1^..^y_l] = sum_{i,j} (-1)^(i+j) [x_i,y_j] ^ (rest)."""
+    out = {}
+    for ta, xa in a.items():
+        for tb, xb in b.items():
+            xab = xa * xb
+            for i in range(len(ta)):
+                for j in range(len(tb)):
+                    sign = (-1) ** ((i + 1) + (j + 1))
+                    vec = g.bracket_basis(ta[i], tb[j])
+                    rest = ta[:i] + ta[i + 1:] + tb[:j] + tb[j + 1:]
+                    for m, c in enumerate(vec):
+                        if c:
+                            mv_term(out, (m,) + rest, sign * xab * c)
+    return out
 
 
 def test_catalog_algebras_satisfy_jacobi():
@@ -31,14 +53,14 @@ def test_jacobi_violation_is_reported():
 
 
 def test_jacobi_failure_names_the_first_failing_triple():
-    # [e0,e1] = e2, [e1,e3] = e1, [e2,e3] = e0: the Jacobiator of (e0, e1, e3)
-    # is e0 - e2 and that of (e1, e2, e3) is e2; (e0, e1, e2) and (e0, e2, e3)
-    # satisfy Jacobi
+    # [e0,e1] = e2, [e1,e3] = e1, [e2,e3] = e0 (0-based): the Jacobiator of
+    # (e0, e1, e3) is e0 - e2 and that of (e1, e2, e3) is e2; (e0, e1, e2) and
+    # (e0, e2, e3) satisfy Jacobi.  Messages count from e1.
     bad = LieAlgebra(4, {(0, 1): [0, 0, 1, 0], (1, 3): [0, 1, 0, 0],
                          (2, 3): [1, 0, 0, 0]})
     with pytest.raises(StructureError) as err:
         validate_jacobi(bad)
-    assert str(err.value) == "Jacobi identity fails on basis triple (e0, e1, e3)"
+    assert str(err.value) == "Jacobi identity fails on basis triple (e1, e2, e4)"
 
 
 def test_wedge_matrix_against_mv_term():

@@ -6,10 +6,10 @@ from math import gcd
 
 import pytest
 
-from momentkit.linalg import (Mat, _axpy, _eliminate, _integer_rows, frac,
-                              kron_sum, mat_hstack, mat_mul, mat_scale,
-                              mat_vec, mat_vstack, nullspace, rank, rref,
-                              solve, solve_many)
+from momentkit.linalg import (Mat, _axpy, _eliminate, _integer_rows,
+                              coordinates, frac, kron_sum, mat_hstack, mat_mul,
+                              mat_scale, mat_vec, mat_vstack, nullspace, rank,
+                              rref, solve, solve_many)
 
 
 def naive_rank(rows):
@@ -109,6 +109,40 @@ def test_solve_many_columns():
     bad = Mat([[1], [1]], ncols=1)
     assert solve_many(Mat([[1], [1]], ncols=1), bad) is not None
     assert solve_many(Mat([[1, 1]], ncols=2).transpose(), Mat([[1], [2]], ncols=1)) is None
+
+
+def test_coordinates_match_solve_many():
+    # canonical bases: nullspaces of seeded integer matrices, from 0 columns
+    # (full column rank) to the whole space (a matrix with no rows), on
+    # spaces of dimension 0 to 6
+    rng = random.Random(11)
+    outside = empty = whole = 0
+    for _ in range(150):
+        m, n = rng.randint(0, 5), rng.randint(0, 6)
+        a = Mat([[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(n)]
+                 for _ in range(m)], ncols=n)
+        basis = Mat.from_columns(nullspace(a), n)
+        cols = [mat_vec(basis, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(basis.ncols)])
+                for _ in range(rng.randint(0, 2))]
+        cols.insert(rng.randint(0, len(cols)), [Fraction(0)] * n)
+        if rng.random() < 0.4:
+            cols.insert(rng.randint(0, len(cols)),
+                        [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)])
+        for rhs in (Mat.from_columns(cols, n), Mat.from_columns(cols[:1], n),
+                    Mat.zeros(n, 0)):
+            got = coordinates(basis, rhs)
+            assert got == solve_many(basis, rhs)
+            if got is None:
+                outside += 1
+            else:
+                assert got.shape == (basis.ncols, rhs.ncols) and stores_no_zero(got)
+                assert mat_mul(basis, got) == rhs
+        empty += basis.ncols == 0
+        whole += basis.ncols == n
+    assert outside and empty and whole
+    with pytest.raises(ValueError):
+        coordinates(Mat.identity(2), Mat.zeros(3, 1))
 
 
 def test_in_span_edges():

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from momentkit.lie_core import (LieAlgebra, StructureError, catalog_algebra,
-                                exterior_basis, lie_kernel_basis, mv_add,
-                                mv_boundary, mv_from_coords, mv_term, schouten,
-                                unit_vector, validate_jacobi)
+from momentkit.lie_core import (LieAlgebra, StructureError, boundary_matrix,
+                                catalog_algebra, exterior_basis,
+                                lie_kernel_basis, mv_add, mv_boundary,
+                                mv_from_coords, mv_term, unit_vector,
+                                validate_jacobi)
+from momentkit.linalg import Mat, solve_many
+from momentkit.gmodule import invariants_basis
 from momentkit.polyform import exterior_d, form_from_terms, format_form
 from momentkit.action import LieAction
 from momentkit.cli import catalog_action
@@ -18,6 +21,9 @@ from momentkit.moment import (MomentMap, check_module_morphism,
                               existence_diagnostic, make_equivariant,
                               sigma_cochain, sigma_is_zero, uniqueness_check,
                               verify_moment, zeta)
+
+from test_action import oracle_actions
+from test_lie_core import schouten
 
 CATALOG_ALGEBRAS = ("abelian3", "su2", "so3", "heisenberg3", "so4", "u2")
 
@@ -317,6 +323,23 @@ def test_existence_diagnostic_u2():
     assert k1["dim_kernel"] == 4 and k1["betti_k"] == 1
     assert k1["h0_dual_kernel"] == 1
     assert not k1["exactness_applies"] and not k1["brackets_apply"]
+
+
+def test_existence_counts_match_the_solves_they_replace():
+    # exactness applies iff every kernel basis element has a boundary
+    # preimage, and h0 of the dual kernel is the dimension of its invariants;
+    # on the bundled problems and the generated so(5) one
+    verdicts = set()
+    for action in oracle_actions():
+        g = action.algebra
+        for k, entry in existence_diagnostic(action)["degrees"].items():
+            kernel = action.kernel(k)
+            bmat = boundary_matrix(g, k + 1)
+            preimages = solve_many(bmat, Mat.from_columns(kernel.basis, bmat.nrows))
+            assert entry["exactness_applies"] == (preimages is not None), (g, k)
+            assert entry["h0_dual_kernel"] == len(invariants_basis(kernel.dual)), (g, k)
+            verdicts.add((entry["exactness_applies"], entry["h0_dual_kernel"] > 0))
+    assert verdicts == {(True, False), (False, True)}  # each answer occurs
 
 
 def test_describe_kernel_formatting():

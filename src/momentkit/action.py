@@ -24,7 +24,8 @@ is built; a build that raises stores nothing):
     V_p . omega of the basis elements (the fields V_p come from one
     `infinitesimal_generators` pass and are not kept);
   * `truncated_forms(k, D)`: closed (n-k)-forms of coefficient degree <= D
-    as a module;
+    (`TruncatedFormModule`): the closed basis and its L_{V_i} images, built
+    once, and the module and invariant forms read from them;
   * `hom_module(k, D)`: Hom(P_k, those closed forms), whose cohomology
     decides equivariant existence and uniqueness.
 Callers key their own answers with `derive` too: the command line keeps the
@@ -43,7 +44,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import Mat, coordinates, frac, nullspace, rank
+from .linalg import Mat, coordinates, frac, mat_scale, nullspace, rank
 from .lie_core import (LieAlgebra, StructureError, ce_betti, exterior_basis,
                        format_multivector, lie_kernel_basis, mv_boundary,
                        mv_from_coords)
@@ -54,7 +55,8 @@ from .polyform import (Form, MultiField, Poly, _accumulate, _wrap, contract,
 
 class LieAction:
     """A Lie algebra acting on R^n by polynomial vector fields, with a
-    distinguished form omega on the same space."""
+    distinguished form omega on the same space; keeps what is derived from
+    it (see the module docstring), each built once."""
 
     def __init__(self, algebra: LieAlgebra, fields, omega: Form):
         if len(fields) != algebra.dim:
@@ -403,53 +405,57 @@ def closed_form_basis(n: int, p: int, max_degree: int):
 
 def invariant_closed_forms(action: LieAction, p: int, max_degree: int):
     """Basis of closed p-forms of coefficient degree <= max_degree killed by
-    every L_{V_i}: the combinations of `closed_form_basis` over the canonical
-    nullspace of the stacked L_{V_i} images of that basis.  A closed form's
-    coordinates are its entries at d's free columns, in order, so this is
-    the canonical basis of the same space over the keys."""
-    n = action.ambient_dim
-    forms, _, _ = closed_form_basis(n, p, max_degree)
-    field_deg = max((v.max_coeff_degree() for v in action.fields), default=0)
-    keys_lie = form_key_basis(n, p, max_degree + max(field_deg - 1, 0))
-    lie_index = {key: r for r, key in enumerate(keys_lie)}
-    cols = [[x for v in action.fields
-             for x in form_to_vector(lie_derivative(v, b), keys_lie, lie_index)]
-            for b in forms]
-    images = Mat.from_columns(cols, nrows=len(action.fields) * len(keys_lie))
-    return [Form.linear_combination(n, p, zip(c, forms)) for c in nullspace(images)]
+    every L_{V_i}: the `invariants` of the action's truncated form module."""
+    return action.truncated_forms(action.plectic_degree() - p, max_degree).invariants
 
 
 class TruncatedFormModule:
-    """Closed p-forms of coefficient degree <= D as a GModule under
-    rho(xi) = s * L_{V_xi} (s the action's bracket sign, so that rho is a
-    genuine left module structure)."""
+    """Closed p-forms of coefficient degree <= D: the canonical basis and the
+    images L_{V_i} b of each basis form b, built once; `module` and
+    `invariants` are read from the images on first use and kept."""
 
     def __init__(self, action: LieAction, p: int, max_degree: int):
-        s = action.sign()
-        n = action.ambient_dim
-        forms, keys, basis_mat = closed_form_basis(n, p, max_degree)
-        key_index = {key: r for r, key in enumerate(keys)}
+        self.action = action
+        self.form_degree = p
+        self.max_degree = max_degree
+        self.forms, self.keys, self.basis_mat = closed_form_basis(
+            action.ambient_dim, p, max_degree)
+        self.key_index = {key: r for r, key in enumerate(self.keys)}
+        self.images = [[lie_derivative(v, b) for b in self.forms] for v in action.fields]
+
+    @cached_property
+    def module(self) -> GModule:
+        """The GModule rho(xi) = s * L_{V_xi} (s the bracket sign, so rho is a
+        left module); StructureError if an image escapes the truncation."""
+        s = self.action.sign()
         rho = []
-        for v in action.fields:
-            cols = []
-            for b in forms:
-                image = lie_derivative(v, b) * Fraction(s)
-                cols.append(form_to_vector(image, keys, key_index))
-            coords = coordinates(basis_mat, Mat.from_columns(cols, nrows=len(keys)))
+        for images in self.images:
+            cols = [form_to_vector(image, self.keys, self.key_index) for image in images]
+            coords = coordinates(self.basis_mat, Mat.from_columns(cols, nrows=len(self.keys)))
             if coords is None:
                 raise StructureError(
                     "Lie derivative leaves the truncated closed-form space; "
                     "raise the truncation degree")
-            rho.append(coords)
-        self.action = action
-        self.form_degree = p
-        self.max_degree = max_degree
-        self.forms = forms
-        self.keys = keys
-        self.key_index = key_index
-        self.basis_mat = basis_mat
-        self.module = GModule(action.algebra, rho, dim=len(forms),
-                              name=f"closed_forms(p={p},D<={max_degree})")
+            rho.append(mat_scale(coords, s))
+        return GModule(self.action.algebra, rho, dim=len(self.forms),
+                       name=f"closed_forms(p={self.form_degree},D<={self.max_degree})")
+
+    @cached_property
+    def invariants(self):
+        """Canonical basis of the forms killed by every L_{V_i}: `forms` over
+        the nullspace of the stacked images, on keys wide enough to hold
+        images that leave the truncation."""
+        n = self.action.ambient_dim
+        field_deg = max((v.max_coeff_degree() for v in self.action.fields), default=0)
+        keys_lie = form_key_basis(n, self.form_degree,
+                                  self.max_degree + max(field_deg - 1, 0))
+        lie_index = {key: r for r, key in enumerate(keys_lie)}
+        cols = [[x for images in self.images
+                 for x in form_to_vector(images[b], keys_lie, lie_index)]
+                for b in range(len(self.forms))]
+        stacked = Mat.from_columns(cols, nrows=len(self.images) * len(keys_lie))
+        return [Form.linear_combination(n, self.form_degree, zip(c, self.forms))
+                for c in nullspace(stacked)]
 
     def to_coords(self, alpha: Form):
         """Coordinates of a closed form in this basis; StructureError if it

@@ -45,11 +45,11 @@ from .lie_core import (LieAlgebra, StructureError, catalog_algebra,
                        format_multivector, validate_jacobi,
                        ALGEBRA_CATALOG)
 from .polyform import Form, MultiField, format_field, format_form
+from .gmodule import module_cohomology_dim
 from .action import LieAction, invariant_closed_forms
 from .moment import (construct_brackets, construct_exactness,
                      construct_poincare, existence_diagnostic, make_equivariant,
-                     sigma_is_zero, check_sigma_cocycle, check_module_morphism,
-                     uniqueness_check)
+                     sigma_is_zero, check_sigma_cocycle, check_module_morphism)
 
 
 class MmkError(Exception):
@@ -791,12 +791,11 @@ def cmd_equivariance(action, args, report):
                     lines.append(f"  l({nm}) = {format_form(l_forms[a])}")
                 payload["l"] = [{"p": nm, "l": format_form(l_forms[a])}
                                 for a, nm in enumerate(names)]
-        uniq = uniqueness_check(action, k, D)
-        payload["unique_in_truncation"] = uniq["unique"]
-        payload["invariant_hom_dim"] = uniq["dim_invariants"]
+        h0 = module_cohomology_dim(action.hom_module(k, D), 0)
+        payload["unique_in_truncation"] = h0 == 0
+        payload["invariant_hom_dim"] = h0
         lines.append(f"equivariant map unique in truncation: "
-                     f"{'yes' if uniq['unique'] else 'no'} "
-                     f"(invariant Hom dim {uniq['dim_invariants']})")
+                     f"{'yes' if h0 == 0 else 'no'} (invariant Hom dim {h0})")
         report.section(f"Equivariance, k={k}", payload, lines)
     return 0 if ok else 1
 

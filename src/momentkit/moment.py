@@ -27,11 +27,12 @@ Equivariance: the defect cochain
 
     Sigma(xi)(p) = f([xi,p]) - s * L_{V_xi} f(p)
 
-(s the action's bracket sign) has closed-form entries, is a 1-cocycle for
-the natural module structure on Hom(kernel, closed forms), and vanishes
-exactly when f is a module morphism in the strong sense.  `make_equivariant`
-repairs f by a coboundary inside a chosen polynomial truncation, or reports
-the obstruction relative to that truncation.
+(s the action's bracket sign) is Sigma = -d^0 f in the Chevalley-Eilenberg
+complex of Hom(kernel, forms), by the one formula d = boundary^T (x) 1 +
+sum_i e_i (x) rho(e_i) on form entries; the cocycle check is d^1 Sigma = 0.
+Sigma has closed-form entries and vanishes exactly when f is a module
+morphism in the strong sense.  `make_equivariant` repairs f by a coboundary
+inside a chosen polynomial truncation, or reports the obstruction there.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from fractions import Fraction
 
 from .linalg import Mat, coordinates, mat_hstack, rref, solve_many
 from .lie_core import (StructureError, boundary_matrix, exterior_basis,
-                       mv_coords, mv_from_coords)
+                       mv_coords, mv_from_coords, wedge_matrix)
 from .gmodule import coboundary_solve, invariants_basis, module_cohomology_dim
 from .polyform import Form, contract, exterior_d, lie_derivative, poincare_homotopy
 from .action import LieAction, infinitesimal_generators
@@ -220,27 +221,34 @@ def construct_brackets(action: LieAction, ks=None) -> MomentMap:
 # equivariance
 # ---------------------------------------------------------------------------
 
-def _module_act(action: LieAction, k: int, i: int, row, scale=1):
-    """scale * (e_i . alpha)(p_a) for every kernel basis element p_a, where
-    alpha takes the values `row` on the kernel basis and
-    (e_i . alpha)(p) = s L_{V_i}(alpha(p)) - alpha([e_i, p]), i.e.
-    (e_i . alpha)(p_a) = s L_{V_i} alpha(p_a) - sum_b rho_i[b, a] alpha(p_b)."""
-    s = action.sign()
-    rho_i = action.kernel(k).module.rho[i]
-    v_i = action.fields[i]
-    return [Form.linear_combination(
-                action.ambient_dim, alpha.degree,
-                [(scale * s, lie_derivative(v_i, alpha))]
-                + [(-scale * rho_i.entry(b, a), beta) for b, beta in enumerate(row)])
-            for a, alpha in enumerate(row)]
+def _hom_differential(mm: MomentMap, k: int, q: int, cochain):
+    """d^q of a cochain in Hom(P_k, forms), as rows of forms (one row per
+    tuple of exterior_basis(dim, q), one form per kernel basis element), by
+    the formula of `gmodule.ce_module_differential` on form entries:
+    d^q = boundary(q+1)^T (x) 1 + sum_i wedge_matrix(dim, i, q) (x) rho_i, with
+    (rho_i alpha)(p_a) = s L_{V_i} alpha(p_a) - sum_b P_i[b, a] alpha(p_b)."""
+    action, g, s = mm.action, mm.action.algebra, mm.action.sign()
+    r = len(mm.components[k])
+    terms = [[[] for _ in range(r)] for _ in exterior_basis(g.dim, q + 1)]
+    for t, u, c in boundary_matrix(g, q + 1).nonzeros():
+        for a in range(r):
+            terms[u][a].append((c, cochain[t][a]))
+    for i, (v_i, p_i) in enumerate(zip(action.fields, action.kernel(k).module.rho)):
+        for u, t, c in wedge_matrix(g.dim, i, q).nonzeros():
+            row = cochain[t]
+            for a, alpha in enumerate(row):
+                terms[u][a].append((c * s, lie_derivative(v_i, alpha)))
+            for b, a, x in p_i.nonzeros():
+                terms[u][a].append((-c * x, row[b]))
+    degree = action.plectic_degree() - k
+    return [[Form.linear_combination(action.ambient_dim, degree, pairs) for pairs in row]
+            for row in terms]
 
 
 def sigma_cochain(mm: MomentMap, k: int):
-    """Sigma(e_i)(p_a) = f([e_i, p_a]) - s L_{V_i} f(p_a) = -(e_i . f)(p_a),
-    as a list indexed [i][a] of forms.  Entries are closed for a verified
-    moment map."""
-    return [_module_act(mm.action, k, i, mm.components[k], -1)
-            for i in range(mm.action.algebra.dim)]
+    """Sigma = -d^0 f, indexed [i][a]: Sigma(e_i)(p_a) = f([e_i, p_a]) -
+    s L_{V_i} f(p_a).  Entries are closed for a verified moment map."""
+    return _hom_differential(mm, k, 0, [[-f for f in mm.components[k]]])
 
 
 def sigma_is_zero(sigma) -> bool:
@@ -248,24 +256,8 @@ def sigma_is_zero(sigma) -> bool:
 
 
 def check_sigma_cocycle(mm: MomentMap, k: int) -> bool:
-    """delta Sigma = 0 for the module action
-    (xi.alpha)(p) = -alpha([xi,p]) + s L_{V_xi}(alpha(p)), checked exactly
-    (no truncation: the check is symbolic in the form entries)."""
-    action = mm.action
-    g = action.algebra
-    sigma = mm.sigma(k)
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = _module_act(action, k, i, sigma[j])
-            rhs = _module_act(action, k, j, sigma[i])
-            bracket = g.bracket_basis(i, j)
-            for a, (x, y) in enumerate(zip(lhs, rhs)):
-                delta = Form.linear_combination(
-                    action.ambient_dim, x.degree,
-                    [(1, x), (-1, y)] + [(-c, row[a]) for c, row in zip(bracket, sigma)])
-                if not delta.is_zero():
-                    return False
-    return True
+    """d^1 Sigma = 0, exactly (symbolic in the form entries, untruncated)."""
+    return sigma_is_zero(_hom_differential(mm, k, 1, mm.sigma(k)))
 
 
 def check_module_morphism(mm: MomentMap, k: int):
@@ -281,7 +273,8 @@ def make_equivariant(mm: MomentMap, k: int, max_degree: int):
     """Try to repair f_k by l with delta l = Sigma inside the truncated
     module; returns (new_map, l_forms, status) where status is one of
     'already equivariant', 'repaired', 'obstructed at degree D'.
-    StructureError if Sigma escapes the truncation (raise max_degree)."""
+    StructureError if a Sigma entry escapes the truncation (raise
+    max_degree) or is not closed (the map is not a moment map)."""
     action = mm.action
     sigma = mm.sigma(k)
     if sigma_is_zero(sigma):
@@ -297,8 +290,8 @@ def make_equivariant(mm: MomentMap, k: int, max_degree: int):
             coords = trunc.to_coords(sigma[i][a])
             if coords is None:
                 raise StructureError(
-                    "Sigma entry escapes the truncated closed-form space; "
-                    "raise the truncation degree")
+                    f"Sigma entry Sigma(e{i + 1})({action.kernel(k).names[a]}) is not "
+                    f"closed: the map does not satisfy its defining equation")
             target += coords
     sol = coboundary_solve(hom, 1, target)
     if sol is None:

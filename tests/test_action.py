@@ -9,6 +9,7 @@ import pytest
 
 from momentkit.lie_core import LieAlgebra, StructureError, catalog_algebra, \
     exterior_basis, lie_kernel_basis, mv_from_coords
+from momentkit.gmodule import invariants_basis
 from momentkit.linalg import mat_vstack, nullspace
 from momentkit.polyform import (Form, MultiField, Poly, contract, exterior_d,
                                 form_from_terms, lie_derivative, wedge)
@@ -303,9 +304,32 @@ def test_truncated_module_action_and_escape():
     omega = volume_form(3)
     bad = LieAction(g, quad, omega)
     validate_action(bad)
+    # the basis and images are built; the module over them refuses
     with pytest.raises(StructureError) as err:
-        TruncatedFormModule(bad, 1, 0)
+        TruncatedFormModule(bad, 1, 0).module
     assert "truncat" in str(err.value)
+
+
+def test_invariant_closed_forms_are_the_module_invariants():
+    for name in ACTIONS:
+        action = catalog_action(name)
+        n = action.ambient_dim
+        for D in (0, 1, 2):
+            for p in range(n + 1):
+                trunc = TruncatedFormModule(action, p, D)
+                want = [trunc.from_coords(v) for v in invariants_basis(trunc.module)]
+                assert invariant_closed_forms(action, p, D) == want, (name, p, D)
+
+
+def test_truncated_module_acts_by_the_signed_lie_derivative():
+    # abelian_r3 has bracket sign -1, so the sign shows
+    for name in ACTIONS:
+        action = catalog_action(name)
+        s = action.sign()
+        trunc = action.truncated_forms(1, 1)
+        for v, rho in zip(action.fields, trunc.module.rho):
+            for a, b in enumerate(trunc.forms):
+                assert trunc.from_coords(rho.col(a)) == lie_derivative(v, b) * s, name
 
 
 def test_truncated_module_over_the_zero_algebra_keeps_its_dimension():

@@ -1,9 +1,16 @@
-"""The bracket enters the exterior algebra once: in `lie_core.py` and
-`gmodule.py` no function other than `boundary_of_tuple` reads a
+"""Each derived object has one builder in the source, checked on the syntax
+tree.
+
+The bracket enters the exterior algebra once: in `lie_core.py`, `gmodule.py`
+and `moment.py` no function other than `boundary_of_tuple` reads a
 `bracket_basis` attribute.  Every matrix those modules build from the
 structure constants (the boundary, the Chevalley-Eilenberg differential
-with module coefficients, the adjoint action on the Lie kernels) goes
-through the boundary, so there is one bracket sign rule."""
+with module coefficients, the adjoint action on the Lie kernels) and every
+cochain differential of Hom(P_k, forms) goes through the boundary, so there
+is one bracket sign rule.
+
+Truncated closed forms are built once per (form degree, truncation): only
+`TruncatedFormModule.__init__` calls `closed_form_basis`."""
 
 import ast
 import os
@@ -12,21 +19,34 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "momentkit")
 
 
-def bracket_readers(source):
-    """Names of the innermost functions (or "<module>") holding a read of a
-    `bracket_basis` attribute in the source."""
+def readers(source, name):
+    """Qualified names of the innermost functions (`Class.method` for a
+    method, or "<module>") holding a read of `name`, as a variable or as an
+    attribute, in the source."""
     found = set()
 
-    def visit(node, owner):
+    def visit(node, owner, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                visit(child, prefix + child.name, prefix + child.name + ".")
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "bracket_basis":
+            if isinstance(child, ast.ClassDef):
+                visit(child, owner, prefix + child.name + ".")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.Name) and child.id == name):
                 found.add(owner)
-            visit(child, owner)
+            visit(child, owner, prefix)
 
-    visit(ast.parse(source), "<module>")
+    visit(ast.parse(source), "<module>", "")
+    return found
+
+
+def source_readers(name, files):
+    found = {}
+    for file in files:
+        with open(os.path.join(SRC, file), encoding="utf-8") as fh:
+            found[file] = readers(fh.read(), name)
     return found
 
 
@@ -34,13 +54,18 @@ def test_the_checker_finds_a_bracket_read():
     source = ("def f(g):\n    return g.bracket_basis(0, 1)\n"
               "class A:\n    def bracket_basis(self, i, j):\n        return self.table\n"
               "    def ad(self):\n        h = lambda: self.bracket_basis\n        return h\n"
-              "x = g.bracket_basis\n")
-    assert bracket_readers(source) == {"f", "ad", "<module>"}
+              "x = g.bracket_basis\n"
+              "def bracket_basis():\n    return bracket_basis\n")
+    assert readers(source, "bracket_basis") == {"f", "A.ad", "<module>", "bracket_basis"}
 
 
 def test_only_the_boundary_reads_the_bracket():
-    found = {}
-    for name in ("lie_core.py", "gmodule.py"):
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            found[name] = bracket_readers(fh.read())
-    assert found == {"lie_core.py": {"boundary_of_tuple"}, "gmodule.py": set()}
+    assert source_readers("bracket_basis", ("lie_core.py", "gmodule.py", "moment.py")) == {
+        "lie_core.py": {"boundary_of_tuple"}, "gmodule.py": set(), "moment.py": set()}
+
+
+def test_only_the_truncated_module_builds_closed_forms():
+    files = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+    found = source_readers("closed_form_basis", files)
+    assert {f: owners for f, owners in found.items() if owners} == {
+        "action.py": {"TruncatedFormModule.__init__"}}

@@ -389,12 +389,13 @@ def count_calls(monkeypatch, fn):
 
 
 def test_report_builds_each_derived_object_once(monkeypatch, capsys):
-    from momentkit.action import TruncatedFormModule
+    from momentkit.action import TruncatedFormModule, closed_form_basis
     from momentkit.gmodule import ce_module_differential, lie_kernel_module
     from momentkit.lie_core import lie_kernel_basis
-    from momentkit.linalg import rank
+    from momentkit.linalg import nullspace, rank
     kernel_modules = count_calls(monkeypatch, lie_kernel_module)
     kernel_bases = count_calls(monkeypatch, lie_kernel_basis)
+    closed_bases = count_calls(monkeypatch, closed_form_basis)
     truncations = []
     init = TruncatedFormModule.__init__
 
@@ -418,16 +419,28 @@ def test_report_builds_each_derived_object_once(monkeypatch, capsys):
             ranked.append((id(m), k))
         return rank(a)
 
+    def recorded_nullspace(a):
+        if id(a) in differentials:
+            _, m, k = differentials[id(a)]
+            nulled.append((m.name, k))
+        return nullspace(a)
+
+    nulled = []
     replace_everywhere(monkeypatch, ce_module_differential, recorded_differential)
     replace_everywhere(monkeypatch, rank, recorded_rank)
+    replace_everywhere(monkeypatch, nullspace, recorded_nullspace)
     rc, _, _ = run_main(["report", bundled("u2_r4.mmk")], capsys)
     assert rc == 0
     assert sorted(k for _, k in kernel_modules) == [1, 2, 3]
     assert sorted(k for _, k in kernel_bases) == [1, 2, 3]
     assert sorted(truncations) == [(0, 1), (1, 1), (2, 1)]  # (n - k, D)
-    # d0 per dual kernel (h0 of the dual kernel), d0 and d1 per Hom module
+    assert sorted(args[1:] for args in closed_bases) == [(0, 1), (1, 1), (2, 1)]
+    # d0 per dual kernel (h0 of the dual kernel), d0 and d1 per Hom module;
+    # uniqueness reads the kept rank of d0, so no module differential is
+    # eliminated again for its nullspace
     assert sorted(k for _, k in ranked) == [0, 0, 0, 0, 0, 0, 1, 1, 1]
     assert len(set(ranked)) == len(ranked)
+    assert nulled == []
 
 
 def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):

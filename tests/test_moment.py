@@ -1,5 +1,6 @@
 """Weak moment maps: construction routes, verification, equivariance repair."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,12 @@ from momentkit.lie_core import (LieAlgebra, StructureError, boundary_matrix,
                                 mv_from_coords, mv_term, unit_vector,
                                 validate_jacobi)
 from momentkit.linalg import Mat, solve_many
-from momentkit.gmodule import invariants_basis
-from momentkit.polyform import exterior_d, form_from_terms, format_form
+from momentkit.gmodule import invariants_basis, module_cohomology_dim
+from momentkit.polyform import (Form, exterior_d, form_from_terms, format_form,
+                                lie_derivative)
 from momentkit.action import LieAction
 from momentkit.cli import catalog_action
-from momentkit.moment import (MomentMap, check_module_morphism,
+from momentkit.moment import (MomentMap, _hom_differential, check_module_morphism,
                               check_sigma_cocycle, construct_brackets,
                               construct_exactness, construct_poincare,
                               defining_residuals, describe_kernel,
@@ -22,7 +24,7 @@ from momentkit.moment import (MomentMap, check_module_morphism,
                               sigma_cochain, sigma_is_zero, uniqueness_check,
                               verify_moment, zeta)
 
-from test_action import oracle_actions
+from test_action import oracle_actions, random_form, so5_action
 from test_lie_core import schouten
 
 CATALOG_ALGEBRAS = ("abelian3", "su2", "so3", "heisenberg3", "so4", "u2")
@@ -251,6 +253,94 @@ def test_module_morphism_quotient_and_strong():
 
 
 # ---------------------------------------------------------------------------
+# Sigma and d^1 against the hand-written module action (the oracle)
+# ---------------------------------------------------------------------------
+
+def oracle_module_act(action, k, i, row, scale=1):
+    """scale * (e_i . alpha)(p_a) for every kernel basis element p_a, where
+    alpha takes the values `row` on the kernel basis and
+    (e_i . alpha)(p_a) = s L_{V_i} alpha(p_a) - sum_b rho_i[b, a] alpha(p_b)."""
+    s = action.sign()
+    rho_i = action.kernel(k).module.rho[i]
+    v_i = action.fields[i]
+    return [Form.linear_combination(
+                action.ambient_dim, alpha.degree,
+                [(scale * s, lie_derivative(v_i, alpha))]
+                + [(-scale * rho_i.entry(b, a), beta) for b, beta in enumerate(row)])
+            for a, alpha in enumerate(row)]
+
+
+def oracle_sigma(mm, k):
+    """Sigma(e_i)(p_a) = -(e_i . f)(p_a), indexed [i][a]."""
+    return [oracle_module_act(mm.action, k, i, mm.components[k], -1)
+            for i in range(mm.action.algebra.dim)]
+
+
+def oracle_delta(mm, k, sigma):
+    """(delta sigma)(e_i, e_j)(p_a) = (e_i . sigma(e_j))(p_a)
+    - (e_j . sigma(e_i))(p_a) - sigma([e_i, e_j])(p_a), one row per pair
+    i < j, with the bracket read from the structure constants."""
+    action = mm.action
+    g = action.algebra
+    out = []
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            lhs = oracle_module_act(action, k, i, sigma[j])
+            rhs = oracle_module_act(action, k, j, sigma[i])
+            bracket = g.bracket_basis(i, j)
+            out.append([Form.linear_combination(
+                action.ambient_dim, x.degree,
+                [(1, x), (-1, y)] + [(-c, row[a]) for c, row in zip(bracket, sigma)])
+                for a, (x, y) in enumerate(zip(lhs, rhs))])
+    return out
+
+
+def oracle_maps():
+    """Every bundled problem by every route that applies to it, and the
+    generated so(5) action at degrees 1 and 2."""
+    maps = []
+    for name in ("abelian_r3", "so3_r3", "so4_r4", "u2_r4"):
+        action = catalog_action(name)
+        for build in (construct_poincare, construct_exactness, construct_brackets):
+            for k in range(1, action.plectic_degree() + 1):
+                try:
+                    maps.append(build(action, ks=[k]))
+                except StructureError:
+                    pass
+    return maps + [construct_poincare(so5_action(), ks=[1, 2])]
+
+
+def test_sigma_and_its_cocycle_check_match_the_oracle():
+    maps = oracle_maps()
+    assert len(maps) > 12
+    for mm in maps:
+        for k in mm.degrees():
+            sigma = mm.sigma(k)
+            assert sigma == oracle_sigma(mm, k), (mm.action.algebra, k)
+            delta = _hom_differential(mm, k, 1, sigma)
+            assert delta == oracle_delta(mm, k, sigma), (mm.action.algebra, k)
+            assert check_sigma_cocycle(mm, k) is sigma_is_zero(delta) is True
+
+
+def test_d1_matches_the_oracle_on_cochains_that_are_not_cocycles():
+    rng = random.Random(12)
+    for name in ("abelian_r3", "so3_r3", "so4_r4", "u2_r4"):
+        action = catalog_action(name)
+        n = action.ambient_dim
+        for k in range(1, action.plectic_degree() + 1):
+            if not action.kernel(k).basis:
+                continue
+            mm = construct_poincare(action, ks=[k])
+            sigma = [[x + random_form(rng, n, x.degree, 2) for x in row]
+                     for row in sigma_cochain(mm, k)]
+            want = oracle_delta(mm, k, sigma)
+            assert _hom_differential(mm, k, 1, sigma) == want, (name, k)
+            assert not sigma_is_zero(want), (name, k)
+            mm._sigma[k] = sigma
+            assert check_sigma_cocycle(mm, k) is False, (name, k)
+
+
+# ---------------------------------------------------------------------------
 # equivariantization
 # ---------------------------------------------------------------------------
 
@@ -282,6 +372,19 @@ def test_so4_perturbed_map_is_repaired_exactly():
     assert uniqueness_check(action, 2, 0)["unique"]
 
 
+def test_repair_names_a_sigma_entry_that_is_not_closed():
+    # f_1(e1) + x1 dx2 breaks the defining equation; Sigma(e1)(e1) is then
+    # inside the truncation but not closed, which no larger D can mend
+    action = catalog_action("so3_r3")
+    mm = construct_poincare(action, ks=[1])
+    warped = [mm.components[1][0] + form_from_terms(3, 1, [(1, (1, 0, 0), (1,))])]
+    bad = MomentMap(action, {1: warped + mm.components[1][1:]})
+    with pytest.raises(StructureError) as err:
+        make_equivariant(bad, 1, 2)
+    assert str(err.value) == ("Sigma entry Sigma(e1)(e1) is not closed: "
+                              "the map does not satisfy its defining equation")
+
+
 def test_already_equivariant_status():
     action = catalog_action("so3_r3")
     mm = construct_poincare(action, ks=[1])
@@ -295,6 +398,17 @@ def test_uniqueness_dimensions():
         "dim_invariants": 0, "unique": True, "representatives": []}
     u = uniqueness_check(catalog_action("so3_r3"), 1, 1)
     assert u["dim_invariants"] == 1 and not u["unique"]
+
+
+def test_uniqueness_counts_h0_of_the_hom_module():
+    # the command line prints h0 from the rank of d0; uniqueness_check
+    # counts the nullspace of the same d0
+    for name in ("abelian_r3", "so3_r3", "so4_r4", "u2_r4"):
+        action = catalog_action(name)
+        for k in range(1, action.plectic_degree() + 1):
+            for D in (0, 1):
+                h0 = module_cohomology_dim(action.hom_module(k, D), 0)
+                assert uniqueness_check(action, k, D)["dim_invariants"] == h0, (name, k, D)
 
 
 # ---------------------------------------------------------------------------

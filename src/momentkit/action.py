@@ -50,7 +50,7 @@ from .lie_core import (LieAlgebra, StructureError, ce_betti, exterior_basis,
                        mv_from_coords)
 from .gmodule import GModule, dual_module, lie_kernel_module, tensor_module
 from .polyform import (Form, MultiField, Poly, _accumulate, _wrap, contract,
-                       exterior_d, lie_derivative, vf_bracket, wedge)
+                       exterior_d, format_form, lie_derivative, vf_bracket, wedge)
 
 
 class LieAction:
@@ -159,32 +159,31 @@ class LieKernel:
 
 def validate_action(action: LieAction) -> int:
     """Check the generators close per the structure constants and return the
-    bracket sign (kept by `LieAction.sign`); raises StructureError naming the
-    first failing pair."""
+    bracket sign (kept by `LieAction.sign`), in one pass: s is read from the
+    first pair whose bracket is nonzero and every other pair is checked
+    against it.  Raises StructureError naming a pair that matches neither
+    sign, or a pair whose sign differs from s together with the pair that
+    fixed s."""
     g = action.algebra
-    plus_ok, minus_ok = True, True
-    saw_nonzero = False
-    first_fail = None
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            got = vf_bracket(action.fields[i], action.fields[j])
-            want = action.field_of(g.bracket_basis(i, j))
-            if not (got.is_zero() and want.is_zero()):
-                saw_nonzero = True
-            if got != want:
-                plus_ok = False
-                first_fail = first_fail or (i, j)
-            if got != -want:
-                minus_ok = False
+    s, first = None, None
+    for i, j in itertools.combinations(range(g.dim), 2):
+        got = vf_bracket(action.fields[i], action.fields[j])
+        want = action.field_of(g.bracket_basis(i, j))
+        if got.is_zero() and want.is_zero():
+            continue
+        pair = f"pair (e{i + 1}, e{j + 1})"
+        if got not in (want, -want):
+            raise StructureError(f"generator fields do not close under the bracket: "
+                                 f"{pair} matches neither sign convention")
+        sign = 1 if got == want else -1
+        if s is None:
+            s, first = sign, pair
+        elif sign != s:
+            raise StructureError(f"generator fields do not close under one bracket "
+                                 f"sign: {pair} closes with sign {sign:+d} but "
+                                 f"{first} with sign {s:+d}")
     # when every bracket is zero both signs hold, and -1 is taken
-    if plus_ok and saw_nonzero:
-        return 1
-    if minus_ok:
-        return -1
-    i, j = first_fail
-    raise StructureError(
-        f"generator fields do not close under the bracket: pair (e{i + 1}, e{j + 1}) "
-        f"matches neither sign convention")
+    return -1 if s is None else s
 
 
 _SAMPLE_SEEDS = (
@@ -195,36 +194,30 @@ _SAMPLE_SEEDS = (
 )
 
 
-def _contraction_matrix_at(omega: Form, point) -> Mat:
-    """Matrix of v -> v . omega with omega's coefficients evaluated at a
-    point: rows indexed by (deg-1)-index tuples, columns by ambient basis."""
-    n = omega.n
-    rows_index = {idx: r for r, idx in
-                  enumerate(itertools.combinations(range(n), omega.degree - 1))}
-    m = Mat.zeros(len(rows_index), n)
-    for idx, p in omega.comps.items():
-        c = p.eval(point)
-        if not c:
-            continue
-        for pos, i in enumerate(idx):
-            key = idx[:pos] + idx[pos + 1:]
-            m.add(rows_index[key], i, c * ((-1) ** pos))
-    return m
+def _contraction_matrix_at(columns, keys, point) -> Mat:
+    """The forms `columns` with their coefficients evaluated at a point: one
+    column per form, one row per index tuple of `keys`."""
+    return Mat.from_columns([[col.comps[idx].eval(point) if idx in col.comps else 0
+                              for idx in keys] for col in columns], len(keys))
 
 
 def check_multisymplectic(action: LieAction) -> dict:
     """Closedness of omega (exact) and nondegeneracy of v -> v . omega on
-    constant vectors, evaluated at the origin and three fixed rational
-    points.  `nondegenerate` is True only for constant coefficients (exact);
-    False when the rank drops at a sample point, given as
-    `nondegenerate_witness`; None (not certified) otherwise."""
+    constant vectors: omega is contracted once with each unit field d/dx_i,
+    and the matrix of those (deg-1)-forms is ranked at the origin and three
+    fixed rational points.  `nondegenerate` is True only for constant
+    coefficients (exact); False when the rank drops at a sample point, given
+    as `nondegenerate_witness`; None (not certified) otherwise."""
     omega = action.omega
     n = omega.n
+    columns = [contract(MultiField(n, 1, {(i,): Poly.const(n, 1)}), omega)
+               for i in range(n)]
+    keys = list(itertools.combinations(range(n), omega.degree - 1))
     out = {"closed": exterior_d(omega).is_zero(), "nondegenerate": None,
            "plectic_degree": omega.degree - 1}
     for seed in _SAMPLE_SEEDS:
         point = seed(n)
-        if rank(_contraction_matrix_at(omega, point)) != n:
+        if rank(_contraction_matrix_at(columns, keys, point)) != n:
             out["nondegenerate"] = False
             out["nondegenerate_witness"] = [str(x) for x in point]
             break
@@ -359,9 +352,9 @@ def form_key_basis(n: int, p: int, max_degree: int):
 
 
 def form_to_vector(alpha: Form, keys, key_index=None):
-    """Coefficient vector of a form in a key basis; StructureError naming the
-    smallest (index tuple, monomial) key outside the basis if the form has
-    one (degree truncation escape)."""
+    """Coefficient vector of a form in a key basis; StructureError naming, as
+    a term like x1*x4^2*dx(1), the smallest (index tuple, monomial) key
+    outside the basis if the form has one (degree truncation escape)."""
     if key_index is None:
         key_index = {key: r for r, key in enumerate(keys)}
     vec = [Fraction(0)] * len(keys)
@@ -370,10 +363,11 @@ def form_to_vector(alpha: Form, keys, key_index=None):
             try:
                 vec[key_index[(idx, mono)]] = c
             except KeyError:
-                escaped = min((i, m) for i, p in alpha.comps.items()
-                              for m in p.terms if (i, m) not in key_index)
-                raise StructureError(
-                    f"form escapes the truncated space at key {escaped}") from None
+                idx, mono = min((i, m) for i, p in alpha.comps.items()
+                                for m in p.terms if (i, m) not in key_index)
+                term = Form.from_terms(alpha.n, alpha.degree, [(1, mono, idx)])
+                raise StructureError("form escapes the truncated space at term "
+                                     + format_form(term)) from None
     return vec
 
 
@@ -443,19 +437,16 @@ class TruncatedFormModule:
     @cached_property
     def invariants(self):
         """Canonical basis of the forms killed by every L_{V_i}: `forms` over
-        the nullspace of the stacked images, on keys wide enough to hold
-        images that leave the truncation."""
-        n = self.action.ambient_dim
-        field_deg = max((v.max_coeff_degree() for v in self.action.fields), default=0)
-        keys_lie = form_key_basis(n, self.form_degree,
-                                  self.max_degree + max(field_deg - 1, 0))
-        lie_index = {key: r for r, key in enumerate(keys_lie)}
-        cols = [[x for images in self.images
-                 for x in form_to_vector(images[b], keys_lie, lie_index)]
+        the nullspace of the images stacked field by field, each over the
+        sorted (index tuple, monomial) keys the images hold (zero rows and
+        row order do not change a nullspace)."""
+        keys = sorted({(idx, mono) for images in self.images for image in images
+                       for idx, poly in image.comps.items() for mono in poly.terms})
+        index = {key: r for r, key in enumerate(keys)}
+        cols = [[x for images in self.images for x in form_to_vector(images[b], keys, index)]
                 for b in range(len(self.forms))]
-        stacked = Mat.from_columns(cols, nrows=len(self.images) * len(keys_lie))
-        return [Form.linear_combination(n, self.form_degree, zip(c, self.forms))
-                for c in nullspace(stacked)]
+        stacked = Mat.from_columns(cols, nrows=len(self.images) * len(keys))
+        return [self.from_coords(c) for c in nullspace(stacked)]
 
     def to_coords(self, alpha: Form):
         """Coordinates of a closed form in this basis; StructureError if it

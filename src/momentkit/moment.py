@@ -28,21 +28,24 @@ Equivariance: the defect cochain
     Sigma(xi)(p) = f([xi,p]) - s * L_{V_xi} f(p)
 
 (s the action's bracket sign) is Sigma = -d^0 f in the Chevalley-Eilenberg
-complex of Hom(kernel, forms), by the one formula d = boundary^T (x) 1 +
-sum_i e_i (x) rho(e_i) on form entries; the cocycle check is d^1 Sigma = 0.
-Sigma has closed-form entries and vanishes exactly when f is a module
-morphism in the strong sense.  `make_equivariant` repairs f by a coboundary
-inside a chosen polynomial truncation, or reports the obstruction there.
+complex of Hom(kernel, forms) = kernel* (x) forms, whose differential is the
+dual kernel's own plus the signed Lie derivative on form entries,
+d = d_{kernel*} (x) 1 + sum_i (e_i (x) 1) (x) s L_{V_i}; the cocycle check is
+d^1 Sigma = 0.  Sigma has closed-form entries and vanishes exactly when f is
+a module morphism in the strong sense.  `make_equivariant` repairs f by a
+coboundary inside a chosen polynomial truncation, or reports the obstruction
+there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, coordinates, mat_hstack, rref, solve_many
+from .linalg import Mat, coordinates, kron_sum, mat_hstack, rref, solve_many
 from .lie_core import (StructureError, boundary_matrix, exterior_basis,
                        mv_coords, mv_from_coords, wedge_matrix)
-from .gmodule import coboundary_solve, invariants_basis, module_cohomology_dim
+from .gmodule import (ce_module_differential, coboundary_solve, invariants_basis,
+                      module_cohomology_dim)
 from .polyform import Form, contract, exterior_d, lie_derivative, poincare_homotopy
 from .action import LieAction, infinitesimal_generators
 
@@ -63,8 +66,7 @@ class MomentMap:
         self._residuals = None
         self._sigma = {}
         for k, forms in components.items():
-            kb = action.kernel(k).basis
-            if len(forms) != len(kb):
+            if len(forms) != len(action.kernel(k).basis):
                 raise ValueError(f"degree {k}: need one form per kernel basis element")
             for f in forms:
                 if f.degree != n - k:
@@ -74,8 +76,11 @@ class MomentMap:
     def degrees(self):
         return sorted(self.components)
 
-    def kernel_basis(self, k: int):
-        return self.action.kernel(k).basis
+    def component(self, k: int):
+        """The values of f_k; ValueError if the map has no degree-k component."""
+        if k not in self.components:
+            raise ValueError(f"the map has no degree-{k} component")
+        return self.components[k]
 
     def residuals(self) -> dict:
         if self._residuals is None:
@@ -90,16 +95,15 @@ class MomentMap:
     def value(self, k: int, mv: dict) -> Form:
         """f_k on an arbitrary kernel element (multivector dict), by its
         coordinates in the kernel basis (`linalg.coordinates`)."""
-        if k not in self.components:
-            raise ValueError(f"the map has no degree-{k} component")
+        values = self.component(k)
         basis = exterior_basis(self.action.algebra.dim, k)
-        coeffs = coordinates(Mat.from_columns(self.kernel_basis(k), len(basis)),
+        coeffs = coordinates(Mat.from_columns(self.action.kernel(k).basis, len(basis)),
                              Mat.from_columns([mv_coords(mv, basis)], len(basis)))
         if coeffs is None:
             raise ValueError("element is not in the Lie kernel")
         return Form.linear_combination(self.action.ambient_dim,
                                        self.action.plectic_degree() - k,
-                                       zip(coeffs.col(0), self.components[k]))
+                                       zip(coeffs.col(0), values))
 
 
 def defining_residuals(mm: MomentMap) -> dict:
@@ -120,10 +124,11 @@ def verify_moment(mm: MomentMap) -> bool:
 
 
 def _checked(mm: MomentMap, route: str) -> MomentMap:
-    bad = [key for key, r in mm.residuals().items() if not r.is_zero()]
+    bad = [f"f_{k}({mm.action.kernel(k).names[a]})"
+           for (k, a), r in mm.residuals().items() if not r.is_zero()]
     if bad:
-        raise StructureError(
-            f"{route} construction failed its defining-equation recheck at {bad}")
+        raise StructureError(f"{route} construction failed its defining-equation "
+                             f"recheck at {', '.join(bad)}")
     return mm
 
 
@@ -161,12 +166,13 @@ def construct_exactness(action: LieAction, ks=None) -> MomentMap:
         z = Fraction(zeta(k) * s * (-1) ** k)
         bmat = boundary_matrix(g, k + 1)
         basis_next = exterior_basis(g.dim, k + 1)
-        kmat = Mat.from_columns(action.kernel(k).basis, bmat.nrows)
+        kernel = action.kernel(k)
+        kmat = Mat.from_columns(kernel.basis, bmat.nrows)
         preimages = solve_many(bmat, kmat)
         if preimages is None:
             raise StructureError(
                 f"exactness route does not apply at degree {k}: kernel basis "
-                f"element {_first_unsolvable(bmat, kmat)} is not a boundary")
+                f"element {kernel.names[_first_unsolvable(bmat, kmat)]} is not a boundary")
         qs = [mv_from_coords(preimages.col(a), basis_next) for a in range(kmat.ncols)]
         components[k] = [contract(v_q, action.omega) * z
                          for v_q in infinitesimal_generators(action, qs)]
@@ -198,7 +204,7 @@ def construct_brackets(action: LieAction, ks=None) -> MomentMap:
         if decompositions is None:
             raise StructureError(
                 f"bracket route does not apply at degree {k}: kernel basis element "
-                f"{_first_unsolvable(bracket_mat, targets)} is not a bracket "
+                f"{kernel.names[_first_unsolvable(bracket_mat, targets)]} is not a bracket "
                 f"combination")
         term_forms = {}  # column -> V_{xi_j} . (V_{q_b} . omega)
         forms = []
@@ -222,33 +228,38 @@ def construct_brackets(action: LieAction, ks=None) -> MomentMap:
 # ---------------------------------------------------------------------------
 
 def _hom_differential(mm: MomentMap, k: int, q: int, cochain):
-    """d^q of a cochain in Hom(P_k, forms), as rows of forms (one row per
-    tuple of exterior_basis(dim, q), one form per kernel basis element), by
-    the formula of `gmodule.ce_module_differential` on form entries:
-    d^q = boundary(q+1)^T (x) 1 + sum_i wedge_matrix(dim, i, q) (x) rho_i, with
-    (rho_i alpha)(p_a) = s L_{V_i} alpha(p_a) - sum_b P_i[b, a] alpha(p_b)."""
-    action, g, s = mm.action, mm.action.algebra, mm.action.sign()
-    r = len(mm.components[k])
-    terms = [[[] for _ in range(r)] for _ in exterior_basis(g.dim, q + 1)]
-    for t, u, c in boundary_matrix(g, q + 1).nonzeros():
-        for a in range(r):
-            terms[u][a].append((c, cochain[t][a]))
-    for i, (v_i, p_i) in enumerate(zip(action.fields, action.kernel(k).module.rho)):
-        for u, t, c in wedge_matrix(g.dim, i, q).nonzeros():
-            row = cochain[t]
-            for a, alpha in enumerate(row):
-                terms[u][a].append((c * s, lie_derivative(v_i, alpha)))
-            for b, a, x in p_i.nonzeros():
-                terms[u][a].append((-c * x, row[b]))
+    """d^q of a cochain in Hom(P_k, forms) = P_k* (x) forms, as rows of forms
+    (one row per tuple of exterior_basis(dim, q + 1), one form per kernel
+    basis element).  On the tensor product the differential is
+
+        d^q = d^q_{P*} (x) 1 + sum_i (wedge_matrix(dim, i, q) (x) 1_{P*}) (x) s L_{V_i}
+
+    with d^q_{P*} = `ce_module_differential(kernel(k).dual, q)`.  The entries,
+    flattened in C^q(g, P_k*) order (tuple major, kernel element minor), go
+    through the nonzeros of each matrix; a zero entry takes no Lie
+    derivative."""
+    action, s = mm.action, mm.action.sign()
+    dual = action.kernel(k).dual
+    flat = [alpha for row in cochain for alpha in row]
+    rows = len(exterior_basis(action.algebra.dim, q + 1))
+    terms = [[] for _ in range(rows * dual.dim)]
+    for u, t, c in ce_module_differential(dual, q).nonzeros():
+        terms[u].append((c, flat[t]))
+    for i, v_i in enumerate(action.fields):
+        spread = kron_sum([(wedge_matrix(action.algebra.dim, i, q), Mat.identity(dual.dim))])
+        for u, t, c in spread.nonzeros():
+            if not flat[t].is_zero():
+                terms[u].append((c * s, lie_derivative(v_i, flat[t])))
     degree = action.plectic_degree() - k
-    return [[Form.linear_combination(action.ambient_dim, degree, pairs) for pairs in row]
-            for row in terms]
+    forms = [Form.linear_combination(action.ambient_dim, degree, pairs) for pairs in terms]
+    return [forms[u * dual.dim:(u + 1) * dual.dim] for u in range(rows)]
 
 
 def sigma_cochain(mm: MomentMap, k: int):
     """Sigma = -d^0 f, indexed [i][a]: Sigma(e_i)(p_a) = f([e_i, p_a]) -
-    s L_{V_i} f(p_a).  Entries are closed for a verified moment map."""
-    return _hom_differential(mm, k, 0, [[-f for f in mm.components[k]]])
+    s L_{V_i} f(p_a).  Entries are closed for a verified moment map;
+    ValueError if the map has no degree-k component."""
+    return _hom_differential(mm, k, 0, [[-f for f in mm.component(k)]])
 
 
 def sigma_is_zero(sigma) -> bool:

@@ -1,5 +1,6 @@
 """Lie algebra actions on R^n: validation, Cartan identity, invariant forms."""
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -10,16 +11,17 @@ import pytest
 from momentkit.lie_core import LieAlgebra, StructureError, catalog_algebra, \
     exterior_basis, lie_kernel_basis, mv_from_coords
 from momentkit.gmodule import invariants_basis
-from momentkit.linalg import mat_vstack, nullspace
+from momentkit.linalg import Mat, mat_vstack, nullspace, rank
 from momentkit.polyform import (Form, MultiField, Poly, contract, exterior_d,
                                 form_from_terms, lie_derivative, wedge)
-from momentkit.action import (LieAction, TruncatedFormModule, _operator_matrix,
+from momentkit.action import (_SAMPLE_SEEDS, LieAction, TruncatedFormModule,
+                              _contraction_matrix_at, _operator_matrix,
                               cartan_residual, check_multisymplectic,
                               closed_form_basis, form_key_basis, form_to_vector,
                               infinitesimal_generator, infinitesimal_generators,
                               invariant_closed_forms, monomial_basis,
                               preserves_omega, validate_action, vector_to_form)
-from momentkit.cli import catalog_action, parse_problem
+from momentkit.cli import catalog_action, main, parse_problem
 
 ACTIONS = ("abelian_r3", "so3_r3", "so4_r4", "u2_r4")
 
@@ -73,6 +75,53 @@ def test_corrupted_action_names_failing_pair():
     assert "pair" in str(err.value)
 
 
+SO3_PLUS_SO3 = """[algebra]
+dim = 6
+[e1,e2] = e3
+[e2,e3] = e1
+[e1,e3] = -e2
+[e4,e5] = e6
+[e5,e6] = e4
+[e4,e6] = -e5
+[action]
+dim = 6
+V1 = x2*d/dx3 - x3*d/dx2
+V2 = x3*d/dx1 - x1*d/dx3
+V3 = x1*d/dx2 - x2*d/dx1
+V4 = -x5*d/dx6 + x6*d/dx5
+V5 = -x6*d/dx4 + x4*d/dx6
+V6 = -x4*d/dx5 + x5*d/dx4
+[omega]
+omega = dx(1,2,3,4,5,6)
+"""
+
+
+def test_mixed_signs_name_both_pairs(tmp_path, capsys):
+    # so(3) + so(3): the first block closes with sign -1, the second with +1
+    action = parse_problem(SO3_PLUS_SO3).build_action()
+    with pytest.raises(StructureError) as err:
+        validate_action(action)
+    assert str(err.value) == (
+        "generator fields do not close under one bracket sign: pair (e4, e5) "
+        "closes with sign +1 but pair (e1, e2) with sign -1")
+    path = tmp_path / "mixed.mmk"
+    path.write_text(SO3_PLUS_SO3)
+    assert main(["check-action", str(path)]) == 1
+    assert "pair (e4, e5) closes with sign +1" in capsys.readouterr().out
+
+
+def test_a_pair_that_matches_neither_sign_is_named_after_one_that_closes():
+    # doubling V4..V6 breaks every bracket of the second block
+    doubled = SO3_PLUS_SO3
+    for v in ("V4 = -x5*d/dx6 + x6*d/dx5", "V5 = -x6*d/dx4 + x4*d/dx6",
+              "V6 = -x4*d/dx5 + x5*d/dx4"):
+        doubled = doubled.replace(v, v.replace("-x", "-2*x").replace("+ x", "+ 2*x"))
+    with pytest.raises(StructureError) as err:
+        validate_action(parse_problem(doubled).build_action())
+    assert str(err.value) == ("generator fields do not close under the bracket: "
+                              "pair (e4, e5) matches neither sign convention")
+
+
 def test_multisymplectic_checks_on_catalog():
     for name in ACTIONS:
         action = catalog_action(name)
@@ -90,6 +139,66 @@ def test_degenerate_omega_is_flagged():
     omega = form_from_terms(n, 2, [(1, (0, 0, 0), (0, 1))])  # dx1^dx2 on R^3
     action = LieAction(g, fields, omega)
     assert check_multisymplectic(action)["nondegenerate"] is False
+
+
+def oracle_contraction_matrix_at(omega, point):
+    """Matrix of v -> v . omega with omega's coefficients evaluated at a
+    point, by the sign rule d/dx_i . dx^idx = (-1)^pos dx^(idx without i) for
+    i at position pos of idx: rows indexed by (deg-1)-index tuples, columns
+    by ambient basis."""
+    n = omega.n
+    rows_index = {idx: r for r, idx in
+                  enumerate(itertools.combinations(range(n), omega.degree - 1))}
+    m = Mat.zeros(len(rows_index), n)
+    for idx, p in omega.comps.items():
+        c = p.eval(point)
+        if not c:
+            continue
+        for pos, i in enumerate(idx):
+            key = idx[:pos] + idx[pos + 1:]
+            m.add(rows_index[key], i, c * ((-1) ** pos))
+    return m
+
+
+def oracle_nondegeneracy(omega):
+    """(nondegenerate, witness) from the oracle matrix at the sample points."""
+    for seed in _SAMPLE_SEEDS:
+        point = seed(omega.n)
+        if rank(oracle_contraction_matrix_at(omega, point)) != omega.n:
+            return False, [str(x) for x in point]
+        if omega.max_coeff_degree() <= 0:
+            return True, None
+    return None, None
+
+
+def test_contraction_matrices_match_the_sign_rule_oracle():
+    rng = random.Random(29)
+    # (1 - x1) dx1^dx2 drops rank at the sample point (1, 1);
+    # (1 + x1^2) dx1^dx2 keeps full rank at every sample point
+    degenerate = form_from_terms(2, 2, [(1, (0, 0), (0, 1)), (-1, (1, 0), (0, 1))])
+    uncertified = form_from_terms(2, 2, [(1, (0, 0), (0, 1)), (1, (2, 0), (0, 1))])
+    omegas = [action.omega for action in oracle_actions()] + [degenerate, uncertified]
+    omegas += [random_form(rng, n, p, 2) for n, p in ((3, 2), (4, 3), (4, 2), (5, 3))
+               for _ in range(3)]
+    verdicts = set()
+    for omega in omegas:
+        n = omega.n
+        columns = [contract(vector_field(n, [Poly.const(n, int(i == j)) for j in range(n)]),
+                           omega) for i in range(n)]
+        keys = list(itertools.combinations(range(n), omega.degree - 1))
+        points = [seed(n) for seed in _SAMPLE_SEEDS]
+        points += [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                   for _ in range(3)]
+        for point in points:
+            assert _contraction_matrix_at(columns, keys, point) == \
+                oracle_contraction_matrix_at(omega, point), (omega, point)
+        res = check_multisymplectic(LieAction(LieAlgebra(0), [], omega))
+        want = oracle_nondegeneracy(omega)
+        assert (res["nondegenerate"], res.get("nondegenerate_witness")) == want, omega
+        verdicts.add(want[0])
+    assert verdicts == {True, False, None}
+    assert oracle_nondegeneracy(degenerate) == (False, ["1", "1"])
+    assert oracle_nondegeneracy(uncertified) == (None, None)
 
 
 def test_non_preserving_generator_is_listed():
@@ -346,4 +455,4 @@ def test_truncation_escape_names_the_smallest_key():
     for comps in ({(2,): x1_cubed, (0,): x3_sq}, {(0,): x3_sq, (2,): x1_cubed}):
         with pytest.raises(StructureError) as err:
             form_to_vector(Form(3, 1, comps), keys)
-        assert str(err.value).endswith("at key ((0,), (0, 0, 2))")
+        assert str(err.value).endswith("at term x3^2*dx(1)")

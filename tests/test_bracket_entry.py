@@ -9,8 +9,15 @@ with module coefficients, the adjoint action on the Lie kernels) and every
 cochain differential of Hom(P_k, forms) goes through the boundary, so there
 is one bracket sign rule.
 
+The cochain differential of Hom(P_k, forms) is the dual kernel's own
+Chevalley-Eilenberg differential plus the Lie derivative on form entries:
+`moment._hom_differential` reads neither `boundary_matrix` nor a `rho`.
+
 Truncated closed forms are built once per (form degree, truncation): only
-`TruncatedFormModule.__init__` calls `closed_form_basis`."""
+`TruncatedFormModule.__init__` calls `closed_form_basis`.  Only the
+nondegeneracy check reads coefficient degrees (`max_coeff_degree`), and the
+contraction signs come from `polyform.contract` alone: the matrix it ranks
+is built without sign arithmetic."""
 
 import ast
 import os
@@ -69,3 +76,23 @@ def test_only_the_truncated_module_builds_closed_forms():
     found = source_readers("closed_form_basis", files)
     assert {f: owners for f, owners in found.items() if owners} == {
         "action.py": {"TruncatedFormModule.__init__"}}
+
+
+def test_the_hom_differential_reuses_the_dual_kernel_complex():
+    for name in ("boundary_matrix", "rho"):
+        assert "_hom_differential" not in source_readers(name, ("moment.py",))["moment.py"]
+
+
+def test_only_the_nondegeneracy_check_reads_coefficient_degrees():
+    assert source_readers("max_coeff_degree", ("action.py",)) == {
+        "action.py": {"check_multisymplectic"}}
+
+
+def test_the_contraction_matrix_does_no_sign_arithmetic():
+    with open(os.path.join(SRC, "action.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    func = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                and node.name == "_contraction_matrix_at")
+    signs = [node for node in ast.walk(func)
+             if isinstance(node, (ast.USub, ast.Pow, ast.Sub, ast.Mult))]
+    assert signs == []

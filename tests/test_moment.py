@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import momentkit.action
+import momentkit.moment
 from momentkit.lie_core import (LieAlgebra, StructureError, boundary_matrix,
                                 catalog_algebra, exterior_basis,
                                 lie_kernel_basis, mv_add, mv_boundary,
@@ -15,8 +17,9 @@ from momentkit.gmodule import invariants_basis, module_cohomology_dim
 from momentkit.polyform import (Form, exterior_d, form_from_terms, format_form,
                                 lie_derivative)
 from momentkit.action import LieAction
-from momentkit.cli import catalog_action
-from momentkit.moment import (MomentMap, _hom_differential, check_module_morphism,
+from momentkit.cli import catalog_action, main
+from momentkit.moment import (MomentMap, _checked, _hom_differential,
+                              check_module_morphism,
                               check_sigma_cocycle, construct_brackets,
                               construct_exactness, construct_poincare,
                               defining_residuals, describe_kernel,
@@ -24,7 +27,7 @@ from momentkit.moment import (MomentMap, _hom_differential, check_module_morphis
                               sigma_cochain, sigma_is_zero, uniqueness_check,
                               verify_moment, zeta)
 
-from test_action import oracle_actions, random_form, so5_action
+from test_action import oracle_actions, random_form, so5_action, volume_form
 from test_lie_core import schouten
 
 CATALOG_ALGEBRAS = ("abelian3", "su2", "so3", "heisenberg3", "so4", "u2")
@@ -145,7 +148,7 @@ def test_exactness_route_refuses_on_translations():
     with pytest.raises(StructureError) as err:
         construct_exactness(action, ks=[1])
     assert str(err.value) == ("exactness route does not apply at degree 1: "
-                              "kernel basis element 0 is not a boundary")
+                              "kernel basis element e1 is not a boundary")
 
 
 def test_brackets_route_refuses_on_translations():
@@ -153,12 +156,12 @@ def test_brackets_route_refuses_on_translations():
     with pytest.raises(StructureError) as err:
         construct_brackets(action, ks=[2])
     assert str(err.value) == ("bracket route does not apply at degree 2: kernel "
-                              "basis element 0 is not a bracket combination")
+                              "basis element e1^e2 is not a bracket combination")
 
 
 def test_route_refusals_name_the_first_failing_kernel_element():
     # u(2) with its central element last: at degree 1 the kernel basis is
-    # e1..e4 and e1, e2, e3 are brackets, so element 3 is the first to fail
+    # e1..e4 and e1, e2, e3 are brackets, so e4 is the first to fail
     u2 = catalog_action("u2_r4")
     g = LieAlgebra(4, {(0, 1): unit_vector(2, 4), (1, 2): unit_vector(0, 4),
                        (0, 2): [0, -1, 0, 0]}, name="su2+R")
@@ -167,11 +170,11 @@ def test_route_refusals_name_the_first_failing_kernel_element():
     with pytest.raises(StructureError) as err:
         construct_exactness(action, ks=[1])
     assert str(err.value) == ("exactness route does not apply at degree 1: "
-                              "kernel basis element 3 is not a boundary")
+                              "kernel basis element e4 is not a boundary")
     with pytest.raises(StructureError) as err:
         construct_brackets(action, ks=[1])
     assert str(err.value) == ("bracket route does not apply at degree 1: kernel "
-                              "basis element 3 is not a bracket combination")
+                              "basis element e4 is not a bracket combination")
     assert existence_diagnostic(action, ks=[1])["degrees"][1]["exactness_applies"] is False
 
 
@@ -203,6 +206,40 @@ def test_manual_moment_map_is_rejected_when_wrong():
     brk = form_from_terms(3, 0, [(1, (2, 0, 0), ())])
     bad[2] = [bad[2][0] + brk] + list(bad[2][1:])
     assert not verify_moment(MomentMap(action, bad))
+
+
+def test_recheck_names_the_failing_value_by_its_kernel_element():
+    action = catalog_action("abelian_r3")
+    mm = construct_poincare(action, ks=[2])
+    brk = form_from_terms(3, 0, [(1, (2, 0, 0), ())])
+    bad = MomentMap(action, {2: [mm.components[2][0] + brk] + mm.components[2][1:]})
+    with pytest.raises(StructureError) as err:
+        _checked(bad, "test")
+    assert str(err.value) == ("test construction failed its defining-equation "
+                              "recheck at f_2(e1^e2)")
+
+
+def test_a_degree_the_map_lacks_is_a_value_error():
+    mm = construct_poincare(catalog_action("so3_r3"), ks=[1])
+    for ask in (lambda: sigma_cochain(mm, 2), lambda: mm.sigma(2),
+                lambda: check_sigma_cocycle(mm, 2), lambda: make_equivariant(mm, 2, 1),
+                lambda: mm.value(2, {(0, 1): Fraction(1)})):
+        with pytest.raises(ValueError, match="^the map has no degree-2 component$"):
+            ask()
+
+
+def test_zero_dimensional_algebra_gives_empty_maps_and_sigma():
+    action = LieAction(LieAlgebra(0), [], volume_form(3))
+    for build in (construct_poincare, construct_brackets):
+        assert build(action).components == {1: [], 2: []}
+    mm = construct_poincare(action)
+    for k in (1, 2):
+        assert sigma_cochain(mm, k) == []
+        assert check_sigma_cocycle(mm, k) is True
+    # an empty kernel over a nonzero algebra: one empty row per generator
+    mm = construct_poincare(catalog_action("so3_r3"), ks=[2])
+    assert sigma_cochain(mm, 2) == [[], [], []]
+    assert check_sigma_cocycle(mm, 2) is True
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +375,34 @@ def test_d1_matches_the_oracle_on_cochains_that_are_not_cocycles():
             assert not sigma_is_zero(want), (name, k)
             mm._sigma[k] = sigma
             assert check_sigma_cocycle(mm, k) is False, (name, k)
+
+
+def counted_lie_derivatives(monkeypatch, *modules):
+    """Wrap lie_derivative where `modules` call it; the returned list gets
+    one entry per call: whether the form was zero."""
+    zero = []
+    for module in modules:
+        def counted(x, alpha, inner=module.lie_derivative):
+            zero.append(alpha.is_zero())
+            return inner(x, alpha)
+        monkeypatch.setattr(module, "lie_derivative", counted)
+    return zero
+
+
+def test_the_cocycle_check_of_a_zero_sigma_takes_no_lie_derivative(monkeypatch):
+    mm = construct_poincare(catalog_action("so4_r4"))
+    for k in mm.degrees():
+        assert sigma_is_zero(mm.sigma(k))
+    calls = counted_lie_derivatives(monkeypatch, momentkit.moment)
+    assert all(check_sigma_cocycle(mm, k) for k in mm.degrees())
+    assert calls == []
+
+
+def test_report_takes_no_lie_derivative_of_a_zero_form(monkeypatch, capsys):
+    calls = counted_lie_derivatives(monkeypatch, momentkit.moment, momentkit.action)
+    assert main(["report", "so4_r4.mmk"]) == 0
+    capsys.readouterr()
+    assert calls and not any(calls)
 
 
 # ---------------------------------------------------------------------------

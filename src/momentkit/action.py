@@ -16,9 +16,11 @@ A LieAction owns the answers derived from it and builds each one once, on
 first use, through `derive(key, build)` (an action is not changed after it
 is built; a build that raises stores nothing):
   * `sign()`: the bracket sign, from `validate_action`;
-  * `omega_checks()`, `omega_failures()` and `betti()`: the answers of
-    `check_multisymplectic`, `preserves_omega` and the algebra's
-    `ce_betti`, which `check-action`, `cohomology` and `diagnose` share;
+  * `omega_checks()`, `omega_failures()` and `boundary_ranks()`: the
+    answers of `check_multisymplectic`, `preserves_omega` and the
+    algebra's `boundary_ranks` (ints), which `check-action`, `cohomology`
+    and `diagnose` share; `betti()` and the kernel dimensions
+    `kernel_dim(k)` are read from the ranks;
   * `kernel(k)`: the degree-k Lie kernel P_k (`LieKernel`): canonical basis,
     kernel module and its dual, display names, and the contractions
     V_p . omega of the basis elements (the fields V_p come from one
@@ -43,14 +45,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
+from math import comb, lcm
 
 from .linalg import Mat, coordinates, frac, mat_scale, nullspace, rank
-from .lie_core import (LieAlgebra, StructureError, ce_betti, exterior_basis,
-                       format_multivector, lie_kernel_basis, mv_boundary,
-                       mv_from_coords)
+from .lie_core import (LieAlgebra, StructureError, boundary_ranks, ce_betti,
+                       exterior_basis, format_multivector, lie_kernel_basis,
+                       mv_boundary, mv_from_coords)
 from .gmodule import GModule, dual_module, lie_kernel_module, tensor_module
-from .polyform import (Form, MultiField, Poly, _accumulate, _wrap, contract,
-                       exterior_d, format_form, lie_derivative, vf_bracket, wedge)
+from .polyform import (Form, MultiField, Poly, _accumulate, _ints, _wrap,
+                       contract, exterior_d, format_form, lie_derivative,
+                       vf_bracket, wedge)
 
 
 class LieAction:
@@ -92,9 +96,18 @@ class LieAction:
         """`preserves_omega` of this action, computed once."""
         return self.derive("omega_failures", lambda: preserves_omega(self))
 
+    def boundary_ranks(self) -> tuple:
+        """`boundary_ranks` of the algebra, computed once."""
+        return self.derive("ranks", lambda: boundary_ranks(self.algebra))
+
     def betti(self) -> tuple:
-        """`ce_betti` of the algebra, computed once."""
-        return self.derive("betti", lambda: ce_betti(self.algebra))
+        """`ce_betti` of the algebra from `boundary_ranks()`, computed once."""
+        return self.derive("betti", lambda: ce_betti(self.algebra, self.boundary_ranks()))
+
+    def kernel_dim(self, k: int) -> int:
+        """dim P_k = C(dim, k) - rank boundary_k, from `boundary_ranks()`."""
+        ranks = self.boundary_ranks()
+        return comb(self.algebra.dim, k) - (ranks[k] if k < len(ranks) else 0)
 
     def derive(self, key, build):
         """The answer stored under `key`, from `build()` on first use."""
@@ -257,8 +270,11 @@ def infinitesimal_generators(action: LieAction, mvs) -> list:
     V_{t1} ^ V_{t2}, ... for the current tuple; the stack is cut back to the
     prefix the tuple shares with the previous one before the rest is wedged
     on, so each distinct prefix is wedged once per call.  Each tuple's
-    wedge, times its coefficient, is streamed into the accumulator of every
-    multivector that uses it.  Nothing is kept after the call."""
+    wedge is read once as ints over dfield^k (dfield the lcm of the fields'
+    denominators) and, times its coefficient, streamed into the int
+    accumulator of every multivector that uses it, over cden(p) * dfield^k
+    (cden(p) the lcm of p's denominators); each field is wrapped once.
+    Nothing is kept after the call."""
     n = action.ambient_dim
     degrees = []
     users: dict = {}  # index tuple -> [(position in mvs, coefficient)]
@@ -271,6 +287,8 @@ def infinitesimal_generators(action: LieAction, mvs) -> list:
                     raise ValueError(f"multivector mixes degrees {degree} and {len(idx)}")
                 users.setdefault(idx, []).append((a, c))
         degrees.append(degree)
+    dens = [lcm(*(frac(c).denominator for c in mv.values())) for mv in mvs]
+    dfield = lcm(*(_ints(v.comps)[0] for v in action.fields))
     accs = [{} for _ in degrees]
     slots = [{} for _ in degrees]
     stack = [MultiField(n, 0, {(): Poly.const(n, 1)})]  # stack[j]: wedge of prev[:j]
@@ -285,11 +303,14 @@ def infinitesimal_generators(action: LieAction, mvs) -> list:
         for t in idx[shared:]:
             stack.append(wedge(stack[-1], action.fields[t]))
         prev = idx
+        wden, top = _ints(stack[-1].comps)
+        scale = dfield ** len(idx) // wden  # the wedge's denominator divides dfield^k
         for a, c in users[idx]:
-            _accumulate(accs[a], slots[a], (
-                (key, mono, c * x) for key, p in stack[-1].comps.items()
-                for mono, x in p.terms.items()))
-    return [_wrap(MultiField, n, degree, acc) for degree, acc in zip(degrees, accs)]
+            s = c.numerator * (dens[a] // c.denominator) * scale
+            _accumulate(accs[a], slots[a], ((key, mono, s * x) for key, p in top.items()
+                                            for mono, x in p.items()))
+    return [_wrap(MultiField, n, degree, acc, den * dfield ** degree)
+            for degree, den, acc in zip(degrees, dens, accs)]
 
 
 def cartan_residual(action: LieAction, mv, tau: Form) -> Form:

@@ -151,11 +151,13 @@ class _TokenStream:
         return self.next()
 
     def integer(self, message, low=0, col=None):
-        """Consume an integer literal >= low; the error is at `col` if given."""
+        """Consume an integer literal >= low; the error is at `col` if given,
+        and names the bound when the literal is an integer below it."""
         t = self.peek()
         if t is None or t[0] != "number" or t[1].denominator != 1 or t[1] < low:
+            below = t is not None and t[0] == "number" and t[1].denominator == 1
             raise MmkError(message, line=self.line, col=col or self.col(),
-                           expected={"integer"})
+                           expected={f"integer >= {low}" if below else "integer"})
         self.next()
         return int(t[1])
 
@@ -577,7 +579,7 @@ class Report:
 
 def cmd_cohomology(action, args, report):
     betti = list(action.betti())
-    kernels = {str(k): len(action.kernel(k).basis) for k in args.k}
+    kernels = {str(k): action.kernel_dim(k) for k in args.k}
     lines = ["H^k dimensions (trivial coefficients), k = 0.."
              + str(len(betti) - 1) + ":",
              "  (" + ", ".join(str(b) for b in betti) + ")",

@@ -7,8 +7,9 @@ basis of Lambda^k(g) is the list of increasing k-tuples in lexicographic
 order, and all matrices below are written in that basis (columns = domain).
 
 The bracket enters the exterior algebra in one place, the boundary of a
-basis k-vector (`boundary_of_tuple`), and the sign of a wedge product in
-one, `sort_with_sign`.  `wedge_matrix(dim, i, k)` is the matrix of e_i ^ .
+basis k-vector (`boundary_of_tuple`, which places the new factor of a
+bracket by bisection), and the sign of any other wedge product in one,
+`sort_with_sign`.  `wedge_matrix(dim, i, k)` is the matrix of e_i ^ .
 on Lambda^k.  `validate_jacobi` checks the Jacobi identity as
 boundary_2 boundary_3 = 0, which is equivalent to it.  The adjoint action
 extended to Lambda g as a derivation (the Schouten bracket with a 1-vector)
@@ -19,6 +20,7 @@ e_xi = xi ^ . (Koszul's identity), so on the Lie kernel it is
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 
@@ -106,20 +108,6 @@ def mv_add(a: dict, b: dict, coeff=1) -> dict:
     return {t: x for t, x in out.items() if x}
 
 
-def mv_term(target: dict, indices, coeff) -> None:
-    """Accumulate coeff * e_{indices} (unsorted, may repeat) into target."""
-    if not coeff:
-        return
-    sign, t = sort_with_sign(indices)
-    if sign == 0:
-        return
-    val = target.get(t, ZERO) + sign * coeff
-    if val:
-        target[t] = val
-    else:
-        target.pop(t, None)
-
-
 def mv_coords(a: dict, basis) -> list:
     """Coordinates over `basis`; ValueError for a term outside it."""
     pos = {t: i for i, t in enumerate(basis)}
@@ -173,17 +161,26 @@ def format_multivector(a: dict) -> str:
 def boundary_of_tuple(g: LieAlgebra, t: tuple) -> dict:
     """Boundary of a basis k-vector:
     sum over positions a<b of (-1)^(a+b) (1-indexed) [e_{t_a}, e_{t_b}]
-    wedged with the remaining factors."""
+    wedged with the remaining factors.  A bracket's e_m goes into the
+    increasing tuple `rest` at its bisection point j, past j factors:
+    e_m ^ rest is (-1)^j times the sorted tuple, and 0 if m is in rest."""
     out: dict = {}
     k = len(t)
     for a in range(k):
         for b in range(a + 1, k):
-            sign = (-1) ** ((a + 1) + (b + 1))
             vec = g.bracket_basis(t[a], t[b])
             rest = t[:a] + t[a + 1:b] + t[b + 1:]
             for m, c in enumerate(vec):
-                if c:
-                    mv_term(out, (m,) + rest, sign * c)
+                if c and m not in rest:
+                    j = bisect_left(rest, m)
+                    key = rest[:j] + (m,) + rest[j:]
+                    if (a + b + j) % 2:
+                        c = -c
+                    old = out.pop(key, None)
+                    if old is not None:
+                        c += old
+                    if c:
+                        out[key] = c
     return out
 
 
@@ -238,13 +235,20 @@ def lie_kernel_basis(g: LieAlgebra, k: int):
     return nullspace(boundary_matrix(g, k))
 
 
-def ce_betti(g: LieAlgebra):
-    """Betti numbers of the algebra with trivial coefficients, degrees 0..dim.
+def boundary_ranks(g: LieAlgebra):
+    """Ranks of the boundary matrices of degrees 0..dim+1, as ints."""
+    return tuple(rank(boundary_matrix(g, k)) for k in range(g.dim + 2))
+
+
+def ce_betti(g: LieAlgebra, ranks=None):
+    """Betti numbers of the algebra with trivial coefficients, degrees 0..dim,
+    from `boundary_ranks(g)` (computed here unless given).
 
     The cochain differential is the transpose of the boundary, so ranks of the
     boundary matrices determine both homology and cohomology dimensions.
     """
-    ranks = [rank(boundary_matrix(g, k)) for k in range(g.dim + 2)]
+    if ranks is None:
+        ranks = boundary_ranks(g)
     betti = []
     for k in range(g.dim + 1):
         dim_k = len(exterior_basis(g.dim, k))

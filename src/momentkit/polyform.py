@@ -10,14 +10,16 @@ increasing index tuples, no stored coefficient is zero, and no component is
 the zero Poly.  The public constructors (`Poly(n, terms)`,
 `Form(n, degree, comps)`, `MultiField(...)`, `from_terms` /
 `form_from_terms`) validate their input.  Internal results are not
-validated again: every operator on forms and fields (sums, scalar and Poly
-products, `linear_combination`, wedge, d, contraction, K, the vector-field
-bracket) streams (index tuple, monomial, coefficient) terms into one
-accumulator, `_accumulate`, which keeps the invariants by construction and
-builds no intermediate form; `_build` is that accumulator and one wrap step
-(`_wrap`), and `action.infinitesimal_generators` feeds one accumulator per
-multivector field it builds.  Poly arithmetic wraps its results the same
-way (`_poly`).
+validated again.
+
+The calculus is fraction-free: Fractions appear only where an operand
+enters (`_ints`: ints over the lcm of its denominators) and where a result
+is wrapped (`_wrap`).  Every operator (sums, scalar and Poly products,
+`linear_combination`, `from_terms`, wedge, d, contraction, K, the Lie
+derivative, the vector-field bracket; Poly arithmetic is that of 0-forms)
+streams (index tuple, monomial, int) terms into one accumulator,
+`_accumulate`, which keeps the invariants by construction.  The Lie
+derivative composes the int kernels, entering and exiting once.
 
 Conventions:
   * contraction: (X_1 ^ ... ^ X_k) . alpha applies iota_{X_1} innermost,
@@ -31,6 +33,7 @@ Conventions:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .linalg import frac
@@ -78,27 +81,16 @@ class Poly:
         return max((sum(m) for m in self.terms), default=-1)
 
     def __add__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, ZERO) + c
-        return _poly(self.n, {m: c for m, c in terms.items() if c})
+        return _coefficient(_zero_form(self) + _zero_form(other))
 
     def __neg__(self) -> "Poly":
-        return _poly(self.n, {m: -c for m, c in self.terms.items()})
+        return _coefficient(-_zero_form(self))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return _coefficient(_zero_form(self) - _zero_form(other))
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            terms: dict = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = tuple(map(add, m1, m2))
-                    terms[m] = terms.get(m, ZERO) + c1 * c2
-            return _poly(self.n, {m: c for m, c in terms.items() if c})
-        c = frac(other)
-        return _poly(self.n, {m: c * x for m, x in self.terms.items()} if c else {})
+        return _coefficient(_zero_form(self) * other)
 
     __rmul__ = __mul__
 
@@ -145,21 +137,28 @@ def format_poly(p: Poly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# graded objects: forms and multivector fields
+# entry, accumulation and exit of the int kernels
 # ---------------------------------------------------------------------------
 
-def _build(cls, n: int, degree: int, terms):
-    """The form or multivector field (of class cls) summing a stream of
-    (index tuple, monomial, Fraction) terms."""
+def _ints(comps: dict):
+    """(den, {index tuple: {monomial: int}}): the Poly values of comps as
+    ints over den, the lcm of their denominators."""
+    den = lcm(*{c.denominator for p in comps.values() for c in p.terms.values()})
+    return den, {idx: {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+                 for idx, p in comps.items()}
+
+
+def _sum(terms) -> dict:
+    """The accumulated dict of a stream of (index tuple, monomial, int) terms."""
     acc: dict = {}
     _accumulate(acc, {}, terms)
-    return _wrap(cls, n, degree, acc)
+    return acc
 
 
 def _accumulate(acc: dict, slots: dict, terms):
-    """Add a stream of (index tuple, monomial, Fraction) terms into acc
-    (increasing index tuple -> {monomial: nonzero Fraction}); slots caches
-    each tuple's sign and component across calls on the same acc.
+    """Add a stream of (index tuple, monomial, int) terms into acc
+    (increasing index tuple -> {monomial: nonzero int}); slots caches each
+    tuple's sign and component across calls on the same acc.
 
     An index tuple may be unsorted: sort_with_sign gives its key and sign,
     once per distinct tuple, and a repeated index drops the term.  A
@@ -182,26 +181,58 @@ def _accumulate(acc: dict, slots: dict, terms):
                 del poly[mono]
 
 
-def _wrap(cls, n: int, degree: int, acc: dict):
-    """The form or multivector field (of class cls) of an accumulated dict,
-    its empty components dropped, wrapped without validating it again."""
+def _wrap(cls, n: int, degree: int, acc: dict, den: int):
+    """The form or multivector field (of class cls) of an accumulated dict
+    of ints over den, converted in place (its dicts become the Polys'
+    terms), empty components dropped and not validated again: the one
+    place a result's Fractions are made."""
     x = cls.__new__(cls)
     x.n = n
     x.degree = degree
+    for poly in acc.values():
+        for m, v in poly.items():
+            poly[m] = Fraction(v, den)
     x.comps = {key: _poly(n, poly) for key, poly in acc.items() if poly}
     return x
 
 
-def _scaled_terms(n: int, degree: int, pairs):
-    for c, x in pairs:
-        if x.n != n or x.degree != degree:
-            raise ValueError("degree/dimension mismatch")
-        c = frac(c)
-        if c:
-            for idx, p in x.comps.items():
-                for mono, a in p.terms.items():
-                    yield idx, mono, c * a
+# ---------------------------------------------------------------------------
+# int kernels: term streams over {index tuple: {monomial: int}} dicts
+# ---------------------------------------------------------------------------
 
+def _wedge_terms(a: dict, b: dict):
+    return ((i1 + i2, tuple(map(add, m1, m2)), c1 * c2)
+            for i1, p1 in a.items()
+            for i2, p2 in b.items() if set(i1).isdisjoint(i2)
+            for m1, c1 in p1.items()
+            for m2, c2 in p2.items())
+
+
+def _d_terms(a: dict):
+    return (((i,) + idx, mono[:i] + (e - 1,) + mono[i + 1:], c * e)
+            for idx, p in a.items()
+            for mono, c in p.items()
+            for i, e in enumerate(mono) if e and i not in idx)
+
+
+def _contract_terms(field: dict, a: dict):
+    # a component of a without every index of t gives nothing: lie_derivative
+    # relies on this for 0-forms, where x . alpha is 0
+    for t, q in field.items():
+        for idx, p in a.items():
+            rest = tuple(i for i in idx if i not in t)
+            if len(rest) + len(t) != len(idx):
+                continue
+            # dx^idx = sign * dx^t ^ dx^rest; iota over t_0 first takes dx^t off
+            sign = sort_with_sign(t + rest)[0]
+            for m1, c1 in q.items():
+                for m2, c2 in p.items():
+                    yield rest, tuple(map(add, m1, m2)), sign * c1 * c2
+
+
+# ---------------------------------------------------------------------------
+# graded objects: forms and multivector fields
+# ---------------------------------------------------------------------------
 
 class _Graded:
     """Shared machinery: Poly coefficients over increasing index tuples."""
@@ -243,13 +274,28 @@ class _Graded:
             if len(idx) != degree or any(i < 0 or i >= n for i in idx):
                 raise ValueError(f"index tuple {idx} is not a {degree}-tuple in 0..{n - 1}")
             checked.append((idx, mono, frac(c)))
-        return _build(cls, n, degree, checked)
+        den = lcm(*(c.denominator for _, _, c in checked))
+        return _wrap(cls, n, degree, _sum(
+            (idx, mono, c.numerator * (den // c.denominator)) for idx, mono, c in checked), den)
 
     @classmethod
     def linear_combination(cls, n: int, degree: int, pairs):
         """sum c * x over (scalar c, x) pairs, every x of this dimension and
-        degree, in one pass."""
-        return _build(cls, n, degree, _scaled_terms(n, degree, pairs))
+        degree, in one pass over one common denominator."""
+        reads = []
+        for c, x in pairs:
+            if x.n != n or x.degree != degree:
+                raise ValueError("degree/dimension mismatch")
+            c = frac(c)
+            if c:
+                den, ints = _ints(x.comps)
+                reads.append((c.numerator, c.denominator * den, ints))
+        den = lcm(*(d for _, d, _ in reads))
+        return _wrap(cls, n, degree, _sum(
+            (idx, mono, s * v)
+            for s, ints in [(num * (den // d), ints) for num, d, ints in reads]
+            for idx, p in ints.items()
+            for mono, v in p.items()), den)
 
     def __add__(self, other):
         return self.linear_combination(self.n, self.degree, ((1, self), (1, other)))
@@ -262,11 +308,9 @@ class _Graded:
 
     def __mul__(self, scalar):
         if isinstance(scalar, Poly):
-            return _build(type(self), self.n, self.degree, (
-                (idx, tuple(map(add, m1, m2)), c1 * c2)
-                for idx, p in self.comps.items()
-                for m1, c1 in p.terms.items()
-                for m2, c2 in scalar.terms.items()))
+            den, a = _ints(self.comps)
+            qden, q = _ints({(): scalar})
+            return _wrap(type(self), self.n, self.degree, _sum(_wedge_terms(a, q)), den * qden)
         return self.linear_combination(self.n, self.degree, ((scalar, self),))
 
     __rmul__ = __mul__
@@ -291,27 +335,29 @@ class MultiField(_Graded):
     """Polynomial multivector field of fixed degree on R^n."""
 
 
+def _zero_form(p: Poly) -> Form:
+    return Form(p.n, 0, {(): p})
+
+
+def _coefficient(f: Form) -> Poly:
+    return f.comps.get((), Poly(f.n))
+
+
 def wedge(a, b):
     """Wedge of two forms or two multivector fields."""
     if type(a) is not type(b):
         raise TypeError("wedge needs two forms or two multivector fields")
     if a.n != b.n:
         raise ValueError("dimension mismatch in wedge")
-    return _build(type(a), a.n, a.degree + b.degree, (
-        (i1 + i2, tuple(map(add, m1, m2)), c1 * c2)
-        for i1, p1 in a.comps.items()
-        for i2, p2 in b.comps.items() if set(i1).isdisjoint(i2)
-        for m1, c1 in p1.terms.items()
-        for m2, c2 in p2.terms.items()))
+    da, ia = _ints(a.comps)
+    db, ib = _ints(b.comps)
+    return _wrap(type(a), a.n, a.degree + b.degree, _sum(_wedge_terms(ia, ib)), da * db)
 
 
 def exterior_d(alpha: Form) -> Form:
     """Exterior derivative."""
-    return _build(Form, alpha.n, alpha.degree + 1, (
-        ((i,) + idx, mono[:i] + (e - 1,) + mono[i + 1:], c * e)
-        for idx, p in alpha.comps.items()
-        for mono, c in p.terms.items()
-        for i, e in enumerate(mono) if e and i not in idx))
+    den, a = _ints(alpha.comps)
+    return _wrap(Form, alpha.n, alpha.degree + 1, _sum(_d_terms(a)), den)
 
 
 def contract(field: MultiField, alpha: Form) -> Form:
@@ -321,30 +367,26 @@ def contract(field: MultiField, alpha: Form) -> Form:
         raise ValueError("dimension mismatch in contract")
     if field.degree > alpha.degree:
         raise ValueError("cannot contract: field degree exceeds form degree")
-    return _build(Form, alpha.n, alpha.degree - field.degree,
-                  _contract_terms(field, alpha))
-
-
-def _contract_terms(field: MultiField, alpha: Form):
-    for t, q in field.comps.items():
-        for idx, p in alpha.comps.items():
-            rest = tuple(i for i in idx if i not in t)
-            if len(rest) + len(t) != len(idx):
-                continue
-            # dx^idx = sign * dx^t ^ dx^rest; iota over t_0 first takes dx^t off
-            sign = sort_with_sign(t + rest)[0]
-            for m1, c1 in q.terms.items():
-                for m2, c2 in p.terms.items():
-                    yield rest, tuple(map(add, m1, m2)), sign * c1 * c2
+    df, f = _ints(field.comps)
+    da, a = _ints(alpha.comps)
+    return _wrap(Form, alpha.n, alpha.degree - field.degree,
+                 _sum(_contract_terms(f, a)), df * da)
 
 
 def lie_derivative(x: MultiField, alpha: Form) -> Form:
-    """Cartan formula along a vector field: d(x . alpha) + x . (d alpha)."""
+    """Cartan formula along a vector field: d(x . alpha) + x . (d alpha),
+    both summands over the same denominator in one accumulator."""
     if x.degree != 1:
         raise ValueError("lie_derivative needs a vector field")
-    if alpha.degree == 0:
-        return contract(x, exterior_d(alpha))
-    return exterior_d(contract(x, alpha)) + contract(x, exterior_d(alpha))
+    if x.n != alpha.n:
+        raise ValueError("dimension mismatch in contract")
+    dx, v = _ints(x.comps)
+    da, a = _ints(alpha.comps)
+    acc: dict = {}
+    slots: dict = {}
+    _accumulate(acc, slots, _d_terms(_sum(_contract_terms(v, a))))
+    _accumulate(acc, slots, _contract_terms(v, _sum(_d_terms(a))))
+    return _wrap(Form, alpha.n, alpha.degree, acc, dx * da)
 
 
 def vf_bracket(x: MultiField, y: MultiField) -> MultiField:
@@ -353,29 +395,34 @@ def vf_bracket(x: MultiField, y: MultiField) -> MultiField:
         raise ValueError("vf_bracket needs vector fields")
     if x.n != y.n:
         raise ValueError("dimension mismatch in vf_bracket")
+    dx, ix = _ints(x.comps)
+    dy, iy = _ints(y.comps)
     # sign * a^j d_j b^i, for (a, b, sign) = (x, y, +1) and (y, x, -1)
-    return _build(MultiField, x.n, 1, (
+    return _wrap(MultiField, x.n, 1, _sum(
         (i, tuple(map(add, m1, m2[:j] + (m2[j] - 1,) + m2[j + 1:])), sign * c1 * c2 * m2[j])
-        for a, b, sign in ((x, y, 1), (y, x, -1))
-        for (j,), p1 in a.comps.items()
-        for i, p2 in b.comps.items()
-        for m2, c2 in p2.terms.items() if m2[j]
-        for m1, c1 in p1.terms.items()))
+        for a, b, sign in ((ix, iy, 1), (iy, ix, -1))
+        for (j,), p1 in a.items()
+        for i, p2 in b.items()
+        for m2, c2 in p2.items() if m2[j]
+        for m1, c1 in p1.items()), dx * dy)
 
 
 def poincare_homotopy(alpha: Form) -> Form:
     """Homotopy operator K with d K + K d = identity on polynomial forms of
     form-degree >= 1 (and on 0-forms up to the constant term).  K of a 0-form
-    is zero by convention."""
+    is zero by convention.  The result is over den * L, with L the lcm of
+    the |mu|+p that K divides by."""
     if alpha.degree == 0:
         return Form.zero(alpha.n, 0)
     p = alpha.degree
-    return _build(Form, alpha.n, p - 1, (
+    den, a = _ints(alpha.comps)
+    scale = lcm(*{sum(mono) + p for q in a.values() for mono in q})
+    return _wrap(Form, alpha.n, p - 1, _sum(
         (idx[:j] + idx[j + 1:], mono[:i] + (mono[i] + 1,) + mono[i + 1:],
-         (-c if j % 2 else c) / (sum(mono) + p))
-        for idx, poly in alpha.comps.items()
-        for mono, c in poly.terms.items()
-        for j, i in enumerate(idx)))
+         (-c if j % 2 else c) * (scale // (sum(mono) + p)))
+        for idx, q in a.items()
+        for mono, c in q.items()
+        for j, i in enumerate(idx)), den * scale)
 
 
 form_from_terms = Form.from_terms

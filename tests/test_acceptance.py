@@ -14,8 +14,7 @@ import pytest
 
 from momentkit.lie_core import (ALGEBRA_CATALOG, boundary_matrix,
                                 catalog_algebra, ce_betti, exterior_basis,
-                                lie_kernel_basis, mv_boundary, mv_from_coords,
-                                mv_term)
+                                lie_kernel_basis, mv_boundary, mv_from_coords)
 from momentkit.linalg import Mat, mat_mul
 from momentkit.gmodule import (GModule, ce_module_differential, dual_module,
                                lie_kernel_module, trivial_module)
@@ -32,7 +31,7 @@ from momentkit.moment import (MomentMap, check_module_morphism,
                               uniqueness_check, verify_moment)
 from momentkit.cli import catalog_action, main as cli_main
 
-from test_lie_core import schouten
+from test_lie_core import mv_term, schouten
 
 ALGEBRAS = sorted(ALGEBRA_CATALOG)
 ACTIONS = ("abelian_r3", "so3_r3", "so4_r4", "u2_r4")

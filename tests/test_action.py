@@ -8,8 +8,8 @@ from functools import reduce
 
 import pytest
 
-from momentkit.lie_core import LieAlgebra, StructureError, catalog_algebra, \
-    exterior_basis, lie_kernel_basis, mv_from_coords
+from momentkit.lie_core import ALGEBRA_CATALOG, LieAlgebra, StructureError, \
+    catalog_algebra, ce_betti, exterior_basis, lie_kernel_basis, mv_from_coords
 from momentkit.gmodule import invariants_basis
 from momentkit.linalg import Mat, mat_vstack, nullspace, rank
 from momentkit.polyform import (Form, MultiField, Poly, contract, exterior_d,
@@ -445,6 +445,19 @@ def test_truncated_module_over_the_zero_algebra_keeps_its_dimension():
     action = LieAction(LieAlgebra(0), [], volume_form(3))
     trunc = TruncatedFormModule(action, 1, 1)
     assert trunc.module.dim == len(trunc.forms) == 9  # d of x_i and x_i x_j
+
+
+def test_kernel_dimensions_are_read_from_the_boundary_ranks():
+    # dim P_k = C(dim, k) - rank boundary_k, for the catalog algebras (under
+    # zero fields), the bundled problems and so(5); past the top degree too
+    algebras = [catalog_algebra(name) for name in sorted(ALGEBRA_CATALOG)]
+    actions = [LieAction(g, [MultiField.zero(3, 1)] * g.dim, volume_form(3))
+               for g in algebras] + oracle_actions()
+    for action in actions:
+        g = action.algebra
+        for k in range(g.dim + 3):
+            assert action.kernel_dim(k) == len(lie_kernel_basis(g, k)), (g.name, k)
+        assert action.betti() == ce_betti(g), g.name
 
 
 def test_truncation_escape_names_the_smallest_key():

@@ -105,6 +105,19 @@ def test_trailing_input_after_a_dimension_is_an_error():
         assert str(err.value) == f"line {line_no}, col 9: trailing input"
 
 
+def test_an_integer_below_the_bound_names_the_bound():
+    cases = ((so3_with(5, "V1 = x2^0*d/dx1", replace=True),
+              "line 5, col 8: exponent must be a positive integer (expected integer >= 1)"),
+             (so3_with(2, "dim = 0", replace=True),
+              "line 2, col 7: expected a positive integer dimension (expected integer >= 1)"),
+             (so3_with(5, "V1 = x2^x*d/dx1", replace=True),
+              "line 5, col 8: exponent must be a positive integer (expected integer)"))
+    for text, message in cases:
+        with pytest.raises(MmkError) as err:
+            parse_problem(text)
+        assert str(err.value) == message
+
+
 def test_repeated_single_statements_are_errors(tmp_path, capsys):
     for line_no, statement in ((3, 'algebra = "so3"'), (5, "dim = 3"),
                                (8, "dim = 3"), (12, "k = 2"), (13, "k = 1"),
@@ -487,6 +500,19 @@ def test_construct_wedges_each_kernel_prefix_once(monkeypatch, capsys):
     assert len(into_omega) == sum(len(mvs) for mvs in kernels.values())
     assert sorted(field.degree for field in into_omega) == sorted(
         k for k, mvs in kernels.items() for _ in mvs)
+
+
+def test_cohomology_counts_kernels_without_building_them(monkeypatch, capsys):
+    # the kernel dimensions come from the boundary ranks the Betti numbers
+    # already took, so no kernel basis is eliminated for its length
+    from momentkit.lie_core import lie_kernel_basis
+    kernel_bases = count_calls(monkeypatch, lie_kernel_basis)
+    so5 = os.path.join(os.path.dirname(__file__), "golden", "so5_seed1.mmk")
+    rc, out, _ = run_main(["cohomology", so5, "--format", "machine"], capsys)
+    assert rc == 0
+    assert kernel_bases == []
+    data = json.loads(out)["sections"][0]["data"]
+    assert data["kernel_dims"] == {"1": 10, "2": 35, "3": 85, "4": 126}
 
 
 # ---------------------------------------------------------------------------

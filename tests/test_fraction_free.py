@@ -1,0 +1,347 @@
+"""The fraction-free form calculus against Fraction-valued oracles.
+
+The oracles below are the Fraction-valued wedge, d, contraction, homotopy
+operator K, Lie derivative, linear combination, Poly product, vector-field
+bracket and infinitesimal generators that `polyform` and
+`action.infinitesimal_generators` used before they ran on ints over one
+common denominator.  Each oracle streams Fraction terms into a dict and
+builds its result with the validating public constructors.
+
+Equality alone cannot catch an int that leaks into a result, since it
+compares equal to its Fraction: every result is also checked to hold only
+Fraction coefficients.  On integral so(5) input the operators make no
+Fraction arithmetic call at all.
+"""
+
+import random
+from fractions import Fraction
+from math import lcm
+from operator import add
+
+import pytest
+
+from momentkit.action import LieAction, infinitesimal_generators
+from momentkit.lie_core import LieAlgebra, sort_with_sign
+from momentkit.polyform import (Form, MultiField, Poly, contract, exterior_d,
+                                lie_derivative, poincare_homotopy, vf_bracket,
+                                wedge)
+
+from test_action import so5_action
+
+
+# ---------------------------------------------------------------------------
+# Fraction-valued oracles
+# ---------------------------------------------------------------------------
+
+def oracle_build(cls, n, degree, terms):
+    """Sum of (unsorted index tuple, monomial, Fraction) terms."""
+    acc = {}
+    for idx, mono, c in terms:
+        sign, key = sort_with_sign(idx)
+        if sign:
+            poly = acc.setdefault(key, {})
+            poly[mono] = poly.get(mono, Fraction(0)) + sign * c
+    return cls(n, degree, {key: Poly(n, poly) for key, poly in acc.items()})
+
+
+def oracle_linear_combination(cls, n, degree, pairs):
+    return oracle_build(cls, n, degree, (
+        (idx, mono, Fraction(c) * a)
+        for c, x in pairs for idx, p in x.comps.items() for mono, a in p.terms.items()))
+
+
+def oracle_wedge(a, b):
+    return oracle_build(type(a), a.n, a.degree + b.degree, (
+        (i1 + i2, tuple(map(add, m1, m2)), c1 * c2)
+        for i1, p1 in a.comps.items()
+        for i2, p2 in b.comps.items() if set(i1).isdisjoint(i2)
+        for m1, c1 in p1.terms.items()
+        for m2, c2 in p2.terms.items()))
+
+
+def oracle_poly_product(x, q):
+    return oracle_build(type(x), x.n, x.degree, (
+        (idx, tuple(map(add, m1, m2)), c1 * c2)
+        for idx, p in x.comps.items()
+        for m1, c1 in p.terms.items()
+        for m2, c2 in q.terms.items()))
+
+
+def oracle_d(alpha):
+    return oracle_build(Form, alpha.n, alpha.degree + 1, (
+        ((i,) + idx, mono[:i] + (e - 1,) + mono[i + 1:], c * e)
+        for idx, p in alpha.comps.items()
+        for mono, c in p.terms.items()
+        for i, e in enumerate(mono) if e and i not in idx))
+
+
+def oracle_contract(field, alpha):
+    def terms():
+        for t, q in field.comps.items():
+            for idx, p in alpha.comps.items():
+                rest = tuple(i for i in idx if i not in t)
+                if len(rest) + len(t) != len(idx):
+                    continue
+                sign = sort_with_sign(t + rest)[0]
+                for m1, c1 in q.terms.items():
+                    for m2, c2 in p.terms.items():
+                        yield rest, tuple(map(add, m1, m2)), sign * c1 * c2
+    return oracle_build(Form, alpha.n, alpha.degree - field.degree, terms())
+
+
+def oracle_lie_derivative(x, alpha):
+    if alpha.degree == 0:
+        return oracle_contract(x, oracle_d(alpha))
+    return oracle_linear_combination(Form, alpha.n, alpha.degree, (
+        (1, oracle_d(oracle_contract(x, alpha))), (1, oracle_contract(x, oracle_d(alpha)))))
+
+
+def oracle_vf_bracket(x, y):
+    return oracle_build(MultiField, x.n, 1, (
+        (i, tuple(map(add, m1, m2[:j] + (m2[j] - 1,) + m2[j + 1:])), sign * c1 * c2 * m2[j])
+        for a, b, sign in ((x, y, 1), (y, x, -1))
+        for (j,), p1 in a.comps.items()
+        for i, p2 in b.comps.items()
+        for m2, c2 in p2.terms.items() if m2[j]
+        for m1, c1 in p1.terms.items()))
+
+
+def oracle_homotopy(alpha):
+    p = alpha.degree
+    return oracle_build(Form, alpha.n, max(p - 1, 0), (
+        (idx[:j] + idx[j + 1:], mono[:i] + (mono[i] + 1,) + mono[i + 1:],
+         (-c if j % 2 else c) / (sum(mono) + p))
+        for idx, poly in alpha.comps.items()
+        for mono, c in poly.terms.items()
+        for j, i in enumerate(idx)))
+
+
+def oracle_generators(action, mvs):
+    """Each distinct index tuple's wedge, built on the shared prefix stack,
+    times each coefficient, summed per multivector in Fractions."""
+    n = action.ambient_dim
+    users = {}
+    for a, mv in enumerate(mvs):
+        for idx, c in mv.items():
+            if c:
+                users.setdefault(idx, []).append((a, Fraction(c)))
+    terms = [[] for _ in mvs]
+    stack, prev = [MultiField(n, 0, {(): Poly.const(n, 1)})], ()
+    for idx in sorted(users):
+        shared = 0
+        while shared < min(len(prev), len(idx)) and prev[shared] == idx[shared]:
+            shared += 1
+        del stack[shared + 1:]
+        for t in idx[shared:]:
+            stack.append(oracle_wedge(stack[-1], action.fields[t]))
+        prev = idx
+        for a, c in users[idx]:
+            terms[a] += [(key, mono, c * x) for key, p in stack[-1].comps.items()
+                         for mono, x in p.terms.items()]
+    return [oracle_build(MultiField, n, len(next(iter(mv))) if mv else 0, t)
+            for mv, t in zip(mvs, terms)]
+
+
+# ---------------------------------------------------------------------------
+# seeded random forms and fields with denominators 1..6
+# ---------------------------------------------------------------------------
+
+def random_terms(rng, n, p, max_degree, count):
+    terms = []
+    for _ in range(count):
+        exps = [0] * n
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(n)] += 1
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        terms.append((c, tuple(exps), tuple(sorted(rng.sample(range(n), p)))))
+    return terms
+
+
+def random_graded(rng, cls, n, p, max_degree=2):
+    """A random form or field; one in six is zero, and repeated terms with
+    opposite coefficients cancel in from_terms."""
+    if rng.random() < 1 / 6:
+        return cls.zero(n, p)
+    terms = random_terms(rng, n, p, max_degree, rng.randint(1, 5))
+    if rng.random() < 0.3:
+        terms += [(-c, mono, idx) for c, mono, idx in terms[:2]]
+    return cls.from_terms(n, p, terms)
+
+
+def assert_fraction_valued(x):
+    for p in x.comps.values():
+        assert p.terms and all(type(c) is Fraction and c for c in p.terms.values())
+
+
+def assert_same(got, want):
+    assert got == want
+    assert_fraction_valued(got)
+
+
+def test_operators_match_the_fraction_oracles_on_random_input():
+    rng = random.Random(2031)
+    seen = {"zero": 0, "rational": 0}
+    for _ in range(60):
+        n = rng.choice((3, 4))
+        p, q = rng.randint(0, n), rng.randint(0, n)
+        a = random_graded(rng, Form, n, p)
+        b = random_graded(rng, Form, n, q)
+        x = random_graded(rng, MultiField, n, 1)
+        y = random_graded(rng, MultiField, n, 1)
+        f = random_graded(rng, MultiField, n, rng.randint(0, p))
+        poly = Poly(n, {mono: c for c, mono, _ in random_terms(rng, n, 0, 2, 3)})
+        cs = [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(3)]
+        a2 = random_graded(rng, Form, n, p)
+        results = [
+            (wedge(a, b), oracle_wedge(a, b)),
+            (wedge(x, y), oracle_wedge(x, y)),
+            (exterior_d(a), oracle_d(a)),
+            (contract(f, a), oracle_contract(f, a)),
+            (poincare_homotopy(a), oracle_homotopy(a)),
+            (lie_derivative(x, a), oracle_lie_derivative(x, a)),
+            (vf_bracket(x, y), oracle_vf_bracket(x, y)),
+            (a * poly, oracle_poly_product(a, poly)),
+            (Form.linear_combination(n, p, zip(cs, (a, a2, a))),
+             oracle_linear_combination(Form, n, p, zip(cs, (a, a2, a)))),
+            (a - a, Form.zero(n, p)),
+            (a * cs[0], oracle_linear_combination(Form, n, p, [(cs[0], a)])),
+        ]
+        for got, want in results:
+            assert_same(got, want)
+            seen["zero"] += got.is_zero()
+            seen["rational"] += any(c.denominator > 1 for s in got.comps.values()
+                                    for c in s.terms.values())
+    assert min(seen.values()) >= 20, seen
+
+
+def test_poly_arithmetic_is_that_of_zero_forms():
+    rng = random.Random(2032)
+    for _ in range(30):
+        p, q = (Poly(3, {m: c for c, m, _ in random_terms(rng, 3, 0, 2, 3)}) for _ in "pq")
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 6))
+        fp, fq = Form(3, 0, {(): p}), Form(3, 0, {(): q})
+        for got, want in ((p * q, oracle_poly_product(fp, q)),
+                          (p * c, oracle_linear_combination(Form, 3, 0, [(c, fp)])),
+                          (p + q, oracle_linear_combination(Form, 3, 0, [(1, fp), (1, fq)])),
+                          (p - q, oracle_linear_combination(Form, 3, 0, [(1, fp), (-1, fq)])),
+                          (-p, oracle_linear_combination(Form, 3, 0, [(-1, fp)]))):
+            assert got == want.comps.get((), Poly(3))
+            assert all(type(x) is Fraction and x for x in got.terms.values())
+
+
+def test_mixed_denominator_linear_combinations():
+    n = 3
+    a = Form.from_terms(n, 1, [(Fraction(1, 2), (1, 0, 0), (0,)), (Fraction(1, 3), (0, 0, 0), (1,))])
+    b = Form.from_terms(n, 1, [(Fraction(1, 4), (1, 0, 0), (0,)), (Fraction(5, 6), (0, 1, 0), (2,))])
+    pairs = [(Fraction(2, 5), a), (Fraction(-4, 5), b), (Fraction(3, 7), a), (0, b)]
+    assert_same(Form.linear_combination(n, 1, pairs),
+                oracle_linear_combination(Form, n, 1, pairs))
+    # a/2 - b - c cancels term by term over the common denominator 12
+    cancel = [(Fraction(1, 2), a), (-1, b), (-1, Form.from_terms(n, 1, [
+        (Fraction(-5, 6), (0, 1, 0), (2,)), (Fraction(1, 6), (0, 0, 0), (1,))]))]
+    assert Form.linear_combination(n, 1, cancel).is_zero()
+
+
+def test_generators_of_rational_fields_match_the_oracle():
+    # fields and multivectors with denominators 1..6, shared and unsorted
+    # tuples, and terms that cancel between tuples
+    rng = random.Random(2034)
+    for dim, n in ((3, 3), (4, 4), (5, 3)):
+        fields = [random_graded(rng, MultiField, n, 1) for _ in range(dim)]
+        action = LieAction(LieAlgebra(dim), fields, Form.zero(n, n))
+        mvs = []
+        for k in range(dim + 1):
+            for _ in range(3):
+                tuples = [tuple(rng.sample(range(dim), k)) for _ in range(3)]
+                mvs.append({t: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for t in tuples})
+        for got, want in zip(infinitesimal_generators(action, mvs), oracle_generators(action, mvs)):
+            assert_same(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the so(5) kernel, degrees 1..4
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def so5():
+    return so5_action()
+
+
+def test_so5_kernel_matches_the_oracles(so5):
+    rng = random.Random(2033)
+    for k in (1, 2, 3, 4):
+        mvs = so5.kernel(k).multivectors
+        fields = infinitesimal_generators(so5, mvs)
+        for got, want in zip(fields, oracle_generators(so5, mvs)):
+            assert_same(got, want)
+        for a in rng.sample(range(len(fields)), min(12, len(fields))):
+            rhs = contract(fields[a], so5.omega)
+            assert_same(rhs, oracle_contract(fields[a], so5.omega))
+            assert_same(rhs, so5.kernel(k).contractions[a])
+            f = poincare_homotopy(rhs)
+            assert_same(f, oracle_homotopy(rhs))
+            assert_same(exterior_d(f), oracle_d(f))
+            v = so5.fields[rng.randrange(len(so5.fields))]
+            assert_same(lie_derivative(v, f), oracle_lie_derivative(v, f))
+
+
+# ---------------------------------------------------------------------------
+# no Fraction arithmetic on integral input
+# ---------------------------------------------------------------------------
+
+COUNTED = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+           "__truediv__", "__rtruediv__", "__neg__")
+
+
+def count_fraction_arithmetic(monkeypatch):
+    calls = {name: 0 for name in COUNTED}
+
+    def counting(name, method):
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+        return counted
+
+    for name in COUNTED:
+        monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
+    return calls
+
+
+def test_integral_so5_input_makes_no_fraction_arithmetic(so5, monkeypatch):
+    kernels = []
+    for k in (1, 2, 3, 4):
+        for mv in so5.kernel(k).multivectors:
+            scale = lcm(*(Fraction(c).denominator for c in mv.values()))
+            kernels.append({t: int(c * scale) for t, c in mv.items()})
+    omega, fields = so5.omega, so5.fields
+    sample = kernels[::9]
+    integral = infinitesimal_generators(so5, sample)
+    contractions = [contract(v, omega) for v in integral]
+    calls = count_fraction_arithmetic(monkeypatch)
+    generated = infinitesimal_generators(so5, sample)
+    for v_p, rhs in zip(generated, contractions):
+        contract(v_p, omega)
+        f = poincare_homotopy(rhs)
+        exterior_d(rhs)
+        wedge(f, rhs)
+        for v in fields[:3]:
+            lie_derivative(v, rhs)
+        Form.linear_combination(omega.n, rhs.degree, [(3, rhs), (-2, rhs), (1, rhs)])
+        exterior_d(f)
+    wedge(fields[0], fields[1])
+    lie_derivative(fields[0], omega)
+    counts = dict(calls)
+    monkeypatch.undo()
+    assert generated == integral
+    assert counts == {name: 0 for name in COUNTED}
+
+
+def test_the_fraction_counter_sees_fraction_arithmetic(monkeypatch):
+    calls = count_fraction_arithmetic(monkeypatch)
+    half = Fraction(1, 2)
+    assert (half * 2, half + half, 1 - half, half / 3, -half) == (
+        1, 1, half, Fraction(1, 6), Fraction(-1, 2))
+    counts = dict(calls)
+    monkeypatch.undo()
+    assert counts["__mul__"] == counts["__add__"] == counts["__rsub__"] == 1
+    assert counts["__truediv__"] == counts["__neg__"] == 1

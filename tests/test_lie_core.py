@@ -2,25 +2,61 @@
 
 `schouten` is written here term by term, as the oracle for the adjoint
 action that `gmodule.lie_kernel_module` builds from the boundary and wedge
-matrices; `test_moment.py` and `test_acceptance.py` import it from here."""
+matrices; `test_moment.py` and `test_acceptance.py` import it, and the
+accumulator `mv_term` it is written with, from here.  `oracle_boundary` is
+the boundary of a basis k-vector written with `mv_term`, the oracle for
+`boundary_of_tuple`."""
 
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError,
-                                boundary_matrix, catalog_algebra, ce_betti,
-                                exterior_basis, format_multivector,
-                                lie_kernel_basis, mv_boundary, mv_coords,
-                                mv_from_coords, mv_term, unit_vector,
-                                validate_jacobi, wedge_matrix)
+                                boundary_matrix, boundary_of_tuple,
+                                catalog_algebra, ce_betti, exterior_basis,
+                                format_multivector, lie_kernel_basis,
+                                mv_boundary, mv_coords, mv_from_coords,
+                                sort_with_sign, unit_vector, validate_jacobi,
+                                wedge_matrix)
 from momentkit.linalg import mat_mul
 
+from test_action import so5_action
 from test_linalg import naive_rank
 
 
 CATALOG = sorted(ALGEBRA_CATALOG)
+
+
+def mv_term(target: dict, indices, coeff) -> None:
+    """Accumulate coeff * e_{indices} (unsorted, may repeat) into target."""
+    if not coeff:
+        return
+    sign, t = sort_with_sign(indices)
+    if sign == 0:
+        return
+    val = target.get(t, Fraction(0)) + sign * coeff
+    if val:
+        target[t] = val
+    else:
+        target.pop(t, None)
+
+
+def oracle_boundary(g, t):
+    """sum over positions a<b of (-1)^(a+b) (1-indexed) [e_{t_a}, e_{t_b}]
+    wedged with the remaining factors, each term sorted by `mv_term`."""
+    out = {}
+    k = len(t)
+    for a in range(k):
+        for b in range(a + 1, k):
+            sign = (-1) ** ((a + 1) + (b + 1))
+            vec = g.bracket_basis(t[a], t[b])
+            rest = t[:a] + t[a + 1:b] + t[b + 1:]
+            for m, c in enumerate(vec):
+                if c:
+                    mv_term(out, (m,) + rest, sign * c)
+    return out
 
 
 def schouten(g, a, b):
@@ -201,6 +237,29 @@ def test_format_multivector_output():
 def test_exterior_basis_sizes():
     assert len(exterior_basis(6, 3)) == comb(6, 3)
     assert exterior_basis(3, 1) == [(0,), (1,), (2,)]
+
+
+def random_bracket_table(rng, dim):
+    """A seeded table of rational structure constants; most violate Jacobi."""
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if rng.random() < 0.6:
+                brackets[(i, j)] = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                    if rng.random() < 0.4 else 0 for _ in range(dim)]
+    return LieAlgebra(dim, brackets, name=f"random{dim}")
+
+
+def test_boundary_of_tuple_matches_the_mv_term_oracle():
+    rng = random.Random(2027)
+    algebras = [catalog_algebra(name) for name in CATALOG] + [so5_action().algebra]
+    algebras += [random_bracket_table(rng, dim) for dim in (1, 2, 3, 4, 5, 6) for _ in range(3)]
+    for g in algebras:
+        for k in range(g.dim + 1):
+            for t in exterior_basis(g.dim, k):
+                got = boundary_of_tuple(g, t)
+                assert got == oracle_boundary(g, t), (g.name, t)
+                assert all(type(c) is Fraction and c for c in got.values()), (g.name, t)
 
 
 def test_boundary_matrix_against_componentwise_boundary():

@@ -10,7 +10,7 @@ import momentkit.moment
 from momentkit.lie_core import (LieAlgebra, StructureError, boundary_matrix,
                                 catalog_algebra, exterior_basis,
                                 lie_kernel_basis, mv_add, mv_boundary,
-                                mv_from_coords, mv_term, unit_vector,
+                                mv_from_coords, unit_vector,
                                 validate_jacobi)
 from momentkit.linalg import Mat, solve_many
 from momentkit.gmodule import invariants_basis, module_cohomology_dim
@@ -28,7 +28,7 @@ from momentkit.moment import (MomentMap, _checked, _hom_differential,
                               verify_moment, zeta)
 
 from test_action import oracle_actions, random_form, so5_action, volume_form
-from test_lie_core import schouten
+from test_lie_core import mv_term, schouten
 
 CATALOG_ALGEBRAS = ("abelian3", "su2", "so3", "heisenberg3", "so4", "u2")
 

@@ -35,9 +35,8 @@ run's moment map there, so every section of a report reads the same map.
 
 Also here: infinitesimal generators of multivectors, all those of one list
 built in one pass that wedges each shared index-tuple prefix once
-(`infinitesimal_generators`), truncated spaces of (invariant) closed forms
-as finite-dimensional modules, and the boundary identity linking d,
-contraction, and Lie derivatives (`cartan_residual`).
+(`infinitesimal_generators`), and truncated spaces of (invariant) closed
+forms as finite-dimensional modules.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from math import comb, lcm
 from .linalg import Mat, coordinates, frac, mat_scale, nullspace, rank
 from .lie_core import (LieAlgebra, StructureError, boundary_ranks, ce_betti,
                        exterior_basis, format_multivector, lie_kernel_basis,
-                       mv_boundary, mv_from_coords)
+                       mv_from_coords)
 from .gmodule import GModule, dual_module, lie_kernel_module, tensor_module
 from .polyform import (Form, MultiField, Poly, _accumulate, _ints, _wrap,
                        contract, exterior_d, format_form, lie_derivative,
@@ -78,10 +77,6 @@ class LieAction:
 
     def plectic_degree(self) -> int:
         return self.omega.degree - 1
-
-    def field_of(self, coeffs) -> MultiField:
-        """Generator field of a general algebra element (coefficient list)."""
-        return MultiField.linear_combination(self.ambient_dim, 1, zip(coeffs, self.fields))
 
     def sign(self) -> int:
         """The bracket sign; validates the action on first use and raises
@@ -181,7 +176,8 @@ def validate_action(action: LieAction) -> int:
     s, first = None, None
     for i, j in itertools.combinations(range(g.dim), 2):
         got = vf_bracket(action.fields[i], action.fields[j])
-        want = action.field_of(g.bracket_basis(i, j))
+        want = MultiField.linear_combination(
+            action.ambient_dim, 1, ((c, action.fields[m]) for m, c in g.bracket_basis(i, j)))
         if got.is_zero() and want.is_zero():
             continue
         pair = f"pair (e{i + 1}, e{j + 1})"
@@ -311,40 +307,6 @@ def infinitesimal_generators(action: LieAction, mvs) -> list:
                                             for mono, x in p.items()))
     return [_wrap(MultiField, n, degree, acc, den * dfield ** degree)
             for degree, den, acc in zip(degrees, dens, accs)]
-
-
-def cartan_residual(action: LieAction, mv, tau: Form) -> Form:
-    """Residual of the boundary identity
-
-        (-1)^k d(V_p . tau) = s V_{dp} . tau
-                              + sum_i (-1)^i (V_{t1}^..hat i..^V_{tk}) . L_{V_{ti}} tau
-                              + V_p . d tau
-
-    for p a degree-k multivector (dict form), extended linearly over basis
-    terms.  Returns LHS - RHS; the zero form certifies the identity."""
-    if isinstance(mv, tuple):
-        mv = {mv: Fraction(1)}
-    if not mv:
-        raise ValueError("empty multivector")
-    k = len(next(iter(mv)))
-    if k < 1:
-        raise ValueError("need degree >= 1")
-    if tau.degree < k:
-        raise ValueError("tau degree must be at least the multivector degree")
-    s = action.sign()
-    v_p = infinitesimal_generator(action, mv)
-    # LHS and then each RHS term with the opposite sign
-    pairs = [((-1) ** k, exterior_d(contract(v_p, tau))),
-             (-1, contract(v_p, exterior_d(tau)))]
-    boundary_field = infinitesimal_generator(action, mv_boundary(action.algebra, mv))
-    if not boundary_field.is_zero():
-        pairs.append((-s, contract(boundary_field, tau)))
-    for idx, c in mv.items():
-        for a, t in enumerate(idx):
-            rest = infinitesimal_generator(action, idx[:a] + idx[a + 1:])
-            ltau = lie_derivative(action.fields[t], tau)
-            pairs.append((frac(c) * (-1) ** a, contract(rest, ltau)))
-    return Form.linear_combination(action.ambient_dim, tau.degree - k + 1, pairs)
 
 
 # ---------------------------------------------------------------------------

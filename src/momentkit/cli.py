@@ -18,7 +18,9 @@ end of its line; anything after its value is an error (trailing input).
 Expressions are sums of terms; a term is a product of a rational literal,
 variables `x<i>` with optional `^<exp>`, and one basis factor: `dx(i,j,...)`
 for forms, `d/dx<i>` for vector fields, `e<i>` for algebra elements.  All
-numerics are exact rationals (`p/q`).
+numerics are exact rationals (`p/q`).  Files are UTF-8, with or without a
+byte-order mark; a byte that is not UTF-8 is an input error at its line and
+column (`read_problem_text`).
 
 `catalog_action(name)` reads the bundled file `problems/<name>.mmk`, the one
 definition of each example action.
@@ -40,9 +42,10 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from .lie_core import (LieAlgebra, StructureError, catalog_algebra,
-                       format_multivector, validate_jacobi,
+                       format_multivector, format_sum, validate_jacobi,
                        ALGEBRA_CATALOG)
 from .polyform import Form, MultiField, format_field, format_form
 from .gmodule import module_cohomology_dim
@@ -298,14 +301,14 @@ def terms_to_field(terms, n, line):
     return MultiField.from_terms(n, 1, triples)
 
 
-def terms_to_algebra_vector(terms, dim, line):
-    """Coefficient vector over e1..e<dim> from an algebra expression."""
-    vec = [Fraction(0)] * dim
+def terms_to_algebra_element(terms, dim, line):
+    """Terms {m: c} over e1..e<dim> (0-based m) of an algebra expression."""
+    out = {}
     if not _is_zero_literal(terms):
         for term in terms:
-            i, = _basis(term, "eb", dim, line)
-            vec[i] += term["coeff"]
-    return vec
+            m, = _basis(term, "eb", dim, line)
+            out[m] = out.get(m, 0) + term["coeff"]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +436,13 @@ def parse_problem(text) -> ProblemFile:
             if i == j:
                 raise MmkError(f"bracket [e{i},e{i}] must be zero and cannot "
                                f"be assigned", line=line_no)
-            vec = terms_to_algebra_vector(parse_expression(ts), dim, line_no)
+            terms = terms_to_algebra_element(parse_expression(ts), dim, line_no)
             sign = 1
             if i > j:
                 i, j, sign = j, i, -1
             if (i - 1, j - 1) in brackets:
                 raise MmkError(f"duplicate bracket [e{i},e{j}]", line=line_no)
-            if any(vec):
-                brackets[(i - 1, j - 1)] = [sign * c for c in vec]
+            brackets[(i - 1, j - 1)] = {m: sign * c for m, c in terms.items()}
         pf.algebra = LieAlgebra(dim, brackets, name=f"inline{dim}")
         try:
             validate_jacobi(pf.algebra)
@@ -512,17 +514,40 @@ def parse_problem(text) -> ProblemFile:
     return pf
 
 
+def read_problem_text(path) -> str:
+    """A problem file's text, decoded as UTF-8 after an optional byte-order
+    mark; MmkError at the first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.removeprefix(b"\xef\xbb\xbf").decode("utf-8")
+    except UnicodeDecodeError as e:
+        # e.object is the input after the mark, valid UTF-8 up to e.start
+        lines = (e.object[:e.start].decode("utf-8") + "?").splitlines()
+        raise MmkError(f"byte 0x{e.object[e.start]:02x} is not valid UTF-8",
+                       line=len(lines), col=len(lines[-1])) from None
+
+
 def catalog_action(name: str) -> LieAction:
     """The validated action of the bundled problem file `problems/<name>.mmk`
     (abelian_r3, so3_r3, so4_r4 or u2_r4)."""
-    with open(os.path.join(PROBLEMS, f"{name}.mmk"), encoding="utf-8") as fh:
-        action = parse_problem(fh.read()).build_action()
+    path = os.path.join(PROBLEMS, f"{name}.mmk")
+    action = parse_problem(read_problem_text(path)).build_action()
     action.sign()  # validates the generators
     return action
 
 
 def _degree_range_message(k, n):
     return f"degree {k} is outside the allowed range 1..{n} (plectic degree n = {n})"
+
+
+def _format_by_monomial(x, fmt) -> str:
+    """`fmt` (format_field or format_form) of x written one monomial term at
+    a time, as the parser reads it: no grouped coefficient such as
+    '(x1 + x2)*d/dx3'."""
+    return format_sum([fmt(type(x).from_terms(x.n, x.degree, [(c, mono, idx)]))
+                       for idx in sorted(x.comps)
+                       for mono, c in sorted(x.comps[idx].terms.items())])
 
 
 def serialize_problem(pf: ProblemFile) -> str:
@@ -532,18 +557,19 @@ def serialize_problem(pf: ProblemFile) -> str:
         out.append(f'algebra = "{pf.algebra_ref}"')
     else:
         out.append(f"dim = {pf.algebra.dim}")
-        for (i, j) in sorted(pf.algebra.table):
-            vec = pf.algebra.table[(i, j)]
-            mv = {(m,): c for m, c in enumerate(vec) if c}
-            out.append(f"[e{i + 1},e{j + 1}] = {format_multivector(mv)}")
+        for i, j in combinations(range(pf.algebra.dim), 2):
+            terms = pf.algebra.bracket_basis(i, j)
+            if terms:
+                mv = {(m,): c for m, c in terms}
+                out.append(f"[e{i + 1},e{j + 1}] = {format_multivector(mv)}")
     out.append("")
     out.append("[action]")
     out.append(f"dim = {pf.ambient_dim}")
     for i, v in enumerate(pf.fields):
-        out.append(f"V{i + 1} = {format_field(v)}")
+        out.append(f"V{i + 1} = {_format_by_monomial(v, format_field)}")
     out.append("")
     out.append("[omega]")
-    out.append(f"omega = {format_form(pf.omega)}")
+    out.append(f"omega = {_format_by_monomial(pf.omega, format_form)}")
     out.append("")
     out.append("[options]")
     if pf.ks is not None:
@@ -863,13 +889,10 @@ def main(argv=None):
         print(f"error: cannot find problem file {args.file!r}", file=sys.stderr)
         return 2
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        pf = parse_problem(read_problem_text(path))
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    try:
-        pf = parse_problem(text)
     except MmkError as e:
         print(f"error: {path}: {e}", file=sys.stderr)
         return 2

@@ -6,6 +6,12 @@ tuples (0-based, length k) to Fraction coefficients.  The canonical ordered
 basis of Lambda^k(g) is the list of increasing k-tuples in lexicographic
 order, and all matrices below are written in that basis (columns = domain).
 
+The structure constants are kept as their nonzero terms only:
+`LieAlgebra.table` maps each pair i < j with a nonzero bracket to the
+(m, c) terms of [e_i, e_j] = sum c e_m, m ascending, and
+`bracket_basis(i, j)` reads them for any i, j (negated for i > j, empty for
+a zero bracket).  No module outside this one reads `table`.
+
 The bracket enters the exterior algebra in one place, the boundary of a
 basis k-vector (`boundary_of_tuple`, which places the new factor of a
 bracket by bisection), and the sign of any other wedge product in one,
@@ -21,6 +27,7 @@ e_xi = xi ^ . (Koszul's identity), so on the Lie kernel it is
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 
@@ -36,41 +43,38 @@ class StructureError(ValueError):
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by rational structure constants.
 
-    `brackets` maps pairs (i, j) with i < j to the coefficient vector of
-    [e_i, e_j] in the basis e_0..e_{dim-1}; missing pairs are zero brackets.
+    `brackets` maps pairs (i, j) with i < j to the terms {m: c} of
+    [e_i, e_j] = sum c e_m; missing pairs and zero coefficients are zero
+    brackets.  `table` keeps each nonzero bracket as a tuple of its nonzero
+    (m, c) terms, m ascending; `bracket_basis` reads it.
     """
 
     def __init__(self, dim: int, brackets=None, name: str = ""):
         self.dim = dim
         self.name = name
         table = {}
-        for (i, j), vec in (brackets or {}).items():
+        for (i, j), terms in (brackets or {}).items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket pair ({i},{j}) out of range")
-            vec = tuple(frac(x) for x in vec)
-            if len(vec) != dim:
-                raise ValueError(f"bracket ({i},{j}) has wrong length")
-            if any(vec):
-                table[(i, j)] = vec
+            if not isinstance(terms, Mapping):
+                raise ValueError(f"bracket ({i},{j}) is not a mapping of terms")
+            if any(not 0 <= m < dim for m in terms):
+                raise ValueError(f"bracket ({i},{j}) has a term index outside 0..{dim - 1}")
+            coeffs = {m: frac(x) for m, x in terms.items()}
+            pairs = tuple((m, coeffs[m]) for m in sorted(coeffs) if coeffs[m])
+            if pairs:
+                table[(i, j)] = pairs
         self.table = table
 
     def bracket_basis(self, i: int, j: int):
-        """Coefficient vector of [e_i, e_j] for any i, j."""
-        if i == j:
-            return (ZERO,) * self.dim
+        """Nonzero terms (m, c) of [e_i, e_j] = sum c e_m, m ascending, for
+        any i, j; () for a zero bracket."""
         if i < j:
-            return self.table.get((i, j), (ZERO,) * self.dim)
-        vec = self.table.get((j, i))
-        return (ZERO,) * self.dim if vec is None else tuple(-x for x in vec)
+            return self.table.get((i, j), ())
+        return tuple((m, -c) for m, c in self.table.get((j, i), ()))
 
     def __repr__(self):
         return f"LieAlgebra({self.name or self.dim})"
-
-
-def unit_vector(i: int, n: int):
-    v = [ZERO] * n
-    v[i] = Fraction(1)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +102,6 @@ def sort_with_sign(indices):
         if a == b:
             return 0, None
     return sign, tuple(idx)
-
-
-def mv_add(a: dict, b: dict, coeff=1) -> dict:
-    out = dict(a)
-    c = frac(coeff)
-    for t, x in b.items():
-        out[t] = out.get(t, ZERO) + c * x
-    return {t: x for t, x in out.items() if x}
 
 
 def mv_coords(a: dict, basis) -> list:
@@ -168,10 +164,9 @@ def boundary_of_tuple(g: LieAlgebra, t: tuple) -> dict:
     k = len(t)
     for a in range(k):
         for b in range(a + 1, k):
-            vec = g.bracket_basis(t[a], t[b])
             rest = t[:a] + t[a + 1:b] + t[b + 1:]
-            for m, c in enumerate(vec):
-                if c and m not in rest:
+            for m, c in g.bracket_basis(t[a], t[b]):
+                if m not in rest:
                     j = bisect_left(rest, m)
                     key = rest[:j] + (m,) + rest[j:]
                     if (a + b + j) % 2:
@@ -181,13 +176,6 @@ def boundary_of_tuple(g: LieAlgebra, t: tuple) -> dict:
                         c += old
                     if c:
                         out[key] = c
-    return out
-
-
-def mv_boundary(g: LieAlgebra, a: dict) -> dict:
-    out: dict = {}
-    for t, x in a.items():
-        out = mv_add(out, boundary_of_tuple(g, t), x)
     return out
 
 
@@ -266,16 +254,13 @@ def abelian(n: int) -> LieAlgebra:
 
 def heisenberg3() -> LieAlgebra:
     """[e0, e1] = e2, e2 central."""
-    return LieAlgebra(3, {(0, 1): unit_vector(2, 3)}, name="heisenberg3")
+    return LieAlgebra(3, {(0, 1): {2: 1}}, name="heisenberg3")
 
 
 def su2() -> LieAlgebra:
     """[e0,e1] = e2, [e1,e2] = e0, [e2,e0] = e1."""
-    return LieAlgebra(3, {
-        (0, 1): unit_vector(2, 3),
-        (1, 2): unit_vector(0, 3),
-        (0, 2): [ZERO, Fraction(-1), ZERO],
-    }, name="su2")
+    return LieAlgebra(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}},
+                      name="su2")
 
 
 def so3() -> LieAlgebra:
@@ -304,26 +289,20 @@ def so4() -> LieAlgebra:
     for a in range(6):
         for b in range(a + 1, 6):
             comm = _commutator(mats[a], mats[b])
-            vec = [ZERO] * 6
-            for idx, (i, j) in enumerate(pairs):
-                vec[idx] = frac(comm[i][j])
+            terms = {idx: comm[i][j] for idx, (i, j) in enumerate(pairs) if comm[i][j]}
             # check the commutator is accounted for exactly
-            rebuilt = [[sum(int(vec[idx]) * mats[idx][r][c] for idx in range(6))
+            rebuilt = [[sum(x * mats[idx][r][c] for idx, x in terms.items())
                         for c in range(4)] for r in range(4)]
             if rebuilt != comm:
                 raise StructureError("so(4) commutator escaped the basis span")
-            if any(vec):
-                brackets[(a, b)] = vec
+            brackets[(a, b)] = terms
     return LieAlgebra(6, brackets, name="so4")
 
 
 def u2() -> LieAlgebra:
     """R + su(2): e0 central, e1..e3 the su(2) triple."""
-    return LieAlgebra(4, {
-        (1, 2): unit_vector(3, 4),
-        (2, 3): unit_vector(1, 4),
-        (1, 3): [ZERO, ZERO, Fraction(-1), ZERO],
-    }, name="u2")
+    return LieAlgebra(4, {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}},
+                      name="u2")
 
 
 ALGEBRA_CATALOG = {

@@ -14,15 +14,14 @@ import pytest
 
 from momentkit.lie_core import (ALGEBRA_CATALOG, boundary_matrix,
                                 catalog_algebra, ce_betti, exterior_basis,
-                                lie_kernel_basis, mv_boundary, mv_from_coords)
+                                lie_kernel_basis, mv_from_coords)
 from momentkit.linalg import Mat, mat_mul
 from momentkit.gmodule import (GModule, ce_module_differential, dual_module,
                                lie_kernel_module, trivial_module)
 from momentkit.polyform import (exterior_d, form_from_terms, format_form,
                                 poincare_homotopy)
-from momentkit.action import (cartan_residual, check_multisymplectic,
-                              invariant_closed_forms, preserves_omega,
-                              validate_action)
+from momentkit.action import (check_multisymplectic, invariant_closed_forms,
+                              preserves_omega, validate_action)
 from momentkit.moment import (MomentMap, check_module_morphism,
                               check_sigma_cocycle, construct_brackets,
                               construct_exactness, construct_poincare,
@@ -31,7 +30,8 @@ from momentkit.moment import (MomentMap, check_module_morphism,
                               uniqueness_check, verify_moment)
 from momentkit.cli import catalog_action, main as cli_main
 
-from test_lie_core import mv_term, schouten
+from test_action import cartan_residual
+from test_lie_core import mv_boundary, mv_term, schouten
 
 ALGEBRAS = sorted(ALGEBRA_CATALOG)
 ACTIONS = ("abelian_r3", "so3_r3", "so4_r4", "u2_r4")
@@ -59,7 +59,7 @@ def plain_rank(rows):
 
 
 def adjoint_module(g):
-    mats = [Mat([[g.bracket_basis(i, j)[m] for j in range(g.dim)]
+    mats = [Mat([[dict(g.bracket_basis(i, j)).get(m, 0) for j in range(g.dim)]
                  for m in range(g.dim)], ncols=g.dim) for i in range(g.dim)]
     return GModule(g, mats, name="adjoint")
 

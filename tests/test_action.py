@@ -1,4 +1,8 @@
-"""Lie algebra actions on R^n: validation, Cartan identity, invariant forms."""
+"""Lie algebra actions on R^n: validation, Cartan identity, invariant forms.
+
+`cartan_residual` is written here, as the oracle for the boundary identity
+linking d, contraction and Lie derivatives; `test_acceptance.py` imports
+it."""
 
 import itertools
 import os
@@ -9,14 +13,15 @@ from functools import reduce
 import pytest
 
 from momentkit.lie_core import ALGEBRA_CATALOG, LieAlgebra, StructureError, \
-    catalog_algebra, ce_betti, exterior_basis, lie_kernel_basis, mv_from_coords
+    boundary_of_tuple, catalog_algebra, ce_betti, exterior_basis, \
+    lie_kernel_basis, mv_from_coords
 from momentkit.gmodule import invariants_basis
 from momentkit.linalg import Mat, mat_vstack, nullspace, rank
 from momentkit.polyform import (Form, MultiField, Poly, contract, exterior_d,
                                 form_from_terms, lie_derivative, wedge)
 from momentkit.action import (_SAMPLE_SEEDS, LieAction, TruncatedFormModule,
                               _contraction_matrix_at, _operator_matrix,
-                              cartan_residual, check_multisymplectic,
+                              check_multisymplectic,
                               closed_form_basis, form_key_basis, form_to_vector,
                               infinitesimal_generator, infinitesimal_generators,
                               invariant_closed_forms, monomial_basis,
@@ -284,6 +289,34 @@ def test_generators_edge_cases():
 def kernel_multivectors(g, k):
     basis = exterior_basis(g.dim, k)
     return [mv_from_coords(v, basis) for v in lie_kernel_basis(g, k)]
+
+
+def cartan_residual(action, mv, tau):
+    """Residual of the boundary identity
+
+        (-1)^k d(V_p . tau) = s V_{dp} . tau
+                              + sum_i (-1)^i (V_{t1}^..hat i..^V_{tk}) . L_{V_{ti}} tau
+                              + V_p . d tau
+
+    for p a nonzero degree-k multivector (dict form), extended linearly over
+    basis terms, V_{dp} term by term from `boundary_of_tuple`.  Returns
+    LHS - RHS; the zero form certifies the identity."""
+    k = len(next(iter(mv)))
+    s = action.sign()
+    v_p = infinitesimal_generator(action, mv)
+    # LHS and then each RHS term with the opposite sign
+    pairs = [((-1) ** k, exterior_d(contract(v_p, tau))),
+             (-1, contract(v_p, exterior_d(tau)))]
+    for idx, c in mv.items():
+        c = Fraction(c)
+        boundary = boundary_of_tuple(action.algebra, idx)
+        if boundary:
+            pairs.append((-s * c, contract(infinitesimal_generator(action, boundary), tau)))
+        for a, t in enumerate(idx):
+            rest = infinitesimal_generator(action, idx[:a] + idx[a + 1:])
+            ltau = lie_derivative(action.fields[t], tau)
+            pairs.append((c * (-1) ** a, contract(rest, ltau)))
+    return Form.linear_combination(action.ambient_dim, tau.degree - k + 1, pairs)
 
 
 def test_cartan_identity_on_kernel_decomposables():

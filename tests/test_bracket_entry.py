@@ -7,7 +7,8 @@ and `moment.py` no function other than `boundary_of_tuple` reads a
 structure constants (the boundary, the Chevalley-Eilenberg differential
 with module coefficients, the adjoint action on the Lie kernels) and every
 cochain differential of Hom(P_k, forms) goes through the boundary, so there
-is one bracket sign rule.
+is one bracket sign rule.  The stored table of structure constants is read
+in `lie_core.py` only; every other module reads `bracket_basis`.
 
 The cochain differential of Hom(P_k, forms) is the dual kernel's own
 Chevalley-Eilenberg differential plus the Lie derivative on form entries:
@@ -69,6 +70,17 @@ def test_the_checker_finds_a_bracket_read():
 def test_only_the_boundary_reads_the_bracket():
     assert source_readers("bracket_basis", ("lie_core.py", "gmodule.py", "moment.py")) == {
         "lie_core.py": {"boundary_of_tuple"}, "gmodule.py": set(), "moment.py": set()}
+
+
+def test_only_lie_core_reads_the_bracket_table():
+    found = set()
+    for file in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, file), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        if any(isinstance(node, ast.Attribute) and node.attr == "table"
+               for node in ast.walk(tree)):
+            found.add(file)
+    assert found == {"lie_core.py"}
 
 
 def test_only_the_truncated_module_builds_closed_forms():

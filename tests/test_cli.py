@@ -13,6 +13,8 @@ import momentkit
 from momentkit.cli import (MmkError, main, parse_problem, serialize_problem,
                            tokenize)
 
+from test_lie_core import INLINE_ALGEBRAS, inline_algebra_problem
+
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "src", "momentkit",
                         "problems")
 BUNDLED = ("abelian_r3.mmk", "so3_r3.mmk", "so4_r4.mmk", "u2_r4.mmk")
@@ -152,6 +154,15 @@ def test_unknown_option_is_named_as_written():
         assert str(err.value) == f"line 12: unknown option '{name}'"
 
 
+def test_a_bracket_first_set_to_zero_cannot_be_repeated(tmp_path, capsys):
+    for second in ("[e1,e2] = e3", "[e2,e1] = e3"):
+        path = tmp_path / "zero_then_repeat.mmk"
+        path.write_text(inline_algebra_problem(3, "[e1,e2] = 0\n" + second))
+        rc, out, err = run_main(["check-action", str(path)], capsys)
+        assert (rc, out) == (2, ""), second
+        assert err == f"error: {path}: line 4: duplicate bracket [e1,e2]\n", second
+
+
 def test_inline_algebra_jacobi_failure():
     text = ('[algebra]\ndim = 3\n[e1,e2] = e3\n[e1,e3] = e2\n[e2,e3] = e2\n\n'
             '[action]\ndim = 3\nV1 = d/dx1\nV2 = d/dx2\nV3 = d/dx3\n\n'
@@ -193,6 +204,14 @@ def test_inline_algebra_round_trip():
     out = serialize_problem(pf)
     assert "[e1,e2] = -2*e3" in out  # normalized to i < j
     assert serialize_problem(parse_problem(out)) == out
+    texts = [inline_algebra_problem(dim, brackets) for dim, brackets, _ in INLINE_ALGEBRAS]
+    with open(os.path.join(GOLDEN, "so5_seed1.mmk"), encoding="utf-8") as fh:
+        texts.append(fh.read())
+    for text in texts:
+        pf = parse_problem(text)
+        out = serialize_problem(pf)
+        assert parse_problem(out).algebra.table == pf.algebra.table, text
+        assert serialize_problem(parse_problem(out)) == out, text
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +376,38 @@ def test_equivariance_command_reports_obstruction(capsys):
     assert rc == 0
     assert "obstructed at degree 2" in out
     assert "Sigma is a 1-cocycle: yes" in out
+
+
+def test_problem_files_that_are_not_plain_utf8_exit_cleanly(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(momentkit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(path):
+        proc = subprocess.run([sys.executable, "-m", "momentkit.cli", "check-action", path],
+                              capture_output=True, text=True, env=env)
+        assert "Traceback" not in proc.stdout + proc.stderr, path
+        return proc.returncode, proc.stdout, proc.stderr
+
+    latin = tmp_path / "latin.mmk"
+    latin.write_bytes(b"\xff\xfe[algebra]\n")
+    assert run(str(latin)) == (2, "", f"error: {latin}: line 1, col 1: "
+                                      "byte 0xff is not valid UTF-8\n")
+    later = tmp_path / "later.mmk"
+    later.write_bytes("[algebra]\n# café \u20ac x".encode("utf-8") + b"\xff\n")
+    assert run(str(later))[2] == (f"error: {later}: line 2, col 11: "
+                                  "byte 0xff is not valid UTF-8\n")
+    bom = tmp_path / "so3_bom.mmk"
+    with open(bundled("so3_r3.mmk"), "rb") as fh:
+        bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    assert run(str(bom)) == run(bundled("so3_r3.mmk"))
+    assert run(str(bom))[0] == 0
+    empty = tmp_path / "empty.mmk"
+    empty.write_bytes(b"")
+    assert run(str(empty)) == (2, "", f"error: {empty}: input: "
+                                      "missing required section [algebra]\n")
+    assert run(str(tmp_path))[0] == 2  # a directory
+    assert run(str(tmp_path / "missing.mmk"))[0] == 2
 
 
 def test_console_entry_point_runs():

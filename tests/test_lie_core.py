@@ -5,7 +5,8 @@ action that `gmodule.lie_kernel_module` builds from the boundary and wedge
 matrices; `test_moment.py` and `test_acceptance.py` import it, and the
 accumulator `mv_term` it is written with, from here.  `oracle_boundary` is
 the boundary of a basis k-vector written with `mv_term`, the oracle for
-`boundary_of_tuple`."""
+`boundary_of_tuple`; `mv_boundary` extends `boundary_of_tuple` linearly to
+any multivector, summed with `mv_add`."""
 
 import random
 from fractions import Fraction
@@ -17,9 +18,9 @@ from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError,
                                 boundary_matrix, boundary_of_tuple,
                                 catalog_algebra, ce_betti, exterior_basis,
                                 format_multivector, lie_kernel_basis,
-                                mv_boundary, mv_coords, mv_from_coords,
-                                sort_with_sign, unit_vector, validate_jacobi,
-                                wedge_matrix)
+                                mv_coords, mv_from_coords, sort_with_sign,
+                                validate_jacobi, wedge_matrix)
+from momentkit.cli import parse_problem
 from momentkit.linalg import mat_mul
 
 from test_action import so5_action
@@ -43,6 +44,21 @@ def mv_term(target: dict, indices, coeff) -> None:
         target.pop(t, None)
 
 
+def mv_add(a: dict, b: dict, coeff=1) -> dict:
+    out = dict(a)
+    c = Fraction(coeff)
+    for t, x in b.items():
+        out[t] = out.get(t, Fraction(0)) + c * x
+    return {t: x for t, x in out.items() if x}
+
+
+def mv_boundary(g, a: dict) -> dict:
+    out: dict = {}
+    for t, x in a.items():
+        out = mv_add(out, boundary_of_tuple(g, t), x)
+    return out
+
+
 def oracle_boundary(g, t):
     """sum over positions a<b of (-1)^(a+b) (1-indexed) [e_{t_a}, e_{t_b}]
     wedged with the remaining factors, each term sorted by `mv_term`."""
@@ -51,11 +67,9 @@ def oracle_boundary(g, t):
     for a in range(k):
         for b in range(a + 1, k):
             sign = (-1) ** ((a + 1) + (b + 1))
-            vec = g.bracket_basis(t[a], t[b])
             rest = t[:a] + t[a + 1:b] + t[b + 1:]
-            for m, c in enumerate(vec):
-                if c:
-                    mv_term(out, (m,) + rest, sign * c)
+            for m, c in g.bracket_basis(t[a], t[b]):
+                mv_term(out, (m,) + rest, sign * c)
     return out
 
 
@@ -69,11 +83,9 @@ def schouten(g, a, b):
             for i in range(len(ta)):
                 for j in range(len(tb)):
                     sign = (-1) ** ((i + 1) + (j + 1))
-                    vec = g.bracket_basis(ta[i], tb[j])
                     rest = ta[:i] + ta[i + 1:] + tb[:j] + tb[j + 1:]
-                    for m, c in enumerate(vec):
-                        if c:
-                            mv_term(out, (m,) + rest, sign * xab * c)
+                    for m, c in g.bracket_basis(ta[i], tb[j]):
+                        mv_term(out, (m,) + rest, sign * xab * c)
     return out
 
 
@@ -83,7 +95,7 @@ def test_catalog_algebras_satisfy_jacobi():
 
 
 def test_jacobi_violation_is_reported():
-    bad = LieAlgebra(3, {(0, 1): [0, 0, 1], (0, 2): [0, 1, 0], (1, 2): [0, 1, 0]})
+    bad = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {1: 1}, (1, 2): {1: 1}})
     with pytest.raises(StructureError):
         validate_jacobi(bad)
 
@@ -92,8 +104,7 @@ def test_jacobi_failure_names_the_first_failing_triple():
     # [e0,e1] = e2, [e1,e3] = e1, [e2,e3] = e0 (0-based): the Jacobiator of
     # (e0, e1, e3) is e0 - e2 and that of (e1, e2, e3) is e2; (e0, e1, e2) and
     # (e0, e2, e3) satisfy Jacobi.  Messages count from e1.
-    bad = LieAlgebra(4, {(0, 1): [0, 0, 1, 0], (1, 3): [0, 1, 0, 0],
-                         (2, 3): [1, 0, 0, 0]})
+    bad = LieAlgebra(4, {(0, 1): {2: 1}, (1, 3): {1: 1}, (2, 3): {0: 1}})
     with pytest.raises(StructureError) as err:
         validate_jacobi(bad)
     assert str(err.value) == "Jacobi identity fails on basis triple (e1, e2, e4)"
@@ -210,8 +221,14 @@ def test_schouten_extends_ad_action():
 
     def ad(xi, a):
         """Coefficient vector of [xi, e_a]."""
-        return [sum((x * g.bracket_basis(i, a)[m] for i, x in enumerate(xi)), Fraction(0))
-                for m in range(g.dim)]
+        out = [Fraction(0)] * g.dim
+        for i, x in enumerate(xi):
+            for m, c in g.bracket_basis(i, a):
+                out[m] += x * c
+        return out
+
+    def unit_vector(i, n):
+        return [Fraction(int(m == i)) for m in range(n)]
 
     xis = [unit_vector(i, 6) for i in range(6)]
     xis.append([Fraction(x) for x in (1, 0, -2, 0, 3, 1)])
@@ -245,9 +262,71 @@ def random_bracket_table(rng, dim):
     for i in range(dim):
         for j in range(i + 1, dim):
             if rng.random() < 0.6:
-                brackets[(i, j)] = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                                    if rng.random() < 0.4 else 0 for _ in range(dim)]
+                vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                       if rng.random() < 0.4 else 0 for _ in range(dim)]
+                brackets[(i, j)] = {m: c for m, c in enumerate(vec) if c}
     return LieAlgebra(dim, brackets, name=f"random{dim}")
+
+
+def inline_algebra_problem(dim, brackets):
+    """A problem text with an inline [algebra] of dimension `dim` and the
+    bracket statements `brackets`; the action and omega are placeholders."""
+    fields = "\n".join(f"V{i} = d/dx{i}" for i in range(1, dim + 1))
+    volume = ",".join(str(i) for i in range(1, dim + 1))
+    return (f"[algebra]\ndim = {dim}\n{brackets}\n\n[action]\ndim = {dim}\n"
+            f"{fields}\n\n[omega]\nomega = dx({volume})\n")
+
+
+# (dim, bracket statements, the table they give): rational, reversed-pair
+# and cancelling terms
+INLINE_ALGEBRAS = [
+    (3, "[e1,e2] = 1/2*e3", {(0, 1): ((2, Fraction(1, 2)),)}),
+    (3, "[e2,e1] = 2*e3", {(0, 1): ((2, Fraction(-2)),)}),
+    (3, "[e1,e2] = e3 - e3", {}),
+    (2, "[e2,e1] = e1 + 1/2*e1", {(0, 1): ((0, Fraction(-3, 2)),)}),
+    (3, "[e2,e1] = -e3\n[e3,e2] = -e1 + 1/3*e1 - 1/3*e1\n[e1,e3] = -e2",
+     {(0, 1): ((2, Fraction(1)),), (0, 2): ((1, Fraction(-1)),),
+      (1, 2): ((0, Fraction(1)),)}),
+]
+
+
+def assert_bracket_contract(g):
+    """`bracket_basis(i, j)` is the tuple of nonzero (m, c) terms of
+    [e_i, e_j], m ascending; (m, -c) for i > j; () on the diagonal."""
+    for i in range(g.dim):
+        assert g.bracket_basis(i, i) == (), (g.name, i)
+        for j in range(i + 1, g.dim):
+            terms = g.bracket_basis(i, j)
+            assert type(terms) is tuple, (g.name, i, j)
+            ms = [m for m, _ in terms]
+            assert ms == sorted(set(ms)) and all(0 <= m < g.dim for m in ms), (g.name, i, j)
+            assert all(type(c) is Fraction and c for _, c in terms), (g.name, i, j)
+            assert g.bracket_basis(j, i) == tuple((m, -c) for m, c in terms), (g.name, i, j)
+            assert g.table.get((i, j), ()) == terms, (g.name, i, j)
+    assert all(g.table.values()), g.name
+
+
+def test_bracket_basis_yields_the_nonzero_terms():
+    rng = random.Random(17)
+    algebras = [catalog_algebra(name) for name in CATALOG] + [so5_action().algebra]
+    algebras += [random_bracket_table(rng, dim) for dim in (1, 2, 3, 4, 5, 6) for _ in range(3)]
+    for dim, brackets, table in INLINE_ALGEBRAS:
+        g = parse_problem(inline_algebra_problem(dim, brackets)).algebra
+        assert g.table == table, brackets
+        algebras.append(g)
+    for g in algebras:
+        assert_bracket_contract(g)
+    assert catalog_algebra("su2").bracket_basis(2, 0) == ((1, Fraction(1)),)
+
+
+def test_bracket_terms_are_sorted_and_checked():
+    g = LieAlgebra(3, {(0, 1): {2: 0, 1: -1, 0: Fraction(1, 2)}, (0, 2): {0: 0}})
+    assert g.table == {(0, 1): ((0, Fraction(1, 2)), (1, Fraction(-1)))}
+    assert g.bracket_basis(1, 0) == ((0, Fraction(-1, 2)), (1, Fraction(1)))
+    for bad in ({(0, 1): {3: 1}}, {(0, 1): {-1: 1}}, {(0, 1): [0, 0, 1]},
+                {(0, 1): ((2, 1),)}, {(1, 0): {2: 1}}):
+        with pytest.raises(ValueError):
+            LieAlgebra(3, bad)
 
 
 def test_boundary_of_tuple_matches_the_mv_term_oracle():

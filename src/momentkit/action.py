@@ -14,24 +14,24 @@ for the translation example).
 
 A LieAction owns the answers derived from it and builds each one once, on
 first use, through `derive(key, build)` (an action is not changed after it
-is built; a build that raises stores nothing):
+is built; a build that raises stores nothing; no record points back at
+the action, so it is freed with all it keeps when its last user drops it):
   * `sign()`: the bracket sign, from `validate_action`;
   * `omega_checks()`, `omega_failures()` and `boundary_ranks()`: the
     answers of `check_multisymplectic`, `preserves_omega` and the
     algebra's `boundary_ranks` (ints), which `check-action`, `cohomology`
     and `diagnose` share; `betti()` and the kernel dimensions
     `kernel_dim(k)` are read from the ranks;
-  * `kernel(k)`: the degree-k Lie kernel P_k (`LieKernel`): canonical basis,
-    kernel module and its dual, display names, and the contractions
-    V_p . omega of the basis elements (the fields V_p come from one
-    `infinitesimal_generators` pass and are not kept);
+  * `kernel(k)`: the degree-k Lie kernel P_k of the algebra (`LieKernel`):
+    canonical basis, kernel module and its dual, display names;
+  * `contractions(k)`: V_p . omega of P_k's basis elements (the fields V_p
+    come from one `infinitesimal_generators` pass and are not kept);
   * `truncated_forms(k, D)`: closed (n-k)-forms of coefficient degree <= D
     (`TruncatedFormModule`): the closed basis and its L_{V_i} images, built
-    once, and the module and invariant forms read from them;
-  * `hom_module(k, D)`: Hom(P_k, those closed forms), whose cohomology
-    decides equivariant existence and uniqueness.
-Callers key their own answers with `derive` too: the command line keeps the
-run's moment map there, so every section of a report reads the same map.
+    once, and the invariant forms read from them;
+  * `hom_module(k, D)`: Hom(P_k, those closed forms as the module s * L_V),
+    whose cohomology decides equivariant existence and uniqueness.
+A moment map reads the action but is not kept by it.
 
 Also here: infinitesimal generators of multivectors, all those of one list
 built in one pass that wedges each shared index-tuple prefix once
@@ -105,42 +105,51 @@ class LieAction:
         return comb(self.algebra.dim, k) - (ranks[k] if k < len(ranks) else 0)
 
     def derive(self, key, build):
-        """The answer stored under `key`, from `build()` on first use."""
+        """The answer stored under `key`, from `build()` on first use; it must
+        not point back at the action, so that ownership stays a tree."""
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
 
     def kernel(self, k: int) -> "LieKernel":
-        return self.derive(("kernel", k), lambda: LieKernel(self, k))
+        return self.derive(("kernel", k), lambda: LieKernel(self.algebra, k))
+
+    def contractions(self, k: int) -> list:
+        """V_p . omega for each basis element p of kernel(k): the right-hand
+        side of the defining equation, up to the factor -zeta(k)."""
+        return self.derive(("contractions", k), lambda: [
+            contract(v_p, self.omega)
+            for v_p in infinitesimal_generators(self, self.kernel(k).multivectors)])
 
     def truncated_forms(self, k: int, max_degree: int) -> "TruncatedFormModule":
         """Closed (n-k)-forms of coefficient degree <= max_degree (the values
-        of f_k) as a module."""
+        of f_k) and their L_{V_i} images."""
         return self.derive(("forms", k, max_degree), lambda: TruncatedFormModule(
             self, self.plectic_degree() - k, max_degree))
 
     def hom_module(self, k: int, max_degree: int) -> GModule:
-        """Hom(P_k, truncated_forms(k, max_degree)) = dual kernel (x) forms."""
+        """Hom(P_k, truncated_forms(k, max_degree)) = P_k* (x) (forms, s * L_V)."""
         return self.derive(("hom", k, max_degree), lambda: tensor_module(
-            self.kernel(k).dual, self.truncated_forms(k, max_degree).module))
+            self.kernel(k).dual, self.truncated_forms(k, max_degree).signed_module(
+                self.algebra, self.sign())))
 
 
 class LieKernel:
-    """The degree-k Lie kernel P_k of an action and the objects derived from
+    """The degree-k Lie kernel P_k of an algebra and the objects derived from
     it; each attribute is computed on first access and kept."""
 
-    def __init__(self, action: LieAction, k: int):
-        self.action = action
+    def __init__(self, algebra: LieAlgebra, k: int):
+        self.algebra = algebra
         self.degree = k
 
     @cached_property
     def basis(self):
         """Canonical basis, as coordinate vectors over exterior_basis(dim, k)."""
-        return lie_kernel_basis(self.action.algebra, self.degree)
+        return lie_kernel_basis(self.algebra, self.degree)
 
     @cached_property
     def multivectors(self):
-        basis = exterior_basis(self.action.algebra.dim, self.degree)
+        basis = exterior_basis(self.algebra.dim, self.degree)
         return [mv_from_coords(vec, basis) for vec in self.basis]
 
     @cached_property
@@ -150,19 +159,11 @@ class LieKernel:
     @cached_property
     def module(self) -> GModule:
         """The kernel with the extended adjoint action, in the basis above."""
-        return lie_kernel_module(self.action.algebra, self.degree, basis=self.basis)
+        return lie_kernel_module(self.algebra, self.degree, basis=self.basis)
 
     @cached_property
     def dual(self) -> GModule:
         return dual_module(self.module)
-
-    @cached_property
-    def contractions(self):
-        """V_p . omega for each basis element p: the right-hand side of the
-        defining equation, up to the factor -zeta(k)."""
-        omega = self.action.omega
-        return [contract(v_p, omega)
-                for v_p in infinitesimal_generators(self.action, self.multivectors)]
 
 
 def validate_action(action: LieAction) -> int:
@@ -387,24 +388,22 @@ def invariant_closed_forms(action: LieAction, p: int, max_degree: int):
 
 
 class TruncatedFormModule:
-    """Closed p-forms of coefficient degree <= D: the canonical basis and the
-    images L_{V_i} b of each basis form b, built once; `module` and
-    `invariants` are read from the images on first use and kept."""
+    """Closed p-forms of coefficient degree <= D on R^n, read from an action:
+    the canonical basis and the images L_{V_i} b of each basis form b, built
+    once; `invariants` is read from the images on first use and kept."""
 
     def __init__(self, action: LieAction, p: int, max_degree: int):
-        self.action = action
+        self.n = action.ambient_dim
         self.form_degree = p
         self.max_degree = max_degree
-        self.forms, self.keys, self.basis_mat = closed_form_basis(
-            action.ambient_dim, p, max_degree)
+        self.forms, self.keys, self.basis_mat = closed_form_basis(self.n, p, max_degree)
         self.key_index = {key: r for r, key in enumerate(self.keys)}
         self.images = [[lie_derivative(v, b) for b in self.forms] for v in action.fields]
 
-    @cached_property
-    def module(self) -> GModule:
-        """The GModule rho(xi) = s * L_{V_xi} (s the bracket sign, so rho is a
-        left module); StructureError if an image escapes the truncation."""
-        s = self.action.sign()
+    def signed_module(self, algebra: LieAlgebra, s: int) -> GModule:
+        """The GModule rho(xi) = s * L_{V_xi} over the acting algebra (s the
+        bracket sign, so rho is a left module); StructureError if an image
+        escapes the truncation."""
         rho = []
         for images in self.images:
             cols = [form_to_vector(image, self.keys, self.key_index) for image in images]
@@ -414,7 +413,7 @@ class TruncatedFormModule:
                     "Lie derivative leaves the truncated closed-form space; "
                     "raise the truncation degree")
             rho.append(mat_scale(coords, s))
-        return GModule(self.action.algebra, rho, dim=len(self.forms),
+        return GModule(algebra, rho, dim=len(self.forms),
                        name=f"closed_forms(p={self.form_degree},D<={self.max_degree})")
 
     @cached_property
@@ -439,5 +438,5 @@ class TruncatedFormModule:
         return None if sol is None else sol.col(0)
 
     def from_coords(self, coords) -> Form:
-        return Form.linear_combination(self.action.ambient_dim, self.form_degree,
+        return Form.linear_combination(self.n, self.form_degree,
                                        zip(coords, self.forms))

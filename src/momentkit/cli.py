@@ -28,8 +28,8 @@ definition of each example action.
 `main` settles each run once: `--k` and `--max-poly-degree` override the
 file's `k` and `max_poly_degree`, and the resolved degrees and truncation
 replace them in the parsed arguments.  Every command is then called as
-`cmd(action, args, report)` on one action, which keeps the run's moment map
-(`_moment_map`), so the sections of `report` share it.
+`cmd(action, args, report)` on one action; the run's `Report` keeps its
+moment map (`_moment_map`), so the sections of `report` share it.
 
 Exit status: 0 = success, 1 = a check failed, 2 = input error.
 """
@@ -530,7 +530,7 @@ def read_problem_text(path) -> str:
 
 def catalog_action(name: str) -> LieAction:
     """The validated action of the bundled problem file `problems/<name>.mmk`
-    (abelian_r3, so3_r3, so4_r4 or u2_r4)."""
+    (abelian_r2, abelian_r3, sl2_r2, so3_r3, so4_r4 or u2_r4)."""
     path = os.path.join(PROBLEMS, f"{name}.mmk")
     action = parse_problem(read_problem_text(path)).build_action()
     action.sign()  # validates the generators
@@ -587,6 +587,7 @@ class Report:
 
     def __init__(self, command, problem_name):
         self.data = {"command": command, "problem": problem_name, "sections": []}
+        self.moment_map = None
 
     def section(self, title, payload, lines):
         self.data["sections"].append(
@@ -745,15 +746,15 @@ def _moment_section(report, action, mm, title):
 
 def _moment_map(action, args, report):
     """The run's moment map by `args.method` at degrees `args.k`, built and
-    verified once and kept by the action.  A failed construction is reported
+    verified once and kept by the report.  A failed construction is reported
     and gives None; it is not kept, so every section that asks reports it."""
-    try:
-        return action.derive(("moment", args.method, tuple(args.k)),
-                             lambda: _METHODS[args.method](action, ks=args.k))
-    except StructureError as e:
-        report.section(f"Moment map ({args.method})",
-                       {"error": str(e)}, [f"construction failed: {e}"])
-        return None
+    if report.moment_map is None:
+        try:
+            report.moment_map = _METHODS[args.method](action, ks=args.k)
+        except StructureError as e:
+            report.section(f"Moment map ({args.method})",
+                           {"error": str(e)}, [f"construction failed: {e}"])
+    return report.moment_map
 
 
 def cmd_construct(action, args, report):

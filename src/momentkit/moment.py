@@ -8,11 +8,11 @@ maps f_k from the degree-k Lie kernel to (n-k)-forms satisfying
 for k = 1..n.  Maps are stored by their values on the canonical kernel
 basis and extended linearly.  The kernel basis, the contractions V_p . omega
 and the Hom modules are read from the action, which builds each once
-(`LieAction.kernel`, `LieAction.hom_module`), like the bracket sign s
-(`LieAction.sign`); a MomentMap keeps its own residuals and Sigma cochains
-once computed.  Each constructor call builds and verifies a new map; a caller
-that asks several questions of one map keeps it with `LieAction.derive`, as
-the command line does with the moment map of each run.
+(`LieAction.kernel`, `LieAction.contractions`, `LieAction.hom_module`), like
+the bracket sign s (`LieAction.sign`); a MomentMap keeps its own residuals
+and Sigma cochains once computed.  Each constructor call builds and verifies
+a new map, which the action does not keep: a caller that asks several
+questions of one map keeps the map, as the command line does for each run.
 
 Three constructors (each re-verifies the defining equation before
 returning):
@@ -112,7 +112,7 @@ def defining_residuals(mm: MomentMap) -> dict:
     out = {}
     n = mm.action.ambient_dim
     for k in mm.degrees():
-        for a, rhs in enumerate(mm.action.kernel(k).contractions):
+        for a, rhs in enumerate(mm.action.contractions(k)):
             f = mm.components[k][a]
             out[(k, a)] = Form.linear_combination(
                 n, f.degree + 1, ((1, exterior_d(f)), (zeta(k), rhs)))
@@ -152,7 +152,7 @@ def construct_poincare(action: LieAction, ks=None) -> MomentMap:
     for k in _default_degrees(action, ks):
         z = Fraction(-zeta(k))
         components[k] = [poincare_homotopy(rhs) * z
-                         for rhs in action.kernel(k).contractions]
+                         for rhs in action.contractions(k)]
     return _checked(MomentMap(action, components), "homotopy-operator")
 
 
@@ -215,7 +215,7 @@ def construct_brackets(action: LieAction, ks=None) -> MomentMap:
                     if col not in term_forms:
                         b, j = divmod(col, g.dim)
                         term_forms[col] = contract(action.fields[j],
-                                                   kernel.contractions[b])
+                                                   action.contractions(k)[b])
                     pairs.append((z * c, term_forms[col]))
             forms.append(Form.linear_combination(
                 action.ambient_dim, action.plectic_degree() - k, pairs))
@@ -294,7 +294,7 @@ def make_equivariant(mm: MomentMap, k: int, max_degree: int):
     trunc = action.truncated_forms(k, max_degree)
     g = action.algebra
     r = len(mm.components[k])
-    t = trunc.module.dim
+    t = len(trunc.forms)
     target = []  # over Lambda^1 (x) P* (x) Omega, in the layout of kron_sum
     for i in range(g.dim):
         for a in range(r):
@@ -322,7 +322,7 @@ def uniqueness_check(action: LieAction, k: int, max_degree: int):
     hom = action.hom_module(k, max_degree)
     trunc = action.truncated_forms(k, max_degree)
     inv = invariants_basis(hom)
-    t = trunc.module.dim
+    t = len(trunc.forms)
     r = len(action.kernel(k).basis)
     reps = []
     for v in inv:

@@ -255,7 +255,7 @@ def test_generators_of_every_kernel_match_the_wedge_oracle():
             oracle = [oracle_generator(action, mv) for mv in kernel.multivectors]
             assert infinitesimal_generators(action, kernel.multivectors) == oracle, \
                 (action.algebra.name, k)
-            assert kernel.contractions == [contract(v, action.omega) for v in oracle], \
+            assert action.contractions(k) == [contract(v, action.omega) for v in oracle], \
                 (action.algebra.name, k)
 
 
@@ -430,7 +430,7 @@ def test_truncated_module_action_and_escape():
     action = catalog_action("so3_r3")
     trunc = TruncatedFormModule(action, 1, 1)
     # rotations act degree-preservingly: no escape, representation validates
-    assert trunc.module.dim == len(trunc.forms)
+    assert trunc.signed_module(action.algebra, action.sign()).dim == len(trunc.forms)
     coords = trunc.to_coords(euler_one_form(3))
     assert coords is not None
     assert trunc.from_coords(coords) == euler_one_form(3)
@@ -448,7 +448,7 @@ def test_truncated_module_action_and_escape():
     validate_action(bad)
     # the basis and images are built; the module over them refuses
     with pytest.raises(StructureError) as err:
-        TruncatedFormModule(bad, 1, 0).module
+        TruncatedFormModule(bad, 1, 0).signed_module(g, bad.sign())
     assert "truncat" in str(err.value)
 
 
@@ -459,7 +459,8 @@ def test_invariant_closed_forms_are_the_module_invariants():
         for D in (0, 1, 2):
             for p in range(n + 1):
                 trunc = TruncatedFormModule(action, p, D)
-                want = [trunc.from_coords(v) for v in invariants_basis(trunc.module)]
+                module = trunc.signed_module(action.algebra, action.sign())
+                want = [trunc.from_coords(v) for v in invariants_basis(module)]
                 assert invariant_closed_forms(action, p, D) == want, (name, p, D)
 
 
@@ -469,7 +470,7 @@ def test_truncated_module_acts_by_the_signed_lie_derivative():
         action = catalog_action(name)
         s = action.sign()
         trunc = action.truncated_forms(1, 1)
-        for v, rho in zip(action.fields, trunc.module.rho):
+        for v, rho in zip(action.fields, trunc.signed_module(action.algebra, s).rho):
             for a, b in enumerate(trunc.forms):
                 assert trunc.from_coords(rho.col(a)) == lie_derivative(v, b) * s, name
 
@@ -477,7 +478,8 @@ def test_truncated_module_acts_by_the_signed_lie_derivative():
 def test_truncated_module_over_the_zero_algebra_keeps_its_dimension():
     action = LieAction(LieAlgebra(0), [], volume_form(3))
     trunc = TruncatedFormModule(action, 1, 1)
-    assert trunc.module.dim == len(trunc.forms) == 9  # d of x_i and x_i x_j
+    module = trunc.signed_module(action.algebra, action.sign())
+    assert module.dim == len(trunc.forms) == 9  # d of x_i and x_i x_j
 
 
 def test_kernel_dimensions_are_read_from_the_boundary_ranks():

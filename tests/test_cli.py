@@ -508,9 +508,9 @@ def test_report_builds_each_derived_object_once(monkeypatch, capsys):
 
 
 def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):
-    # construct and equivariance read the same map, kept by the action;
+    # construct and equivariance read the same map, kept by the run's report;
     # check-action, cohomology and diagnose share the omega checks and the
-    # Betti numbers, kept by the action too
+    # Betti numbers, kept by the action
     from momentkit.action import (check_multisymplectic, preserves_omega,
                                   validate_action)
     from momentkit.lie_core import ce_betti

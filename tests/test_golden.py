@@ -28,7 +28,7 @@ PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "src", "momentkit",
 def golden_cases():
     """case name -> argv."""
     cases = {}
-    for p in ("abelian_r3", "so3_r3", "so4_r4", "u2_r4"):
+    for p in ("abelian_r3", "so3_r3", "so4_r4", "u2_r4", "abelian_r2", "sl2_r2"):
         for fmt in ("text", "machine"):
             cases[f"report_{p}.{fmt}"] = [
                 "report", os.path.join(PROBLEMS, f"{p}.mmk"), "--format", fmt]

@@ -1,18 +1,79 @@
 """Contract between momentkit and the benchmark's outside-in tracer.
 
-`perfbench/tracer.py` wraps momentkit functions by module and name and reads
-`Form.comps` / `Poly.terms` to count wedge output terms.  One traced pass of
-`perfbench/worker.py` over `report so4_r4.mmk` must still run, find the
-traced names, count wedge terms, and keep its spans nested.  (`so3_r3` is
-not used: its pass is shorter than the worker's 50 ms sampling interval.)
+`perfbench/tracer.py` wraps momentkit functions by module and name, unpacks
+the positional arguments of some of them to key their content, and reads
+`Form.comps` / `Poly.terms` to count wedge output terms.
+
+The first tests import the tracer by path and start no worker, so they do
+not depend on how fast the host runs: every traced name resolves, the
+hooked functions keep the positional parameters their hooks unpack, and
+each content-key hook reads the objects momentkit builds today.
+
+One traced pass of `perfbench/worker.py` over `report so4_r4.mmk` must
+still run, find the traced names, count wedge terms, and keep its spans
+nested.  (`so3_r3` is not used: its pass is shorter than the worker's 50 ms
+sampling interval.)
 """
 
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
 
+from momentkit.action import TruncatedFormModule, infinitesimal_generator
+from momentkit.cli import catalog_action
+from momentkit.gmodule import lie_kernel_module
+from momentkit.lie_core import lie_kernel_basis
+from momentkit.moment import construct_poincare, sigma_cochain
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def load_tracer():
+    """perfbench/tracer.py as a module of its own, without running a pass."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_name_resolves():
+    for span, (module, attr) in load_tracer().TRACED.items():
+        target = importlib.import_module(f"momentkit.{module}")
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), span
+
+
+def positional(fn):
+    kinds = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    return [p.name for p in inspect.signature(fn).parameters.values() if p.kind in kinds]
+
+
+def test_hooked_functions_keep_the_parameters_their_hooks_unpack():
+    assert positional(TruncatedFormModule.__init__) == ["self", "action", "p", "max_degree"]
+    assert positional(sigma_cochain) == ["mm", "k"]
+    assert positional(infinitesimal_generator) == ["action", "mv"]
+    assert positional(lie_kernel_basis) == ["g", "k"]
+    assert positional(lie_kernel_module)[:2] == ["g", "k"]
+
+
+def test_content_key_hooks_read_todays_objects():
+    action = catalog_action("so3_r3")
+    mm = construct_poincare(action, [1])
+    trunc = action.truncated_forms(1, 1)
+    tracer = load_tracer().Tracer()
+    calls = {"lie_core.lie_kernel_basis": (action.algebra, 1),
+             "gmodule.lie_kernel_module": (action.algebra, 1),
+             "action.infinitesimal_generator": (action, (0,)),
+             "action.TruncatedFormModule": (trunc, action, 1, 1),
+             "moment.sigma_cochain": (mm, 1)}
+    for name, args in calls.items():
+        tracer.hooks[name](name, args, None)
+    assert {name: len(keys) for name, keys in tracer.keys.items()} == dict.fromkeys(calls, 1)
 
 
 def test_traced_worker_pass_reads_the_form_layout(tmp_path):

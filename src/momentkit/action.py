@@ -13,9 +13,10 @@ left-action convention, which fixes the sign of the equivariance cocycle
 for the translation example).
 
 A LieAction owns the answers derived from it and builds each one once, on
-first use, through `derive(key, build)` (an action is not changed after it
-is built; a build that raises stores nothing; no record points back at
-the action, so it is freed with all it keeps when its last user drops it):
+first use, through its private `_derive(key, build)` (an action is not
+changed after it is built; a build that raises stores nothing; no record
+points back at the action, so it is freed with all it keeps when its last
+user drops it):
   * `sign()`: the bracket sign, from `validate_action`;
   * `omega_checks()`, `omega_failures()` and `boundary_ranks()`: the
     answers of `check_multisymplectic`, `preserves_omega` and the
@@ -24,8 +25,8 @@ the action, so it is freed with all it keeps when its last user drops it):
     `kernel_dim(k)` are read from the ranks;
   * `kernel(k)`: the degree-k Lie kernel P_k of the algebra (`LieKernel`):
     canonical basis, kernel module and its dual, display names;
-  * `contractions(k)`: V_p . omega of P_k's basis elements (the fields V_p
-    come from one `infinitesimal_generators` pass and are not kept);
+  * `contractions(k)`: V_p . omega of P_k's basis elements, from one
+    `omega_contractions` pass;
   * `truncated_forms(k, D)`: closed (n-k)-forms of coefficient degree <= D
     (`TruncatedFormModule`): the closed basis and its L_{V_i} images, built
     once, and the invariant forms read from them;
@@ -33,9 +34,11 @@ the action, so it is freed with all it keeps when its last user drops it):
     whose cohomology decides equivariant existence and uniqueness.
 A moment map reads the action but is not kept by it.
 
-Also here: infinitesimal generators of multivectors, all those of one list
-built in one pass that wedges each shared index-tuple prefix once
-(`infinitesimal_generators`), and truncated spaces of (invariant) closed
+Also here: V_p . omega for a list of multivectors p as chains of
+single-field contractions iota_{V_tk} ... iota_{V_t1} omega, each shared
+index-tuple prefix contracted once and no multivector field V_p built
+(`omega_contractions`); the field V_p itself as a sum of wedges
+(`infinitesimal_generator`); and truncated spaces of (invariant) closed
 forms as finite-dimensional modules.
 """
 
@@ -43,17 +46,16 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
-from math import comb, lcm
+from functools import cached_property, reduce
+from math import comb
 
-from .linalg import Mat, coordinates, frac, mat_scale, nullspace, rank
+from .linalg import Mat, coordinates, mat_scale, nullspace, rank
 from .lie_core import (LieAlgebra, StructureError, boundary_ranks, ce_betti,
                        exterior_basis, format_multivector, lie_kernel_basis,
                        mv_from_coords)
 from .gmodule import GModule, dual_module, lie_kernel_module, tensor_module
-from .polyform import (Form, MultiField, Poly, _accumulate, _ints, _wrap,
-                       contract, exterior_d, format_form, lie_derivative,
-                       vf_bracket, wedge)
+from .polyform import (Form, MultiField, Poly, contract, exterior_d, format_form,
+                       lie_derivative, vf_bracket, wedge)
 
 
 class LieAction:
@@ -81,30 +83,30 @@ class LieAction:
     def sign(self) -> int:
         """The bracket sign; validates the action on first use and raises
         StructureError (keeping nothing) if the generators do not close."""
-        return self.derive("sign", lambda: validate_action(self))
+        return self._derive("sign", lambda: validate_action(self))
 
     def omega_checks(self) -> dict:
         """`check_multisymplectic` of this action, computed once."""
-        return self.derive("omega_checks", lambda: check_multisymplectic(self))
+        return self._derive("omega_checks", lambda: check_multisymplectic(self))
 
     def omega_failures(self) -> list:
         """`preserves_omega` of this action, computed once."""
-        return self.derive("omega_failures", lambda: preserves_omega(self))
+        return self._derive("omega_failures", lambda: preserves_omega(self))
 
     def boundary_ranks(self) -> tuple:
         """`boundary_ranks` of the algebra, computed once."""
-        return self.derive("ranks", lambda: boundary_ranks(self.algebra))
+        return self._derive("ranks", lambda: boundary_ranks(self.algebra))
 
     def betti(self) -> tuple:
         """`ce_betti` of the algebra from `boundary_ranks()`, computed once."""
-        return self.derive("betti", lambda: ce_betti(self.algebra, self.boundary_ranks()))
+        return self._derive("betti", lambda: ce_betti(self.algebra, self.boundary_ranks()))
 
     def kernel_dim(self, k: int) -> int:
         """dim P_k = C(dim, k) - rank boundary_k, from `boundary_ranks()`."""
         ranks = self.boundary_ranks()
         return comb(self.algebra.dim, k) - (ranks[k] if k < len(ranks) else 0)
 
-    def derive(self, key, build):
+    def _derive(self, key, build):
         """The answer stored under `key`, from `build()` on first use; it must
         not point back at the action, so that ownership stays a tree."""
         if key not in self._derived:
@@ -112,24 +114,23 @@ class LieAction:
         return self._derived[key]
 
     def kernel(self, k: int) -> "LieKernel":
-        return self.derive(("kernel", k), lambda: LieKernel(self.algebra, k))
+        return self._derive(("kernel", k), lambda: LieKernel(self.algebra, k))
 
     def contractions(self, k: int) -> list:
-        """V_p . omega for each basis element p of kernel(k): the right-hand
-        side of the defining equation, up to the factor -zeta(k)."""
-        return self.derive(("contractions", k), lambda: [
-            contract(v_p, self.omega)
-            for v_p in infinitesimal_generators(self, self.kernel(k).multivectors)])
+        """V_p . omega, the defining equation's right-hand side up to -zeta(k),
+        for each basis element p of kernel(k), by one `omega_contractions` pass."""
+        return self._derive(("contractions", k), lambda: omega_contractions(
+            self, self.kernel(k).multivectors))
 
     def truncated_forms(self, k: int, max_degree: int) -> "TruncatedFormModule":
         """Closed (n-k)-forms of coefficient degree <= max_degree (the values
         of f_k) and their L_{V_i} images."""
-        return self.derive(("forms", k, max_degree), lambda: TruncatedFormModule(
+        return self._derive(("forms", k, max_degree), lambda: TruncatedFormModule(
             self, self.plectic_degree() - k, max_degree))
 
     def hom_module(self, k: int, max_degree: int) -> GModule:
         """Hom(P_k, truncated_forms(k, max_degree)) = P_k* (x) (forms, s * L_V)."""
-        return self.derive(("hom", k, max_degree), lambda: tensor_module(
+        return self._derive(("hom", k, max_degree), lambda: tensor_module(
             self.kernel(k).dual, self.truncated_forms(k, max_degree).signed_module(
                 self.algebra, self.sign())))
 
@@ -247,67 +248,61 @@ def preserves_omega(action: LieAction):
 
 
 def infinitesimal_generator(action: LieAction, mv) -> MultiField:
-    """Multivector field of one multivector (see `infinitesimal_generators`);
-    a single index tuple is accepted for the multivector with coefficient 1
-    on it."""
+    """Multivector field V_p = sum of c * V_{t1} ^ ... ^ V_{tk} over the terms
+    of one multivector p (a dict as for `omega_contractions`, or one index
+    tuple for the multivector with coefficient 1 on it)."""
     if isinstance(mv, tuple):
-        mv = {mv: Fraction(1)}
-    return infinitesimal_generators(action, [mv])[0]
-
-
-def infinitesimal_generators(action: LieAction, mvs) -> list:
-    """Multivector fields V_p of the multivectors p in `mvs`, each a dict
-    from index tuples to coefficients: each basis term e_{t1}^...^e_{tk}
-    maps to V_{t1} ^ ... ^ V_{tk}, extended linearly.  A multivector's degree
-    is the length of its first tuple, and a nonzero term of another length
-    raises ValueError.
-
-    All fields are built in one pass.  The distinct index tuples are visited
-    in lexicographic order, with a stack holding 1, V_{t1},
-    V_{t1} ^ V_{t2}, ... for the current tuple; the stack is cut back to the
-    prefix the tuple shares with the previous one before the rest is wedged
-    on, so each distinct prefix is wedged once per call.  Each tuple's
-    wedge is read once as ints over dfield^k (dfield the lcm of the fields'
-    denominators) and, times its coefficient, streamed into the int
-    accumulator of every multivector that uses it, over cden(p) * dfield^k
-    (cden(p) the lcm of p's denominators); each field is wrapped once.
-    Nothing is kept after the call."""
+        mv = {mv: 1}
     n = action.ambient_dim
-    degrees = []
-    users: dict = {}  # index tuple -> [(position in mvs, coefficient)]
+    unit = MultiField(n, 0, {(): Poly.const(n, 1)})
+    return MultiField.linear_combination(n, len(next(iter(mv))) if mv else 0, (
+        (c, reduce(wedge, (action.fields[t] for t in idx), unit))
+        for idx, c in mv.items() if c))
+
+
+def omega_contractions(action: LieAction, mvs) -> list:
+    """V_p . omega for each multivector p in `mvs`, a dict from index tuples
+    to coefficients, without building V_p: each basis term e_{t1}^...^e_{tk}
+    maps to (V_{t1} ^ ... ^ V_{tk}) . omega = iota_{V_tk} ... iota_{V_t1}
+    omega, extended linearly.  A multivector's degree is the length of its
+    first tuple; a degree above omega's, or a nonzero term of another
+    length, raises ValueError.
+
+    The distinct index tuples with a nonzero coefficient are visited in
+    lexicographic order, with a stack holding omega, V_{t1} . omega, ... for
+    the current tuple, cut back to the prefix it shares with the previous
+    one, so each distinct prefix is contracted once per call.  Each result
+    is one linear combination of its tuples' contractions, taken at its
+    multivector's last tuple, which then lets them go: a tuple's
+    contraction lives only while a multivector that uses it is still open."""
+    omega = action.omega
+    users: dict = {}  # index tuple -> [(position in mvs, nonzero coefficient)]
+    out, sizes = [], []  # per multivector: zero until taken; its number of nonzero terms
     for a, mv in enumerate(mvs):
         degree = len(next(iter(mv))) if mv else 0
-        for idx, c in mv.items():
-            c = frac(c)
-            if c:
-                if len(idx) != degree:
-                    raise ValueError(f"multivector mixes degrees {degree} and {len(idx)}")
-                users.setdefault(idx, []).append((a, c))
-        degrees.append(degree)
-    dens = [lcm(*(frac(c).denominator for c in mv.values())) for mv in mvs]
-    dfield = lcm(*(_ints(v.comps)[0] for v in action.fields))
-    accs = [{} for _ in degrees]
-    slots = [{} for _ in degrees]
-    stack = [MultiField(n, 0, {(): Poly.const(n, 1)})]  # stack[j]: wedge of prev[:j]
-    prev = ()
+        if degree > omega.degree:
+            raise ValueError("cannot contract: multivector degree exceeds form degree")
+        nonzero = [(idx, c) for idx, c in mv.items() if c]
+        for idx, c in nonzero:
+            if len(idx) != degree:
+                raise ValueError(f"multivector mixes degrees {degree} and {len(idx)}")
+            users.setdefault(idx, []).append((a, c))
+        out.append(Form.zero(omega.n, omega.degree - degree))
+        sizes.append(len(nonzero))
+    reached = [[] for _ in out]  # per open multivector: its (coefficient, contraction) pairs
+    stack, prev = [omega], ()
     for idx in sorted(users):
-        shared = 0
-        for s, t in zip(prev, idx):
-            if s != t:
-                break
-            shared += 1
-        del stack[shared + 1:]
-        for t in idx[shared:]:
-            stack.append(wedge(stack[-1], action.fields[t]))
+        while idx[:len(stack) - 1] != prev[:len(stack) - 1]:
+            stack.pop()
+        for t in idx[len(stack) - 1:]:
+            stack.append(contract(action.fields[t], stack[-1]))
         prev = idx
-        wden, top = _ints(stack[-1].comps)
-        scale = dfield ** len(idx) // wden  # the wedge's denominator divides dfield^k
         for a, c in users[idx]:
-            s = c.numerator * (dens[a] // c.denominator) * scale
-            _accumulate(accs[a], slots[a], ((key, mono, s * x) for key, p in top.items()
-                                            for mono, x in p.items()))
-    return [_wrap(MultiField, n, degree, acc, den * dfield ** degree)
-            for degree, den, acc in zip(degrees, dens, accs)]
+            reached[a].append((c, stack[-1]))
+            if len(reached[a]) == sizes[a]:
+                out[a] = Form.linear_combination(omega.n, out[a].degree, reached[a])
+                reached[a] = None
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,9 @@ from .lie_core import (LieAlgebra, StructureError, catalog_algebra,
 from .polyform import Form, MultiField, format_field, format_form
 from .gmodule import module_cohomology_dim
 from .action import LieAction, invariant_closed_forms
-from .moment import (construct_brackets, construct_exactness,
-                     construct_poincare, existence_diagnostic, make_equivariant,
-                     sigma_is_zero, check_sigma_cocycle, check_module_morphism)
+from .moment import (check_module_morphism, check_sigma_cocycle, construct_brackets,
+                     construct_exactness, construct_poincare, existence_diagnostic,
+                     make_equivariant, sigma_is_zero, verify_moment)
 
 
 class MmkError(Exception):
@@ -729,7 +729,7 @@ _METHODS = {
 def _moment_section(report, action, mm, title):
     payload = {}
     lines = []
-    all_zero = all(r.is_zero() for r in mm.residuals().values())
+    all_zero = verify_moment(mm)
     for k in mm.degrees():
         names = action.kernel(k).names
         entries = []

@@ -47,7 +47,7 @@ from .lie_core import (StructureError, boundary_matrix, exterior_basis,
 from .gmodule import (ce_module_differential, coboundary_solve, invariants_basis,
                       module_cohomology_dim)
 from .polyform import Form, contract, exterior_d, lie_derivative, poincare_homotopy
-from .action import LieAction, infinitesimal_generators
+from .action import LieAction, omega_contractions
 
 
 def zeta(k: int) -> int:
@@ -174,8 +174,7 @@ def construct_exactness(action: LieAction, ks=None) -> MomentMap:
                 f"exactness route does not apply at degree {k}: kernel basis "
                 f"element {kernel.names[_first_unsolvable(bmat, kmat)]} is not a boundary")
         qs = [mv_from_coords(preimages.col(a), basis_next) for a in range(kmat.ncols)]
-        components[k] = [contract(v_q, action.omega) * z
-                         for v_q in infinitesimal_generators(action, qs)]
+        components[k] = [rhs * z for rhs in omega_contractions(action, qs)]
     return _checked(MomentMap(action, components), "exactness")
 
 

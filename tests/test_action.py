@@ -23,9 +23,9 @@ from momentkit.action import (_SAMPLE_SEEDS, LieAction, TruncatedFormModule,
                               _contraction_matrix_at, _operator_matrix,
                               check_multisymplectic,
                               closed_form_basis, form_key_basis, form_to_vector,
-                              infinitesimal_generator, infinitesimal_generators,
-                              invariant_closed_forms, monomial_basis,
-                              preserves_omega, validate_action, vector_to_form)
+                              infinitesimal_generator, invariant_closed_forms,
+                              monomial_basis, omega_contractions, preserves_omega,
+                              validate_action, vector_to_form)
 from momentkit.cli import catalog_action, main, parse_problem
 
 ACTIONS = ("abelian_r3", "so3_r3", "so4_r4", "u2_r4")
@@ -252,38 +252,55 @@ def test_generators_of_every_kernel_match_the_wedge_oracle():
     for action in oracle_actions():
         for k in range(1, action.plectic_degree() + 1):
             kernel = action.kernel(k)
-            oracle = [oracle_generator(action, mv) for mv in kernel.multivectors]
-            assert infinitesimal_generators(action, kernel.multivectors) == oracle, \
+            want = oracle_contractions(action, kernel.multivectors)
+            assert omega_contractions(action, kernel.multivectors) == want, \
                 (action.algebra.name, k)
-            assert action.contractions(k) == [contract(v, action.omega) for v in oracle], \
-                (action.algebra.name, k)
+            assert action.contractions(k) == want, (action.algebra.name, k)
+
+
+def oracle_contractions(action, mvs):
+    """V_p . omega of each multivector, V_p from `oracle_generator`."""
+    return [contract(oracle_generator(action, mv), action.omega) for mv in mvs]
 
 
 def test_generators_edge_cases():
     action = catalog_action("so4_r4")
     n = action.ambient_dim
     v = action.fields
-    assert infinitesimal_generators(action, []) == []
-    assert infinitesimal_generators(action, [{}]) == [MultiField.zero(n, 0)]
-    assert infinitesimal_generators(action, [{(): Fraction(-2, 3)}, {(): 0}]) == [
-        MultiField(n, 0, {(): Poly.const(n, Fraction(-2, 3))}), MultiField.zero(n, 0)]
-    assert infinitesimal_generators(action, [{(0, 1): 0}, {(0, 1): 0, (1, 2): 3}]) == [
-        MultiField.zero(n, 2), wedge(v[1], v[2]) * 3]
-    # one tuple shared by several multivectors, and an unsorted tuple
-    mvs = [{(0, 1): 1}, {(0, 1): Fraction(-1, 2), (0, 2): 1, (3, 4): 2},
-           {(1, 0): 1, (0, 1): 1}, {(0, 1): 2}]
-    assert infinitesimal_generators(action, mvs) == [
-        oracle_generator(action, mv) for mv in mvs]
-    assert infinitesimal_generators(action, mvs)[2].is_zero()
+    cases = [
+        [],
+        [{}],
+        [{(): Fraction(-2, 3)}, {(): 0}],
+        [{(0, 1): 0}, {(0, 1): 0, (1, 2): 3}],
+        # one tuple shared by several multivectors, and an unsorted tuple
+        # that cancels its sorted twin
+        [{(0, 1): 1}, {(0, 1): Fraction(-1, 2), (0, 2): 1, (3, 4): 2},
+         {(1, 0): 1, (0, 1): 1}, {(0, 1): 2}],
+        # degrees 0..3 in one call, each tuple a prefix of the next
+        [{(0, 1, 2): 1, (0, 2, 1): 1}, {(0, 1): 1}, {(0,): 2}, {(): 1}],
+    ]
+    for mvs in cases:
+        assert omega_contractions(action, mvs) == oracle_contractions(action, mvs), mvs
+    assert [r.degree for r in omega_contractions(action, cases[3])] == [2, 2]
+    assert omega_contractions(action, cases[4])[2].is_zero()
+    assert omega_contractions(action, cases[5])[0].is_zero()
     assert infinitesimal_generator(action, (0, 1)) == wedge(v[0], v[1])
     assert infinitesimal_generator(action, ()) == MultiField(n, 0, {(): Poly.const(n, 1)})
     # a term of another length counts only with a nonzero coefficient
     assert infinitesimal_generator(action, {(0, 1): 1, (2,): 0}) == wedge(v[0], v[1])
+    assert omega_contractions(action, [{(0, 1): 1, (2,): 0}]) == [
+        contract(wedge(v[0], v[1]), action.omega)]
     for mv in ({(0,): 1, (0, 1): 1}, {(0, 1): 0, (2,): 1}):
         with pytest.raises(ValueError):
-            infinitesimal_generators(action, [{(0,): 1}, mv])
+            omega_contractions(action, [{(0,): 1}, mv])
         with pytest.raises(ValueError):
             infinitesimal_generator(action, mv)
+    # a degree above omega's, as for contract(V_p, omega), even when V_p = 0
+    for mv in ({(0, 1, 2, 3, 4): 0}, {(0, 1, 2, 3, 4): 1}):
+        with pytest.raises(ValueError):
+            contract(oracle_generator(action, mv), action.omega)
+        with pytest.raises(ValueError):
+            omega_contractions(action, [mv])
 
 
 def kernel_multivectors(g, k):

@@ -18,7 +18,11 @@ Truncated closed forms are built once per (form degree, truncation): only
 `TruncatedFormModule.__init__` calls `closed_form_basis`.  Only the
 nondegeneracy check reads coefficient degrees (`max_coeff_degree`), and the
 contraction signs come from `polyform.contract` alone: the matrix it ranks
-is built without sign arithmetic."""
+is built without sign arithmetic.
+
+Ints and Fractions cross only at the edges of `polyform`'s operators: no
+module other than `polyform.py` reads its int kernels' entry `_ints`, exit
+`_wrap` or accumulator `_accumulate`."""
 
 import ast
 import os
@@ -93,6 +97,13 @@ def test_only_the_truncated_module_builds_closed_forms():
 def test_the_hom_differential_reuses_the_dual_kernel_complex():
     for name in ("boundary_matrix", "rho"):
         assert "_hom_differential" not in source_readers(name, ("moment.py",))["moment.py"]
+
+
+def test_only_polyform_reads_its_int_kernels():
+    files = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+    for name in ("_ints", "_wrap", "_accumulate"):
+        found = source_readers(name, files)
+        assert [f for f, owners in found.items() if owners] == ["polyform.py"], name
 
 
 def test_only_the_nondegeneracy_check_reads_coefficient_degrees():

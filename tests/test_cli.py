@@ -529,10 +529,10 @@ def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):
 
 
 def test_construct_wedges_each_kernel_prefix_once(monkeypatch, capsys):
-    # one infinitesimal_generators pass per degree; it wedges each distinct
-    # nonempty prefix of the kernel basis' index tuples once, and each V_p
-    # is contracted into omega once
-    from momentkit.action import infinitesimal_generators
+    # one omega_contractions pass per degree; it contracts each distinct
+    # nonempty prefix of the kernel basis' index tuples once, one generator
+    # field into the contraction of the prefix before it, and wedges nothing
+    from momentkit.action import omega_contractions
     from momentkit.cli import catalog_action
     from momentkit.polyform import contract, wedge
     action = catalog_action("so4_r4")
@@ -540,17 +540,18 @@ def test_construct_wedges_each_kernel_prefix_once(monkeypatch, capsys):
     prefixes = sum(len({idx[:j] for mv in mvs for idx, c in mv.items() if c
                         for j in range(1, k + 1)})
                    for k, mvs in kernels.items())
-    generators = count_calls(monkeypatch, infinitesimal_generators)
+    chains = count_calls(monkeypatch, omega_contractions)
     wedges = count_calls(monkeypatch, wedge)
     contractions = count_calls(monkeypatch, contract)
     rc, _, _ = run_main(["construct", bundled("so4_r4.mmk")], capsys)
     assert rc == 0
-    assert [mvs for _, mvs in generators] == list(kernels.values())
-    assert len(wedges) == prefixes
+    assert [mvs for _, mvs in chains] == list(kernels.values())
+    assert wedges == []
+    assert len(contractions) == prefixes
+    assert all(field in action.fields for field, _ in contractions)
     into_omega = [field for field, alpha in contractions if alpha == action.omega]
-    assert len(into_omega) == sum(len(mvs) for mvs in kernels.values())
-    assert sorted(field.degree for field in into_omega) == sorted(
-        k for k, mvs in kernels.items() for _ in mvs)
+    assert len(into_omega) == sum(len({idx[0] for mv in mvs for idx, c in mv.items() if c})
+                                  for mvs in kernels.values())
 
 
 def test_cohomology_counts_kernels_without_building_them(monkeypatch, capsys):

@@ -2,10 +2,12 @@
 
 The oracles below are the Fraction-valued wedge, d, contraction, homotopy
 operator K, Lie derivative, linear combination, Poly product, vector-field
-bracket and infinitesimal generators that `polyform` and
-`action.infinitesimal_generators` used before they ran on ints over one
-common denominator.  Each oracle streams Fraction terms into a dict and
-builds its result with the validating public constructors.
+bracket and infinitesimal generators that `polyform` and the former
+multivector-field batch of `action` used before they ran on ints over one
+common denominator; `action.omega_contractions` is checked against the
+oracle contraction of the oracle generators.  Each oracle streams Fraction
+terms into a dict and builds its result with the validating public
+constructors.
 
 Equality alone cannot catch an int that leaks into a result, since it
 compares equal to its Fraction: every result is also checked to hold only
@@ -20,7 +22,7 @@ from operator import add
 
 import pytest
 
-from momentkit.action import LieAction, infinitesimal_generators
+from momentkit.action import LieAction, infinitesimal_generator, omega_contractions
 from momentkit.lie_core import LieAlgebra, sort_with_sign
 from momentkit.polyform import (Form, MultiField, Poly, contract, exterior_d,
                                 lie_derivative, poincare_homotopy, vf_bracket,
@@ -243,19 +245,23 @@ def test_mixed_denominator_linear_combinations():
 
 
 def test_generators_of_rational_fields_match_the_oracle():
-    # fields and multivectors with denominators 1..6, shared and unsorted
-    # tuples, and terms that cancel between tuples
+    # fields, omega and multivectors with denominators 1..6, shared and
+    # unsorted tuples, and terms that cancel between tuples
     rng = random.Random(2034)
     for dim, n in ((3, 3), (4, 4), (5, 3)):
         fields = [random_graded(rng, MultiField, n, 1) for _ in range(dim)]
-        action = LieAction(LieAlgebra(dim), fields, Form.zero(n, n))
+        omega = Form.from_terms(n, n, random_terms(rng, n, n, 2, rng.randint(1, 5)))
+        assert not omega.is_zero()
+        action = LieAction(LieAlgebra(dim), fields, omega)
         mvs = []
-        for k in range(dim + 1):
+        for k in range(min(dim, n) + 1):
             for _ in range(3):
                 tuples = [tuple(rng.sample(range(dim), k)) for _ in range(3)]
                 mvs.append({t: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for t in tuples})
-        for got, want in zip(infinitesimal_generators(action, mvs), oracle_generators(action, mvs)):
-            assert_same(got, want)
+        oracle = oracle_generators(action, mvs)
+        for got, mv, want in zip(omega_contractions(action, mvs), mvs, oracle):
+            assert_same(infinitesimal_generator(action, mv), want)
+            assert_same(got, oracle_contract(want, omega))
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +277,11 @@ def test_so5_kernel_matches_the_oracles(so5):
     rng = random.Random(2033)
     for k in (1, 2, 3, 4):
         mvs = so5.kernel(k).multivectors
-        fields = infinitesimal_generators(so5, mvs)
-        for got, want in zip(fields, oracle_generators(so5, mvs)):
-            assert_same(got, want)
-        for a in rng.sample(range(len(fields)), min(12, len(fields))):
-            rhs = contract(fields[a], so5.omega)
-            assert_same(rhs, oracle_contract(fields[a], so5.omega))
+        contractions = omega_contractions(so5, mvs)
+        for got, want in zip(contractions, oracle_generators(so5, mvs)):
+            assert_same(got, oracle_contract(want, so5.omega))
+        for a in rng.sample(range(len(mvs)), min(12, len(mvs))):
+            rhs = contractions[a]
             assert_same(rhs, so5.contractions(k)[a])
             f = poincare_homotopy(rhs)
             assert_same(f, oracle_homotopy(rhs))
@@ -315,12 +320,10 @@ def test_integral_so5_input_makes_no_fraction_arithmetic(so5, monkeypatch):
             kernels.append({t: int(c * scale) for t, c in mv.items()})
     omega, fields = so5.omega, so5.fields
     sample = kernels[::9]
-    integral = infinitesimal_generators(so5, sample)
-    contractions = [contract(v, omega) for v in integral]
+    integral = omega_contractions(so5, sample)
     calls = count_fraction_arithmetic(monkeypatch)
-    generated = infinitesimal_generators(so5, sample)
-    for v_p, rhs in zip(generated, contractions):
-        contract(v_p, omega)
+    generated = omega_contractions(so5, sample)
+    for rhs in generated:
         f = poincare_homotopy(rhs)
         exterior_d(rhs)
         wedge(f, rhs)
@@ -329,6 +332,7 @@ def test_integral_so5_input_makes_no_fraction_arithmetic(so5, monkeypatch):
         Form.linear_combination(omega.n, rhs.degree, [(3, rhs), (-2, rhs), (1, rhs)])
         exterior_d(f)
     wedge(fields[0], fields[1])
+    contract(fields[0], omega)
     lie_derivative(fields[0], omega)
     counts = dict(calls)
     monkeypatch.undo()

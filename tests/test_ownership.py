@@ -70,9 +70,9 @@ def test_the_checkers_find_a_back_reference_and_a_derive_call():
     source = ("class K:\n    def __init__(self, action):\n        self.action = action\n"
               "class T:\n    def f(self, a):\n        self.n, self.action = 1, a\n"
               "class M:\n    def __init__(self, a):\n        self.algebra = a.algebra\n"
-              "x = a.derive(1, f)\n")
+              "x = a._derive(1, f)\n")
     assert attribute_assignments(source, "action") == {"K", "T"}
-    assert method_calls(source, "derive") == [10]
+    assert method_calls(source, "_derive") == [10]
 
 
 def test_no_derived_record_points_back_at_the_action():
@@ -80,4 +80,5 @@ def test_no_derived_record_points_back_at_the_action():
 
 
 def test_the_command_line_keeps_nothing_in_the_action():
-    assert method_calls(read("cli.py"), "derive") == []
+    assert method_calls(read("cli.py"), "_derive") == []
+    assert method_calls(read("action.py"), "_derive")  # the check is not vacuous

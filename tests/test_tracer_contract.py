@@ -2,7 +2,8 @@
 
 `perfbench/tracer.py` wraps momentkit functions by module and name, unpacks
 the positional arguments of some of them to key their content, and reads
-`Form.comps` / `Poly.terms` to count wedge output terms.
+`Form.comps` / `Poly.terms` to key moment-map components and truncated form
+spaces.
 
 The first tests import the tracer by path and start no worker, so they do
 not depend on how fast the host runs: every traced name resolves, the
@@ -10,9 +11,9 @@ hooked functions keep the positional parameters their hooks unpack, and
 each content-key hook reads the objects momentkit builds today.
 
 One traced pass of `perfbench/worker.py` over `report so4_r4.mmk` must
-still run, find the traced names, count wedge terms, and keep its spans
-nested.  (`so3_r3` is not used: its pass is shorter than the worker's 50 ms
-sampling interval.)
+still run, find the traced names, key the Sigma cochains and truncated form
+spaces it builds, and keep its spans nested.  (`so3_r3` is not used: its
+pass is shorter than the worker's 50 ms sampling interval.)
 """
 
 import importlib.util
@@ -92,6 +93,6 @@ def test_traced_worker_pass_reads_the_form_layout(tmp_path):
     reply = json.loads(proc.stdout)
     assert [c["rc"] for c in reply["commands"]] == [0]
     layers = reply["layers"]
-    assert layers["polyform.wedge.calls"] > 0
-    assert layers["polyform.wedge.terms_out"] > 0
+    assert layers["moment.sigma_cochain.distinct_ratio"] > 0
+    assert layers["action.TruncatedFormModule.distinct_ratio"] > 0
     assert reply["unnested_s"] <= 0.01 * layers["trace.wall_s"]

@@ -26,7 +26,7 @@ user drops it):
   * `kernel(k)`: the degree-k Lie kernel P_k of the algebra (`LieKernel`):
     canonical basis, kernel module and its dual, display names;
   * `contractions(k)`: V_p . omega of P_k's basis elements, from one
-    `omega_contractions` pass;
+    `polyform.contraction_chains` pass over the generator fields;
   * `truncated_forms(k, D)`: closed (n-k)-forms of coefficient degree <= D
     (`TruncatedFormModule`): the closed basis and its L_{V_i} images, built
     once, and the invariant forms read from them;
@@ -34,11 +34,11 @@ user drops it):
     whose cohomology decides equivariant existence and uniqueness.
 A moment map reads the action but is not kept by it.
 
-Also here: V_p . omega for a list of multivectors p as chains of
-single-field contractions iota_{V_tk} ... iota_{V_t1} omega, each shared
-index-tuple prefix contracted once and no multivector field V_p built
-(`omega_contractions`); the field V_p itself as a sum of wedges
-(`infinitesimal_generator`); and truncated spaces of (invariant) closed
+V_p . omega is not built here: `polyform.contraction_chains` takes it as
+chains of single-field contractions iota_{V_tk} ... iota_{V_t1} omega on
+ints, each shared index-tuple prefix contracted once and no multivector
+field V_p built.  Also here: the field V_p itself as a sum of wedges
+(`infinitesimal_generator`), and truncated spaces of (invariant) closed
 forms as finite-dimensional modules.
 """
 
@@ -54,8 +54,8 @@ from .lie_core import (LieAlgebra, StructureError, boundary_ranks, ce_betti,
                        exterior_basis, format_multivector, lie_kernel_basis,
                        mv_from_coords)
 from .gmodule import GModule, dual_module, lie_kernel_module, tensor_module
-from .polyform import (Form, MultiField, Poly, contract, exterior_d, format_form,
-                       lie_derivative, vf_bracket, wedge)
+from .polyform import (Form, MultiField, Poly, contract, contraction_chains, exterior_d,
+                       format_form, lie_derivative, vf_bracket, wedge)
 
 
 class LieAction:
@@ -118,9 +118,9 @@ class LieAction:
 
     def contractions(self, k: int) -> list:
         """V_p . omega, the defining equation's right-hand side up to -zeta(k),
-        for each basis element p of kernel(k), by one `omega_contractions` pass."""
-        return self._derive(("contractions", k), lambda: omega_contractions(
-            self, self.kernel(k).multivectors))
+        for each basis element p of kernel(k), by one `contraction_chains` pass."""
+        return self._derive(("contractions", k), lambda: contraction_chains(
+            self.fields, self.omega, self.kernel(k).multivectors))
 
     def truncated_forms(self, k: int, max_degree: int) -> "TruncatedFormModule":
         """Closed (n-k)-forms of coefficient degree <= max_degree (the values
@@ -249,7 +249,7 @@ def preserves_omega(action: LieAction):
 
 def infinitesimal_generator(action: LieAction, mv) -> MultiField:
     """Multivector field V_p = sum of c * V_{t1} ^ ... ^ V_{tk} over the terms
-    of one multivector p (a dict as for `omega_contractions`, or one index
+    of one multivector p (a dict as for `contraction_chains`, or one index
     tuple for the multivector with coefficient 1 on it)."""
     if isinstance(mv, tuple):
         mv = {mv: 1}
@@ -258,51 +258,6 @@ def infinitesimal_generator(action: LieAction, mv) -> MultiField:
     return MultiField.linear_combination(n, len(next(iter(mv))) if mv else 0, (
         (c, reduce(wedge, (action.fields[t] for t in idx), unit))
         for idx, c in mv.items() if c))
-
-
-def omega_contractions(action: LieAction, mvs) -> list:
-    """V_p . omega for each multivector p in `mvs`, a dict from index tuples
-    to coefficients, without building V_p: each basis term e_{t1}^...^e_{tk}
-    maps to (V_{t1} ^ ... ^ V_{tk}) . omega = iota_{V_tk} ... iota_{V_t1}
-    omega, extended linearly.  A multivector's degree is the length of its
-    first tuple; a degree above omega's, or a nonzero term of another
-    length, raises ValueError.
-
-    The distinct index tuples with a nonzero coefficient are visited in
-    lexicographic order, with a stack holding omega, V_{t1} . omega, ... for
-    the current tuple, cut back to the prefix it shares with the previous
-    one, so each distinct prefix is contracted once per call.  Each result
-    is one linear combination of its tuples' contractions, taken at its
-    multivector's last tuple, which then lets them go: a tuple's
-    contraction lives only while a multivector that uses it is still open."""
-    omega = action.omega
-    users: dict = {}  # index tuple -> [(position in mvs, nonzero coefficient)]
-    out, sizes = [], []  # per multivector: zero until taken; its number of nonzero terms
-    for a, mv in enumerate(mvs):
-        degree = len(next(iter(mv))) if mv else 0
-        if degree > omega.degree:
-            raise ValueError("cannot contract: multivector degree exceeds form degree")
-        nonzero = [(idx, c) for idx, c in mv.items() if c]
-        for idx, c in nonzero:
-            if len(idx) != degree:
-                raise ValueError(f"multivector mixes degrees {degree} and {len(idx)}")
-            users.setdefault(idx, []).append((a, c))
-        out.append(Form.zero(omega.n, omega.degree - degree))
-        sizes.append(len(nonzero))
-    reached = [[] for _ in out]  # per open multivector: its (coefficient, contraction) pairs
-    stack, prev = [omega], ()
-    for idx in sorted(users):
-        while idx[:len(stack) - 1] != prev[:len(stack) - 1]:
-            stack.pop()
-        for t in idx[len(stack) - 1:]:
-            stack.append(contract(action.fields[t], stack[-1]))
-        prev = idx
-        for a, c in users[idx]:
-            reached[a].append((c, stack[-1]))
-            if len(reached[a]) == sizes[a]:
-                out[a] = Form.linear_combination(omega.n, out[a].degree, reached[a])
-                reached[a] = None
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -39,15 +39,14 @@ there.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import Mat, coordinates, kron_sum, mat_hstack, rref, solve_many
 from .lie_core import (StructureError, boundary_matrix, exterior_basis,
                        mv_coords, mv_from_coords, wedge_matrix)
 from .gmodule import (ce_module_differential, coboundary_solve, invariants_basis,
                       module_cohomology_dim)
-from .polyform import Form, contract, exterior_d, lie_derivative, poincare_homotopy
-from .action import LieAction, omega_contractions
+from .polyform import (Form, contract, contraction_chains, exterior_d, exterior_d_plus,
+                       lie_derivative, poincare_homotopy)
+from .action import LieAction
 
 
 def zeta(k: int) -> int:
@@ -107,15 +106,13 @@ class MomentMap:
 
 
 def defining_residuals(mm: MomentMap) -> dict:
-    """(k, basis index) -> d f_k(p) + zeta(k) (V_p . omega); all-zero
+    """(k, basis index) -> d f_k(p) + zeta(k) (V_p . omega), each summed
+    from the stored f_k(p) in one accumulator (`exterior_d_plus`); all-zero
     certifies the moment map."""
     out = {}
-    n = mm.action.ambient_dim
     for k in mm.degrees():
         for a, rhs in enumerate(mm.action.contractions(k)):
-            f = mm.components[k][a]
-            out[(k, a)] = Form.linear_combination(
-                n, f.degree + 1, ((1, exterior_d(f)), (zeta(k), rhs)))
+            out[(k, a)] = exterior_d_plus(mm.components[k][a], zeta(k), rhs)
     return out
 
 
@@ -146,24 +143,26 @@ def _default_degrees(action: LieAction, ks):
 
 
 def construct_poincare(action: LieAction, ks=None) -> MomentMap:
-    """f_k(p) = -zeta(k) K(V_p . omega); valid whenever the action preserves
-    the closed form omega (then V_p . omega is closed for kernel p)."""
+    """f_k(p) = -zeta(k) K(V_p . omega), the scalar taken into K's int scale;
+    valid whenever the action preserves the closed form omega (then
+    V_p . omega is closed for kernel p)."""
     components = {}
     for k in _default_degrees(action, ks):
-        z = Fraction(-zeta(k))
-        components[k] = [poincare_homotopy(rhs) * z
+        components[k] = [poincare_homotopy(rhs, -zeta(k))
                          for rhs in action.contractions(k)]
     return _checked(MomentMap(action, components), "homotopy-operator")
 
 
 def construct_exactness(action: LieAction, ks=None) -> MomentMap:
-    """f_k(p) = zeta(k) s (-1)^k (V_q . omega) for a boundary preimage
-    dq = p; applicable only when every kernel element is a boundary."""
+    """f_k(p) = zeta(k) s (-1)^k (V_q . omega) = V_{zeta(k) s (-1)^k q} . omega
+    for a boundary preimage dq = p, the scalar folded into q's coefficients
+    before the contraction chains; applicable only when every kernel element
+    is a boundary."""
     g = action.algebra
     s = action.sign()
     components = {}
     for k in _default_degrees(action, ks):
-        z = Fraction(zeta(k) * s * (-1) ** k)
+        z = zeta(k) * s * (-1) ** k
         bmat = boundary_matrix(g, k + 1)
         basis_next = exterior_basis(g.dim, k + 1)
         kernel = action.kernel(k)
@@ -173,8 +172,9 @@ def construct_exactness(action: LieAction, ks=None) -> MomentMap:
             raise StructureError(
                 f"exactness route does not apply at degree {k}: kernel basis "
                 f"element {kernel.names[_first_unsolvable(bmat, kmat)]} is not a boundary")
-        qs = [mv_from_coords(preimages.col(a), basis_next) for a in range(kmat.ncols)]
-        components[k] = [rhs * z for rhs in omega_contractions(action, qs)]
+        qs = [{t: z * c for t, c in mv_from_coords(preimages.col(a), basis_next).items()}
+              for a in range(kmat.ncols)]
+        components[k] = contraction_chains(action.fields, action.omega, qs)
     return _checked(MomentMap(action, components), "exactness")
 
 

@@ -18,8 +18,15 @@ is wrapped (`_wrap`).  Every operator (sums, scalar and Poly products,
 `linear_combination`, `from_terms`, wedge, d, contraction, K, the Lie
 derivative, the vector-field bracket; Poly arithmetic is that of 0-forms)
 streams (index tuple, monomial, int) terms into one accumulator,
-`_accumulate`, which keeps the invariants by construction.  The Lie
-derivative composes the int kernels, entering and exiting once.
+`_accumulate`, which keeps the invariants by construction.  The composite
+operators compose the int kernels, entering and exiting once per result:
+the Lie derivative; `contraction_chains`, which takes
+(V_{t1} ^ ... ^ V_{tk}) . alpha for many multivectors as chains of
+single-field contractions sharing their prefixes; K scaled by a constant;
+and `exterior_d_plus`, d alpha + c * beta.  The homotopy-operator
+construction of a moment map runs these three in turn, so each of its
+values leaves the ints once per step: the chain, c * K and the recheck's
+residual.
 
 Conventions:
   * contraction: (X_1 ^ ... ^ X_k) . alpha applies iota_{X_1} innermost,
@@ -153,6 +160,16 @@ def _sum(terms) -> dict:
     acc: dict = {}
     _accumulate(acc, {}, terms)
     return acc
+
+
+def _combination(reads):
+    """(acc, den): the accumulated sum of num/d times ints over the
+    (num, d, ints) reads, as ints over den, the lcm of the d."""
+    den = lcm(*(d for _, d, _ in reads))
+    return _sum((idx, mono, s * v)
+                for s, ints in [(num * (den // d), ints) for num, d, ints in reads]
+                for idx, p in ints.items()
+                for mono, v in p.items()), den
 
 
 def _accumulate(acc: dict, slots: dict, terms):
@@ -290,12 +307,7 @@ class _Graded:
             if c:
                 den, ints = _ints(x.comps)
                 reads.append((c.numerator, c.denominator * den, ints))
-        den = lcm(*(d for _, d, _ in reads))
-        return _wrap(cls, n, degree, _sum(
-            (idx, mono, s * v)
-            for s, ints in [(num * (den // d), ints) for num, d, ints in reads]
-            for idx, p in ints.items()
-            for mono, v in p.items()), den)
+        return _wrap(cls, n, degree, *_combination(reads))
 
     def __add__(self, other):
         return self.linear_combination(self.n, self.degree, ((1, self), (1, other)))
@@ -360,6 +372,24 @@ def exterior_d(alpha: Form) -> Form:
     return _wrap(Form, alpha.n, alpha.degree + 1, _sum(_d_terms(a)), den)
 
 
+def exterior_d_plus(alpha: Form, c, beta: Form) -> Form:
+    """d alpha + c * beta, for a scalar c and a form beta of degree
+    alpha.degree + 1: both summands over one denominator in one accumulator."""
+    if beta.n != alpha.n or beta.degree != alpha.degree + 1:
+        raise ValueError("degree/dimension mismatch in exterior_d_plus")
+    c = frac(c)
+    da, a = _ints(alpha.comps)
+    db, b = _ints(beta.comps)
+    den = lcm(da, c.denominator * db)
+    sa, sb = den // da, c.numerator * (den // (c.denominator * db))
+    acc: dict = {}
+    slots: dict = {}
+    _accumulate(acc, slots, ((idx, mono, sa * v) for idx, mono, v in _d_terms(a)))
+    _accumulate(acc, slots, ((idx, mono, sb * v)
+                             for idx, p in b.items() for mono, v in p.items()))
+    return _wrap(Form, alpha.n, alpha.degree + 1, acc, den)
+
+
 def contract(field: MultiField, alpha: Form) -> Form:
     """(X_1 ^ .. ^ X_k) . alpha = alpha(X_1, .., X_k, ...): for each field
     component d/dx_{t_0} ^ .. ^ d/dx_{t_{k-1}}, iota over t_0 first."""
@@ -371,6 +401,58 @@ def contract(field: MultiField, alpha: Form) -> Form:
     da, a = _ints(alpha.comps)
     return _wrap(Form, alpha.n, alpha.degree - field.degree,
                  _sum(_contract_terms(f, a)), df * da)
+
+
+def contraction_chains(fields, alpha: Form, mvs) -> list:
+    """(V_{t1} ^ ... ^ V_{tk}) . alpha = iota_{V_tk} ... iota_{V_t1} alpha,
+    extended linearly, for each multivector in `mvs`: a dict from index
+    tuples into the vector fields `fields` to coefficients.  A multivector's
+    degree is the length of its first tuple; a degree above alpha's, or a
+    nonzero term of another length, raises ValueError.
+
+    The distinct index tuples with a nonzero coefficient are visited in
+    lexicographic order, with a stack of the int contractions (den, ints) of
+    alpha, V_{t1} . alpha, ... for the current tuple, cut back to the prefix
+    it shares with the previous one: each distinct prefix is contracted once
+    per call, each field is read once, and the denominators multiply through
+    unreduced.  A result is summed from its tuples' ints over one common
+    denominator and wrapped once, at its multivector's last tuple; a tuple's
+    contraction lives only while a multivector that uses it is still open."""
+    n = alpha.n
+    users: dict = {}  # index tuple -> [(position in mvs, nonzero coefficient)]
+    out, sizes = [], []  # per multivector: zero until taken; its number of nonzero terms
+    for a, mv in enumerate(mvs):
+        degree = len(next(iter(mv))) if mv else 0
+        if degree > alpha.degree:
+            raise ValueError("cannot contract: multivector degree exceeds form degree")
+        nonzero = [(idx, frac(c)) for idx, c in mv.items() if c]
+        for idx, c in nonzero:
+            if len(idx) != degree:
+                raise ValueError(f"multivector mixes degrees {degree} and {len(idx)}")
+            users.setdefault(idx, []).append((a, c))
+        out.append(Form.zero(n, alpha.degree - degree))
+        sizes.append(len(nonzero))
+    reached = [[] for _ in out]  # per open multivector: its (num, den, ints) reads
+    field_ints = {}  # field index -> (den, ints) of each field the tuples use
+    for t in {t for idx in users for t in idx}:
+        if fields[t].degree != 1 or fields[t].n != n:
+            raise ValueError("contraction chains need vector fields on the form's space")
+        field_ints[t] = _ints(fields[t].comps)
+    stack, prev = [_ints(alpha.comps)], ()
+    for idx in sorted(users):
+        while idx[:len(stack) - 1] != prev[:len(stack) - 1]:
+            stack.pop()
+        for t in idx[len(stack) - 1:]:
+            (df, f), (den, ints) = field_ints[t], stack[-1]
+            stack.append((den * df, _sum(_contract_terms(f, ints))))
+        prev = idx
+        den, ints = stack[-1]
+        for a, c in users[idx]:
+            reached[a].append((c.numerator, c.denominator * den, ints))
+            if len(reached[a]) == sizes[a]:
+                out[a] = _wrap(Form, n, out[a].degree, *_combination(reached[a]))
+                reached[a] = None
+    return out
 
 
 def lie_derivative(x: MultiField, alpha: Form) -> Form:
@@ -407,22 +489,24 @@ def vf_bracket(x: MultiField, y: MultiField) -> MultiField:
         for m1, c1 in p1.items()), dx * dy)
 
 
-def poincare_homotopy(alpha: Form) -> Form:
-    """Homotopy operator K with d K + K d = identity on polynomial forms of
-    form-degree >= 1 (and on 0-forms up to the constant term).  K of a 0-form
-    is zero by convention.  The result is over den * L, with L the lcm of
-    the |mu|+p that K divides by."""
+def poincare_homotopy(alpha: Form, c=1) -> Form:
+    """c * K(alpha), for a scalar c (default 1), with K the homotopy operator:
+    d K + K d = identity on polynomial forms of form-degree >= 1 (and on
+    0-forms up to the constant term).  K of a 0-form is zero by convention.
+    The result is over den * L * c.denominator, with L the lcm of the |mu|+p
+    that K divides by, and c.numerator goes into the int scale."""
     if alpha.degree == 0:
         return Form.zero(alpha.n, 0)
     p = alpha.degree
+    c = frac(c)
     den, a = _ints(alpha.comps)
     scale = lcm(*{sum(mono) + p for q in a.values() for mono in q})
     return _wrap(Form, alpha.n, p - 1, _sum(
-        (idx[:j] + idx[j + 1:], mono[:i] + (mono[i] + 1,) + mono[i + 1:],
-         (-c if j % 2 else c) * (scale // (sum(mono) + p)))
+        (idx[:j] + idx[j + 1:], mono[:i] + (mono[i] + 1,) + mono[i + 1:], -s if j % 2 else s)
         for idx, q in a.items()
-        for mono, c in q.items()
-        for j, i in enumerate(idx)), den * scale)
+        for mono, v in q.items()
+        for s in [v * c.numerator * (scale // (sum(mono) + p))]
+        for j, i in enumerate(idx)), den * scale * c.denominator)
 
 
 form_from_terms = Form.from_terms

@@ -17,14 +17,14 @@ from momentkit.lie_core import ALGEBRA_CATALOG, LieAlgebra, StructureError, \
     lie_kernel_basis, mv_from_coords
 from momentkit.gmodule import invariants_basis
 from momentkit.linalg import Mat, mat_vstack, nullspace, rank
-from momentkit.polyform import (Form, MultiField, Poly, contract, exterior_d,
-                                form_from_terms, lie_derivative, wedge)
+from momentkit.polyform import (Form, MultiField, Poly, contract, contraction_chains,
+                                exterior_d, form_from_terms, lie_derivative, wedge)
 from momentkit.action import (_SAMPLE_SEEDS, LieAction, TruncatedFormModule,
                               _contraction_matrix_at, _operator_matrix,
                               check_multisymplectic,
                               closed_form_basis, form_key_basis, form_to_vector,
                               infinitesimal_generator, invariant_closed_forms,
-                              monomial_basis, omega_contractions, preserves_omega,
+                              monomial_basis, preserves_omega,
                               validate_action, vector_to_form)
 from momentkit.cli import catalog_action, main, parse_problem
 
@@ -253,8 +253,8 @@ def test_generators_of_every_kernel_match_the_wedge_oracle():
         for k in range(1, action.plectic_degree() + 1):
             kernel = action.kernel(k)
             want = oracle_contractions(action, kernel.multivectors)
-            assert omega_contractions(action, kernel.multivectors) == want, \
-                (action.algebra.name, k)
+            got = contraction_chains(action.fields, action.omega, kernel.multivectors)
+            assert got == want, (action.algebra.name, k)
             assert action.contractions(k) == want, (action.algebra.name, k)
 
 
@@ -279,20 +279,21 @@ def test_generators_edge_cases():
         # degrees 0..3 in one call, each tuple a prefix of the next
         [{(0, 1, 2): 1, (0, 2, 1): 1}, {(0, 1): 1}, {(0,): 2}, {(): 1}],
     ]
+    fields, omega = action.fields, action.omega
     for mvs in cases:
-        assert omega_contractions(action, mvs) == oracle_contractions(action, mvs), mvs
-    assert [r.degree for r in omega_contractions(action, cases[3])] == [2, 2]
-    assert omega_contractions(action, cases[4])[2].is_zero()
-    assert omega_contractions(action, cases[5])[0].is_zero()
+        assert contraction_chains(fields, omega, mvs) == oracle_contractions(action, mvs), mvs
+    assert [r.degree for r in contraction_chains(fields, omega, cases[3])] == [2, 2]
+    assert contraction_chains(fields, omega, cases[4])[2].is_zero()
+    assert contraction_chains(fields, omega, cases[5])[0].is_zero()
     assert infinitesimal_generator(action, (0, 1)) == wedge(v[0], v[1])
     assert infinitesimal_generator(action, ()) == MultiField(n, 0, {(): Poly.const(n, 1)})
     # a term of another length counts only with a nonzero coefficient
     assert infinitesimal_generator(action, {(0, 1): 1, (2,): 0}) == wedge(v[0], v[1])
-    assert omega_contractions(action, [{(0, 1): 1, (2,): 0}]) == [
+    assert contraction_chains(fields, omega, [{(0, 1): 1, (2,): 0}]) == [
         contract(wedge(v[0], v[1]), action.omega)]
     for mv in ({(0,): 1, (0, 1): 1}, {(0, 1): 0, (2,): 1}):
         with pytest.raises(ValueError):
-            omega_contractions(action, [{(0,): 1}, mv])
+            contraction_chains(fields, omega, [{(0,): 1}, mv])
         with pytest.raises(ValueError):
             infinitesimal_generator(action, mv)
     # a degree above omega's, as for contract(V_p, omega), even when V_p = 0
@@ -300,7 +301,10 @@ def test_generators_edge_cases():
         with pytest.raises(ValueError):
             contract(oracle_generator(action, mv), action.omega)
         with pytest.raises(ValueError):
-            omega_contractions(action, [mv])
+            contraction_chains(fields, omega, [mv])
+    # the chain contracts vector fields only
+    with pytest.raises(ValueError):
+        contraction_chains([wedge(v[0], v[1])], omega, [{(0,): 1}])
 
 
 def kernel_multivectors(g, k):

@@ -529,27 +529,31 @@ def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):
 
 
 def test_construct_wedges_each_kernel_prefix_once(monkeypatch, capsys):
-    # one omega_contractions pass per degree; it contracts each distinct
-    # nonempty prefix of the kernel basis' index tuples once, one generator
-    # field into the contraction of the prefix before it, and wedges nothing
-    from momentkit.action import omega_contractions
+    # one contraction_chains pass per degree; on ints it contracts each
+    # distinct nonempty prefix of the kernel basis' index tuples once, one
+    # generator field into the contraction of the prefix before it, and it
+    # wedges nothing and calls no public contract
+    from momentkit import polyform
     from momentkit.cli import catalog_action
-    from momentkit.polyform import contract, wedge
+    from momentkit.polyform import contract, contraction_chains, wedge
     action = catalog_action("so4_r4")
     kernels = {k: action.kernel(k).multivectors for k in (1, 2, 3)}
     prefixes = sum(len({idx[:j] for mv in mvs for idx, c in mv.items() if c
                         for j in range(1, k + 1)})
                    for k, mvs in kernels.items())
-    chains = count_calls(monkeypatch, omega_contractions)
+    chains = count_calls(monkeypatch, contraction_chains)
     wedges = count_calls(monkeypatch, wedge)
     contractions = count_calls(monkeypatch, contract)
+    steps = count_calls(monkeypatch, polyform._contract_terms)
     rc, _, _ = run_main(["construct", bundled("so4_r4.mmk")], capsys)
     assert rc == 0
-    assert [mvs for _, mvs in chains] == list(kernels.values())
-    assert wedges == []
-    assert len(contractions) == prefixes
-    assert all(field in action.fields for field, _ in contractions)
-    into_omega = [field for field, alpha in contractions if alpha == action.omega]
+    assert [mvs for _, _, mvs in chains] == list(kernels.values())
+    assert wedges == [] and contractions == []
+    assert len(steps) == prefixes
+    fields = [polyform._ints(v.comps)[1] for v in action.fields]
+    assert all(field in fields for field, _ in steps)
+    into_omega = [field for field, alpha in steps
+                  if alpha == polyform._ints(action.omega.comps)[1]]
     assert len(into_omega) == sum(len({idx[0] for mv in mvs for idx, c in mv.items() if c})
                                   for mvs in kernels.values())
 

@@ -4,29 +4,34 @@ The oracles below are the Fraction-valued wedge, d, contraction, homotopy
 operator K, Lie derivative, linear combination, Poly product, vector-field
 bracket and infinitesimal generators that `polyform` and the former
 multivector-field batch of `action` used before they ran on ints over one
-common denominator; `action.omega_contractions` is checked against the
-oracle contraction of the oracle generators.  Each oracle streams Fraction
-terms into a dict and builds its result with the validating public
-constructors.
+common denominator; `polyform.contraction_chains` is checked against the
+oracle contraction of the oracle generators, and the Poincare route's
+scaled K and one-accumulator residual against K, d and linear combinations
+of the oracles.  Each oracle streams Fraction terms into a dict and builds
+its result with the validating public constructors.
 
 Equality alone cannot catch an int that leaks into a result, since it
 compares equal to its Fraction: every result is also checked to hold only
 Fraction coefficients.  On integral so(5) input the operators make no
-Fraction arithmetic call at all.
+Fraction arithmetic call at all, and the whole Poincare route, recheck
+included, makes none and leaves the ints three times per kernel element.
 """
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import add
 
 import pytest
 
-from momentkit.action import LieAction, infinitesimal_generator, omega_contractions
-from momentkit.lie_core import LieAlgebra, sort_with_sign
-from momentkit.polyform import (Form, MultiField, Poly, contract, exterior_d,
-                                lie_derivative, poincare_homotopy, vf_bracket,
-                                wedge)
+import momentkit.polyform
+from momentkit.action import LieAction, infinitesimal_generator
+from momentkit.cli import catalog_action
+from momentkit.lie_core import LieAlgebra, StructureError, sort_with_sign
+from momentkit.moment import MomentMap, _checked, construct_poincare, zeta
+from momentkit.polyform import (Form, MultiField, Poly, contract, contraction_chains,
+                                exterior_d, exterior_d_plus, lie_derivative,
+                                poincare_homotopy, vf_bracket, wedge)
 
 from test_action import so5_action
 
@@ -259,9 +264,78 @@ def test_generators_of_rational_fields_match_the_oracle():
                 tuples = [tuple(rng.sample(range(dim), k)) for _ in range(3)]
                 mvs.append({t: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for t in tuples})
         oracle = oracle_generators(action, mvs)
-        for got, mv, want in zip(omega_contractions(action, mvs), mvs, oracle):
+        for got, mv, want in zip(contraction_chains(fields, omega, mvs), mvs, oracle):
             assert_same(infinitesimal_generator(action, mv), want)
             assert_same(got, oracle_contract(want, omega))
+
+
+def denominator(x):
+    """The lcm of the denominators of a form's or field's coefficients."""
+    return lcm(*(c.denominator for p in x.comps.values() for c in p.terms.values()))
+
+
+def test_the_poincare_route_matches_the_oracles_on_rational_input():
+    # fields and omega with denominators 1..6, so the chain's int stack
+    # carries d_omega * d_{V_t1} * ... * d_{V_tk} unreduced; then the scaled K
+    # and the one-accumulator residual d f + c * rhs, for f = -zeta(k) K(rhs)
+    # and for a random f and c
+    rng = random.Random(2035)
+    seen = {"unreduced": 0, "rational": 0, "nonzero residual": 0}
+    for dim, n in ((3, 3), (4, 4), (4, 5)):
+        fields = [random_graded(rng, MultiField, n, 1) for _ in range(dim)]
+        omega = Form.from_terms(n, n, random_terms(rng, n, n, 2, rng.randint(2, 5)))
+        action = LieAction(LieAlgebra(dim), fields, omega)
+        mvs = [{tuple(rng.sample(range(dim), k)): Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                for _ in range(3)}
+               for k in range(1, min(dim, n - 1) + 1) for _ in range(4)]
+        oracle = [oracle_contract(v, omega) for v in oracle_generators(action, mvs)]
+        for mv, rhs, want in zip(mvs, contraction_chains(fields, omega, mvs), oracle):
+            assert_same(rhs, want)
+            k = len(next(iter(mv)))
+            seen["unreduced"] += any(
+                denominator(omega) * prod(denominator(fields[t]) for t in idx)
+                > denominator(oracle_contract(oracle_generators(action, [{idx: 1}])[0], omega))
+                for idx in mv)
+            f = poincare_homotopy(rhs, -zeta(k))
+            assert_same(f, oracle_linear_combination(Form, n, n - k - 1,
+                                                     [(-zeta(k), oracle_homotopy(rhs))]))
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+            assert_same(poincare_homotopy(rhs, c), oracle_linear_combination(
+                Form, n, n - k - 1, [(c, oracle_homotopy(rhs))]))
+            g = random_graded(rng, Form, n, n - k - 1)
+            for alpha, z in ((f, zeta(k)), (g, c)):
+                got = exterior_d_plus(alpha, z, rhs)
+                assert_same(got, oracle_linear_combination(
+                    Form, n, n - k, [(1, oracle_d(alpha)), (z, rhs)]))
+                seen["nonzero residual"] += not got.is_zero()
+                seen["rational"] += denominator(got) > 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_a_changed_coefficient_fails_the_recheck_naming_its_value():
+    # double one coefficient whose term d does not kill: the residuals still
+    # equal the oracle's d f + zeta(k) rhs, and only that value's is nonzero
+    action = catalog_action("so4_r4")
+    components = construct_poincare(action).components
+    k, a, idx, mono = next((k, a, idx, mono) for k in sorted(components)
+                           for a, f in enumerate(components[k])
+                           for idx, p in sorted(f.comps.items()) for mono in sorted(p.terms)
+                           if any(e and i not in idx for i, e in enumerate(mono)))
+    f = components[k][a]
+    components[k][a] = f + Form.from_terms(f.n, f.degree, [(f.comps[idx].terms[mono], mono, idx)])
+    mm = MomentMap(action, components)
+    nonzero = []
+    for (kk, b), r in mm.residuals().items():
+        value = components[kk][b]
+        assert_same(r, oracle_linear_combination(Form, f.n, value.degree + 1, [
+            (1, oracle_d(value)), (zeta(kk), action.contractions(kk)[b])]))
+        if not r.is_zero():
+            nonzero.append((kk, b))
+    assert nonzero == [(k, a)]
+    with pytest.raises(StructureError) as err:
+        _checked(mm, "homotopy-operator")
+    assert str(err.value) == ("homotopy-operator construction failed its defining-equation "
+                              f"recheck at f_{k}({action.kernel(k).names[a]})")
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +351,7 @@ def test_so5_kernel_matches_the_oracles(so5):
     rng = random.Random(2033)
     for k in (1, 2, 3, 4):
         mvs = so5.kernel(k).multivectors
-        contractions = omega_contractions(so5, mvs)
+        contractions = contraction_chains(so5.fields, so5.omega, mvs)
         for got, want in zip(contractions, oracle_generators(so5, mvs)):
             assert_same(got, oracle_contract(want, so5.omega))
         for a in rng.sample(range(len(mvs)), min(12, len(mvs))):
@@ -320,9 +394,9 @@ def test_integral_so5_input_makes_no_fraction_arithmetic(so5, monkeypatch):
             kernels.append({t: int(c * scale) for t, c in mv.items()})
     omega, fields = so5.omega, so5.fields
     sample = kernels[::9]
-    integral = omega_contractions(so5, sample)
+    integral = contraction_chains(so5.fields, so5.omega, sample)
     calls = count_fraction_arithmetic(monkeypatch)
-    generated = omega_contractions(so5, sample)
+    generated = contraction_chains(so5.fields, so5.omega, sample)
     for rhs in generated:
         f = poincare_homotopy(rhs)
         exterior_d(rhs)
@@ -338,6 +412,38 @@ def test_integral_so5_input_makes_no_fraction_arithmetic(so5, monkeypatch):
     monkeypatch.undo()
     assert generated == integral
     assert counts == {name: 0 for name in COUNTED}
+
+
+@pytest.mark.parametrize("build, elements", [(so5_action, 256),
+                                              (lambda: catalog_action("so4_r4"), 26)],
+                         ids=["so5_seed1", "so4_r4"])
+def test_the_poincare_route_leaves_the_ints_three_times_per_element(build, elements,
+                                                                     monkeypatch):
+    # on a new action with its kernels built: the chain, -zeta(k) K and the
+    # defining-equation recheck each wrap once per kernel basis element, and
+    # the whole route makes no Fraction arithmetic call
+    action = build()
+    degrees = range(1, action.plectic_degree() + 1)
+    assert sum(len(action.kernel(k).multivectors) for k in degrees) == elements
+    wraps = []
+    wrap = momentkit.polyform._wrap
+
+    def counted(*args):
+        wraps.append(args[0])
+        return wrap(*args)
+
+    monkeypatch.setattr(momentkit.polyform, "_wrap", counted)
+    calls = count_fraction_arithmetic(monkeypatch)
+    mm = construct_poincare(action)
+    counts = dict(calls)
+    monkeypatch.undo()
+    assert len(wraps) == 3 * elements
+    assert set(wraps) == {Form}
+    assert counts == {name: 0 for name in COUNTED}
+    assert all(r.is_zero() for r in mm.residuals().values())
+    for k in degrees:
+        for f in mm.component(k):
+            assert_fraction_valued(f)
 
 
 def test_the_fraction_counter_sees_fraction_arithmetic(monkeypatch):

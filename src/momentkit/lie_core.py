@@ -181,28 +181,20 @@ def boundary_of_tuple(g: LieAlgebra, t: tuple) -> dict:
 
 def boundary_matrix(g: LieAlgebra, k: int) -> Mat:
     """Matrix of the boundary Lambda^k -> Lambda^{k-1} in the canonical bases."""
-    dom = exterior_basis(g.dim, k)
-    cod = exterior_basis(g.dim, k - 1)
-    m = Mat.zeros(len(cod), len(dom))
-    pos = {t: i for i, t in enumerate(cod)}
-    for j, t in enumerate(dom):
-        for u, x in boundary_of_tuple(g, t).items():
-            m.add(pos[u], j, x)
-    return m
+    pos = {t: i for i, t in enumerate(exterior_basis(g.dim, k - 1))}
+    return Mat.from_sparse_columns([{pos[u]: x for u, x in boundary_of_tuple(g, t).items()}
+                                    for t in exterior_basis(g.dim, k)], len(pos))
 
 
 def wedge_matrix(dim: int, i: int, k: int) -> Mat:
     """Matrix of e_i ^ . : Lambda^k -> Lambda^{k+1} in the canonical bases;
     the column of a tuple that holds i is zero."""
-    dom = exterior_basis(dim, k)
-    cod = exterior_basis(dim, k + 1)
-    m = Mat.zeros(len(cod), len(dom))
-    pos = {t: r for r, t in enumerate(cod)}
-    for j, t in enumerate(dom):
+    pos = {t: r for r, t in enumerate(exterior_basis(dim, k + 1))}
+    cols = []
+    for t in exterior_basis(dim, k):
         sign, s = sort_with_sign((i,) + t)
-        if sign:
-            m.add(pos[s], j, sign)
-    return m
+        cols.append({pos[s]: sign} if sign else {})
+    return Mat.from_sparse_columns(cols, len(pos))
 
 
 def validate_jacobi(g: LieAlgebra) -> None:

@@ -9,7 +9,8 @@ Conventions:
   * a matrix is a `Mat`: a list of sparse rows, each a `{col: Fraction}`
     dict that never stores a zero, with an explicit shape so that 0-row and
     0-column matrices stay well defined.  Only this module reads the rows;
-    callers use `entry`, `add`, `nonzeros`, `col` and `dense`,
+    callers build with `from_columns`, `from_sparse_columns` and `add`, and
+    read with `entry`, `nonzeros`, `col` and `dense`,
   * a matrix on a tensor product is a sum of Kronecker products, built by
     `kron_sum`, the one place that writes that block layout: row and column
     index = first factor's index major, second factor's minor.  Vectors over
@@ -93,14 +94,22 @@ class Mat:
 
     @classmethod
     def from_columns(cls, cols, nrows):
-        m = cls.zeros(nrows, len(cols))
+        """The matrix of dense columns, each a sequence of nrows numbers."""
+        if any(len(col) != nrows for col in cols):
+            raise ValueError("column length mismatch")
+        return cls.from_sparse_columns([{i: x for i, x in enumerate(col) if x} for col in cols],
+                                       nrows)
+
+    @classmethod
+    def from_sparse_columns(cls, cols, nrows):
+        """The matrix of sparse columns, each a {row: number} dict with rows
+        in range(nrows): every entry is written once, zeros skipped."""
+        rows = [{} for _ in range(nrows)]
         for j, col in enumerate(cols):
-            if len(col) != nrows:
-                raise ValueError("column length mismatch")
-            for i, x in enumerate(col):
+            for i, x in col.items():
                 if x:
-                    m.rows[i][j] = frac(x)
-        return m
+                    rows[i][j] = frac(x)
+        return cls._of(rows, len(cols))
 
     @property
     def shape(self):

@@ -12,21 +12,21 @@ the zero Poly.  The public constructors (`Poly(n, terms)`,
 `form_from_terms`) validate their input.  Internal results are not
 validated again.
 
-The calculus is fraction-free: Fractions appear only where an operand
-enters (`_ints`: ints over the lcm of its denominators) and where a result
-is wrapped (`_wrap`).  Every operator (sums, scalar and Poly products,
-`linear_combination`, `from_terms`, wedge, d, contraction, K, the Lie
-derivative, the vector-field bracket; Poly arithmetic is that of 0-forms)
-streams (index tuple, monomial, int) terms into one accumulator,
-`_accumulate`, which keeps the invariants by construction.  The composite
-operators compose the int kernels, entering and exiting once per result:
-the Lie derivative; `contraction_chains`, which takes
-(V_{t1} ^ ... ^ V_{tk}) . alpha for many multivectors as chains of
-single-field contractions sharing their prefixes; K scaled by a constant;
-and `exterior_d_plus`, d alpha + c * beta.  The homotopy-operator
+The calculus is fraction-free: an operand enters as {index tuple:
+{monomial: int}} over the lcm of its denominators (`_ints`), and a result
+leaves once, as Fractions over its kernel's denominator (`_wrap`, which
+also drops the zero coefficients and empty components that cancellation
+left behind).  In between, every kernel (wedge and Poly products, d,
+contraction, K, linear combinations, the vector-field bracket) works a
+block at a time: one source component, or one pair of components, whose
+target index tuple and sign it resolves once before adding the block into
+that target's dict (`_combination`, `_add_products`).  The composite
+operators compose the kernels and leave the ints once: the Lie derivative;
+`contraction_chains`, (V_{t1} ^ ... ^ V_{tk}) . alpha for many multivectors
+as chains of single-field contractions sharing their prefixes; K scaled by
+a constant; and `exterior_d_plus`, d alpha + c * beta.  The homotopy-operator
 construction of a moment map runs these three in turn, so each of its
-values leaves the ints once per step: the chain, c * K and the recheck's
-residual.
+values leaves the ints three times.
 
 Conventions:
   * contraction: (X_1 ^ ... ^ X_k) . alpha applies iota_{X_1} innermost,
@@ -39,7 +39,9 @@ Conventions:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import add
 
@@ -144,7 +146,7 @@ def format_poly(p: Poly) -> str:
 
 
 # ---------------------------------------------------------------------------
-# entry, accumulation and exit of the int kernels
+# entry and exit of the int kernels
 # ---------------------------------------------------------------------------
 
 def _ints(comps: dict):
@@ -155,96 +157,108 @@ def _ints(comps: dict):
                  for idx, p in comps.items()}
 
 
-def _sum(terms) -> dict:
-    """The accumulated dict of a stream of (index tuple, monomial, int) terms."""
-    acc: dict = {}
-    _accumulate(acc, {}, terms)
-    return acc
-
-
-def _combination(reads):
-    """(acc, den): the accumulated sum of num/d times ints over the
-    (num, d, ints) reads, as ints over den, the lcm of the d."""
-    den = lcm(*(d for _, d, _ in reads))
-    return _sum((idx, mono, s * v)
-                for s, ints in [(num * (den // d), ints) for num, d, ints in reads]
-                for idx, p in ints.items()
-                for mono, v in p.items()), den
-
-
-def _accumulate(acc: dict, slots: dict, terms):
-    """Add a stream of (index tuple, monomial, int) terms into acc
-    (increasing index tuple -> {monomial: nonzero int}); slots caches each
-    tuple's sign and component across calls on the same acc.
-
-    An index tuple may be unsorted: sort_with_sign gives its key and sign,
-    once per distinct tuple, and a repeated index drops the term.  A
-    coefficient that sums to zero is removed at once."""
-    for idx, mono, c in terms:
-        slot = slots.get(idx)
-        if slot is None:
-            sign, key = sort_with_sign(idx)
-            slot = slots[idx] = (sign, acc.setdefault(key, {}) if sign else None)
-        sign, poly = slot
-        if sign:
-            if sign < 0:
-                c = -c
-            old = poly.get(mono)
-            if old is not None:
-                c += old
-            if c:
-                poly[mono] = c
-            elif old is not None:
-                del poly[mono]
-
-
 def _wrap(cls, n: int, degree: int, acc: dict, den: int):
     """The form or multivector field (of class cls) of an accumulated dict
-    of ints over den, converted in place (its dicts become the Polys'
-    terms), empty components dropped and not validated again: the one
-    place a result's Fractions are made."""
+    of ints over den, its zero coefficients and empty components dropped
+    and not validated again: the one place a result's Fractions are made."""
     x = cls.__new__(cls)
     x.n = n
     x.degree = degree
-    for poly in acc.values():
-        for m, v in poly.items():
-            poly[m] = Fraction(v, den)
-    x.comps = {key: _poly(n, poly) for key, poly in acc.items() if poly}
+    x.comps = {}
+    for key, poly in acc.items():
+        terms = {m: Fraction(v, den) for m, v in poly.items() if v}
+        if terms:
+            x.comps[key] = _poly(n, terms)
     return x
 
 
 # ---------------------------------------------------------------------------
-# int kernels: term streams over {index tuple: {monomial: int}} dicts
+# int kernels on {index tuple: {monomial: int}} dicts, a block at a time
 # ---------------------------------------------------------------------------
+# Each kernel resolves a block's target index tuple and sign once and adds
+# the whole block into that component.  A sum may leave zero coefficients
+# and empty components behind: they are harmless inside the kernels and
+# dropped by _wrap.
 
-def _wedge_terms(a: dict, b: dict):
-    return ((i1 + i2, tuple(map(add, m1, m2)), c1 * c2)
-            for i1, p1 in a.items()
-            for i2, p2 in b.items() if set(i1).isdisjoint(i2)
-            for m1, c1 in p1.items()
-            for m2, c2 in p2.items())
+def _add_products(acc: dict, key: tuple, q: dict, p: dict, s: int) -> None:
+    """acc[key] += s * q * p; a monomial x_i of q (as in a linear field) moves one slot."""
+    poly = acc.setdefault(key, {})
+    get = poly.get
+    for m1, c1 in q.items():
+        c1 *= s
+        if sum(m1) == 1:
+            i = m1.index(1)
+            for m2, c2 in p.items():
+                m = m2[:i] + (m2[i] + 1,) + m2[i + 1:]
+                poly[m] = get(m, 0) + c1 * c2
+        else:
+            for m2, c2 in p.items():
+                m = tuple(map(add, m1, m2))
+                poly[m] = get(m, 0) + c1 * c2
 
 
-def _d_terms(a: dict):
-    return (((i,) + idx, mono[:i] + (e - 1,) + mono[i + 1:], c * e)
-            for idx, p in a.items()
-            for mono, c in p.items()
-            for i, e in enumerate(mono) if e and i not in idx)
+def _combination(reads):
+    """(acc, den): sum of num/d * ints over the (num, d, ints) reads, den the lcm of the d."""
+    den = lcm(*(d for _, d, _ in reads))
+    acc: dict = {}
+    for num, d, ints in reads:
+        s = num * (den // d)
+        for idx, p in ints.items():
+            poly = acc.get(idx)
+            if poly is None:
+                acc[idx] = {m: s * v for m, v in p.items()}
+            else:
+                get = poly.get
+                for m, v in p.items():
+                    poly[m] = get(m, 0) + s * v
+    return acc, den
 
 
-def _contract_terms(field: dict, a: dict):
-    # a component of a without every index of t gives nothing: lie_derivative
-    # relies on this for 0-forms, where x . alpha is 0
-    for t, q in field.items():
-        for idx, p in a.items():
-            rest = tuple(i for i in idx if i not in t)
-            if len(rest) + len(t) != len(idx):
+def _wedge(a: dict, b: dict) -> dict:
+    acc: dict = {}
+    for i1, p1 in a.items():
+        for i2, p2 in b.items():
+            sign, key = sort_with_sign(i1 + i2)
+            if sign:
+                _add_products(acc, key, p1, p2, sign)
+    return acc
+
+
+def _d(a: dict, n: int) -> dict:
+    """d a: dx^i ^ dx^idx puts i at the j-th place of idx, with sign (-1)^j."""
+    acc: dict = {}
+    for idx, p in a.items():
+        for i in range(n):
+            if i in idx:
                 continue
-            # dx^idx = sign * dx^t ^ dx^rest; iota over t_0 first takes dx^t off
-            sign = sort_with_sign(t + rest)[0]
-            for m1, c1 in q.items():
-                for m2, c2 in p.items():
-                    yield rest, tuple(map(add, m1, m2)), sign * c1 * c2
+            j = bisect_left(idx, i)
+            poly = None
+            s = -1 if j % 2 else 1
+            for mono, c in p.items():
+                e = mono[i]
+                if e:
+                    if poly is None:
+                        poly = acc.setdefault(idx[:j] + (i,) + idx[j:], {})
+                    m = mono[:i] + (e - 1,) + mono[i + 1:]
+                    poly[m] = poly.get(m, 0) + s * e * c
+    return acc
+
+
+def _contract(f: dict, a: dict, acc=None) -> dict:
+    """acc (a new dict by default) plus f . a, for a k-field f: the k
+    positions pos in idx of a component t of f leave the rest of idx, with
+    the sign (-1)^(sum(pos) - k(k-1)/2) of dx^idx = sign * dx^t ^ dx^rest.
+    On a 0-form (no positions) f . a is 0, as lie_derivative needs."""
+    acc = {} if acc is None else acc
+    k = len(next(iter(f), ()))
+    shift = k * (k - 1) // 2
+    for idx, p in a.items():
+        for pos in combinations(range(len(idx)), k):
+            q = f.get(tuple([idx[j] for j in pos]))
+            if q is not None:
+                rest = tuple([i for j, i in enumerate(idx) if j not in pos])
+                _add_products(acc, rest, q, p, -1 if (sum(pos) - shift) % 2 else 1)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +306,14 @@ class _Graded:
                 raise ValueError(f"index tuple {idx} is not a {degree}-tuple in 0..{n - 1}")
             checked.append((idx, mono, frac(c)))
         den = lcm(*(c.denominator for _, _, c in checked))
-        return _wrap(cls, n, degree, _sum(
-            (idx, mono, c.numerator * (den // c.denominator)) for idx, mono, c in checked), den)
+        signs = {idx: sort_with_sign(idx) for idx, _, _ in checked}
+        acc: dict = {}
+        for idx, mono, c in checked:
+            sign, key = signs[idx]
+            if sign:
+                poly = acc.setdefault(key, {})
+                poly[mono] = poly.get(mono, 0) + sign * c.numerator * (den // c.denominator)
+        return _wrap(cls, n, degree, acc, den)
 
     @classmethod
     def linear_combination(cls, n: int, degree: int, pairs):
@@ -302,7 +322,7 @@ class _Graded:
         reads = []
         for c, x in pairs:
             if x.n != n or x.degree != degree:
-                raise ValueError("degree/dimension mismatch")
+                raise ValueError("degree/dimension mismatch in linear_combination")
             c = frac(c)
             if c:
                 den, ints = _ints(x.comps)
@@ -322,7 +342,7 @@ class _Graded:
         if isinstance(scalar, Poly):
             den, a = _ints(self.comps)
             qden, q = _ints({(): scalar})
-            return _wrap(type(self), self.n, self.degree, _sum(_wedge_terms(a, q)), den * qden)
+            return _wrap(type(self), self.n, self.degree, _wedge(a, q), den * qden)
         return self.linear_combination(self.n, self.degree, ((scalar, self),))
 
     __rmul__ = __mul__
@@ -363,31 +383,25 @@ def wedge(a, b):
         raise ValueError("dimension mismatch in wedge")
     da, ia = _ints(a.comps)
     db, ib = _ints(b.comps)
-    return _wrap(type(a), a.n, a.degree + b.degree, _sum(_wedge_terms(ia, ib)), da * db)
+    return _wrap(type(a), a.n, a.degree + b.degree, _wedge(ia, ib), da * db)
 
 
 def exterior_d(alpha: Form) -> Form:
     """Exterior derivative."""
     den, a = _ints(alpha.comps)
-    return _wrap(Form, alpha.n, alpha.degree + 1, _sum(_d_terms(a)), den)
+    return _wrap(Form, alpha.n, alpha.degree + 1, _d(a, alpha.n), den)
 
 
 def exterior_d_plus(alpha: Form, c, beta: Form) -> Form:
     """d alpha + c * beta, for a scalar c and a form beta of degree
-    alpha.degree + 1: both summands over one denominator in one accumulator."""
+    alpha.degree + 1: both summands over one denominator in one dict."""
     if beta.n != alpha.n or beta.degree != alpha.degree + 1:
         raise ValueError("degree/dimension mismatch in exterior_d_plus")
     c = frac(c)
     da, a = _ints(alpha.comps)
     db, b = _ints(beta.comps)
-    den = lcm(da, c.denominator * db)
-    sa, sb = den // da, c.numerator * (den // (c.denominator * db))
-    acc: dict = {}
-    slots: dict = {}
-    _accumulate(acc, slots, ((idx, mono, sa * v) for idx, mono, v in _d_terms(a)))
-    _accumulate(acc, slots, ((idx, mono, sb * v)
-                             for idx, p in b.items() for mono, v in p.items()))
-    return _wrap(Form, alpha.n, alpha.degree + 1, acc, den)
+    return _wrap(Form, alpha.n, alpha.degree + 1, *_combination(
+        [(1, da, _d(a, alpha.n)), (c.numerator, c.denominator * db, b)]))
 
 
 def contract(field: MultiField, alpha: Form) -> Form:
@@ -399,8 +413,7 @@ def contract(field: MultiField, alpha: Form) -> Form:
         raise ValueError("cannot contract: field degree exceeds form degree")
     df, f = _ints(field.comps)
     da, a = _ints(alpha.comps)
-    return _wrap(Form, alpha.n, alpha.degree - field.degree,
-                 _sum(_contract_terms(f, a)), df * da)
+    return _wrap(Form, alpha.n, alpha.degree - field.degree, _contract(f, a), df * da)
 
 
 def contraction_chains(fields, alpha: Form, mvs) -> list:
@@ -436,7 +449,7 @@ def contraction_chains(fields, alpha: Form, mvs) -> list:
     field_ints = {}  # field index -> (den, ints) of each field the tuples use
     for t in {t for idx in users for t in idx}:
         if fields[t].degree != 1 or fields[t].n != n:
-            raise ValueError("contraction chains need vector fields on the form's space")
+            raise ValueError("contraction_chains needs vector fields on the form's space")
         field_ints[t] = _ints(fields[t].comps)
     stack, prev = [_ints(alpha.comps)], ()
     for idx in sorted(users):
@@ -444,7 +457,7 @@ def contraction_chains(fields, alpha: Form, mvs) -> list:
             stack.pop()
         for t in idx[len(stack) - 1:]:
             (df, f), (den, ints) = field_ints[t], stack[-1]
-            stack.append((den * df, _sum(_contract_terms(f, ints))))
+            stack.append((den * df, _contract(f, ints)))
         prev = idx
         den, ints = stack[-1]
         for a, c in users[idx]:
@@ -457,18 +470,15 @@ def contraction_chains(fields, alpha: Form, mvs) -> list:
 
 def lie_derivative(x: MultiField, alpha: Form) -> Form:
     """Cartan formula along a vector field: d(x . alpha) + x . (d alpha),
-    both summands over the same denominator in one accumulator."""
+    both summands over the same denominator in one dict."""
     if x.degree != 1:
         raise ValueError("lie_derivative needs a vector field")
     if x.n != alpha.n:
-        raise ValueError("dimension mismatch in contract")
+        raise ValueError("dimension mismatch in lie_derivative")
     dx, v = _ints(x.comps)
     da, a = _ints(alpha.comps)
-    acc: dict = {}
-    slots: dict = {}
-    _accumulate(acc, slots, _d_terms(_sum(_contract_terms(v, a))))
-    _accumulate(acc, slots, _contract_terms(v, _sum(_d_terms(a))))
-    return _wrap(Form, alpha.n, alpha.degree, acc, dx * da)
+    acc = _d(_contract(v, a), alpha.n)
+    return _wrap(Form, alpha.n, alpha.degree, _contract(v, _d(a, alpha.n), acc), dx * da)
 
 
 def vf_bracket(x: MultiField, y: MultiField) -> MultiField:
@@ -479,14 +489,15 @@ def vf_bracket(x: MultiField, y: MultiField) -> MultiField:
         raise ValueError("dimension mismatch in vf_bracket")
     dx, ix = _ints(x.comps)
     dy, iy = _ints(y.comps)
+    acc: dict = {}
     # sign * a^j d_j b^i, for (a, b, sign) = (x, y, +1) and (y, x, -1)
-    return _wrap(MultiField, x.n, 1, _sum(
-        (i, tuple(map(add, m1, m2[:j] + (m2[j] - 1,) + m2[j + 1:])), sign * c1 * c2 * m2[j])
-        for a, b, sign in ((ix, iy, 1), (iy, ix, -1))
-        for (j,), p1 in a.items()
-        for i, p2 in b.items()
-        for m2, c2 in p2.items() if m2[j]
-        for m1, c1 in p1.items()), dx * dy)
+    for a, b, sign in ((ix, iy, 1), (iy, ix, -1)):
+        for (j,), p1 in a.items():
+            for i, p2 in b.items():
+                dp2 = {m[:j] + (m[j] - 1,) + m[j + 1:]: c * m[j] for m, c in p2.items() if m[j]}
+                if dp2:
+                    _add_products(acc, i, p1, dp2, sign)
+    return _wrap(MultiField, x.n, 1, acc, dx * dy)
 
 
 def poincare_homotopy(alpha: Form, c=1) -> Form:
@@ -501,12 +512,14 @@ def poincare_homotopy(alpha: Form, c=1) -> Form:
     c = frac(c)
     den, a = _ints(alpha.comps)
     scale = lcm(*{sum(mono) + p for q in a.values() for mono in q})
-    return _wrap(Form, alpha.n, p - 1, _sum(
-        (idx[:j] + idx[j + 1:], mono[:i] + (mono[i] + 1,) + mono[i + 1:], -s if j % 2 else s)
-        for idx, q in a.items()
-        for mono, v in q.items()
-        for s in [v * c.numerator * (scale // (sum(mono) + p))]
-        for j, i in enumerate(idx)), den * scale * c.denominator)
+    units = [tuple(int(k == i) for k in range(alpha.n)) for i in range(alpha.n)]
+    acc: dict = {}
+    for idx, q in a.items():
+        scaled = {mono: v * c.numerator * (scale // (sum(mono) + p)) for mono, v in q.items()}
+        # x^i dx^{..i-hat..}, i at the j-th place of idx, with sign (-1)^j
+        for j, i in enumerate(idx):
+            _add_products(acc, idx[:j] + idx[j + 1:], {units[i]: 1}, scaled, -1 if j % 2 else 1)
+    return _wrap(Form, alpha.n, p - 1, acc, den * scale * c.denominator)
 
 
 form_from_terms = Form.from_terms

@@ -22,7 +22,7 @@ is built without sign arithmetic.
 
 Ints and Fractions cross only at the edges of `polyform`'s operators: no
 module other than `polyform.py` reads its int kernels' entry `_ints`, exit
-`_wrap` or accumulator `_accumulate`."""
+`_wrap` or block helpers `_combination` and `_add_products`."""
 
 import ast
 import os
@@ -101,7 +101,7 @@ def test_the_hom_differential_reuses_the_dual_kernel_complex():
 
 def test_only_polyform_reads_its_int_kernels():
     files = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
-    for name in ("_ints", "_wrap", "_accumulate"):
+    for name in ("_ints", "_wrap", "_combination", "_add_products"):
         found = source_readers(name, files)
         assert [f for f, owners in found.items() if owners] == ["polyform.py"], name
 

@@ -528,11 +528,11 @@ def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):
                                                      1, 1, 1], problem
 
 
-def test_construct_wedges_each_kernel_prefix_once(monkeypatch, capsys):
-    # one contraction_chains pass per degree; on ints it contracts each
-    # distinct nonempty prefix of the kernel basis' index tuples once, one
-    # generator field into the contraction of the prefix before it, and it
-    # wedges nothing and calls no public contract
+def test_construct_contracts_each_kernel_prefix_once(monkeypatch, capsys):
+    # one contraction_chains pass per degree; its int chain step contracts
+    # each distinct nonempty prefix of the kernel basis' index tuples once,
+    # one generator field into the contraction of the prefix before it, and
+    # it wedges nothing and calls no public contract
     from momentkit import polyform
     from momentkit.cli import catalog_action
     from momentkit.polyform import contract, contraction_chains, wedge
@@ -544,7 +544,7 @@ def test_construct_wedges_each_kernel_prefix_once(monkeypatch, capsys):
     chains = count_calls(monkeypatch, contraction_chains)
     wedges = count_calls(monkeypatch, wedge)
     contractions = count_calls(monkeypatch, contract)
-    steps = count_calls(monkeypatch, polyform._contract_terms)
+    steps = count_calls(monkeypatch, polyform._contract)
     rc, _, _ = run_main(["construct", bundled("so4_r4.mmk")], capsys)
     assert rc == 0
     assert [mvs for _, _, mvs in chains] == list(kernels.values())

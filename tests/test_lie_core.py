@@ -6,7 +6,10 @@ matrices; `test_moment.py` and `test_acceptance.py` import it, and the
 accumulator `mv_term` it is written with, from here.  `oracle_boundary` is
 the boundary of a basis k-vector written with `mv_term`, the oracle for
 `boundary_of_tuple`; `mv_boundary` extends `boundary_of_tuple` linearly to
-any multivector, summed with `mv_add`."""
+any multivector, summed with `mv_add`.  `oracle_boundary_matrix` and
+`oracle_wedge_matrix` fill a zero matrix entry by entry through `Mat.add`,
+the oracles for the sparse-column builds of `boundary_matrix` and
+`wedge_matrix`."""
 
 import random
 from fractions import Fraction
@@ -21,7 +24,7 @@ from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError,
                                 mv_coords, mv_from_coords, sort_with_sign,
                                 validate_jacobi, wedge_matrix)
 from momentkit.cli import parse_problem
-from momentkit.linalg import mat_mul
+from momentkit.linalg import Mat, mat_mul
 
 from test_action import so5_action
 from test_linalg import naive_rank
@@ -350,3 +353,39 @@ def test_boundary_matrix_against_componentwise_boundary():
         for j, t in enumerate(basis_k):
             image = mv_boundary(g, {t: Fraction(1)})
             assert mv_coords(image, basis_k1) == m.col(j), (k, t)
+
+
+def oracle_boundary_matrix(g, k):
+    dom = exterior_basis(g.dim, k)
+    cod = exterior_basis(g.dim, k - 1)
+    m = Mat.zeros(len(cod), len(dom))
+    pos = {t: i for i, t in enumerate(cod)}
+    for j, t in enumerate(dom):
+        for u, x in boundary_of_tuple(g, t).items():
+            m.add(pos[u], j, x)
+    return m
+
+
+def oracle_wedge_matrix(dim, i, k):
+    dom = exterior_basis(dim, k)
+    cod = exterior_basis(dim, k + 1)
+    m = Mat.zeros(len(cod), len(dom))
+    pos = {t: r for r, t in enumerate(cod)}
+    for j, t in enumerate(dom):
+        sign, s = sort_with_sign((i,) + t)
+        if sign:
+            m.add(pos[s], j, sign)
+    return m
+
+
+def test_sparse_column_builds_match_the_entrywise_oracles():
+    algebras = [catalog_algebra(name) for name in CATALOG] + [so5_action().algebra]
+    for g in algebras:
+        for k in range(g.dim + 2):
+            got = boundary_matrix(g, k)
+            assert got == oracle_boundary_matrix(g, k), (g.name, k)
+            assert all(type(x) is Fraction and x for _, _, x in got.nonzeros())
+            for i in range(g.dim):
+                got = wedge_matrix(g.dim, i, k)
+                assert got == oracle_wedge_matrix(g.dim, i, k), (g.dim, i, k)
+                assert all(type(x) is Fraction for _, _, x in got.nonzeros())

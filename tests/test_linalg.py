@@ -471,3 +471,14 @@ def test_integer_core_keeps_int_rows_and_canonical_pivots():
         r, piv = rref(Mat([[scale * 2, scale * 4, 0], [0, 0, scale * 3]], ncols=3))
         assert r.dense() == [[1, 2, 0], [0, 0, 1]] and piv == (0, 2)
         assert all_fractions(x for _, _, x in r.nonzeros())
+
+
+def test_from_sparse_columns_skips_zeros_and_keeps_the_shape():
+    m = Mat.from_sparse_columns([{0: 2, 2: 0}, {}, {1: Fraction(-1, 3)}], 3)
+    assert m.shape == (3, 3)
+    assert m.dense() == [[2, 0, 0], [0, 0, Fraction(-1, 3)], [0, 0, 0]]
+    assert list(m.nonzeros()) == [(0, 0, 2), (1, 2, Fraction(-1, 3))]
+    assert all(type(x) is Fraction for _, _, x in m.nonzeros())
+    assert Mat.from_sparse_columns([], 2).shape == (2, 0)
+    assert Mat.from_columns([[0, 1], [Fraction(1, 2), 0]], 2) == Mat.from_sparse_columns(
+        [{1: 1}, {0: Fraction(1, 2)}], 2)

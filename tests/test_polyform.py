@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from momentkit.polyform import (Form, MultiField, Poly, contract, exterior_d,
-                                form_from_terms, format_field, format_form,
-                                format_poly, lie_derivative, poincare_homotopy,
-                                vf_bracket, wedge)
+from momentkit.polyform import (Form, MultiField, Poly, contract, contraction_chains,
+                                exterior_d, exterior_d_plus, form_from_terms,
+                                format_field, format_form, format_poly,
+                                lie_derivative, poincare_homotopy, vf_bracket,
+                                wedge)
 
 
 def vector_field(n, components):
@@ -251,7 +252,7 @@ def test_format_form_and_field():
 
 
 # ---------------------------------------------------------------------------
-# every operator keeps the invariants (one accumulator, no re-validation)
+# every operator keeps the invariants (zeros dropped on exit, no re-validation)
 # ---------------------------------------------------------------------------
 
 def assert_canonical(x):
@@ -297,3 +298,88 @@ def test_every_operator_result_is_canonical():
         for p in (q + q * -1, q * q, q - q, q * 0):
             assert all(p.terms.values())
     assert seen_zero >= 12 * 8  # the cancelling cases really cancel
+
+
+# ---------------------------------------------------------------------------
+# zeros leave at the exit: inputs built to cancel inside each kernel
+# ---------------------------------------------------------------------------
+
+def test_cancellation_inside_each_kernel_leaves_no_zero():
+    # each kernel may sum a coefficient to zero mid-way; the result still
+    # stores no zero coefficient and no empty component, and an exact zero
+    # is the empty form
+    n = 3
+    x1, x2, x3 = (Poly.var(i, n) for i in range(n))
+    one = Poly.const(n, 1)
+    dx = [Form(n, 1, {(i,): one}) for i in range(n)]
+    rot = vector_field(n, [x2 * -1, x1, Poly(n)])  # x1 d/dx2 - x2 d/dx1
+    v = vector_field(n, [x1, x2 * 2, one])
+    w = vector_field(n, [one, one, Poly(n)])
+    omega = Form(n, 2, {(0, 1): one, (1, 2): x3})
+    alpha = Form(n, 1, {(0,): x2, (1,): x1 * x3, (2,): x1})
+    beta = Form(n, 1, {(0,): x2 + x3 * x3, (1,): x1})  # d kills the exact part
+    invariant = Form(n, 2, {(0, 1): x3})  # dx1 ^ dx2 times x3: L_rot kills it
+    k_alpha = poincare_homotopy(Form(n, 2, {(0, 1): x3, (0, 2): x1 * x2}))
+    zeros = {
+        "linear_combination": Form.linear_combination(n, 1, [(1, alpha), (-1, alpha)]),
+        "from_terms": form_from_terms(n, 2, [(1, (0,) * n, (0, 1)), (1, (0,) * n, (1, 0))]),
+        "d d": exterior_d(exterior_d(alpha)),
+        "d of exact": exterior_d(Form(n, 1, {(0,): x2, (1,): x1})),
+        "exterior_d_plus": exterior_d_plus(alpha, Fraction(1, 2), exterior_d(alpha) * -2),
+        "wedge": wedge(alpha, alpha),
+        "poly product": alpha * (x1 - x1),
+        "contract": contract(w, wedge(dx[0], dx[2]) - wedge(dx[1], dx[2])),
+        "contract 2-field": contract(MultiField(n, 2, {(0, 2): one, (1, 2): one}),
+                                     wedge(dx[0], dx[2]) - wedge(dx[1], dx[2])),
+        "K K": poincare_homotopy(k_alpha),
+        "K times 0": poincare_homotopy(omega, 0),
+        "lie_derivative": lie_derivative(rot, invariant),
+        "vf_bracket": vf_bracket(v, v),
+    }
+    chains = contraction_chains([v, w], omega, [{(0, 0): 1}, {(0, 1): 1, (1, 0): 1}, {}])
+    zeros.update({f"chain {a}": f for a, f in enumerate(chains)})
+    for name, z in zeros.items():
+        assert z.comps == {}, name
+    partial = {
+        "linear_combination": (Form.linear_combination(n, 1, [(1, alpha), (-1, dx[2] * x1)]),
+                               Form(n, 1, {(0,): x2, (1,): x1 * x3})),
+        "d": (exterior_d(beta), Form(n, 2, {(0, 2): x3 * -2})),
+        "exterior_d_plus": (exterior_d_plus(beta, 1, Form(n, 2, {(0, 1): one, (0, 2): x3 * 2})),
+                            Form(n, 2, {(0, 1): one})),
+        "wedge": (wedge(alpha, alpha + dx[0]), Form(n, 2, {(0, 1): x1 * x3 * -1,
+                                                             (0, 2): x1 * -1})),
+        "poly product": (dx[0] * ((x1 + x2) * (x1 - x2)),
+                         Form(n, 1, {(0,): x1 * x1 - x2 * x2})),
+        "contract": (contract(w, wedge(dx[0], dx[2]) - wedge(dx[1], dx[2]) + omega),
+                     Form(n, 1, {(0,): one * -1, (1,): one, (2,): x3})),
+        "K": (poincare_homotopy(Form(n, 2, {(0, 2): x2, (1, 2): x1 * -1})),
+              Form(n, 1, {(0,): x2 * x3 * Fraction(-1, 3), (1,): x1 * x3 * Fraction(1, 3)})),
+        "lie_derivative": (lie_derivative(rot, invariant + wedge(dx[0], dx[2])),
+                           Form(n, 2, {(1, 2): one * -1})),
+        "vf_bracket": (vf_bracket(v, v + rot), vf_bracket(v, rot)),
+        "chain": (contraction_chains([v, w], omega, [{(0, 0): 1, (1, 0): 1}])[0],
+                  contract(v, contract(w, omega))),  # (w ^ v) . omega
+    }
+    for name, (got, want) in partial.items():
+        assert_canonical(got)
+        assert got == want, name
+    assert not any(got.is_zero() for got, _ in partial.values())
+
+
+def test_each_dimension_mismatch_names_its_operator():
+    a3 = Form(3, 1, {(0,): Poly.const(3, 1)})
+    a4 = Form(4, 2, {(0, 1): Poly.const(4, 1)})
+    x3 = vector_field(3, [Poly.const(3, 1), Poly(3), Poly(3)])
+    x4 = vector_field(4, [Poly.const(4, 1), Poly(4), Poly(4), Poly(4)])
+    calls = {
+        "wedge": lambda: wedge(a3, a4),
+        "contract": lambda: contract(x3, a4),
+        "lie_derivative": lambda: lie_derivative(x3, a4),
+        "vf_bracket": lambda: vf_bracket(x3, x4),
+        "exterior_d_plus": lambda: exterior_d_plus(a3, 1, a4),
+        "linear_combination": lambda: Form.linear_combination(3, 1, [(1, a3), (1, a4)]),
+        "contraction_chains": lambda: contraction_chains([x3], a4, [{(0,): 1}]),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            call()

@@ -1,7 +1,7 @@
 """Only `linalg.py` knows how a `Mat` stores its rows: no other module under
 src/momentkit/ reads a `.rows` attribute, so the row layout stays linalg's
-decision (callers use `entry`, `add`, `nonzeros`, `col`, `dense` and
-`kron_sum`)."""
+decision (callers use `from_columns`, `from_sparse_columns`, `entry`,
+`add`, `nonzeros`, `col`, `dense` and `kron_sum`)."""
 
 import ast
 import os

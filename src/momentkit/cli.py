@@ -12,9 +12,11 @@ Problem files are line-oriented with four sections:
                 max_poly_degree = 1      (truncation for invariants/repair;
                                           default 0)
 
-`#` starts a comment.  Each statement appears at most once in its section,
-except `V<i>` (once per index) and brackets (once per pair), and ends at the
-end of its line; anything after its value is an error (trailing input).
+`#` starts a comment, cut off before the statement is tokenized.  An omega
+that is zero (`0`, or terms that cancel) is an error.  Each statement
+appears at most once in its section, except `V<i>` (once per index) and
+brackets (once per pair), and ends at the end of its line; anything after
+its value is an error (trailing input).
 Expressions are sums of terms; a term is a product of a rational literal,
 variables `x<i>` with optional `^<exp>`, and one basis factor: `dx(i,j,...)`
 for forms, `d/dx<i>` for vector fields, `e<i>` for algebra elements.  All
@@ -72,7 +74,6 @@ class MmkError(Exception):
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
-  | (?P<comment>\#.*)
   | (?P<ddx>d/dx(?P<ddxi>[0-9]+))
   | (?P<dx>dx)\b
   | (?P<var>x(?P<vari>[0-9]+))
@@ -105,7 +106,7 @@ def tokenize(text, line_no):
                                line=line_no, col=pos + 1)
         elif kind == "string":
             value = value[1:-1]
-        if kind not in ("ws", "comment"):
+        if kind != "ws":
             out.append((kind, value, pos + 1))
         pos = m.end()
     return out
@@ -486,7 +487,7 @@ def parse_problem(text) -> ProblemFile:
             raise MmkError("only omega = <form> is allowed in [omega]",
                            line=line_no)
         omega = terms_to_form(parse_expression(ts), n, line_no)
-        if omega is None:
+        if omega is None or omega.is_zero():
             raise MmkError("omega must not be the zero form", line=line_no)
     if omega is None:
         raise MmkError("[omega] needs omega = <form>")

@@ -19,9 +19,10 @@ returning):
   * `construct_poincare`   — always available when omega is preserved:
                              f(p) = -zeta(k) K(V_p . omega) with K the
                              homotopy operator;
-  * `construct_exactness`  — needs every kernel element to be a boundary;
-  * `construct_brackets`   — needs the kernel to equal its own bracket
-                             with the algebra.
+  * `construct_exactness`  — f(p) = V_Q . omega up to sign for a preimage
+                             dQ = p; needs every kernel element to be a boundary;
+  * `construct_brackets`   — the exactness route with Q taken in g ^ P_k;
+                             needs the kernel to be its own bracket with g.
 
 Equivariance: the defect cochain
 
@@ -39,12 +40,12 @@ there.
 
 from __future__ import annotations
 
-from .linalg import Mat, coordinates, kron_sum, mat_hstack, rref, solve_many
+from .linalg import Mat, coordinates, kron_sum, mat_hstack, mat_mul, rref, solve_many
 from .lie_core import (StructureError, boundary_matrix, exterior_basis,
                        mv_coords, mv_from_coords, wedge_matrix)
 from .gmodule import (ce_module_differential, coboundary_solve, invariants_basis,
                       module_cohomology_dim)
-from .polyform import (Form, contract, contraction_chains, exterior_d, exterior_d_plus,
+from .polyform import (Form, contraction_chains, exterior_d, exterior_d_plus,
                        lie_derivative, poincare_homotopy)
 from .action import LieAction
 
@@ -153,73 +154,53 @@ def construct_poincare(action: LieAction, ks=None) -> MomentMap:
     return _checked(MomentMap(action, components), "homotopy-operator")
 
 
-def construct_exactness(action: LieAction, ks=None) -> MomentMap:
-    """f_k(p) = zeta(k) s (-1)^k (V_q . omega) = V_{zeta(k) s (-1)^k q} . omega
-    for a boundary preimage dq = p, the scalar folded into q's coefficients
-    before the contraction chains; applicable only when every kernel element
-    is a boundary."""
-    g = action.algebra
-    s = action.sign()
+def _preimage_route(action: LieAction, ks, route: str, unsolvable: str,
+                    in_brackets: bool) -> MomentMap:
+    """f_k(p) = V_{zeta(k) s (-1)^k Q} . omega for a preimage dQ = p, the
+    scalar folded into Q before one `contraction_chains` pass per degree.
+    The preimages of the kernel basis K (in Lambda^k coordinates) solve
+    a X = K: a = boundary_{k+1} and Q = X, or with `in_brackets`, Q = W X in
+    g ^ P_k, column b dim + j of W being e_j ^ q_b, and a = boundary_{k+1} W
+    (d(e_j ^ q) = [q, e_j]).  StructureError names the first kernel element
+    with no preimage."""
+    g, s = action.algebra, action.sign()
     components = {}
     for k in _default_degrees(action, ks):
         z = zeta(k) * s * (-1) ** k
-        bmat = boundary_matrix(g, k + 1)
+        a = boundary_matrix(g, k + 1)
         basis_next = exterior_basis(g.dim, k + 1)
         kernel = action.kernel(k)
-        kmat = Mat.from_columns(kernel.basis, bmat.nrows)
-        preimages = solve_many(bmat, kmat)
-        if preimages is None:
+        kmat = Mat.from_columns(kernel.basis, a.nrows)
+        if in_brackets:
+            cols = [{} for _ in range(kmat.ncols * g.dim)]
+            for j in range(g.dim):
+                for i, b, c in mat_mul(wedge_matrix(g.dim, j, k), kmat).nonzeros():
+                    cols[b * g.dim + j][i] = c
+            w = Mat.from_sparse_columns(cols, len(basis_next))
+            a = mat_mul(a, w)
+        x = solve_many(a, kmat)
+        if x is None:
             raise StructureError(
-                f"exactness route does not apply at degree {k}: kernel basis "
-                f"element {kernel.names[_first_unsolvable(bmat, kmat)]} is not a boundary")
-        qs = [{t: z * c for t, c in mv_from_coords(preimages.col(a), basis_next).items()}
-              for a in range(kmat.ncols)]
+                f"{route} route does not apply at degree {k}: kernel basis "
+                f"element {kernel.names[_first_unsolvable(a, kmat)]} is {unsolvable}")
+        if in_brackets:
+            x = mat_mul(w, x)
+        qs = [{t: z * c for t, c in mv_from_coords(x.col(b), basis_next).items()}
+              for b in range(kmat.ncols)]
         components[k] = contraction_chains(action.fields, action.omega, qs)
-    return _checked(MomentMap(action, components), "exactness")
+    return _checked(MomentMap(action, components), route)
+
+
+def construct_exactness(action: LieAction, ks=None) -> MomentMap:
+    """f_k(p) from a boundary preimage dQ = p; applicable only when every
+    kernel element is a boundary."""
+    return _preimage_route(action, ks, "exactness", "not a boundary", False)
 
 
 def construct_brackets(action: LieAction, ks=None) -> MomentMap:
-    """f_k(p) = sum_i c_i zeta(k) s ((V_{q_i} ^ V_{xi_i}) . omega) for a
-    decomposition p = sum_i c_i [q_i, xi_i] with q_i in the kernel;
-    applicable only when the kernel equals its bracket with the algebra.
-    (The sign follows from d(q ^ xi) = (-1)^k [q, xi] for kernel q and the
-    boundary identity for the preserved closed form omega.  The term
-    (V_q ^ V_xi) . omega is computed as V_xi . (V_q . omega).)"""
-    g = action.algebra
-    s = action.sign()
-    components = {}
-    for k in _default_degrees(action, ks):
-        z = zeta(k) * s
-        kernel = action.kernel(k)
-        r = len(kernel.basis)
-        # columns: [q_a, e_j] = -ad_{e_j} q_a in kernel coordinates
-        cols = []
-        for a in range(r):
-            for j in range(g.dim):
-                cols.append([-kernel.module.rho[j].entry(b, a) for b in range(r)])
-        bracket_mat = Mat.from_columns(cols, r)
-        targets = Mat.identity(r)
-        decompositions = solve_many(bracket_mat, targets)
-        if decompositions is None:
-            raise StructureError(
-                f"bracket route does not apply at degree {k}: kernel basis element "
-                f"{kernel.names[_first_unsolvable(bracket_mat, targets)]} is not a bracket "
-                f"combination")
-        term_forms = {}  # column -> V_{xi_j} . (V_{q_b} . omega)
-        forms = []
-        for a in range(r):
-            pairs = []
-            for col, c in enumerate(decompositions.col(a)):
-                if c:
-                    if col not in term_forms:
-                        b, j = divmod(col, g.dim)
-                        term_forms[col] = contract(action.fields[j],
-                                                   action.contractions(k)[b])
-                    pairs.append((z * c, term_forms[col]))
-            forms.append(Form.linear_combination(
-                action.ambient_dim, action.plectic_degree() - k, pairs))
-        components[k] = forms
-    return _checked(MomentMap(action, components), "bracket")
+    """f_k(p) from a preimage in g ^ P_k, a decomposition p = sum c [q, e_j]
+    with q in the kernel; applicable only when the kernel is its bracket with g."""
+    return _preimage_route(action, ks, "bracket", "not a bracket combination", True)
 
 
 # ---------------------------------------------------------------------------

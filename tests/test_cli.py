@@ -140,6 +140,29 @@ def test_repeated_single_statements_are_errors(tmp_path, capsys):
     assert err == f"error: {path}: line 8: duplicate dim statement\n"
 
 
+def test_an_omega_that_cancels_to_zero_is_rejected(tmp_path, capsys):
+    for statement in ("omega = 0", "omega = dx(1,2) + dx(2,1)",
+                      "omega = dx(1,2) - dx(1,2)"):
+        path = tmp_path / "zero_omega.mmk"
+        path.write_text(so3_with(9, statement, replace=True))
+        rc, out, err = run_main(["diagnose", str(path)], capsys)
+        assert (rc, out) == (2, ""), statement
+        assert err == f"error: {path}: line 9: omega must not be the zero form\n", statement
+
+
+def test_a_trailing_comment_on_a_statement_line_is_ignored():
+    # `#` to the end of the line is cut before the statement is tokenized
+    plain = serialize_problem(parse_problem("\n".join(SO3_LINES) + "\n"))
+    for line_no, statement in ((9, "omega = dx(1,2,3)  # the volume form"),
+                               (5, "V1 = x3*d/dx2 - x2*d/dx3# rotation"),
+                               (11, "k = 1 # [e1,e2] = e3 @")):
+        text = so3_with(line_no, statement, replace=True)
+        assert serialize_problem(parse_problem(text)) == plain, statement
+    with pytest.raises(MmkError) as err:
+        tokenize("k = 1 # a comment", 3)
+    assert (err.value.line, err.value.col) == (3, 7)
+
+
 def test_unexpected_action_statement_is_named_as_written():
     for statement, name in (("k = 1", "k"), ("[e2,e1] = -e3", "[e2,e1]")):
         with pytest.raises(MmkError) as err:
@@ -556,6 +579,25 @@ def test_construct_contracts_each_kernel_prefix_once(monkeypatch, capsys):
                   if alpha == polyform._ints(action.omega.comps)[1]]
     assert len(into_omega) == sum(len({idx[0] for mv in mvs for idx, c in mv.items() if c})
                                   for mvs in kernels.values())
+
+
+def test_bracket_route_is_one_contraction_pass(monkeypatch):
+    # the bracket route solves for preimages in g ^ P_k and contracts them in
+    # one pass per degree, as the exactness route does: it builds no kernel
+    # module and calls no public contract; the other pass per degree is the
+    # recheck's LieAction.contractions
+    from momentkit.cli import catalog_action
+    from momentkit.gmodule import lie_kernel_module
+    from momentkit.moment import construct_brackets
+    from momentkit.polyform import contract, contraction_chains
+    action = catalog_action("so4_r4")
+    modules = count_calls(monkeypatch, lie_kernel_module)
+    contractions = count_calls(monkeypatch, contract)
+    chains = count_calls(monkeypatch, contraction_chains)
+    assert construct_brackets(action, ks=[1, 2]).degrees() == [1, 2]
+    assert (len(modules), len(contractions), len(chains)) == (0, 0, 4)
+    assert [mvs for _, _, mvs in chains[2:]] == [action.kernel(k).multivectors
+                                                 for k in (1, 2)]
 
 
 def test_cohomology_counts_kernels_without_building_them(monkeypatch, capsys):

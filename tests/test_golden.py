@@ -23,12 +23,13 @@ from momentkit.cli import main
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "src", "momentkit",
                         "problems")
+BUNDLED = ("abelian_r3", "so3_r3", "so4_r4", "u2_r4", "abelian_r2", "sl2_r2")
 
 
 def golden_cases():
     """case name -> argv."""
     cases = {}
-    for p in ("abelian_r3", "so3_r3", "so4_r4", "u2_r4", "abelian_r2", "sl2_r2"):
+    for p in BUNDLED:
         for fmt in ("text", "machine"):
             cases[f"report_{p}.{fmt}"] = [
                 "report", os.path.join(PROBLEMS, f"{p}.mmk"), "--format", fmt]
@@ -39,12 +40,20 @@ def golden_cases():
     cases["diagnose_u2_r4_D2.machine"] = [
         "diagnose", os.path.join(PROBLEMS, "u2_r4.mmk"),
         "--max-poly-degree", "2", "--format", "machine"]
-    so5= os.path.join(GOLDEN, "so5_seed1.mmk")
+    # both preimage routes on every bundled problem, refusals included
+    for p in BUNDLED:
+        for method in ("brackets", "exactness"):
+            cases[f"construct_{p}_{method}.text"] = [
+                "construct", os.path.join(PROBLEMS, f"{p}.mmk"), "--method", method,
+                "--format", "text"]
+    so5 = os.path.join(GOLDEN, "so5_seed1.mmk")
     cases["construct_so5_seed1_k1234.machine"] = [
         "construct", so5, "--k", "1,2,3,4", "--format", "machine"]
     cases["construct_so5_seed1_exactness_k12.machine"] = [
         "construct", so5, "--method", "exactness", "--k", "1,2",
         "--format", "machine"]
+    cases["construct_so5_seed1_brackets_k12.machine"] = [
+        "construct", so5, "--method", "brackets", "--k", "1,2", "--format", "machine"]
     for method in ("brackets", "exactness"):
         cases[f"equivariance_so4_r4_{method}_k12_D2.text"] = [
             "equivariance", os.path.join(PROBLEMS, "so4_r4.mmk"), "--method",

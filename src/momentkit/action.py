@@ -13,10 +13,11 @@ left-action convention, which fixes the sign of the equivariance cocycle
 for the translation example).
 
 A LieAction owns the answers derived from it and builds each one once, on
-first use, through its private `_derive(key, build)` (an action is not
-changed after it is built; a build that raises stores nothing; no record
-points back at the action, so it is freed with all it keeps when its last
-user drops it):
+first use, through its private `_derive(key, build)`, or for
+`contractions` in the same `_derived` record, several degrees from one
+build (an action is not changed after it is built; a build that raises
+stores nothing; no record points back at the action, so it is freed with
+all it keeps when its last user drops it):
   * `sign()`: the bracket sign, from `validate_action`;
   * `omega_checks()`, `omega_failures()` and `boundary_ranks()`: the
     answers of `check_multisymplectic`, `preserves_omega` and the
@@ -25,8 +26,10 @@ user drops it):
     `kernel_dim(k)` are read from the ranks;
   * `kernel(k)`: the degree-k Lie kernel P_k of the algebra (`LieKernel`):
     canonical basis, kernel module and its dual, display names;
-  * `contractions(k)`: V_p . omega of P_k's basis elements, from one
-    `polyform.contraction_chains` pass over the generator fields;
+  * `contractions(k, also)`: V_p . omega of P_k's basis elements; the
+    degrees asked for together and not kept yet come from one
+    `polyform.contraction_chains` pass over the generator fields, and each
+    degree's list is kept;
   * `truncated_forms(k, D)`: closed (n-k)-forms of coefficient degree <= D
     (`TruncatedFormModule`): the closed basis and its L_{V_i} images, built
     once, and the invariant forms read from them;
@@ -116,11 +119,21 @@ class LieAction:
     def kernel(self, k: int) -> "LieKernel":
         return self._derive(("kernel", k), lambda: LieKernel(self.algebra, k))
 
-    def contractions(self, k: int) -> list:
+    def contractions(self, k: int, also=()) -> list:
         """V_p . omega, the defining equation's right-hand side up to -zeta(k),
-        for each basis element p of kernel(k), by one `contraction_chains` pass."""
-        return self._derive(("contractions", k), lambda: contraction_chains(
-            self.fields, self.omega, self.kernel(k).multivectors))
+        for each basis element p of kernel(k).  Degree k and the degrees in
+        `also` that are not kept yet are contracted in one
+        `contraction_chains` pass over all their basis elements, so a prefix
+        shared across degrees is contracted once; each degree's list is kept."""
+        missing = [d for d in dict.fromkeys((k, *also))
+                   if ("contractions", d) not in self._derived]
+        if missing:
+            kernels = [self.kernel(d).multivectors for d in missing]
+            values = iter(contraction_chains(self.fields, self.omega,
+                                             [mv for mvs in kernels for mv in mvs]))
+            for d, mvs in zip(missing, kernels):
+                self._derived[("contractions", d)] = [next(values) for _ in mvs]
+        return self._derived[("contractions", k)]
 
     def truncated_forms(self, k: int, max_degree: int) -> "TruncatedFormModule":
         """Closed (n-k)-forms of coefficient degree <= max_degree (the values

@@ -9,8 +9,8 @@ Conventions:
   * a matrix is a `Mat`: a list of sparse rows, each a `{col: Fraction}`
     dict that never stores a zero, with an explicit shape so that 0-row and
     0-column matrices stay well defined.  Only this module reads the rows;
-    callers build with `from_columns`, `from_sparse_columns` and `add`, and
-    read with `entry`, `nonzeros`, `col` and `dense`,
+    callers build with `from_columns` and `from_sparse_columns`, and read
+    with `nonzeros`, `col` and `dense`,
   * a matrix on a tensor product is a sum of Kronecker products, built by
     `kron_sum`, the one place that writes that block layout: row and column
     index = first factor's index major, second factor's minor.  Vectors over
@@ -114,25 +114,6 @@ class Mat:
     @property
     def shape(self):
         return (self.nrows, self.ncols)
-
-    def _check(self, i, j):
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(f"entry ({i}, {j}) outside a "
-                             f"{self.nrows}x{self.ncols} matrix")
-
-    def entry(self, i, j) -> Fraction:
-        self._check(i, j)
-        return self.rows[i].get(j, ZERO)
-
-    def add(self, i, j, x) -> None:
-        """Add x to entry (i, j) in place."""
-        self._check(i, j)
-        row = self.rows[i]
-        value = row.get(j, ZERO) + frac(x)
-        if value:
-            row[j] = value
-        else:
-            row.pop(j, None)
 
     def nonzeros(self):
         """(i, j, x) for every nonzero entry, row by row, columns ascending."""

@@ -108,11 +108,13 @@ class MomentMap:
 
 def defining_residuals(mm: MomentMap) -> dict:
     """(k, basis index) -> d f_k(p) + zeta(k) (V_p . omega), each summed
-    from the stored f_k(p) in one accumulator (`exterior_d_plus`); all-zero
-    certifies the moment map."""
+    from the stored f_k(p) in one accumulator (`exterior_d_plus`), with the
+    contractions of all the map's degrees asked of the action at once;
+    all-zero certifies the moment map."""
     out = {}
-    for k in mm.degrees():
-        for a, rhs in enumerate(mm.action.contractions(k)):
+    ks = mm.degrees()
+    for k in ks:
+        for a, rhs in enumerate(mm.action.contractions(k, also=ks)):
             out[(k, a)] = exterior_d_plus(mm.components[k][a], zeta(k), rhs)
     return out
 
@@ -144,27 +146,28 @@ def _default_degrees(action: LieAction, ks):
 
 
 def construct_poincare(action: LieAction, ks=None) -> MomentMap:
-    """f_k(p) = -zeta(k) K(V_p . omega), the scalar taken into K's int scale;
-    valid whenever the action preserves the closed form omega (then
-    V_p . omega is closed for kernel p)."""
-    components = {}
-    for k in _default_degrees(action, ks):
-        components[k] = [poincare_homotopy(rhs, -zeta(k))
-                         for rhs in action.contractions(k)]
+    """f_k(p) = -zeta(k) K(V_p . omega), the scalar taken into K's int scale
+    and the contractions of all degrees asked of the action at once (the
+    recheck reads them again); valid whenever the action preserves the
+    closed form omega (then V_p . omega is closed for kernel p)."""
+    ks = _default_degrees(action, ks)
+    components = {k: [poincare_homotopy(rhs, -zeta(k)) for rhs in action.contractions(k, also=ks)]
+                  for k in ks}
     return _checked(MomentMap(action, components), "homotopy-operator")
 
 
 def _preimage_route(action: LieAction, ks, route: str, unsolvable: str,
                     in_brackets: bool) -> MomentMap:
     """f_k(p) = V_{zeta(k) s (-1)^k Q} . omega for a preimage dQ = p, the
-    scalar folded into Q before one `contraction_chains` pass per degree.
-    The preimages of the kernel basis K (in Lambda^k coordinates) solve
-    a X = K: a = boundary_{k+1} and Q = X, or with `in_brackets`, Q = W X in
-    g ^ P_k, column b dim + j of W being e_j ^ q_b, and a = boundary_{k+1} W
-    (d(e_j ^ q) = [q, e_j]).  StructureError names the first kernel element
+    scalar folded into Q.  The preimages of the kernel basis K (in Lambda^k
+    coordinates) solve a X = K: a = boundary_{k+1} and Q = X, or with
+    `in_brackets`, Q = W X in g ^ P_k, column b dim + j of W being e_j ^ q_b,
+    and a = boundary_{k+1} W (d(e_j ^ q) = [q, e_j]).  Every degree is solved,
+    in order, before the preimages of all of them are contracted in one
+    `contraction_chains` pass.  StructureError names the first kernel element
     with no preimage."""
     g, s = action.algebra, action.sign()
-    components = {}
+    preimages = {}
     for k in _default_degrees(action, ks):
         z = zeta(k) * s * (-1) ** k
         a = boundary_matrix(g, k + 1)
@@ -185,9 +188,11 @@ def _preimage_route(action: LieAction, ks, route: str, unsolvable: str,
                 f"element {kernel.names[_first_unsolvable(a, kmat)]} is {unsolvable}")
         if in_brackets:
             x = mat_mul(w, x)
-        qs = [{t: z * c for t, c in mv_from_coords(x.col(b), basis_next).items()}
-              for b in range(kmat.ncols)]
-        components[k] = contraction_chains(action.fields, action.omega, qs)
+        preimages[k] = [{t: z * c for t, c in mv_from_coords(x.col(b), basis_next).items()}
+                        for b in range(kmat.ncols)]
+    values = iter(contraction_chains(action.fields, action.omega,
+                                     [q for qs in preimages.values() for q in qs]))
+    components = {k: [next(values) for _ in qs] for k, qs in preimages.items()}
     return _checked(MomentMap(action, components), route)
 
 

@@ -20,13 +20,19 @@ left behind).  In between, every kernel (wedge and Poly products, d,
 contraction, K, linear combinations, the vector-field bracket) works a
 block at a time: one source component, or one pair of components, whose
 target index tuple and sign it resolves once before adding the block into
-that target's dict (`_combination`, `_add_products`).  The composite
-operators compose the kernels and leave the ints once: the Lie derivative;
-`contraction_chains`, (V_{t1} ^ ... ^ V_{tk}) . alpha for many multivectors
-as chains of single-field contractions sharing their prefixes; K scaled by
-a constant; and `exterior_d_plus`, d alpha + c * beta.  The homotopy-operator
-construction of a moment map runs these three in turn, so each of its
-values leaves the ints three times.
+that target's dict (`_combination`, `_add_products`).  An exponent move
+is a table lookup: raising exponent i (the x_i of a linear field, or of K)
+and lowering it (d, the bracket's derivatives) read two module-level
+tables, `_RAISE` and `_LOWER`, whose int-tuple entries are each sliced
+once, on first use.  A constant factor leaves a monomial as it is, and
+only a factor of higher degree builds a sum of exponent tuples.
+
+The composite operators compose the kernels and leave the ints once: the
+Lie derivative; `contraction_chains`, (V_{t1} ^ ... ^ V_{tk}) . alpha for
+many multivectors as chains of single-field contractions sharing their
+prefixes; K scaled by a constant; and `exterior_d_plus`, d alpha + c *
+beta.  The homotopy-operator construction of a moment map runs these
+three in turn, so each of its values leaves the ints three times.
 
 Conventions:
   * contraction: (X_1 ^ ... ^ X_k) . alpha applies iota_{X_1} innermost,
@@ -180,16 +186,63 @@ def _wrap(cls, n: int, degree: int, acc: dict, den: int):
 # and empty components behind: they are harmless inside the kernels and
 # dropped by _wrap.
 
+
+class _Moves(dict):
+    """{monomial: the monomial with exponent i moved by step}, for one i,
+    each entry built by slicing on its first lookup."""
+
+    __slots__ = ("i", "step")
+
+    def __init__(self, i: int, step: int):
+        super().__init__()
+        self.i = i
+        self.step = step
+
+    def __missing__(self, m: tuple) -> tuple:
+        i = self.i
+        moved = self[m] = m[:i] + (m[i] + self.step,) + m[i + 1:]
+        return moved
+
+
+class _MoveTable(dict):
+    """{i: _Moves(i, step)}, each built on its first lookup."""
+
+    __slots__ = ("step",)
+
+    def __init__(self, step: int):
+        super().__init__()
+        self.step = step
+
+    def __missing__(self, i: int) -> _Moves:
+        moves = self[i] = _Moves(i, self.step)
+        return moves
+
+
+# The exponent moves of every int kernel: _RAISE[i][m] is m with exponent i
+# raised by one (the x_i of _add_products), _LOWER[i][m] lowered by one (d
+# and the bracket's partial derivatives).  They are shared by every call and
+# hold only int tuples, each equal to the slice it replaces, so a result's
+# monomials do not depend on what was computed before it.
+_RAISE = _MoveTable(1)
+_LOWER = _MoveTable(-1)
+
+
 def _add_products(acc: dict, key: tuple, q: dict, p: dict, s: int) -> None:
-    """acc[key] += s * q * p; a monomial x_i of q (as in a linear field) moves one slot."""
+    """acc[key] += s * q * p.  A constant monomial of q leaves p's monomials
+    as they are, and x_i (as in a linear field, or K's x^i) raises exponent
+    i by looking it up in _RAISE; only a higher-degree monomial adds tuples."""
     poly = acc.setdefault(key, {})
     get = poly.get
     for m1, c1 in q.items():
         c1 *= s
-        if sum(m1) == 1:
-            i = m1.index(1)
+        degree = sum(m1)
+        if degree == 0:
             for m2, c2 in p.items():
-                m = m2[:i] + (m2[i] + 1,) + m2[i + 1:]
+                poly[m2] = get(m2, 0) + c1 * c2
+        elif degree == 1:
+            raised = _RAISE[m1.index(1)]
+            for m2, c2 in p.items():
+                m = raised[m2]
                 poly[m] = get(m, 0) + c1 * c2
         else:
             for m2, c2 in p.items():
@@ -234,12 +287,13 @@ def _d(a: dict, n: int) -> dict:
             j = bisect_left(idx, i)
             poly = None
             s = -1 if j % 2 else 1
+            lowered = _LOWER[i]
             for mono, c in p.items():
                 e = mono[i]
                 if e:
                     if poly is None:
                         poly = acc.setdefault(idx[:j] + (i,) + idx[j:], {})
-                    m = mono[:i] + (e - 1,) + mono[i + 1:]
+                    m = lowered[mono]
                     poly[m] = poly.get(m, 0) + s * e * c
     return acc
 
@@ -493,8 +547,9 @@ def vf_bracket(x: MultiField, y: MultiField) -> MultiField:
     # sign * a^j d_j b^i, for (a, b, sign) = (x, y, +1) and (y, x, -1)
     for a, b, sign in ((ix, iy, 1), (iy, ix, -1)):
         for (j,), p1 in a.items():
+            lowered = _LOWER[j]
             for i, p2 in b.items():
-                dp2 = {m[:j] + (m[j] - 1,) + m[j + 1:]: c * m[j] for m, c in p2.items() if m[j]}
+                dp2 = {lowered[m]: c * m[j] for m, c in p2.items() if m[j]}
                 if dp2:
                     _add_products(acc, i, p1, dp2, sign)
     return _wrap(MultiField, x.n, 1, acc, dx * dy)

@@ -16,7 +16,7 @@ from momentkit.lie_core import ALGEBRA_CATALOG, LieAlgebra, StructureError, \
     boundary_of_tuple, catalog_algebra, ce_betti, exterior_basis, \
     lie_kernel_basis, mv_from_coords
 from momentkit.gmodule import invariants_basis
-from momentkit.linalg import Mat, mat_vstack, nullspace, rank
+from momentkit.linalg import mat_vstack, nullspace, rank
 from momentkit.polyform import (Form, MultiField, Poly, contract, contraction_chains,
                                 exterior_d, form_from_terms, lie_derivative, wedge)
 from momentkit.action import (_SAMPLE_SEEDS, LieAction, TruncatedFormModule,
@@ -27,6 +27,8 @@ from momentkit.action import (_SAMPLE_SEEDS, LieAction, TruncatedFormModule,
                               monomial_basis, preserves_omega,
                               validate_action, vector_to_form)
 from momentkit.cli import catalog_action, main, parse_problem
+
+from test_linalg import summed_matrix
 
 ACTIONS = ("abelian_r3", "so3_r3", "so4_r4", "u2_r4")
 
@@ -154,15 +156,15 @@ def oracle_contraction_matrix_at(omega, point):
     n = omega.n
     rows_index = {idx: r for r, idx in
                   enumerate(itertools.combinations(range(n), omega.degree - 1))}
-    m = Mat.zeros(len(rows_index), n)
+    entries = []
     for idx, p in omega.comps.items():
         c = p.eval(point)
         if not c:
             continue
         for pos, i in enumerate(idx):
             key = idx[:pos] + idx[pos + 1:]
-            m.add(rows_index[key], i, c * ((-1) ** pos))
-    return m
+            entries.append((rows_index[key], i, c * ((-1) ** pos)))
+    return summed_matrix(entries, len(rows_index), n)
 
 
 def oracle_nondegeneracy(omega):

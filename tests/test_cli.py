@@ -552,40 +552,39 @@ def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):
 
 
 def test_construct_contracts_each_kernel_prefix_once(monkeypatch, capsys):
-    # one contraction_chains pass per degree; its int chain step contracts
-    # each distinct nonempty prefix of the kernel basis' index tuples once,
-    # one generator field into the contraction of the prefix before it, and
-    # it wedges nothing and calls no public contract
+    # one contraction_chains pass for all degrees, which the recheck reads
+    # again; its int chain step contracts each distinct nonempty prefix of
+    # the kernel bases' index tuples, across all degrees, once, one
+    # generator field into the contraction of the prefix before it, and it
+    # wedges nothing and calls no public contract
     from momentkit import polyform
     from momentkit.cli import catalog_action
     from momentkit.polyform import contract, contraction_chains, wedge
     action = catalog_action("so4_r4")
-    kernels = {k: action.kernel(k).multivectors for k in (1, 2, 3)}
-    prefixes = sum(len({idx[:j] for mv in mvs for idx, c in mv.items() if c
-                        for j in range(1, k + 1)})
-                   for k, mvs in kernels.items())
+    kernels = [mv for k in (1, 2, 3) for mv in action.kernel(k).multivectors]
+    tuples = {idx for mv in kernels for idx, c in mv.items() if c}
+    prefixes = {idx[:j] for idx in tuples for j in range(1, len(idx) + 1)}
     chains = count_calls(monkeypatch, contraction_chains)
     wedges = count_calls(monkeypatch, wedge)
     contractions = count_calls(monkeypatch, contract)
     steps = count_calls(monkeypatch, polyform._contract)
     rc, _, _ = run_main(["construct", bundled("so4_r4.mmk")], capsys)
     assert rc == 0
-    assert [mvs for _, _, mvs in chains] == list(kernels.values())
+    assert [mvs for _, _, mvs in chains] == [kernels]
     assert wedges == [] and contractions == []
-    assert len(steps) == prefixes
+    assert len(steps) == len(prefixes)
     fields = [polyform._ints(v.comps)[1] for v in action.fields]
     assert all(field in fields for field, _ in steps)
     into_omega = [field for field, alpha in steps
                   if alpha == polyform._ints(action.omega.comps)[1]]
-    assert len(into_omega) == sum(len({idx[0] for mv in mvs for idx, c in mv.items() if c})
-                                  for mvs in kernels.values())
+    assert len(into_omega) == len({idx[0] for idx in tuples})
 
 
 def test_bracket_route_is_one_contraction_pass(monkeypatch):
-    # the bracket route solves for preimages in g ^ P_k and contracts them in
-    # one pass per degree, as the exactness route does: it builds no kernel
-    # module and calls no public contract; the other pass per degree is the
-    # recheck's LieAction.contractions
+    # the bracket route solves for preimages in g ^ P_k and contracts those
+    # of every degree in one pass, as the exactness route does: it builds no
+    # kernel module and calls no public contract; the only other pass is the
+    # recheck's LieAction.contractions, all degrees at once
     from momentkit.cli import catalog_action
     from momentkit.gmodule import lie_kernel_module
     from momentkit.moment import construct_brackets
@@ -595,9 +594,9 @@ def test_bracket_route_is_one_contraction_pass(monkeypatch):
     contractions = count_calls(monkeypatch, contract)
     chains = count_calls(monkeypatch, contraction_chains)
     assert construct_brackets(action, ks=[1, 2]).degrees() == [1, 2]
-    assert (len(modules), len(contractions), len(chains)) == (0, 0, 4)
-    assert [mvs for _, _, mvs in chains[2:]] == [action.kernel(k).multivectors
-                                                 for k in (1, 2)]
+    assert (len(modules), len(contractions), len(chains)) == (0, 0, 2)
+    assert len(chains[0][2]) == sum(len(action.kernel(k).basis) for k in (1, 2))
+    assert chains[1][2] == [mv for k in (1, 2) for mv in action.kernel(k).multivectors]
 
 
 def test_cohomology_counts_kernels_without_building_them(monkeypatch, capsys):

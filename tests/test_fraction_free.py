@@ -15,6 +15,10 @@ compares equal to its Fraction: every result is also checked to hold only
 Fraction coefficients.  On integral so(5) input the operators make no
 Fraction arithmetic call at all, and the whole Poincare route, recheck
 included, makes none and leaves the ints three times per kernel element.
+
+The exponent move tables that the kernels share are checked entry by entry
+against the slices they replace, the oracles still match once the tables
+hold monomials of another dimension, and a corrupted entry fails them.
 """
 
 import random
@@ -362,6 +366,81 @@ def test_so5_kernel_matches_the_oracles(so5):
             assert_same(exterior_d(f), oracle_d(f))
             v = so5.fields[rng.randrange(len(so5.fields))]
             assert_same(lie_derivative(v, f), oracle_lie_derivative(v, f))
+
+
+# ---------------------------------------------------------------------------
+# the exponent move tables
+# ---------------------------------------------------------------------------
+
+def test_every_move_table_entry_is_its_slice(so5):
+    # filled by two dimensions: the so(5) Poincare route on R^5 and random
+    # forms and fields on R^3
+    construct_poincare(so5)
+    rng = random.Random(2037)
+    for _ in range(10):
+        a = random_graded(rng, Form, 3, rng.randint(1, 3))
+        x = random_graded(rng, MultiField, 3, 1)
+        lie_derivative(x, a), poincare_homotopy(a), vf_bracket(x, x)
+    lengths = set()
+    for table, step in ((momentkit.polyform._RAISE, 1), (momentkit.polyform._LOWER, -1)):
+        assert table
+        for i, moves in table.items():
+            for m, moved in moves.items():
+                assert type(moved) is tuple and len(moved) == len(m)
+                assert all(type(e) is int and e >= 0 for e in moved)
+                assert moved == m[:i] + (m[i] + step,) + m[i + 1:]
+                lengths.add(len(m))
+    assert lengths >= {3, 5}
+
+
+def test_warm_move_tables_keep_the_oracles_on_rational_input(so5):
+    # after the tables hold so(5)'s 5-variable monomials: forms and fields on
+    # R^3 and R^4 with denominators 1..6, fields with constant and nonlinear
+    # terms, against the Fraction oracles
+    construct_poincare(so5)
+    rng = random.Random(2036)
+    seen = {"constant": 0, "nonlinear": 0, "rational": 0}
+    for _ in range(40):
+        n = rng.choice((3, 4))
+        a = random_graded(rng, Form, n, rng.randint(1, n))
+        x, y = (random_graded(rng, MultiField, n, 1) for _ in "xy")
+        for field in (x, y):
+            monos = [m for p in field.comps.values() for m in p.terms]
+            seen["constant"] += any(sum(m) == 0 for m in monos)
+            seen["nonlinear"] += any(sum(m) > 1 for m in monos)
+        for got, want in ((contract(x, a), oracle_contract(x, a)),
+                          (exterior_d(a), oracle_d(a)),
+                          (poincare_homotopy(a), oracle_homotopy(a)),
+                          (lie_derivative(x, a), oracle_lie_derivative(x, a)),
+                          (vf_bracket(x, y), oracle_vf_bracket(x, y)),
+                          (wedge(x, y), oracle_wedge(x, y))):
+            assert_same(got, want)
+            seen["rational"] += denominator(got) > 1
+    assert min(seen.values()) >= 10, seen
+
+
+X1_D1 = MultiField.from_terms(3, 1, [(1, (1, 0, 0), (0,))])  # x1 d/dx1
+
+
+@pytest.mark.parametrize("table, i, build, oracle", [
+    ("_RAISE", 0, lambda a: contract(X1_D1, a), lambda a: oracle_contract(X1_D1, a)),
+    ("_LOWER", 1, exterior_d, oracle_d)], ids=["raise", "lower"])
+def test_a_corrupted_move_table_entry_fails_the_oracles(table, i, build, oracle):
+    # alpha = 1/2 x2 dx1: x1 d/dx1 . alpha raises exponent 0 of (0, 1, 0), d lowers
+    # exponent 1; with that one entry wrong the result is no longer the
+    # oracle's, and it is again once the entry is restored
+    alpha = Form.from_terms(3, 1, [(Fraction(1, 2), (0, 1, 0), (0,))])
+    moves = getattr(momentkit.polyform, table)[i]
+    mono = (0, 1, 0)
+    kept = moves[mono]
+    moves[mono] = (2, 1, 0)
+    try:
+        assert build(alpha) != oracle(alpha)
+    finally:
+        moves[mono] = kept
+    assert_same(build(alpha), oracle(alpha))
+    assert not build(alpha).is_zero()
+
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from momentkit.gmodule import (GModule, ce_module_differential, cochain_dim,
 
 from test_action import so5_action
 from test_lie_core import schouten
+from test_linalg import summed_matrix
 
 
 def adjoint_module(g):
@@ -44,12 +45,12 @@ def reference_differential(m, k):
     dom = exterior_basis(g.dim, k)
     cod = exterior_basis(g.dim, k + 1)
     dompos = {t: i for i, t in enumerate(dom)}
-    out = Mat.zeros(len(cod) * m.dim, len(dom) * m.dim)
+    out = []
     for row_t, s in enumerate(cod):
         for a in range(len(s)):
             col_t = dompos[s[:a] + s[a + 1:]]
             for u, v, x in m.rho[s[a]].nonzeros():
-                out.add(row_t * m.dim + u, col_t * m.dim + v, (-1) ** a * x)
+                out.append((row_t * m.dim + u, col_t * m.dim + v, (-1) ** a * x))
         for a in range(len(s)):
             for b in range(a + 1, len(s)):
                 rest = s[:a] + s[a + 1:b] + s[b + 1:]
@@ -58,9 +59,9 @@ def reference_differential(m, k):
                     if tsign == 0:
                         continue
                     for u in range(m.dim):
-                        out.add(row_t * m.dim + u, dompos[t] * m.dim + u,
-                                (-1) ** (a + b) * tsign * c)
-    return out
+                        out.append((row_t * m.dim + u, dompos[t] * m.dim + u,
+                                    (-1) ** (a + b) * tsign * c))
+    return summed_matrix(out, len(cod) * m.dim, len(dom) * m.dim)
 
 
 def test_representation_property_is_validated():

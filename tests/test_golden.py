@@ -11,12 +11,16 @@ redirect stdout into its file (or record its digest and length).
 
 `so5_seed1.mmk` is the generated so(5) problem of the `so5-forms` benchmark
 workload (`perfbench/so5gen.py`, seed 1), kept here so the form-heavy
-construct routes are covered without importing the benchmark.
+construct routes are covered without importing the benchmark.  Its
+homotopy-operator construction is also run in fresh interpreters under two
+string-hash seeds, and must give the recorded digest under both.
 """
 
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 from momentkit.cli import main
 
@@ -84,3 +88,19 @@ def test_cli_output_matches_golden_bytes(capsys):
         if rc != exit_codes[name] or not same:
             mismatched.append(name)
     assert mismatched == []
+
+
+def test_so5_construct_bytes_do_not_depend_on_the_hash_seed():
+    # each run in a fresh interpreter, so the exponent move tables and every
+    # set and dict start empty under another string-hash seed
+    name = "construct_so5_seed1_k1234.machine"
+    want = _load("digests.json")[name]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "momentkit.cli", *golden_cases()[name]],
+                              capture_output=True, env=env, check=False)
+        assert (proc.returncode, proc.stderr) == (_load("exit_codes.json")[name], b""), seed
+        assert {"sha256": hashlib.sha256(proc.stdout).hexdigest(),
+                "bytes": len(proc.stdout)} == want, seed

@@ -7,9 +7,9 @@ accumulator `mv_term` it is written with, from here.  `oracle_boundary` is
 the boundary of a basis k-vector written with `mv_term`, the oracle for
 `boundary_of_tuple`; `mv_boundary` extends `boundary_of_tuple` linearly to
 any multivector, summed with `mv_add`.  `oracle_boundary_matrix` and
-`oracle_wedge_matrix` fill a zero matrix entry by entry through `Mat.add`,
-the oracles for the sparse-column builds of `boundary_matrix` and
-`wedge_matrix`."""
+`oracle_wedge_matrix` sum their entries one by one through
+`test_linalg.summed_matrix`, the oracles for the sparse-column builds of
+`boundary_matrix` and `wedge_matrix`."""
 
 import random
 from fractions import Fraction
@@ -24,10 +24,10 @@ from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError,
                                 mv_coords, mv_from_coords, sort_with_sign,
                                 validate_jacobi, wedge_matrix)
 from momentkit.cli import parse_problem
-from momentkit.linalg import Mat, mat_mul
+from momentkit.linalg import mat_mul
 
 from test_action import so5_action
-from test_linalg import naive_rank
+from test_linalg import naive_rank, summed_matrix
 
 
 CATALOG = sorted(ALGEBRA_CATALOG)
@@ -358,24 +358,21 @@ def test_boundary_matrix_against_componentwise_boundary():
 def oracle_boundary_matrix(g, k):
     dom = exterior_basis(g.dim, k)
     cod = exterior_basis(g.dim, k - 1)
-    m = Mat.zeros(len(cod), len(dom))
     pos = {t: i for i, t in enumerate(cod)}
-    for j, t in enumerate(dom):
-        for u, x in boundary_of_tuple(g, t).items():
-            m.add(pos[u], j, x)
-    return m
+    return summed_matrix([(pos[u], j, x) for j, t in enumerate(dom)
+                          for u, x in boundary_of_tuple(g, t).items()], len(cod), len(dom))
 
 
 def oracle_wedge_matrix(dim, i, k):
     dom = exterior_basis(dim, k)
     cod = exterior_basis(dim, k + 1)
-    m = Mat.zeros(len(cod), len(dom))
     pos = {t: r for r, t in enumerate(cod)}
+    entries = []
     for j, t in enumerate(dom):
         sign, s = sort_with_sign((i,) + t)
         if sign:
-            m.add(pos[s], j, sign)
-    return m
+            entries.append((pos[s], j, sign))
+    return summed_matrix(entries, len(cod), len(dom))
 
 
 def test_sparse_column_builds_match_the_entrywise_oracles():

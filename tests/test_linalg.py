@@ -52,6 +52,25 @@ def in_span(vectors, v) -> bool:
     return solve(a, v) is not None
 
 
+def entry(m, i, j):
+    """Entry (i, j) of a Mat, read from its nonzeros."""
+    if not (0 <= i < m.nrows and 0 <= j < m.ncols):
+        raise IndexError(f"entry ({i}, {j}) outside a {m.nrows}x{m.ncols} matrix")
+    return next((x for r, c, x in m.nonzeros() if (r, c) == (i, j)), Fraction(0))
+
+
+def summed_matrix(entries, nrows, ncols):
+    """The nrows x ncols Mat whose entry (i, j) is the sum of the x of the
+    (i, j, x) in `entries`, summed in sparse columns: the entrywise oracles'
+    builder."""
+    cols = [{} for _ in range(ncols)]
+    for i, j, x in entries:
+        if not (0 <= i < nrows and 0 <= j < ncols):
+            raise IndexError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
+        cols[j][i] = cols[j].get(i, 0) + Fraction(x)
+    return Mat.from_sparse_columns(cols, nrows)
+
+
 def random_matrix(rng, m, n, density=0.7):
     return [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
              if rng.random() < density else Fraction(0)
@@ -267,11 +286,15 @@ def test_builders_store_no_zeros():
                     kron_sum([(a, b)]), mat_hstack(a, a), mat_vstack(b, b)):
             assert stores_no_zero(out)
         assert a.transpose().transpose() == a
-    c = Mat.zeros(2, 3)
-    c.add(1, 2, Fraction(1, 3))
-    assert c.entry(1, 2) == Fraction(1, 3) and not c.is_zero()
-    c.add(1, 2, Fraction(-1, 3))
-    assert c == Mat.zeros(2, 3) and c.is_zero()
+    c = summed_matrix([(1, 2, Fraction(1, 3))], 2, 3)
+    assert entry(c, 1, 2) == Fraction(1, 3) and entry(c, 0, 2) == 0 and not c.is_zero()
+    c = summed_matrix([(1, 2, Fraction(1, 3)), (1, 2, Fraction(-1, 3))], 2, 3)
+    assert c == Mat.zeros(2, 3) and c.is_zero() and stores_no_zero(c)
+    for outside in ((2, 0), (0, 3), (-1, 0)):
+        with pytest.raises(IndexError):
+            entry(c, *outside)
+        with pytest.raises(IndexError):
+            summed_matrix([(*outside, 1)], 2, 3)
 
 
 def dense_kron_sum(pairs):

@@ -28,6 +28,7 @@ from momentkit.moment import (MomentMap, _checked, _hom_differential,
 
 from test_action import oracle_actions, random_form, so5_action, volume_form
 from test_lie_core import mv_add, mv_boundary, mv_term, schouten
+from test_linalg import entry
 
 CATALOG_ALGEBRAS = ("abelian3", "su2", "so3", "heisenberg3", "so4", "u2")
 
@@ -301,7 +302,7 @@ def oracle_module_act(action, k, i, row, scale=1):
     return [Form.linear_combination(
                 action.ambient_dim, alpha.degree,
                 [(scale * s, lie_derivative(v_i, alpha))]
-                + [(-scale * rho_i.entry(b, a), beta) for b, beta in enumerate(row)])
+                + [(-scale * entry(rho_i, b, a), beta) for b, beta in enumerate(row)])
             for a, alpha in enumerate(row)]
 
 

@@ -1,7 +1,9 @@
 """Only `linalg.py` knows how a `Mat` stores its rows: no other module under
 src/momentkit/ reads a `.rows` attribute, so the row layout stays linalg's
-decision (callers use `from_columns`, `from_sparse_columns`, `entry`,
-`add`, `nonzeros`, `col`, `dense` and `kron_sum`)."""
+decision (callers use `from_columns`, `from_sparse_columns`, `nonzeros`,
+`col`, `dense` and `kron_sum`; the entrywise test oracles read and build
+matrices through `test_linalg.entry` and `test_linalg.summed_matrix`, over
+`nonzeros` and `from_sparse_columns`)."""
 
 import ast
 import os

@@ -21,7 +21,8 @@ boundary_2 boundary_3 = 0, which is equivalent to it.  The adjoint action
 extended to Lambda g as a derivation (the Schouten bracket with a 1-vector)
 needs no formula of its own: ad_xi = -(boundary e_xi + e_xi boundary), with
 e_xi = xi ^ . (Koszul's identity), so on the Lie kernel it is
--boundary e_xi (`gmodule.lie_kernel_module`).
+-boundary e_xi (`gmodule.lie_kernel_module`).  For a unimodular algebra
+the complex is self-dual, and `boundary_ranks` ranks only its lower half.
 """
 
 from __future__ import annotations
@@ -216,8 +217,22 @@ def lie_kernel_basis(g: LieAlgebra, k: int):
 
 
 def boundary_ranks(g: LieAlgebra):
-    """Ranks of the boundary matrices of degrees 0..dim+1, as ints."""
-    return tuple(rank(boundary_matrix(g, k)) for k in range(g.dim + 2))
+    """Ranks of the boundary matrices of degrees 0..dim+1, as ints.
+
+    The top degree n = dim is ranked first.  The boundary of e_1 ^ ... ^ e_n
+    is sum_i +-tr(ad e_i) e_1 ^ ..e_i-hat.. ^ e_n, so rank boundary_n = 0
+    exactly when g is unimodular (every ad e_i is trace-free), read from the
+    complex itself.  For a unimodular g the complex is self-dual, and
+    rank boundary_k = rank boundary_{n+1-k} (Koszul 1950; Hazewinkel 1970),
+    so only degrees 0..(n+1)//2 are ranked and the rest are mirrored.
+    Otherwise every degree is ranked."""
+    n = g.dim
+    ranks = {n: rank(boundary_matrix(g, n))}
+    last = (n + 1) // 2 if not ranks[n] else n + 1
+    for k in range(last + 1):
+        if k not in ranks:
+            ranks[k] = rank(boundary_matrix(g, k))
+    return tuple(ranks[k] if k in ranks else ranks[n + 1 - k] for k in range(n + 2))
 
 
 def ce_betti(g: LieAlgebra, ranks=None):

@@ -16,16 +16,20 @@ The calculus is fraction-free: an operand enters as {index tuple:
 {monomial: int}} over the lcm of its denominators (`_ints`), and a result
 leaves once, as Fractions over its kernel's denominator (`_wrap`, which
 also drops the zero coefficients and empty components that cancellation
-left behind).  In between, every kernel (wedge and Poly products, d,
-contraction, K, linear combinations, the vector-field bracket) works a
-block at a time: one source component, or one pair of components, whose
-target index tuple and sign it resolves once before adding the block into
-that target's dict (`_combination`, `_add_products`).  An exponent move
+left behind).  A result makes one Fraction per distinct value, shared by
+every term that holds it: Fractions are immutable, and a so(5) result has
+about one distinct value per five terms.  In between, every kernel (wedge
+and Poly products, d, contraction, K, linear combinations, the
+vector-field bracket) works a block at a time: one source component, or
+one pair of components, whose target index tuple and sign it resolves
+once before adding the block into that target's dict (`_combination`, `_add_products`).  An exponent move
 is a table lookup: raising exponent i (the x_i of a linear field, or of K)
 and lowering it (d, the bracket's derivatives) read two module-level
 tables, `_RAISE` and `_LOWER`, whose int-tuple entries are each sliced
 once, on first use.  A constant factor leaves a monomial as it is, and
 only a factor of higher degree builds a sum of exponent tuples.
+Rendering reads each monomial's sort key and text from a third such table
+(`format_poly`).
 
 The composite operators compose the kernels and leave the ints once: the
 Lie derivative; `contraction_chains`, (V_{t1} ^ ... ^ V_{tk}) . alpha for
@@ -141,14 +145,31 @@ def _poly(n: int, terms: dict) -> Poly:
     return p
 
 
-def format_poly(p: Poly) -> str:
-    """Deterministic human/machine form, e.g. '3/2*x1^2*x3 - x2'."""
-    terms = []
-    for mono, c in sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+class _MonoTexts(dict):
+    """{monomial: (its sort key (degree, monomial), its rendered factors)},
+    each entry built on its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, mono: tuple) -> tuple:
         factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
                    for i, e in enumerate(mono) if e]
-        terms.append(format_term(str(c), "*".join(factors)))
-    return format_sum(terms)
+        entry = self[mono] = ((sum(mono), mono), "*".join(factors))
+        return entry
+
+
+# Every monomial format_poly has rendered, shared by all calls like the
+# exponent move tables below: a monomial's key and text do not depend on
+# the polynomial it appears in.
+_MONO_TEXTS = _MonoTexts()
+
+
+def format_poly(p: Poly) -> str:
+    """Deterministic human/machine form, e.g. '3/2*x1^2*x3 - x2': terms by
+    (degree, monomial), each monomial's key and text read from _MONO_TEXTS."""
+    texts = _MONO_TEXTS
+    return format_sum([format_term(str(c), body) for (_, body), c in
+                       sorted([(texts[m], c) for m, c in p.terms.items()])])
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +187,21 @@ def _ints(comps: dict):
 def _wrap(cls, n: int, degree: int, acc: dict, den: int):
     """The form or multivector field (of class cls) of an accumulated dict
     of ints over den, its zero coefficients and empty components dropped
-    and not validated again: the one place a result's Fractions are made."""
+    and not validated again: the one place a result's Fractions are made,
+    one per distinct int value, shared by all the terms that hold it."""
     x = cls.__new__(cls)
     x.n = n
     x.degree = degree
     x.comps = {}
+    values = {}  # int -> its Fraction over den, one shared object per value
     for key, poly in acc.items():
-        terms = {m: Fraction(v, den) for m, v in poly.items() if v}
+        terms = {}
+        for m, v in poly.items():
+            if v:
+                c = values.get(v)
+                if c is None:
+                    c = values[v] = Fraction(v, den)
+                terms[m] = c
         if terms:
             x.comps[key] = _poly(n, terms)
     return x

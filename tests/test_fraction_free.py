@@ -16,11 +16,17 @@ Fraction coefficients.  On integral so(5) input the operators make no
 Fraction arithmetic call at all, and the whole Poincare route, recheck
 included, makes none and leaves the ints three times per kernel element.
 
+The exit `_wrap` is checked against `oracle_wrap`, the per-term
+comprehension it replaced, on every result of the so(5) construction and
+of rational operators on R^3 and R^4: no zero is stored, and equal values
+inside one result are one shared Fraction object.
+
 The exponent move tables that the kernels share are checked entry by entry
 against the slices they replace, the oracles still match once the tables
 hold monomials of another dimension, and a corrupted entry fails them.
 """
 
+import os
 import random
 from fractions import Fraction
 from math import lcm, prod
@@ -30,7 +36,7 @@ import pytest
 
 import momentkit.polyform
 from momentkit.action import LieAction, infinitesimal_generator
-from momentkit.cli import catalog_action
+from momentkit.cli import catalog_action, main
 from momentkit.lie_core import LieAlgebra, StructureError, sort_with_sign
 from momentkit.moment import MomentMap, _checked, construct_poincare, zeta
 from momentkit.polyform import (Form, MultiField, Poly, contract, contraction_chains,
@@ -38,6 +44,7 @@ from momentkit.polyform import (Form, MultiField, Poly, contract, contraction_ch
                                 poincare_homotopy, vf_bracket, wedge)
 
 from test_action import so5_action
+from test_golden import GOLDEN
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +448,72 @@ def test_a_corrupted_move_table_entry_fails_the_oracles(table, i, build, oracle)
     assert_same(build(alpha), oracle(alpha))
     assert not build(alpha).is_zero()
 
+
+
+# ---------------------------------------------------------------------------
+# the exit: one Fraction per distinct value of a result
+# ---------------------------------------------------------------------------
+
+def oracle_wrap(cls, n, degree, acc, den):
+    """The exit as a per-term comprehension: one new Fraction per term."""
+    return cls(n, degree, {key: Poly(n, {m: Fraction(v, den) for m, v in poly.items() if v})
+                           for key, poly in acc.items()})
+
+
+def checked_wraps(monkeypatch):
+    """Wrap every _wrap call so that each result is checked against
+    oracle_wrap on the same ints; returns the list of (result, shared), where
+    shared counts the terms that reuse a value met earlier in the result."""
+    seen = []
+    wrap = momentkit.polyform._wrap
+
+    def checked(cls, n, degree, acc, den):
+        want = oracle_wrap(cls, n, degree, acc, den)
+        got = wrap(cls, n, degree, acc, den)
+        assert_same(got, want)
+        objects = {}  # value -> the one object that holds it
+        shared = 0
+        for p in got.comps.values():
+            for c in p.terms.values():
+                shared += c in objects
+                assert objects.setdefault(c, c) is c
+        seen.append((got, shared))
+        return got
+
+    monkeypatch.setattr(momentkit.polyform, "_wrap", checked)
+    return seen
+
+
+def test_so5_construct_wraps_one_fraction_per_value(monkeypatch, capsys):
+    seen = checked_wraps(monkeypatch)
+    so5 = os.path.join(GOLDEN, "so5_seed1.mmk")
+    assert main(["construct", so5, "--k", "1,2,3,4", "--format", "machine"]) == 0
+    capsys.readouterr()
+    assert len(seen) >= 3 * 256
+    # most terms of a so(5) value share their coefficient with another term
+    assert sum(shared for _, shared in seen) > sum(
+        len(p.terms) for got, _ in seen for p in got.comps.values()) // 2
+
+
+def test_rational_results_wrap_one_fraction_per_value(monkeypatch):
+    # forms and fields on R^3 and R^4 with denominators 1..6 and negative
+    # values, through every operator that wraps
+    seen = checked_wraps(monkeypatch)
+    rng = random.Random(2038)
+    for _ in range(40):
+        n = rng.choice((3, 4))
+        a = random_graded(rng, Form, n, rng.randint(1, n))
+        x, y = (random_graded(rng, MultiField, n, 1) for _ in "xy")
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        wedge(a, a), wedge(x, y), exterior_d(a), contract(x, a), lie_derivative(x, a)
+        vf_bracket(x, y), poincare_homotopy(a, c), a * c - a
+        exterior_d_plus(poincare_homotopy(a), c, a)
+        Form.from_terms(n, 1, random_terms(rng, n, 1, 2, 6))
+    results = [got for got, _ in seen if not got.is_zero()]
+    values = [c for got in results for p in got.comps.values() for c in p.terms.values()]
+    assert len(results) > 200
+    assert any(c < 0 for c in values) and any(c.denominator > 1 for c in values)
+    assert sum(shared for _, shared in seen) > 50
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ redirect stdout into its file (or record its digest and length).
 `so5_seed1.mmk` is the generated so(5) problem of the `so5-forms` benchmark
 workload (`perfbench/so5gen.py`, seed 1), kept here so the form-heavy
 construct routes are covered without importing the benchmark.  Its
-homotopy-operator construction is also run in fresh interpreters under two
-string-hash seeds, and must give the recorded digest under both.
+homotopy-operator construction and its Betti table (`cohomology`, whose
+upper degrees come from the duality of the complex) are also run in fresh
+interpreters under two string-hash seeds, and must give the recorded
+digests under both.
 """
 
 import hashlib
@@ -58,6 +60,9 @@ def golden_cases():
         "--format", "machine"]
     cases["construct_so5_seed1_brackets_k12.machine"] = [
         "construct", so5, "--method", "brackets", "--k", "1,2", "--format", "machine"]
+    # the Betti table of so(5) through degree 10, and every Lie kernel
+    for command in ("cohomology", "kernel"):
+        cases[f"{command}_so5_seed1.machine"] = [command, so5, "--format", "machine"]
     for method in ("brackets", "exactness"):
         cases[f"equivariance_so4_r4_{method}_k12_D2.text"] = [
             "equivariance", os.path.join(PROBLEMS, "so4_r4.mmk"), "--method",
@@ -90,10 +95,10 @@ def test_cli_output_matches_golden_bytes(capsys):
     assert mismatched == []
 
 
-def test_so5_construct_bytes_do_not_depend_on_the_hash_seed():
-    # each run in a fresh interpreter, so the exponent move tables and every
-    # set and dict start empty under another string-hash seed
-    name = "construct_so5_seed1_k1234.machine"
+def assert_same_bytes_under_two_hash_seeds(name):
+    """Run golden case `name` in a fresh interpreter under two string-hash
+    seeds, so the exponent move and monomial tables and every set and dict
+    start empty under another seed; both must give its recorded digest."""
     want = _load("digests.json")[name]
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     for seed in ("0", "12345"):
@@ -104,3 +109,12 @@ def test_so5_construct_bytes_do_not_depend_on_the_hash_seed():
         assert (proc.returncode, proc.stderr) == (_load("exit_codes.json")[name], b""), seed
         assert {"sha256": hashlib.sha256(proc.stdout).hexdigest(),
                 "bytes": len(proc.stdout)} == want, seed
+
+
+def test_so5_construct_bytes_do_not_depend_on_the_hash_seed():
+    assert_same_bytes_under_two_hash_seeds("construct_so5_seed1_k1234.machine")
+
+
+def test_so5_cohomology_bytes_do_not_depend_on_the_hash_seed():
+    # the Betti table with its mirrored ranks
+    assert_same_bytes_under_two_hash_seeds("cohomology_so5_seed1.machine")

@@ -11,22 +11,25 @@ any multivector, summed with `mv_add`.  `oracle_boundary_matrix` and
 `test_linalg.summed_matrix`, the oracles for the sparse-column builds of
 `boundary_matrix` and `wedge_matrix`."""
 
+import os
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+import momentkit.lie_core
 from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError,
-                                boundary_matrix, boundary_of_tuple,
+                                boundary_matrix, boundary_of_tuple, boundary_ranks,
                                 catalog_algebra, ce_betti, exterior_basis,
                                 format_multivector, lie_kernel_basis,
                                 mv_coords, mv_from_coords, sort_with_sign,
                                 validate_jacobi, wedge_matrix)
-from momentkit.cli import parse_problem
+from momentkit.cli import catalog_action, main, parse_problem
 from momentkit.linalg import mat_mul
 
 from test_action import so5_action
+from test_golden import BUNDLED, GOLDEN
 from test_linalg import naive_rank, summed_matrix
 
 
@@ -168,10 +171,96 @@ def test_betti_numbers_match_naive_rank_oracle():
             assert betti[k] == dim_k - rk - rk1, (name, k)
 
 
-def test_poincare_duality_of_betti_tables():
-    for name in CATALOG:
-        betti = list(ce_betti(catalog_algebra(name)))
-        assert betti == betti[::-1], name  # all catalog algebras are unimodular
+# [e1,e2] = e2 (aff(1)), [e1,e2] = e2, [e1,e3] = 2e3, and aff(1) + aff(1):
+# ad e1 has trace 1, 3 and 1, so no algebra here is unimodular and no
+# complex self-dual.  Only the last has a degree strictly between (n+1)//2
+# and n, so only it tells mirroring from ranking in the upper degrees.
+NON_UNIMODULAR = {
+    "aff1": LieAlgebra(2, {(0, 1): {1: 1}}, name="aff1"),
+    "solvable3": LieAlgebra(3, {(0, 1): {1: 1}, (0, 2): {2: 2}}, name="solvable3"),
+    "aff1+aff1": LieAlgebra(4, {(0, 1): {1: 1}, (2, 3): {3: 1}}, name="aff1+aff1"),
+}
+
+
+def naive_boundary_ranks(g):
+    """Rank of the boundary of every degree 0..dim+1 by the dense oracle,
+    each degree ranked on its own."""
+    ranks = []
+    for k in range(g.dim + 2):
+        m = boundary_matrix(g, k)
+        ranks.append(naive_rank(m.dense()) if m.nrows else 0)
+    return tuple(ranks)
+
+
+@pytest.fixture(scope="module")
+def duality():
+    """name -> (algebra, its naive_boundary_ranks), for the catalog, the
+    bundled problems' algebras, the generated so(5), the zero algebra and
+    the non-unimodular pair."""
+    algebras = {name: catalog_algebra(name) for name in CATALOG}
+    algebras.update({f"{name}.mmk": catalog_action(name).algebra for name in BUNDLED})
+    algebras["so5_seed1.mmk"] = so5_action().algebra
+    algebras["zero"] = LieAlgebra(0)
+    algebras.update(NON_UNIMODULAR)
+    return {name: (g, naive_boundary_ranks(g)) for name, g in algebras.items()}
+
+
+def test_boundary_ranks_match_the_naive_rank_oracle(duality):
+    for name, (g, ranks) in duality.items():
+        assert boundary_ranks(g) == ranks, name
+    assert boundary_ranks(NON_UNIMODULAR["aff1"]) == (0, 0, 1, 0)
+    assert ce_betti(NON_UNIMODULAR["aff1"]) == (1, 1, 0)
+    assert boundary_ranks(NON_UNIMODULAR["solvable3"]) == (0, 0, 2, 1, 0)
+    assert ce_betti(NON_UNIMODULAR["solvable3"]) == (1, 1, 0, 0)
+    # Kuenneth: (1, 1, 0) times (1, 1, 0); rank boundary_3 = 3 but rank boundary_2 = 2
+    assert boundary_ranks(NON_UNIMODULAR["aff1+aff1"]) == (0, 0, 2, 3, 1, 0)
+    assert ce_betti(NON_UNIMODULAR["aff1+aff1"]) == (1, 2, 1, 0, 0)
+
+
+def test_only_unimodular_algebras_mirror_their_ranks(duality, monkeypatch):
+    built = []
+
+    def counted(g, k):
+        built.append(k)
+        return boundary_matrix(g, k)
+
+    monkeypatch.setattr(momentkit.lie_core, "boundary_matrix", counted)
+    for name, (g, _) in duality.items():
+        built.clear()
+        boundary_ranks(g)
+        n = g.dim
+        # the top degree first: its rank is the unimodularity certificate
+        assert built[0] == n, name
+        if name in NON_UNIMODULAR:
+            assert sorted(built) == list(range(n + 2)), name
+        else:
+            assert sorted(built) == sorted({n} | set(range((n + 1) // 2 + 1))), name
+
+
+def test_poincare_duality_of_betti_tables(duality):
+    # Betti numbers from every degree ranked on its own, so the palindrome
+    # is the duality theorem at work and not the mirror in boundary_ranks
+    for name, (g, ranks) in duality.items():
+        betti = list(ce_betti(g, ranks))
+        if name in NON_UNIMODULAR:
+            assert betti != betti[::-1], name
+        else:
+            assert betti == betti[::-1], name
+
+
+def test_so5_cohomology_builds_half_the_boundaries(monkeypatch, capsys):
+    # degrees 2 and 3 for the Jacobi check, then the top degree 10 and
+    # degrees 0..5; degrees 6..9 and 11 are mirrored
+    built = []
+
+    def counted(g, k):
+        built.append(k)
+        return boundary_matrix(g, k)
+
+    monkeypatch.setattr(momentkit.lie_core, "boundary_matrix", counted)
+    assert main(["cohomology", os.path.join(GOLDEN, "so5_seed1.mmk")]) == 0
+    assert "(1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1)" in capsys.readouterr().out
+    assert built == [2, 3, 10, 0, 1, 2, 3, 4, 5]
 
 
 def test_lie_kernel_dimensions():

@@ -1,15 +1,23 @@
-"""Polynomial differential forms and multivector fields on R^n."""
+"""Polynomial differential forms and multivector fields on R^n.
 
+`oracle_format_poly` is the per-term renderer that `format_poly` replaced,
+kept as the oracle for its monomial table."""
+
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from momentkit.polyform import (Form, MultiField, Poly, contract, contraction_chains,
-                                exterior_d, exterior_d_plus, form_from_terms,
-                                format_field, format_form, format_poly,
-                                lie_derivative, poincare_homotopy, vf_bracket,
-                                wedge)
+from momentkit.cli import main
+from momentkit.lie_core import format_sum, format_term
+from momentkit.polyform import (_MONO_TEXTS, Form, MultiField, Poly, contract,
+                                contraction_chains, exterior_d, exterior_d_plus,
+                                form_from_terms, format_field, format_form,
+                                format_poly, lie_derivative, poincare_homotopy,
+                                vf_bracket, wedge)
+
+from test_golden import GOLDEN, PROBLEMS
 
 
 def vector_field(n, components):
@@ -249,6 +257,63 @@ def test_format_form_and_field():
                           Poly(n, {(0, 1, 0): Fraction(-1)})])
     assert format_field(v) == "x3*d/dx2 - x2*d/dx3"
     assert format_form(Form.zero(n, 2)) == "0"
+
+
+def oracle_format_poly(p):
+    """The per-term renderer that format_poly replaced: each term's sort key
+    and factors computed from its monomial, every time."""
+    terms = []
+    for mono, c in sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                   for i, e in enumerate(mono) if e]
+        terms.append(format_term(str(c), "*".join(factors)))
+    return format_sum(terms)
+
+
+def test_format_poly_matches_the_per_term_renderer():
+    # random rational polynomials in 1..5 variables, exponents up to 4
+    rng = random.Random(2039)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        p = Poly(n, {tuple(rng.randint(0, 4) for _ in range(n)):
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                     for _ in range(rng.randint(0, 8))})
+        assert format_poly(p) == oracle_format_poly(p)
+
+
+def test_every_monomial_text_entry_is_its_rendering(capsys):
+    # warmed by the so(5) construction on R^5 and by random forms on R^3
+    assert main(["construct", os.path.join(GOLDEN, "so5_seed1.mmk"), "--k", "1,2"]) == 0
+    capsys.readouterr()
+    rng = random.Random(2040)
+    for _ in range(20):
+        format_form(random_form(rng, 3, rng.randint(0, 3), 4))
+    lengths = set()
+    for mono, (key, text) in _MONO_TEXTS.items():
+        assert key == (sum(mono), mono)
+        assert text == "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "")
+                                for i, e in enumerate(mono) if e)
+        lengths.add(len(mono))
+    assert lengths >= {3, 5}
+
+
+@pytest.mark.parametrize("mono, corrupt", [
+    ((1, 0, 0), lambda entry: (entry[0], "x2")),
+    ((0, 0, 2), lambda entry: ((3, (0, 0, 2)), entry[1]))], ids=["text", "key"])
+def test_a_corrupted_monomial_entry_fails_a_report_golden(mono, corrupt, capsys):
+    # so3_r3's report renders x1 alone and -1/3*x3^2 - 1/3*x2^2, so a wrong
+    # text for x1 or a wrong sort key for x3^2 changes its bytes
+    argv = ["report", os.path.join(PROBLEMS, "so3_r3.mmk"), "--format", "text"]
+    with open(os.path.join(GOLDEN, "report_so3_r3.text.out"), encoding="utf-8") as fh:
+        want = fh.read()
+    assert main(argv) == 0 and capsys.readouterr().out == want
+    kept = _MONO_TEXTS[mono]
+    _MONO_TEXTS[mono] = corrupt(kept)
+    try:
+        assert main(argv) == 0 and capsys.readouterr().out != want
+    finally:
+        _MONO_TEXTS[mono] = kept
+    assert main(argv) == 0 and capsys.readouterr().out == want
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,14 @@ def golden_cases():
     cases["diagnose_u2_r4_D2.machine"] = [
         "diagnose", os.path.join(PROBLEMS, "u2_r4.mmk"),
         "--max-poly-degree", "2", "--format", "machine"]
+    # every degree at truncations 0 and 1 on every bundled problem: each Betti
+    # number, h0(P_k*), h0_hom and h1_hom the CLI prints, including the
+    # modules on which the algebra acts by zero
+    for p in BUNDLED:
+        for D in (0, 1):
+            cases[f"diagnose_{p}_D{D}.machine"] = [
+                "diagnose", os.path.join(PROBLEMS, f"{p}.mmk"),
+                "--max-poly-degree", str(D), "--format", "machine"]
     # both preimage routes on every bundled problem, refusals included
     for p in BUNDLED:
         for method in ("brackets", "exactness"):

@@ -19,11 +19,13 @@ build (an action is not changed after it is built; a build that raises
 stores nothing; no record points back at the action, so it is freed with
 all it keeps when its last user drops it):
   * `sign()`: the bracket sign, from `validate_action`;
-  * `omega_checks()`, `omega_failures()` and `boundary_ranks()`: the
-    answers of `check_multisymplectic`, `preserves_omega` and the
-    algebra's `boundary_ranks` (ints), which `check-action`, `cohomology`
-    and `diagnose` share; `betti()` and the kernel dimensions
-    `kernel_dim(k)` are read from the ranks;
+  * `omega_checks()` and `omega_failures()`: the answers of
+    `check_multisymplectic` and `preserves_omega`, which `check-action`
+    and `diagnose` share;
+  * `trivial()`: the algebra's trivial module, whose differential ranks
+    (kept by the module) `cohomology` and `diagnose` share; `betti()` is
+    its cohomology and the kernel dimensions `kernel_dim(k)` are read from
+    its ranks;
   * `kernel(k)`: the degree-k Lie kernel P_k of the algebra (`LieKernel`):
     canonical basis, kernel module and its dual, display names;
   * `contractions(k, also)`: V_p . omega of P_k's basis elements; the
@@ -53,10 +55,10 @@ from functools import cached_property, reduce
 from math import comb
 
 from .linalg import Mat, coordinates, mat_scale, nullspace, rank
-from .lie_core import (LieAlgebra, StructureError, boundary_ranks, ce_betti,
-                       exterior_basis, format_multivector, lie_kernel_basis,
-                       mv_from_coords)
-from .gmodule import GModule, dual_module, lie_kernel_module, tensor_module
+from .lie_core import (LieAlgebra, StructureError, exterior_basis, format_multivector,
+                       lie_kernel_basis, mv_from_coords)
+from .gmodule import (GModule, dual_module, lie_kernel_module, module_cohomology_dim,
+                      tensor_module, trivial_module)
 from .polyform import (Form, MultiField, Poly, contract, contraction_chains, exterior_d,
                        format_form, lie_derivative, vf_bracket, wedge)
 
@@ -96,18 +98,19 @@ class LieAction:
         """`preserves_omega` of this action, computed once."""
         return self._derive("omega_failures", lambda: preserves_omega(self))
 
-    def boundary_ranks(self) -> tuple:
-        """`boundary_ranks` of the algebra, computed once."""
-        return self._derive("ranks", lambda: boundary_ranks(self.algebra))
+    def trivial(self) -> GModule:
+        """The algebra's trivial module, built once; it keeps its ranks."""
+        return self._derive("trivial", lambda: trivial_module(self.algebra))
 
     def betti(self) -> tuple:
-        """`ce_betti` of the algebra from `boundary_ranks()`, computed once."""
-        return self._derive("betti", lambda: ce_betti(self.algebra, self.boundary_ranks()))
+        """Betti numbers, degrees 0..dim: the cohomology of `trivial()`."""
+        return tuple(module_cohomology_dim(self.trivial(), k)
+                     for k in range(self.algebra.dim + 1))
 
     def kernel_dim(self, k: int) -> int:
-        """dim P_k = C(dim, k) - rank boundary_k, from `boundary_ranks()`."""
-        ranks = self.boundary_ranks()
-        return comb(self.algebra.dim, k) - (ranks[k] if k < len(ranks) else 0)
+        """dim P_k = C(dim, k) - rank boundary_k, where rank boundary_k is
+        the rank of the trivial module's d^{k-1}."""
+        return comb(self.algebra.dim, k) - self.trivial().differential_rank(k - 1)
 
     def _derive(self, key, build):
         """The answer stored under `key`, from `build()` on first use; it must

@@ -16,7 +16,8 @@ complex with coefficients in M is
 `lie_core.boundary_of_tuple`, and trivial coefficients give
 d^k = boundary^T.  rho is a representation exactly when d^1 d^0 = 0, which
 is how construction validates it.  H^0(g, M) = ker d^0.  A GModule keeps
-the rank of each d^k once computed, not the matrix.
+the rank of each d^k once computed, not the matrix; `differential_rank`
+ranks every such complex, the trivial module's (the Betti numbers) too.
 """
 
 from __future__ import annotations
@@ -60,9 +61,22 @@ class GModule:
                 + (f" of {self.name}" if self.name else ""))
 
     def differential_rank(self, k: int) -> int:
-        """Rank of ce_module_differential(self, k), computed once."""
+        """Rank of ce_module_differential(self, k), computed once.  When g
+        acts by zero it is dim M * rank boundary_{k+1}, 0 past n = dim g, and
+        rank boundary_n = 0 certifies that g is unimodular (the top wedge's
+        boundary is sum_i +-tr(ad e_i) e_1..e_i-hat..e_n); then
+        rank boundary_j = rank boundary_{n+1-j} (Koszul 1950; Hazewinkel
+        1970), and the degrees past the middle are mirrored."""
         if k not in self._ranks:
-            self._ranks[k] = rank(ce_module_differential(self, k))
+            n = self.algebra.dim
+            if not all(r.is_zero() for r in self.rho):
+                self._ranks[k] = rank(ce_module_differential(self, k))
+            elif not 0 <= k < n:
+                self._ranks[k] = 0
+            elif (n + 1) // 2 <= k < n - 1 and not self.differential_rank(n - 1):
+                self._ranks[k] = self.differential_rank(n - 1 - k)
+            else:
+                self._ranks[k] = self.dim * rank(boundary_matrix(self.algebra, k + 1))
         return self._ranks[k]
 
     def __repr__(self):
@@ -70,7 +84,8 @@ class GModule:
 
 
 def trivial_module(g: LieAlgebra, n: int = 1) -> GModule:
-    return GModule(g, [Mat.zeros(n, n) for _ in range(g.dim)], name="trivial", dim=n)
+    return GModule(g, [Mat.zeros(n, n) for _ in range(g.dim)], name="trivial",
+                   validate=False, dim=n)
 
 
 def dual_module(m: GModule) -> GModule:

@@ -21,8 +21,8 @@ boundary_2 boundary_3 = 0, which is equivalent to it.  The adjoint action
 extended to Lambda g as a derivation (the Schouten bracket with a 1-vector)
 needs no formula of its own: ad_xi = -(boundary e_xi + e_xi boundary), with
 e_xi = xi ^ . (Koszul's identity), so on the Lie kernel it is
--boundary e_xi (`gmodule.lie_kernel_module`).  For a unimodular algebra
-the complex is self-dual, and `boundary_ranks` ranks only its lower half.
+-boundary e_xi (`gmodule.lie_kernel_module`).  `ce_betti` counts Betti
+numbers degree by degree, as the oracle for the trivial module's cohomology.
 """
 
 from __future__ import annotations
@@ -216,39 +216,13 @@ def lie_kernel_basis(g: LieAlgebra, k: int):
     return nullspace(boundary_matrix(g, k))
 
 
-def boundary_ranks(g: LieAlgebra):
-    """Ranks of the boundary matrices of degrees 0..dim+1, as ints.
-
-    The top degree n = dim is ranked first.  The boundary of e_1 ^ ... ^ e_n
-    is sum_i +-tr(ad e_i) e_1 ^ ..e_i-hat.. ^ e_n, so rank boundary_n = 0
-    exactly when g is unimodular (every ad e_i is trace-free), read from the
-    complex itself.  For a unimodular g the complex is self-dual, and
-    rank boundary_k = rank boundary_{n+1-k} (Koszul 1950; Hazewinkel 1970),
-    so only degrees 0..(n+1)//2 are ranked and the rest are mirrored.
-    Otherwise every degree is ranked."""
-    n = g.dim
-    ranks = {n: rank(boundary_matrix(g, n))}
-    last = (n + 1) // 2 if not ranks[n] else n + 1
-    for k in range(last + 1):
-        if k not in ranks:
-            ranks[k] = rank(boundary_matrix(g, k))
-    return tuple(ranks[k] if k in ranks else ranks[n + 1 - k] for k in range(n + 2))
-
-
-def ce_betti(g: LieAlgebra, ranks=None):
+def ce_betti(g: LieAlgebra):
     """Betti numbers of the algebra with trivial coefficients, degrees 0..dim,
-    from `boundary_ranks(g)` (computed here unless given).
-
-    The cochain differential is the transpose of the boundary, so ranks of the
-    boundary matrices determine both homology and cohomology dimensions.
-    """
-    if ranks is None:
-        ranks = boundary_ranks(g)
-    betti = []
-    for k in range(g.dim + 1):
-        dim_k = len(exterior_basis(g.dim, k))
-        betti.append(dim_k - ranks[k] - ranks[k + 1])
-    return tuple(betti)
+    from every boundary ranked on its own: the oracle for the trivial
+    module's cohomology (`gmodule`), which mirrors ranks where it can."""
+    ranks = [rank(boundary_matrix(g, k)) for k in range(g.dim + 2)]
+    return tuple(len(exterior_basis(g.dim, k)) - ranks[k] - ranks[k + 1]
+                 for k in range(g.dim + 1))
 
 
 # ---------------------------------------------------------------------------

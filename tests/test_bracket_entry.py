@@ -22,7 +22,12 @@ is built without sign arithmetic.
 
 Ints and Fractions cross only at the edges of `polyform`'s operators: no
 module other than `polyform.py` reads its int kernels' entry `_ints`, exit
-`_wrap` or block helpers `_combination` and `_add_products`."""
+`_wrap` or block helpers `_combination` and `_add_products`.
+
+Every cohomology dimension has one rank owner: `linalg.rank` is read only by
+`GModule.differential_rank`, by `lie_core.ce_betti` (the test oracle, which
+ranks each degree on its own) and by the nondegeneracy check, so a second
+path to a Chevalley-Eilenberg rank fails here."""
 
 import ast
 import os
@@ -119,3 +124,12 @@ def test_the_contraction_matrix_does_no_sign_arithmetic():
     signs = [node for node in ast.walk(func)
              if isinstance(node, (ast.USub, ast.Pow, ast.Sub, ast.Mult))]
     assert signs == []
+
+
+def test_only_the_module_differential_ranks_a_complex():
+    files = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+    found = source_readers("rank", files)
+    assert {f: owners for f, owners in found.items() if owners} == {
+        "action.py": {"check_multisymplectic"},
+        "gmodule.py": {"GModule.differential_rank"},
+        "lie_core.py": {"ce_betti"}}

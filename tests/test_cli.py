@@ -523,9 +523,11 @@ def test_report_builds_each_derived_object_once(monkeypatch, capsys):
     assert sorted(truncations) == [(0, 1), (1, 1), (2, 1)]  # (n - k, D)
     assert sorted(args[1:] for args in closed_bases) == [(0, 1), (1, 1), (2, 1)]
     # d0 per dual kernel (h0 of the dual kernel), d0 and d1 per Hom module;
-    # uniqueness reads the kept rank of d0, so no module differential is
-    # eliminated again for its nullspace
-    assert sorted(k for _, k in ranked) == [0, 0, 0, 0, 0, 0, 1, 1, 1]
+    # the algebra acts by zero on the k = 3 dual kernel and Hom module, so
+    # their ranks are read from the boundary and no kron_sum differential of
+    # theirs is ranked; uniqueness reads the kept rank of d0, so no module
+    # differential is eliminated again for its nullspace
+    assert sorted(k for _, k in ranked) == [0, 0, 0, 0, 1, 1]
     assert len(set(ranked)) == len(ranked)
     assert nulled == []
 
@@ -533,15 +535,15 @@ def test_report_builds_each_derived_object_once(monkeypatch, capsys):
 def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):
     # construct and equivariance read the same map, kept by the run's report;
     # check-action, cohomology and diagnose share the omega checks and the
-    # Betti numbers, kept by the action
+    # trivial module that keeps the Betti ranks, kept by the action
     from momentkit.action import (check_multisymplectic, preserves_omega,
                                   validate_action)
-    from momentkit.lie_core import ce_betti
+    from momentkit.gmodule import trivial_module
     from momentkit.moment import construct_poincare, defining_residuals
     from momentkit.polyform import poincare_homotopy
     counted = [count_calls(monkeypatch, fn) for fn in (
         construct_poincare, defining_residuals, poincare_homotopy, validate_action,
-        check_multisymplectic, preserves_omega, ce_betti)]
+        check_multisymplectic, preserves_omega, trivial_module)]
     for problem, homotopies in (("so4_r4.mmk", 26), ("u2_r4.mmk", 8)):
         for calls in counted:
             calls.clear()
@@ -600,8 +602,8 @@ def test_bracket_route_is_one_contraction_pass(monkeypatch):
 
 
 def test_cohomology_counts_kernels_without_building_them(monkeypatch, capsys):
-    # the kernel dimensions come from the boundary ranks the Betti numbers
-    # already took, so no kernel basis is eliminated for its length
+    # the kernel dimensions come from the trivial module's ranks the Betti
+    # numbers already took, so no kernel basis is eliminated for its length
     from momentkit.lie_core import lie_kernel_basis
     kernel_bases = count_calls(monkeypatch, lie_kernel_basis)
     so5 = os.path.join(os.path.dirname(__file__), "golden", "so5_seed1.mmk")

@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+import momentkit.gmodule
 from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError,
-                                boundary_matrix, catalog_algebra, exterior_basis,
+                                boundary_matrix, catalog_algebra, ce_betti, exterior_basis,
                                 lie_kernel_basis, mv_coords, mv_from_coords,
                                 sort_with_sign)
-from momentkit.linalg import Mat, mat_mul, mat_vec, nullspace, solve_many
+from momentkit.linalg import Mat, mat_mul, mat_vec, nullspace, rank, solve_many
 from momentkit.gmodule import (GModule, ce_module_differential, cochain_dim,
                                coboundary_solve, dual_module, invariants_basis,
                                lie_kernel_module, module_cohomology_dim,
                                tensor_module, trivial_module)
 
 from test_action import so5_action
-from test_lie_core import schouten
+from test_lie_core import NON_UNIMODULAR, schouten
 from test_linalg import summed_matrix
 
 
@@ -160,6 +161,49 @@ def test_trivial_coefficients_match_betti():
     g = catalog_algebra("u2")
     m = trivial_module(g)
     assert [module_cohomology_dim(m, k) for k in range(5)] == [1, 1, 0, 1, 1]
+
+
+def rank_test_algebras():
+    """The catalog, the zero algebra, the generated so(5) and three
+    non-unimodular algebras, by name."""
+    algebras = {name: catalog_algebra(name) for name in sorted(ALGEBRA_CATALOG)}
+    algebras["zero"] = LieAlgebra(0)
+    algebras["so5_seed1"] = so5_action().algebra
+    algebras.update(NON_UNIMODULAR)
+    return algebras
+
+
+def test_zero_action_ranks_match_the_module_differential():
+    # read from the boundary (and mirrored when the top degree certifies
+    # unimodularity), yet equal to the rank of the kron_sum differential
+    for name, g in rank_test_algebras().items():
+        for n in (0, 1, 3):
+            m = trivial_module(g, n)
+            for k in range(g.dim + 2):
+                assert m.differential_rank(k) == rank(ce_module_differential(m, k)), \
+                    (name, n, k)
+
+
+def test_a_betti_table_builds_each_boundary_at_most_once(monkeypatch):
+    # boundaries 1..(n+1)//2 and n for a unimodular algebra, whose upper
+    # degrees are mirrored, and 1..n otherwise; none past the top degree
+    built = []
+
+    def counted(g, k):
+        built.append(k)
+        return boundary_matrix(g, k)
+
+    monkeypatch.setattr(momentkit.gmodule, "boundary_matrix", counted)
+    for name, g in rank_test_algebras().items():
+        built.clear()
+        m = trivial_module(g)
+        betti = tuple(module_cohomology_dim(m, k) for k in range(g.dim + 1))
+        assert betti == ce_betti(g), name
+        n = g.dim
+        if name in NON_UNIMODULAR:
+            assert sorted(built) == list(range(1, n + 1)), name
+        else:
+            assert sorted(built) == sorted({n, *range(1, (n + 1) // 2 + 1)} - {0}), name
 
 
 def test_lie_kernel_module_is_preserved_by_the_action():

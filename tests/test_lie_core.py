@@ -18,9 +18,11 @@ from math import comb
 
 import pytest
 
+import momentkit.gmodule
 import momentkit.lie_core
+from momentkit.gmodule import trivial_module
 from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError,
-                                boundary_matrix, boundary_of_tuple, boundary_ranks,
+                                boundary_matrix, boundary_of_tuple,
                                 catalog_algebra, ce_betti, exterior_basis,
                                 format_multivector, lie_kernel_basis,
                                 mv_coords, mv_from_coords, sort_with_sign,
@@ -205,15 +207,22 @@ def duality():
     return {name: (g, naive_boundary_ranks(g)) for name, g in algebras.items()}
 
 
+def trivial_boundary_ranks(g):
+    """Rank of the boundary of every degree 0..dim+1, read from a fresh
+    trivial module: rank boundary_k is the rank of its d^{k-1}."""
+    m = trivial_module(g)
+    return tuple(m.differential_rank(k - 1) for k in range(g.dim + 2))
+
+
 def test_boundary_ranks_match_the_naive_rank_oracle(duality):
     for name, (g, ranks) in duality.items():
-        assert boundary_ranks(g) == ranks, name
-    assert boundary_ranks(NON_UNIMODULAR["aff1"]) == (0, 0, 1, 0)
+        assert trivial_boundary_ranks(g) == ranks, name
+    assert trivial_boundary_ranks(NON_UNIMODULAR["aff1"]) == (0, 0, 1, 0)
     assert ce_betti(NON_UNIMODULAR["aff1"]) == (1, 1, 0)
-    assert boundary_ranks(NON_UNIMODULAR["solvable3"]) == (0, 0, 2, 1, 0)
+    assert trivial_boundary_ranks(NON_UNIMODULAR["solvable3"]) == (0, 0, 2, 1, 0)
     assert ce_betti(NON_UNIMODULAR["solvable3"]) == (1, 1, 0, 0)
     # Kuenneth: (1, 1, 0) times (1, 1, 0); rank boundary_3 = 3 but rank boundary_2 = 2
-    assert boundary_ranks(NON_UNIMODULAR["aff1+aff1"]) == (0, 0, 2, 3, 1, 0)
+    assert trivial_boundary_ranks(NON_UNIMODULAR["aff1+aff1"]) == (0, 0, 2, 3, 1, 0)
     assert ce_betti(NON_UNIMODULAR["aff1+aff1"]) == (1, 2, 1, 0, 0)
 
 
@@ -224,24 +233,26 @@ def test_only_unimodular_algebras_mirror_their_ranks(duality, monkeypatch):
         built.append(k)
         return boundary_matrix(g, k)
 
-    monkeypatch.setattr(momentkit.lie_core, "boundary_matrix", counted)
+    monkeypatch.setattr(momentkit.gmodule, "boundary_matrix", counted)
     for name, (g, _) in duality.items():
         built.clear()
-        boundary_ranks(g)
-        n = g.dim
-        # the top degree first: its rank is the unimodularity certificate
-        assert built[0] == n, name
+        trivial_boundary_ranks(g)
+        n, half = g.dim, (g.dim + 1) // 2
+        # the top degree comes before any degree past the middle: its rank
+        # is the unimodularity certificate that allows the mirror
+        assert all(built.index(n) < built.index(j) for j in built if half < j < n), name
         if name in NON_UNIMODULAR:
-            assert sorted(built) == list(range(n + 2)), name
+            assert sorted(built) == list(range(1, n + 1)), name
         else:
-            assert sorted(built) == sorted({n} | set(range((n + 1) // 2 + 1))), name
+            assert sorted(built) == sorted({n, *range(1, half + 1)} - {0}), name
 
 
 def test_poincare_duality_of_betti_tables(duality):
     # Betti numbers from every degree ranked on its own, so the palindrome
-    # is the duality theorem at work and not the mirror in boundary_ranks
-    for name, (g, ranks) in duality.items():
-        betti = list(ce_betti(g, ranks))
+    # is the duality theorem at work and not the mirror in
+    # GModule.differential_rank
+    for name, (g, _) in duality.items():
+        betti = list(ce_betti(g))
         if name in NON_UNIMODULAR:
             assert betti != betti[::-1], name
         else:
@@ -249,8 +260,9 @@ def test_poincare_duality_of_betti_tables(duality):
 
 
 def test_so5_cohomology_builds_half_the_boundaries(monkeypatch, capsys):
-    # degrees 2 and 3 for the Jacobi check, then the top degree 10 and
-    # degrees 0..5; degrees 6..9 and 11 are mirrored
+    # degrees 2 and 3 for the Jacobi check, then degrees 1..5 and the top
+    # degree 10, whose rank certifies the mirror; degrees 6..9 are mirrored
+    # and nothing past the top degree is built
     built = []
 
     def counted(g, k):
@@ -258,9 +270,10 @@ def test_so5_cohomology_builds_half_the_boundaries(monkeypatch, capsys):
         return boundary_matrix(g, k)
 
     monkeypatch.setattr(momentkit.lie_core, "boundary_matrix", counted)
+    monkeypatch.setattr(momentkit.gmodule, "boundary_matrix", counted)
     assert main(["cohomology", os.path.join(GOLDEN, "so5_seed1.mmk")]) == 0
     assert "(1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1)" in capsys.readouterr().out
-    assert built == [2, 3, 10, 0, 1, 2, 3, 4, 5]
+    assert built == [2, 3, 1, 2, 3, 4, 5, 10]
 
 
 def test_lie_kernel_dimensions():

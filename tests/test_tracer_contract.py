@@ -7,8 +7,9 @@ spaces.
 
 The first tests import the tracer by path and start no worker, so they do
 not depend on how fast the host runs: every traced name resolves, the
-hooked functions keep the positional parameters their hooks unpack, and
-each content-key hook reads the objects momentkit builds today.
+hooked functions keep the positional parameters their hooks unpack, each
+content-key hook reads the objects momentkit builds today, and the traced
+names that no code in `src/` reads are exactly the known tracer-only API.
 
 One traced pass of `perfbench/worker.py` over `report so4_r4.mmk` must
 still run, find the traced names, key the Sigma cochains and truncated form
@@ -29,6 +30,8 @@ from momentkit.gmodule import lie_kernel_module
 from momentkit.lie_core import lie_kernel_basis
 from momentkit.moment import construct_poincare, sigma_cochain
 
+from test_bracket_entry import SRC, source_readers
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
@@ -47,6 +50,16 @@ def test_every_traced_name_resolves():
         for part in attr.split("."):
             target = getattr(target, part)
         assert callable(target), span
+
+
+def test_tracer_only_names_are_the_known_ones():
+    # a traced function that nothing in src/ reads is kept only for the
+    # tracer and the tests; for a method, its class must be read
+    files = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+    unread = {span for span, (_, attr) in load_tracer().TRACED.items()
+              if not any(source_readers(attr.split(".")[0], files).values())}
+    assert unread == {"action.infinitesimal_generator", "moment.uniqueness_check",
+                      "moment.describe_kernel", "lie_core.ce_betti"}
 
 
 def positional(fn):

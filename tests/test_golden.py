@@ -16,6 +16,9 @@ homotopy-operator construction and its Betti table (`cohomology`, whose
 upper degrees come from the duality of the complex) are also run in fresh
 interpreters under two string-hash seeds, and must give the recorded
 digests under both.
+
+`scale_r3.mmk` is a linear action on R^3 whose V1 scales omega, so the
+homotopy-operator map is not equivariant there.
 """
 
 import hashlib
@@ -75,6 +78,19 @@ def golden_cases():
         cases[f"equivariance_so4_r4_{method}_k12_D2.text"] = [
             "equivariance", os.path.join(PROBLEMS, "so4_r4.mmk"), "--method",
             method, "--k", "1,2", "--max-poly-degree", "2", "--format", "text"]
+    # the homotopy-operator route's Sigma, cocycle check, repair and
+    # uniqueness on every bundled problem, every degree, at truncations 0 and 1
+    for p in BUNDLED:
+        for D in (0, 1):
+            cases[f"equivariance_{p}_D{D}.machine"] = [
+                "equivariance", os.path.join(PROBLEMS, f"{p}.mmk"),
+                "--max-poly-degree", str(D), "--format", "machine"]
+    cases["equivariance_so5_seed1_k12.machine"] = [
+        "equivariance", so5, "--k", "1,2", "--format", "machine"]
+    # a linear action whose V1 scales omega: Sigma is not zero and the repair
+    # fails on an entry that is not closed
+    cases["equivariance_scale_r3.text"] = [
+        "equivariance", os.path.join(GOLDEN, "scale_r3.mmk"), "--format", "text"]
     return cases
 
 

@@ -36,6 +36,14 @@ d^1 Sigma = 0.  Sigma has closed-form entries and vanishes exactly when f is
 a module morphism in the strong sense.  `make_equivariant` repairs f by a
 coboundary inside a chosen polynomial truncation, or reports the obstruction
 there.
+
+Sigma is proven zero, and not computed, for `construct_poincare`'s own map
+when every generator field is linear and every generator preserves omega:
+a linear V commutes with the Euler field, so L_V K = K L_V, and with
+L_{V_xi} omega = 0 and [V_xi, V_p] = s V_[xi,p] that gives
+f([xi,p]) = s L_{V_xi} f(p) (Callies, Fregier, Rogers and Zambon, "Homotopy
+moment maps", 2016).  Every other map computes Sigma (`sigma_cochain`),
+which also serves the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -57,7 +65,10 @@ def zeta(k: int) -> int:
 class MomentMap:
     """Values of each f_k on the canonical degree-k kernel basis.  The
     components are fixed at construction, so `residuals` and `sigma` are
-    computed once."""
+    computed once.  `homotopy_operator` is True only on the output of
+    `construct_poincare`."""
+
+    homotopy_operator = False
 
     def __init__(self, action: LieAction, components: dict):
         n = action.plectic_degree()
@@ -88,8 +99,19 @@ class MomentMap:
         return self._residuals
 
     def sigma(self, k: int):
+        """Sigma at degree k, kept once computed: proven zero, and not
+        computed, for the homotopy-operator map of a linear action that
+        preserves omega (see the module docstring); `sigma_cochain` otherwise."""
         if k not in self._sigma:
-            self._sigma[k] = sigma_cochain(self, k)
+            forms, action = self.component(k), self.action
+            action.sign()  # raises, as sigma_cochain does, if the generators do not close
+            if (self.homotopy_operator and not action.omega_failures()
+                    and all(sum(mono) == 1 for v in action.fields
+                            for p in v.comps.values() for mono in p.terms)):
+                self._sigma[k] = [[Form.zero(action.ambient_dim, action.plectic_degree() - k)
+                                   for _ in forms] for _ in range(action.algebra.dim)]
+            else:
+                self._sigma[k] = sigma_cochain(self, k)
         return self._sigma[k]
 
     def value(self, k: int, mv: dict) -> Form:
@@ -153,7 +175,9 @@ def construct_poincare(action: LieAction, ks=None) -> MomentMap:
     ks = _default_degrees(action, ks)
     components = {k: [poincare_homotopy(rhs, -zeta(k)) for rhs in action.contractions(k, also=ks)]
                   for k in ks}
-    return _checked(MomentMap(action, components), "homotopy-operator")
+    mm = _checked(MomentMap(action, components), "homotopy-operator")
+    mm.homotopy_operator = True
+    return mm
 
 
 def _preimage_route(action: LieAction, ks, route: str, unsolvable: str,
@@ -252,8 +276,10 @@ def sigma_is_zero(sigma) -> bool:
 
 
 def check_sigma_cocycle(mm: MomentMap, k: int) -> bool:
-    """d^1 Sigma = 0, exactly (symbolic in the form entries, untruncated)."""
-    return sigma_is_zero(_hom_differential(mm, k, 1, mm.sigma(k)))
+    """d^1 Sigma = 0, exactly (symbolic in the form entries, untruncated);
+    d^1 is linear, so a zero Sigma is a cocycle without building it."""
+    sigma = mm.sigma(k)
+    return sigma_is_zero(sigma) or sigma_is_zero(_hom_differential(mm, k, 1, sigma))
 
 
 def check_module_morphism(mm: MomentMap, k: int):
@@ -270,7 +296,8 @@ def make_equivariant(mm: MomentMap, k: int, max_degree: int):
     module; returns (new_map, l_forms, status) where status is one of
     'already equivariant', 'repaired', 'obstructed at degree D'.
     StructureError if a Sigma entry escapes the truncation (raise
-    max_degree) or is not closed (the map is not a moment map)."""
+    max_degree) or is not closed (a generator does not preserve omega, or
+    the map is not a moment map)."""
     action = mm.action
     sigma = mm.sigma(k)
     if sigma_is_zero(sigma):
@@ -285,9 +312,13 @@ def make_equivariant(mm: MomentMap, k: int, max_degree: int):
         for a in range(r):
             coords = trunc.to_coords(sigma[i][a])
             if coords is None:
+                # d Sigma(xi)(p) = +-V_p . L_{V_xi} omega for a verified map
+                bad = [f"V{j + 1}" for j in action.omega_failures()]
+                cause = (f"{', '.join(bad)} {'does' if len(bad) == 1 else 'do'} not preserve "
+                         f"omega" if bad else "the map does not satisfy its defining equation")
                 raise StructureError(
                     f"Sigma entry Sigma(e{i + 1})({action.kernel(k).names[a]}) is not "
-                    f"closed: the map does not satisfy its defining equation")
+                    f"closed: {cause}")
             target += coords
     sol = coboundary_solve(hom, 1, target)
     if sol is None:

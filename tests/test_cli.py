@@ -553,6 +553,31 @@ def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):
                                                      1, 1, 1], problem
 
 
+def test_report_computes_sigma_only_where_it_is_not_proven_zero(monkeypatch, capsys):
+    # so4's rotations are linear and preserve omega, so the homotopy-operator
+    # map's Sigma is zero by theorem; abelian_r3's translations are not linear
+    from momentkit.moment import sigma_cochain
+    computed = count_calls(monkeypatch, sigma_cochain)
+    for problem, degrees in (("so4_r4.mmk", []), ("abelian_r3.mmk", [1, 2])):
+        computed.clear()
+        rc, _, _ = run_main(["report", bundled(problem)], capsys)
+        assert rc == 0
+        assert [k for _, k in computed] == degrees, problem
+
+
+def test_equivariance_of_a_linear_action_that_scales_omega(capsys):
+    # Sigma is computed, not zero, and its entry that is not closed is blamed
+    # on the generator that does not preserve omega
+    rc, out, err = run_main(["equivariance", os.path.join(GOLDEN, "scale_r3.mmk"),
+                             "--format", "machine"], capsys)
+    assert (rc, err) == (1, "")
+    data = json.loads(out)["sections"][0]["data"]
+    assert data["sigma_zero"] is False
+    assert data["nonzero_entries"] == [{"xi": "e1", "p": "e2^e3", "value": "1/3*x3^3"}]
+    assert data["repair"] == ("failed: Sigma entry Sigma(e1)(e2^e3) is not closed: "
+                              "V1 does not preserve omega")
+
+
 def test_construct_contracts_each_kernel_prefix_once(monkeypatch, capsys):
     # one contraction_chains pass for all degrees, which the recheck reads
     # again; its int chain step contracts each distinct nonempty prefix of

@@ -1,5 +1,7 @@
 """Weak moment maps: construction routes, verification, equivariance repair."""
 
+import importlib.util
+import os
 import random
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from momentkit.gmodule import invariants_basis, module_cohomology_dim
 from momentkit.polyform import (Form, exterior_d, form_from_terms, format_form,
                                 lie_derivative)
 from momentkit.action import LieAction
-from momentkit.cli import catalog_action, main
+from momentkit.cli import catalog_action, main, parse_problem
 from momentkit.moment import (MomentMap, _checked, _hom_differential,
                               check_module_morphism,
                               check_sigma_cocycle, construct_brackets,
@@ -27,6 +29,7 @@ from momentkit.moment import (MomentMap, _checked, _hom_differential,
                               verify_moment, zeta)
 
 from test_action import oracle_actions, random_form, so5_action, volume_form
+from test_cli import count_calls
 from test_lie_core import mv_add, mv_boundary, mv_term, schouten
 from test_linalg import entry
 
@@ -405,6 +408,73 @@ def test_report_takes_no_lie_derivative_of_a_zero_form(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# Sigma proven zero on the homotopy-operator route
+# ---------------------------------------------------------------------------
+
+TESTS = os.path.dirname(__file__)
+
+
+def scale_r3_action():
+    """tests/golden/scale_r3.mmk: a linear action whose V1 scales omega."""
+    with open(os.path.join(TESTS, "golden", "scale_r3.mmk"), encoding="utf-8") as fh:
+        return parse_problem(fh.read()).build_action()
+
+
+def so5gen_action(seed):
+    """The generated so(5) action on R^5 of `perfbench/so5gen.py` for a seed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_so5gen", os.path.join(TESTS, "..", "perfbench", "so5gen.py"))
+    so5gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(so5gen)
+    return parse_problem(so5gen.generate(seed)[0]).build_action()
+
+
+def test_a_proven_zero_sigma_is_the_computed_one(monkeypatch):
+    # linear fields that preserve omega: K commutes with every L_V, so the
+    # homotopy-operator map's Sigma is zero and MomentMap.sigma computes none
+    computed = count_calls(monkeypatch, sigma_cochain)
+    cases = [(catalog_action(name), None) for name in ("sl2_r2", "so3_r3", "so4_r4", "u2_r4")]
+    cases += [(so5gen_action(seed), [1, 2]) for seed in (1, 2)]
+    for action, ks in cases:
+        mm = construct_poincare(action, ks)
+        for k in mm.degrees():
+            want = sigma_cochain(mm, k)
+            assert mm.sigma(k) == want, (action.algebra.name, k)
+            assert check_sigma_cocycle(mm, k) is sigma_is_zero(
+                _hom_differential(mm, k, 1, want)), (action.algebra.name, k)
+    assert computed == []
+
+
+def test_sigma_is_computed_where_it_is_not_proven_zero(monkeypatch):
+    # translations are not linear, scale_r3's V1 scales omega, the preimage
+    # routes give other maps, and a repaired map carries no proof
+    so4 = catalog_action("so4_r4")
+    maps = [construct_poincare(catalog_action(name)) for name in ("abelian_r2", "abelian_r3")]
+    maps += [construct_poincare(scale_r3_action(), ks=[2]),
+             construct_exactness(so4, ks=[1, 2]), construct_brackets(so4, ks=[1, 2])]
+    computed = count_calls(monkeypatch, sigma_cochain)
+    for mm in maps:
+        for k in mm.degrees():
+            mm.sigma(k)
+    assert computed == [(mm, k) for mm in maps for k in mm.degrees()]
+    mm = construct_poincare(so4, ks=[2])
+    dx1 = form_from_terms(4, 1, [(1, (0,) * 4, (0,))])
+    bad = MomentMap(so4, {2: [c + dx1 for c in mm.components[2]]})
+    computed.clear()
+    fixed, _, status = make_equivariant(bad, 2, 0)
+    assert status == "repaired" and fixed.components == mm.components
+    assert computed == [(bad, 2), (fixed, 2)]
+
+
+def test_scale_r3_sigma_is_not_zero():
+    mm = construct_poincare(scale_r3_action(), ks=[2])
+    sigma = mm.sigma(2)
+    assert [[format_form(x) for x in row] for row in sigma] == [["1/3*x3^3"], ["0"], ["0"]]
+    assert check_sigma_cocycle(mm, 2)
+    assert check_module_morphism(mm, 2) == (False, False)
+
+
+# ---------------------------------------------------------------------------
 # equivariantization
 # ---------------------------------------------------------------------------
 
@@ -447,6 +517,24 @@ def test_repair_names_a_sigma_entry_that_is_not_closed():
         make_equivariant(bad, 1, 2)
     assert str(err.value) == ("Sigma entry Sigma(e1)(e1) is not closed: "
                               "the map does not satisfy its defining equation")
+
+
+def test_repair_blames_the_generators_that_do_not_preserve_omega():
+    # d Sigma(xi)(p) = +-V_p . L_{V_xi} omega for a verified map: on
+    # scale_r3 the map passed its recheck and L_{V1} omega = omega
+    mm = construct_poincare(scale_r3_action(), ks=[2])
+    with pytest.raises(StructureError) as err:
+        make_equivariant(mm, 2, 3)
+    assert str(err.value) == ("Sigma entry Sigma(e1)(e2^e3) is not closed: "
+                              "V1 does not preserve omega")
+    # two dilations of R^2, neither preserving omega, and f_1(e1) = x1
+    action = parse_problem("[algebra]\ndim = 2\n\n[action]\ndim = 2\nV1 = x1*d/dx1\n"
+                           "V2 = x2*d/dx2\n\n[omega]\nomega = dx(1,2)\n").build_action()
+    x1 = form_from_terms(2, 0, [(1, (1, 0), ())])
+    with pytest.raises(StructureError) as err:
+        make_equivariant(MomentMap(action, {1: [x1, Form.zero(2, 0)]}), 1, 1)
+    assert str(err.value) == ("Sigma entry Sigma(e1)(e1) is not closed: "
+                              "V1, V2 do not preserve omega")
 
 
 def test_already_equivariant_status():

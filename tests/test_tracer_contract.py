@@ -11,10 +11,12 @@ hooked functions keep the positional parameters their hooks unpack, each
 content-key hook reads the objects momentkit builds today, and the traced
 names that no code in `src/` reads are exactly the known tracer-only API.
 
-One traced pass of `perfbench/worker.py` over `report so4_r4.mmk` must
-still run, find the traced names, key the Sigma cochains and truncated form
-spaces it builds, and keep its spans nested.  (`so3_r3` is not used: its
-pass is shorter than the worker's 50 ms sampling interval.)
+One traced pass of `perfbench/worker.py` over `report so4_r4.mmk` and
+`equivariance abelian_r3.mmk` must still run, find the traced names, key
+the Sigma cochains and truncated form spaces it builds, and keep its spans
+nested.  (`so3_r3` is not used: its pass is shorter than the worker's 50 ms
+sampling interval.  The translations of `abelian_r3` are not linear, so
+their Sigma is computed; on the linear `so4_r4` it is proven zero.)
 """
 
 import importlib.util
@@ -91,10 +93,12 @@ def test_content_key_hooks_read_todays_objects():
 
 
 def test_traced_worker_pass_reads_the_form_layout(tmp_path):
+    problems = os.path.join(ROOT, "src", "momentkit", "problems")
     request = {
         "src": os.path.join(ROOT, "src"),
-        "commands": [["report", os.path.join(ROOT, "src", "momentkit", "problems",
-                                             "so4_r4.mmk"), "--format", "machine"]],
+        "commands": [["report", os.path.join(problems, "so4_r4.mmk"), "--format", "machine"],
+                     ["equivariance", os.path.join(problems, "abelian_r3.mmk"),
+                      "--format", "machine"]],
         "trace": True,
         "spans_out": str(tmp_path / "spans.json"),
         "untraced_wall": 1.0,
@@ -104,7 +108,7 @@ def test_traced_worker_pass_reads_the_form_layout(tmp_path):
         input=json.dumps(request), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     reply = json.loads(proc.stdout)
-    assert [c["rc"] for c in reply["commands"]] == [0]
+    assert [c["rc"] for c in reply["commands"]] == [0, 0]
     layers = reply["layers"]
     assert layers["moment.sigma_cochain.distinct_ratio"] > 0
     assert layers["action.TruncatedFormModule.distinct_ratio"] > 0

@@ -19,6 +19,10 @@ digests under both.
 
 `scale_r3.mmk` is a linear action on R^3 whose V1 scales omega, so the
 homotopy-operator map is not equivariant there.
+
+`co3_r3.mmk` (so(3) + R, the R acting by the Euler field) and
+`heis_r3.mmk` (the Heisenberg algebra by translations and a shear) have a
+centre that acts on the Hom modules, invertibly and nilpotently.
 """
 
 import hashlib
@@ -49,6 +53,16 @@ def golden_cases():
     cases["diagnose_u2_r4_D2.machine"] = [
         "diagnose", os.path.join(PROBLEMS, "u2_r4.mmk"),
         "--max-poly-degree", "2", "--format", "machine"]
+    # truncation 3: the central e1 acts invertibly on most of each Hom module
+    cases["diagnose_u2_r4_D3.machine"] = [
+        "diagnose", os.path.join(PROBLEMS, "u2_r4.mmk"),
+        "--max-poly-degree", "3", "--format", "machine"]
+    # a centre that acts invertibly (co3: the Euler field) and one that acts
+    # nilpotently (heis: a translation)
+    for p in ("co3_r3", "heis_r3"):
+        cases[f"diagnose_{p}_D2.text"] = [
+            "diagnose", os.path.join(GOLDEN, f"{p}.mmk"),
+            "--max-poly-degree", "2", "--format", "text"]
     # every degree at truncations 0 and 1 on every bundled problem: each Betti
     # number, h0(P_k*), h0_hom and h1_hom the CLI prints, including the
     # modules on which the algebra acts by zero

@@ -18,9 +18,24 @@ d^k = boundary^T.  rho is a representation exactly when d^1 d^0 = 0, which
 is how construction validates it.  H^0(g, M) = ker d^0.  A GModule keeps
 the rank of each d^k once computed, not the matrix; `differential_rank`
 ranks every such complex, the trivial module's (the Betti numbers) too.
+
+Dimensions are read from the weight-zero part (`GModule.weight_zero`).  For
+z in the centre (`LieAlgebra.center`), rho(z) commutes with every rho(x), so
+M = M_0 (+) M_1, its Fitting decomposition (the generalized kernel of rho(z)
+and the image of a high power), is one of modules.  On cochains
+theta_z = 1 (x) rho(z), as ad z = 0, and Cartan's formula
+theta_z = d iota_z + iota_z d (Chevalley-Eilenberg, Trans. AMS 63, 1948)
+makes theta_z zero on cohomology; it is invertible on C*(g, M_1), so that
+complex is acyclic and H*(g, M) = H*(g, M_0) (the central case of the
+Hochschild-Serre reduction, Ann. Math. 57, 1953).  Each central basis
+vector that acts cuts the module down in turn; `module_cohomology_dim`
+reads the ranks of what is left, while `invariants_basis` and
+`coboundary_solve` stay on the full module.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .linalg import Mat, coordinates, kron_sum, mat_mul, mat_scale, mat_vec, \
     nullspace, rank, solve
@@ -71,13 +86,42 @@ class GModule:
             n = self.algebra.dim
             if not all(r.is_zero() for r in self.rho):
                 self._ranks[k] = rank(ce_module_differential(self, k))
-            elif not 0 <= k < n:
+            elif not self.dim or not 0 <= k < n:
                 self._ranks[k] = 0
             elif (n + 1) // 2 <= k < n - 1 and not self.differential_rank(n - 1):
                 self._ranks[k] = self.differential_rank(n - 1 - k)
             else:
                 self._ranks[k] = self.dim * rank(boundary_matrix(self.algebra, k + 1))
         return self._ranks[k]
+
+    @cached_property
+    def weight_zero(self):
+        """M_0, the joint generalized kernel of rho(z) over the centre's
+        basis, as a submodule in canonical coordinates (see the module
+        docstring), computed once; None when it is all of M, so that no
+        module keeps itself.  The kernel of p = rho(z) is that of p^(2^j)
+        once squaring stops growing it.  StructureError if it is not
+        preserved by every rho(e_i), which happens only when rho is not a
+        representation."""
+        if all(r.is_zero() for r in self.rho):
+            return None
+        sub = self
+        for z in self.algebra.center:
+            p = kron_sum([(Mat([[c]]), r) for c, r in zip(z, sub.rho)])
+            if p.is_zero():
+                continue
+            kernel, p = nullspace(p), mat_mul(p, p)
+            while len(wider := nullspace(p)) > len(kernel):
+                kernel, p = wider, mat_mul(p, p)
+            if len(kernel) < sub.dim:
+                basis = Mat.from_columns(kernel, sub.dim)
+                rho = [coordinates(basis, mat_mul(r, basis)) for r in sub.rho]
+                if None in rho:
+                    raise StructureError("a central element's generalized kernel is not a "
+                                         "submodule" + (f" of {self.name}" if self.name else ""))
+                sub = GModule(self.algebra, rho, name=f"weight_zero({self.name})",
+                              validate=False, dim=len(kernel))
+        return None if sub is self else sub
 
     def __repr__(self):
         return f"GModule({self.name or ''} dim={self.dim} over {self.algebra.name})"
@@ -151,10 +195,11 @@ def ce_module_differential(m: GModule, k: int) -> Mat:
 
 
 def module_cohomology_dim(m: GModule, k: int) -> int:
-    """dim H^k(g, M), exactly."""
+    """dim H^k(g, M), exactly: that of the weight-zero part."""
     g = m.algebra
     if k < 0 or k > g.dim:
         return 0
+    m = m.weight_zero or m
     rank_in = m.differential_rank(k - 1) if k > 0 else 0
     return cochain_dim(g, m, k) - m.differential_rank(k) - rank_in
 

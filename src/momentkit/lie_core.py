@@ -21,8 +21,12 @@ boundary_2 boundary_3 = 0, which is equivalent to it.  The adjoint action
 extended to Lambda g as a derivation (the Schouten bracket with a 1-vector)
 needs no formula of its own: ad_xi = -(boundary e_xi + e_xi boundary), with
 e_xi = xi ^ . (Koszul's identity), so on the Lie kernel it is
--boundary e_xi (`gmodule.lie_kernel_module`).  `ce_betti` counts Betti
-numbers degree by degree, as the oracle for the trivial module's cohomology.
+-boundary e_xi (`gmodule.lie_kernel_module`).  So is the centre
+(`LieAlgebra.center`): x is central iff boundary(e_j ^ x) = -[e_j, x] is
+zero for every j, and `gmodule` reduces module cohomology to the part where
+the centre acts nilpotently (Fitting's lemma and Cartan's formula; see
+there).  `ce_betti` counts Betti numbers degree by degree, as the oracle for
+the trivial module's cohomology.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import combinations
 
-from .linalg import Mat, frac, mat_mul, nullspace, rank
+from .linalg import Mat, frac, mat_mul, mat_vstack, nullspace, rank
 
 ZERO = Fraction(0)
 
@@ -73,6 +78,14 @@ class LieAlgebra:
         if i < j:
             return self.table.get((i, j), ())
         return tuple((m, -c) for m, c in self.table.get((j, i), ()))
+
+    @cached_property
+    def center(self):
+        """Canonical basis of the centre, computed once: the nullspace of the
+        maps x -> boundary(e_j ^ x) = -[e_j, x] stacked over j."""
+        b = boundary_matrix(self, 2)
+        return nullspace(reduce(mat_vstack, (mat_mul(b, wedge_matrix(self.dim, j, 1))
+                                             for j in range(self.dim)), Mat.zeros(0, self.dim)))
 
     def __repr__(self):
         return f"LieAlgebra({self.name or self.dim})"

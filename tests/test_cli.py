@@ -532,6 +532,17 @@ def test_report_builds_each_derived_object_once(monkeypatch, capsys):
     assert nulled == []
 
 
+def test_diagnose_ranks_the_weight_zero_part_of_each_hom_module(monkeypatch, capsys):
+    # u2's central e1 acts invertibly on most of each Hom module, so at D = 1
+    # the largest matrix ranked is d1 of the 16-dimensional weight-zero part
+    # of the k = 1 module, 6 * 16 rows, not d1 of all of it, 6 * 104 rows
+    from momentkit.linalg import rank
+    ranked = count_calls(monkeypatch, rank)
+    rc, _, _ = run_main(["diagnose", bundled("u2_r4.mmk"), "--max-poly-degree", "1"], capsys)
+    assert rc == 0
+    assert ranked and max(a.nrows for a, in ranked) <= 96
+
+
 def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):
     # construct and equivariance read the same map, kept by the run's report;
     # check-action, cohomology and diagnose share the omega checks and the

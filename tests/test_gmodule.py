@@ -1,12 +1,14 @@
 """Module coefficients: representations, CE differentials, cohomology dims."""
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 import momentkit.gmodule
-from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError,
+from momentkit.cli import catalog_action, parse_problem
+from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError, abelian,
                                 boundary_matrix, catalog_algebra, ce_betti, exterior_basis,
                                 lie_kernel_basis, mv_coords, mv_from_coords,
                                 sort_with_sign)
@@ -17,6 +19,7 @@ from momentkit.gmodule import (GModule, ce_module_differential, cochain_dim,
                                tensor_module, trivial_module)
 
 from test_action import so5_action
+from test_golden import BUNDLED, GOLDEN
 from test_lie_core import NON_UNIMODULAR, schouten
 from test_linalg import summed_matrix
 
@@ -315,3 +318,99 @@ def test_coboundary_solve_rejects_non_cocycles():
     assert any(mat_vec(d1, v))
     with pytest.raises(StructureError):
         coboundary_solve(m, 1, v)
+
+
+# ---------------------------------------------------------------------------
+# the weight-zero part: H*(g, M) = H*(g, M_0)
+# ---------------------------------------------------------------------------
+
+def full_cohomology_dim(m, k):
+    """h^k from the full module's own ranks, the oracle for the weight-zero
+    part that `module_cohomology_dim` reads."""
+    rank_in = m.differential_rank(k - 1) if k > 0 else 0
+    return cochain_dim(m.algebra, m, k) - m.differential_rank(k) - rank_in
+
+
+def assert_weight_zero_cohomology(m, label):
+    for k in range(m.algebra.dim + 1):
+        assert module_cohomology_dim(m, k) == full_cohomology_dim(m, k), (label, k)
+
+
+def problem_actions():
+    """The bundled problems, and the two fixtures whose centre acts."""
+    actions = {p: catalog_action(p) for p in BUNDLED}
+    for p in ("co3_r3", "heis_r3"):
+        with open(os.path.join(GOLDEN, f"{p}.mmk"), encoding="utf-8") as fh:
+            actions[p] = parse_problem(fh.read()).build_action()
+    return actions
+
+
+def test_weight_zero_cohomology_of_every_problem_module():
+    reduced = {}
+    for p, action in problem_actions().items():
+        for k in range(1, action.plectic_degree() + 1):
+            modules = [(("dual", k), action.kernel(k).dual)]
+            modules += [(("hom", k, D), action.hom_module(k, D)) for D in (0, 1, 2)]
+            for key, m in modules:
+                w = m.weight_zero
+                reduced[(p, *key)] = (m.dim, None if w is None else w.dim)
+                if w is not None:  # else module_cohomology_dim reads m itself
+                    assert_weight_zero_cohomology(m, (p, key))
+    # u2's central e1 acts invertibly on most of each Hom module and by zero
+    # on the dual kernels; co3's Euler field is invertible on every form
+    # module; heis's central translation is nilpotent, and nothing reduces
+    assert reduced[("u2_r4", "hom", 1, 1)] == (104, 16)
+    assert reduced[("u2_r4", "hom", 2, 1)] == (42, 12)
+    assert reduced[("co3_r3", "hom", 1, 2)] == (76, 0)
+    assert reduced[("heis_r3", "hom", 1, 2)] == (57, None)
+    acting = [key for key, (_, w) in reduced.items() if w is not None]
+    assert {key[0] for key in acting} == {"u2_r4", "co3_r3"}
+    assert {key[1] for key in acting} == {"hom"}
+
+
+def staircase_module(rng, n):
+    """A seeded module of abelian(n), n = 1 or 2, and its block shapes: a
+    direct sum of blocks, each spanned by the monomials x^i y^j under a
+    random staircase, with e1 acting as c1 + x and e2 as c2 + y
+    (multiplication, dropping monomials past the staircase), each c zero or
+    not; then conjugated by a random unimodular matrix.  For n = 1 the
+    blocks are Jordan blocks."""
+    basis, shifts = [], []
+    for b in range(rng.randint(1, 3)):
+        widths = sorted((rng.randint(1, 3) for _ in range(rng.randint(1, 2) if n == 2 else 1)),
+                        reverse=True)
+        basis += [(b, i, j) for j, w in enumerate(widths) for i in range(w)]
+        shifts.append([rng.choice((0, 0, 1, -2)) for _ in range(n)])
+    pos = {mono: r for r, mono in enumerate(basis)}
+    size = len(basis)
+    rho = []
+    for a in range(n):
+        dense = [[0] * size for _ in range(size)]
+        for (b, i, j), col in pos.items():
+            dense[col][col] = shifts[b][a]
+            step = (b, i + 1, j) if a == 0 else (b, i, j + 1)
+            if step in pos:
+                dense[pos[step]][col] = 1
+        rho.append(Mat(dense, size))
+    lower = Mat([[int(i == j) or (rng.randint(-1, 1) if i > j else 0) for j in range(size)]
+                 for i in range(size)], size)
+    upper = Mat([[int(i == j) or (rng.randint(-1, 1) if i < j else 0) for j in range(size)]
+                 for i in range(size)], size)
+    conj = mat_mul(lower, upper)
+    inverse = solve_many(conj, Mat([[int(i == j) for j in range(size)] for i in range(size)], size))
+    return GModule(abelian(n), [mat_mul(mat_mul(conj, r), inverse) for r in rho])
+
+
+def test_weight_zero_cohomology_of_random_abelian_modules():
+    rng = random.Random(30)
+    for n in (1, 2):
+        for trial in range(60):
+            assert_weight_zero_cohomology(staircase_module(rng, n), (n, trial))
+
+
+def test_the_weight_zero_part_of_a_non_commuting_action_is_refused():
+    # rho(e1) = diag(0, 1) is not central in this non-representation: its
+    # kernel e1 is not preserved by rho(e2), which swaps the coordinates
+    m = GModule(abelian(2), [Mat([[0, 0], [0, 1]]), Mat([[0, 1], [1, 0]])], validate=False)
+    with pytest.raises(StructureError, match="not a submodule"):
+        m.weight_zero

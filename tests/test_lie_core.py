@@ -21,7 +21,7 @@ import pytest
 import momentkit.gmodule
 import momentkit.lie_core
 from momentkit.gmodule import trivial_module
-from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError,
+from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError, abelian,
                                 boundary_matrix, boundary_of_tuple,
                                 catalog_algebra, ce_betti, exterior_basis,
                                 format_multivector, lie_kernel_basis,
@@ -488,3 +488,36 @@ def test_sparse_column_builds_match_the_entrywise_oracles():
                 got = wedge_matrix(g.dim, i, k)
                 assert got == oracle_wedge_matrix(g.dim, i, k), (g.dim, i, k)
                 assert all(type(x) is Fraction for _, _, x in got.nonzeros())
+
+
+def unit_vectors(dim, indices):
+    return [[Fraction(int(i == j)) for i in range(dim)] for j in indices]
+
+
+def test_center_of_the_catalog_and_generated_algebras():
+    sl2 = catalog_action("sl2_r2").algebra
+    for g in (catalog_algebra("so3"), catalog_algebra("so4"), sl2, so5_action().algebra):
+        assert g.center == [], g.name
+    assert catalog_algebra("u2").center == unit_vectors(4, [0])
+    assert catalog_algebra("heisenberg3").center == unit_vectors(3, [2])
+    for n in (0, 1, 3):
+        assert abelian(n).center == unit_vectors(n, range(n))
+    assert SKEW_CENTER.center == [[1, 1, 0]]
+
+
+# [e1, e3] = e3 and [e2, e3] = -e3: the centre is spanned by e1 + e2
+SKEW_CENTER = LieAlgebra(3, {(0, 2): {2: 1}, (1, 2): {2: -1}}, name="skew_center")
+
+
+def test_center_vectors_bracket_to_zero_with_every_basis_element():
+    algebras = [catalog_algebra(name) for name in sorted(ALGEBRA_CATALOG)]
+    algebras += [catalog_action("sl2_r2").algebra, so5_action().algebra]
+    algebras += list(NON_UNIMODULAR.values()) + [SKEW_CENTER]
+    for g in algebras:
+        for z in g.center:
+            for j in range(g.dim):
+                bracket = {}
+                for i, x in enumerate(z):
+                    for m, c in g.bracket_basis(i, j):
+                        bracket[m] = bracket.get(m, 0) + x * c
+                assert not any(bracket.values()), (g.name, z, j)

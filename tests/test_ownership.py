@@ -5,7 +5,9 @@ So an action is no reference cycle, and all that a run derives from it is
 freed by reference counting as soon as `cli.main` returns, with the cyclic
 collector off.  The run's moment map reads the action but is kept by the
 run's report, not by the action.  Checked end to end, by a weak reference
-to every action a run builds, and on the syntax tree."""
+to every action and every module a run builds, and on the syntax tree.  A
+module keeps its weight-zero submodule, which keeps nothing of it; a module
+whose weight-zero part is all of it keeps None there, not itself."""
 
 import ast
 import gc
@@ -13,21 +15,29 @@ import os
 import weakref
 
 from momentkit.cli import COMMANDS, PROBLEMS, ProblemFile, main
+from momentkit.gmodule import GModule
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "momentkit")
 
 
 def test_every_action_a_run_builds_is_freed_when_main_returns(monkeypatch, capsys):
-    refs = []
+    # and every module it builds
+    refs, modules = [], []
     build = ProblemFile.build_action
+    init = GModule.__init__
 
     def recorded(self):
         action = build(self)
         refs.append(weakref.ref(action))
         return action
 
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        modules.append(weakref.ref(self))
+
     monkeypatch.setattr(ProblemFile, "build_action", recorded)
+    monkeypatch.setattr(GModule, "__init__", recorded_init)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -37,9 +47,11 @@ def test_every_action_a_run_builds_is_freed_when_main_returns(monkeypatch, capsy
             for argv in [[command] for command in sorted(COMMANDS)] + [
                     ["report", "--method", method] for method in ("exactness", "brackets")]:
                 refs.clear()
+                modules.clear()
                 main(argv + [os.path.join(PROBLEMS, problem)])
                 capsys.readouterr()
                 assert len(refs) == 1 and refs[0]() is None, (argv, problem)
+                assert [ref() for ref in modules if ref() is not None] == [], (argv, problem)
     finally:
         if enabled:
             gc.enable()

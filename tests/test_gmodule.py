@@ -369,12 +369,11 @@ def test_weight_zero_cohomology_of_every_problem_module():
 
 
 def staircase_module(rng, n):
-    """A seeded module of abelian(n), n = 1 or 2, and its block shapes: a
-    direct sum of blocks, each spanned by the monomials x^i y^j under a
-    random staircase, with e1 acting as c1 + x and e2 as c2 + y
-    (multiplication, dropping monomials past the staircase), each c zero or
-    not; then conjugated by a random unimodular matrix.  For n = 1 the
-    blocks are Jordan blocks."""
+    """A seeded module of abelian(n), n = 1 or 2: a direct sum of blocks,
+    each spanned by the monomials x^i y^j under a random staircase, with e1
+    acting as c1 + x and e2 as c2 + y (multiplication, dropping monomials
+    past the staircase), each c zero or not; then conjugated by a random
+    unimodular matrix.  For n = 1 the blocks are Jordan blocks."""
     basis, shifts = [], []
     for b in range(rng.randint(1, 3)):
         widths = sorted((rng.randint(1, 3) for _ in range(rng.randint(1, 2) if n == 2 else 1)),
@@ -397,7 +396,7 @@ def staircase_module(rng, n):
     upper = Mat([[int(i == j) or (rng.randint(-1, 1) if i < j else 0) for j in range(size)]
                  for i in range(size)], size)
     conj = mat_mul(lower, upper)
-    inverse = solve_many(conj, Mat([[int(i == j) for j in range(size)] for i in range(size)], size))
+    inverse = solve_many(conj, Mat.identity(size))
     return GModule(abelian(n), [mat_mul(mat_mul(conj, r), inverse) for r in rho])
 
 

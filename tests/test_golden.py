@@ -63,6 +63,13 @@ def golden_cases():
         cases[f"diagnose_{p}_D2.text"] = [
             "diagnose", os.path.join(GOLDEN, f"{p}.mmk"),
             "--max-poly-degree", "2", "--format", "text"]
+        # the whole report, equivariance included, on both centres
+        cases[f"report_{p}.text"] = [
+            "report", os.path.join(GOLDEN, f"{p}.mmk"), "--format", "text"]
+    # truncation 2: each Hom module's cohomology read from its weight-zero part
+    cases["report_u2_r4_D2.text"] = [
+        "report", os.path.join(PROBLEMS, "u2_r4.mmk"), "--max-poly-degree", "2",
+        "--format", "text"]
     # every degree at truncations 0 and 1 on every bundled problem: each Betti
     # number, h0(P_k*), h0_hom and h1_hom the CLI prints, including the
     # modules on which the algebra acts by zero

@@ -30,7 +30,12 @@ complex is acyclic and H*(g, M) = H*(g, M_0) (the central case of the
 Hochschild-Serre reduction, Ann. Math. 57, 1953).  Each central basis
 vector that acts cuts the module down in turn; `module_cohomology_dim`
 reads the ranks of what is left, while `invariants_basis` and
-`coboundary_solve` stay on the full module.
+`coboundary_solve` stay on the full module.  On a tensor product a (x) b,
+rho(z) = rho_a(z) (x) 1 + 1 (x) rho_b(z) is a sum of commuting maps; when
+a_0 = a the first is nilpotent and does not change the generalized kernel
+of the second, a (x) that of rho_b(z), so M_0 = a (x) b_0, read from b alone.
+Hom(P_k, F) = P_k* (x) F is such a product: ad z = 0 extends to Lambda g as
+0, so a central z acts by zero on P_k and on its dual.
 """
 
 from __future__ import annotations
@@ -46,22 +51,32 @@ from .lie_core import LieAlgebra, StructureError, boundary_matrix, exterior_basi
 class GModule:
     """Finite-dimensional module over a Lie algebra, given by action matrices."""
 
+    factors = ()  # (a, b) for `tensor_module(a, b)`, whose rho is built on first read
+
     def __init__(self, algebra: LieAlgebra, rho, name: str = "", validate: bool = True,
                  dim: int | None = None):
-        if len(rho) != algebra.dim:
-            raise ValueError("need one action matrix per algebra basis element")
+        if rho is not None:
+            if len(rho) != algebra.dim:
+                raise ValueError("need one action matrix per algebra basis element")
+            self.rho = list(rho)
         self.algebra = algebra
-        self.rho = list(rho)
         self.dim = rho[0].nrows if rho else (dim or 0)
         if dim is not None and dim != self.dim:
             raise ValueError(f"dim {dim} disagrees with {self.dim}x{self.dim} action matrices")
         self.name = name
         self._ranks = {}
-        for m in self.rho:
+        for m in rho or ():
             if m.shape != (self.dim, self.dim):
                 raise ValueError("action matrices must be square of equal size")
         if validate:
             self.validate()
+
+    @cached_property
+    def rho(self):
+        """rho_a(x) (x) 1 + 1 (x) rho_b(x) over a tensor product's factors (a, b)."""
+        a, b = self.factors
+        ia, ib = Mat.identity(a.dim), Mat.identity(b.dim)
+        return [kron_sum([(ra, ib), (ia, rb)]) for ra, rb in zip(a.rho, b.rho)]
 
     def validate(self) -> None:
         """StructureError unless d^1 d^0 = 0, naming the pair (e_i, e_j) of
@@ -96,31 +111,35 @@ class GModule:
 
     @cached_property
     def weight_zero(self):
-        """M_0, the joint generalized kernel of rho(z) over the centre's
-        basis, as a submodule in canonical coordinates (see the module
-        docstring), computed once; None when it is all of M, so that no
-        module keeps itself.  The kernel of p = rho(z) is that of p^(2^j)
-        once squaring stops growing it.  StructureError if it is not
-        preserved by every rho(e_i), which happens only when rho is not a
-        representation."""
-        if all(r.is_zero() for r in self.rho):
+        """M_0 (see the module docstring), computed once; None when it is
+        all of M, so that no module keeps itself.  For a tensor product a (x) b
+        with a_0 = a it is a (x) b_0, and rho is not built.  Otherwise it is
+        the joint generalized kernel of rho(z) over the centre's basis: that
+        of p^(2^j), p = rho(z), once squaring stops growing it, and all of M
+        once a power is zero.  StructureError if it is not preserved by every
+        rho(e_i), which happens only when rho is not a representation."""
+        if all(r.is_zero() for f in self.factors or (self,) for r in f.rho):
             return None
+        if self.factors and self.factors[0].weight_zero is None:
+            a, b = self.factors
+            return None if b.weight_zero is None else tensor_module(a, b.weight_zero)
         sub = self
         for z in self.algebra.center:
-            p = kron_sum([(Mat([[c]]), r) for c, r in zip(z, sub.rho)])
-            if p.is_zero():
-                continue
-            kernel, p = nullspace(p), mat_mul(p, p)
-            while len(wider := nullspace(p)) > len(kernel):
+            p, kernel = kron_sum([(Mat([[c]]), r) for c, r in zip(z, sub.rho)]), None
+            while not p.is_zero():
+                wider = nullspace(p)
+                if kernel is not None and len(wider) == len(kernel):
+                    break
                 kernel, p = wider, mat_mul(p, p)
-            if len(kernel) < sub.dim:
-                basis = Mat.from_columns(kernel, sub.dim)
-                rho = [coordinates(basis, mat_mul(r, basis)) for r in sub.rho]
-                if None in rho:
-                    raise StructureError("a central element's generalized kernel is not a "
-                                         "submodule" + (f" of {self.name}" if self.name else ""))
-                sub = GModule(self.algebra, rho, name=f"weight_zero({self.name})",
-                              validate=False, dim=len(kernel))
+            else:  # a power of p is zero, so M_0 is all of sub
+                continue
+            basis = Mat.from_columns(kernel, sub.dim)
+            rho = [coordinates(basis, mat_mul(r, basis)) for r in sub.rho]
+            if None in rho:
+                raise StructureError("a central element's generalized kernel is not a "
+                                     "submodule" + (f" of {self.name}" if self.name else ""))
+            sub = GModule(self.algebra, rho, name=f"weight_zero({self.name})",
+                          validate=False, dim=len(kernel))
         return None if sub is self else sub
 
     def __repr__(self):
@@ -138,13 +157,13 @@ def dual_module(m: GModule) -> GModule:
 
 
 def tensor_module(a: GModule, b: GModule) -> GModule:
-    """Tensor product module: rho(x) = rho_a(x) (x) 1 + 1 (x) rho_b(x)."""
+    """Tensor product module a (x) b; it keeps its factors, and rho is built on first read."""
     if a.algebra is not b.algebra:
         raise ValueError("tensor factors must share the algebra")
-    ia, ib = Mat.identity(a.dim), Mat.identity(b.dim)
-    rho = [kron_sum([(ra, ib), (ia, rb)]) for ra, rb in zip(a.rho, b.rho)]
-    return GModule(a.algebra, rho, name=f"{a.name}(x){b.name}", validate=False,
-                   dim=a.dim * b.dim)
+    m = GModule(a.algebra, None, name=f"{a.name}(x){b.name}", validate=False,
+                dim=a.dim * b.dim)
+    m.factors = (a, b)
+    return m
 
 
 def lie_kernel_module(g: LieAlgebra, k: int, basis=None) -> GModule:

@@ -543,6 +543,22 @@ def test_diagnose_ranks_the_weight_zero_part_of_each_hom_module(monkeypatch, cap
     assert ranked and max(a.nrows for a, in ranked) <= 96
 
 
+def test_the_hom_rank_pass_ranks_the_same_matrices(monkeypatch, capsys):
+    # the hom-rank benchmark workload's command: omega's nondegeneracy, the
+    # Betti ranks, h0 of the dual kernel, then d0 and d1 of the Hom module,
+    # which so4's empty centre leaves whole.  Until the benchmark's calibration handles a pass shorter
+    # than its sampling interval (ROADMAP item 1), that workload fails when
+    # this pass gets shorter, so a change that moves this pin says so in
+    # CHANGES.md.
+    from momentkit.linalg import rank
+    ranked = count_calls(monkeypatch, rank)
+    rc, _, _ = run_main(["diagnose", bundled("so4_r4.mmk"), "--k", "2",
+                         "--max-poly-degree", "1"], capsys)
+    assert rc == 0
+    assert [a.shape for a, in ranked] == [(4, 4), (1, 6), (6, 15), (15, 20), (6, 1),
+                                          (54, 9), (756, 126), (1890, 756)]
+
+
 def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):
     # construct and equivariance read the same map, kept by the run's report;
     # check-action, cohomology and diagnose share the omega checks and the

@@ -7,19 +7,20 @@ from fractions import Fraction
 import pytest
 
 import momentkit.gmodule
-from momentkit.cli import catalog_action, parse_problem
+from momentkit.action import LieAction
+from momentkit.cli import catalog_action, main, parse_problem
 from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError, abelian,
                                 boundary_matrix, catalog_algebra, ce_betti, exterior_basis,
                                 lie_kernel_basis, mv_coords, mv_from_coords,
                                 sort_with_sign)
-from momentkit.linalg import Mat, mat_mul, mat_vec, nullspace, rank, solve_many
+from momentkit.linalg import Mat, kron_sum, mat_mul, mat_vec, nullspace, rank, solve_many
 from momentkit.gmodule import (GModule, ce_module_differential, cochain_dim,
                                coboundary_solve, dual_module, invariants_basis,
                                lie_kernel_module, module_cohomology_dim,
                                tensor_module, trivial_module)
 
 from test_action import so5_action
-from test_golden import BUNDLED, GOLDEN
+from test_golden import BUNDLED, GOLDEN, PROBLEMS
 from test_lie_core import NON_UNIMODULAR, schouten
 from test_linalg import summed_matrix
 
@@ -366,6 +367,57 @@ def test_weight_zero_cohomology_of_every_problem_module():
     acting = [key for key, (_, w) in reduced.items() if w is not None]
     assert {key[0] for key in acting} == {"u2_r4", "co3_r3"}
     assert {key[1] for key in acting} == {"hom"}
+
+
+def u2_forms():
+    """u2's 26-dimensional module of closed 2-forms of coefficient degree <= 1,
+    on which the central e1 acts."""
+    action = catalog_action("u2_r4")
+    return action.truncated_forms(1, 1).signed_module(action.algebra, action.sign())
+
+
+def test_weight_zero_of_a_tensor_the_centre_acts_on_twice():
+    # e1 acts on both factors of F* (x) F, and not nilpotently on F*, so its
+    # weight-zero part is read from the whole module: F* (x) F_0 and
+    # F_0* (x) F_0 would both give h0 = 2, not dim End_g(F) = 16
+    forms = u2_forms()
+    m = tensor_module(dual_module(forms), forms)
+    assert module_cohomology_dim(m, 0) == full_cohomology_dim(m, 0) == 16
+    assert (m.dim, forms.weight_zero.dim, m.weight_zero.dim) == (676, 4, 154)
+
+
+def test_a_tensor_builds_rho_only_when_a_matrix_is_asked_for(monkeypatch):
+    # the centre acts by zero on the dual kernel, so the Hom module's
+    # weight-zero part is read from its forms factor; rho is built once, by
+    # one kron_sum per generator, when it is read
+    hom = catalog_action("u2_r4").hom_module(1, 1)
+    assert (hom.dim, hom.weight_zero.dim) == (104, 16)
+    assert "rho" not in vars(hom)
+    built = []
+
+    def counted(pairs):
+        built.append(pairs)
+        return kron_sum(pairs)
+
+    monkeypatch.setattr(momentkit.gmodule, "kron_sum", counted)
+    assert hom.rho is hom.rho and len(built) == hom.algebra.dim
+
+
+def test_report_on_u2_builds_no_rho_of_its_acted_on_hom_modules(monkeypatch, capsys):
+    # Sigma = 0 by theorem, and each h0 and h1 is read from a weight-zero
+    # part, so the k = 1 and k = 2 Hom modules never build rho
+    homs = {}
+    build = LieAction.hom_module
+
+    def recorded(self, k, max_degree):
+        homs[k] = build(self, k, max_degree)
+        return homs[k]
+
+    monkeypatch.setattr(LieAction, "hom_module", recorded)
+    assert main(["report", os.path.join(PROBLEMS, "u2_r4.mmk")]) == 0
+    capsys.readouterr()
+    assert {1, 2} <= set(homs)
+    assert ["rho" in vars(homs[k]) for k in (1, 2)] == [False, False]
 
 
 def staircase_module(rng, n):

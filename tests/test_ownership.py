@@ -7,7 +7,10 @@ collector off.  The run's moment map reads the action but is kept by the
 run's report, not by the action.  Checked end to end, by a weak reference
 to every action and every module a run builds, and on the syntax tree.  A
 module keeps its weight-zero submodule, which keeps nothing of it; a module
-whose weight-zero part is all of it keeps None there, not itself."""
+whose weight-zero part is all of it keeps None there, not itself.  A tensor
+product keeps its two factors, and builds its rho from them on first read;
+its weight-zero part may be a tensor product of one factor and the other's
+weight-zero part."""
 
 import ast
 import gc
@@ -15,7 +18,9 @@ import os
 import weakref
 
 from momentkit.cli import COMMANDS, PROBLEMS, ProblemFile, main
-from momentkit.gmodule import GModule
+from momentkit.gmodule import GModule, module_cohomology_dim
+
+from test_gmodule import problem_actions
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "momentkit")
@@ -55,6 +60,28 @@ def test_every_action_a_run_builds_is_freed_when_main_returns(monkeypatch, capsy
     finally:
         if enabled:
             gc.enable()
+
+
+def kept_by(module, path=()):
+    """What a module keeps through its factors and its computed weight-zero
+    part, transitively; AssertionError if a module keeps one on its own path."""
+    assert module not in path, path
+    kept = [m for m in (*module.factors, vars(module).get("weight_zero")) if m is not None]
+    return kept + [x for m in kept if isinstance(m, GModule)
+                   for x in kept_by(m, path + (module,))]
+
+
+def test_a_module_keeps_only_modules_and_none_of_them_back():
+    # walked from each Hom module, a tensor product, once its cohomology,
+    # and so its weight-zero part, and its rho are computed
+    for problem, action in problem_actions().items():
+        kept = []
+        for k in range(1, action.plectic_degree() + 1):
+            hom = action.hom_module(k, 1)
+            module_cohomology_dim(hom, 0)
+            assert len(hom.rho) == action.algebra.dim
+            kept += kept_by(hom)
+        assert kept and all(isinstance(m, GModule) for m in kept), problem
 
 
 def attribute_assignments(source, attr):

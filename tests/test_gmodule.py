@@ -369,18 +369,14 @@ def test_weight_zero_cohomology_of_every_problem_module():
     assert {key[1] for key in acting} == {"hom"}
 
 
-def u2_forms():
-    """u2's 26-dimensional module of closed 2-forms of coefficient degree <= 1,
-    on which the central e1 acts."""
-    action = catalog_action("u2_r4")
-    return action.truncated_forms(1, 1).signed_module(action.algebra, action.sign())
-
-
 def test_weight_zero_of_a_tensor_the_centre_acts_on_twice():
-    # e1 acts on both factors of F* (x) F, and not nilpotently on F*, so its
-    # weight-zero part is read from the whole module: F* (x) F_0 and
-    # F_0* (x) F_0 would both give h0 = 2, not dim End_g(F) = 16
-    forms = u2_forms()
+    # F: u2's 26-dimensional module of closed 2-forms of coefficient degree
+    # <= 1.  The central e1 acts on both factors of F* (x) F, and not
+    # nilpotently on F*, so its weight-zero part is read from the whole
+    # module: F* (x) F_0 and F_0* (x) F_0 would both give h0 = 2, not
+    # dim End_g(F) = 16
+    action = catalog_action("u2_r4")
+    forms = action.truncated_forms(1, 1).signed_module(action.algebra, action.sign())
     m = tensor_module(dual_module(forms), forms)
     assert module_cohomology_dim(m, 0) == full_cohomology_dim(m, 0) == 16
     assert (m.dim, forms.weight_zero.dim, m.weight_zero.dim) == (676, 4, 154)

@@ -58,7 +58,7 @@ from .linalg import Mat, coordinates, mat_scale, nullspace, rank
 from .lie_core import (LieAlgebra, StructureError, exterior_basis, format_multivector,
                        lie_kernel_basis, mv_from_coords)
 from .gmodule import (GModule, dual_module, lie_kernel_module, module_cohomology_dim,
-                      tensor_module, trivial_module)
+                      restrict, tensor_module, trivial_module)
 from .polyform import (Form, MultiField, Poly, contract, contraction_chains, exterior_d,
                        format_form, lie_derivative, vf_bracket, wedge)
 
@@ -301,13 +301,12 @@ def form_key_basis(n: int, p: int, max_degree: int):
             for mono in monos]
 
 
-def form_to_vector(alpha: Form, keys, key_index=None):
-    """Coefficient vector of a form in a key basis; StructureError naming, as
-    a term like x1*x4^2*dx(1), the smallest (index tuple, monomial) key
-    outside the basis if the form has one (degree truncation escape)."""
-    if key_index is None:
-        key_index = {key: r for r, key in enumerate(keys)}
-    vec = [Fraction(0)] * len(keys)
+def form_to_vector(alpha: Form, key_index) -> dict:
+    """A form's sparse {row: c} column over a key basis indexed {key: row};
+    StructureError naming, as a term like x1*x4^2*dx(1), the smallest
+    (index tuple, monomial) key outside the basis if the form has one
+    (degree truncation escape)."""
+    vec = {}
     for idx, poly in alpha.comps.items():
         for mono, c in poly.terms.items():
             try:
@@ -329,11 +328,9 @@ def _operator_matrix(op, keys_in, keys_out, n: int, p_in: int):
     """Matrix of a linear operator on forms w.r.t. key bases (columns =
     images of input basis forms)."""
     out_index = {key: r for r, key in enumerate(keys_out)}
-    cols = []
-    for idx, mono in keys_in:
-        image = op(Form.from_terms(n, p_in, [(1, mono, idx)]))
-        cols.append(form_to_vector(image, keys_out, out_index))
-    return Mat.from_columns(cols, nrows=len(keys_out))
+    cols = [form_to_vector(op(Form.from_terms(n, p_in, [(1, mono, idx)])), out_index)
+            for idx, mono in keys_in]
+    return Mat.from_sparse_columns(cols, nrows=len(keys_out))
 
 
 def closed_form_basis(n: int, p: int, max_degree: int):
@@ -368,19 +365,15 @@ class TruncatedFormModule:
 
     def signed_module(self, algebra: LieAlgebra, s: int) -> GModule:
         """The GModule rho(xi) = s * L_{V_xi} over the acting algebra (s the
-        bracket sign, so rho is a left module); StructureError if an image
-        escapes the truncation."""
-        rho = []
-        for images in self.images:
-            cols = [form_to_vector(image, self.keys, self.key_index) for image in images]
-            coords = coordinates(self.basis_mat, Mat.from_columns(cols, nrows=len(self.keys)))
-            if coords is None:
-                raise StructureError(
-                    "Lie derivative leaves the truncated closed-form space; "
-                    "raise the truncation degree")
-            rho.append(mat_scale(coords, s))
-        return GModule(algebra, rho, dim=len(self.forms),
-                       name=f"closed_forms(p={self.form_degree},D<={self.max_degree})")
+        bracket sign, so rho is a left module) on closed forms, which it keeps
+        (L_V b = d iota_V b); `form_to_vector` refuses a truncation escape."""
+        images = [mat_scale(Mat.from_sparse_columns(
+            [form_to_vector(b, self.key_index) for b in field], len(self.keys)), s)
+            for field in self.images]
+        m = restrict(algebra, self.basis_mat, images,
+                     f"closed_forms(p={self.form_degree},D<={self.max_degree})")
+        m.validate()  # proven once the action closes; ROADMAP item 7 drops this check
+        return m
 
     @cached_property
     def invariants(self):
@@ -391,16 +384,17 @@ class TruncatedFormModule:
         keys = sorted({(idx, mono) for images in self.images for image in images
                        for idx, poly in image.comps.items() for mono in poly.terms})
         index = {key: r for r, key in enumerate(keys)}
-        cols = [[x for images in self.images for x in form_to_vector(images[b], keys, index)]
+        cols = [{f * len(keys) + r: c for f, images in enumerate(self.images)
+                 for r, c in form_to_vector(images[b], index).items()}
                 for b in range(len(self.forms))]
-        stacked = Mat.from_columns(cols, nrows=len(self.images) * len(keys))
+        stacked = Mat.from_sparse_columns(cols, nrows=len(self.images) * len(keys))
         return [self.from_coords(c) for c in nullspace(stacked)]
 
     def to_coords(self, alpha: Form):
         """Coordinates of a closed form in this basis; StructureError if it
         escapes the truncation, None if it is not closed (not in span)."""
-        vec = form_to_vector(alpha, self.keys, self.key_index)
-        sol = coordinates(self.basis_mat, Mat.from_columns([vec], nrows=len(self.keys)))
+        vec = form_to_vector(alpha, self.key_index)
+        sol = coordinates(self.basis_mat, Mat.from_sparse_columns([vec], nrows=len(self.keys)))
         return None if sol is None else sol.col(0)
 
     def from_coords(self, coords) -> Form:

@@ -19,6 +19,11 @@ is how construction validates it.  H^0(g, M) = ker d^0.  A GModule keeps
 the rank of each d^k once computed, not the matrix; `differential_rank`
 ranks every such complex, the trivial module's (the Betti numbers) too.
 
+A module built from another is a restriction (`restrict`): rho(e_i) is read
+in a canonical kernel basis of the subspace (`linalg.coordinates`), and a
+StructureError names the first e_i whose image leaves the span.  So are built
+P_k under ad, the closed forms under s * L_V and the weight-zero part below.
+
 Dimensions are read from the weight-zero part (`GModule.weight_zero`).  For
 z in the centre (`LieAlgebra.center`), rho(z) commutes with every rho(x), so
 M = M_0 (+) M_1, its Fitting decomposition (the generalized kernel of rho(z)
@@ -51,10 +56,9 @@ from .lie_core import LieAlgebra, StructureError, boundary_matrix, exterior_basi
 class GModule:
     """Finite-dimensional module over a Lie algebra, given by action matrices."""
 
-    factors = ()  # (a, b) for `tensor_module(a, b)`, whose rho is built on first read
-
     def __init__(self, algebra: LieAlgebra, rho, name: str = "", validate: bool = True,
-                 dim: int | None = None):
+                 dim: int | None = None, factors: tuple = ()):
+        self.factors = factors  # (a, b) for `tensor_module(a, b)`, which passes rho=None
         if rho is not None:
             if len(rho) != algebra.dim:
                 raise ValueError("need one action matrix per algebra basis element")
@@ -65,9 +69,8 @@ class GModule:
             raise ValueError(f"dim {dim} disagrees with {self.dim}x{self.dim} action matrices")
         self.name = name
         self._ranks = {}
-        for m in rho or ():
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("action matrices must be square of equal size")
+        if any(m.shape != (self.dim, self.dim) for m in rho or ()):
+            raise ValueError("action matrices must be square of equal size")
         if validate:
             self.validate()
 
@@ -90,6 +93,15 @@ class GModule:
                 f"module action is not a representation on pair (e{i + 1}, e{j + 1})"
                 + (f" of {self.name}" if self.name else ""))
 
+    @cached_property
+    def acts_by_zero(self) -> bool:
+        """Whether every rho(e_i) is zero, read from a tensor product's factors
+        (both act by zero) without building rho; factors whose actions cancel
+        (rho_a = c 1, rho_b = -c 1) read False, and are ranked exactly."""
+        if self.factors:
+            return all(f.acts_by_zero for f in self.factors)
+        return all(r.is_zero() for r in self.rho)
+
     def differential_rank(self, k: int) -> int:
         """Rank of ce_module_differential(self, k), computed once.  When g
         acts by zero it is dim M * rank boundary_{k+1}, 0 past n = dim g, and
@@ -99,7 +111,7 @@ class GModule:
         1970), and the degrees past the middle are mirrored."""
         if k not in self._ranks:
             n = self.algebra.dim
-            if not all(r.is_zero() for r in self.rho):
+            if not self.acts_by_zero:
                 self._ranks[k] = rank(ce_module_differential(self, k))
             elif not self.dim or not 0 <= k < n:
                 self._ranks[k] = 0
@@ -116,9 +128,8 @@ class GModule:
         with a_0 = a it is a (x) b_0, and rho is not built.  Otherwise it is
         the joint generalized kernel of rho(z) over the centre's basis: that
         of p^(2^j), p = rho(z), once squaring stops growing it, and all of M
-        once a power is zero.  StructureError if it is not preserved by every
-        rho(e_i), which happens only when rho is not a representation."""
-        if all(r.is_zero() for f in self.factors or (self,) for r in f.rho):
+        once a power is zero; `restrict` refuses it only if rho is no representation."""
+        if self.acts_by_zero:
             return None
         if self.factors and self.factors[0].weight_zero is None:
             a, b = self.factors
@@ -134,12 +145,8 @@ class GModule:
             else:  # a power of p is zero, so M_0 is all of sub
                 continue
             basis = Mat.from_columns(kernel, sub.dim)
-            rho = [coordinates(basis, mat_mul(r, basis)) for r in sub.rho]
-            if None in rho:
-                raise StructureError("a central element's generalized kernel is not a "
-                                     "submodule" + (f" of {self.name}" if self.name else ""))
-            sub = GModule(self.algebra, rho, name=f"weight_zero({self.name})",
-                          validate=False, dim=len(kernel))
+            sub = restrict(self.algebra, basis, [mat_mul(r, basis) for r in sub.rho],
+                           f"weight_zero({self.name})")
         return None if sub is self else sub
 
     def __repr__(self):
@@ -160,10 +167,17 @@ def tensor_module(a: GModule, b: GModule) -> GModule:
     """Tensor product module a (x) b; it keeps its factors, and rho is built on first read."""
     if a.algebra is not b.algebra:
         raise ValueError("tensor factors must share the algebra")
-    m = GModule(a.algebra, None, name=f"{a.name}(x){b.name}", validate=False,
-                dim=a.dim * b.dim)
-    m.factors = (a, b)
-    return m
+    return GModule(a.algebra, None, name=f"{a.name}(x){b.name}", validate=False,
+                   dim=a.dim * b.dim, factors=(a, b))
+
+
+def restrict(g: LieAlgebra, basis: Mat, images, name: str) -> GModule:
+    """The submodule spanned by the columns of `basis`, given images[i] =
+    rho(e_i) basis (see the module docstring); it is not validated."""
+    rho = [coordinates(basis, image) for image in images]
+    if None in rho:
+        raise StructureError(f"action of e{rho.index(None) + 1} does not preserve {name}")
+    return GModule(g, rho, name=name, validate=False, dim=basis.ncols)
 
 
 def lie_kernel_module(g: LieAlgebra, k: int, basis=None) -> GModule:
@@ -171,21 +185,15 @@ def lie_kernel_module(g: LieAlgebra, k: int, basis=None) -> GModule:
     action, in the canonical kernel basis (`lie_kernel_basis(g, k)`, computed
     here unless passed in).  On Lambda g, ad_xi = -(boundary e_xi + e_xi
     boundary) with e_xi = xi ^ . (`wedge_matrix`), so on P_k the action of
-    e_i is -boundary_{k+1} e_i.  Its image is a boundary, which lies in P_k
-    because boundary boundary = 0 (the Jacobi identity); this construction
-    verifies that exactly while reading the image's kernel coordinates."""
+    e_i is -boundary_{k+1} e_i.  Its image is a boundary, in P_k as
+    boundary boundary = 0 (the Jacobi identity), which `restrict` checks."""
     kb = lie_kernel_basis(g, k) if basis is None else basis
     kmat = Mat.from_columns(kb, len(exterior_basis(g.dim, k)))
     minus_boundary = mat_scale(boundary_matrix(g, k + 1), -1)
-    rho = []
-    for i in range(g.dim):
-        image = mat_mul(minus_boundary, mat_mul(wedge_matrix(g.dim, i, k), kmat))
-        restricted = coordinates(kmat, image)
-        if restricted is None:
-            raise StructureError(
-                f"adjoint action of e{i + 1} does not preserve the degree-{k} Lie kernel")
-        rho.append(restricted)
-    return GModule(g, rho, name=f"lie_kernel(k={k})")
+    m = restrict(g, kmat, (mat_mul(minus_boundary, mat_mul(wedge_matrix(g.dim, i, k), kmat))
+                           for i in range(g.dim)), f"lie_kernel(k={k})")
+    m.validate()  # proven once Jacobi holds; ROADMAP item 7 drops this check
+    return m
 
 
 # ---------------------------------------------------------------------------

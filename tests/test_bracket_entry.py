@@ -27,7 +27,14 @@ module other than `polyform.py` reads its int kernels' entry `_ints`, exit
 Every cohomology dimension has one rank owner: `linalg.rank` is read only by
 `GModule.differential_rank`, by `lie_core.ce_betti` (the test oracle, which
 ranks each degree on its own) and by the nondegeneracy check, so a second
-path to a Chevalley-Eilenberg rank fails here."""
+path to a Chevalley-Eilenberg rank fails here.
+
+Every module derived from another is a restriction with one refusal: of the
+functions that read `linalg.coordinates`, only `gmodule.restrict` builds a
+module; `TruncatedFormModule.to_coords` and `MomentMap.value` read the
+coordinates of one form or one kernel element.  Only `GModule.__init__`
+assigns a module's `factors`, and only `GModule.acts_by_zero` tests a
+module's rho for zero, so a tensor product answers it from its factors."""
 
 import ast
 import os
@@ -40,6 +47,18 @@ def readers(source, name):
     """Qualified names of the innermost functions (`Class.method` for a
     method, or "<module>") holding a read of `name`, as a variable or as an
     attribute, in the source."""
+    return owners(source, reads(name))
+
+
+def reads(name):
+    """Whether a node reads `name`, as a variable or as an attribute."""
+    return lambda node: (isinstance(node, ast.Attribute) and node.attr == name
+                         or isinstance(node, ast.Name) and node.id == name)
+
+
+def owners(source, match):
+    """Qualified names of the innermost functions, as for `readers`,
+    holding a node that `match` accepts."""
     found = set()
 
     def visit(node, owner, prefix):
@@ -50,8 +69,7 @@ def readers(source, name):
             if isinstance(child, ast.ClassDef):
                 visit(child, owner, prefix + child.name + ".")
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == name
-                    or isinstance(child, ast.Name) and child.id == name):
+            if match(child):
                 found.add(owner)
             visit(child, owner, prefix)
 
@@ -60,10 +78,14 @@ def readers(source, name):
 
 
 def source_readers(name, files):
+    return source_owners(reads(name), files)
+
+
+def source_owners(match, files):
     found = {}
     for file in files:
         with open(os.path.join(SRC, file), encoding="utf-8") as fh:
-            found[file] = readers(fh.read(), name)
+            found[file] = owners(fh.read(), match)
     return found
 
 
@@ -133,3 +155,41 @@ def test_only_the_module_differential_ranks_a_complex():
         "action.py": {"check_multisymplectic"},
         "gmodule.py": {"GModule.differential_rank"},
         "lie_core.py": {"ce_betti"}}
+
+
+def assigns(name):
+    """Whether a node stores to an attribute `name`."""
+    return lambda node: (isinstance(node, ast.Attribute) and node.attr == name
+                         and isinstance(node.ctx, ast.Store))
+
+
+def zero_test_of_rho(node):
+    """Whether a node is a comprehension over some `.rho` that calls
+    `is_zero`."""
+    return (isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp))
+            and any(isinstance(gen.iter, ast.Attribute) and gen.iter.attr == "rho"
+                    for gen in node.generators)
+            and any(isinstance(sub, ast.Attribute) and sub.attr == "is_zero"
+                    for sub in ast.walk(node.elt)))
+
+
+def test_the_checker_finds_assignments_and_zero_tests():
+    source = ("class M:\n    def __init__(self):\n        self.factors = ()\n"
+              "    def f(self):\n        return self.factors\n"
+              "def g(m):\n    m.factors = (m, m)\n    return all(r.is_zero() for r in m.rho)\n"
+              "def h(m):\n    return [r for r in m.rho], [r.is_zero() for r in m.rows]\n")
+    assert owners(source, assigns("factors")) == {"M.__init__", "g"}
+    assert owners(source, zero_test_of_rho) == {"g"}
+
+
+def test_one_restriction_rule_and_one_zero_test():
+    files = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+    found = source_readers("coordinates", files)
+    assert {f: held for f, held in found.items() if held} == {
+        "action.py": {"TruncatedFormModule.to_coords"},
+        "gmodule.py": {"restrict"},
+        "moment.py": {"MomentMap.value"}}
+    for match, want in ((assigns("factors"), "GModule.__init__"),
+                        (zero_test_of_rho, "GModule.acts_by_zero")):
+        found = source_owners(match, files)
+        assert {f: held for f, held in found.items() if held} == {"gmodule.py": {want}}

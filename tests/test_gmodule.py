@@ -234,7 +234,7 @@ def schouten_kernel_module(g, k):
                             basis) for v in kb]
         coords = solve_many(kmat, Mat.from_columns(images, len(basis)))
         if coords is None:
-            return f"adjoint action of e{i + 1} does not preserve the degree-{k} Lie kernel"
+            return f"action of e{i + 1} does not preserve lie_kernel(k={k})"
         rho.append(coords)
     return outcome(lambda: GModule(g, rho, name=f"lie_kernel(k={k})"))
 
@@ -262,7 +262,7 @@ def test_lie_kernel_refusal_names_the_first_generator_leaving_the_kernel():
     bad = LieAlgebra(4, {(0, 2): {0: 1, 1: -1, 2: -1, 3: 1}, (1, 2): {2: 1}})
     with pytest.raises(StructureError) as err:
         lie_kernel_module(bad, 2)
-    assert str(err.value) == "adjoint action of e3 does not preserve the degree-2 Lie kernel"
+    assert str(err.value) == "action of e3 does not preserve lie_kernel(k=2)"
     # random bracket tables, nearly all failing Jacobi: the module, the
     # refusal and the representation check's failure all match the oracle
     rng = random.Random(4)
@@ -276,9 +276,9 @@ def test_lie_kernel_refusal_names_the_first_generator_leaving_the_kernel():
             want = schouten_kernel_module(g, k)
             assert outcome(lambda: lie_kernel_module(g, k)) == want, (table, k)
             seen.add(want.split()[0] if isinstance(want, str) else "rho")
-    # every outcome occurs: a module, a refusal ("adjoint action of ..."), and
-    # a kernel kept by a map that is not a representation ("module action ...")
-    assert seen == {"rho", "adjoint", "module"}
+    # every outcome occurs: a module, a refusal ("action of ..."), and a
+    # kernel kept by a map that is not a representation ("module action ...")
+    assert seen == {"rho", "action", "module"}
 
 
 def test_dual_kernel_invariants_dimensions():
@@ -401,7 +401,9 @@ def test_a_tensor_builds_rho_only_when_a_matrix_is_asked_for(monkeypatch):
 
 def test_report_on_u2_builds_no_rho_of_its_acted_on_hom_modules(monkeypatch, capsys):
     # Sigma = 0 by theorem, and each h0 and h1 is read from a weight-zero
-    # part, so the k = 1 and k = 2 Hom modules never build rho
+    # part, so the k = 1 and k = 2 Hom modules never build rho; g acts by
+    # zero on both factors of the 1-dimensional k = 3 one, which is read
+    # from its factors, so it builds none either
     homs = {}
     build = LieAction.hom_module
 
@@ -412,8 +414,8 @@ def test_report_on_u2_builds_no_rho_of_its_acted_on_hom_modules(monkeypatch, cap
     monkeypatch.setattr(LieAction, "hom_module", recorded)
     assert main(["report", os.path.join(PROBLEMS, "u2_r4.mmk")]) == 0
     capsys.readouterr()
-    assert {1, 2} <= set(homs)
-    assert ["rho" in vars(homs[k]) for k in (1, 2)] == [False, False]
+    assert set(homs) == {1, 2, 3} and homs[3].dim == 1
+    assert ["rho" in vars(homs[k]) for k in (1, 2, 3)] == [False, False, False]
 
 
 def staircase_module(rng, n):
@@ -458,6 +460,8 @@ def test_weight_zero_cohomology_of_random_abelian_modules():
 def test_the_weight_zero_part_of_a_non_commuting_action_is_refused():
     # rho(e1) = diag(0, 1) is not central in this non-representation: its
     # kernel e1 is not preserved by rho(e2), which swaps the coordinates
-    m = GModule(abelian(2), [Mat([[0, 0], [0, 1]]), Mat([[0, 1], [1, 0]])], validate=False)
-    with pytest.raises(StructureError, match="not a submodule"):
+    m = GModule(abelian(2), [Mat([[0, 0], [0, 1]]), Mat([[0, 1], [1, 0]])], validate=False,
+                name="swap")
+    with pytest.raises(StructureError) as err:
         m.weight_zero
+    assert str(err.value) == "action of e2 does not preserve weight_zero(swap)"

@@ -372,8 +372,7 @@ class TruncatedFormModule:
             for field in self.images]
         m = restrict(algebra, self.basis_mat, images,
                      f"closed_forms(p={self.form_degree},D<={self.max_degree})")
-        m.validate()  # proven once the action closes; ROADMAP item 7 drops this check
-        return m
+        return m.validate()  # proven once the action closes; ROADMAP item 7 drops this check
 
     @cached_property
     def invariants(self):

@@ -15,9 +15,10 @@ complex with coefficients in M is
 (`ce_module_differential`), so the algebra's bracket is written once, in
 `lie_core.boundary_of_tuple`, and trivial coefficients give
 d^k = boundary^T.  rho is a representation exactly when d^1 d^0 = 0, which
-is how construction validates it.  H^0(g, M) = ker d^0.  A GModule keeps
-the rank of each d^k once computed, not the matrix; `differential_rank`
-ranks every such complex, the trivial module's (the Betti numbers) too.
+`GModule.validate` checks; construction does not.  H^0(g, M) = ker d^0.  A
+GModule keeps the rank of each d^k once computed, not the matrix;
+`differential_rank` ranks every such complex, the trivial module's (the
+Betti numbers) too.
 
 A module built from another is a restriction (`restrict`): rho(e_i) is read
 in a canonical kernel basis of the subspace (`linalg.coordinates`), and a
@@ -56,8 +57,8 @@ from .lie_core import LieAlgebra, StructureError, boundary_matrix, exterior_basi
 class GModule:
     """Finite-dimensional module over a Lie algebra, given by action matrices."""
 
-    def __init__(self, algebra: LieAlgebra, rho, name: str = "", validate: bool = True,
-                 dim: int | None = None, factors: tuple = ()):
+    def __init__(self, algebra: LieAlgebra, rho, name: str = "", dim: int | None = None,
+                 factors: tuple = ()):
         self.factors = factors  # (a, b) for `tensor_module(a, b)`, which passes rho=None
         if rho is not None:
             if len(rho) != algebra.dim:
@@ -71,8 +72,6 @@ class GModule:
         self._ranks = {}
         if any(m.shape != (self.dim, self.dim) for m in rho or ()):
             raise ValueError("action matrices must be square of equal size")
-        if validate:
-            self.validate()
 
     @cached_property
     def rho(self):
@@ -81,10 +80,10 @@ class GModule:
         ia, ib = Mat.identity(a.dim), Mat.identity(b.dim)
         return [kron_sum([(ra, ib), (ia, rb)]) for ra, rb in zip(a.rho, b.rho)]
 
-    def validate(self) -> None:
-        """StructureError unless d^1 d^0 = 0, naming the pair (e_i, e_j) of
-        the first nonzero row: row block e_i^e_j of d^1 d^0 is
-        [rho(e_i), rho(e_j)] - rho([e_i, e_j])."""
+    def validate(self) -> GModule:
+        """The module itself, or StructureError unless d^1 d^0 = 0, naming the
+        pair (e_i, e_j) of the first nonzero row: row block e_i^e_j of
+        d^1 d^0 is [rho(e_i), rho(e_j)] - rho([e_i, e_j])."""
         square = mat_mul(ce_module_differential(self, 1), ce_module_differential(self, 0))
         first = next(square.nonzeros(), None)
         if first is not None:
@@ -92,6 +91,7 @@ class GModule:
             raise StructureError(
                 f"module action is not a representation on pair (e{i + 1}, e{j + 1})"
                 + (f" of {self.name}" if self.name else ""))
+        return self
 
     @cached_property
     def acts_by_zero(self) -> bool:
@@ -154,21 +154,20 @@ class GModule:
 
 
 def trivial_module(g: LieAlgebra, n: int = 1) -> GModule:
-    return GModule(g, [Mat.zeros(n, n) for _ in range(g.dim)], name="trivial",
-                   validate=False, dim=n)
+    return GModule(g, [Mat.zeros(n, n) for _ in range(g.dim)], name="trivial", dim=n)
 
 
 def dual_module(m: GModule) -> GModule:
     rho = [mat_scale(r.transpose(), -1) for r in m.rho]
-    return GModule(m.algebra, rho, name=f"dual({m.name})", validate=False, dim=m.dim)
+    return GModule(m.algebra, rho, name=f"dual({m.name})", dim=m.dim)
 
 
 def tensor_module(a: GModule, b: GModule) -> GModule:
     """Tensor product module a (x) b; it keeps its factors, and rho is built on first read."""
     if a.algebra is not b.algebra:
         raise ValueError("tensor factors must share the algebra")
-    return GModule(a.algebra, None, name=f"{a.name}(x){b.name}", validate=False,
-                   dim=a.dim * b.dim, factors=(a, b))
+    return GModule(a.algebra, None, name=f"{a.name}(x){b.name}", dim=a.dim * b.dim,
+                   factors=(a, b))
 
 
 def restrict(g: LieAlgebra, basis: Mat, images, name: str) -> GModule:
@@ -177,7 +176,7 @@ def restrict(g: LieAlgebra, basis: Mat, images, name: str) -> GModule:
     rho = [coordinates(basis, image) for image in images]
     if None in rho:
         raise StructureError(f"action of e{rho.index(None) + 1} does not preserve {name}")
-    return GModule(g, rho, name=name, validate=False, dim=basis.ncols)
+    return GModule(g, rho, name=name, dim=basis.ncols)
 
 
 def lie_kernel_module(g: LieAlgebra, k: int, basis=None) -> GModule:
@@ -192,8 +191,7 @@ def lie_kernel_module(g: LieAlgebra, k: int, basis=None) -> GModule:
     minus_boundary = mat_scale(boundary_matrix(g, k + 1), -1)
     m = restrict(g, kmat, (mat_mul(minus_boundary, mat_mul(wedge_matrix(g.dim, i, k), kmat))
                            for i in range(g.dim)), f"lie_kernel(k={k})")
-    m.validate()  # proven once Jacobi holds; ROADMAP item 7 drops this check
-    return m
+    return m.validate()  # proven once Jacobi holds; ROADMAP item 7 drops this check
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ for polynomial multivector fields.
 Invariants of every Poly, Form and MultiField: component keys are
 increasing index tuples, no stored coefficient is zero, and no component is
 the zero Poly.  The public constructors (`Poly(n, terms)`,
-`Form(n, degree, comps)`, `MultiField(...)`, `from_terms` /
-`form_from_terms`) validate their input.  Internal results are not
-validated again.
+`Form(n, degree, comps)`, `MultiField(...)`, `from_terms`) validate their
+input.  Internal results are not validated again.
 
 The calculus is fraction-free: an operand enters as {index tuple:
 {monomial: int}} over the lcm of its denominators (`_ints`), and a result
@@ -604,9 +603,6 @@ def poincare_homotopy(alpha: Form, c=1) -> Form:
         for j, i in enumerate(idx):
             _add_products(acc, idx[:j] + idx[j + 1:], {units[i]: 1}, scaled, -1 if j % 2 else 1)
     return _wrap(Form, alpha.n, p - 1, acc, den * scale * c.denominator)
-
-
-form_from_terms = Form.from_terms
 
 
 def _format_graded(x, basis) -> str:

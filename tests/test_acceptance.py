@@ -15,11 +15,10 @@ import pytest
 from momentkit.lie_core import (ALGEBRA_CATALOG, boundary_matrix,
                                 catalog_algebra, ce_betti, exterior_basis,
                                 lie_kernel_basis, mv_from_coords)
-from momentkit.linalg import Mat, mat_mul
-from momentkit.gmodule import (GModule, ce_module_differential, dual_module,
-                               lie_kernel_module, trivial_module)
-from momentkit.polyform import (exterior_d, form_from_terms, format_form,
-                                poincare_homotopy)
+from momentkit.linalg import mat_mul
+from momentkit.gmodule import (ce_module_differential, dual_module, lie_kernel_module,
+                               trivial_module)
+from momentkit.polyform import Form, exterior_d, format_form, poincare_homotopy
 from momentkit.action import (check_multisymplectic, invariant_closed_forms,
                               preserves_omega, validate_action)
 from momentkit.moment import (MomentMap, check_module_morphism,
@@ -30,60 +29,10 @@ from momentkit.moment import (MomentMap, check_module_morphism,
                               uniqueness_check, verify_moment)
 from momentkit.cli import catalog_action, main as cli_main
 
-from test_action import cartan_residual
-from test_lie_core import mv_boundary, mv_term, schouten
+from support import (ACTIONS, adjoint_module, cartan_residual, euler_one_form, mv_boundary,
+                     mv_wedge, naive_rank, random_form, schouten)
 
 ALGEBRAS = sorted(ALGEBRA_CATALOG)
-ACTIONS = ("abelian_r3", "so3_r3", "so4_r4", "u2_r4")
-
-
-def plain_rank(rows):
-    """Independent check: textbook Gaussian elimination over Fraction."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
-
-
-def adjoint_module(g):
-    mats = [Mat([[dict(g.bracket_basis(i, j)).get(m, 0) for j in range(g.dim)]
-                 for m in range(g.dim)], ncols=g.dim) for i in range(g.dim)]
-    return GModule(g, mats, name="adjoint")
-
-
-def mv_wedge(a, b):
-    """Wedge product of two multivectors (dicts), the reference for the
-    graded boundary/bracket identity."""
-    out = {}
-    for ta, xa in a.items():
-        for tb, xb in b.items():
-            mv_term(out, ta + tb, xa * xb)
-    return out
-
-
-def random_form(rng, n, p, max_degree, max_coeff=6):
-    triples = []
-    for _ in range(rng.randint(1, 4)):
-        idx = tuple(sorted(rng.sample(range(n), p)))
-        exps = [0] * n
-        for _ in range(rng.randint(0, max_degree)):
-            exps[rng.randrange(n)] += 1
-        c = Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, 3))
-        triples.append((c, tuple(exps), idx))
-    return form_from_terms(n, p, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +77,7 @@ def test_betti_tables_match_frozen_values_and_plain_elimination():
         g = catalog_algebra(name)
         betti = list(ce_betti(g))
         assert betti == frozen[name], name
-        ranks = {k: plain_rank(boundary_matrix(g, k).dense())
+        ranks = {k: naive_rank(boundary_matrix(g, k).dense())
                  for k in range(1, g.dim + 1)}
         for k in range(g.dim + 1):
             expected = comb(g.dim, k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
@@ -175,7 +124,7 @@ def test_extended_cartan_identity_residual_vanishes():
             for mv in mvs:
                 assert cartan_residual(action, mv, action.omega).is_zero()
                 for p in {k, min(k + 1, n)}:
-                    tau = random_form(rng, n, p, 2)
+                    tau = random_form(rng, n, p, 2, max_terms=4)
                     assert cartan_residual(action, mv, tau).is_zero(), \
                         (name, k, p)
 
@@ -192,7 +141,7 @@ def test_homotopy_operator_identity_on_two_hundred_random_forms():
             if p > n:
                 continue
             for _ in range(30):
-                a = random_form(rng, n, p, rng.randint(0, 6))
+                a = random_form(rng, n, p, rng.randint(0, 6), max_terms=4)
                 assert exterior_d(poincare_homotopy(a)) \
                     + poincare_homotopy(exterior_d(a)) == a, (n, p)
                 cases += 1
@@ -247,19 +196,13 @@ def test_inapplicable_routes_refuse_loudly():
 # the unitary example: checks and invariant forms
 # ---------------------------------------------------------------------------
 
-def euler_one_form(n):
-    return form_from_terms(
-        n, 1, [(1, tuple(1 if j == i else 0 for j in range(n)), (i,))
-               for i in range(n)])
-
-
 def test_unitary_action_validates_and_has_the_expected_invariants():
     action = catalog_action("u2_r4")
     assert validate_action(action) == 1
     res = check_multisymplectic(action)
     assert res["closed"] and res["nondegenerate"]
     assert preserves_omega(action) == []
-    kahler = form_from_terms(4, 2, [(1, (0,) * 4, (0, 1)),
+    kahler = Form.from_terms(4, 2, [(1, (0,) * 4, (0, 1)),
                                     (1, (0,) * 4, (2, 3))])
     assert invariant_closed_forms(action, 2, 0) == [kahler]
     assert euler_one_form(4) in invariant_closed_forms(action, 1, 1)
@@ -322,7 +265,7 @@ def test_equivariantization_repair_and_obstruction():
     # rotations of R^4: perturb with a closed non-invariant form, then repair
     action = catalog_action("so4_r4")
     mm = construct_poincare(action, ks=[2])
-    dx1 = form_from_terms(4, 1, [(1, (0,) * 4, (0,))])
+    dx1 = Form.from_terms(4, 1, [(1, (0,) * 4, (0,))])
     warped = MomentMap(action, {2: [c + dx1 for c in mm.components[2]]})
     assert verify_moment(warped)
     assert not sigma_is_zero(sigma_cochain(warped, 2))

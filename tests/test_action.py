@@ -1,11 +1,6 @@
-"""Lie algebra actions on R^n: validation, Cartan identity, invariant forms.
-
-`cartan_residual` is written here, as the oracle for the boundary identity
-linking d, contraction and Lie derivatives; `test_acceptance.py` imports
-it."""
+"""Lie algebra actions on R^n: validation, Cartan identity, invariant forms."""
 
 import itertools
-import os
 import random
 from fractions import Fraction
 from functools import reduce
@@ -13,12 +8,11 @@ from functools import reduce
 import pytest
 
 from momentkit.lie_core import ALGEBRA_CATALOG, LieAlgebra, StructureError, \
-    boundary_of_tuple, catalog_algebra, ce_betti, exterior_basis, \
-    lie_kernel_basis, mv_from_coords
+    catalog_algebra, ce_betti, exterior_basis, lie_kernel_basis, mv_from_coords
 from momentkit.gmodule import invariants_basis
 from momentkit.linalg import mat_vstack, nullspace, rank
 from momentkit.polyform import (Form, MultiField, Poly, contract, contraction_chains,
-                                exterior_d, form_from_terms, lie_derivative, wedge)
+                                exterior_d, lie_derivative, wedge)
 from momentkit.action import (_SAMPLE_SEEDS, LieAction, TruncatedFormModule,
                               _contraction_matrix_at, _operator_matrix,
                               check_multisymplectic,
@@ -28,35 +22,8 @@ from momentkit.action import (_SAMPLE_SEEDS, LieAction, TruncatedFormModule,
                               validate_action, vector_to_form)
 from momentkit.cli import catalog_action, main, parse_problem
 
-from test_linalg import summed_matrix
-
-ACTIONS = ("abelian_r3", "so3_r3", "so4_r4", "u2_r4")
-
-
-def vector_field(n, components):
-    """Vector field from its n component polynomials."""
-    return MultiField(n, 1, {(i,): p for i, p in enumerate(components)})
-
-
-def volume_form(n):
-    return Form(n, n, {tuple(range(n)): Poly.const(n, 1)})
-
-
-def euler_one_form(n):
-    return form_from_terms(n, 1, [(1, tuple(1 if j == i else 0 for j in range(n)), (i,))
-                                  for i in range(n)])
-
-
-def random_form(rng, n, p, max_degree):
-    triples = []
-    for _ in range(rng.randint(1, 4)):
-        idx = tuple(sorted(rng.sample(range(n), p)))
-        exps = [0] * n
-        for _ in range(rng.randint(0, max_degree)):
-            exps[rng.randrange(n)] += 1
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        triples.append((c, tuple(exps), idx))
-    return form_from_terms(n, p, triples)
+from support import (ACTIONS, cartan_residual, euler_one_form, oracle_actions, random_form,
+                     summed_matrix, vector_field, volume_form)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +110,7 @@ def test_degenerate_omega_is_flagged():
     n = 3
     fields = [vector_field(n, [Poly.const(n, 1 if j == i else 0)
                                 for j in range(n)]) for i in range(3)]
-    omega = form_from_terms(n, 2, [(1, (0, 0, 0), (0, 1))])  # dx1^dx2 on R^3
+    omega = Form.from_terms(n, 2, [(1, (0, 0, 0), (0, 1))])  # dx1^dx2 on R^3
     action = LieAction(g, fields, omega)
     assert check_multisymplectic(action)["nondegenerate"] is False
 
@@ -182,11 +149,11 @@ def test_contraction_matrices_match_the_sign_rule_oracle():
     rng = random.Random(29)
     # (1 - x1) dx1^dx2 drops rank at the sample point (1, 1);
     # (1 + x1^2) dx1^dx2 keeps full rank at every sample point
-    degenerate = form_from_terms(2, 2, [(1, (0, 0), (0, 1)), (-1, (1, 0), (0, 1))])
-    uncertified = form_from_terms(2, 2, [(1, (0, 0), (0, 1)), (1, (2, 0), (0, 1))])
+    degenerate = Form.from_terms(2, 2, [(1, (0, 0), (0, 1)), (-1, (1, 0), (0, 1))])
+    uncertified = Form.from_terms(2, 2, [(1, (0, 0), (0, 1)), (1, (2, 0), (0, 1))])
     omegas = [action.omega for action in oracle_actions()] + [degenerate, uncertified]
-    omegas += [random_form(rng, n, p, 2) for n, p in ((3, 2), (4, 3), (4, 2), (5, 3))
-               for _ in range(3)]
+    omegas += [random_form(rng, n, p, 2, max_terms=4, max_coeff=4)
+               for n, p in ((3, 2), (4, 3), (4, 2), (5, 3)) for _ in range(3)]
     verdicts = set()
     for omega in omegas:
         n = omega.n
@@ -237,17 +204,6 @@ def oracle_generator(action, mv):
     return MultiField.linear_combination(n, degree, (
         (c, reduce(wedge, (action.fields[t] for t in idx), unit))
         for idx, c in mv.items()))
-
-
-def so5_action():
-    """The generated so(5) action on R^5 of tests/golden/so5_seed1.mmk."""
-    so5 = os.path.join(os.path.dirname(__file__), "golden", "so5_seed1.mmk")
-    with open(so5, encoding="utf-8") as fh:
-        return parse_problem(fh.read()).build_action()
-
-
-def oracle_actions():
-    return [catalog_action(name) for name in ACTIONS] + [so5_action()]
 
 
 def test_generators_of_every_kernel_match_the_wedge_oracle():
@@ -314,34 +270,6 @@ def kernel_multivectors(g, k):
     return [mv_from_coords(v, basis) for v in lie_kernel_basis(g, k)]
 
 
-def cartan_residual(action, mv, tau):
-    """Residual of the boundary identity
-
-        (-1)^k d(V_p . tau) = s V_{dp} . tau
-                              + sum_i (-1)^i (V_{t1}^..hat i..^V_{tk}) . L_{V_{ti}} tau
-                              + V_p . d tau
-
-    for p a nonzero degree-k multivector (dict form), extended linearly over
-    basis terms, V_{dp} term by term from `boundary_of_tuple`.  Returns
-    LHS - RHS; the zero form certifies the identity."""
-    k = len(next(iter(mv)))
-    s = action.sign()
-    v_p = infinitesimal_generator(action, mv)
-    # LHS and then each RHS term with the opposite sign
-    pairs = [((-1) ** k, exterior_d(contract(v_p, tau))),
-             (-1, contract(v_p, exterior_d(tau)))]
-    for idx, c in mv.items():
-        c = Fraction(c)
-        boundary = boundary_of_tuple(action.algebra, idx)
-        if boundary:
-            pairs.append((-s * c, contract(infinitesimal_generator(action, boundary), tau)))
-        for a, t in enumerate(idx):
-            rest = infinitesimal_generator(action, idx[:a] + idx[a + 1:])
-            ltau = lie_derivative(action.fields[t], tau)
-            pairs.append((c * (-1) ** a, contract(rest, ltau)))
-    return Form.linear_combination(action.ambient_dim, tau.degree - k + 1, pairs)
-
-
 def test_cartan_identity_on_kernel_decomposables():
     rng = random.Random(57)
     for name in ACTIONS:
@@ -355,7 +283,7 @@ def test_cartan_identity_on_kernel_decomposables():
                 assert cartan_residual(action, mv, action.omega).is_zero(), \
                     (name, k, "omega")
                 for p in {k, min(k + 1, n)}:
-                    tau = random_form(rng, n, p, 2)
+                    tau = random_form(rng, n, p, 2, max_terms=4, max_coeff=4)
                     assert cartan_residual(action, mv, tau).is_zero(), \
                         (name, k, p)
 
@@ -369,7 +297,7 @@ def test_cartan_identity_on_arbitrary_multivectors():
         for _ in range(3):
             mv = {basis[rng.randrange(len(basis))]: Fraction(rng.randint(1, 3)),
                   basis[rng.randrange(len(basis))]: Fraction(-1)}
-            tau = random_form(rng, 4, 3, 2)
+            tau = random_form(rng, 4, 3, 2, max_terms=4, max_coeff=4)
             assert cartan_residual(action, mv, tau).is_zero(), (k,)
 
 
@@ -411,7 +339,7 @@ def test_so4_euler_form_survives_at_degree_one():
 
 def test_u2_invariants_oracle():
     action = catalog_action("u2_r4")
-    kahler = form_from_terms(4, 2, [(1, (0,) * 4, (0, 1)), (1, (0,) * 4, (2, 3))])
+    kahler = Form.from_terms(4, 2, [(1, (0,) * 4, (0, 1)), (1, (0,) * 4, (2, 3))])
     assert invariant_closed_forms(action, 2, 0) == [kahler]
     assert euler_one_form(4) in invariant_closed_forms(action, 1, 1)
 

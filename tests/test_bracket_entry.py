@@ -37,56 +37,9 @@ assigns a module's `factors`, and only `GModule.acts_by_zero` tests a
 module's rho for zero, so a tensor product answers it from its factors."""
 
 import ast
-import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "momentkit")
-
-
-def readers(source, name):
-    """Qualified names of the innermost functions (`Class.method` for a
-    method, or "<module>") holding a read of `name`, as a variable or as an
-    attribute, in the source."""
-    return owners(source, reads(name))
-
-
-def reads(name):
-    """Whether a node reads `name`, as a variable or as an attribute."""
-    return lambda node: (isinstance(node, ast.Attribute) and node.attr == name
-                         or isinstance(node, ast.Name) and node.id == name)
-
-
-def owners(source, match):
-    """Qualified names of the innermost functions, as for `readers`,
-    holding a node that `match` accepts."""
-    found = set()
-
-    def visit(node, owner, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, prefix + child.name, prefix + child.name + ".")
-                continue
-            if isinstance(child, ast.ClassDef):
-                visit(child, owner, prefix + child.name + ".")
-                continue
-            if match(child):
-                found.add(owner)
-            visit(child, owner, prefix)
-
-    visit(ast.parse(source), "<module>", "")
-    return found
-
-
-def source_readers(name, files):
-    return source_owners(reads(name), files)
-
-
-def source_owners(match, files):
-    found = {}
-    for file in files:
-        with open(os.path.join(SRC, file), encoding="utf-8") as fh:
-            found[file] = owners(fh.read(), match)
-    return found
+from support import (SRC_FILES, owners, readers, source_owners, source_readers, src_text,
+                     syntax_nodes)
 
 
 def test_the_checker_finds_a_bracket_read():
@@ -104,19 +57,13 @@ def test_only_the_boundary_reads_the_bracket():
 
 
 def test_only_lie_core_reads_the_bracket_table():
-    found = set()
-    for file in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
-        with open(os.path.join(SRC, file), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        if any(isinstance(node, ast.Attribute) and node.attr == "table"
-               for node in ast.walk(tree)):
-            found.add(file)
-    assert found == {"lie_core.py"}
+    found = source_owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "table",
+                          SRC_FILES)
+    assert {f for f, held in found.items() if held} == {"lie_core.py"}
 
 
 def test_only_the_truncated_module_builds_closed_forms():
-    files = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
-    found = source_readers("closed_form_basis", files)
+    found = source_readers("closed_form_basis", SRC_FILES)
     assert {f: owners for f, owners in found.items() if owners} == {
         "action.py": {"TruncatedFormModule.__init__"}}
 
@@ -127,9 +74,8 @@ def test_the_hom_differential_reuses_the_dual_kernel_complex():
 
 
 def test_only_polyform_reads_its_int_kernels():
-    files = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
     for name in ("_ints", "_wrap", "_combination", "_add_products"):
-        found = source_readers(name, files)
+        found = source_readers(name, SRC_FILES)
         assert [f for f, owners in found.items() if owners] == ["polyform.py"], name
 
 
@@ -139,18 +85,14 @@ def test_only_the_nondegeneracy_check_reads_coefficient_degrees():
 
 
 def test_the_contraction_matrix_does_no_sign_arithmetic():
-    with open(os.path.join(SRC, "action.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    func = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                and node.name == "_contraction_matrix_at")
-    signs = [node for node in ast.walk(func)
-             if isinstance(node, (ast.USub, ast.Pow, ast.Sub, ast.Mult))]
-    assert signs == []
+    inside = [node for scope, node in syntax_nodes(src_text("action.py"))
+              if any(d.name == "_contraction_matrix_at" for d in scope)]
+    signs = [node for node in inside if isinstance(node, (ast.USub, ast.Pow, ast.Sub, ast.Mult))]
+    assert inside and signs == []
 
 
 def test_only_the_module_differential_ranks_a_complex():
-    files = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
-    found = source_readers("rank", files)
+    found = source_readers("rank", SRC_FILES)
     assert {f: owners for f, owners in found.items() if owners} == {
         "action.py": {"check_multisymplectic"},
         "gmodule.py": {"GModule.differential_rank"},
@@ -183,13 +125,12 @@ def test_the_checker_finds_assignments_and_zero_tests():
 
 
 def test_one_restriction_rule_and_one_zero_test():
-    files = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
-    found = source_readers("coordinates", files)
+    found = source_readers("coordinates", SRC_FILES)
     assert {f: held for f, held in found.items() if held} == {
         "action.py": {"TruncatedFormModule.to_coords"},
         "gmodule.py": {"restrict"},
         "moment.py": {"MomentMap.value"}}
     for match, want in ((assigns("factors"), "GModule.__init__"),
                         (zero_test_of_rho, "GModule.acts_by_zero")):
-        found = source_owners(match, files)
+        found = source_owners(match, SRC_FILES)
         assert {f: held for f, held in found.items() if held} == {"gmodule.py": {want}}

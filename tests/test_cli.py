@@ -13,10 +13,9 @@ import momentkit
 from momentkit.cli import (MmkError, main, parse_problem, serialize_problem,
                            tokenize)
 
-from test_lie_core import INLINE_ALGEBRAS, inline_algebra_problem
+from support import (GOLDEN, INLINE_ALGEBRAS, PROBLEMS, count_calls, inline_algebra_problem,
+                     replace_everywhere)
 
-PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "src", "momentkit",
-                        "problems")
 BUNDLED = ("abelian_r3.mmk", "so3_r3.mmk", "so4_r4.mmk", "u2_r4.mmk")
 
 
@@ -448,33 +447,6 @@ def test_console_entry_point_runs():
 # derived objects are built once per run
 # ---------------------------------------------------------------------------
 
-def replace_everywhere(monkeypatch, fn, replacement):
-    """Replace `fn` in every loaded momentkit module that holds it, as a
-    global or as a value of a module-level dict such as `cli._METHODS`."""
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "momentkit" and mod is not None:
-            for attr, value in list(vars(mod).items()):
-                if value is fn:
-                    monkeypatch.setattr(mod, attr, replacement)
-                elif isinstance(value, dict):
-                    for key, item in list(value.items()):
-                        if item is fn:
-                            monkeypatch.setitem(value, key, replacement)
-
-
-def count_calls(monkeypatch, fn):
-    """Wrap `fn` everywhere with a recorder of each call's positional
-    arguments."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    replace_everywhere(monkeypatch, fn, counted)
-    return calls
-
-
 def test_report_builds_each_derived_object_once(monkeypatch, capsys):
     from momentkit.action import TruncatedFormModule, closed_form_basis
     from momentkit.gmodule import ce_module_differential, lie_kernel_module
@@ -670,7 +642,6 @@ def test_cohomology_counts_kernels_without_building_them(monkeypatch, capsys):
 # parser fuzz: seeded mutations of the bundled files
 # ---------------------------------------------------------------------------
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 MUTATION_BASES = [bundled(name) for name in BUNDLED] + [
     os.path.join(GOLDEN, "so5_seed1.mmk")]  # inline structure constants
 MUTATION_PIECES = ("0", "1", "2", "7", "-", "+", "*", "^", ",", "(", ")", "[",

@@ -43,8 +43,7 @@ from momentkit.polyform import (Form, MultiField, Poly, contract, contraction_ch
                                 exterior_d, exterior_d_plus, lie_derivative,
                                 poincare_homotopy, vf_bracket, wedge)
 
-from test_action import so5_action
-from test_golden import GOLDEN
+from support import GOLDEN, so5_action
 
 
 # ---------------------------------------------------------------------------

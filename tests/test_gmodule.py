@@ -8,7 +8,7 @@ import pytest
 
 import momentkit.gmodule
 from momentkit.action import LieAction
-from momentkit.cli import catalog_action, main, parse_problem
+from momentkit.cli import catalog_action, main
 from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError, abelian,
                                 boundary_matrix, catalog_algebra, ce_betti, exterior_basis,
                                 lie_kernel_basis, mv_coords, mv_from_coords,
@@ -19,16 +19,8 @@ from momentkit.gmodule import (GModule, ce_module_differential, cochain_dim,
                                lie_kernel_module, module_cohomology_dim,
                                tensor_module, trivial_module)
 
-from test_action import so5_action
-from test_golden import BUNDLED, GOLDEN, PROBLEMS
-from test_lie_core import NON_UNIMODULAR, schouten
-from test_linalg import summed_matrix
-
-
-def adjoint_module(g):
-    mats = [Mat([[dict(g.bracket_basis(i, j)).get(m, 0) for j in range(g.dim)]
-                 for m in range(g.dim)], ncols=g.dim) for i in range(g.dim)]
-    return GModule(g, mats, name="adjoint")
+from support import (NON_UNIMODULAR, PROBLEMS, adjoint_module, problem_actions, schouten,
+                     so5_action, summed_matrix)
 
 
 def sample_modules(g):
@@ -71,10 +63,10 @@ def reference_differential(m, k):
 
 def test_representation_property_is_validated():
     g = catalog_algebra("su2")
-    adjoint_module(g)  # validates in the constructor
+    adjoint_module(g)  # validates
     broken = [Mat.identity(3)] * 3
     with pytest.raises(StructureError):
-        GModule(g, broken)
+        GModule(g, broken).validate()
 
 
 def test_validation_names_the_first_failing_pair():
@@ -85,11 +77,11 @@ def test_validation_names_the_first_failing_pair():
     # counting from e1
     for rho, pair in (([Mat.zeros(2, 2), a, b], "(e2, e3)"), ([a, b, a], "(e1, e2)")):
         with pytest.raises(StructureError) as err:
-            GModule(g, rho)
+            GModule(g, rho).validate()
         assert str(err.value).endswith(f"on pair {pair}")
-    GModule(g, [Mat.zeros(0, 0)] * 3)
-    GModule(LieAlgebra(0), [], dim=2)
-    GModule(LieAlgebra(1), [Mat([[1, 2], [0, 3]], ncols=2)])
+    GModule(g, [Mat.zeros(0, 0)] * 3).validate()
+    GModule(LieAlgebra(0), [], dim=2).validate()
+    GModule(LieAlgebra(1), [Mat([[1, 2], [0, 3]], ncols=2)]).validate()
 
 
 def test_trivial_module_acts_by_zero():
@@ -236,7 +228,7 @@ def schouten_kernel_module(g, k):
         if coords is None:
             return f"action of e{i + 1} does not preserve lie_kernel(k={k})"
         rho.append(coords)
-    return outcome(lambda: GModule(g, rho, name=f"lie_kernel(k={k})"))
+    return outcome(lambda: GModule(g, rho, name=f"lie_kernel(k={k})").validate())
 
 
 def outcome(build):
@@ -335,15 +327,6 @@ def full_cohomology_dim(m, k):
 def assert_weight_zero_cohomology(m, label):
     for k in range(m.algebra.dim + 1):
         assert module_cohomology_dim(m, k) == full_cohomology_dim(m, k), (label, k)
-
-
-def problem_actions():
-    """The bundled problems, and the two fixtures whose centre acts."""
-    actions = {p: catalog_action(p) for p in BUNDLED}
-    for p in ("co3_r3", "heis_r3"):
-        with open(os.path.join(GOLDEN, f"{p}.mmk"), encoding="utf-8") as fh:
-            actions[p] = parse_problem(fh.read()).build_action()
-    return actions
 
 
 def test_weight_zero_cohomology_of_every_problem_module():
@@ -447,7 +430,7 @@ def staircase_module(rng, n):
                  for i in range(size)], size)
     conj = mat_mul(lower, upper)
     inverse = solve_many(conj, Mat.identity(size))
-    return GModule(abelian(n), [mat_mul(mat_mul(conj, r), inverse) for r in rho])
+    return GModule(abelian(n), [mat_mul(mat_mul(conj, r), inverse) for r in rho]).validate()
 
 
 def test_weight_zero_cohomology_of_random_abelian_modules():
@@ -460,8 +443,7 @@ def test_weight_zero_cohomology_of_random_abelian_modules():
 def test_the_weight_zero_part_of_a_non_commuting_action_is_refused():
     # rho(e1) = diag(0, 1) is not central in this non-representation: its
     # kernel e1 is not preserved by rho(e2), which swaps the coordinates
-    m = GModule(abelian(2), [Mat([[0, 0], [0, 1]]), Mat([[0, 1], [1, 0]])], validate=False,
-                name="swap")
+    m = GModule(abelian(2), [Mat([[0, 0], [0, 1]]), Mat([[0, 1], [1, 0]])], name="swap")
     with pytest.raises(StructureError) as err:
         m.weight_zero
     assert str(err.value) == "action of e2 does not preserve weight_zero(swap)"

@@ -33,10 +33,7 @@ import sys
 
 from momentkit.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
-PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "src", "momentkit",
-                        "problems")
-BUNDLED = ("abelian_r3", "so3_r3", "so4_r4", "u2_r4", "abelian_r2", "sl2_r2")
+from support import BUNDLED, GOLDEN, PROBLEMS
 
 
 def golden_cases():

@@ -1,10 +1,13 @@
 """Every module under src/momentkit/ and tests/ uses each name it imports
-(`momentkit/__init__.py` is exempt: its imports are the package's exports)."""
+(`momentkit/__init__.py` is exempt: its imports are the package's exports).
+
+Test modules share helpers only through `tests/support.py`: none imports
+another test module, and no helper is defined in two of them."""
 
 import ast
 import os
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from support import ROOT
 
 
 def python_files():
@@ -43,3 +46,21 @@ def test_no_module_imports_a_name_it_never_uses():
         if names:
             found[os.path.relpath(path, ROOT)] = names
     assert found == {}
+
+
+def test_test_modules_share_helpers_only_through_support():
+    imports, defined = [], {}
+    for name in sorted(os.listdir(os.path.join(ROOT, "tests"))):
+        if name.endswith(".py"):
+            with open(os.path.join(ROOT, "tests", name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            imports += [(name, node.lineno) for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) and node.module
+                        and node.module.startswith("test_")
+                        or isinstance(node, ast.Import)
+                        and any(alias.name.startswith("test_") for alias in node.names)]
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("test_"):
+                    defined.setdefault(node.name, []).append(name)
+    assert imports == []
+    assert {helper: files for helper, files in defined.items() if len(files) > 1} == {}

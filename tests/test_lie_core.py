@@ -1,15 +1,10 @@
 """Lie algebra layer: boundaries, Betti numbers, kernels, Schouten bracket.
 
-`schouten` is written here term by term, as the oracle for the adjoint
-action that `gmodule.lie_kernel_module` builds from the boundary and wedge
-matrices; `test_moment.py` and `test_acceptance.py` import it, and the
-accumulator `mv_term` it is written with, from here.  `oracle_boundary` is
-the boundary of a basis k-vector written with `mv_term`, the oracle for
-`boundary_of_tuple`; `mv_boundary` extends `boundary_of_tuple` linearly to
-any multivector, summed with `mv_add`.  `oracle_boundary_matrix` and
-`oracle_wedge_matrix` sum their entries one by one through
-`test_linalg.summed_matrix`, the oracles for the sparse-column builds of
-`boundary_matrix` and `wedge_matrix`."""
+`oracle_boundary` is the boundary of a basis k-vector written with
+`support.mv_term`, the oracle for `boundary_of_tuple`.
+`oracle_boundary_matrix` and `oracle_wedge_matrix` sum their entries one by
+one through `support.summed_matrix`, the oracles for the sparse-column
+builds of `boundary_matrix` and `wedge_matrix`."""
 
 import os
 import random
@@ -30,41 +25,11 @@ from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError, abe
 from momentkit.cli import catalog_action, main, parse_problem
 from momentkit.linalg import mat_mul
 
-from test_action import so5_action
-from test_golden import BUNDLED, GOLDEN
-from test_linalg import naive_rank, summed_matrix
+from support import (BUNDLED, GOLDEN, INLINE_ALGEBRAS, NON_UNIMODULAR, inline_algebra_problem,
+                     mv_boundary, mv_term, naive_rank, schouten, so5_action, summed_matrix)
 
 
 CATALOG = sorted(ALGEBRA_CATALOG)
-
-
-def mv_term(target: dict, indices, coeff) -> None:
-    """Accumulate coeff * e_{indices} (unsorted, may repeat) into target."""
-    if not coeff:
-        return
-    sign, t = sort_with_sign(indices)
-    if sign == 0:
-        return
-    val = target.get(t, Fraction(0)) + sign * coeff
-    if val:
-        target[t] = val
-    else:
-        target.pop(t, None)
-
-
-def mv_add(a: dict, b: dict, coeff=1) -> dict:
-    out = dict(a)
-    c = Fraction(coeff)
-    for t, x in b.items():
-        out[t] = out.get(t, Fraction(0)) + c * x
-    return {t: x for t, x in out.items() if x}
-
-
-def mv_boundary(g, a: dict) -> dict:
-    out: dict = {}
-    for t, x in a.items():
-        out = mv_add(out, boundary_of_tuple(g, t), x)
-    return out
 
 
 def oracle_boundary(g, t):
@@ -78,22 +43,6 @@ def oracle_boundary(g, t):
             rest = t[:a] + t[a + 1:b] + t[b + 1:]
             for m, c in g.bracket_basis(t[a], t[b]):
                 mv_term(out, (m,) + rest, sign * c)
-    return out
-
-
-def schouten(g, a, b):
-    """Schouten bracket of multivectors, bilinear extension of
-    [x_1^..^x_k, y_1^..^y_l] = sum_{i,j} (-1)^(i+j) [x_i,y_j] ^ (rest)."""
-    out = {}
-    for ta, xa in a.items():
-        for tb, xb in b.items():
-            xab = xa * xb
-            for i in range(len(ta)):
-                for j in range(len(tb)):
-                    sign = (-1) ** ((i + 1) + (j + 1))
-                    rest = ta[:i] + ta[i + 1:] + tb[:j] + tb[j + 1:]
-                    for m, c in g.bracket_basis(ta[i], tb[j]):
-                        mv_term(out, (m,) + rest, sign * xab * c)
     return out
 
 
@@ -171,17 +120,6 @@ def test_betti_numbers_match_naive_rank_oracle():
             rk = ranks.get(k, 0)        # rank of boundary leaving degree k
             rk1 = ranks.get(k + 1, 0)   # rank of boundary entering degree k
             assert betti[k] == dim_k - rk - rk1, (name, k)
-
-
-# [e1,e2] = e2 (aff(1)), [e1,e2] = e2, [e1,e3] = 2e3, and aff(1) + aff(1):
-# ad e1 has trace 1, 3 and 1, so no algebra here is unimodular and no
-# complex self-dual.  Only the last has a degree strictly between (n+1)//2
-# and n, so only it tells mirroring from ranking in the upper degrees.
-NON_UNIMODULAR = {
-    "aff1": LieAlgebra(2, {(0, 1): {1: 1}}, name="aff1"),
-    "solvable3": LieAlgebra(3, {(0, 1): {1: 1}, (0, 2): {2: 2}}, name="solvable3"),
-    "aff1+aff1": LieAlgebra(4, {(0, 1): {1: 1}, (2, 3): {3: 1}}, name="aff1+aff1"),
-}
 
 
 def naive_boundary_ranks(g):
@@ -371,28 +309,6 @@ def random_bracket_table(rng, dim):
                        if rng.random() < 0.4 else 0 for _ in range(dim)]
                 brackets[(i, j)] = {m: c for m, c in enumerate(vec) if c}
     return LieAlgebra(dim, brackets, name=f"random{dim}")
-
-
-def inline_algebra_problem(dim, brackets):
-    """A problem text with an inline [algebra] of dimension `dim` and the
-    bracket statements `brackets`; the action and omega are placeholders."""
-    fields = "\n".join(f"V{i} = d/dx{i}" for i in range(1, dim + 1))
-    volume = ",".join(str(i) for i in range(1, dim + 1))
-    return (f"[algebra]\ndim = {dim}\n{brackets}\n\n[action]\ndim = {dim}\n"
-            f"{fields}\n\n[omega]\nomega = dx({volume})\n")
-
-
-# (dim, bracket statements, the table they give): rational, reversed-pair
-# and cancelling terms
-INLINE_ALGEBRAS = [
-    (3, "[e1,e2] = 1/2*e3", {(0, 1): ((2, Fraction(1, 2)),)}),
-    (3, "[e2,e1] = 2*e3", {(0, 1): ((2, Fraction(-2)),)}),
-    (3, "[e1,e2] = e3 - e3", {}),
-    (2, "[e2,e1] = e1 + 1/2*e1", {(0, 1): ((0, Fraction(-3, 2)),)}),
-    (3, "[e2,e1] = -e3\n[e3,e2] = -e1 + 1/3*e1 - 1/3*e1\n[e1,e3] = -e2",
-     {(0, 1): ((2, Fraction(1)),), (0, 2): ((1, Fraction(-1)),),
-      (1, 2): ((0, Fraction(1)),)}),
-]
 
 
 def assert_bracket_contract(g):

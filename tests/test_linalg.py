@@ -11,37 +11,7 @@ from momentkit.linalg import (Mat, _axpy, _eliminate, _integer_rows,
                               mat_scale, mat_vec, mat_vstack, nullspace, rank,
                               rref, solve, solve_many)
 
-
-def naive_rank(rows):
-    """Plain fraction Gaussian elimination, no pivot heuristics."""
-    if not rows:
-        return 0
-    return len(naive_rref(rows, len(rows[0]))[1])
-
-
-def naive_rref(rows, ncols):
-    """Dense Gauss-Jordan, first nonzero row as pivot: (rows, pivot columns)."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, tuple(pivots)
+from support import entry, naive_rank, naive_rref, summed_matrix
 
 
 def in_span(vectors, v) -> bool:
@@ -50,25 +20,6 @@ def in_span(vectors, v) -> bool:
         return all(x == 0 for x in v)
     a = Mat.from_columns(vectors, len(v))
     return solve(a, v) is not None
-
-
-def entry(m, i, j):
-    """Entry (i, j) of a Mat, read from its nonzeros."""
-    if not (0 <= i < m.nrows and 0 <= j < m.ncols):
-        raise IndexError(f"entry ({i}, {j}) outside a {m.nrows}x{m.ncols} matrix")
-    return next((x for r, c, x in m.nonzeros() if (r, c) == (i, j)), Fraction(0))
-
-
-def summed_matrix(entries, nrows, ncols):
-    """The nrows x ncols Mat whose entry (i, j) is the sum of the x of the
-    (i, j, x) in `entries`, summed in sparse columns: the entrywise oracles'
-    builder."""
-    cols = [{} for _ in range(ncols)]
-    for i, j, x in entries:
-        if not (0 <= i < nrows and 0 <= j < ncols):
-            raise IndexError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
-        cols[j][i] = cols[j].get(i, 0) + Fraction(x)
-    return Mat.from_sparse_columns(cols, nrows)
 
 
 def random_matrix(rng, m, n, density=0.7):

@@ -15,8 +15,7 @@ from momentkit.lie_core import (LieAlgebra, StructureError, boundary_matrix,
                                 validate_jacobi)
 from momentkit.linalg import Mat, solve_many
 from momentkit.gmodule import invariants_basis, module_cohomology_dim
-from momentkit.polyform import (Form, exterior_d, form_from_terms, format_form,
-                                lie_derivative)
+from momentkit.polyform import Form, exterior_d, format_form, lie_derivative
 from momentkit.action import LieAction
 from momentkit.cli import catalog_action, main, parse_problem
 from momentkit.moment import (MomentMap, _checked, _hom_differential,
@@ -28,22 +27,10 @@ from momentkit.moment import (MomentMap, _checked, _hom_differential,
                               sigma_cochain, sigma_is_zero, uniqueness_check,
                               verify_moment, zeta)
 
-from test_action import oracle_actions, random_form, so5_action, volume_form
-from test_cli import count_calls
-from test_lie_core import mv_add, mv_boundary, mv_term, schouten
-from test_linalg import entry
+from support import (count_calls, entry, mv_add, mv_boundary, mv_wedge, oracle_actions,
+                     random_form, schouten, so5_action, volume_form)
 
 CATALOG_ALGEBRAS = ("abelian3", "su2", "so3", "heisenberg3", "so4", "u2")
-
-
-def mv_wedge(a, b):
-    """Wedge product of two multivectors (dicts), the reference for the
-    graded boundary/bracket identity."""
-    out = {}
-    for ta, xa in a.items():
-        for tb, xb in b.items():
-            mv_term(out, ta + tb, xa * xb)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +192,7 @@ def test_manual_moment_map_is_rejected_when_wrong():
     mm = construct_poincare(action, ks=[2])
     # corrupt one component by a non-closed form
     bad = dict(mm.components)
-    brk = form_from_terms(3, 0, [(1, (2, 0, 0), ())])
+    brk = Form.from_terms(3, 0, [(1, (2, 0, 0), ())])
     bad[2] = [bad[2][0] + brk] + list(bad[2][1:])
     assert not verify_moment(MomentMap(action, bad))
 
@@ -213,7 +200,7 @@ def test_manual_moment_map_is_rejected_when_wrong():
 def test_recheck_names_the_failing_value_by_its_kernel_element():
     action = catalog_action("abelian_r3")
     mm = construct_poincare(action, ks=[2])
-    brk = form_from_terms(3, 0, [(1, (2, 0, 0), ())])
+    brk = Form.from_terms(3, 0, [(1, (2, 0, 0), ())])
     bad = MomentMap(action, {2: [mm.components[2][0] + brk] + mm.components[2][1:]})
     with pytest.raises(StructureError) as err:
         _checked(bad, "test")
@@ -370,8 +357,8 @@ def test_d1_matches_the_oracle_on_cochains_that_are_not_cocycles():
             if not action.kernel(k).basis:
                 continue
             mm = construct_poincare(action, ks=[k])
-            sigma = [[x + random_form(rng, n, x.degree, 2) for x in row]
-                     for row in sigma_cochain(mm, k)]
+            sigma = [[x + random_form(rng, n, x.degree, 2, max_terms=4, max_coeff=4)
+                      for x in row] for row in sigma_cochain(mm, k)]
             want = oracle_delta(mm, k, sigma)
             assert _hom_differential(mm, k, 1, sigma) == want, (name, k)
             assert not sigma_is_zero(want), (name, k)
@@ -458,7 +445,7 @@ def test_sigma_is_computed_where_it_is_not_proven_zero(monkeypatch):
             mm.sigma(k)
     assert computed == [(mm, k) for mm in maps for k in mm.degrees()]
     mm = construct_poincare(so4, ks=[2])
-    dx1 = form_from_terms(4, 1, [(1, (0,) * 4, (0,))])
+    dx1 = Form.from_terms(4, 1, [(1, (0,) * 4, (0,))])
     bad = MomentMap(so4, {2: [c + dx1 for c in mm.components[2]]})
     computed.clear()
     fixed, _, status = make_equivariant(bad, 2, 0)
@@ -482,7 +469,7 @@ def test_translations_are_obstructed_at_every_truncation():
 def test_so4_perturbed_map_is_repaired_exactly():
     action = catalog_action("so4_r4")
     mm = construct_poincare(action, ks=[2])
-    dx1 = form_from_terms(4, 1, [(1, (0,) * 4, (0,))])
+    dx1 = Form.from_terms(4, 1, [(1, (0,) * 4, (0,))])
     warped = dict(mm.components)
     warped[2] = [c + dx1 for c in warped[2]]
     bad = MomentMap(action, warped)
@@ -503,7 +490,7 @@ def test_repair_names_a_sigma_entry_that_is_not_closed():
     # inside the truncation but not closed, which no larger D can mend
     action = catalog_action("so3_r3")
     mm = construct_poincare(action, ks=[1])
-    warped = [mm.components[1][0] + form_from_terms(3, 1, [(1, (1, 0, 0), (1,))])]
+    warped = [mm.components[1][0] + Form.from_terms(3, 1, [(1, (1, 0, 0), (1,))])]
     bad = MomentMap(action, {1: warped + mm.components[1][1:]})
     with pytest.raises(StructureError) as err:
         make_equivariant(bad, 1, 2)
@@ -516,7 +503,7 @@ def test_repair_blames_the_generators_that_do_not_preserve_omega():
     # scale_r3's single generator is pinned by tests/test_cli.py
     action = parse_problem("[algebra]\ndim = 2\n\n[action]\ndim = 2\nV1 = x1*d/dx1\n"
                            "V2 = x2*d/dx2\n\n[omega]\nomega = dx(1,2)\n").build_action()
-    x1 = form_from_terms(2, 0, [(1, (1, 0), ())])
+    x1 = Form.from_terms(2, 0, [(1, (1, 0), ())])
     with pytest.raises(StructureError) as err:
         make_equivariant(MomentMap(action, {1: [x1, Form.zero(2, 0)]}), 1, 1)
     assert str(err.value) == ("Sigma entry Sigma(e1)(e1) is not closed: "

@@ -20,10 +20,7 @@ import weakref
 from momentkit.cli import COMMANDS, PROBLEMS, ProblemFile, main
 from momentkit.gmodule import GModule, module_cohomology_dim
 
-from test_gmodule import problem_actions
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "momentkit")
+from support import problem_actions, src_text, syntax_nodes
 
 
 def test_every_action_a_run_builds_is_freed_when_main_returns(monkeypatch, capsys):
@@ -86,23 +83,18 @@ def test_a_module_keeps_only_modules_and_none_of_them_back():
 
 def attribute_assignments(source, attr):
     """Names of the classes whose methods assign `self.<attr>`."""
-    return {cls.name for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
-            for node in ast.walk(cls)
+    return {cls.name for scope, node in syntax_nodes(source)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
             and node.attr == attr and isinstance(node.value, ast.Name)
-            and node.value.id == "self"}
+            and node.value.id == "self"
+            for cls in scope if isinstance(cls, ast.ClassDef)}
 
 
 def method_calls(source, name):
     """Line numbers of the calls `<anything>.<name>(...)` in the source."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == name]
-
-
-def read(file):
-    with open(os.path.join(SRC, file), encoding="utf-8") as fh:
-        return fh.read()
+    return sorted(node.lineno for _, node in syntax_nodes(source)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == name)
 
 
 def test_the_checkers_find_a_back_reference_and_a_derive_call():
@@ -115,9 +107,9 @@ def test_the_checkers_find_a_back_reference_and_a_derive_call():
 
 
 def test_no_derived_record_points_back_at_the_action():
-    assert attribute_assignments(read("action.py"), "action") == set()
+    assert attribute_assignments(src_text("action.py"), "action") == set()
 
 
 def test_the_command_line_keeps_nothing_in_the_action():
-    assert method_calls(read("cli.py"), "_derive") == []
-    assert method_calls(read("action.py"), "_derive")  # the check is not vacuous
+    assert method_calls(src_text("cli.py"), "_derive") == []
+    assert method_calls(src_text("action.py"), "_derive")  # the check is not vacuous

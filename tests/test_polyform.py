@@ -13,20 +13,10 @@ from momentkit.cli import main
 from momentkit.lie_core import format_sum, format_term
 from momentkit.polyform import (_MONO_TEXTS, Form, MultiField, Poly, contract,
                                 contraction_chains, exterior_d, exterior_d_plus,
-                                form_from_terms, format_field, format_form,
-                                format_poly, lie_derivative, poincare_homotopy,
-                                vf_bracket, wedge)
+                                format_field, format_form, format_poly, lie_derivative,
+                                poincare_homotopy, vf_bracket, wedge)
 
-from test_golden import GOLDEN, PROBLEMS
-
-
-def vector_field(n, components):
-    """Vector field from its n component polynomials."""
-    return MultiField(n, 1, {(i,): p for i, p in enumerate(components)})
-
-
-def volume_form(n):
-    return Form(n, n, {tuple(range(n)): Poly.const(n, 1)})
+from support import GOLDEN, PROBLEMS, random_form, vector_field, volume_form
 
 
 def random_poly(rng, n, max_degree, max_coeff=6):
@@ -40,18 +30,6 @@ def random_poly(rng, n, max_degree, max_coeff=6):
         c = Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, 3))
         terms[tuple(exps)] = terms.get(tuple(exps), Fraction(0)) + c
     return Poly(n, terms)
-
-
-def random_form(rng, n, p, max_degree, max_coeff=6):
-    triples = []
-    for _ in range(rng.randint(1, 5)):
-        idx = tuple(sorted(rng.sample(range(n), p)))
-        exps = [0] * n
-        for _ in range(rng.randint(0, max_degree)):
-            exps[rng.randrange(n)] += 1
-        c = Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, 3))
-        triples.append((c, tuple(exps), idx))
-    return form_from_terms(n, p, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +109,9 @@ def test_contraction_applies_first_factor_first():
     vol = volume_form(n)
     xy = wedge(x, y)
     res = contract(xy, vol)             # should be dx3 with + sign
-    assert res == form_from_terms(n, 1, [(1, (0, 0, 0), (2,))])
+    assert res == Form.from_terms(n, 1, [(1, (0, 0, 0), (2,))])
     yx = wedge(y, x)
-    assert contract(yx, vol) == form_from_terms(n, 1, [(-1, (0, 0, 0), (2,))])
+    assert contract(yx, vol) == Form.from_terms(n, 1, [(-1, (0, 0, 0), (2,))])
 
 
 def test_contraction_of_basis_covector():
@@ -141,9 +119,9 @@ def test_contraction_of_basis_covector():
     n = 4
     f = vector_field(n, [Poly.const(n, 0), Poly.const(n, 0),
                           Poly.const(n, 1), Poly.const(n, 0)])  # d/dx3
-    alpha = form_from_terms(n, 3, [(1, (0,) * 4, (0, 2, 3))])       # dx(1,3,4)
+    alpha = Form.from_terms(n, 3, [(1, (0,) * 4, (0, 2, 3))])       # dx(1,3,4)
     # position of index 2 in (0,2,3) is 1 -> sign (-1)^1
-    assert contract(f, alpha) == form_from_terms(n, 2, [(-1, (0,) * 4, (0, 3))])
+    assert contract(f, alpha) == Form.from_terms(n, 2, [(-1, (0,) * 4, (0, 3))])
 
 
 def test_contraction_degree_overflow_raises():
@@ -151,7 +129,7 @@ def test_contraction_degree_overflow_raises():
     f = wedge(wedge(vector_field(n, [Poly.const(n, 1)] + [Poly.const(n, 0)] * 2),
                     vector_field(n, [Poly.const(n, 0), Poly.const(n, 1), Poly.const(n, 0)])),
               vector_field(n, [Poly.const(n, 0)] * 2 + [Poly.const(n, 1)]))
-    alpha = form_from_terms(n, 2, [(1, (0, 0, 0), (0, 1))])
+    alpha = Form.from_terms(n, 2, [(1, (0, 0, 0), (0, 1))])
     with pytest.raises(ValueError):
         contract(f, alpha)
 
@@ -236,7 +214,7 @@ def test_primitive_of_volume_form():
     # K(dx1^dx2^dx3) = (1/3)(x1 dx2^dx3 - x2 dx1^dx3 + x3 dx1^dx2)
     third = Fraction(1, 3)
     k = poincare_homotopy(volume_form(3))
-    expected = form_from_terms(3, 2, [
+    expected = Form.from_terms(3, 2, [
         (third, (1, 0, 0), (1, 2)),
         (-third, (0, 1, 0), (0, 2)),
         (third, (0, 0, 1), (0, 1)),
@@ -251,7 +229,7 @@ def test_primitive_of_volume_form():
 
 def test_format_form_and_field():
     n = 3
-    f = form_from_terms(n, 1, [(1, (0, 0, 1), (0,)), (Fraction(-1, 2), (0, 0, 0), (1,))])
+    f = Form.from_terms(n, 1, [(1, (0, 0, 1), (0,)), (Fraction(-1, 2), (0, 0, 0), (1,))])
     assert format_form(f) == "x3*dx(1) - 1/2*dx(2)"
     v = vector_field(n, [Poly(n), Poly(n, {(0, 0, 1): Fraction(1)}),
                           Poly(n, {(0, 1, 0): Fraction(-1)})])
@@ -354,7 +332,7 @@ def test_every_operator_result_is_canonical():
             Form.linear_combination(n, 1, [(1, a), (2, c), (-1, a), (-2, c)]),
             Form.linear_combination(n, 2, [(0, b), (Fraction(1, 3), b), (-1, b)]),
             MultiField.linear_combination(n, 1, [(3, x), (-1, y), (1, y)]),
-            form_from_terms(n, 2, [(1, (0,) * n, (1, 0)), (1, (0,) * n, (0, 1)),
+            Form.from_terms(n, 2, [(1, (0,) * n, (1, 0)), (1, (0,) * n, (0, 1)),
                                    (2, (1,) * n, (3, 2)), (5, (0,) * n, (2, 2))]),
         ]
         for r in results:
@@ -387,7 +365,7 @@ def test_cancellation_inside_each_kernel_leaves_no_zero():
     k_alpha = poincare_homotopy(Form(n, 2, {(0, 1): x3, (0, 2): x1 * x2}))
     zeros = {
         "linear_combination": Form.linear_combination(n, 1, [(1, alpha), (-1, alpha)]),
-        "from_terms": form_from_terms(n, 2, [(1, (0,) * n, (0, 1)), (1, (0,) * n, (1, 0))]),
+        "from_terms": Form.from_terms(n, 2, [(1, (0,) * n, (0, 1)), (1, (0,) * n, (1, 0))]),
         "d d": exterior_d(exterior_d(alpha)),
         "d of exact": exterior_d(Form(n, 1, {(0,): x2, (1,): x1})),
         "exterior_d_plus": exterior_d_plus(alpha, Fraction(1, 2), exterior_d(alpha) * -2),

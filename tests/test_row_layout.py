@@ -2,20 +2,18 @@
 src/momentkit/ reads a `.rows` attribute, so the row layout stays linalg's
 decision (callers use `from_columns`, `from_sparse_columns`, `nonzeros`,
 `col`, `dense` and `kron_sum`; the entrywise test oracles read and build
-matrices through `test_linalg.entry` and `test_linalg.summed_matrix`, over
+matrices through `support.entry` and `support.summed_matrix`, over
 `nonzeros` and `from_sparse_columns`)."""
 
 import ast
-import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "momentkit")
+from support import SRC_FILES, src_text, syntax_nodes
 
 
 def rows_reads(source):
     """Line numbers of the `.rows` attributes in the source."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and node.attr == "rows"]
+    return sorted(node.lineno for _, node in syntax_nodes(source)
+                  if isinstance(node, ast.Attribute) and node.attr == "rows")
 
 
 def test_the_checker_finds_a_rows_read():
@@ -24,11 +22,5 @@ def test_the_checker_finds_a_rows_read():
 
 
 def test_only_linalg_reads_matrix_rows():
-    found = {}
-    for name in sorted(os.listdir(SRC)):
-        if name.endswith(".py") and name != "linalg.py":
-            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-                lines = rows_reads(fh.read())
-            if lines:
-                found[name] = lines
-    assert found == {}
+    found = {name: rows_reads(src_text(name)) for name in SRC_FILES if name != "linalg.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -32,9 +32,7 @@ from momentkit.gmodule import lie_kernel_module
 from momentkit.lie_core import lie_kernel_basis
 from momentkit.moment import construct_poincare, sigma_cochain
 
-from test_bracket_entry import SRC, source_readers
-
-ROOT = os.path.join(os.path.dirname(__file__), "..")
+from support import ROOT, SRC_FILES, source_readers
 
 
 def load_tracer():
@@ -57,9 +55,8 @@ def test_every_traced_name_resolves():
 def test_tracer_only_names_are_the_known_ones():
     # a traced function that nothing in src/ reads is kept only for the
     # tracer and the tests; for a method, its class must be read
-    files = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
     unread = {span for span, (_, attr) in load_tracer().TRACED.items()
-              if not any(source_readers(attr.split(".")[0], files).values())}
+              if not any(source_readers(attr.split(".")[0], SRC_FILES).values())}
     assert unread == {"action.infinitesimal_generator", "moment.uniqueness_check",
                       "moment.describe_kernel", "lie_core.ce_betti"}
 

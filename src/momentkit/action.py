@@ -56,7 +56,7 @@ from math import comb
 
 from .linalg import Mat, coordinates, mat_scale, nullspace, rank
 from .lie_core import (LieAlgebra, StructureError, exterior_basis, format_multivector,
-                       lie_kernel_basis, mv_from_coords)
+                       lie_kernel_basis)
 from .gmodule import (GModule, dual_module, lie_kernel_module, module_cohomology_dim,
                       restrict, tensor_module, trivial_module)
 from .polyform import (Form, MultiField, Poly, contract, contraction_chains, exterior_d,
@@ -161,13 +161,13 @@ class LieKernel:
 
     @cached_property
     def basis(self):
-        """Canonical basis, as coordinate vectors over exterior_basis(dim, k)."""
+        """Canonical basis, as sparse columns over exterior_basis(dim, k)."""
         return lie_kernel_basis(self.algebra, self.degree)
 
     @cached_property
     def multivectors(self):
         basis = exterior_basis(self.algebra.dim, self.degree)
-        return [mv_from_coords(vec, basis) for vec in self.basis]
+        return [{basis[i]: x for i, x in vec.items()} for vec in self.basis]
 
     @cached_property
     def names(self):
@@ -224,8 +224,8 @@ _SAMPLE_SEEDS = (
 def _contraction_matrix_at(columns, keys, point) -> Mat:
     """The forms `columns` with their coefficients evaluated at a point: one
     column per form, one row per index tuple of `keys`."""
-    return Mat.from_columns([[col.comps[idx].eval(point) if idx in col.comps else 0
-                              for idx in keys] for col in columns], len(keys))
+    return Mat.from_sparse_columns([{r: col.comps[idx].eval(point) for r, idx in enumerate(keys)
+                                     if idx in col.comps} for col in columns], len(keys))
 
 
 def check_multisymplectic(action: LieAction) -> dict:
@@ -320,8 +320,9 @@ def form_to_vector(alpha: Form, key_index) -> dict:
     return vec
 
 
-def vector_to_form(vec, keys, n: int, p: int) -> Form:
-    return Form.from_terms(n, p, ((c, mono, idx) for c, (idx, mono) in zip(vec, keys) if c))
+def vector_to_form(vec: dict, keys, n: int, p: int) -> Form:
+    """The form of a sparse {row: c} column over a key basis."""
+    return Form.from_terms(n, p, ((c, keys[r][1], keys[r][0]) for r, c in vec.items()))
 
 
 def _operator_matrix(op, keys_in, keys_out, n: int, p_in: int):
@@ -339,7 +340,7 @@ def closed_form_basis(n: int, p: int, max_degree: int):
     keys = form_key_basis(n, p, max_degree)
     keys_out = form_key_basis(n, p + 1, max(max_degree - 1, 0))
     vecs = nullspace(_operator_matrix(exterior_d, keys, keys_out, n, p))
-    basis_mat = Mat.from_columns(vecs, nrows=len(keys))
+    basis_mat = Mat.from_sparse_columns(vecs, nrows=len(keys))
     forms = [vector_to_form(v, keys, n, p) for v in vecs]
     return forms, keys, basis_mat
 
@@ -390,12 +391,14 @@ class TruncatedFormModule:
         return [self.from_coords(c) for c in nullspace(stacked)]
 
     def to_coords(self, alpha: Form):
-        """Coordinates of a closed form in this basis; StructureError if it
-        escapes the truncation, None if it is not closed (not in span)."""
+        """Coordinates of a closed form in this basis, as a sparse column;
+        StructureError if it escapes the truncation, None if it is not closed
+        (not in span)."""
         vec = form_to_vector(alpha, self.key_index)
         sol = coordinates(self.basis_mat, Mat.from_sparse_columns([vec], nrows=len(self.keys)))
-        return None if sol is None else sol.col(0)
+        return None if sol is None else sol.columns()[0]
 
-    def from_coords(self, coords) -> Form:
+    def from_coords(self, coords: dict) -> Form:
+        """The form of a sparse coordinate column in this basis."""
         return Form.linear_combination(self.n, self.form_degree,
-                                       zip(coords, self.forms))
+                                       ((c, self.forms[a]) for a, c in coords.items()))

@@ -892,8 +892,8 @@ def main(argv=None):
         return 2
     try:
         pf = parse_problem(read_problem_text(path))
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except OSError as e:  # a directory, or a file that cannot be read
+        print(f"error: {path}: {e.strerror}", file=sys.stderr)
         return 2
     except MmkError as e:
         print(f"error: {path}: {e}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 A GModule packages exact matrices rho(e_i).  Its dimension is the size of
 the matrices, or the `dim` argument over a 0-dimensional algebra, which has
-none.  Cochains C^k(g, M) = Lambda^k(g)^* (x) M are stored as coordinate
-vectors over the basis {(T, u)}: T an increasing k-tuple over the algebra
+none.  Cochains C^k(g, M) = Lambda^k(g)^* (x) M are stored as sparse
+columns over the basis {(T, u)}: T an increasing k-tuple over the algebra
 basis (ordered lexicographically, major index) and u a module basis index
 (minor index), the layout of `linalg.kron_sum`.
 
@@ -48,8 +48,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .linalg import Mat, coordinates, kron_sum, mat_mul, mat_scale, mat_vec, \
-    nullspace, rank, solve
+from .linalg import Mat, coordinates, kron_sum, mat_mul, mat_scale, nullspace, rank, solve
 from .lie_core import LieAlgebra, StructureError, boundary_matrix, exterior_basis, \
     lie_kernel_basis, wedge_matrix
 
@@ -127,8 +126,9 @@ class GModule:
         all of M, so that no module keeps itself.  For a tensor product a (x) b
         with a_0 = a it is a (x) b_0, and rho is not built.  Otherwise it is
         the joint generalized kernel of rho(z) over the centre's basis: that
-        of p^(2^j), p = rho(z), once squaring stops growing it, and all of M
-        once a power is zero; `restrict` refuses it only if rho is no representation."""
+        of p^(2^j), p = rho(z) summed over z's nonzero coefficients, once
+        squaring stops growing it, and all of M once a power is zero;
+        `restrict` refuses it only if rho is no representation."""
         if self.acts_by_zero:
             return None
         if self.factors and self.factors[0].weight_zero is None:
@@ -136,7 +136,7 @@ class GModule:
             return None if b.weight_zero is None else tensor_module(a, b.weight_zero)
         sub = self
         for z in self.algebra.center:
-            p, kernel = kron_sum([(Mat([[c]]), r) for c, r in zip(z, sub.rho)]), None
+            p, kernel = kron_sum([(Mat([[c]]), sub.rho[i]) for i, c in z.items()]), None
             while not p.is_zero():
                 wider = nullspace(p)
                 if kernel is not None and len(wider) == len(kernel):
@@ -144,7 +144,7 @@ class GModule:
                 kernel, p = wider, mat_mul(p, p)
             else:  # a power of p is zero, so M_0 is all of sub
                 continue
-            basis = Mat.from_columns(kernel, sub.dim)
+            basis = Mat.from_sparse_columns(kernel, sub.dim)
             sub = restrict(self.algebra, basis, [mat_mul(r, basis) for r in sub.rho],
                            f"weight_zero({self.name})")
         return None if sub is self else sub
@@ -187,7 +187,7 @@ def lie_kernel_module(g: LieAlgebra, k: int, basis=None) -> GModule:
     e_i is -boundary_{k+1} e_i.  Its image is a boundary, in P_k as
     boundary boundary = 0 (the Jacobi identity), which `restrict` checks."""
     kb = lie_kernel_basis(g, k) if basis is None else basis
-    kmat = Mat.from_columns(kb, len(exterior_basis(g.dim, k)))
+    kmat = Mat.from_sparse_columns(kb, len(exterior_basis(g.dim, k)))
     minus_boundary = mat_scale(boundary_matrix(g, k + 1), -1)
     m = restrict(g, kmat, (mat_mul(minus_boundary, mat_mul(wedge_matrix(g.dim, i, k), kmat))
                            for i in range(g.dim)), f"lie_kernel(k={k})")
@@ -231,12 +231,13 @@ def module_cohomology_dim(m: GModule, k: int) -> int:
 
 def invariants_basis(m: GModule):
     """Canonical basis of H^0(g, M) = ker d^0, the joint kernel of all
-    rho(e_i) (d^0 stacks them)."""
+    rho(e_i) (d^0 stacks them), as sparse columns."""
     return nullspace(ce_module_differential(m, 0))
 
 
 def coboundary_solve(m: GModule, k: int, target):
-    """Solve d x = target for x in C^{k-1}(g, M), target in C^k(g, M).
+    """Solve d x = target for x in C^{k-1}(g, M), target in C^k(g, M), both
+    sparse columns.
 
     Returns the deterministic particular solution (free coordinates zero),
     or None when the target is not a coboundary.  Raises StructureError if
@@ -244,7 +245,7 @@ def coboundary_solve(m: GModule, k: int, target):
     caller's input is inconsistent).
     """
     dk = ce_module_differential(m, k)
-    if any(mat_vec(dk, target)):
+    if not mat_mul(dk, Mat.from_sparse_columns([target], dk.ncols)).is_zero():
         raise StructureError("coboundary_solve target is not a cocycle")
     dprev = ce_module_differential(m, k - 1)
     return solve(dprev, target)

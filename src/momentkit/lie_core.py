@@ -33,13 +33,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
 
 from .linalg import Mat, frac, mat_mul, mat_vstack, nullspace, rank
-
-ZERO = Fraction(0)
 
 
 class StructureError(ValueError):
@@ -81,8 +78,8 @@ class LieAlgebra:
 
     @cached_property
     def center(self):
-        """Canonical basis of the centre, computed once: the nullspace of the
-        maps x -> boundary(e_j ^ x) = -[e_j, x] stacked over j."""
+        """Canonical basis of the centre as sparse columns, computed once: the
+        nullspace of the maps x -> boundary(e_j ^ x) = -[e_j, x] stacked over j."""
         b = boundary_matrix(self, 2)
         return nullspace(reduce(mat_vstack, (mat_mul(b, wedge_matrix(self.dim, j, 1))
                                              for j in range(self.dim)), Mat.zeros(0, self.dim)))
@@ -116,21 +113,6 @@ def sort_with_sign(indices):
         if a == b:
             return 0, None
     return sign, tuple(idx)
-
-
-def mv_coords(a: dict, basis) -> list:
-    """Coordinates over `basis`; ValueError for a term outside it."""
-    pos = {t: i for i, t in enumerate(basis)}
-    out = [ZERO] * len(basis)
-    for t, x in a.items():
-        if t not in pos:
-            raise ValueError(f"multivector term {t} is not in the basis")
-        out[pos[t]] = x
-    return out
-
-
-def mv_from_coords(coords, basis) -> dict:
-    return {t: frac(x) for t, x in zip(basis, coords) if x}
 
 
 def format_term(coeff: str, body: str) -> str:
@@ -225,7 +207,7 @@ def validate_jacobi(g: LieAlgebra) -> None:
 
 def lie_kernel_basis(g: LieAlgebra, k: int):
     """Canonical basis of the degree-k Lie kernel (kernel of the boundary),
-    as coordinate vectors over exterior_basis(g.dim, k)."""
+    as sparse {row: Fraction} columns over exterior_basis(g.dim, k)."""
     return nullspace(boundary_matrix(g, k))
 
 

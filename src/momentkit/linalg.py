@@ -9,8 +9,11 @@ Conventions:
   * a matrix is a `Mat`: a list of sparse rows, each a `{col: Fraction}`
     dict that never stores a zero, with an explicit shape so that 0-row and
     0-column matrices stay well defined.  Only this module reads the rows;
-    callers build with `from_columns` and `from_sparse_columns`, and read
-    with `nonzeros`, `col` and `dense`,
+    callers build with `from_sparse_columns`, and read with `nonzeros` and
+    `columns`,
+  * a vector is a sparse column, a `{row: Fraction}` dict that stores no
+    zero, rows ascending: kernel bases, coordinate vectors, right-hand sides
+    and solutions all take this one form, and a list of columns is a basis,
   * a matrix on a tensor product is a sum of Kronecker products, built by
     `kron_sum`, the one place that writes that block layout: row and column
     index = first factor's index major, second factor's minor.  Vectors over
@@ -30,8 +33,9 @@ Conventions:
     a pivot changes only the order of row operations, not the row space, and
     a row space has exactly one RREF; so the pivot rule never changes the
     result,
-  * `nullspace` returns the canonical RREF-normalized kernel basis: one
-    vector per free column, with entry 1 in that free column,
+  * `nullspace` returns the canonical RREF-normalized kernel basis as a
+    list of sparse columns: one per free column, with entry 1 in that free
+    column, its last row,
   * coordinates in such a basis are read, not solved for: a basis vector's
     free column is its last nonzero entry, where it is 1 and every other
     basis vector is 0, so a vector's coordinates are its entries at the free
@@ -47,7 +51,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -93,14 +96,6 @@ class Mat:
         return cls._of([{i: ONE} for i in range(n)], n)
 
     @classmethod
-    def from_columns(cls, cols, nrows):
-        """The matrix of dense columns, each a sequence of nrows numbers."""
-        if any(len(col) != nrows for col in cols):
-            raise ValueError("column length mismatch")
-        return cls.from_sparse_columns([{i: x for i, x in enumerate(col) if x} for col in cols],
-                                       nrows)
-
-    @classmethod
     def from_sparse_columns(cls, cols, nrows):
         """The matrix of sparse columns, each a {row: number} dict with rows
         in range(nrows): every entry is written once, zeros skipped."""
@@ -121,12 +116,13 @@ class Mat:
             for j in sorted(row):
                 yield i, j, row[j]
 
-    def dense(self):
-        """The rows as lists of Fractions."""
-        return [[row.get(j, ZERO) for j in range(self.ncols)] for row in self.rows]
-
-    def col(self, j):
-        return [row.get(j, ZERO) for row in self.rows]
+    def columns(self):
+        """The columns as sparse {row: Fraction} dicts, rows ascending."""
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return cols
 
     def transpose(self):
         out = Mat.zeros(self.ncols, self.nrows)
@@ -172,20 +168,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
             _axpy(orow, x, b.rows[k])
         out.append(orow)
     return Mat._of(out, b.ncols)
-
-
-def mat_vec(a: Mat, v) -> list:
-    if a.ncols != len(v):
-        raise ValueError("shape mismatch in mat_vec")
-    out = []
-    for row in a.rows:
-        s = ZERO
-        for j, x in row.items():
-            y = v[j]
-            if y:
-                s += x * y
-        out.append(s)
-    return out
 
 
 def mat_scale(a: Mat, c) -> Mat:
@@ -366,16 +348,18 @@ def rref(m: Mat):
 
 
 def nullspace(m: Mat):
-    """Canonical kernel basis (RREF-normalized), as a list of vectors."""
+    """Canonical kernel basis (RREF-normalized), as a list of sparse columns:
+    column j's rows are the pivots left of free column j, ascending, then j
+    itself with entry 1."""
     r, pivots = rref(m)
     pivset = set(pivots)
-    basis = {j: [ZERO] * m.ncols for j in range(m.ncols) if j not in pivset}
-    for j, v in basis.items():
-        v[j] = ONE
+    basis = {j: {} for j in range(m.ncols) if j not in pivset}
     for row, c in zip(r.rows, pivots):
         for j, x in row.items():
             if j != c:
                 basis[j][c] = -x
+    for j, v in basis.items():
+        v[j] = ONE
     return list(basis.values())
 
 
@@ -409,9 +393,8 @@ def solve_many(a: Mat, b: Mat):
     return out
 
 
-def solve(a: Mat, b):
-    """Particular solution of a x = b with free variables set to zero, or None."""
-    if a.nrows != len(b):
-        raise ValueError("shape mismatch in solve")
-    x = solve_many(a, Mat.from_columns([b], a.nrows))
-    return None if x is None else x.col(0)
+def solve(a: Mat, b: dict):
+    """Particular solution of a x = b, b a sparse column, with free variables
+    set to zero, as a sparse column; or None."""
+    x = solve_many(a, Mat.from_sparse_columns([b], a.nrows))
+    return None if x is None else x.columns()[0]

@@ -49,8 +49,7 @@ which also serves the tests as the oracle.
 from __future__ import annotations
 
 from .linalg import Mat, coordinates, kron_sum, mat_hstack, mat_mul, rref, solve_many
-from .lie_core import (StructureError, boundary_matrix, exterior_basis,
-                       mv_coords, mv_from_coords, wedge_matrix)
+from .lie_core import StructureError, boundary_matrix, exterior_basis, wedge_matrix
 from .gmodule import (ce_module_differential, coboundary_solve, invariants_basis,
                       module_cohomology_dim)
 from .polyform import (Form, contraction_chains, exterior_d, exterior_d_plus,
@@ -118,14 +117,18 @@ class MomentMap:
         """f_k on an arbitrary kernel element (multivector dict), by its
         coordinates in the kernel basis (`linalg.coordinates`)."""
         values = self.component(k)
-        basis = exterior_basis(self.action.algebra.dim, k)
-        coeffs = coordinates(Mat.from_columns(self.action.kernel(k).basis, len(basis)),
-                             Mat.from_columns([mv_coords(mv, basis)], len(basis)))
+        pos = {t: i for i, t in enumerate(exterior_basis(self.action.algebra.dim, k))}
+        bad = [t for t in mv if t not in pos]
+        if bad:
+            raise ValueError(f"multivector term {bad[0]} is not in the basis")
+        coeffs = coordinates(Mat.from_sparse_columns(self.action.kernel(k).basis, len(pos)),
+                             Mat.from_sparse_columns([{pos[t]: x for t, x in mv.items()}],
+                                                     len(pos)))
         if coeffs is None:
             raise ValueError("element is not in the Lie kernel")
         return Form.linear_combination(self.action.ambient_dim,
                                        self.action.plectic_degree() - k,
-                                       zip(coeffs.col(0), values))
+                                       ((c, values[a]) for a, c in coeffs.columns()[0].items()))
 
 
 def defining_residuals(mm: MomentMap) -> dict:
@@ -197,7 +200,7 @@ def _preimage_route(action: LieAction, ks, route: str, unsolvable: str,
         a = boundary_matrix(g, k + 1)
         basis_next = exterior_basis(g.dim, k + 1)
         kernel = action.kernel(k)
-        kmat = Mat.from_columns(kernel.basis, a.nrows)
+        kmat = Mat.from_sparse_columns(kernel.basis, a.nrows)
         if in_brackets:
             cols = [{} for _ in range(kmat.ncols * g.dim)]
             for j in range(g.dim):
@@ -212,8 +215,7 @@ def _preimage_route(action: LieAction, ks, route: str, unsolvable: str,
                 f"element {kernel.names[_first_unsolvable(a, kmat)]} is {unsolvable}")
         if in_brackets:
             x = mat_mul(w, x)
-        preimages[k] = [{t: z * c for t, c in mv_from_coords(x.col(b), basis_next).items()}
-                        for b in range(kmat.ncols)]
+        preimages[k] = [{basis_next[i]: z * c for i, c in col.items()} for col in x.columns()]
     values = iter(contraction_chains(action.fields, action.omega,
                                      [q for qs in preimages.values() for q in qs]))
     components = {k: [next(values) for _ in qs] for k, qs in preimages.items()}
@@ -291,6 +293,15 @@ def check_module_morphism(mm: MomentMap, k: int):
     return quotient_ok, sigma_is_zero(sigma)
 
 
+def _blocks(col: dict, r: int, t: int):
+    """A sparse column over P* (x) forms (r kernel elements major, t forms
+    minor) as r sparse coordinate columns over the forms."""
+    out = [{} for _ in range(r)]
+    for j, c in col.items():
+        out[j // t][j % t] = c
+    return out
+
+
 def make_equivariant(mm: MomentMap, k: int, max_degree: int):
     """Try to repair f_k by l with delta l = Sigma inside the truncated
     module; returns (new_map, l_forms, status) where status is one of
@@ -307,7 +318,7 @@ def make_equivariant(mm: MomentMap, k: int, max_degree: int):
     g = action.algebra
     r = len(mm.components[k])
     t = len(trunc.forms)
-    target = []  # over Lambda^1 (x) P* (x) Omega, in the layout of kron_sum
+    target = {}  # over Lambda^1 (x) P* (x) Omega, in the layout of kron_sum
     for i in range(g.dim):
         for a in range(r):
             coords = trunc.to_coords(sigma[i][a])
@@ -319,11 +330,11 @@ def make_equivariant(mm: MomentMap, k: int, max_degree: int):
                 raise StructureError(
                     f"Sigma entry Sigma(e{i + 1})({action.kernel(k).names[a]}) is not "
                     f"closed: {cause}")
-            target += coords
+            target.update({(i * r + a) * t + j: c for j, c in coords.items()})
     sol = coboundary_solve(hom, 1, target)
     if sol is None:
         return None, None, f"obstructed at degree {max_degree}"
-    l_forms = [trunc.from_coords(sol[a * t:(a + 1) * t]) for a in range(r)]
+    l_forms = [trunc.from_coords(coords) for coords in _blocks(sol, r, t)]
     components = {kk: list(forms) for kk, forms in mm.components.items()}
     components[k] = [f + l for f, l in zip(components[k], l_forms)]
     new_mm = _checked(MomentMap(action, components), "equivariantized")
@@ -338,11 +349,9 @@ def uniqueness_check(action: LieAction, k: int, max_degree: int):
     hom = action.hom_module(k, max_degree)
     trunc = action.truncated_forms(k, max_degree)
     inv = invariants_basis(hom)
-    t = len(trunc.forms)
     r = len(action.kernel(k).basis)
-    reps = []
-    for v in inv:
-        reps.append([trunc.from_coords(v[a * t:(a + 1) * t]) for a in range(r)])
+    reps = [[trunc.from_coords(coords) for coords in _blocks(v, r, len(trunc.forms))]
+            for v in inv]
     return {"dim_invariants": len(inv), "unique": not inv, "representatives": reps}
 
 

@@ -2,9 +2,12 @@
 seeded inputs, exact references, call counters and the source walker.
 
 The references are written independently of the code they check: `naive_rref`
-is dense Gauss-Jordan; `mv_term` accumulates one sorted multivector term,
-and `mv_add`, `mv_boundary`, `mv_wedge` and the term-by-term Schouten bracket
-`schouten` are written with it; `summed_matrix` and `entry` build and read
+is dense Gauss-Jordan; `dense`, `dense_vector`, `sparse_vector` and
+`mat_vec` are the dense views of the sparse matrices and columns that
+momentkit works in, and `mv_column` and
+`column_mv` turn multivectors into such columns and back; `mv_term` accumulates one
+sorted multivector term, and `mv_add`, `mv_boundary`, `mv_wedge` and the
+term-by-term Schouten bracket `schouten` are written with it; `summed_matrix` and `entry` build and read
 a `Mat` through its public sparse interface; `cartan_residual` is the
 boundary identity linking d, contraction and Lie derivatives.
 
@@ -172,6 +175,47 @@ def summed_matrix(entries, nrows, ncols):
             raise IndexError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
         cols[j][i] = cols[j].get(i, 0) + Fraction(x)
     return Mat.from_sparse_columns(cols, nrows)
+
+
+def dense(m):
+    """The rows of a Mat as lists of Fractions, read from its nonzeros."""
+    rows = [[Fraction(0)] * m.ncols for _ in range(m.nrows)]
+    for i, j, x in m.nonzeros():
+        rows[i][j] = x
+    return rows
+
+
+def dense_vector(col, n):
+    """A sparse {row: x} column as a list of n Fractions."""
+    out = [Fraction(0)] * n
+    for i, x in col.items():
+        out[i] = x
+    return out
+
+
+def sparse_vector(values):
+    """A list of numbers as a sparse column: its nonzero entries as Fractions."""
+    return {i: Fraction(x) for i, x in enumerate(values) if x}
+
+
+def mat_vec(a, v):
+    """a times the list v, as a list of Fractions."""
+    assert len(v) == a.ncols
+    out = [Fraction(0)] * a.nrows
+    for i, j, x in a.nonzeros():
+        out[i] += x * v[j]
+    return out
+
+
+def mv_column(a: dict, basis):
+    """A multivector as a sparse column over `basis`, rows ascending."""
+    pos = {t: i for i, t in enumerate(basis)}
+    return {i: Fraction(x) for i, x in sorted((pos[t], x) for t, x in a.items()) if x}
+
+
+def column_mv(col, basis):
+    """The multivector of a sparse column over `basis`."""
+    return {basis[i]: Fraction(x) for i, x in col.items() if x}
 
 
 def mv_term(target: dict, indices, coeff) -> None:

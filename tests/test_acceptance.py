@@ -14,7 +14,7 @@ import pytest
 
 from momentkit.lie_core import (ALGEBRA_CATALOG, boundary_matrix,
                                 catalog_algebra, ce_betti, exterior_basis,
-                                lie_kernel_basis, mv_from_coords)
+                                lie_kernel_basis)
 from momentkit.linalg import mat_mul
 from momentkit.gmodule import (ce_module_differential, dual_module, lie_kernel_module,
                                trivial_module)
@@ -29,8 +29,8 @@ from momentkit.moment import (MomentMap, check_module_morphism,
                               uniqueness_check, verify_moment)
 from momentkit.cli import catalog_action, main as cli_main
 
-from support import (ACTIONS, adjoint_module, cartan_residual, euler_one_form, mv_boundary,
-                     mv_wedge, naive_rank, random_form, schouten)
+from support import (ACTIONS, adjoint_module, cartan_residual, column_mv, dense, euler_one_form,
+                     mv_boundary, mv_wedge, naive_rank, random_form, schouten)
 
 ALGEBRAS = sorted(ALGEBRA_CATALOG)
 
@@ -77,7 +77,7 @@ def test_betti_tables_match_frozen_values_and_plain_elimination():
         g = catalog_algebra(name)
         betti = list(ce_betti(g))
         assert betti == frozen[name], name
-        ranks = {k: naive_rank(boundary_matrix(g, k).dense())
+        ranks = {k: naive_rank(dense(boundary_matrix(g, k)))
                  for k in range(1, g.dim + 1)}
         for k in range(g.dim + 1):
             expected = comb(g.dim, k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
@@ -96,7 +96,7 @@ def test_boundary_of_wedge_with_generator_equals_graded_bracket():
         for k in range(1, g.dim):
             basis = exterior_basis(g.dim, k)
             for vec in lie_kernel_basis(g, k):
-                p = mv_from_coords(vec, basis)
+                p = column_mv(vec, basis)
                 for i in range(g.dim):
                     xi = {(i,): Fraction(1)}
                     br = schouten(g, p, xi)
@@ -119,7 +119,7 @@ def test_extended_cartan_identity_residual_vanishes():
             if k > g.dim:
                 continue
             basis = exterior_basis(g.dim, k)
-            mvs = [mv_from_coords(v, basis) for v in lie_kernel_basis(g, k)][:3]
+            mvs = [column_mv(v, basis) for v in lie_kernel_basis(g, k)][:3]
             mvs.append({basis[0]: Fraction(1)})  # decomposable basis wedge
             for mv in mvs:
                 assert cartan_residual(action, mv, action.omega).is_zero()

@@ -8,7 +8,7 @@ from functools import reduce
 import pytest
 
 from momentkit.lie_core import ALGEBRA_CATALOG, LieAlgebra, StructureError, \
-    catalog_algebra, ce_betti, exterior_basis, lie_kernel_basis, mv_from_coords
+    catalog_algebra, ce_betti, exterior_basis, lie_kernel_basis
 from momentkit.gmodule import invariants_basis
 from momentkit.linalg import mat_vstack, nullspace, rank
 from momentkit.polyform import (Form, MultiField, Poly, contract, contraction_chains,
@@ -22,8 +22,8 @@ from momentkit.action import (_SAMPLE_SEEDS, LieAction, TruncatedFormModule,
                               validate_action, vector_to_form)
 from momentkit.cli import catalog_action, main, parse_problem
 
-from support import (ACTIONS, cartan_residual, euler_one_form, oracle_actions, random_form,
-                     summed_matrix, vector_field, volume_form)
+from support import (ACTIONS, cartan_residual, column_mv, euler_one_form, oracle_actions,
+                     random_form, summed_matrix, vector_field, volume_form)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def test_generators_edge_cases():
 
 def kernel_multivectors(g, k):
     basis = exterior_basis(g.dim, k)
-    return [mv_from_coords(v, basis) for v in lie_kernel_basis(g, k)]
+    return [column_mv(v, basis) for v in lie_kernel_basis(g, k)]
 
 
 def test_cartan_identity_on_kernel_decomposables():
@@ -422,8 +422,8 @@ def test_truncated_module_acts_by_the_signed_lie_derivative():
         s = action.sign()
         trunc = action.truncated_forms(1, 1)
         for v, rho in zip(action.fields, trunc.signed_module(action.algebra, s).rho):
-            for a, b in enumerate(trunc.forms):
-                assert trunc.from_coords(rho.col(a)) == lie_derivative(v, b) * s, name
+            for col, b in zip(rho.columns(), trunc.forms):
+                assert trunc.from_coords(col) == lie_derivative(v, b) * s, name
 
 
 def test_truncated_module_over_the_zero_algebra_keeps_its_dimension():

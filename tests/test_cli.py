@@ -428,7 +428,7 @@ def test_problem_files_that_are_not_plain_utf8_exit_cleanly(tmp_path):
     empty.write_bytes(b"")
     assert run(str(empty)) == (2, "", f"error: {empty}: input: "
                                       "missing required section [algebra]\n")
-    assert run(str(tmp_path))[0] == 2  # a directory
+    assert run(str(tmp_path)) == (2, "", f"error: {tmp_path}: Is a directory\n")
     assert run(str(tmp_path / "missing.mmk"))[0] == 2
 
 

@@ -11,16 +11,16 @@ from momentkit.action import LieAction
 from momentkit.cli import catalog_action, main
 from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError, abelian,
                                 boundary_matrix, catalog_algebra, ce_betti, exterior_basis,
-                                lie_kernel_basis, mv_coords, mv_from_coords,
-                                sort_with_sign)
-from momentkit.linalg import Mat, kron_sum, mat_mul, mat_vec, nullspace, rank, solve_many
+                                lie_kernel_basis, sort_with_sign)
+from momentkit.linalg import Mat, kron_sum, mat_mul, nullspace, rank, solve_many
 from momentkit.gmodule import (GModule, ce_module_differential, cochain_dim,
                                coboundary_solve, dual_module, invariants_basis,
                                lie_kernel_module, module_cohomology_dim,
                                tensor_module, trivial_module)
 
-from support import (NON_UNIMODULAR, PROBLEMS, adjoint_module, problem_actions, schouten,
-                     so5_action, summed_matrix)
+from support import (NON_UNIMODULAR, PROBLEMS, adjoint_module, column_mv, dense,
+                     dense_vector, mat_vec, mv_column, problem_actions, schouten, so5_action,
+                     sparse_vector, summed_matrix)
 
 
 def sample_modules(g):
@@ -125,7 +125,7 @@ def test_trivial_coefficients_give_the_transposed_boundary():
 
 def test_invariants_are_the_joint_kernel_of_the_action():
     def stacked_nullspace(m):
-        rows = [row for r in m.rho for row in r.dense()]
+        rows = [row for r in m.rho for row in dense(r)]
         return nullspace(Mat(rows, ncols=m.dim))
 
     cases = [trivial_module(LieAlgebra(0)), trivial_module(catalog_algebra("so3"), 0)]
@@ -219,12 +219,12 @@ def schouten_kernel_module(g, k):
     representation check."""
     basis = exterior_basis(g.dim, k)
     kb = lie_kernel_basis(g, k)
-    kmat = Mat.from_columns(kb, len(basis))
+    kmat = Mat.from_sparse_columns(kb, len(basis))
     rho = []
     for i in range(g.dim):
-        images = [mv_coords(schouten(g, {(i,): Fraction(1)}, mv_from_coords(v, basis)),
-                            basis) for v in kb]
-        coords = solve_many(kmat, Mat.from_columns(images, len(basis)))
+        images = [mv_column(schouten(g, {(i,): Fraction(1)}, column_mv(v, basis)), basis)
+                  for v in kb]
+        coords = solve_many(kmat, Mat.from_sparse_columns(images, len(basis)))
         if coords is None:
             return f"action of e{i + 1} does not preserve lie_kernel(k={k})"
         rho.append(coords)
@@ -297,9 +297,9 @@ def test_coboundary_solve_round_trip():
     x = [Fraction(1), Fraction(-2), Fraction(3)]
     d0 = ce_module_differential(ad, 0)
     target = mat_vec(d0, x)
-    y = coboundary_solve(ad, 1, target)
+    y = coboundary_solve(ad, 1, sparse_vector(target))
     assert y is not None
-    assert mat_vec(d0, y) == target
+    assert mat_vec(d0, dense_vector(y, d0.ncols)) == target
 
 
 def test_coboundary_solve_rejects_non_cocycles():
@@ -310,7 +310,7 @@ def test_coboundary_solve_rejects_non_cocycles():
     d1 = ce_module_differential(m, 1)
     assert any(mat_vec(d1, v))
     with pytest.raises(StructureError):
-        coboundary_solve(m, 1, v)
+        coboundary_solve(m, 1, sparse_vector(v))
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,25 @@ import pytest
 
 from momentkit.linalg import (Mat, _axpy, _eliminate, _integer_rows,
                               coordinates, frac, kron_sum, mat_hstack, mat_mul,
-                              mat_scale, mat_vec, mat_vstack, nullspace, rank,
-                              rref, solve, solve_many)
+                              mat_scale, mat_vstack, nullspace, rank, rref, solve,
+                              solve_many)
 
-from support import entry, naive_rank, naive_rref, summed_matrix
+from support import (dense, dense_vector, entry, mat_vec, naive_rank, naive_rref,
+                     sparse_vector, summed_matrix)
+
+
+def from_dense_columns(cols, nrows):
+    """The Mat whose columns are the lists of nrows numbers in `cols`."""
+    assert all(len(col) == nrows for col in cols)
+    return Mat.from_sparse_columns([sparse_vector(col) for col in cols], nrows)
 
 
 def in_span(vectors, v) -> bool:
     """Is v in the span of the given vectors (all plain lists)?"""
     if not vectors:
         return all(x == 0 for x in v)
-    a = Mat.from_columns(vectors, len(v))
-    return solve(a, v) is not None
+    a = from_dense_columns(vectors, len(v))
+    return solve(a, sparse_vector(v)) is not None
 
 
 def random_matrix(rng, m, n, density=0.7):
@@ -45,7 +52,7 @@ def test_rref_reproduces_row_space():
         r, pivots = rref(a)
         assert rank(r) == rank(a) == len(pivots)
         # every original row lies in the span of the reduced rows
-        rvecs = [list(row) for row in r.dense() if any(row)]
+        rvecs = [row for row in dense(r) if any(row)]
         for row in rows:
             assert in_span(rvecs, list(row))
 
@@ -58,15 +65,15 @@ def test_nullspace_vectors_are_killed():
         null = nullspace(a)
         assert len(null) == n - rank(a)
         for v in null:
-            assert all(x == 0 for x in mat_vec(a, v))
+            assert all(x == 0 for x in mat_vec(a, dense_vector(v, n)))
 
 
 def test_solve_round_trip_and_unsolvable():
     a = Mat([[1, 2], [3, 4], [5, 6]], ncols=2)
-    x = solve(a, [5, 11, 17])  # = a @ (1, 2)
-    assert x is not None
-    assert mat_vec(a, x) == [frac(5), frac(11), frac(17)]
-    assert solve(a, [1, 0, 0]) is None
+    x = solve(a, sparse_vector([5, 11, 17]))  # = a @ (1, 2)
+    assert x == {0: 1, 1: 2}
+    assert mat_vec(a, dense_vector(x, 2)) == [frac(5), frac(11), frac(17)]
+    assert solve(a, {0: 1}) is None
 
 
 def test_solve_many_columns():
@@ -91,7 +98,7 @@ def test_coordinates_match_solve_many():
         m, n = rng.randint(0, 5), rng.randint(0, 6)
         a = Mat([[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(n)]
                  for _ in range(m)], ncols=n)
-        basis = Mat.from_columns(nullspace(a), n)
+        basis = Mat.from_sparse_columns(nullspace(a), n)
         cols = [mat_vec(basis, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                                 for _ in range(basis.ncols)])
                 for _ in range(rng.randint(0, 2))]
@@ -99,7 +106,7 @@ def test_coordinates_match_solve_many():
         if rng.random() < 0.4:
             cols.insert(rng.randint(0, len(cols)),
                         [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)])
-        for rhs in (Mat.from_columns(cols, n), Mat.from_columns(cols[:1], n),
+        for rhs in (from_dense_columns(cols, n), from_dense_columns(cols[:1], n),
                     Mat.zeros(n, 0)):
             got = coordinates(basis, rhs)
             assert got == solve_many(basis, rhs)
@@ -130,7 +137,7 @@ def test_stack_and_kron_shapes():
     assert mat_hstack(a, b).shape == (1, 4)
     k = kron_sum([(Mat([[1, 2], [0, 1]], ncols=2), Mat([[0, 1], [1, 0]], ncols=2))])
     assert k.shape == (4, 4)
-    assert k.dense()[0] == [frac(0), frac(1), frac(0), frac(2)]
+    assert dense(k)[0] == [frac(0), frac(1), frac(0), frac(2)]
 
 
 def test_fraction_exactness_on_hilbert_block():
@@ -159,7 +166,7 @@ def naive_solve(a_rows, ncols, b):
 
 def stores_no_zero(m):
     # rebuilding from dense rows drops zeros, so this fails on a stored zero
-    return m == Mat(m.dense(), m.ncols)
+    return m == Mat(dense(m), m.ncols)
 
 
 def edge_case_matrices(rng):
@@ -188,18 +195,18 @@ def test_sparse_core_matches_dense_oracle():
     for rows, n in edge_case_matrices(rng):
         a = Mat(rows, ncols=n)
         assert stores_no_zero(a)
-        assert a.dense() == [[Fraction(x) for x in r] for r in rows]
+        assert dense(a) == [[Fraction(x) for x in r] for r in rows]
         assert rank(a) == naive_rank(rows)
 
         r, pivots = rref(a)
         want_rows, want_pivots = naive_rref(rows, n)
-        assert (r.dense(), pivots) == (want_rows, want_pivots)
+        assert (dense(r), pivots) == (want_rows, want_pivots)
         assert stores_no_zero(r)
 
         null = nullspace(a)
         assert len(null) == n - len(pivots)
         for v in null:
-            assert not any(mat_vec(a, v))
+            assert not any(mat_vec(a, dense_vector(v, n)))
 
         # right-hand sides: some consistent (a times a vector), some random
         ncols_b = rng.randint(0, 3)
@@ -209,16 +216,17 @@ def test_sparse_core_matches_dense_oracle():
                 cols.append(mat_vec(a, [Fraction(rng.randint(-3, 3)) for _ in range(n)]))
             else:
                 cols.append([Fraction(rng.randint(-3, 3)) for _ in range(len(rows))])
-        b = Mat.from_columns(cols, len(rows))
+        b = from_dense_columns(cols, len(rows))
         per_column = [naive_solve(rows, n, col) for col in cols]
-        assert [solve(a, col) for col in cols] == per_column
+        assert [solve(a, sparse_vector(col)) for col in cols] == [
+            None if x is None else sparse_vector(x) for x in per_column]
         got = solve_many(a, b)
         if any(x is None for x in per_column):
             assert got is None
         else:
             assert got is not None and got.shape == (n, ncols_b)
             assert stores_no_zero(got)
-            assert [got.col(j) for j in range(ncols_b)] == per_column
+            assert [dense_vector(col, n) for col in got.columns()] == per_column
 
 
 def test_builders_store_no_zeros():
@@ -231,8 +239,8 @@ def test_builders_store_no_zeros():
         assert kron_sum([(a, one), (mat_scale(a, -1), one)]) == Mat.zeros(*a.shape)
         assert mat_scale(a, 0) == Mat.zeros(*a.shape)
         prod = mat_mul(a, b)
-        assert prod.dense() == [[sum((x * y for x, y in zip(row, col)), Fraction(0))
-                                 for col in zip(*b.dense())] for row in a.dense()]
+        assert dense(prod) == [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+                                for col in zip(*dense(b))] for row in dense(a)]
         for out in (prod, kron_sum([(a, one), (a, one)]), a.transpose(),
                     kron_sum([(a, b)]), mat_hstack(a, a), mat_vstack(b, b)):
             assert stores_no_zero(out)
@@ -254,8 +262,8 @@ def dense_kron_sum(pairs):
     (m, n), (p, q) = pairs[0][0].shape, pairs[0][1].shape
     out = [[Fraction(0)] * (n * q) for _ in range(m * p)]
     for a, b in pairs:
-        for r, arow in enumerate(a.dense()):
-            for s, brow in enumerate(b.dense()):
+        for r, arow in enumerate(dense(a)):
+            for s, brow in enumerate(dense(b)):
                 for k, x in enumerate(arow):
                     for j, y in enumerate(brow):
                         out[r * p + s][k * q + j] += x * y
@@ -273,7 +281,7 @@ def test_kron_sum_matches_the_dense_oracle():
             pairs.append((mat_scale(pairs[0][0], -1), pairs[0][1]))
         got = kron_sum(pairs)
         assert got.shape == (m * p, n * q)
-        assert got.dense() == dense_kron_sum(pairs)
+        assert dense(got) == dense_kron_sum(pairs)
         assert stores_no_zero(got)
     a = Mat([[1, 2], [3, 4]], ncols=2)
     assert kron_sum([(a, Mat.identity(2)), (mat_scale(a, -1), Mat.identity(2))]).is_zero()
@@ -406,22 +414,22 @@ def test_integer_core_matches_fraction_oracle(monkeypatch):
                             for _ in range(a.ncols)]) for _ in range(2)]
         cols.append([Fraction(rng.randint(-4, 4), rng.choice((1, 7, 65537)))
                      for _ in range(a.nrows)])
-        b = Mat.from_columns(cols, a.nrows)
+        b = from_dense_columns(cols, a.nrows)
         got = (rank(a), rref(a), nullspace(a), solve_many(a, b),
-               solve_many(a, Mat.from_columns(cols[:2], a.nrows)),
-               [solve(a, col) for col in cols])
+               solve_many(a, from_dense_columns(cols[:2], a.nrows)),
+               [solve(a, sparse_vector(col)) for col in cols])
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "rref", fraction_rref)
             want = (fraction_rank(a), fraction_rref(a), nullspace(a),
-                    solve_many(a, b), solve_many(a, Mat.from_columns(cols[:2], a.nrows)),
-                    [solve(a, col) for col in cols])
+                    solve_many(a, b), solve_many(a, from_dense_columns(cols[:2], a.nrows)),
+                    [solve(a, sparse_vector(col)) for col in cols])
         assert got == want
         r, _ = got[1]
         assert all_fractions(x for _, _, x in r.nonzeros())
-        assert all_fractions(x for v in got[2] for x in v)
+        assert all_fractions(x for v in got[2] for x in v.values())
         for sol in got[3:5]:
             assert sol is None or all_fractions(x for _, _, x in sol.nonzeros())
-        assert all_fractions(x for sol in got[5] if sol for x in sol)
+        assert all_fractions(x for sol in got[5] if sol for x in sol.values())
         deficient += 0 < got[0] < min(a.shape)
         # in between, the core holds primitive rows of plain ints
         rows = _integer_rows(a)
@@ -443,16 +451,45 @@ def test_integer_core_keeps_int_rows_and_canonical_pivots():
     # a Mat row is made primitive on entry, so its scale never shows
     for scale in (1, 2, -6, Fraction(1, 10)):
         r, piv = rref(Mat([[scale * 2, scale * 4, 0], [0, 0, scale * 3]], ncols=3))
-        assert r.dense() == [[1, 2, 0], [0, 0, 1]] and piv == (0, 2)
+        assert dense(r) == [[1, 2, 0], [0, 0, 1]] and piv == (0, 2)
         assert all_fractions(x for _, _, x in r.nonzeros())
 
 
 def test_from_sparse_columns_skips_zeros_and_keeps_the_shape():
     m = Mat.from_sparse_columns([{0: 2, 2: 0}, {}, {1: Fraction(-1, 3)}], 3)
     assert m.shape == (3, 3)
-    assert m.dense() == [[2, 0, 0], [0, 0, Fraction(-1, 3)], [0, 0, 0]]
+    assert dense(m) == [[2, 0, 0], [0, 0, Fraction(-1, 3)], [0, 0, 0]]
     assert list(m.nonzeros()) == [(0, 0, 2), (1, 2, Fraction(-1, 3))]
     assert all(type(x) is Fraction for _, _, x in m.nonzeros())
+    assert m.columns() == [{0: 2}, {}, {1: Fraction(-1, 3)}]
     assert Mat.from_sparse_columns([], 2).shape == (2, 0)
-    assert Mat.from_columns([[0, 1], [Fraction(1, 2), 0]], 2) == Mat.from_sparse_columns(
+    assert from_dense_columns([[0, 1], [Fraction(1, 2), 0]], 2) == Mat.from_sparse_columns(
         [{1: 1}, {0: Fraction(1, 2)}], 2)
+
+
+def test_nullspace_returns_canonical_sparse_columns():
+    # random matrices with non-integral entries and the shapes elimination
+    # gets wrong first: 0 x n, n x 0, zero and full rank
+    rng = random.Random(35)
+    shapes = [([], 4), ([[] for _ in range(3)], 0), ([[0] * 5 for _ in range(4)], 5),
+              ([[Fraction(1, i + j + 1) for j in range(4)] for i in range(5)], 4)]
+    shapes += [(random_matrix(rng, m, n, density=rng.choice((0.2, 0.5, 0.9))), n)
+               for m, n in ((rng.randint(1, 7), rng.randint(1, 7)) for _ in range(60))]
+    full = deficient = 0
+    for rows, n in shapes:
+        a = Mat(rows, ncols=n)
+        ns = nullspace(a)
+        want_rows, pivots = naive_rref(rows, n)
+        assert ns == [{c: -row[j] for row, c in zip(want_rows, pivots) if row[j]} | {j: 1}
+                      for j in range(n) if j not in pivots]
+        assert len(ns) == n - rank(a) == n - naive_rank(rows)
+        for col in ns:
+            assert all(type(x) is Fraction and x for x in col.values())
+            assert list(col) == sorted(col)
+            assert list(col)[-1] not in pivots and col[list(col)[-1]] == 1
+        basis = Mat.from_sparse_columns(ns, n)
+        assert mat_mul(a, basis).is_zero()
+        assert basis.columns() == ns
+        full += not ns and n > 0
+        deficient += 0 < len(ns) < n
+    assert full and deficient

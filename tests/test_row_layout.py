@@ -1,9 +1,11 @@
 """Only `linalg.py` knows how a `Mat` stores its rows: no other module under
 src/momentkit/ reads a `.rows` attribute, so the row layout stays linalg's
-decision (callers use `from_columns`, `from_sparse_columns`, `nonzeros`,
-`col`, `dense` and `kron_sum`; the entrywise test oracles read and build
-matrices through `support.entry` and `support.summed_matrix`, over
-`nonzeros` and `from_sparse_columns`)."""
+decision: callers build matrices with `from_sparse_columns` and
+`kron_sum`, and read them with `nonzeros` and `columns`, all in sparse
+`{row: Fraction}` columns.  The entrywise test oracles read and build
+matrices through `support.entry` and `support.summed_matrix`, and the
+tests' dense views (`support.dense`, `support.dense_vector`,
+`support.mat_vec`) go through the same interface."""
 
 import ast
 

@@ -31,7 +31,8 @@ definition of each example action.
 file's `k` and `max_poly_degree`, and the resolved degrees and truncation
 replace them in the parsed arguments.  Every command is then called as
 `cmd(action, args, report)` on one action; the run's `Report` keeps its
-moment map (`_moment_map`), so the sections of `report` share it.
+moment map, or the message of its refused construction (`_moment_map`), so
+the sections of `report` share it.
 
 Exit status: 0 = success, 1 = a check failed, 2 = input error.
 """
@@ -589,6 +590,7 @@ class Report:
     def __init__(self, command, problem_name):
         self.data = {"command": command, "problem": problem_name, "sections": []}
         self.moment_map = None
+        self.refusal = None
 
     def section(self, title, payload, lines):
         self.data["sections"].append(
@@ -712,11 +714,9 @@ def cmd_diagnose(action, args, report):
             f"dim {e['hom_module_dim']}, h0 = {e['h0_hom']} "
             f"(uniqueness obstruction), h1 = {e['h1_hom']} "
             f"(equivariantization obstruction)")
-    diag_json = {"degrees": {str(k): v for k, v in diag["degrees"].items()}}
-    for key, val in diag.items():
-        if key != "degrees":
-            diag_json[key] = val
-    report.section("Existence diagnostics", diag_json, lines)
+    report.section("Existence diagnostics",
+                   {**diag, "degrees": {str(k): v for k, v in diag["degrees"].items()}},
+                   lines)
     return 0
 
 
@@ -747,14 +747,17 @@ def _moment_section(report, action, mm, title):
 
 def _moment_map(action, args, report):
     """The run's moment map by `args.method` at degrees `args.k`, built and
-    verified once and kept by the report.  A failed construction is reported
-    and gives None; it is not kept, so every section that asks reports it."""
-    if report.moment_map is None:
+    verified once and kept by the report.  A refused construction keeps its
+    message (not the exception, whose traceback holds the run's frames) and
+    gives None; every section that asks reports the kept refusal."""
+    if report.moment_map is None and report.refusal is None:
         try:
             report.moment_map = _METHODS[args.method](action, ks=args.k)
         except StructureError as e:
-            report.section(f"Moment map ({args.method})",
-                           {"error": str(e)}, [f"construction failed: {e}"])
+            report.refusal = str(e)
+    if report.refusal is not None:
+        report.section(f"Moment map ({args.method})", {"error": report.refusal},
+                       [f"construction failed: {report.refusal}"])
     return report.moment_map
 
 
@@ -796,31 +799,28 @@ def cmd_equivariance(action, args, report):
         lines.append(f"Sigma is a 1-cocycle: {'yes' if cocycle else 'NO'}")
         if not cocycle:
             ok = False
-        quotient_ok, strong_ok = check_module_morphism(mm, k)
+        quotient_ok = check_module_morphism(mm, k)[0]
         payload["morphism_quotient"] = quotient_ok
-        payload["morphism_strong"] = strong_ok
+        payload["morphism_strong"] = zero
         lines.append(f"module morphism up to exact terms: "
                      f"{'yes' if quotient_ok else 'NO'}")
         lines.append(f"strong module morphism (Sigma = 0): "
-                     f"{'yes' if strong_ok else 'no'}")
+                     f"{'yes' if zero else 'no'}")
         if not quotient_ok:
             ok = False
-        if zero:
-            lines.append("already equivariant; no repair needed")
-            payload["repair"] = "already equivariant"
-        else:
-            try:
-                fixed, l_forms, status = make_equivariant(mm, k, D)
-            except StructureError as e:
-                status, fixed, l_forms = f"failed: {e}", None, None
-                ok = False
-            payload["repair"] = status
-            lines.append(f"equivariantization at D<={D}: {status}")
-            if fixed is not None:
-                for a, nm in enumerate(names):
-                    lines.append(f"  l({nm}) = {format_form(l_forms[a])}")
-                payload["l"] = [{"p": nm, "l": format_form(l_forms[a])}
-                                for a, nm in enumerate(names)]
+        try:
+            _, l_forms, status = make_equivariant(mm, k, D)
+        except StructureError as e:
+            status, l_forms = f"failed: {e}", None
+            ok = False
+        payload["repair"] = status
+        lines.append("already equivariant; no repair needed" if zero
+                     else f"equivariantization at D<={D}: {status}")
+        if l_forms is not None:
+            for a, nm in enumerate(names):
+                lines.append(f"  l({nm}) = {format_form(l_forms[a])}")
+            payload["l"] = [{"p": nm, "l": format_form(l_forms[a])}
+                            for a, nm in enumerate(names)]
         h0 = module_cohomology_dim(action.hom_module(k, D), 0)
         payload["unique_in_truncation"] = h0 == 0
         payload["invariant_hom_dim"] = h0

@@ -228,75 +228,29 @@ def abelian(n: int) -> LieAlgebra:
     return LieAlgebra(n, {}, name=f"abelian{n}")
 
 
-def heisenberg3() -> LieAlgebra:
-    """[e0, e1] = e2, e2 central."""
-    return LieAlgebra(3, {(0, 1): {2: 1}}, name="heisenberg3")
-
-
-def su2() -> LieAlgebra:
-    """[e0,e1] = e2, [e1,e2] = e0, [e2,e0] = e1."""
-    return LieAlgebra(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}},
-                      name="su2")
-
-
-def so3() -> LieAlgebra:
-    g = su2()
-    g.name = "so3"
-    return g
-
-
-def _commutator(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))
-             for j in range(n)] for i in range(n)]
-
-
-def so4() -> LieAlgebra:
-    """Antisymmetric 4x4 matrices; basis E_{ij} = e_i e_j^T - e_j e_i^T for
-    i < j in lexicographic order, brackets = matrix commutators."""
-    pairs = list(combinations(range(4), 2))
-    mats = []
-    for (i, j) in pairs:
-        m = [[0] * 4 for _ in range(4)]
-        m[i][j] = 1
-        m[j][i] = -1
-        mats.append(m)
-    brackets = {}
-    for a in range(6):
-        for b in range(a + 1, 6):
-            comm = _commutator(mats[a], mats[b])
-            terms = {idx: comm[i][j] for idx, (i, j) in enumerate(pairs) if comm[i][j]}
-            # check the commutator is accounted for exactly
-            rebuilt = [[sum(x * mats[idx][r][c] for idx, x in terms.items())
-                        for c in range(4)] for r in range(4)]
-            if rebuilt != comm:
-                raise StructureError("so(4) commutator escaped the basis span")
-            brackets[(a, b)] = terms
-    return LieAlgebra(6, brackets, name="so4")
-
-
-def u2() -> LieAlgebra:
-    """R + su(2): e0 central, e1..e3 the su(2) triple."""
-    return LieAlgebra(4, {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}},
-                      name="u2")
-
-
+# name -> (dim, brackets), brackets in the form `LieAlgebra` takes.  so(4) is
+# the antisymmetric 4x4 matrices in the basis E_ij = e_i e_j^T - e_j e_i^T,
+# i < j in lexicographic order (E01, E02, E03, E12, E13, E23), bracketed by
+# the matrix commutator; u(2) is R + su(2), e0 central.
 ALGEBRA_CATALOG = {
-    "abelian3": lambda: abelian(3),
-    "heisenberg3": heisenberg3,
-    "su2": su2,
-    "so3": so3,
-    "so4": so4,
-    "u2": u2,
+    "abelian3": (3, {}),
+    "heisenberg3": (3, {(0, 1): {2: 1}}),
+    "su2": (3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}),
+    "so3": (3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}),
+    "so4": (6, {(0, 1): {3: -1}, (0, 2): {4: -1}, (0, 3): {1: 1}, (0, 4): {2: 1},
+                (1, 2): {5: -1}, (1, 3): {0: -1}, (1, 5): {2: 1}, (2, 4): {0: -1},
+                (2, 5): {1: -1}, (3, 4): {5: -1}, (3, 5): {4: 1}, (4, 5): {3: -1}}),
+    "u2": (4, {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}}),
 }
 
 
 def catalog_algebra(name: str) -> LieAlgebra:
+    """The catalog algebra `name`, its written table checked for Jacobi."""
     try:
-        factory = ALGEBRA_CATALOG[name]
+        dim, brackets = ALGEBRA_CATALOG[name]
     except KeyError:
         raise KeyError(f"unknown catalog algebra {name!r}; "
                        f"available: {sorted(ALGEBRA_CATALOG)}") from None
-    g = factory()
+    g = LieAlgebra(dim, brackets, name=name)
     validate_jacobi(g)
     return g

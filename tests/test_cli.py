@@ -552,6 +552,19 @@ def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):
                                                      1, 1, 1], problem
 
 
+def test_report_builds_a_refused_moment_map_once(monkeypatch, capsys):
+    # co3_r3's homotopy-operator map fails its recheck: the report keeps the
+    # refusal's message, and construct and equivariance each report it
+    from momentkit.moment import construct_poincare
+    constructions = count_calls(monkeypatch, construct_poincare)
+    rc, out, err = run_main(["report", os.path.join(GOLDEN, "co3_r3.mmk")], capsys)
+    assert (rc, err) == (1, "")
+    assert len(constructions) == 1
+    refusal = ("== Moment map (poincare) ==\nconstruction failed: homotopy-operator "
+               "construction failed its defining-equation recheck at f_1(e4),")
+    assert out.count(refusal) == 2
+
+
 def test_report_computes_sigma_only_where_it_is_not_proven_zero(monkeypatch, capsys):
     # so4's rotations are linear and preserve omega, so the homotopy-operator
     # map's Sigma is zero by theorem; abelian_r3's translations are not linear

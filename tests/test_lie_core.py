@@ -9,6 +9,7 @@ builds of `boundary_matrix` and `wedge_matrix`."""
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -85,6 +86,33 @@ def test_su2_boundary_of_e1_wedge_e2():
     g = catalog_algebra("su2")
     b = mv_boundary(g, {(0, 1): Fraction(1)})
     assert b == {(2,): Fraction(-1)}
+
+
+def test_so4_row_is_the_commutators_of_the_basis_matrices():
+    # the catalog writes so(4)'s structure constants out; here they are
+    # recomputed as commutators of E_ij = e_i e_j^T - e_j e_i^T (i < j,
+    # lexicographic) and each commutator is read in that basis
+    pairs = list(combinations(range(4), 2))
+
+    def basis_matrix(i, j):
+        m = [[0] * 4 for _ in range(4)]
+        m[i][j], m[j][i] = 1, -1
+        return m
+
+    def commutator(a, b):
+        return [[sum(a[r][m] * b[m][c] - b[r][m] * a[m][c] for m in range(4))
+                 for c in range(4)] for r in range(4)]
+
+    mats = [basis_matrix(i, j) for i, j in pairs]
+    g = catalog_algebra("so4")
+    assert g.dim == len(mats) == 6
+    for a, b in combinations(range(6), 2):
+        comm = commutator(mats[a], mats[b])
+        terms = {m: comm[i][j] for m, (i, j) in enumerate(pairs) if comm[i][j]}
+        rebuilt = [[sum(x * mats[m][r][c] for m, x in terms.items()) for c in range(4)]
+                   for r in range(4)]
+        assert rebuilt == comm, (a, b)  # the commutator lies in the span
+        assert g.bracket_basis(a, b) == tuple(sorted(terms.items())), (a, b)
 
 
 def test_boundary_squares_to_zero_everywhere():

@@ -683,10 +683,9 @@ def cmd_invariants(action, args, report):
     for k in args.k:
         p = n - k
         forms = invariant_closed_forms(action, p, D)
-        payload[str(k)] = [format_form(f) for f in forms]
-        lines.append(f"k={k} (form degree {p}): dim {len(forms)}")
-        for f in forms:
-            lines.append(f"  {format_form(f)}")
+        texts = payload[str(k)] = [format_form(f) for f in forms]
+        lines.append(f"k={k} (form degree {p}): dim {len(texts)}")
+        lines += [f"  {t}" for t in texts]
     report.section("Invariant closed forms", payload, lines)
     return 0
 
@@ -785,21 +784,17 @@ def cmd_equivariance(action, args, report):
         payload["sigma_zero"] = zero
         names = action.kernel(k).names
         if not zero:
-            entries = []
-            for i in range(action.algebra.dim):
-                for a, nm in enumerate(names):
-                    if not sigma[i][a].is_zero():
-                        entries.append({"xi": f"e{i + 1}", "p": nm,
-                                        "value": format_form(sigma[i][a])})
-                        lines.append(f"Sigma(e{i + 1})({nm}) = "
-                                     f"{format_form(sigma[i][a])}")
-            payload["nonzero_entries"] = entries
+            entries = payload["nonzero_entries"] = [
+                {"xi": f"e{i + 1}", "p": nm, "value": format_form(sigma[i][a])}
+                for i in range(action.algebra.dim) for a, nm in enumerate(names)
+                if not sigma[i][a].is_zero()]
+            lines += [f"Sigma({e['xi']})({e['p']}) = {e['value']}" for e in entries]
         cocycle = check_sigma_cocycle(mm, k)
         payload["cocycle"] = cocycle
         lines.append(f"Sigma is a 1-cocycle: {'yes' if cocycle else 'NO'}")
         if not cocycle:
             ok = False
-        quotient_ok = check_module_morphism(mm, k)[0]
+        quotient_ok = check_module_morphism(mm, k)
         payload["morphism_quotient"] = quotient_ok
         payload["morphism_strong"] = zero
         lines.append(f"module morphism up to exact terms: "
@@ -817,10 +812,9 @@ def cmd_equivariance(action, args, report):
         lines.append("already equivariant; no repair needed" if zero
                      else f"equivariantization at D<={D}: {status}")
         if l_forms is not None:
-            for a, nm in enumerate(names):
-                lines.append(f"  l({nm}) = {format_form(l_forms[a])}")
             payload["l"] = [{"p": nm, "l": format_form(l_forms[a])}
                             for a, nm in enumerate(names)]
+            lines += [f"  l({e['p']}) = {e['l']}" for e in payload["l"]]
         h0 = module_cohomology_dim(action.hom_module(k, D), 0)
         payload["unique_in_truncation"] = h0 == 0
         payload["invariant_hom_dim"] = h0

@@ -15,9 +15,11 @@ Conventions:
     zero, rows ascending: kernel bases, coordinate vectors, right-hand sides
     and solutions all take this one form, and a list of columns is a basis,
   * a matrix on a tensor product is a sum of Kronecker products, built by
-    `kron_sum`, the one place that writes that block layout: row and column
-    index = first factor's index major, second factor's minor.  Vectors over
-    a tensor product use the same order,
+    `kron_sum`, the one place that builds a matrix in that block layout: row
+    and column index = first factor's index major, second factor's minor.
+    Vectors over a tensor product use the same order; `moment` indexes them
+    in it by hand (`make_equivariant`'s target, `_blocks`, the columns of
+    `_preimage_route`'s W and the flattened cochain of `_hom_differential`),
   * all elimination is one fraction-free Gauss-Jordan routine,
     `_eliminate`, on integer rows: `rank` and `rref` scale each row of a
     `Mat` to a primitive integer row on entry (same row space), and `rref`
@@ -125,11 +127,7 @@ class Mat:
         return cols
 
     def transpose(self):
-        out = Mat.zeros(self.ncols, self.nrows)
-        for i, row in enumerate(self.rows):
-            for j, x in row.items():
-                out.rows[j][i] = x
-        return out
+        return Mat._of(self.columns(), self.nrows)
 
     def is_zero(self):
         return not any(self.rows)

@@ -284,13 +284,11 @@ def check_sigma_cocycle(mm: MomentMap, k: int) -> bool:
     return sigma_is_zero(sigma) or sigma_is_zero(_hom_differential(mm, k, 1, sigma))
 
 
-def check_module_morphism(mm: MomentMap, k: int):
-    """Quotient identity d f([xi,p]) = s d L_{V_xi} f(p) (holds for every
-    verified moment map) and the strong identity f([xi,p]) = s L_{V_xi} f(p)
-    (holds iff Sigma vanishes).  Returns (quotient_ok, strong_ok)."""
-    sigma = mm.sigma(k)
-    quotient_ok = all(exterior_d(form).is_zero() for row in sigma for form in row)
-    return quotient_ok, sigma_is_zero(sigma)
+def check_module_morphism(mm: MomentMap, k: int) -> bool:
+    """The quotient identity d f([xi,p]) = s d L_{V_xi} f(p): every Sigma
+    entry is closed.  It holds for every verified moment map; the strong
+    identity f([xi,p]) = s L_{V_xi} f(p) holds iff sigma_is_zero."""
+    return all(exterior_d(form).is_zero() for row in mm.sigma(k) for form in row)
 
 
 def _blocks(col: dict, r: int, t: int):

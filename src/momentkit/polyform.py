@@ -24,7 +24,7 @@ one pair of components, whose target index tuple and sign it resolves
 once before adding the block into that target's dict (`_combination`, `_add_products`).  An exponent move
 is a table lookup: raising exponent i (the x_i of a linear field, or of K)
 and lowering it (d, the bracket's derivatives) read two module-level
-tables, `_RAISE` and `_LOWER`, whose int-tuple entries are each sliced
+`_Table`s, `_RAISE` and `_LOWER`, whose int-tuple entries are each sliced
 once, on first use.  A constant factor leaves a monomial as it is, and
 only a factor of higher degree builds a sum of exponent tuples.
 Rendering reads each monomial's sort key and text from a third such table
@@ -144,23 +144,27 @@ def _poly(n: int, terms: dict) -> Poly:
     return p
 
 
-class _MonoTexts(dict):
-    """{monomial: (its sort key (degree, monomial), its rendered factors)},
-    each entry built on its first lookup."""
+class _Table(dict):
+    """{key: build(key)}, each entry built on its first lookup; a hit is a
+    plain dict lookup."""
 
-    __slots__ = ()
+    __slots__ = ("build",)
 
-    def __missing__(self, mono: tuple) -> tuple:
-        factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                   for i, e in enumerate(mono) if e]
-        entry = self[mono] = ((sum(mono), mono), "*".join(factors))
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        entry = self[key] = self.build(key)
         return entry
 
 
-# Every monomial format_poly has rendered, shared by all calls like the
-# exponent move tables below: a monomial's key and text do not depend on
-# the polynomial it appears in.
-_MONO_TEXTS = _MonoTexts()
+# Every monomial format_poly has rendered, {monomial: (its sort key (degree,
+# monomial), its rendered factors)}, shared by all calls like the exponent
+# move tables below: a monomial's key and text do not depend on the
+# polynomial it appears in.
+_MONO_TEXTS = _Table(lambda mono: ((sum(mono), mono), "*".join(
+    f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(mono) if e)))
 
 
 def format_poly(p: Poly) -> str:
@@ -215,35 +219,10 @@ def _wrap(cls, n: int, degree: int, acc: dict, den: int):
 # dropped by _wrap.
 
 
-class _Moves(dict):
-    """{monomial: the monomial with exponent i moved by step}, for one i,
-    each entry built by slicing on its first lookup."""
-
-    __slots__ = ("i", "step")
-
-    def __init__(self, i: int, step: int):
-        super().__init__()
-        self.i = i
-        self.step = step
-
-    def __missing__(self, m: tuple) -> tuple:
-        i = self.i
-        moved = self[m] = m[:i] + (m[i] + self.step,) + m[i + 1:]
-        return moved
-
-
-class _MoveTable(dict):
-    """{i: _Moves(i, step)}, each built on its first lookup."""
-
-    __slots__ = ("step",)
-
-    def __init__(self, step: int):
-        super().__init__()
-        self.step = step
-
-    def __missing__(self, i: int) -> _Moves:
-        moves = self[i] = _Moves(i, self.step)
-        return moves
+def _moves(step: int) -> _Table:
+    """{i: {monomial: the monomial with exponent i moved by step}}, each
+    entry sliced on its first lookup."""
+    return _Table(lambda i: _Table(lambda m: m[:i] + (m[i] + step,) + m[i + 1:]))
 
 
 # The exponent moves of every int kernel: _RAISE[i][m] is m with exponent i
@@ -251,8 +230,8 @@ class _MoveTable(dict):
 # and the bracket's partial derivatives).  They are shared by every call and
 # hold only int tuples, each equal to the slice it replaces, so a result's
 # monomials do not depend on what was computed before it.
-_RAISE = _MoveTable(1)
-_LOWER = _MoveTable(-1)
+_RAISE = _moves(1)
+_LOWER = _moves(-1)
 
 
 def _add_products(acc: dict, key: tuple, q: dict, p: dict, s: int) -> None:

@@ -238,13 +238,14 @@ def test_sigma_is_a_cocycle_for_every_constructed_map():
 def test_module_morphism_quotient_and_strong_characterization():
     strong_mm = construct_poincare(catalog_action("so4_r4"))
     for k in strong_mm.degrees():
-        quotient_ok, strong_ok = check_module_morphism(strong_mm, k)
-        assert quotient_ok and strong_ok
+        assert check_module_morphism(strong_mm, k)
+        assert sigma_is_zero(strong_mm.sigma(k))
         assert sigma_is_zero(sigma_cochain(strong_mm, k))
 
-    weak_mm = construct_poincare(catalog_action("abelian_r3"), ks=[2])
-    quotient_ok, strong_ok = check_module_morphism(weak_mm, 2)
-    assert quotient_ok and not strong_ok
+    weak_mm = construct_poincare(catalog_action("abelian_r3"), ks=[1, 2])
+    for k in (1, 2):
+        assert check_module_morphism(weak_mm, k)
+        assert not sigma_is_zero(weak_mm.sigma(k))
     sigma = sigma_cochain(weak_mm, 2)
     names = describe_kernel(weak_mm.action, 2)
     assert format_form(sigma[2][names.index("e1^e2")]) == "-1"

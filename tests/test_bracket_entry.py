@@ -34,7 +34,11 @@ functions that read `linalg.coordinates`, only `gmodule.restrict` builds a
 module; `TruncatedFormModule.to_coords` and `MomentMap.value` read the
 coordinates of one form or one kernel element.  Only `GModule.__init__`
 assigns a module's `factors`, and only `GModule.acts_by_zero` tests a
-module's rho for zero, so a tensor product answers it from its factors."""
+module's rho for zero, so a tensor product answers it from its factors.
+
+A table filled on first lookup has one class: `polyform._Table` is the only
+class that defines `__missing__`, and the exponent moves and monomial texts
+are instances of it."""
 
 import ast
 
@@ -134,3 +138,22 @@ def test_one_restriction_rule_and_one_zero_test():
                         (zero_test_of_rho, "GModule.acts_by_zero")):
         found = source_owners(match, SRC_FILES)
         assert {f: held for f, held in found.items() if held} == {"gmodule.py": {want}}
+
+
+def classes_defining(source, method):
+    """Names of the classes in `source` whose own body defines `method`."""
+    return {node.name for _, node in syntax_nodes(source) if isinstance(node, ast.ClassDef)
+            and any(isinstance(d, ast.FunctionDef) and d.name == method for d in node.body)}
+
+
+def test_the_checker_finds_classes_defining_a_method():
+    source = ("class A(dict):\n    def __missing__(self, k):\n        return k\n"
+              "class B:\n    class C(dict):\n        def __missing__(self, k):\n"
+              "            return k\n    def f(self):\n        def __missing__(k):\n"
+              "            return k\n")
+    assert classes_defining(source, "__missing__") == {"A", "C"}
+
+
+def test_one_lazily_filled_table_class():
+    found = {f: classes_defining(src_text(f), "__missing__") for f in SRC_FILES}
+    assert {f: held for f, held in found.items() if held} == {"polyform.py": {"_Table"}}

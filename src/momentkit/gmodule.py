@@ -136,7 +136,8 @@ class GModule:
             return None if b.weight_zero is None else tensor_module(a, b.weight_zero)
         sub = self
         for z in self.algebra.center:
-            p, kernel = kron_sum([(Mat([[c]]), sub.rho[i]) for i, c in z.items()]), None
+            p, kernel = kron_sum([(Mat.from_sparse_columns([{0: c}], 1), sub.rho[i])
+                                   for i, c in z.items()]), None
             while not p.is_zero():
                 wider = nullspace(p)
                 if kernel is not None and len(wider) == len(kernel):

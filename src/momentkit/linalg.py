@@ -18,8 +18,8 @@ Conventions:
     `kron_sum`, the one place that builds a matrix in that block layout: row
     and column index = first factor's index major, second factor's minor.
     Vectors over a tensor product use the same order; `moment` indexes them
-    in it by hand (`make_equivariant`'s target, `_blocks`, the columns of
-    `_preimage_route`'s W and the flattened cochain of `_hom_differential`),
+    in it by hand (`make_equivariant`'s target, `_blocks` and the flattened
+    cochain of `_hom_differential`),
   * all elimination is one fraction-free Gauss-Jordan routine,
     `_eliminate`, on integer rows: `rank` and `rref` scale each row of a
     `Mat` to a primitive integer row on entry (same row space), and `rref`
@@ -61,24 +61,9 @@ def frac(x) -> Fraction:
 
 
 class Mat:
-    """Sparse exact-rational matrix with explicit shape.
-
-    `Mat(rows, ncols)` builds one from dense rows (lists of numbers)."""
+    """Sparse exact-rational matrix with explicit shape."""
 
     __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, rows, ncols=None):
-        rows = [list(row) for row in rows]
-        if ncols is None:
-            if not rows:
-                raise ValueError("ncols is required for a matrix with no rows")
-            ncols = len(rows[0])
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-        self.rows = [{j: frac(x) for j, x in enumerate(row) if x} for row in rows]
-        self.nrows = len(rows)
-        self.ncols = ncols
 
     @classmethod
     def _of(cls, rows, ncols):

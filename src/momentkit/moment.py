@@ -202,11 +202,9 @@ def _preimage_route(action: LieAction, ks, route: str, unsolvable: str,
         kernel = action.kernel(k)
         kmat = Mat.from_sparse_columns(kernel.basis, a.nrows)
         if in_brackets:
-            cols = [{} for _ in range(kmat.ncols * g.dim)]
-            for j in range(g.dim):
-                for i, b, c in mat_mul(wedge_matrix(g.dim, j, k), kmat).nonzeros():
-                    cols[b * g.dim + j][i] = c
-            w = Mat.from_sparse_columns(cols, len(basis_next))
+            wedges = [mat_mul(wedge_matrix(g.dim, j, k), kmat).columns() for j in range(g.dim)]
+            w = Mat.from_sparse_columns([col for cols in zip(*wedges) for col in cols],
+                                        len(basis_next))
             a = mat_mul(a, w)
         x = solve_many(a, kmat)
         if x is None:

@@ -18,14 +18,14 @@ also drops the zero coefficients and empty components that cancellation
 left behind).  A result makes one Fraction per distinct value, shared by
 every term that holds it: Fractions are immutable, and a so(5) result has
 about one distinct value per five terms.  In between, every kernel (wedge
-and Poly products, d, contraction, K, linear combinations, the
-vector-field bracket) works a block at a time: one source component, or
-one pair of components, whose target index tuple and sign it resolves
-once before adding the block into that target's dict (`_combination`, `_add_products`).  An exponent move
-is a table lookup: raising exponent i (the x_i of a linear field, or of K)
-and lowering it (d, the bracket's derivatives) read two module-level
-`_Table`s, `_RAISE` and `_LOWER`, whose int-tuple entries are each sliced
-once, on first use.  A constant factor leaves a monomial as it is, and
+and Poly products, d, contraction, linear combinations, the vector-field
+bracket) works a block at a time: one source component, or one pair of
+components, whose target index tuple and sign it resolves once before
+adding the block into that target's dict (`_combination`,
+`_add_products`).  An exponent move is a table lookup: raising exponent i
+(the x_i of a linear field, such as K's Euler field) and lowering it (d,
+the bracket's derivatives) read two module-level `_Table`s, `_RAISE` and
+`_LOWER`, whose int-tuple entries are each sliced once, on first use.  A constant factor leaves a monomial as it is, and
 only a factor of higher degree builds a sum of exponent tuples.
 Rendering reads each monomial's sort key and text from a third such table
 (`format_poly`).
@@ -41,9 +41,9 @@ Conventions:
   * contraction: (X_1 ^ ... ^ X_k) . alpha applies iota_{X_1} innermost,
     i.e. equals alpha(X_1, ..., X_k, .),
   * Lie derivative along a vector field: L_X = d(X . alpha) + X . (d alpha),
-  * homotopy operator K: a x^mu dx^{i_1..i_p} maps to
-    1/(|mu|+p) * sum_j (-1)^(j-1) x^{i_j} a x^mu dx^{..i_j-hat..},
-    the degree-lowering inverse of d away from constants.
+  * homotopy operator K: iota_E / (|mu|+p) on a term a x^mu dx^{i_1..i_p},
+    E = sum_i x_i d/dx_i the Euler field: the degree-lowering inverse of d
+    away from constants.
 """
 
 from __future__ import annotations
@@ -236,8 +236,8 @@ _LOWER = _moves(-1)
 
 def _add_products(acc: dict, key: tuple, q: dict, p: dict, s: int) -> None:
     """acc[key] += s * q * p.  A constant monomial of q leaves p's monomials
-    as they are, and x_i (as in a linear field, or K's x^i) raises exponent
-    i by looking it up in _RAISE; only a higher-degree monomial adds tuples."""
+    as they are, and x_i (in a linear field such as K's Euler field) raises
+    exponent i by looking it up in _RAISE; only a higher-degree monomial adds tuples."""
     poly = acc.setdefault(key, {})
     get = poly.get
     for m1, c1 in q.items():
@@ -566,22 +566,18 @@ def poincare_homotopy(alpha: Form, c=1) -> Form:
     """c * K(alpha), for a scalar c (default 1), with K the homotopy operator:
     d K + K d = identity on polynomial forms of form-degree >= 1 (and on
     0-forms up to the constant term).  K of a 0-form is zero by convention.
-    The result is over den * L * c.denominator, with L the lcm of the |mu|+p
-    that K divides by, and c.numerator goes into the int scale."""
+    Each term is scaled by c/(|mu|+p) as ints over den * L * c.denominator,
+    L the lcm of the |mu|+p, and then contracted with the Euler field E."""
     if alpha.degree == 0:
         return Form.zero(alpha.n, 0)
     p = alpha.degree
     c = frac(c)
     den, a = _ints(alpha.comps)
     scale = lcm(*{sum(mono) + p for q in a.values() for mono in q})
-    units = [tuple(int(k == i) for k in range(alpha.n)) for i in range(alpha.n)]
-    acc: dict = {}
-    for idx, q in a.items():
-        scaled = {mono: v * c.numerator * (scale // (sum(mono) + p)) for mono, v in q.items()}
-        # x^i dx^{..i-hat..}, i at the j-th place of idx, with sign (-1)^j
-        for j, i in enumerate(idx):
-            _add_products(acc, idx[:j] + idx[j + 1:], {units[i]: 1}, scaled, -1 if j % 2 else 1)
-    return _wrap(Form, alpha.n, p - 1, acc, den * scale * c.denominator)
+    scaled = {idx: {mono: v * c.numerator * (scale // (sum(mono) + p)) for mono, v in q.items()}
+              for idx, q in a.items()}
+    euler = {(i,): {tuple(int(k == i) for k in range(alpha.n)): 1} for i in range(alpha.n)}
+    return _wrap(Form, alpha.n, p - 1, _contract(euler, scaled), den * scale * c.denominator)
 
 
 def _format_graded(x, basis) -> str:

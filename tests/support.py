@@ -8,8 +8,10 @@ momentkit works in, and `mv_column` and
 `column_mv` turn multivectors into such columns and back; `mv_term` accumulates one
 sorted multivector term, and `mv_add`, `mv_boundary`, `mv_wedge` and the
 term-by-term Schouten bracket `schouten` are written with it; `summed_matrix` and `entry` build and read
-a `Mat` through its public sparse interface; `cartan_residual` is the
-boundary identity linking d, contraction and Lie derivatives.
+a `Mat` through its public sparse interface, and `from_dense`, the tests'
+one way to write a matrix as dense rows, is built on `summed_matrix`;
+`cartan_residual` is the boundary identity linking d, contraction and Lie
+derivatives.
 
 The AST contracts read each file under src/momentkit/ once (`src_text`) and
 walk its syntax tree once (`syntax_nodes`).  Test modules import from here,
@@ -23,7 +25,7 @@ from functools import cache
 
 from momentkit.cli import catalog_action, parse_problem
 from momentkit.gmodule import GModule
-from momentkit.lie_core import LieAlgebra, boundary_of_tuple, sort_with_sign
+from momentkit.lie_core import ALGEBRA_CATALOG, LieAlgebra, boundary_of_tuple, sort_with_sign
 from momentkit.action import infinitesimal_generator
 from momentkit.linalg import Mat
 from momentkit.polyform import Form, MultiField, Poly, contract, exterior_d, lie_derivative
@@ -34,6 +36,7 @@ SRC_FILES = tuple(sorted(f for f in os.listdir(SRC) if f.endswith(".py")))
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 PROBLEMS = os.path.join(os.path.dirname(__file__), "..", "src", "momentkit",
                         "problems")
+ALGEBRAS = tuple(sorted(ALGEBRA_CATALOG))
 BUNDLED = ("abelian_r3", "so3_r3", "so4_r4", "u2_r4", "abelian_r2", "sl2_r2")
 ACTIONS = ("abelian_r3", "so3_r3", "so4_r4", "u2_r4")
 
@@ -177,6 +180,12 @@ def summed_matrix(entries, nrows, ncols):
     return Mat.from_sparse_columns(cols, nrows)
 
 
+def from_dense(rows, ncols):
+    """The Mat of dense rows, each a list of at most ncols numbers."""
+    return summed_matrix([(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)],
+                         len(rows), ncols)
+
+
 def dense(m):
     """The rows of a Mat as lists of Fractions, read from its nonzeros."""
     rows = [[Fraction(0)] * m.ncols for _ in range(m.nrows)]
@@ -274,8 +283,8 @@ def schouten(g, a, b):
 
 
 def adjoint_module(g):
-    mats = [Mat([[dict(g.bracket_basis(i, j)).get(m, 0) for j in range(g.dim)]
-                 for m in range(g.dim)], ncols=g.dim) for i in range(g.dim)]
+    mats = [from_dense([[dict(g.bracket_basis(i, j)).get(m, 0) for j in range(g.dim)]
+                        for m in range(g.dim)], g.dim) for i in range(g.dim)]
     return GModule(g, mats, name="adjoint").validate()
 
 

@@ -12,7 +12,7 @@ from math import comb
 
 import pytest
 
-from momentkit.lie_core import (ALGEBRA_CATALOG, boundary_matrix,
+from momentkit.lie_core import (boundary_matrix,
                                 catalog_algebra, ce_betti, exterior_basis,
                                 lie_kernel_basis)
 from momentkit.linalg import mat_mul
@@ -29,11 +29,8 @@ from momentkit.moment import (MomentMap, check_module_morphism,
                               uniqueness_check, verify_moment)
 from momentkit.cli import catalog_action, main as cli_main
 
-from support import (ACTIONS, adjoint_module, cartan_residual, column_mv, dense, euler_one_form,
-                     mv_boundary, mv_wedge, naive_rank, random_form, schouten)
-
-ALGEBRAS = sorted(ALGEBRA_CATALOG)
-
+from support import (ACTIONS, ALGEBRAS, adjoint_module, cartan_residual, column_mv, dense,
+                     euler_one_form, mv_boundary, mv_wedge, naive_rank, random_form, schouten)
 
 # ---------------------------------------------------------------------------
 # differentials square to zero

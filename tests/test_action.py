@@ -7,7 +7,7 @@ from functools import reduce
 
 import pytest
 
-from momentkit.lie_core import ALGEBRA_CATALOG, LieAlgebra, StructureError, \
+from momentkit.lie_core import LieAlgebra, StructureError, \
     catalog_algebra, ce_betti, exterior_basis, lie_kernel_basis
 from momentkit.gmodule import invariants_basis
 from momentkit.linalg import mat_vstack, nullspace, rank
@@ -22,8 +22,8 @@ from momentkit.action import (_SAMPLE_SEEDS, LieAction, TruncatedFormModule,
                               validate_action, vector_to_form)
 from momentkit.cli import catalog_action, main, parse_problem
 
-from support import (ACTIONS, cartan_residual, column_mv, euler_one_form, oracle_actions,
-                     random_form, summed_matrix, vector_field, volume_form)
+from support import (ACTIONS, ALGEBRAS, cartan_residual, column_mv, euler_one_form,
+                     oracle_actions, random_form, summed_matrix, vector_field, volume_form)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +436,7 @@ def test_truncated_module_over_the_zero_algebra_keeps_its_dimension():
 def test_kernel_dimensions_are_read_from_the_boundary_ranks():
     # dim P_k = C(dim, k) - rank boundary_k, for the catalog algebras (under
     # zero fields), the bundled problems and so(5); past the top degree too
-    algebras = [catalog_algebra(name) for name in sorted(ALGEBRA_CATALOG)]
+    algebras = [catalog_algebra(name) for name in ALGEBRAS]
     actions = [LieAction(g, [MultiField.zero(3, 1)] * g.dim, volume_form(3))
                for g in algebras] + oracle_actions()
     for action in actions:

@@ -595,7 +595,8 @@ def test_construct_contracts_each_kernel_prefix_once(monkeypatch, capsys):
     # again; its int chain step contracts each distinct nonempty prefix of
     # the kernel bases' index tuples, across all degrees, once, one
     # generator field into the contraction of the prefix before it, and it
-    # wedges nothing and calls no public contract
+    # wedges nothing and calls no public contract; the only other steps are
+    # K's, one contraction with the Euler field per kernel element
     from momentkit import polyform
     from momentkit.cli import catalog_action
     from momentkit.polyform import contract, contraction_chains, wedge
@@ -611,9 +612,12 @@ def test_construct_contracts_each_kernel_prefix_once(monkeypatch, capsys):
     assert rc == 0
     assert [mvs for _, _, mvs in chains] == [kernels]
     assert wedges == [] and contractions == []
-    assert len(steps) == len(prefixes)
     fields = [polyform._ints(v.comps)[1] for v in action.fields]
-    assert all(field in fields for field, _ in steps)
+    euler = [field for field, _ in steps if field not in fields]
+    n = action.ambient_dim
+    e = {(i,): {tuple(int(k == i) for k in range(n)): 1} for i in range(n)}
+    assert euler == [e] * len(kernels) and len(kernels) == 26 and len(prefixes) == 41
+    assert len(steps) == len(prefixes) + len(euler)
     into_omega = [field for field, alpha in steps
                   if alpha == polyform._ints(action.omega.comps)[1]]
     assert len(into_omega) == len({idx[0] for idx in tuples})

@@ -9,7 +9,7 @@ import pytest
 import momentkit.gmodule
 from momentkit.action import LieAction
 from momentkit.cli import catalog_action, main
-from momentkit.lie_core import (ALGEBRA_CATALOG, LieAlgebra, StructureError, abelian,
+from momentkit.lie_core import (LieAlgebra, StructureError, abelian,
                                 boundary_matrix, catalog_algebra, ce_betti, exterior_basis,
                                 lie_kernel_basis, sort_with_sign)
 from momentkit.linalg import Mat, kron_sum, mat_mul, nullspace, rank, solve_many
@@ -18,9 +18,9 @@ from momentkit.gmodule import (GModule, ce_module_differential, cochain_dim,
                                lie_kernel_module, module_cohomology_dim,
                                tensor_module, trivial_module)
 
-from support import (NON_UNIMODULAR, PROBLEMS, adjoint_module, column_mv, dense,
-                     dense_vector, mat_vec, mv_column, problem_actions, schouten, so5_action,
-                     sparse_vector, summed_matrix)
+from support import (ALGEBRAS, NON_UNIMODULAR, PROBLEMS, adjoint_module, column_mv, dense,
+                     dense_vector, from_dense, mat_vec, mv_column, problem_actions, schouten,
+                     so5_action, sparse_vector, summed_matrix)
 
 
 def sample_modules(g):
@@ -71,8 +71,8 @@ def test_representation_property_is_validated():
 
 def test_validation_names_the_first_failing_pair():
     g = catalog_algebra("abelian3")
-    a = Mat([[0, 1], [0, 0]], ncols=2)
-    b = Mat([[0, 0], [1, 0]], ncols=2)
+    a = from_dense([[0, 1], [0, 0]], 2)
+    b = from_dense([[0, 0], [1, 0]], 2)
     # [a, b, a] fails on (e0, e1) and (e1, e2), 0-based; the first is named,
     # counting from e1
     for rho, pair in (([Mat.zeros(2, 2), a, b], "(e2, e3)"), ([a, b, a], "(e1, e2)")):
@@ -81,7 +81,7 @@ def test_validation_names_the_first_failing_pair():
         assert str(err.value).endswith(f"on pair {pair}")
     GModule(g, [Mat.zeros(0, 0)] * 3).validate()
     GModule(LieAlgebra(0), [], dim=2).validate()
-    GModule(LieAlgebra(1), [Mat([[1, 2], [0, 3]], ncols=2)]).validate()
+    GModule(LieAlgebra(1), [from_dense([[1, 2], [0, 3]], 2)]).validate()
 
 
 def test_trivial_module_acts_by_zero():
@@ -107,7 +107,7 @@ def test_module_over_the_zero_algebra_keeps_its_dimension():
 
 
 def test_differential_matches_the_entrywise_reference():
-    for name in ALGEBRA_CATALOG:
+    for name in ALGEBRAS:
         g = catalog_algebra(name)
         for m in sample_modules(g):
             for k in range(g.dim + 1):
@@ -116,7 +116,7 @@ def test_differential_matches_the_entrywise_reference():
 
 
 def test_trivial_coefficients_give_the_transposed_boundary():
-    for name in ALGEBRA_CATALOG:
+    for name in ALGEBRAS:
         g = catalog_algebra(name)
         m = trivial_module(g)
         for k in range(g.dim + 1):
@@ -126,10 +126,10 @@ def test_trivial_coefficients_give_the_transposed_boundary():
 def test_invariants_are_the_joint_kernel_of_the_action():
     def stacked_nullspace(m):
         rows = [row for r in m.rho for row in dense(r)]
-        return nullspace(Mat(rows, ncols=m.dim))
+        return nullspace(from_dense(rows, m.dim))
 
     cases = [trivial_module(LieAlgebra(0)), trivial_module(catalog_algebra("so3"), 0)]
-    for name in ALGEBRA_CATALOG:
+    for name in ALGEBRAS:
         cases += sample_modules(catalog_algebra(name))
     for m in cases:
         assert invariants_basis(m) == stacked_nullspace(m), m
@@ -162,7 +162,7 @@ def test_trivial_coefficients_match_betti():
 def rank_test_algebras():
     """The catalog, the zero algebra, the generated so(5) and three
     non-unimodular algebras, by name."""
-    algebras = {name: catalog_algebra(name) for name in sorted(ALGEBRA_CATALOG)}
+    algebras = {name: catalog_algebra(name) for name in ALGEBRAS}
     algebras["zero"] = LieAlgebra(0)
     algebras["so5_seed1"] = so5_action().algebra
     algebras.update(NON_UNIMODULAR)
@@ -240,7 +240,7 @@ def outcome(build):
 
 
 def test_lie_kernel_action_is_the_schouten_bracket():
-    cases = [(catalog_algebra(name), k) for name in sorted(ALGEBRA_CATALOG)
+    cases = [(catalog_algebra(name), k) for name in ALGEBRAS
              for k in range(catalog_algebra(name).dim + 1)]
     cases += [(so5_action().algebra, k) for k in range(4)]
     for g, k in cases:
@@ -423,11 +423,11 @@ def staircase_module(rng, n):
             step = (b, i + 1, j) if a == 0 else (b, i, j + 1)
             if step in pos:
                 dense[pos[step]][col] = 1
-        rho.append(Mat(dense, size))
-    lower = Mat([[int(i == j) or (rng.randint(-1, 1) if i > j else 0) for j in range(size)]
-                 for i in range(size)], size)
-    upper = Mat([[int(i == j) or (rng.randint(-1, 1) if i < j else 0) for j in range(size)]
-                 for i in range(size)], size)
+        rho.append(from_dense(dense, size))
+    lower = from_dense([[int(i == j) or (rng.randint(-1, 1) if i > j else 0) for j in range(size)]
+                        for i in range(size)], size)
+    upper = from_dense([[int(i == j) or (rng.randint(-1, 1) if i < j else 0) for j in range(size)]
+                        for i in range(size)], size)
     conj = mat_mul(lower, upper)
     inverse = solve_many(conj, Mat.identity(size))
     return GModule(abelian(n), [mat_mul(mat_mul(conj, r), inverse) for r in rho]).validate()
@@ -443,7 +443,8 @@ def test_weight_zero_cohomology_of_random_abelian_modules():
 def test_the_weight_zero_part_of_a_non_commuting_action_is_refused():
     # rho(e1) = diag(0, 1) is not central in this non-representation: its
     # kernel e1 is not preserved by rho(e2), which swaps the coordinates
-    m = GModule(abelian(2), [Mat([[0, 0], [0, 1]]), Mat([[0, 1], [1, 0]])], name="swap")
+    m = GModule(abelian(2), [from_dense([[0, 0], [0, 1]], 2), from_dense([[0, 1], [1, 0]], 2)],
+                name="swap")
     with pytest.raises(StructureError) as err:
         m.weight_zero
     assert str(err.value) == "action of e2 does not preserve weight_zero(swap)"

@@ -11,8 +11,8 @@ from momentkit.linalg import (Mat, _axpy, _eliminate, _integer_rows,
                               mat_scale, mat_vstack, nullspace, rank, rref, solve,
                               solve_many)
 
-from support import (dense, dense_vector, entry, mat_vec, naive_rank, naive_rref,
-                     sparse_vector, summed_matrix)
+from support import (dense, dense_vector, entry, from_dense, mat_vec, naive_rank,
+                     naive_rref, sparse_vector, summed_matrix)
 
 
 def from_dense_columns(cols, nrows):
@@ -40,7 +40,7 @@ def test_rank_matches_naive_elimination():
     for _ in range(40):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         rows = random_matrix(rng, m, n)
-        assert rank(Mat(rows, ncols=n)) == naive_rank(rows)
+        assert rank(from_dense(rows, n)) == naive_rank(rows)
 
 
 def test_rref_reproduces_row_space():
@@ -48,7 +48,7 @@ def test_rref_reproduces_row_space():
     for _ in range(20):
         m, n = rng.randint(2, 6), rng.randint(2, 6)
         rows = random_matrix(rng, m, n)
-        a = Mat(rows, ncols=n)
+        a = from_dense(rows, n)
         r, pivots = rref(a)
         assert rank(r) == rank(a) == len(pivots)
         # every original row lies in the span of the reduced rows
@@ -61,7 +61,7 @@ def test_nullspace_vectors_are_killed():
     rng = random.Random(13)
     for _ in range(25):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
-        a = Mat(random_matrix(rng, m, n), ncols=n)
+        a = from_dense(random_matrix(rng, m, n), n)
         null = nullspace(a)
         assert len(null) == n - rank(a)
         for v in null:
@@ -69,7 +69,7 @@ def test_nullspace_vectors_are_killed():
 
 
 def test_solve_round_trip_and_unsolvable():
-    a = Mat([[1, 2], [3, 4], [5, 6]], ncols=2)
+    a = from_dense([[1, 2], [3, 4], [5, 6]], 2)
     x = solve(a, sparse_vector([5, 11, 17]))  # = a @ (1, 2)
     assert x == {0: 1, 1: 2}
     assert mat_vec(a, dense_vector(x, 2)) == [frac(5), frac(11), frac(17)]
@@ -77,15 +77,15 @@ def test_solve_round_trip_and_unsolvable():
 
 
 def test_solve_many_columns():
-    a = Mat([[2, 0], [0, 3]], ncols=2)
-    b = Mat([[4, 2], [9, 3]], ncols=2)
+    a = from_dense([[2, 0], [0, 3]], 2)
+    b = from_dense([[4, 2], [9, 3]], 2)
     x = solve_many(a, b)
     assert x is not None
     assert mat_mul(a, x) == b
-    assert solve_many(a, Mat([[1, 0], [0, 1], ], ncols=2)) is not None
-    bad = Mat([[1], [1]], ncols=1)
-    assert solve_many(Mat([[1], [1]], ncols=1), bad) is not None
-    assert solve_many(Mat([[1, 1]], ncols=2).transpose(), Mat([[1], [2]], ncols=1)) is None
+    assert solve_many(a, from_dense([[1, 0], [0, 1], ], 2)) is not None
+    bad = from_dense([[1], [1]], 1)
+    assert solve_many(from_dense([[1], [1]], 1), bad) is not None
+    assert solve_many(from_dense([[1, 1]], 2).transpose(), from_dense([[1], [2]], 1)) is None
 
 
 def test_coordinates_match_solve_many():
@@ -96,8 +96,8 @@ def test_coordinates_match_solve_many():
     outside = empty = whole = 0
     for _ in range(150):
         m, n = rng.randint(0, 5), rng.randint(0, 6)
-        a = Mat([[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(n)]
-                 for _ in range(m)], ncols=n)
+        a = from_dense([[rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(n)]
+                        for _ in range(m)], n)
         basis = Mat.from_sparse_columns(nullspace(a), n)
         cols = [mat_vec(basis, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                                 for _ in range(basis.ncols)])
@@ -131,11 +131,11 @@ def test_in_span_edges():
 
 
 def test_stack_and_kron_shapes():
-    a = Mat([[1, 2]], ncols=2)
-    b = Mat([[3, 4]], ncols=2)
+    a = from_dense([[1, 2]], 2)
+    b = from_dense([[3, 4]], 2)
     assert mat_vstack(a, b).shape == (2, 2)
     assert mat_hstack(a, b).shape == (1, 4)
-    k = kron_sum([(Mat([[1, 2], [0, 1]], ncols=2), Mat([[0, 1], [1, 0]], ncols=2))])
+    k = kron_sum([(from_dense([[1, 2], [0, 1]], 2), from_dense([[0, 1], [1, 0]], 2))])
     assert k.shape == (4, 4)
     assert dense(k)[0] == [frac(0), frac(1), frac(0), frac(2)]
 
@@ -143,8 +143,7 @@ def test_stack_and_kron_shapes():
 def test_fraction_exactness_on_hilbert_block():
     # Hilbert matrices are notorious under floating point; exact rank is full.
     n = 6
-    h = Mat([[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)],
-            ncols=n)
+    h = from_dense([[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)], n)
     assert rank(h) == n
     assert len(nullspace(h)) == 0
 
@@ -166,7 +165,7 @@ def naive_solve(a_rows, ncols, b):
 
 def stores_no_zero(m):
     # rebuilding from dense rows drops zeros, so this fails on a stored zero
-    return m == Mat(dense(m), m.ncols)
+    return m == from_dense(dense(m), m.ncols)
 
 
 def edge_case_matrices(rng):
@@ -193,7 +192,7 @@ def edge_case_matrices(rng):
 def test_sparse_core_matches_dense_oracle():
     rng = random.Random(2024)
     for rows, n in edge_case_matrices(rng):
-        a = Mat(rows, ncols=n)
+        a = from_dense(rows, n)
         assert stores_no_zero(a)
         assert dense(a) == [[Fraction(x) for x in r] for r in rows]
         assert rank(a) == naive_rank(rows)
@@ -233,8 +232,8 @@ def test_builders_store_no_zeros():
     rng = random.Random(5)
     for _ in range(30):
         m, n, p = rng.randint(0, 5), rng.randint(1, 5), rng.randint(1, 5)
-        a = Mat(random_matrix(rng, m, n, density=0.4), ncols=n)
-        b = Mat(random_matrix(rng, n, p, density=0.4), ncols=p)
+        a = from_dense(random_matrix(rng, m, n, density=0.4), n)
+        b = from_dense(random_matrix(rng, n, p, density=0.4), p)
         one = Mat.identity(1)
         assert kron_sum([(a, one), (mat_scale(a, -1), one)]) == Mat.zeros(*a.shape)
         assert mat_scale(a, 0) == Mat.zeros(*a.shape)
@@ -274,8 +273,8 @@ def test_kron_sum_matches_the_dense_oracle():
     rng = random.Random(13)
     for trial in range(60):
         m, n, p, q = (rng.randint(0, 3) for _ in range(4))
-        pairs = [(Mat(random_matrix(rng, m, n, density=0.5), ncols=n),
-                  Mat(random_matrix(rng, p, q, density=0.5), ncols=q))
+        pairs = [(from_dense(random_matrix(rng, m, n, density=0.5), n),
+                  from_dense(random_matrix(rng, p, q, density=0.5), q))
                  for _ in range(rng.randint(1, 3))]
         if trial % 2:  # the first product cancels, entry by entry
             pairs.append((mat_scale(pairs[0][0], -1), pairs[0][1]))
@@ -283,7 +282,7 @@ def test_kron_sum_matches_the_dense_oracle():
         assert got.shape == (m * p, n * q)
         assert dense(got) == dense_kron_sum(pairs)
         assert stores_no_zero(got)
-    a = Mat([[1, 2], [3, 4]], ncols=2)
+    a = from_dense([[1, 2], [3, 4]], 2)
     assert kron_sum([(a, Mat.identity(2)), (mat_scale(a, -1), Mat.identity(2))]).is_zero()
 
 
@@ -374,9 +373,9 @@ def hard_matrices(rng):
     zero rows, negative pivots, large coprime denominators, and
     rank-deficient Kronecker-shaped differentials."""
     primes = (65537, 999983, 1000003, 2 ** 31 - 1, 2 ** 61 - 1)
-    yield Mat([], ncols=5)                                         # 0 x n
-    yield Mat([[] for _ in range(4)], ncols=0)                     # n x 0
-    yield Mat([[0] * 3, [0] * 3], ncols=3)
+    yield from_dense([], 5)                                        # 0 x n
+    yield from_dense([[] for _ in range(4)], 0)                    # n x 0
+    yield from_dense([[0] * 3, [0] * 3], 3)
     for _ in range(40):
         m, n = rng.randint(1, 9), rng.randint(1, 9)
         rows = random_matrix(rng, m, n, density=rng.choice((0.2, 0.4, 0.8)))
@@ -392,13 +391,13 @@ def hard_matrices(rng):
         else:                                                      # dependent rows
             c = Fraction(rng.randint(-9, 9), rng.choice(primes))
             rows.append([x - c * y for x, y in zip(rows[0], rows[-1])])
-        yield Mat(rows, ncols=n)
+        yield from_dense(rows, n)
     for _ in range(12):
         # d = A (x) 1 - 1 (x) B, with A, B singular: the shape of the
         # module differentials, rank-deficient by construction
         p, q = rng.randint(2, 4), rng.randint(1, 4)
-        a = Mat(random_matrix(rng, p, p, density=0.5), ncols=p)
-        b = Mat(random_matrix(rng, q, q, density=0.5), ncols=q)
+        a = from_dense(random_matrix(rng, p, p, density=0.5), p)
+        b = from_dense(random_matrix(rng, q, q, density=0.5), q)
         a.rows[-1] = dict(a.rows[0])
         b.rows[0] = {}
         d = kron_sum([(a, Mat.identity(q)), (Mat.identity(p), mat_scale(b, -1))])
@@ -446,11 +445,11 @@ def test_integer_core_keeps_int_rows_and_canonical_pivots():
     pivots = _eliminate(rows, 3, reduce=True)
     assert all(type(x) is int for row in rows for x in row.values())
     got = [{j: Fraction(x, rows[p][c]) for j, x in rows[p].items()} for p, c in pivots]
-    want, want_pivots = fraction_rref(Mat([[4, 6, 0], [2, 5, 8], [0, -3, 12]]))
+    want, want_pivots = fraction_rref(from_dense([[4, 6, 0], [2, 5, 8], [0, -3, 12]], 3))
     assert (got, tuple(c for _, c in pivots)) == (want.rows[:len(pivots)], want_pivots)
     # a Mat row is made primitive on entry, so its scale never shows
     for scale in (1, 2, -6, Fraction(1, 10)):
-        r, piv = rref(Mat([[scale * 2, scale * 4, 0], [0, 0, scale * 3]], ncols=3))
+        r, piv = rref(from_dense([[scale * 2, scale * 4, 0], [0, 0, scale * 3]], 3))
         assert dense(r) == [[1, 2, 0], [0, 0, 1]] and piv == (0, 2)
         assert all_fractions(x for _, _, x in r.nonzeros())
 
@@ -477,7 +476,7 @@ def test_nullspace_returns_canonical_sparse_columns():
                for m, n in ((rng.randint(1, 7), rng.randint(1, 7)) for _ in range(60))]
     full = deficient = 0
     for rows, n in shapes:
-        a = Mat(rows, ncols=n)
+        a = from_dense(rows, n)
         ns = nullspace(a)
         want_rows, pivots = naive_rref(rows, n)
         assert ns == [{c: -row[j] for row, c in zip(want_rows, pivots) if row[j]} | {j: 1}

@@ -10,8 +10,7 @@ import pytest
 import momentkit.action
 import momentkit.moment
 from momentkit.lie_core import (LieAlgebra, StructureError, boundary_matrix,
-                                catalog_algebra, exterior_basis,
-                                lie_kernel_basis, validate_jacobi)
+                                catalog_algebra, validate_jacobi)
 from momentkit.linalg import Mat, solve_many
 from momentkit.gmodule import invariants_basis, module_cohomology_dim
 from momentkit.polyform import Form, MultiField, exterior_d, format_form, lie_derivative
@@ -25,34 +24,14 @@ from momentkit.moment import (MomentMap, _checked, _hom_differential,
                               sigma_cochain, sigma_is_zero, uniqueness_check,
                               verify_moment, zeta)
 
-from support import (column_mv, count_calls, entry, mv_add, mv_boundary, mv_wedge,
+from support import (count_calls, entry, mv_add, mv_boundary, mv_wedge,
                      oracle_actions, random_form, schouten, so5_action, volume_form)
 
-CATALOG_ALGEBRAS = ("abelian3", "su2", "so3", "heisenberg3", "so4", "u2")
-
 
 # ---------------------------------------------------------------------------
-# the graded boundary/bracket identity behind the bracket route
+# the graded boundary/bracket identity behind the bracket route (checked on
+# every catalog algebra in test_acceptance.py)
 # ---------------------------------------------------------------------------
-
-def test_boundary_of_kernel_wedge_generator():
-    # for p in the degree-k kernel: d(p ^ xi) = (-1)^k [p, xi]
-    #                               d(xi ^ p) = [p, xi]
-    for name in CATALOG_ALGEBRAS:
-        g = catalog_algebra(name)
-        for k in range(1, g.dim):
-            basis = exterior_basis(g.dim, k)
-            for vec in lie_kernel_basis(g, k):
-                p = column_mv(vec, basis)
-                for i in range(g.dim):
-                    xi = {(i,): Fraction(1)}
-                    br = schouten(g, p, xi)
-                    left1 = mv_boundary(g, mv_wedge(p, xi))
-                    assert left1 == {t: (-1) ** k * c for t, c in br.items()}, \
-                        (name, k, i)
-                    left2 = mv_boundary(g, mv_wedge(xi, p))
-                    assert left2 == br, (name, k, i)
-
 
 def test_su2_signs_in_the_identity_are_sharp():
     # p = e1 (k = 1): d(e1^e2) = -e3 while [e1,e2] = +e3, so the

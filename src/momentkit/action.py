@@ -28,8 +28,8 @@ all it keeps when its last user drops it):
     its ranks;
   * `kernel(k)`: the degree-k Lie kernel P_k of the algebra (`LieKernel`):
     canonical basis, kernel module and its dual, display names;
-  * `contractions(k, also)`: V_p . omega of P_k's basis elements; the
-    degrees asked for together and not kept yet come from one
+  * `contractions(ks)`: V_p . omega of P_k's basis elements for each k
+    in ks; the degrees not kept yet come from one
     `polyform.contraction_chains` pass over the generator fields, and each
     degree's list is kept;
   * `truncated_forms(k, D)`: closed (n-k)-forms of coefficient degree <= D
@@ -122,21 +122,20 @@ class LieAction:
     def kernel(self, k: int) -> "LieKernel":
         return self._derive(("kernel", k), lambda: LieKernel(self.algebra, k))
 
-    def contractions(self, k: int, also=()) -> list:
-        """V_p . omega, the defining equation's right-hand side up to -zeta(k),
-        for each basis element p of kernel(k).  Degree k and the degrees in
-        `also` that are not kept yet are contracted in one
+    def contractions(self, ks) -> dict:
+        """{k: [V_p . omega for each basis element p of kernel(k)]} over the
+        degrees ks, V_p . omega the defining equation's right-hand side up to
+        -zeta(k).  The degrees not kept yet are contracted in one
         `contraction_chains` pass over all their basis elements, so a prefix
         shared across degrees is contracted once; each degree's list is kept."""
-        missing = [d for d in dict.fromkeys((k, *also))
-                   if ("contractions", d) not in self._derived]
+        missing = [d for d in dict.fromkeys(ks) if ("contractions", d) not in self._derived]
         if missing:
             kernels = [self.kernel(d).multivectors for d in missing]
             values = iter(contraction_chains(self.fields, self.omega,
                                              [mv for mvs in kernels for mv in mvs]))
             for d, mvs in zip(missing, kernels):
                 self._derived[("contractions", d)] = [next(values) for _ in mvs]
-        return self._derived[("contractions", k)]
+        return {d: self._derived[("contractions", d)] for d in ks}
 
     def truncated_forms(self, k: int, max_degree: int) -> "TruncatedFormModule":
         """Closed (n-k)-forms of coefficient degree <= max_degree (the values

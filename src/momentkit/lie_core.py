@@ -224,10 +224,6 @@ def ce_betti(g: LieAlgebra):
 # catalog algebras
 # ---------------------------------------------------------------------------
 
-def abelian(n: int) -> LieAlgebra:
-    return LieAlgebra(n, {}, name=f"abelian{n}")
-
-
 # name -> (dim, brackets), brackets in the form `LieAlgebra` takes.  so(4) is
 # the antisymmetric 4x4 matrices in the basis E_ij = e_i e_j^T - e_j e_i^T,
 # i < j in lexicographic order (E01, E02, E03, E12, E13, E23), bracketed by

@@ -137,9 +137,8 @@ def defining_residuals(mm: MomentMap) -> dict:
     contractions of all the map's degrees asked of the action at once;
     all-zero certifies the moment map."""
     out = {}
-    ks = mm.degrees()
-    for k in ks:
-        for a, rhs in enumerate(mm.action.contractions(k, also=ks)):
+    for k, rhss in mm.action.contractions(mm.degrees()).items():
+        for a, rhs in enumerate(rhss):
             out[(k, a)] = exterior_d_plus(mm.components[k][a], zeta(k), rhs)
     return out
 
@@ -176,8 +175,8 @@ def construct_poincare(action: LieAction, ks=None) -> MomentMap:
     recheck reads them again); valid whenever the action preserves the
     closed form omega (then V_p . omega is closed for kernel p)."""
     ks = _default_degrees(action, ks)
-    components = {k: [poincare_homotopy(rhs, -zeta(k)) for rhs in action.contractions(k, also=ks)]
-                  for k in ks}
+    components = {k: [poincare_homotopy(rhs, -zeta(k)) for rhs in rhss]
+                  for k, rhss in action.contractions(ks).items()}
     mm = _checked(MomentMap(action, components), "homotopy-operator")
     mm.homotopy_operator = True
     return mm

@@ -18,7 +18,7 @@ also drops the zero coefficients and empty components that cancellation
 left behind).  A result makes one Fraction per distinct value, shared by
 every term that holds it: Fractions are immutable, and a so(5) result has
 about one distinct value per five terms.  In between, every kernel (wedge
-and Poly products, d, contraction, linear combinations, the vector-field
+products, d, contraction, linear combinations, the vector-field
 bracket) works a block at a time: one source component, or one pair of
 components, whose target index tuple and sign it resolves once before
 adding the block into that target's dict (`_combination`,
@@ -65,7 +65,9 @@ ZERO = Fraction(0)
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Sparse exact polynomial in n variables."""
+    """Sparse exact polynomial in n variables: a record of its coefficients.
+    It has no arithmetic of its own; forms do all of it (a polynomial times
+    a form is a wedge with a 0-form)."""
 
     __slots__ = ("n", "terms")
 
@@ -85,32 +87,12 @@ class Poly:
         c = frac(c)
         return cls(n, {(0,) * n: c} if c else {})
 
-    @classmethod
-    def var(cls, i: int, n: int) -> "Poly":
-        mono = [0] * n
-        mono[i] = 1
-        return cls(n, {tuple(mono): Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        return _coefficient(_zero_form(self) + _zero_form(other))
-
-    def __neg__(self) -> "Poly":
-        return _coefficient(-_zero_form(self))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return _coefficient(_zero_form(self) - _zero_form(other))
-
-    def __mul__(self, other):
-        return _coefficient(_zero_form(self) * other)
-
-    __rmul__ = __mul__
 
     def eval(self, point) -> Fraction:
         if len(point) != self.n:
@@ -127,9 +109,6 @@ class Poly:
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"Poly({format_poly(self)})"
@@ -340,8 +319,8 @@ class _Graded:
                 raise ValueError(f"component key {idx} is not an increasing {degree}-tuple")
             if any(i < 0 or i >= n for i in idx):
                 raise ValueError(f"component key {idx} out of range for n={n}")
-            if not isinstance(p, Poly):
-                p = Poly.const(n, p)
+            if not isinstance(p, Poly) or p.n != n:
+                raise TypeError(f"component {idx} is not a Poly in {n} variables")
             if not p.is_zero():
                 clean[tuple(idx)] = p
         self.comps = clean
@@ -400,10 +379,6 @@ class _Graded:
         return self * -1
 
     def __mul__(self, scalar):
-        if isinstance(scalar, Poly):
-            den, a = _ints(self.comps)
-            qden, q = _ints({(): scalar})
-            return _wrap(type(self), self.n, self.degree, _wedge(a, q), den * qden)
         return self.linear_combination(self.n, self.degree, ((scalar, self),))
 
     __rmul__ = __mul__
@@ -411,10 +386,6 @@ class _Graded:
     def __eq__(self, other):
         return (type(self) is type(other) and self.n == other.n
                 and self.degree == other.degree and self.comps == other.comps)
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.n, self.degree,
-                     frozenset(self.comps.items())))
 
     def max_coeff_degree(self) -> int:
         return max((p.degree() for p in self.comps.values()), default=-1)
@@ -426,14 +397,6 @@ class Form(_Graded):
 
 class MultiField(_Graded):
     """Polynomial multivector field of fixed degree on R^n."""
-
-
-def _zero_form(p: Poly) -> Form:
-    return Form(p.n, 0, {(): p})
-
-
-def _coefficient(f: Form) -> Poly:
-    return f.comps.get((), Poly(f.n))
 
 
 def wedge(a, b):

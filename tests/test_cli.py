@@ -10,11 +10,11 @@ import sys
 import pytest
 
 import momentkit
-from momentkit.cli import (MmkError, main, parse_problem, serialize_problem,
+from momentkit.cli import (MmkError, build_parser, main, parse_problem, serialize_problem,
                            tokenize)
 
-from support import (GOLDEN, INLINE_ALGEBRAS, PROBLEMS, count_calls, inline_algebra_problem,
-                     replace_everywhere)
+from support import (GOLDEN, INLINE_ALGEBRAS, PROBLEMS, ROOT, count_calls,
+                     inline_algebra_problem, replace_everywhere)
 
 BUNDLED = ("abelian_r3.mmk", "so3_r3.mmk", "so4_r4.mmk", "u2_r4.mmk")
 
@@ -441,6 +441,89 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, env=env)
     assert rc.returncode == 0
     assert "(1, 0, 0, 1)" in rc.stdout
+
+
+# [e1,e2] = e2 with V1 = x1 d/dx1, V2 = d/dx2: [V1, V2] = -d/dx2 is neither
+# V2 nor -V2, so the fields do not close under the bracket
+NOT_CLOSING = ("[algebra]\ndim = 2\n[e1,e2] = e2\n[action]\ndim = 2\n"
+               "V1 = x1*d/dx1\nV2 = d/dx2\n[omega]\nomega = dx(1,2)\n")
+NOT_CLOSED = ("generator fields do not close under the bracket: "
+              "pair (e1, e2) matches neither sign convention")
+
+
+def error_section(command):
+    return {"command": command, "problem": "problem.mmk", "sections": [
+        {"title": "Error", "data": {"error": NOT_CLOSED}, "text": [f"error: {NOT_CLOSED}"]}]}
+
+
+# (problem text written to {path}, or None; argv; exit code; stderr; stdout,
+# a parsed JSON document for --format machine)
+INPUT_CHECKS = {
+    "two basis factors": (
+        so3_with(9, "omega = dx(1)*dx(2,3)", replace=True), ["check-action", "{path}"], 2,
+        "error: {path}: line 9, col 22: more than one basis factor in a term\n", ""),
+    "variable in algebra": (
+        inline_algebra_problem(3, "[e1,e2] = x1*e3"), ["check-action", "{path}"], 2,
+        "error: {path}: line 3, col 11: algebra expressions cannot contain variables\n", ""),
+    "repeated form index": (
+        so3_with(9, "omega = dx(1,1,2)", replace=True), ["check-action", "{path}"], 2,
+        "error: {path}: line 9, col 1: form expression has no nonzero term\n", ""),
+    "bracket index out of range": (
+        inline_algebra_problem(3, "[e1,e4] = e2"), ["check-action", "{path}"], 2,
+        "error: {path}: line 3: bracket indices [e1,e4] out of range for dim 3\n", ""),
+    "diagonal bracket": (
+        inline_algebra_problem(3, "[e2,e2] = e1"), ["check-action", "{path}"], 2,
+        "error: {path}: line 3: bracket [e2,e2] must be zero and cannot be assigned\n", ""),
+    "action without dim": (
+        '[algebra]\nalgebra = "so3"\n[action]\n[omega]\nomega = dx(1,2,3)\n',
+        ["check-action", "{path}"], 2, "error: {path}: input: [action] needs dim = <n>\n", ""),
+    "one-form omega": (
+        so3_with(9, "omega = dx(1)", replace=True), ["check-action", "{path}"], 2,
+        "error: {path}: input: omega must have degree at least 2\n", ""),
+    "negative truncation": (
+        None, ["kernel", "so3_r3.mmk", "--max-poly-degree", "-1"], 2,
+        "error: --max-poly-degree must be >= 0\n", ""),
+    "degree list": (
+        None, ["kernel", "so3_r3.mmk", "--k", "1,x"], 2,
+        "{usage}momentkit: error: argument --k: expected a comma-separated list of degrees\n",
+        ""),
+    "missing file": (
+        None, ["kernel", "{path}"], 2, "error: cannot find problem file '{path}'\n", ""),
+    "bundled name without suffix": (
+        None, ["kernel", "so3_r3"], 0, "",
+        "== Lie kernel bases ==\nk=1: dim 3\n  e1\n  e2\n  e3\nk=2: dim 0\n"),
+    **{f"not closing, {command}, {fmt}": (
+        NOT_CLOSING, [command, "{path}", "--format", fmt], 1, "",
+        error_section(command) if fmt == "machine" else f"== Error ==\nerror: {NOT_CLOSED}\n")
+       for command in ("construct", "diagnose") for fmt in ("text", "machine")},
+}
+
+
+@pytest.mark.parametrize("text, argv, code, err, out", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_each_input_check_exits_with_its_code_and_message(text, argv, code, err, out,
+                                                          tmp_path, capsys):
+    path = tmp_path / "problem.mmk"
+    if text is not None:
+        path.write_text(text)
+    argv = [arg.format(path=path) for arg in argv]
+    try:
+        rc = main(argv)
+    except SystemExit as stop:  # argparse refuses the argument
+        rc = stop.code
+    got = capsys.readouterr()
+    assert (rc, got.err) == (code, err.format(path=path, usage=build_parser().format_usage()))
+    assert (json.loads(got.out) if isinstance(out, dict) else got.out) == out
+
+
+def test_the_readme_library_example_prints_what_it_says(capsys):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    example = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "[1, 0, 0, 2, 0, 0, 1]",
+        "(-1/4*x1*x4^2 - 1/4*x1*x3^2)*dx(1) + (-1/4*x2*x4^2 - 1/4*x2*x3^2)*dx(2)"
+        " + (1/4*x2^2*x3 + 1/4*x1^2*x3)*dx(3) + (1/4*x2^2*x4 + 1/4*x1^2*x4)*dx(4)"]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 import momentkit.gmodule
 from momentkit.action import LieAction
 from momentkit.cli import catalog_action, main
-from momentkit.lie_core import (LieAlgebra, StructureError, abelian,
+from momentkit.lie_core import (LieAlgebra, StructureError,
                                 boundary_matrix, catalog_algebra, ce_betti, exterior_basis,
                                 lie_kernel_basis, sort_with_sign)
 from momentkit.linalg import Mat, kron_sum, mat_mul, nullspace, rank, solve_many
@@ -402,7 +402,7 @@ def test_report_on_u2_builds_no_rho_of_its_acted_on_hom_modules(monkeypatch, cap
 
 
 def staircase_module(rng, n):
-    """A seeded module of abelian(n), n = 1 or 2: a direct sum of blocks,
+    """A seeded module of the abelian LieAlgebra(n, {}), n = 1 or 2: a direct sum of blocks,
     each spanned by the monomials x^i y^j under a random staircase, with e1
     acting as c1 + x and e2 as c2 + y (multiplication, dropping monomials
     past the staircase), each c zero or not; then conjugated by a random
@@ -430,7 +430,7 @@ def staircase_module(rng, n):
                         for i in range(size)], size)
     conj = mat_mul(lower, upper)
     inverse = solve_many(conj, Mat.identity(size))
-    return GModule(abelian(n), [mat_mul(mat_mul(conj, r), inverse) for r in rho]).validate()
+    return GModule(LieAlgebra(n, {}), [mat_mul(mat_mul(conj, r), inverse) for r in rho]).validate()
 
 
 def test_weight_zero_cohomology_of_random_abelian_modules():
@@ -443,8 +443,8 @@ def test_weight_zero_cohomology_of_random_abelian_modules():
 def test_the_weight_zero_part_of_a_non_commuting_action_is_refused():
     # rho(e1) = diag(0, 1) is not central in this non-representation: its
     # kernel e1 is not preserved by rho(e2), which swaps the coordinates
-    m = GModule(abelian(2), [from_dense([[0, 0], [0, 1]], 2), from_dense([[0, 1], [1, 0]], 2)],
-                name="swap")
+    m = GModule(LieAlgebra(2, {}),
+                [from_dense([[0, 0], [0, 1]], 2), from_dense([[0, 1], [1, 0]], 2)], name="swap")
     with pytest.raises(StructureError) as err:
         m.weight_zero
     assert str(err.value) == "action of e2 does not preserve weight_zero(swap)"

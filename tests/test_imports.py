@@ -2,12 +2,16 @@
 (`momentkit/__init__.py` is exempt: its imports are the package's exports).
 
 Test modules share helpers only through `tests/support.py`: none imports
-another test module, and no helper is defined in two of them."""
+another test module, and no helper is defined in two of them.
+
+Every function and named method under src/momentkit/ is read somewhere in
+src/, outside the short list of API kept for a stated reason: API that
+only tests call belongs in tests/."""
 
 import ast
 import os
 
-from support import ROOT
+from support import ROOT, SRC_FILES, owner, readers, src_text, syntax_nodes
 
 
 def python_files():
@@ -64,3 +68,57 @@ def test_test_modules_share_helpers_only_through_support():
                     defined.setdefault(node.name, []).append(name)
     assert imports == []
     assert {helper: files for helper, files in defined.items() if len(files) > 1} == {}
+
+
+# The functions under src/ that nothing under src/ reads, each with the
+# reason it stays there.
+KEPT_WITHOUT_A_SRC_READER = {
+    "action.infinitesimal_generator": "perfbench/tracer.py times it (ROADMAP item 13)",
+    "lie_core.ce_betti": "perfbench/tracer.py times it (ROADMAP item 13)",
+    "moment.uniqueness_check": "perfbench/tracer.py times it (ROADMAP item 13)",
+    "moment.describe_kernel": "perfbench/tracer.py times it (ROADMAP item 13)",
+    "cli.serialize_problem": "ROADMAP item 5's problem generator writes problems with it",
+}
+
+
+def defined_functions(file):
+    """{qualified name: name} of the module-level functions and the named
+    methods of module-level classes in src/momentkit/<file>; a dunder method
+    is called by the language, not by its name, and is left out."""
+    found = {}
+    for scope, node in syntax_nodes(src_text(file)):
+        if (isinstance(node, ast.FunctionDef)
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+                and (not scope or len(scope) == 1 and isinstance(scope[0], ast.ClassDef))):
+            found[owner(scope + (node,))] = node.name
+    return found
+
+
+def class_names(source, cls):
+    """The names the body of class `cls` binds: its methods and assignments."""
+    body = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.ClassDef) and node.name == cls).body
+    return ({node.name for node in body if isinstance(node, ast.FunctionDef)}
+            | {target.id for node in body if isinstance(node, ast.Assign)
+               for target in node.targets if isinstance(target, ast.Name)})
+
+
+def test_every_function_in_src_has_a_reader_in_src():
+    unread = []
+    for file in SRC_FILES:
+        for qualified, name in defined_functions(file).items():
+            reads = {(other, reader) for other in SRC_FILES
+                     for reader in readers(src_text(other), name)}
+            if not reads - {(file, qualified)}:
+                unread.append(f"{file[:-3]}.{qualified}")
+    assert sorted(unread) == sorted(KEPT_WITHOUT_A_SRC_READER)
+
+
+def test_poly_is_a_coefficient_record():
+    # all arithmetic is on forms: a polynomial times a form is a wedge with
+    # a 0-form, and neither a Poly nor a form is hashed
+    source = src_text("polyform.py")
+    assert class_names(source, "Poly") & {
+        "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__hash__", "var"} == set()
+    assert "__hash__" not in class_names(source, "_Graded")
+    assert "_Graded.__mul__" not in readers(source, "Poly")

@@ -792,8 +792,6 @@ def cmd_equivariance(action, args, report):
         cocycle = check_sigma_cocycle(mm, k)
         payload["cocycle"] = cocycle
         lines.append(f"Sigma is a 1-cocycle: {'yes' if cocycle else 'NO'}")
-        if not cocycle:
-            ok = False
         quotient_ok = check_module_morphism(mm, k)
         payload["morphism_quotient"] = quotient_ok
         payload["morphism_strong"] = zero

@@ -18,8 +18,7 @@ Conventions:
     `kron_sum`, the one place that builds a matrix in that block layout: row
     and column index = first factor's index major, second factor's minor.
     Vectors over a tensor product use the same order; `moment` indexes them
-    in it by hand (`make_equivariant`'s target, `_blocks` and the flattened
-    cochain of `_hom_differential`),
+    in it by hand (`make_equivariant`'s target and `_blocks`),
   * all elimination is one fraction-free Gauss-Jordan routine,
     `_eliminate`, on integer rows: `rank` and `rref` scale each row of a
     `Mat` to a primitive integer row on entry (same row space), and `rref`

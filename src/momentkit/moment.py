@@ -28,30 +28,28 @@ Equivariance: the defect cochain
 
     Sigma(xi)(p) = f([xi,p]) - s * L_{V_xi} f(p)
 
-(s the action's bracket sign) is Sigma = -d^0 f in the Chevalley-Eilenberg
-complex of Hom(kernel, forms) = kernel* (x) forms, whose differential is the
-dual kernel's own plus the signed Lie derivative on form entries,
-d = d_{kernel*} (x) 1 + sum_i (e_i (x) 1) (x) s L_{V_i}; the cocycle check is
-d^1 Sigma = 0.  Sigma has closed-form entries and vanishes exactly when f is
-a module morphism in the strong sense.  `make_equivariant` repairs f by a
-coboundary inside a chosen polynomial truncation, or reports the obstruction
-there.
+(s the action's bracket sign) is read by this definition (`sigma_cochain`),
+[xi,p] from the kernel module.  As Sigma = -d^0 f in the Chevalley-Eilenberg
+complex of Hom(kernel, forms) = kernel* (x) forms, d^1 Sigma = 0 is proven
+(`check_sigma_cocycle`), and no d^1 of a Hom module is built.  Sigma vanishes
+exactly when f is a strong module morphism; its entries are closed when the
+action preserves omega (`check_module_morphism`).  `make_equivariant` repairs
+f by a coboundary inside a chosen polynomial truncation, or reports the
+obstruction there.
 
 Sigma is proven zero, and not computed, for `construct_poincare`'s own map
 when every generator field is linear and every generator preserves omega:
 a linear V commutes with the Euler field, so L_V K = K L_V, and with
 L_{V_xi} omega = 0 and [V_xi, V_p] = s V_[xi,p] that gives
 f([xi,p]) = s L_{V_xi} f(p) (Callies, Fregier, Rogers and Zambon, "Homotopy
-moment maps", 2016).  Every other map computes Sigma (`sigma_cochain`),
-which also serves the tests as the oracle.
+moment maps", 2016).  Every other map computes Sigma (`sigma_cochain`).
 """
 
 from __future__ import annotations
 
-from .linalg import Mat, coordinates, kron_sum, mat_hstack, mat_mul, rref, solve_many
+from .linalg import Mat, coordinates, mat_hstack, mat_mul, rref, solve_many
 from .lie_core import StructureError, boundary_matrix, exterior_basis, wedge_matrix
-from .gmodule import (ce_module_differential, coboundary_solve, invariants_basis,
-                      module_cohomology_dim)
+from .gmodule import coboundary_solve, invariants_basis, module_cohomology_dim
 from .polyform import (Form, contraction_chains, exterior_d, exterior_d_plus,
                        lie_derivative, poincare_homotopy)
 from .action import LieAction
@@ -235,39 +233,18 @@ def construct_brackets(action: LieAction, ks=None) -> MomentMap:
 # equivariance
 # ---------------------------------------------------------------------------
 
-def _hom_differential(mm: MomentMap, k: int, q: int, cochain):
-    """d^q of a cochain in Hom(P_k, forms) = P_k* (x) forms, as rows of forms
-    (one row per tuple of exterior_basis(dim, q + 1), one form per kernel
-    basis element).  On the tensor product the differential is
-
-        d^q = d^q_{P*} (x) 1 + sum_i (wedge_matrix(dim, i, q) (x) 1_{P*}) (x) s L_{V_i}
-
-    with d^q_{P*} = `ce_module_differential(kernel(k).dual, q)`.  The entries,
-    flattened in C^q(g, P_k*) order (tuple major, kernel element minor), go
-    through the nonzeros of each matrix; a zero entry takes no Lie
-    derivative."""
-    action, s = mm.action, mm.action.sign()
-    dual = action.kernel(k).dual
-    flat = [alpha for row in cochain for alpha in row]
-    rows = len(exterior_basis(action.algebra.dim, q + 1))
-    terms = [[] for _ in range(rows * dual.dim)]
-    for u, t, c in ce_module_differential(dual, q).nonzeros():
-        terms[u].append((c, flat[t]))
-    for i, v_i in enumerate(action.fields):
-        spread = kron_sum([(wedge_matrix(action.algebra.dim, i, q), Mat.identity(dual.dim))])
-        for u, t, c in spread.nonzeros():
-            if not flat[t].is_zero():
-                terms[u].append((c * s, lie_derivative(v_i, flat[t])))
-    degree = action.plectic_degree() - k
-    forms = [Form.linear_combination(action.ambient_dim, degree, pairs) for pairs in terms]
-    return [forms[u * dual.dim:(u + 1) * dual.dim] for u in range(rows)]
-
-
 def sigma_cochain(mm: MomentMap, k: int):
-    """Sigma = -d^0 f, indexed [i][a]: Sigma(e_i)(p_a) = f([e_i, p_a]) -
-    s L_{V_i} f(p_a).  Entries are closed for a verified moment map;
-    ValueError if the map has no degree-k component."""
-    return _hom_differential(mm, k, 0, [[-f for f in mm.component(k)]])
+    """Sigma indexed [i][a], by its definition: Sigma(e_i)(p_a) =
+    sum_b rho_P(e_i)[b, a] f(p_b) - s L_{V_i} f(p_a), rho_P the kernel
+    module's action; a zero f(p_a) takes no Lie derivative.  ValueError if
+    the map has no degree-k component."""
+    forms, action = mm.component(k), mm.action
+    s, degree = action.sign(), action.plectic_degree() - k
+    return [[Form.linear_combination(
+                action.ambient_dim, degree, [(c, forms[b]) for b, c in col.items()]
+                + ([] if f.is_zero() else [(-s, lie_derivative(v_i, f))]))
+             for col, f in zip(rho_i.columns(), forms)]
+            for v_i, rho_i in zip(action.fields, action.kernel(k).module.rho)]
 
 
 def sigma_is_zero(sigma) -> bool:
@@ -275,16 +252,25 @@ def sigma_is_zero(sigma) -> bool:
 
 
 def check_sigma_cocycle(mm: MomentMap, k: int) -> bool:
-    """d^1 Sigma = 0, exactly (symbolic in the form entries, untruncated);
-    d^1 is linear, so a zero Sigma is a cocycle without building it."""
-    sigma = mm.sigma(k)
-    return sigma_is_zero(sigma) or sigma_is_zero(_hom_differential(mm, k, 1, sigma))
+    """d^1 Sigma = 0, proven and not computed: Sigma is read (`mm.sigma`, so a
+    missing degree or generators that do not close raise), then True.
+    Sigma = -d^0 f in C*(g, P_k* (x) forms) with the action
+    rho = rho_{P*} (x) 1 + 1 (x) s L_V, and d^1 d^0 = 0 when rho is a
+    representation.  s L_V is one on all polynomial forms, as `LieAction.sign`
+    proved [V_i, V_j] = s V_[e_i, e_j] and L_[X,Y] = [L_X, L_Y]; rho_P is one
+    as `lie_kernel_module` validates it (`GModule.validate`), a check that
+    may be dropped only for an equal guarantee here.  omega need not be
+    preserved: that bears on `check_module_morphism` only."""
+    mm.sigma(k)
+    return True
 
 
 def check_module_morphism(mm: MomentMap, k: int) -> bool:
     """The quotient identity d f([xi,p]) = s d L_{V_xi} f(p): every Sigma
-    entry is closed.  It holds for every verified moment map; the strong
-    identity f([xi,p]) = s L_{V_xi} f(p) holds iff sigma_is_zero."""
+    entry is closed.  For a verified moment map
+    d Sigma(xi)(p) = +-V_p . L_{V_xi} omega, so it holds when the action
+    preserves omega and may fail otherwise; the strong identity
+    f([xi,p]) = s L_{V_xi} f(p) holds iff sigma_is_zero."""
     return all(exterior_d(form).is_zero() for row in mm.sigma(k) for form in row)
 
 

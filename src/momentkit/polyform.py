@@ -5,9 +5,9 @@ A Poly is a sparse polynomial in x_1..x_n with Fraction coefficients
 p-index tuples (0-based) to Poly coefficients; a MultiField does the same
 for polynomial multivector fields.
 
-Invariants of every Poly, Form and MultiField: component keys are
-increasing index tuples, no stored coefficient is zero, and no component is
-the zero Poly.  The public constructors (`Poly(n, terms)`,
+Invariants of every Poly, Form and MultiField: exponents are ints >= 0,
+component keys are increasing index tuples, no stored coefficient is zero,
+and no component is the zero Poly.  The public constructors (`Poly(n, terms)`,
 `Form(n, degree, comps)`, `MultiField(...)`, `from_terms`) validate their
 input.  Internal results are not validated again.
 
@@ -79,6 +79,8 @@ class Poly:
             if c:
                 if len(mono) != n:
                     raise ValueError("monomial length mismatch")
+                if not all(type(e) is int and e >= 0 for e in mono):
+                    raise ValueError(f"monomial {mono} has an exponent that is not an int >= 0")
                 clean[tuple(mono)] = c
         self.terms = clean
 
@@ -342,6 +344,8 @@ class _Graded:
             mono, idx = tuple(mono), tuple(idx)
             if len(mono) != n:
                 raise ValueError("monomial length mismatch")
+            if not all(type(e) is int and e >= 0 for e in mono):
+                raise ValueError(f"monomial {mono} has an exponent that is not an int >= 0")
             if len(idx) != degree or any(i < 0 or i >= n for i in idx):
                 raise ValueError(f"index tuple {idx} is not a {degree}-tuple in 0..{n - 1}")
             checked.append((idx, mono, frac(c)))

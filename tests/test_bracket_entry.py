@@ -5,14 +5,15 @@ The bracket enters the exterior algebra once: in `lie_core.py`, `gmodule.py`
 and `moment.py` no function other than `boundary_of_tuple` reads a
 `bracket_basis` attribute.  Every matrix those modules build from the
 structure constants (the boundary, the Chevalley-Eilenberg differential
-with module coefficients, the adjoint action on the Lie kernels) and every
-cochain differential of Hom(P_k, forms) goes through the boundary, so there
-is one bracket sign rule.  The stored table of structure constants is read
+with module coefficients, the adjoint action on the Lie kernels) goes
+through the boundary, so there is one bracket sign rule.  The stored table of structure constants is read
 in `lie_core.py` only; every other module reads `bracket_basis`.
 
-The cochain differential of Hom(P_k, forms) is the dual kernel's own
-Chevalley-Eilenberg differential plus the Lie derivative on form entries:
-`moment._hom_differential` reads neither `boundary_matrix` nor a `rho`.
+One function builds a Chevalley-Eilenberg differential with module
+coefficients: outside `linalg.py`, only `gmodule.py` reads `kron_sum` and
+`ce_module_differential`.  Sigma is read by its definition from the Lie
+kernel module's action, and d^1 Sigma = 0 is proven, not computed:
+`moment.sigma_cochain` reads neither `boundary_matrix` nor `bracket_basis`.
 
 Truncated closed forms are built once per (form degree, truncation): only
 `TruncatedFormModule.__init__` calls `closed_form_basis`.  Only the
@@ -72,9 +73,12 @@ def test_only_the_truncated_module_builds_closed_forms():
         "action.py": {"TruncatedFormModule.__init__"}}
 
 
-def test_the_hom_differential_reuses_the_dual_kernel_complex():
-    for name in ("boundary_matrix", "rho"):
-        assert "_hom_differential" not in source_readers(name, ("moment.py",))["moment.py"]
+def test_one_chevalley_eilenberg_builder():
+    for name in ("kron_sum", "ce_module_differential"):
+        found = source_readers(name, tuple(f for f in SRC_FILES if f != "linalg.py"))
+        assert [f for f, held in found.items() if held] == ["gmodule.py"], name
+    for name in ("boundary_matrix", "bracket_basis"):
+        assert "sigma_cochain" not in source_readers(name, ("moment.py",))["moment.py"], name
 
 
 def test_only_polyform_reads_its_int_kernels():

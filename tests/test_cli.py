@@ -660,6 +660,17 @@ def test_report_computes_sigma_only_where_it_is_not_proven_zero(monkeypatch, cap
         assert [k for _, k in computed] == degrees, problem
 
 
+def test_equivariance_builds_no_hom_module_d1(monkeypatch, capsys):
+    # Sigma is a cocycle by proof, so neither the cocycle check nor the
+    # repair builds d^1 of a Hom module (a tensor product, with factors)
+    from momentkit.gmodule import ce_module_differential
+    built = count_calls(monkeypatch, ce_module_differential)
+    for path in (bundled("abelian_r3.mmk"), os.path.join(GOLDEN, "scale_r3.mmk")):
+        built.clear()
+        run_main(["equivariance", path], capsys)
+        assert built and not [m for m, k in built if k == 1 and m.factors], path
+
+
 def test_equivariance_of_a_linear_action_that_scales_omega(capsys):
     # Sigma is computed, not zero, and its entry that is not closed is blamed
     # on the generator that does not preserve omega

@@ -5,6 +5,7 @@ kept as the oracle for its monomial table."""
 
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,17 @@ def test_the_public_constructors_refuse_malformed_input():
             Form(3, 2, comps)
     with pytest.raises(ValueError, match="monomial length mismatch"):
         Poly(3, {(1, 0): 1})
+
+
+def test_the_public_constructors_refuse_exponents_that_are_not_ints_at_least_zero():
+    # x1^-1 dx(1) would reach K's scale |mu| + p = 0 in poincare_homotopy
+    for mono in ((-1, 0), (0.5, 0), (1.5, 0), (True, 0)):
+        message = re.escape(f"monomial {mono} has an exponent that is not an int >= 0")
+        for build in (lambda: Poly(2, {mono: 1}),
+                      lambda: Form.from_terms(2, 1, [(1, mono, (0,))]),
+                      lambda: MultiField.from_terms(2, 1, [(1, mono, (1,))])):
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 def test_format_poly_ordering():

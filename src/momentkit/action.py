@@ -33,8 +33,8 @@ all it keeps when its last user drops it):
     `polyform.contraction_chains` pass over the generator fields, and each
     degree's list is kept;
   * `truncated_forms(k, D)`: closed (n-k)-forms of coefficient degree <= D
-    (`TruncatedFormModule`): the closed basis and its L_{V_i} images, built
-    once, and the invariant forms read from them;
+    (`TruncatedFormModule`, over one `FormSpace`): the closed basis and its
+    L_{V_i} images, built once, and the invariant forms read from them;
   * `hom_module(k, D)`: Hom(P_k, those closed forms as the module s * L_V),
     whose cohomology decides equivariant existence and uniqueness.
 A moment map reads the action but is not kept by it.
@@ -45,6 +45,11 @@ ints, each shared index-tuple prefix contracted once and no multivector
 field V_p built.  Also here: the field V_p itself as a sum of wedges
 (`infinitesimal_generator`), and truncated spaces of (invariant) closed
 forms as finite-dimensional modules.
+
+`FormSpace(n, p, D)` owns a truncated form space: the truncation rule
+(total degree <= D), the key order, the escape test and the form <-> column
+maps.  K is `polyform.poincare_homotopy`, which `construct_poincare` applies
+outside any truncation.
 """
 
 from __future__ import annotations
@@ -279,69 +284,55 @@ def infinitesimal_generator(action: LieAction, mv) -> MultiField:
 # truncated form spaces as finite-dimensional modules
 # ---------------------------------------------------------------------------
 
-def monomial_basis(n: int, max_degree: int):
-    """All exponent tuples of total degree <= max_degree, sorted by
-    (total degree, tuple)."""
-    monos = []
-    for d in range(max_degree + 1):
-        for c in itertools.combinations_with_replacement(range(n), d):
-            mono = [0] * n
-            for i in c:
-                mono[i] += 1
-            monos.append(tuple(mono))
-    return sorted(monos, key=lambda m: (sum(m), m))
+class FormSpace:
+    """p-forms on R^n whose coefficients have total degree <= max_degree: the
+    one owner of the truncation rule, the key order and the escape test.
+    `keys` are the (index tuple, monomial) pairs spanning the space, index
+    tuples lexicographic and, under each, monomials by (total degree,
+    exponents); `index` maps a key to its row."""
+
+    def __init__(self, n: int, p: int, max_degree: int):
+        self.n, self.p, self.max_degree = n, p, max_degree
+        monos = sorted((tuple(c.count(i) for i in range(n)) for d in range(max_degree + 1)
+                        for c in itertools.combinations_with_replacement(range(n), d)),
+                       key=lambda m: (sum(m), m))
+        self.keys = [(idx, mono) for idx in itertools.combinations(range(n), p)
+                     for mono in monos]
+        self.index = {key: r for r, key in enumerate(self.keys)}
+
+    def vector(self, alpha: Form) -> dict:
+        """A form's sparse {row: c} column; StructureError naming, as a term
+        like x1*x4^2*dx(1), the smallest (index tuple, monomial) key outside
+        the space if the form has one (truncation escape)."""
+        vec = {}
+        for idx, poly in alpha.comps.items():
+            for mono, c in poly.terms.items():
+                try:
+                    vec[self.index[(idx, mono)]] = c
+                except KeyError:
+                    idx, mono = min((i, m) for i, p in alpha.comps.items()
+                                    for m in p.terms if (i, m) not in self.index)
+                    term = Form.from_terms(alpha.n, alpha.degree, [(1, mono, idx)])
+                    raise StructureError("form escapes the truncated space at term "
+                                         + format_form(term)) from None
+        return vec
+
+    def form(self, vec: dict) -> Form:
+        """The form of a sparse {row: c} column."""
+        return Form.from_terms(self.n, self.p,
+                               ((c, self.keys[r][1], self.keys[r][0]) for r, c in vec.items()))
+
+    def matrix(self, forms) -> Mat:
+        """The matrix whose columns are the forms' vectors."""
+        return Mat.from_sparse_columns([self.vector(a) for a in forms], len(self.keys))
 
 
-def form_key_basis(n: int, p: int, max_degree: int):
-    """Ordered (index-tuple, monomial) keys spanning p-forms with polynomial
-    coefficients of degree <= max_degree."""
-    monos = monomial_basis(n, max_degree)
-    return [(idx, mono) for idx in itertools.combinations(range(n), p)
-            for mono in monos]
-
-
-def form_to_vector(alpha: Form, key_index) -> dict:
-    """A form's sparse {row: c} column over a key basis indexed {key: row};
-    StructureError naming, as a term like x1*x4^2*dx(1), the smallest
-    (index tuple, monomial) key outside the basis if the form has one
-    (degree truncation escape)."""
-    vec = {}
-    for idx, poly in alpha.comps.items():
-        for mono, c in poly.terms.items():
-            try:
-                vec[key_index[(idx, mono)]] = c
-            except KeyError:
-                idx, mono = min((i, m) for i, p in alpha.comps.items()
-                                for m in p.terms if (i, m) not in key_index)
-                term = Form.from_terms(alpha.n, alpha.degree, [(1, mono, idx)])
-                raise StructureError("form escapes the truncated space at term "
-                                     + format_form(term)) from None
-    return vec
-
-
-def vector_to_form(vec: dict, keys, n: int, p: int) -> Form:
-    """The form of a sparse {row: c} column over a key basis."""
-    return Form.from_terms(n, p, ((c, keys[r][1], keys[r][0]) for r, c in vec.items()))
-
-
-def _operator_matrix(op, keys_in, keys_out, n: int, p_in: int):
-    """Matrix of a linear operator on forms w.r.t. key bases (columns =
-    images of input basis forms)."""
-    out_index = {key: r for r, key in enumerate(keys_out)}
-    cols = [form_to_vector(op(Form.from_terms(n, p_in, [(1, mono, idx)])), out_index)
-            for idx, mono in keys_in]
-    return Mat.from_sparse_columns(cols, nrows=len(keys_out))
-
-
-def closed_form_basis(n: int, p: int, max_degree: int):
-    """Canonical basis (list of Forms) of closed p-forms of coefficient
-    degree <= max_degree, plus the key basis and coordinate matrix."""
-    keys = form_key_basis(n, p, max_degree)
-    keys_out = form_key_basis(n, p + 1, max(max_degree - 1, 0))
-    vecs = nullspace(_operator_matrix(exterior_d, keys, keys_out, n, p))
-    basis_mat = Mat.from_sparse_columns(vecs, nrows=len(keys))
-    forms = [vector_to_form(v, keys, n, p) for v in vecs]
-    return forms, keys, basis_mat
+def closed_form_basis(space: FormSpace):
+    """Canonical basis of the closed forms of `space`, as sparse columns: the
+    nullspace of d, whose images lie in the (p+1)-forms of degree D - 1."""
+    target = FormSpace(space.n, space.p + 1, max(space.max_degree - 1, 0))
+    return nullspace(target.matrix(exterior_d(space.form({r: 1}))
+                                   for r in range(len(space.keys))))
 
 
 def invariant_closed_forms(action: LieAction, p: int, max_degree: int):
@@ -352,26 +343,24 @@ def invariant_closed_forms(action: LieAction, p: int, max_degree: int):
 
 class TruncatedFormModule:
     """Closed p-forms of coefficient degree <= D on R^n, read from an action:
-    the canonical basis and the images L_{V_i} b of each basis form b, built
-    once; `invariants` is read from the images on first use and kept."""
+    the canonical basis of `space`'s closed forms and the images L_{V_i} b of
+    each basis form b, built once; `invariants` is read from the images on
+    first use and kept."""
 
     def __init__(self, action: LieAction, p: int, max_degree: int):
-        self.n = action.ambient_dim
-        self.form_degree = p
-        self.max_degree = max_degree
-        self.forms, self.keys, self.basis_mat = closed_form_basis(self.n, p, max_degree)
-        self.key_index = {key: r for r, key in enumerate(self.keys)}
+        self.space = FormSpace(action.ambient_dim, p, max_degree)
+        columns = closed_form_basis(self.space)
+        self.basis_mat = Mat.from_sparse_columns(columns, len(self.space.keys))
+        self.forms = [self.space.form(v) for v in columns]
         self.images = [[lie_derivative(v, b) for b in self.forms] for v in action.fields]
 
     def signed_module(self, algebra: LieAlgebra, s: int) -> GModule:
         """The GModule rho(xi) = s * L_{V_xi} over the acting algebra (s the
         bracket sign, so rho is a left module) on closed forms, which it keeps
-        (L_V b = d iota_V b); `form_to_vector` refuses a truncation escape."""
-        images = [mat_scale(Mat.from_sparse_columns(
-            [form_to_vector(b, self.key_index) for b in field], len(self.keys)), s)
-            for field in self.images]
+        (L_V b = d iota_V b); `FormSpace.vector` refuses a truncation escape."""
+        images = [mat_scale(self.space.matrix(field), s) for field in self.images]
         m = restrict(algebra, self.basis_mat, images,
-                     f"closed_forms(p={self.form_degree},D<={self.max_degree})")
+                     f"closed_forms(p={self.space.p},D<={self.space.max_degree})")
         return m.validate()  # proven once the action closes; ROADMAP item 7 drops this check
 
     @cached_property
@@ -383,8 +372,8 @@ class TruncatedFormModule:
         keys = sorted({(idx, mono) for images in self.images for image in images
                        for idx, poly in image.comps.items() for mono in poly.terms})
         index = {key: r for r, key in enumerate(keys)}
-        cols = [{f * len(keys) + r: c for f, images in enumerate(self.images)
-                 for r, c in form_to_vector(images[b], index).items()}
+        cols = [{f * len(keys) + index[(idx, mono)]: c for f, images in enumerate(self.images)
+                 for idx, poly in images[b].comps.items() for mono, c in poly.terms.items()}
                 for b in range(len(self.forms))]
         stacked = Mat.from_sparse_columns(cols, nrows=len(self.images) * len(keys))
         return [self.from_coords(c) for c in nullspace(stacked)]
@@ -393,11 +382,10 @@ class TruncatedFormModule:
         """Coordinates of a closed form in this basis, as a sparse column;
         StructureError if it escapes the truncation, None if it is not closed
         (not in span)."""
-        vec = form_to_vector(alpha, self.key_index)
-        sol = coordinates(self.basis_mat, Mat.from_sparse_columns([vec], nrows=len(self.keys)))
+        sol = coordinates(self.basis_mat, self.space.matrix([alpha]))
         return None if sol is None else sol.columns()[0]
 
     def from_coords(self, coords: dict) -> Form:
         """The form of a sparse coordinate column in this basis."""
-        return Form.linear_combination(self.n, self.form_degree,
+        return Form.linear_combination(self.space.n, self.space.p,
                                        ((c, self.forms[a]) for a, c in coords.items()))

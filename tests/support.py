@@ -11,24 +11,27 @@ term-by-term Schouten bracket `schouten` are written with it; `summed_matrix` an
 a `Mat` through its public sparse interface, and `from_dense`, the tests'
 one way to write a matrix as dense rows, is built on `summed_matrix`;
 `cartan_residual` is the boundary identity linking d, contraction and Lie
-derivatives.
+derivatives.  `seeded_shear` and `linear_pullback` change coordinates by an
+integer matrix of determinant 1, built from `wedge` of 0- and 1-forms.
 
 The AST contracts read each file under src/momentkit/ once (`src_text`) and
 walk its syntax tree once (`syntax_nodes`).  Test modules import from here,
 never from one another."""
 
 import ast
+import copy
 import os
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 from momentkit.cli import catalog_action, parse_problem
 from momentkit.gmodule import GModule
 from momentkit.lie_core import ALGEBRA_CATALOG, LieAlgebra, boundary_of_tuple, sort_with_sign
 from momentkit.action import infinitesimal_generator
 from momentkit.linalg import Mat
-from momentkit.polyform import Form, MultiField, Poly, contract, exterior_d, lie_derivative
+from momentkit.polyform import (Form, MultiField, Poly, contract, exterior_d, lie_derivative,
+                                wedge)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "momentkit")
@@ -314,6 +317,55 @@ def cartan_residual(action, mv, tau):
             ltau = lie_derivative(action.fields[t], tau)
             pairs.append((c * (-1) ** a, contract(rest, ltau)))
     return Form.linear_combination(action.ambient_dim, tau.degree - k + 1, pairs)
+
+
+def seeded_shear(rng, n, shears):
+    """(P, P^-1) for P != I a product of `shears` >= 1 seeded elementary
+    shears I + c*E_ij (i != j, c = +-1), both integer matrices as lists of
+    rows."""
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    p = identity
+    while p == identity:
+        p, q = [row[:] for row in identity], [row[:] for row in identity]
+        for _ in range(shears):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-1, 1))
+            for row in p:  # P <- P (I + c E_ij): column j += c * column i
+                row[j] += c * row[i]
+            q[i] = [a - c * b for a, b in zip(q[i], q[j])]  # P^-1 <- (I - c E_ij) P^-1
+    return p, q
+
+
+def _pull_back_form(alpha, p):
+    """alpha(Py) in the coordinates y: each x_i becomes the 0-form
+    sum_j P_ij y_j and each dx_i its d, a 1-form, multiplied by wedge."""
+    n = alpha.n
+    xs = [Form.from_terms(n, 0, [(p[i][j], tuple(int(m == j) for m in range(n)), ())
+                                 for j in range(n)]) for i in range(n)]
+    dxs = [exterior_d(x) for x in xs]
+    one = Form.from_terms(n, 0, [(1, (0,) * n, ())])
+    return Form.linear_combination(n, alpha.degree, (
+        (c, reduce(wedge, [xs[i] for i, e in enumerate(mono) for _ in range(e)]
+                   + [dxs[i] for i in idx], one))
+        for idx, poly in alpha.comps.items() for mono, c in poly.terms.items()))
+
+
+def linear_pullback(pf, p, q):
+    """The problem `pf` in the coordinates y with x = Py (q = P^-1): each
+    generator V becomes P^-1 V(Py) and omega becomes P*omega, so the action
+    is the same action seen through a linear isomorphism."""
+    n = pf.ambient_dim
+    out = copy.copy(pf)
+    out.omega = _pull_back_form(pf.omega, p)
+    out.fields = []
+    for v in pf.fields:
+        # V_i(Py) as 0-forms, then W_j = sum_i (P^-1)_ji V_i(Py)
+        comps = [_pull_back_form(Form(n, 0, {(): v.comps[(i,)]} if (i,) in v.comps else {}), p)
+                 for i in range(n)]
+        ws = [Form.linear_combination(n, 0, zip(q[j], comps)) for j in range(n)]
+        out.fields.append(MultiField(n, 1, {(j,): w.comps[()] for j, w in enumerate(ws)
+                                            if () in w.comps}))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import reduce
+from math import comb
 
 import pytest
 
@@ -13,13 +14,10 @@ from momentkit.gmodule import invariants_basis
 from momentkit.linalg import mat_vstack, nullspace, rank
 from momentkit.polyform import (Form, MultiField, Poly, contract, contraction_chains,
                                 exterior_d, lie_derivative, wedge)
-from momentkit.action import (_SAMPLE_SEEDS, LieAction, TruncatedFormModule,
-                              _contraction_matrix_at, _operator_matrix,
-                              check_multisymplectic,
-                              closed_form_basis, form_key_basis, form_to_vector,
-                              infinitesimal_generator, invariant_closed_forms,
-                              monomial_basis, preserves_omega,
-                              validate_action, vector_to_form)
+from momentkit.action import (_SAMPLE_SEEDS, FormSpace, LieAction, TruncatedFormModule,
+                              _contraction_matrix_at, check_multisymplectic,
+                              closed_form_basis, infinitesimal_generator,
+                              invariant_closed_forms, preserves_omega, validate_action)
 from momentkit.cli import catalog_action, main, parse_problem
 
 from support import (ACTIONS, ALGEBRAS, cartan_residual, column_mv, euler_one_form,
@@ -305,18 +303,37 @@ def test_cartan_identity_on_arbitrary_multivectors():
 # closed and invariant forms in a truncation
 # ---------------------------------------------------------------------------
 
-def test_monomial_basis_counts():
-    assert [len(monomial_basis(3, d)) for d in (0, 1, 2)] == [1, 4, 10]
+def test_form_space_keys_round_trip_and_escape():
+    rng = random.Random(27)
+    for n in range(1, 5):
+        for p in range(n + 1):
+            for D in range(3):
+                space = FormSpace(n, p, D)
+                keys = space.keys
+                assert len(keys) == len(set(keys)) == comb(n, p) * comb(n + D, D)
+                assert all(len(mono) == n and sum(mono) <= D for _, mono in keys)
+                # index tuples lexicographic, then monomials by (total degree, exponents)
+                assert keys == sorted(keys, key=lambda key: (key[0], sum(key[1]), key[1]))
+                assert space.index == {key: r for r, key in enumerate(keys)}
+                for _ in range(3):
+                    alpha = random_form(rng, n, p, D)
+                    assert space.form(space.vector(alpha)) == alpha, (n, p, D)
+    # a form outside the space: the message names the smallest key outside
+    # it, whatever order the form's terms were built in
+    x3_sq = Poly(3, {(0, 0, 2): 1})
+    x1_cubed = Poly(3, {(3, 0, 0): 1, (1, 0, 0): 1})
+    for comps in ({(2,): x1_cubed, (0,): x3_sq}, {(0,): x3_sq, (2,): x1_cubed}):
+        with pytest.raises(StructureError) as err:
+            FormSpace(3, 1, 1).vector(Form(3, 1, comps))
+        assert str(err.value) == "form escapes the truncated space at term x3^2*dx(1)"
 
 
 def test_closed_form_basis_is_closed_and_complete():
-    n, p, D = 3, 2, 1
-    forms, keys, _ = closed_form_basis(n, p, D)
-    for f in forms:
-        assert exterior_d(f).is_zero()
+    space = FormSpace(3, 2, 1)
+    for v in closed_form_basis(space):
+        assert exterior_d(space.form(v)).is_zero()
     # every top-degree form is closed: at p = n the basis is everything
-    top, _, _ = closed_form_basis(n, n, 1)
-    assert len(top) == 1 + n  # constant + linear coefficients
+    assert len(closed_form_basis(FormSpace(3, 3, 1))) == 1 + 3  # constant + linear
 
 
 def test_so3_invariants_contain_euler_form():
@@ -348,14 +365,14 @@ def stacked_invariant_closed_forms(action, p, max_degree):
     """Invariant closed p-forms as the nullspace of d stacked over every
     L_{V_i}, all over the key basis (the oracle)."""
     n = action.ambient_dim
-    keys = form_key_basis(n, p, max_degree)
+    space = FormSpace(n, p, max_degree)
     field_deg = max((v.max_coeff_degree() for v in action.fields), default=0)
-    keys_lie = form_key_basis(n, p, max_degree + max(field_deg - 1, 0))
-    keys_d = form_key_basis(n, p + 1, max(max_degree - 1, 0))
-    blocks = [_operator_matrix(exterior_d, keys, keys_d, n, p)]
-    blocks += [_operator_matrix(lambda a, v=v: lie_derivative(v, a), keys, keys_lie, n, p)
-               for v in action.fields]
-    return [vector_to_form(v, keys, n, p) for v in nullspace(reduce(mat_vstack, blocks))]
+    lie_space = FormSpace(n, p, max_degree + max(field_deg - 1, 0))
+    d_space = FormSpace(n, p + 1, max(max_degree - 1, 0))
+    basis = [space.form({r: 1}) for r in range(len(space.keys))]
+    blocks = [d_space.matrix(exterior_d(a) for a in basis)]
+    blocks += [lie_space.matrix(lie_derivative(v, a) for a in basis) for v in action.fields]
+    return [space.form(v) for v in nullspace(reduce(mat_vstack, blocks))]
 
 
 def monomial_field(n, i, j, e):
@@ -400,7 +417,7 @@ def test_truncated_module_action_and_escape():
     # the basis and images are built; the module over them refuses
     with pytest.raises(StructureError) as err:
         TruncatedFormModule(bad, 1, 0).signed_module(g, bad.sign())
-    assert "truncat" in str(err.value)
+    assert str(err.value) == "form escapes the truncated space at term x1*dx(1)"
 
 
 def test_invariant_closed_forms_are_the_module_invariants():
@@ -444,14 +461,3 @@ def test_kernel_dimensions_are_read_from_the_boundary_ranks():
         for k in range(g.dim + 3):
             assert action.kernel_dim(k) == len(lie_kernel_basis(g, k)), (g.name, k)
         assert action.betti() == ce_betti(g), g.name
-
-
-def test_truncation_escape_names_the_smallest_key():
-    # the message must not depend on the order the form's terms were built in
-    index = {key: r for r, key in enumerate(form_key_basis(3, 1, 1))}
-    x3_sq = Poly(3, {(0, 0, 2): 1})
-    x1_cubed = Poly(3, {(3, 0, 0): 1, (1, 0, 0): 1})
-    for comps in ({(2,): x1_cubed, (0,): x3_sq}, {(0,): x3_sq, (2,): x1_cubed}):
-        with pytest.raises(StructureError) as err:
-            form_to_vector(Form(3, 1, comps), index)
-        assert str(err.value).endswith("at term x3^2*dx(1)")

@@ -16,7 +16,11 @@ kernel module's action, and d^1 Sigma = 0 is proven, not computed:
 `moment.sigma_cochain` reads neither `boundary_matrix` nor `bracket_basis`.
 
 Truncated closed forms are built once per (form degree, truncation): only
-`TruncatedFormModule.__init__` calls `closed_form_basis`.  Only the
+`TruncatedFormModule.__init__` calls `closed_form_basis`.  A truncated form
+space has one owner, `action.FormSpace`: only `FormSpace.__init__` reads
+`combinations_with_replacement`, so the truncation rule and the key order
+are written once, and only `FormSpace.vector` holds the message of the
+escape test, so every form meets one escape test.  Only the
 nondegeneracy check reads coefficient degrees (`max_coeff_degree`), and the
 contraction signs come from `polyform.contract` alone: the matrix it ranks
 is built without sign arithmetic.
@@ -71,6 +75,14 @@ def test_only_the_truncated_module_builds_closed_forms():
     found = source_readers("closed_form_basis", SRC_FILES)
     assert {f: owners for f, owners in found.items() if owners} == {
         "action.py": {"TruncatedFormModule.__init__"}}
+
+
+def test_one_owner_of_the_truncation_and_the_escape_test():
+    found = source_readers("combinations_with_replacement", SRC_FILES)
+    assert {f: held for f, held in found.items() if held} == {"action.py": {"FormSpace.__init__"}}
+    found = source_owners(lambda node: isinstance(node, ast.Constant) and isinstance(
+        node.value, str) and "escapes the truncated space" in node.value, SRC_FILES)
+    assert {f: held for f, held in found.items() if held} == {"action.py": {"FormSpace.vector"}}
 
 
 def test_one_chevalley_eilenberg_builder():

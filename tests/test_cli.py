@@ -10,11 +10,12 @@ import sys
 import pytest
 
 import momentkit
-from momentkit.cli import (MmkError, build_parser, main, parse_problem, serialize_problem,
-                           tokenize)
+from momentkit.cli import (MmkError, build_parser, main, parse_problem, read_problem_text,
+                           serialize_problem, tokenize)
 
-from support import (GOLDEN, INLINE_ALGEBRAS, PROBLEMS, ROOT, count_calls,
-                     inline_algebra_problem, replace_everywhere)
+from support import (BUNDLED as BUNDLED_PROBLEMS, GOLDEN, INLINE_ALGEBRAS, PROBLEMS, ROOT,
+                     count_calls, inline_algebra_problem, linear_pullback,
+                     replace_everywhere, seeded_shear)
 
 BUNDLED = ("abelian_r3.mmk", "so3_r3.mmk", "so4_r4.mmk", "u2_r4.mmk")
 
@@ -526,6 +527,42 @@ def test_the_readme_library_example_prints_what_it_says(capsys):
         " + (1/4*x2^2*x3 + 1/4*x1^2*x3)*dx(3) + (1/4*x2^2*x4 + 1/4*x1^2*x4)*dx(4)"]
 
 
+def machine_facts(data):
+    """What a linear change of coordinates keeps of a machine section's data:
+    every number and truth value, the repair verdict, and the length of each
+    list of forms; forms and names are left out."""
+    if isinstance(data, dict):
+        return {key: machine_facts(value) for key, value in data.items()
+                if not isinstance(value, str) or key == "repair"}
+    if isinstance(data, list):
+        if all(isinstance(value, str) for value in data):
+            return len(data)
+        return [machine_facts(value) for value in data]
+    return data
+
+
+def test_a_linear_change_of_coordinates_keeps_every_machine_fact(tmp_path, capsys):
+    # each bundled problem pulled back along a seeded unimodular integer P:
+    # exit codes, Betti numbers, kernel dimensions, h0/h1, routes, verdicts
+    # and residual flags agree (a total-degree truncation is GL(n)-invariant).
+    # so4_r4 takes one shear: sheared coordinates make its ranks fill in
+    rng = random.Random(23)
+    for name in BUNDLED_PROBLEMS:
+        pf = parse_problem(read_problem_text(bundled(f"{name}.mmk")))
+        sheared = tmp_path / f"{name}.mmk"
+        shear = seeded_shear(rng, pf.ambient_dim, 1 if name == "so4_r4" else 2)
+        sheared.write_text(serialize_problem(linear_pullback(pf, *shear)))
+        for command in ("diagnose", "invariants", "equivariance", "construct"):
+            for degree in ("0", "1"):
+                facts = []
+                for path in (bundled(f"{name}.mmk"), str(sheared)):
+                    rc, out, _ = run_main([command, path, "--max-poly-degree", degree,
+                                           "--format", "machine"], capsys)
+                    facts.append((rc, [(section["title"], machine_facts(section["data"]))
+                                       for section in json.loads(out)["sections"]]))
+                assert facts[0] == facts[1], (name, shear[0], command, degree)
+
+
 # ---------------------------------------------------------------------------
 # derived objects are built once per run
 # ---------------------------------------------------------------------------
@@ -576,7 +613,8 @@ def test_report_builds_each_derived_object_once(monkeypatch, capsys):
     assert sorted(k for _, k in kernel_modules) == [1, 2, 3]
     assert sorted(k for _, k in kernel_bases) == [1, 2, 3]
     assert sorted(truncations) == [(0, 1), (1, 1), (2, 1)]  # (n - k, D)
-    assert sorted(args[1:] for args in closed_bases) == [(0, 1), (1, 1), (2, 1)]
+    assert sorted((space.p, space.max_degree) for space, in closed_bases) == [
+        (0, 1), (1, 1), (2, 1)]
     # d0 per dual kernel (h0 of the dual kernel), d0 and d1 per Hom module;
     # the algebra acts by zero on the k = 3 dual kernel and Hom module, so
     # their ranks are read from the boundary and no kron_sum differential of

@@ -303,6 +303,14 @@ def test_cartan_identity_on_arbitrary_multivectors():
 # closed and invariant forms in a truncation
 # ---------------------------------------------------------------------------
 
+def test_monomial_basis_counts():
+    assert [len(FormSpace(3, 0, d).keys) for d in (0, 1, 2)] == [1, 4, 10]
+    for n in range(1, 5):
+        for p in range(n + 1):
+            for D in range(3):
+                assert len(FormSpace(n, p, D).keys) == comb(n, p) * comb(n + D, D)
+
+
 def test_form_space_keys_round_trip_and_escape():
     rng = random.Random(27)
     for n in range(1, 5):
@@ -310,7 +318,7 @@ def test_form_space_keys_round_trip_and_escape():
             for D in range(3):
                 space = FormSpace(n, p, D)
                 keys = space.keys
-                assert len(keys) == len(set(keys)) == comb(n, p) * comb(n + D, D)
+                assert len(keys) == len(set(keys))
                 assert all(len(mono) == n and sum(mono) <= D for _, mono in keys)
                 # index tuples lexicographic, then monomials by (total degree, exponents)
                 assert keys == sorted(keys, key=lambda key: (key[0], sum(key[1]), key[1]))
@@ -318,8 +326,13 @@ def test_form_space_keys_round_trip_and_escape():
                 for _ in range(3):
                     alpha = random_form(rng, n, p, D)
                     assert space.form(space.vector(alpha)) == alpha, (n, p, D)
-    # a form outside the space: the message names the smallest key outside
-    # it, whatever order the form's terms were built in
+    with pytest.raises(StructureError) as err:
+        FormSpace(3, 1, 0).vector(Form(3, 1, {(0,): Poly(3, {(1, 0, 0): 1})}))
+    assert str(err.value) == "form escapes the truncated space at term x1*dx(1)"
+
+
+def test_truncation_escape_names_the_smallest_key():
+    # the message must not depend on the order the form's terms were built in
     x3_sq = Poly(3, {(0, 0, 2): 1})
     x1_cubed = Poly(3, {(3, 0, 0): 1, (1, 0, 0): 1})
     for comps in ({(2,): x1_cubed, (0,): x3_sq}, {(0,): x3_sq, (2,): x1_cubed}):

@@ -59,7 +59,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb
 
-from .linalg import Mat, coordinates, mat_scale, nullspace, rank
+from .linalg import Mat, mat_scale, nullspace, rank
 from .lie_core import (LieAlgebra, StructureError, exterior_basis, format_multivector,
                        lie_kernel_basis)
 from .gmodule import (GModule, dual_module, lie_kernel_module, module_cohomology_dim,
@@ -377,13 +377,6 @@ class TruncatedFormModule:
                 for b in range(len(self.forms))]
         stacked = Mat.from_sparse_columns(cols, nrows=len(self.images) * len(keys))
         return [self.from_coords(c) for c in nullspace(stacked)]
-
-    def to_coords(self, alpha: Form):
-        """Coordinates of a closed form in this basis, as a sparse column;
-        StructureError if it escapes the truncation, None if it is not closed
-        (not in span)."""
-        sol = coordinates(self.basis_mat, self.space.matrix([alpha]))
-        return None if sol is None else sol.columns()[0]
 
     def from_coords(self, coords: dict) -> Form:
         """The form of a sparse coordinate column in this basis."""

@@ -31,8 +31,8 @@ definition of each example action.
 file's `k` and `max_poly_degree`, and the resolved degrees and truncation
 replace them in the parsed arguments.  Every command is then called as
 `cmd(action, args, report)` on one action; the run's `Report` keeps its
-moment map, or the message of its refused construction (`_moment_map`), so
-the sections of `report` share it.
+moment map, or the message of its refused construction (`_moment_map`),
+printed once, so the sections of `report` share it.
 
 Exit status: 0 = success, 1 = a check failed, 2 = input error.
 """
@@ -746,17 +746,16 @@ def _moment_section(report, action, mm, title):
 
 def _moment_map(action, args, report):
     """The run's moment map by `args.method` at degrees `args.k`, built and
-    verified once and kept by the report.  A refused construction keeps its
-    message (not the exception, whose traceback holds the run's frames) and
-    gives None; every section that asks reports the kept refusal."""
+    verified once and kept by the report.  A refused construction adds its
+    section once and keeps its message (not the exception, whose traceback
+    holds the run's frames); every later asker gets None."""
     if report.moment_map is None and report.refusal is None:
         try:
             report.moment_map = _METHODS[args.method](action, ks=args.k)
         except StructureError as e:
             report.refusal = str(e)
-    if report.refusal is not None:
-        report.section(f"Moment map ({args.method})", {"error": report.refusal},
-                       [f"construction failed: {report.refusal}"])
+            report.section(f"Moment map ({args.method})", {"error": report.refusal},
+                           [f"construction failed: {report.refusal}"])
     return report.moment_map
 
 
@@ -789,9 +788,7 @@ def cmd_equivariance(action, args, report):
                 for i in range(action.algebra.dim) for a, nm in enumerate(names)
                 if not sigma[i][a].is_zero()]
             lines += [f"Sigma({e['xi']})({e['p']}) = {e['value']}" for e in entries]
-        cocycle = check_sigma_cocycle(mm, k)
-        payload["cocycle"] = cocycle
-        lines.append(f"Sigma is a 1-cocycle: {'yes' if cocycle else 'NO'}")
+        payload["cocycle"] = check_sigma_cocycle(mm, k)  # a theorem, so no text line
         quotient_ok = check_module_morphism(mm, k)
         payload["morphism_quotient"] = quotient_ok
         payload["morphism_strong"] = zero
@@ -799,11 +796,9 @@ def cmd_equivariance(action, args, report):
                      f"{'yes' if quotient_ok else 'NO'}")
         lines.append(f"strong module morphism (Sigma = 0): "
                      f"{'yes' if zero else 'no'}")
-        if not quotient_ok:
-            ok = False
         try:
             _, l_forms, status = make_equivariant(mm, k, D)
-        except StructureError as e:
+        except StructureError as e:  # always, when a Sigma entry is not closed
             status, l_forms = f"failed: {e}", None
             ok = False
         payload["repair"] = status

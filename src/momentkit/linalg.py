@@ -17,8 +17,8 @@ Conventions:
   * a matrix on a tensor product is a sum of Kronecker products, built by
     `kron_sum`, the one place that builds a matrix in that block layout: row
     and column index = first factor's index major, second factor's minor.
-    Vectors over a tensor product use the same order; `moment` indexes them
-    in it by hand (`make_equivariant`'s target and `_blocks`),
+    Vectors over a tensor product use the same order; `moment` reads them
+    as one coordinate column per leading index (`make_equivariant`, `_blocks`),
   * all elimination is one fraction-free Gauss-Jordan routine,
     `_eliminate`, on integer rows: `rank` and `rref` scale each row of a
     `Mat` to a primitive integer row on entry (same row space), and `rref`

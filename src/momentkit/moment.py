@@ -33,9 +33,10 @@ Equivariance: the defect cochain
 complex of Hom(kernel, forms) = kernel* (x) forms, d^1 Sigma = 0 is proven
 (`check_sigma_cocycle`), and no d^1 of a Hom module is built.  Sigma vanishes
 exactly when f is a strong module morphism; its entries are closed when the
-action preserves omega (`check_module_morphism`).  `make_equivariant` repairs
-f by a coboundary inside a chosen polynomial truncation, or reports the
-obstruction there.
+action preserves omega (`check_module_morphism`).  `make_equivariant` decides
+that closedness and Sigma's coefficient degree before any truncation, then
+repairs f by a coboundary inside the chosen polynomial truncation, or reports
+the obstruction there.
 
 Sigma is proven zero, and not computed, for `construct_poincare`'s own map
 when every generator field is linear and every generator preserves omega:
@@ -145,12 +146,21 @@ def verify_moment(mm: MomentMap) -> bool:
     return all(r.is_zero() for r in mm.residuals().values())
 
 
+def _not_preserving(action: LieAction) -> str:
+    """'V1, V2 do not preserve omega', or '' when every generator preserves it."""
+    bad = [f"V{j + 1}" for j in action.omega_failures()]
+    return f"{', '.join(bad)} {'do' if bad[1:] else 'does'} not preserve omega" if bad else ""
+
+
 def _checked(mm: MomentMap, route: str) -> MomentMap:
     bad = [f"f_{k}({mm.action.kernel(k).names[a]})"
            for (k, a), r in mm.residuals().items() if not r.is_zero()]
     if bad:
+        # every route needs omega preserved and closed: name what the action lacks
+        unclosed = "" if mm.action.omega_checks()["closed"] else "omega is not closed"
+        cause = " and ".join(c for c in (_not_preserving(mm.action), unclosed) if c)
         raise StructureError(f"{route} construction failed its defining-equation "
-                             f"recheck at {', '.join(bad)}")
+                             f"recheck at {', '.join(bad)}" + (cause and f": {cause}"))
     return mm
 
 
@@ -265,13 +275,20 @@ def check_sigma_cocycle(mm: MomentMap, k: int) -> bool:
     return True
 
 
+def _unclosed_entry(mm: MomentMap, k: int):
+    """'Sigma(e_i)(p)' for the first Sigma entry, i major, that is not closed, or None."""
+    return next((f"Sigma(e{i + 1})({name})" for i, row in enumerate(mm.sigma(k))
+                 for name, form in zip(mm.action.kernel(k).names, row)
+                 if not exterior_d(form).is_zero()), None)
+
+
 def check_module_morphism(mm: MomentMap, k: int) -> bool:
     """The quotient identity d f([xi,p]) = s d L_{V_xi} f(p): every Sigma
     entry is closed.  For a verified moment map
     d Sigma(xi)(p) = +-V_p . L_{V_xi} omega, so it holds when the action
     preserves omega and may fail otherwise; the strong identity
     f([xi,p]) = s L_{V_xi} f(p) holds iff sigma_is_zero."""
-    return all(exterior_d(form).is_zero() for row in mm.sigma(k) for form in row)
+    return _unclosed_entry(mm, k) is None
 
 
 def _blocks(col: dict, r: int, t: int):
@@ -287,35 +304,35 @@ def make_equivariant(mm: MomentMap, k: int, max_degree: int):
     """Try to repair f_k by l with delta l = Sigma inside the truncated
     module; returns (new_map, l_forms, status) where status is one of
     'already equivariant', 'repaired', 'obstructed at degree D'.
-    StructureError if a Sigma entry escapes the truncation (raise
-    max_degree) or is not closed (a generator does not preserve omega, or
-    the map is not a moment map)."""
+    StructureError, decided on Sigma before any truncation, if a Sigma entry
+    is not closed (at every D) or Sigma's coefficient degree is above
+    max_degree (the message names the degree Sigma needs)."""
     action = mm.action
     sigma = mm.sigma(k)
     if sigma_is_zero(sigma):
         return mm, None, "already equivariant"
+    bad = _unclosed_entry(mm, k)
+    if bad:
+        # d Sigma(xi)(p) = +-V_p . L_{V_xi} omega for a verified map
+        cause = _not_preserving(action) or "the map does not satisfy its defining equation"
+        raise StructureError(f"Sigma entry {bad} is not closed: {cause}")
+    entries = [form for row in sigma for form in row]
+    degree = max(form.max_coeff_degree() for form in entries)
+    if degree > max_degree:
+        raise StructureError(f"Sigma has coefficient degree {degree}, so the repair needs "
+                             f"--max-poly-degree {degree} or more")
     hom = action.hom_module(k, max_degree)
     trunc = action.truncated_forms(k, max_degree)
-    g = action.algebra
     r = len(mm.components[k])
     t = len(trunc.forms)
-    target = {}  # over Lambda^1 (x) P* (x) Omega, in the layout of kron_sum
-    for i in range(g.dim):
-        for a in range(r):
-            coords = trunc.to_coords(sigma[i][a])
-            if coords is None:
-                # d Sigma(xi)(p) = +-V_p . L_{V_xi} omega for a verified map
-                bad = [f"V{j + 1}" for j in action.omega_failures()]
-                cause = (f"{', '.join(bad)} {'does' if len(bad) == 1 else 'do'} not preserve "
-                         f"omega" if bad else "the map does not satisfy its defining equation")
-                raise StructureError(
-                    f"Sigma entry Sigma(e{i + 1})({action.kernel(k).names[a]}) is not "
-                    f"closed: {cause}")
-            target.update({(i * r + a) * t + j: c for j, c in coords.items()})
+    # Sigma(e_i)(p_a) is column c = i * r + a, in the layout of kron_sum over
+    # Lambda^1 (x) P* (x) Omega
+    coords = coordinates(trunc.basis_mat, trunc.space.matrix(entries))
+    target = {c * t + j: x for c, col in enumerate(coords.columns()) for j, x in col.items()}
     sol = coboundary_solve(hom, 1, target)
     if sol is None:
         return None, None, f"obstructed at degree {max_degree}"
-    l_forms = [trunc.from_coords(coords) for coords in _blocks(sol, r, t)]
+    l_forms = [trunc.from_coords(block) for block in _blocks(sol, r, t)]
     components = {kk: list(forms) for kk, forms in mm.components.items()}
     components[k] = [f + l for f, l in zip(components[k], l_forms)]
     new_mm = _checked(MomentMap(action, components), "equivariantized")

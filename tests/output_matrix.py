@@ -4,10 +4,10 @@
 
 runs `python -m momentkit.cli` with <src-dir> (the directory holding the
 `momentkit` package) first on the module path, in a fresh interpreter per
-run: 8 commands x 9 problems x 4 flag sets x 2 formats.  The problems are
-the 6 bundled ones and the fixtures co3_r3, heis_r3 and scale_r3 of
-tests/golden/.  Each line printed is the sha256 of the run's stdout, stderr
-and exit code, then the run's arguments.  Run it on two source trees and
+run: 8 commands x 10 problems x 4 flag sets x 2 formats.  The problems are
+the 6 bundled ones and the fixtures co3_r3, heis_r3, scale_r3 and
+unclosed_r3 of tests/golden/.  Each line printed is the sha256 of the
+run's stdout, stderr and exit code, then the run's arguments.  Run it on two source trees and
 diff the two outputs: no diff means the change left every run
 byte-identical.
 
@@ -23,7 +23,7 @@ import sys
 COMMANDS = ("check-action", "cohomology", "kernel", "invariants", "diagnose", "construct",
             "equivariance", "report")
 PROBLEMS = ("abelian_r2", "abelian_r3", "sl2_r2", "so3_r3", "so4_r4", "u2_r4",
-            "co3_r3", "heis_r3", "scale_r3")
+            "co3_r3", "heis_r3", "scale_r3", "unclosed_r3")
 FLAG_SETS = ((), ("--max-poly-degree", "0"), ("--max-poly-degree", "2"),
              ("--method", "exactness"))
 FORMATS = ("text", "machine")

@@ -11,7 +11,7 @@ import pytest
 from momentkit.lie_core import LieAlgebra, StructureError, \
     catalog_algebra, ce_betti, exterior_basis, lie_kernel_basis
 from momentkit.gmodule import invariants_basis
-from momentkit.linalg import mat_vstack, nullspace, rank
+from momentkit.linalg import coordinates, mat_vstack, nullspace, rank
 from momentkit.polyform import (Form, MultiField, Poly, contract, contraction_chains,
                                 exterior_d, lie_derivative, wedge)
 from momentkit.action import (_SAMPLE_SEEDS, FormSpace, LieAction, TruncatedFormModule,
@@ -412,9 +412,9 @@ def test_truncated_module_action_and_escape():
     trunc = TruncatedFormModule(action, 1, 1)
     # rotations act degree-preservingly: no escape, representation validates
     assert trunc.signed_module(action.algebra, action.sign()).dim == len(trunc.forms)
-    coords = trunc.to_coords(euler_one_form(3))
+    coords = coordinates(trunc.basis_mat, trunc.space.matrix([euler_one_form(3)]))
     assert coords is not None
-    assert trunc.from_coords(coords) == euler_one_form(3)
+    assert trunc.from_coords(coords.columns()[0]) == euler_one_form(3)
 
     # a dilation-like action pushes linear coefficients up in degree: x_i^2 terms
     g = catalog_algebra("abelian3")

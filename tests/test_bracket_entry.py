@@ -20,10 +20,11 @@ Truncated closed forms are built once per (form degree, truncation): only
 space has one owner, `action.FormSpace`: only `FormSpace.__init__` reads
 `combinations_with_replacement`, so the truncation rule and the key order
 are written once, and only `FormSpace.vector` holds the message of the
-escape test, so every form meets one escape test.  Only the
-nondegeneracy check reads coefficient degrees (`max_coeff_degree`), and the
-contraction signs come from `polyform.contract` alone: the matrix it ranks
-is built without sign arithmetic.
+escape test, so every form meets one escape test.  In `action.py` only the
+nondegeneracy check reads coefficient degrees (`max_coeff_degree`; in
+`moment.py`, `make_equivariant` reads Sigma's to name the truncation a
+repair needs), and the contraction signs come from `polyform.contract`
+alone: the matrix it ranks is built without sign arithmetic.
 
 Ints and Fractions cross only at the edges of `polyform`'s operators: no
 module other than `polyform.py` reads its int kernels' entry `_ints`, exit
@@ -36,8 +37,8 @@ path to a Chevalley-Eilenberg rank fails here.
 
 Every module derived from another is a restriction with one refusal: of the
 functions that read `linalg.coordinates`, only `gmodule.restrict` builds a
-module; `TruncatedFormModule.to_coords` and `MomentMap.value` read the
-coordinates of one form or one kernel element.  Only `GModule.__init__`
+module; `MomentMap.value` reads the coordinates of one kernel element and
+`make_equivariant` those of every Sigma entry, in one call.  Only `GModule.__init__`
 assigns a module's `factors`, and only `GModule.acts_by_zero` tests a
 module's rho for zero, so a tensor product answers it from its factors.
 
@@ -147,9 +148,8 @@ def test_the_checker_finds_assignments_and_zero_tests():
 def test_one_restriction_rule_and_one_zero_test():
     found = source_readers("coordinates", SRC_FILES)
     assert {f: held for f, held in found.items() if held} == {
-        "action.py": {"TruncatedFormModule.to_coords"},
         "gmodule.py": {"restrict"},
-        "moment.py": {"MomentMap.value"}}
+        "moment.py": {"MomentMap.value", "make_equivariant"}}
     for match, want in ((assigns("factors"), "GModule.__init__"),
                         (zero_test_of_rho, "GModule.acts_by_zero")):
         found = source_owners(match, SRC_FILES)

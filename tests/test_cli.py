@@ -394,11 +394,22 @@ def test_report_runs_all_sections(capsys):
 
 
 def test_equivariance_command_reports_obstruction(capsys):
-    rc, out, _ = run_main(
-        ["equivariance", bundled("abelian_r3.mmk"), "--k", "2"], capsys)
-    assert rc == 0
-    assert "obstructed at degree 2" in out
-    assert "Sigma is a 1-cocycle: yes" in out
+    # d^1 Sigma = 0 is a theorem: the machine key stays, the text prints no
+    # line for it; a Sigma above the truncation names the degree it needs
+    for argv, rc_want, status in (
+            (["equivariance", bundled("abelian_r3.mmk"), "--k", "2"], 0,
+             "obstructed at degree 2"),
+            (["equivariance", bundled("so4_r4.mmk"), "--method", "exactness", "--k", "2",
+              "--max-poly-degree", "2"], 1,
+             "failed: Sigma has coefficient degree 3, so the repair needs "
+             "--max-poly-degree 3 or more")):
+        rc, out, _ = run_main(argv, capsys)
+        assert rc == rc_want
+        assert f"equivariantization at D<=2: {status}\n" in out
+        assert "1-cocycle" not in out
+        rc, out, _ = run_main(argv + ["--format", "machine"], capsys)
+        data = json.loads(out)["sections"][0]["data"]
+        assert (rc, data["cocycle"], data["repair"]) == (rc_want, True, status)
 
 
 def test_problem_files_that_are_not_plain_utf8_exit_cleanly(tmp_path):
@@ -674,8 +685,9 @@ def test_report_builds_and_verifies_one_moment_map(monkeypatch, capsys):
 
 
 def test_report_builds_a_refused_moment_map_once(monkeypatch, capsys):
-    # co3_r3's homotopy-operator map fails its recheck: the report keeps the
-    # refusal's message, and construct and equivariance each report it
+    # co3_r3's homotopy-operator map fails its recheck, as V4 (the Euler
+    # field) scales omega: the report keeps the refusal's message and prints
+    # it once, in construct's section; equivariance then adds none
     from momentkit.moment import construct_poincare
     constructions = count_calls(monkeypatch, construct_poincare)
     rc, out, err = run_main(["report", os.path.join(GOLDEN, "co3_r3.mmk")], capsys)
@@ -683,7 +695,8 @@ def test_report_builds_a_refused_moment_map_once(monkeypatch, capsys):
     assert len(constructions) == 1
     refusal = ("== Moment map (poincare) ==\nconstruction failed: homotopy-operator "
                "construction failed its defining-equation recheck at f_1(e4),")
-    assert out.count(refusal) == 2
+    assert out.count(refusal) == 1 and out.count("== Moment map") == 1
+    assert out.endswith(": V4 does not preserve omega\n")
 
 
 def test_report_computes_sigma_only_where_it_is_not_proven_zero(monkeypatch, capsys):
@@ -711,15 +724,17 @@ def test_equivariance_builds_no_hom_module_d1(monkeypatch, capsys):
 
 def test_equivariance_of_a_linear_action_that_scales_omega(capsys):
     # Sigma is computed, not zero, and its entry that is not closed is blamed
-    # on the generator that does not preserve omega
-    rc, out, err = run_main(["equivariance", os.path.join(GOLDEN, "scale_r3.mmk"),
-                             "--format", "machine"], capsys)
-    assert (rc, err) == (1, "")
-    data = json.loads(out)["sections"][0]["data"]
-    assert data["sigma_zero"] is False
-    assert data["nonzero_entries"] == [{"xi": "e1", "p": "e2^e3", "value": "1/3*x3^3"}]
-    assert data["repair"] == ("failed: Sigma entry Sigma(e1)(e2^e3) is not closed: "
-                              "V1 does not preserve omega")
+    # on the generator that does not preserve omega at every truncation,
+    # below Sigma's degree 3 too: closedness is decided before the truncation
+    for flags in ([], ["--max-poly-degree", "0"], ["--max-poly-degree", "2"]):
+        rc, out, err = run_main(["equivariance", os.path.join(GOLDEN, "scale_r3.mmk"),
+                                 *flags, "--format", "machine"], capsys)
+        assert (rc, err) == (1, ""), flags
+        data = json.loads(out)["sections"][0]["data"]
+        assert data["sigma_zero"] is False
+        assert data["nonzero_entries"] == [{"xi": "e1", "p": "e2^e3", "value": "1/3*x3^3"}]
+        assert data["repair"] == ("failed: Sigma entry Sigma(e1)(e2^e3) is not closed: "
+                                  "V1 does not preserve omega"), flags
 
 
 def test_construct_contracts_each_kernel_prefix_once(monkeypatch, capsys):

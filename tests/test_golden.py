@@ -23,6 +23,9 @@ homotopy-operator map is not equivariant there.
 `co3_r3.mmk` (so(3) + R, the R acting by the Euler field) and
 `heis_r3.mmk` (the Heisenberg algebra by translations and a shear) have a
 centre that acts on the Hom modules, invertibly and nilpotently.
+
+`unclosed_r3.mmk` is a pair of translations preserving an omega that is not
+closed, so its refused construction is blamed on omega.
 """
 
 import hashlib
@@ -109,6 +112,9 @@ def golden_cases():
     # fails on an entry that is not closed
     cases["equivariance_scale_r3.text"] = [
         "equivariance", os.path.join(GOLDEN, "scale_r3.mmk"), "--format", "text"]
+    # omega is not closed: the refused construction names that cause, once
+    cases["report_unclosed_r3.text"] = [
+        "report", os.path.join(GOLDEN, "unclosed_r3.mmk"), "--format", "text"]
     return cases
 
 

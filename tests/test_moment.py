@@ -496,6 +496,61 @@ def test_repair_blames_the_generators_that_do_not_preserve_omega():
         make_equivariant(MomentMap(action, {1: [x1, Form.zero(2, 0)]}), 1, 1)
     assert str(err.value) == ("Sigma entry Sigma(e1)(e1) is not closed: "
                               "V1, V2 do not preserve omega")
+    # a refused construction names the same cause after its failing values
+    with pytest.raises(StructureError) as err:
+        construct_poincare(action)
+    assert str(err.value) == ("homotopy-operator construction failed its defining-equation "
+                              "recheck at f_1(e1), f_1(e2): V1, V2 do not preserve omega")
+
+
+def _verdict_class(mm, k, max_degree):
+    """make_equivariant's verdict as 'obstructed', 'solved' (repaired or
+    already equivariant) or 'failed' (StructureError)."""
+    try:
+        status = make_equivariant(mm, k, max_degree)[2]
+    except StructureError:
+        return "failed"
+    return "obstructed" if status.startswith("obstructed") else "solved"
+
+
+def test_repair_verdicts_do_not_depend_on_the_route():
+    # Sigma = -d^0 f, so a closed l inside the truncation moves Sigma by the
+    # coboundary -d^0 l there: f + l gets f's verdict class; and two routes'
+    # maps f, f' get one verdict class wherever f - f' lies inside the
+    # truncation (it is closed, both being moment maps)
+    rng = random.Random(42)
+    actions = dict(problem_actions(), scale_r3=scale_r3_action())
+    classes, pairs = [], 0
+    for name, action in actions.items():
+        for k in range(1, action.plectic_degree() + 1):
+            maps = []
+            for build in (construct_poincare, construct_exactness, construct_brackets):
+                try:
+                    maps.append(build(action, ks=[k]))
+                except StructureError:
+                    pass
+            for D in (0, 1, 2):
+                forms = action.truncated_forms(k, D).forms
+                verdicts = [_verdict_class(mm, k, D) for mm in maps]
+                for mm, verdict in zip(maps, verdicts):
+                    shifted = [f + Form.linear_combination(
+                                   f.n, f.degree, ((rng.randint(-3, 3), b)
+                                                   for b in rng.sample(forms, min(3, len(forms)))))
+                               for f in mm.component(k)]
+                    classes.append(verdict)
+                    assert _verdict_class(MomentMap(action, {k: shifted}), k, D) == verdict, (
+                        name, k, D)
+                for a, (mm, verdict) in enumerate(zip(maps, verdicts)):
+                    for other, other_verdict in zip(maps[a + 1:], verdicts[a + 1:]):
+                        if all((f - g).max_coeff_degree() <= D
+                               for f, g in zip(mm.component(k), other.component(k))):
+                            pairs += 1
+                            assert verdict == other_verdict, (name, k, D)
+    # every class is met; the failures are scale_r3's Sigma, which is not
+    # closed, and Sigmas above the truncation (so4's exactness route, heis at D=0)
+    assert {c: classes.count(c) for c in set(classes)} == {
+        "obstructed": 14, "solved": 56, "failed": 11}
+    assert pairs == 31
 
 
 def test_already_equivariant_status():

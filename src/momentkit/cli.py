@@ -20,9 +20,11 @@ its value is an error (trailing input).
 Expressions are sums of terms; a term is a product of a rational literal,
 variables `x<i>` with optional `^<exp>`, and one basis factor: `dx(i,j,...)`
 for forms, `d/dx<i>` for vector fields, `e<i>` for algebra elements.  All
-numerics are exact rationals (`p/q`).  Files are UTF-8, with or without a
-byte-order mark; a byte that is not UTF-8 is an input error at its line and
-column (`read_problem_text`).
+numerics are exact rationals (`p/q`).  One reader, `_terms`, checks each
+term in full (basis factor, indices, variables) before it drops a term with
+a repeated index as zero or compares its degree.  Files are UTF-8, with or
+without a byte-order mark; a byte that is not UTF-8 is an input error at
+its line and column (`read_problem_text`).
 
 `catalog_action(name)` reads the bundled file `problems/<name>.mmk`, the one
 definition of each example action.
@@ -55,7 +57,7 @@ from .gmodule import module_cohomology_dim
 from .action import LieAction, invariant_closed_forms
 from .moment import (check_module_morphism, check_sigma_cocycle, construct_brackets,
                      construct_exactness, construct_poincare, existence_diagnostic,
-                     make_equivariant, sigma_is_zero, verify_moment)
+                     make_equivariant, sigma_is_zero)
 
 
 class MmkError(Exception):
@@ -230,11 +232,6 @@ def parse_expression(ts):
                     expected={"'+'", "'-'"})
 
 
-def _is_zero_literal(terms):
-    return (len(terms) == 1 and terms[0]["basis"] is None
-            and not terms[0]["powers"] and terms[0]["coeff"] == 0)
-
-
 _BASIS = {  # basis token kind -> (missing-factor message, index display)
     "dx": ("form term needs a dx(...) factor", "coordinate index {}"),
     "ddx": ("vector-field term needs a d/dx<i> factor", "direction d/dx{}"),
@@ -242,74 +239,63 @@ _BASIS = {  # basis token kind -> (missing-factor message, index display)
 }
 
 
-def _basis(term, kind, n, line):
-    """0-based indices of the term's basis factor, which must be of `kind`
-    with every index in 1..n."""
-    basis = term["basis"]
+def _terms(terms, kind, n, line):
+    """(coefficient, exponents on R^n, 0-based indices) of each term, or None
+    for the literal 0.  Each term is checked in full before the next is
+    read: its basis factor is of `kind`, each index is in 1..n, and each
+    variable is in x1..xn (an algebra term has none).  Only then is a term
+    with a repeated index dropped as zero, and one whose degree differs from
+    the first kept term's refused."""
+    if (len(terms) == 1 and terms[0]["basis"] is None
+            and not terms[0]["powers"] and terms[0]["coeff"] == 0):
+        return None
     missing, index = _BASIS[kind]
-    if basis is None or basis[0] != kind:
-        raise MmkError(missing, line=line, col=term["col"])
-    if kind == "eb" and term["powers"]:
-        raise MmkError("algebra expressions cannot contain variables",
-                       line=line, col=term["col"])
-    for i in basis[1]:
-        if not 1 <= i <= n:
-            raise MmkError(f"{index.format(i)} out of range for dim {n}",
-                           line=line, col=basis[2])
-    return tuple(i - 1 for i in basis[1])
-
-
-def _monomial(term, n, line):
-    """Exponent list of the term's variables on R^n."""
-    mono = [0] * n
-    for v, e in term["powers"].items():
-        if not 1 <= v <= n:
-            raise MmkError(f"variable x{v} out of range for dim {n}",
-                           line=line, col=term["col"])
-        mono[v - 1] += e
-    return mono
+    out = []
+    for term in terms:
+        basis, col = term["basis"], term["col"]
+        if basis is None or basis[0] != kind:
+            raise MmkError(missing, line=line, col=col)
+        for i in basis[1]:
+            if not 1 <= i <= n:
+                raise MmkError(f"{index.format(i)} out of range for dim {n}",
+                               line=line, col=basis[2])
+        mono = [0] * n
+        for v, e in term["powers"].items():
+            if kind == "eb":
+                raise MmkError("algebra expressions cannot contain variables",
+                               line=line, col=col)
+            if not 1 <= v <= n:
+                raise MmkError(f"variable x{v} out of range for dim {n}",
+                               line=line, col=col)
+            mono[v - 1] += e
+        idx = tuple(i - 1 for i in basis[1])
+        if len(set(idx)) < len(idx):
+            continue
+        if out and len(idx) != len(out[0][2]):
+            raise MmkError("mixed form degrees in one expression", line=line, col=basis[2])
+        out.append((term["coeff"], mono, idx))
+    return out
 
 
 def terms_to_form(terms, n, line):
-    """Build a Form on R^n; every term needs a dx(...) basis factor (or the
-    whole expression is the literal 0)."""
-    if _is_zero_literal(terms):
-        return None  # degree unknown; caller decides
-    degree = None
-    triples = []
-    for term in terms:
-        idx = _basis(term, "dx", n, line)
-        if len(set(idx)) != len(idx):
-            continue  # repeated index: the term is zero
-        if degree is None:
-            degree = len(idx)
-        elif degree != len(idx):
-            raise MmkError("mixed form degrees in one expression",
-                           line=line, col=term["basis"][2])
-        triples.append((term["coeff"], _monomial(term, n, line), idx))
-    if degree is None:
+    """A Form on R^n, or None for the literal 0 (degree unknown; the caller
+    decides)."""
+    triples = _terms(terms, "dx", n, line)
+    if triples == []:
         raise MmkError("form expression has no nonzero term", line=line, col=1)
-    return Form.from_terms(n, degree, triples)
+    return triples and Form.from_terms(n, len(triples[0][2]), triples)
 
 
 def terms_to_field(terms, n, line):
-    """Build a vector field on R^n; every term needs one d/dx<i> factor."""
-    if _is_zero_literal(terms):
-        return MultiField.zero(n, 1)
-    triples = []
-    for term in terms:
-        idx = _basis(term, "ddx", n, line)
-        triples.append((term["coeff"], _monomial(term, n, line), idx))
-    return MultiField.from_terms(n, 1, triples)
+    """A vector field on R^n."""
+    return MultiField.from_terms(n, 1, _terms(terms, "ddx", n, line) or ())
 
 
 def terms_to_algebra_element(terms, dim, line):
     """Terms {m: c} over e1..e<dim> (0-based m) of an algebra expression."""
     out = {}
-    if not _is_zero_literal(terms):
-        for term in terms:
-            m, = _basis(term, "eb", dim, line)
-            out[m] = out.get(m, 0) + term["coeff"]
+    for c, _, (m,) in _terms(terms, "eb", dim, line) or ():
+        out[m] = out.get(m, 0) + c
     return out
 
 
@@ -726,24 +712,6 @@ _METHODS = {
 }
 
 
-def _moment_section(report, action, mm, title):
-    payload = {}
-    lines = []
-    all_zero = verify_moment(mm)
-    for k in mm.degrees():
-        names = action.kernel(k).names
-        entries = []
-        for a, nm in enumerate(names):
-            val = format_form(mm.components[k][a])
-            entries.append({"p": nm, "f": val})
-            lines.append(f"f_{k}({nm}) = {val}")
-        payload[str(k)] = entries
-    payload["residuals_zero"] = all_zero
-    lines.append(f"defining-equation residuals all zero: {'yes' if all_zero else 'NO'}")
-    report.section(title, payload, lines)
-    return all_zero
-
-
 def _moment_map(action, args, report):
     """The run's moment map by `args.method` at degrees `args.k`, built and
     verified once and kept by the report.  A refused construction adds its
@@ -764,8 +732,17 @@ def cmd_construct(action, args, report):
     mm = _moment_map(action, args, report)
     if mm is None:
         return 1
-    ok = _moment_section(report, action, mm, f"Moment map ({args.method})")
-    return 0 if ok else 1
+    # the map has passed its constructor's defining-equation recheck (moment._checked)
+    payload = {}
+    lines = []
+    for k in mm.degrees():
+        entries = payload[str(k)] = [{"p": nm, "f": format_form(f)} for nm, f
+                                     in zip(action.kernel(k).names, mm.components[k])]
+        lines += [f"f_{k}({e['p']}) = {e['f']}" for e in entries]
+    payload["residuals_zero"] = True
+    lines.append("defining-equation residuals all zero: yes")
+    report.section(f"Moment map ({args.method})", payload, lines)
+    return 0
 
 
 def cmd_equivariance(action, args, report):

@@ -9,10 +9,11 @@ for k = 1..n.  Maps are stored by their values on the canonical kernel
 basis and extended linearly.  The kernel basis, the contractions V_p . omega
 and the Hom modules are read from the action, which builds each once
 (`LieAction.kernel`, `LieAction.contractions`, `LieAction.hom_module`), like
-the bracket sign s (`LieAction.sign`); a MomentMap keeps its own residuals
-and Sigma cochains once computed.  Each constructor call builds and verifies
-a new map, which the action does not keep: a caller that asks several
-questions of one map keeps the map, as the command line does for each run.
+the bracket sign s (`LieAction.sign`); a MomentMap keeps its own residuals,
+Sigma cochains and their closedness once computed.  Each constructor call
+builds and verifies a new map, which the action does not keep: a caller that
+asks several questions of one map keeps the map, as the command line does
+for each run.
 
 Three constructors (each re-verifies the defining equation before
 returning):
@@ -62,9 +63,9 @@ def zeta(k: int) -> int:
 
 class MomentMap:
     """Values of each f_k on the canonical degree-k kernel basis.  The
-    components are fixed at construction, so `residuals` and `sigma` are
-    computed once.  `homotopy_operator` is True only on the output of
-    `construct_poincare`."""
+    components are fixed at construction, so `residuals`, `sigma` and
+    Sigma's closedness (`_unclosed_entry`) are computed once.
+    `homotopy_operator` is True only on the output of `construct_poincare`."""
 
     homotopy_operator = False
 
@@ -74,6 +75,7 @@ class MomentMap:
         self.components = {}
         self._residuals = None
         self._sigma = {}
+        self._unclosed = {}
         for k, forms in components.items():
             if len(forms) != len(action.kernel(k).basis):
                 raise ValueError(f"degree {k}: need one form per kernel basis element")
@@ -153,15 +155,15 @@ def _not_preserving(action: LieAction) -> str:
 
 
 def _checked(mm: MomentMap, route: str) -> MomentMap:
+    if verify_moment(mm):
+        return mm
     bad = [f"f_{k}({mm.action.kernel(k).names[a]})"
            for (k, a), r in mm.residuals().items() if not r.is_zero()]
-    if bad:
-        # every route needs omega preserved and closed: name what the action lacks
-        unclosed = "" if mm.action.omega_checks()["closed"] else "omega is not closed"
-        cause = " and ".join(c for c in (_not_preserving(mm.action), unclosed) if c)
-        raise StructureError(f"{route} construction failed its defining-equation "
-                             f"recheck at {', '.join(bad)}" + (cause and f": {cause}"))
-    return mm
+    # every route needs omega preserved and closed: name what the action lacks
+    unclosed = "" if mm.action.omega_checks()["closed"] else "omega is not closed"
+    cause = " and ".join(c for c in (_not_preserving(mm.action), unclosed) if c)
+    raise StructureError(f"{route} construction failed its defining-equation "
+                         f"recheck at {', '.join(bad)}" + (cause and f": {cause}"))
 
 
 def _first_unsolvable(a: Mat, b: Mat) -> int:
@@ -276,10 +278,13 @@ def check_sigma_cocycle(mm: MomentMap, k: int) -> bool:
 
 
 def _unclosed_entry(mm: MomentMap, k: int):
-    """'Sigma(e_i)(p)' for the first Sigma entry, i major, that is not closed, or None."""
-    return next((f"Sigma(e{i + 1})({name})" for i, row in enumerate(mm.sigma(k))
-                 for name, form in zip(mm.action.kernel(k).names, row)
-                 if not exterior_d(form).is_zero()), None)
+    """'Sigma(e_i)(p)' for the first Sigma entry, i major, that is not closed,
+    or None; decided once per degree and kept on the map."""
+    if k not in mm._unclosed:
+        mm._unclosed[k] = next((f"Sigma(e{i + 1})({name})" for i, row in enumerate(mm.sigma(k))
+                                for name, form in zip(mm.action.kernel(k).names, row)
+                                if not exterior_d(form).is_zero()), None)
+    return mm._unclosed[k]
 
 
 def check_module_morphism(mm: MomentMap, k: int) -> bool:
@@ -360,9 +365,11 @@ def uniqueness_check(action: LieAction, k: int, max_degree: int):
 def existence_diagnostic(action: LieAction, ks=None, max_degree=None):
     """Per-degree applicability report for the three constructors, plus
     (optionally) cohomology of the truncated coefficient module governing
-    equivariant existence and uniqueness."""
+    equivariant existence and uniqueness.  Every route needs omega closed,
+    proven nondegenerate and preserved, as its recheck does."""
     msy = action.omega_checks()
     preserved = not action.omega_failures()
+    setting = msy["closed"] and msy["nondegenerate"] is True and preserved
     betti = action.betti()
     out = {"action": action.algebra.name, "plectic_degree": action.plectic_degree(),
            "omega_closed": msy["closed"], "omega_nondegenerate": msy["nondegenerate"],
@@ -372,13 +379,13 @@ def existence_diagnostic(action: LieAction, ks=None, max_degree=None):
         kernel = action.kernel(k)
         entry = {"dim_kernel": len(kernel.basis),
                  "betti_k": betti[k] if k < len(betti) else 0}
-        # ker boundary_k lies in im boundary_{k+1} exactly when b_k = 0
-        entry["exactness_applies"] = entry["betti_k"] == 0
+        # ker boundary_k lies in im boundary_{k+1} exactly when b_k = 0, and
+        # every kernel element is a bracket combination when h0(P_k*) = 0
+        entry["exactness_applies"] = setting and entry["betti_k"] == 0
         h0_dual = module_cohomology_dim(kernel.dual, 0)
         entry["h0_dual_kernel"] = h0_dual
-        entry["brackets_apply"] = h0_dual == 0
-        entry["poincare_applies"] = (msy["closed"] and msy["nondegenerate"] is True
-                                     and preserved)
+        entry["brackets_apply"] = setting and h0_dual == 0
+        entry["poincare_applies"] = setting
         if max_degree is not None:
             hom = action.hom_module(k, max_degree)
             entry["hom_module_dim"] = hom.dim

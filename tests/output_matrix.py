@@ -4,7 +4,7 @@
 
 runs `python -m momentkit.cli` with <src-dir> (the directory holding the
 `momentkit` package) first on the module path, in a fresh interpreter per
-run: 8 commands x 10 problems x 4 flag sets x 2 formats.  The problems are
+run: 8 commands x 10 problems x 5 flag sets x 2 formats (800 runs).  The problems are
 the 6 bundled ones and the fixtures co3_r3, heis_r3, scale_r3 and
 unclosed_r3 of tests/golden/.  Each line printed is the sha256 of the
 run's stdout, stderr and exit code, then the run's arguments.  Run it on two source trees and
@@ -25,7 +25,7 @@ COMMANDS = ("check-action", "cohomology", "kernel", "invariants", "diagnose", "c
 PROBLEMS = ("abelian_r2", "abelian_r3", "sl2_r2", "so3_r3", "so4_r4", "u2_r4",
             "co3_r3", "heis_r3", "scale_r3", "unclosed_r3")
 FLAG_SETS = ((), ("--max-poly-degree", "0"), ("--max-poly-degree", "2"),
-             ("--method", "exactness"))
+             ("--method", "exactness"), ("--method", "brackets"))
 FORMATS = ("text", "machine")
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 

@@ -48,10 +48,15 @@ ACTIONS = ("abelian_r3", "so3_r3", "so4_r4", "u2_r4")
 # problems and seeded inputs
 # ---------------------------------------------------------------------------
 
+def golden_action(name):
+    """The action of the fixture tests/golden/<name>.mmk."""
+    with open(os.path.join(GOLDEN, f"{name}.mmk"), encoding="utf-8") as fh:
+        return parse_problem(fh.read()).build_action()
+
+
 def so5_action():
     """The generated so(5) action on R^5 of tests/golden/so5_seed1.mmk."""
-    with open(os.path.join(GOLDEN, "so5_seed1.mmk"), encoding="utf-8") as fh:
-        return parse_problem(fh.read()).build_action()
+    return golden_action("so5_seed1")
 
 
 def oracle_actions():
@@ -62,8 +67,7 @@ def problem_actions():
     """The bundled problems, and the two fixtures whose centre acts."""
     actions = {p: catalog_action(p) for p in BUNDLED}
     for p in ("co3_r3", "heis_r3"):
-        with open(os.path.join(GOLDEN, f"{p}.mmk"), encoding="utf-8") as fh:
-            actions[p] = parse_problem(fh.read()).build_action()
+        actions[p] = golden_action(p)
     return actions
 
 

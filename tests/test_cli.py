@@ -44,13 +44,16 @@ def test_malformed_exponent_points_at_caret():
     assert "integer" in "".join(err.value.expected)
 
 
-def test_out_of_range_variable_is_a_semantic_error():
-    text = ('[algebra]\nalgebra = "abelian3"\n\n[action]\ndim = 3\n'
-            'V1 = d/dx1\nV2 = d/dx2\nV3 = x5*d/dx3\n\n[omega]\nomega = dx(1,2,3)\n')
-    with pytest.raises(MmkError) as err:
-        parse_problem(text)
-    assert err.value.line == 8
-    assert "x5" in str(err.value)
+def test_out_of_range_variable_is_a_semantic_error(tmp_path, capsys):
+    # a term with a repeated index is zero, but its variables are checked
+    # before it is dropped
+    head = '[algebra]\nalgebra = "abelian3"\n\n[action]\ndim = 3\nV1 = d/dx1\nV2 = d/dx2\n'
+    for text, position, variable in (
+            (head + 'V3 = x5*d/dx3\n\n[omega]\nomega = dx(1,2,3)\n', "line 8, col 6", "x5"),
+            (head + 'V3 = d/dx3\n\n[omega]\nomega = x9*dx(1,1) + dx(1,2,3)\n',
+             "line 11, col 9", "x9")):
+        assert check_action_outcome(text, str(tmp_path / "p.mmk"), capsys) == (
+            2, "", f"error: <file>: {position}: variable {variable} out of range for dim 3\n")
 
 
 def test_unexpected_character_position():
@@ -73,12 +76,16 @@ def test_unknown_catalog_name():
 
 
 def test_mixed_form_degrees_rejected():
-    text = ('[algebra]\nalgebra = "abelian3"\n\n[action]\ndim = 3\n'
-            'V1 = d/dx1\nV2 = d/dx2\nV3 = d/dx3\n\n[omega]\n'
-            'omega = dx(1,2) + dx(1,2,3)\n')
-    with pytest.raises(MmkError) as err:
-        parse_problem(text)
-    assert "mixed" in str(err.value)
+    # each term is checked in full before its degree, so an out-of-range
+    # variable in the term of another degree is named first
+    head = ('[algebra]\nalgebra = "abelian3"\n\n[action]\ndim = 3\n'
+            'V1 = d/dx1\nV2 = d/dx2\nV3 = d/dx3\n\n[omega]\n')
+    for omega, message in (("dx(1,2) + dx(1,2,3)", "line 11, col 19: mixed form degrees"),
+                           ("dx(1,2,3) + x9*dx(1,2)",
+                            "line 11, col 21: variable x9 out of range for dim 3")):
+        with pytest.raises(MmkError) as err:
+            parse_problem(head + f"omega = {omega}\n")
+        assert str(err.value).startswith(message), omega
 
 
 def test_division_by_zero_literal():
@@ -720,6 +727,20 @@ def test_equivariance_builds_no_hom_module_d1(monkeypatch, capsys):
         built.clear()
         run_main(["equivariance", path], capsys)
         assert built and not [m for m, k in built if k == 1 and m.factors], path
+
+
+def test_equivariance_takes_each_exterior_derivative_once(monkeypatch, capsys):
+    # the closedness of Sigma is decided once per degree and kept on the map,
+    # so the quotient verdict and the repair share it: abelian_r3's 18 Sigma
+    # entries take 18 derivatives, and the action's closedness tests of
+    # omega and of the truncated bases the other 40
+    from momentkit.polyform import exterior_d
+    derived = count_calls(monkeypatch, exterior_d)
+    for path, calls in ((bundled("abelian_r3.mmk"), 58),
+                        (os.path.join(GOLDEN, "scale_r3.mmk"), 21)):
+        derived.clear()
+        run_main(["equivariance", path], capsys)
+        assert len(derived) == len({id(form) for form, in derived}) == calls, path
 
 
 def test_equivariance_of_a_linear_action_that_scales_omega(capsys):

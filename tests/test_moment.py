@@ -24,8 +24,9 @@ from momentkit.moment import (MomentMap, _checked, check_module_morphism,
                               sigma_cochain, sigma_is_zero, uniqueness_check,
                               verify_moment, zeta)
 
-from support import (count_calls, entry, mv_add, mv_boundary, mv_wedge, oracle_actions,
-                     problem_actions, random_form, schouten, so5_action, volume_form)
+from support import (count_calls, entry, golden_action, mv_add, mv_boundary, mv_wedge,
+                     oracle_actions, problem_actions, random_form, schouten, so5_action,
+                     volume_form)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +332,7 @@ def test_sigma_of_any_values_is_a_cocycle():
     # maps, and whether or not the action preserves omega (scale_r3)
     rng = random.Random(40)
     actions = problem_actions()
-    actions["scale_r3"] = scale_r3_action()
+    actions["scale_r3"] = golden_action("scale_r3")
     cases = 0
     for name, action in actions.items():
         n, top = action.ambient_dim, action.plectic_degree()
@@ -381,12 +382,6 @@ def test_report_takes_no_lie_derivative_of_a_zero_form(monkeypatch, capsys):
 TESTS = os.path.dirname(__file__)
 
 
-def scale_r3_action():
-    """tests/golden/scale_r3.mmk: a linear action whose V1 scales omega."""
-    with open(os.path.join(TESTS, "golden", "scale_r3.mmk"), encoding="utf-8") as fh:
-        return parse_problem(fh.read()).build_action()
-
-
 def so5gen_action(seed):
     """The generated so(5) action on R^5 of `perfbench/so5gen.py` for a seed."""
     spec = importlib.util.spec_from_file_location(
@@ -414,7 +409,7 @@ def test_a_proven_zero_sigma_is_the_computed_one(monkeypatch):
 def test_a_verified_map_whose_action_scales_omega_is_no_quotient_morphism():
     # d Sigma(xi)(p) = +-V_p . L_{V_xi} omega: Sigma's entries are closed
     # only where omega is preserved, while Sigma stays a cocycle
-    mm = construct_poincare(scale_r3_action(), ks=[2])
+    mm = construct_poincare(golden_action("scale_r3"), ks=[2])
     assert verify_moment(mm)
     assert check_module_morphism(mm, 2) is False
     assert check_sigma_cocycle(mm, 2) is True
@@ -425,7 +420,7 @@ def test_sigma_is_computed_where_it_is_not_proven_zero(monkeypatch):
     # routes give other maps, and a repaired map carries no proof
     so4 = catalog_action("so4_r4")
     maps = [construct_poincare(catalog_action(name)) for name in ("abelian_r2", "abelian_r3")]
-    maps += [construct_poincare(scale_r3_action(), ks=[2]),
+    maps += [construct_poincare(golden_action("scale_r3"), ks=[2]),
              construct_exactness(so4, ks=[1, 2]), construct_brackets(so4, ks=[1, 2])]
     computed = count_calls(monkeypatch, sigma_cochain)
     for mm in maps:
@@ -519,7 +514,7 @@ def test_repair_verdicts_do_not_depend_on_the_route():
     # maps f, f' get one verdict class wherever f - f' lies inside the
     # truncation (it is closed, both being moment maps)
     rng = random.Random(42)
-    actions = dict(problem_actions(), scale_r3=scale_r3_action())
+    actions = dict(problem_actions(), scale_r3=golden_action("scale_r3"))
     classes, pairs = [], 0
     for name, action in actions.items():
         for k in range(1, action.plectic_degree() + 1):
@@ -622,6 +617,24 @@ def test_existence_counts_match_the_solves_they_replace():
             assert entry["h0_dual_kernel"] == len(invariants_basis(kernel.dual)), (g, k)
             verdicts.add((entry["exactness_applies"], entry["h0_dual_kernel"] > 0))
     assert verdicts == {(True, False), (False, True)}  # each answer occurs
+
+
+def test_every_route_marked_yes_constructs():
+    # a route is marked yes only where omega is closed, proven nondegenerate
+    # and preserved and the route's algebra condition holds; every such route
+    # then builds a map that passes its defining-equation recheck
+    actions = dict(problem_actions(), so5_seed1=so5_action(),
+                   scale_r3=golden_action("scale_r3"), unclosed_r3=golden_action("unclosed_r3"))
+    routes = {"poincare_applies": construct_poincare, "exactness_applies": construct_exactness,
+              "brackets_apply": construct_brackets}
+    built = 0
+    for name, action in actions.items():
+        for k, entry in existence_diagnostic(action)["degrees"].items():
+            for key, build in routes.items():
+                if entry[key]:
+                    assert verify_moment(build(action, ks=[k])), (name, k, key)
+                    built += 1
+    assert built == 36
 
 
 def test_describe_kernel_formatting():

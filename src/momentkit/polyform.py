@@ -18,24 +18,26 @@ also drops the zero coefficients and empty components that cancellation
 left behind).  A result makes one Fraction per distinct value, shared by
 every term that holds it: Fractions are immutable, and a so(5) result has
 about one distinct value per five terms.  In between, every kernel (wedge
-products, d, contraction, linear combinations, the vector-field
-bracket) works a block at a time: one source component, or one pair of
-components, whose target index tuple and sign it resolves once before
-adding the block into that target's dict (`_combination`,
+products, d, iota_X by a vector field X, linear combinations, the
+vector-field bracket) works a block at a time: one source component, or
+one pair of components, whose target index tuple and sign it resolves
+once before adding the block into that target's dict (`_combination`,
 `_add_products`).  An exponent move is a table lookup: raising exponent i
-(the x_i of a linear field, such as K's Euler field) and lowering it (d,
-the bracket's derivatives) read two module-level `_Table`s, `_RAISE` and
-`_LOWER`, whose int-tuple entries are each sliced once, on first use.  A constant factor leaves a monomial as it is, and
-only a factor of higher degree builds a sum of exponent tuples.
-Rendering reads each monomial's sort key and text from a third such table
-(`format_poly`).
+(the x_i of a linear field, or of K's Euler field) and lowering it (d, the
+bracket's derivatives) read two module-level `_Table`s, `_RAISE` and
+`_LOWER`, whose int-tuple entries are each sliced once, on first use.  A
+constant factor leaves a monomial as it is, and only a factor of higher
+degree builds a sum of exponent tuples.  Rendering reads each monomial's
+sort key and text from a third such table (`format_poly`).
 
 The composite operators compose the kernels and leave the ints once: the
-Lie derivative; `contraction_chains`, (V_{t1} ^ ... ^ V_{tk}) . alpha for
+Lie derivative; `contract`, a k-field's unit fields in turn, times its
+coefficients; `contraction_chains`, (V_{t1} ^ ... ^ V_{tk}) . alpha for
 many multivectors as chains of single-field contractions sharing their
-prefixes; K scaled by a constant; and `exterior_d_plus`, d alpha + c *
-beta.  The homotopy-operator construction of a moment map runs these
-three in turn, so each of its values leaves the ints three times.
+prefixes; K scaled by a constant, in one pass over alpha's ints; and
+`exterior_d_plus`, d alpha + c * beta.  The homotopy-operator construction
+of a moment map runs these three in turn, so each of its values leaves the
+ints three times.
 
 Conventions:
   * contraction: (X_1 ^ ... ^ X_k) . alpha applies iota_{X_1} innermost,
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
 from math import lcm
 from operator import add
 
@@ -217,8 +219,8 @@ _LOWER = _moves(-1)
 
 def _add_products(acc: dict, key: tuple, q: dict, p: dict, s: int) -> None:
     """acc[key] += s * q * p.  A constant monomial of q leaves p's monomials
-    as they are, and x_i (in a linear field such as K's Euler field) raises
-    exponent i by looking it up in _RAISE; only a higher-degree monomial adds tuples."""
+    as they are, and x_i (in a linear field) raises exponent i by looking it
+    up in _RAISE; only a higher-degree monomial adds tuples."""
     poly = acc.setdefault(key, {})
     get = poly.get
     for m1, c1 in q.items():
@@ -287,19 +289,15 @@ def _d(a: dict, n: int) -> dict:
 
 
 def _contract(f: dict, a: dict, acc=None) -> dict:
-    """acc (a new dict by default) plus f . a, for a k-field f: the k
-    positions pos in idx of a component t of f leave the rest of idx, with
-    the sign (-1)^(sum(pos) - k(k-1)/2) of dx^idx = sign * dx^t ^ dx^rest.
-    On a 0-form (no positions) f . a is 0, as lie_derivative needs."""
+    """acc (a new dict by default) plus iota_f a, for a vector field f: the
+    component of f at idx[j] takes idx[j] out of idx with sign (-1)^j.  On
+    a 0-form (no positions) iota_f a is 0, as lie_derivative needs."""
     acc = {} if acc is None else acc
-    k = len(next(iter(f), ()))
-    shift = k * (k - 1) // 2
     for idx, p in a.items():
-        for pos in combinations(range(len(idx)), k):
-            q = f.get(tuple([idx[j] for j in pos]))
+        for j, i in enumerate(idx):
+            q = f.get((i,))
             if q is not None:
-                rest = tuple([i for j, i in enumerate(idx) if j not in pos])
-                _add_products(acc, rest, q, p, -1 if (sum(pos) - shift) % 2 else 1)
+                _add_products(acc, idx[:j] + idx[j + 1:], q, p, -1 if j % 2 else 1)
     return acc
 
 
@@ -433,15 +431,20 @@ def exterior_d_plus(alpha: Form, c, beta: Form) -> Form:
 
 
 def contract(field: MultiField, alpha: Form) -> Form:
-    """(X_1 ^ .. ^ X_k) . alpha = alpha(X_1, .., X_k, ...): for each field
-    component d/dx_{t_0} ^ .. ^ d/dx_{t_{k-1}}, iota over t_0 first."""
+    """(X_1 ^ .. ^ X_k) . alpha = alpha(X_1, .., X_k, ...): a component q
+    d/dx_{t_1} ^ .. ^ d/dx_{t_k} is iota over t_1 first, .., t_k, times q."""
     if field.n != alpha.n:
         raise ValueError("dimension mismatch in contract")
     if field.degree > alpha.degree:
         raise ValueError("cannot contract: field degree exceeds form degree")
     df, f = _ints(field.comps)
     da, a = _ints(alpha.comps)
-    return _wrap(Form, alpha.n, alpha.degree - field.degree, _contract(f, a), df * da)
+    acc: dict = {}
+    for t, q in f.items():
+        b = reduce(lambda b, i: _contract({(i,): {(0,) * alpha.n: 1}}, b), t, a)
+        for idx, p in b.items():
+            _add_products(acc, idx, q, p, 1)
+    return _wrap(Form, alpha.n, alpha.degree - field.degree, acc, df * da)
 
 
 def contraction_chains(fields, alpha: Form, mvs) -> list:
@@ -533,18 +536,25 @@ def poincare_homotopy(alpha: Form, c=1) -> Form:
     """c * K(alpha), for a scalar c (default 1), with K the homotopy operator:
     d K + K d = identity on polynomial forms of form-degree >= 1 (and on
     0-forms up to the constant term).  K of a 0-form is zero by convention.
-    Each term is scaled by c/(|mu|+p) as ints over den * L * c.denominator,
-    L the lcm of the |mu|+p, and then contracted with the Euler field E."""
+    Each term is scaled once by L/(|mu|+p), L the lcm of the |mu|+p, and
+    the Euler field's x_i d/dx_i at position j raises exponent i with sign
+    (-1)^j * c.numerator, all as ints over den * L * c.denominator."""
     if alpha.degree == 0:
         return Form.zero(alpha.n, 0)
     p = alpha.degree
     c = frac(c)
     den, a = _ints(alpha.comps)
     scale = lcm(*{sum(mono) + p for q in a.values() for mono in q})
-    scaled = {idx: {mono: v * c.numerator * (scale // (sum(mono) + p)) for mono, v in q.items()}
-              for idx, q in a.items()}
-    euler = {(i,): {tuple(int(k == i) for k in range(alpha.n)): 1} for i in range(alpha.n)}
-    return _wrap(Form, alpha.n, p - 1, _contract(euler, scaled), den * scale * c.denominator)
+    acc: dict = {}
+    for idx, q in a.items():
+        scaled = [(mono, v * (scale // (sum(mono) + p))) for mono, v in q.items()]
+        for j, i in enumerate(idx):
+            s, raised = -c.numerator if j % 2 else c.numerator, _RAISE[i]
+            poly = acc.setdefault(idx[:j] + idx[j + 1:], {})
+            for mono, v in scaled:
+                m = raised[mono]
+                poly[m] = poly.get(m, 0) + s * v
+    return _wrap(Form, alpha.n, p - 1, acc, den * scale * c.denominator)
 
 
 def _format_graded(x, basis) -> str:

@@ -13,6 +13,8 @@ one way to write a matrix as dense rows, is built on `summed_matrix`;
 `cartan_residual` is the boundary identity linking d, contraction and Lie
 derivatives.  `seeded_shear` and `linear_pullback` change coordinates by an
 integer matrix of determinant 1, built from `wedge` of 0- and 1-forms.
+`euler_homotopy` is K term by term, one public `contract` with the Euler
+field per term, and `contract_in_turn` contracts one vector field at a time.
 
 The AST contracts read each file under src/momentkit/ once (`src_text`) and
 walk its syntax tree once (`syntax_nodes`).  Test modules import from here,
@@ -130,6 +132,27 @@ def volume_form(n):
 def euler_one_form(n):
     return Form.from_terms(n, 1, [(1, tuple(1 if j == i else 0 for j in range(n)), (i,))
                                   for i in range(n)])
+
+
+def euler_homotopy(alpha, c=1):
+    """c * K(alpha) term by term: each term a x^mu dx^I of a p-form is
+    contracted with the Euler field E = sum_i x_i d/dx_i by the public
+    `contract`, and the results are summed with weights c/(|mu|+p) by
+    `linear_combination`; zero on a 0-form, as K is."""
+    n, p = alpha.n, alpha.degree
+    if p == 0:
+        return Form.zero(n, 0)
+    euler = vector_field(n, [Poly(n, {tuple(int(j == i) for j in range(n)): 1})
+                             for i in range(n)])
+    return Form.linear_combination(n, p - 1, [
+        (Fraction(c) / (sum(mono) + p), contract(euler, Form(n, p, {idx: Poly(n, {mono: a})})))
+        for idx, poly in alpha.comps.items() for mono, a in poly.terms.items()])
+
+
+def contract_in_turn(fields, alpha):
+    """iota_{X_k} ... iota_{X_1} alpha for the vector fields X_1, .., X_k:
+    one public `contract` per field, X_1 first."""
+    return reduce(lambda b, x: contract(x, b), fields, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -763,11 +763,12 @@ def test_construct_contracts_each_kernel_prefix_once(monkeypatch, capsys):
     # again; its int chain step contracts each distinct nonempty prefix of
     # the kernel bases' index tuples, across all degrees, once, one
     # generator field into the contraction of the prefix before it, and it
-    # wedges nothing and calls no public contract; the only other steps are
-    # K's, one contraction with the Euler field per kernel element
+    # wedges nothing and calls no public contract; those steps are the only
+    # contractions: K runs once per kernel element and contracts nothing,
+    # raising exponents by the Euler field in its own pass
     from momentkit import polyform
     from momentkit.cli import catalog_action
-    from momentkit.polyform import contract, contraction_chains, wedge
+    from momentkit.polyform import contract, contraction_chains, poincare_homotopy, wedge
     action = catalog_action("so4_r4")
     kernels = [mv for k in (1, 2, 3) for mv in action.kernel(k).multivectors]
     tuples = {idx for mv in kernels for idx, c in mv.items() if c}
@@ -776,16 +777,17 @@ def test_construct_contracts_each_kernel_prefix_once(monkeypatch, capsys):
     wedges = count_calls(monkeypatch, wedge)
     contractions = count_calls(monkeypatch, contract)
     steps = count_calls(monkeypatch, polyform._contract)
+    homotopies = count_calls(monkeypatch, poincare_homotopy)
     rc, _, _ = run_main(["construct", bundled("so4_r4.mmk")], capsys)
     assert rc == 0
     assert [mvs for _, _, mvs in chains] == [kernels]
     assert wedges == [] and contractions == []
     fields = [polyform._ints(v.comps)[1] for v in action.fields]
-    euler = [field for field, _ in steps if field not in fields]
     n = action.ambient_dim
-    e = {(i,): {tuple(int(k == i) for k in range(n)): 1} for i in range(n)}
-    assert euler == [e] * len(kernels) and len(kernels) == 26 and len(prefixes) == 41
-    assert len(steps) == len(prefixes) + len(euler)
+    euler = {(i,): {tuple(int(k == i) for k in range(n)): 1} for i in range(n)}
+    assert all(field in fields and field != euler for field, _ in steps)
+    assert len(steps) == len(prefixes) == 41
+    assert len(homotopies) == len(kernels) == 26
     into_omega = [field for field, alpha in steps
                   if alpha == polyform._ints(action.omega.comps)[1]]
     assert len(into_omega) == len({idx[0] for idx in tuples})

@@ -7,6 +7,7 @@ import os
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -17,7 +18,8 @@ from momentkit.polyform import (_MONO_TEXTS, Form, MultiField, Poly, contract,
                                 format_field, format_form, format_poly, lie_derivative,
                                 poincare_homotopy, vf_bracket, wedge)
 
-from support import GOLDEN, PROBLEMS, random_form, vector_field, volume_form
+from support import (GOLDEN, PROBLEMS, contract_in_turn, euler_homotopy, random_form,
+                     vector_field, volume_form)
 
 
 def random_poly(rng, n, max_degree, max_coeff=6):
@@ -147,6 +149,25 @@ def test_contraction_of_basis_covector():
     assert contract(f, alpha) == Form.from_terms(n, 2, [(-1, (0,) * 4, (0, 3))])
 
 
+def test_contracting_a_wedge_of_fields_contracts_each_field_in_turn():
+    # (X_1 ^ .. ^ X_k) _| alpha = iota_{X_k} .. iota_{X_1} alpha for 2- and
+    # 3-fields built by wedge from seeded fields with rational polynomial
+    # coefficients, on forms of every degree they reach
+    rng = random.Random(4402)
+    nonzero = cases = 0
+    for n in (3, 4, 5):
+        for k in (2, 3):
+            for p in range(k, n + 1):
+                for _ in range(4):
+                    xs = [MultiField(n, 1, random_form(rng, n, 1, 2).comps) for _ in range(k)]
+                    a = random_form(rng, n, p, 2)
+                    got = contract(reduce(wedge, xs), a)
+                    assert got == contract_in_turn(xs, a), (n, k, p)
+                    nonzero += not got.is_zero()
+                    cases += 1
+    assert nonzero > cases // 2
+
+
 def test_contraction_degree_overflow_raises():
     n = 3
     f = wedge(wedge(vector_field(n, [Poly.const(n, 1)] + [Poly.const(n, 0)] * 2),
@@ -214,6 +235,27 @@ def test_homotopy_identity_many_random_forms():
                 assert lhs == a, (n, p)
                 cases += 1
     assert cases >= 200
+
+
+@pytest.mark.parametrize("c", [1, -1, Fraction(3, 2), Fraction(-2, 7)])
+def test_scaled_homotopy_is_the_term_by_term_euler_contraction(c):
+    # seeded forms with denominators 1..3 and monomials of degree 0..3, of
+    # every degree p = 0..n on R^1..R^5: c K(alpha) is the oracle's, and
+    # d(c K alpha) + c K(d alpha) = c alpha for p >= 1, while on a 0-form
+    # c K(d alpha) = c (alpha - alpha(0))
+    rng = random.Random(4401)
+    for n in range(1, 6):
+        for p in range(n + 1):
+            for _ in range(4):
+                a = random_form(rng, n, p, 3)
+                k = poincare_homotopy(a, c)
+                assert k == euler_homotopy(a, c), (n, p)
+                if p:
+                    assert exterior_d(k) + poincare_homotopy(exterior_d(a), c) == a * c
+                else:
+                    at_0 = a.comps[()].eval((0,) * n) if a.comps else 0
+                    constant = Form(n, 0, {(): Poly.const(n, at_0)})
+                    assert poincare_homotopy(exterior_d(a), c) == (a - constant) * c
 
 
 def test_homotopy_vanishes_on_zero_forms():

@@ -9,11 +9,12 @@ for k = 1..n.  Maps are stored by their values on the canonical kernel
 basis and extended linearly.  The kernel basis, the contractions V_p . omega
 and the Hom modules are read from the action, which builds each once
 (`LieAction.kernel`, `LieAction.contractions`, `LieAction.hom_module`), like
-the bracket sign s (`LieAction.sign`); a MomentMap keeps its own residuals,
-Sigma cochains and their closedness once computed.  Each constructor call
-builds and verifies a new map, which the action does not keep: a caller that
-asks several questions of one map keeps the map, as the command line does
-for each run.
+the bracket sign s (`LieAction.sign`); a MomentMap keeps its own Sigma
+cochains and their closedness once computed, but not its defining-equation
+residuals: `defining_residuals` computes them on each call.  Each
+constructor call builds and verifies a new map, which the action does not
+keep: a caller that asks several questions of one map keeps the map, as the
+command line does for each run.
 
 Three constructors (each re-verifies the defining equation before
 returning):
@@ -63,8 +64,8 @@ def zeta(k: int) -> int:
 
 class MomentMap:
     """Values of each f_k on the canonical degree-k kernel basis.  The
-    components are fixed at construction, so `residuals`, `sigma` and
-    Sigma's closedness (`_unclosed_entry`) are computed once.
+    components are fixed at construction, so `sigma` and Sigma's
+    closedness (`_unclosed_entry`) are computed once.
     `homotopy_operator` is True only on the output of `construct_poincare`."""
 
     homotopy_operator = False
@@ -73,7 +74,6 @@ class MomentMap:
         n = action.plectic_degree()
         self.action = action
         self.components = {}
-        self._residuals = None
         self._sigma = {}
         self._unclosed = {}
         for k, forms in components.items():
@@ -92,11 +92,6 @@ class MomentMap:
         if k not in self.components:
             raise ValueError(f"the map has no degree-{k} component")
         return self.components[k]
-
-    def residuals(self) -> dict:
-        if self._residuals is None:
-            self._residuals = defining_residuals(self)
-        return self._residuals
 
     def sigma(self, k: int):
         """Sigma at degree k, kept once computed: proven zero, and not
@@ -145,7 +140,7 @@ def defining_residuals(mm: MomentMap) -> dict:
 
 
 def verify_moment(mm: MomentMap) -> bool:
-    return all(r.is_zero() for r in mm.residuals().values())
+    return all(r.is_zero() for r in defining_residuals(mm).values())
 
 
 def _not_preserving(action: LieAction) -> str:
@@ -155,10 +150,12 @@ def _not_preserving(action: LieAction) -> str:
 
 
 def _checked(mm: MomentMap, route: str) -> MomentMap:
+    """mm if it verifies; otherwise StructureError naming each value whose
+    residual, computed again for the message, is nonzero."""
     if verify_moment(mm):
         return mm
     bad = [f"f_{k}({mm.action.kernel(k).names[a]})"
-           for (k, a), r in mm.residuals().items() if not r.is_zero()]
+           for (k, a), r in defining_residuals(mm).items() if not r.is_zero()]
     # every route needs omega preserved and closed: name what the action lacks
     unclosed = "" if mm.action.omega_checks()["closed"] else "omega is not closed"
     cause = " and ".join(c for c in (_not_preserving(mm.action), unclosed) if c)

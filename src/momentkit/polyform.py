@@ -26,18 +26,20 @@ once before adding the block into that target's dict (`_combination`,
 (the x_i of a linear field, or of K's Euler field) and lowering it (d, the
 bracket's derivatives) read two module-level `_Table`s, `_RAISE` and
 `_LOWER`, whose int-tuple entries are each sliced once, on first use.  A
-constant factor leaves a monomial as it is, and only a factor of higher
-degree builds a sum of exponent tuples.  Rendering reads each monomial's
-sort key and text from a third such table (`format_poly`).
+product by any other monomial builds a sum of exponent tuples.  Rendering
+reads each monomial's sort key and text from a third such table
+(`format_poly`).
 
 The composite operators compose the kernels and leave the ints once: the
 Lie derivative; `contract`, a k-field's unit fields in turn, times its
 coefficients; `contraction_chains`, (V_{t1} ^ ... ^ V_{tk}) . alpha for
-many multivectors as chains of single-field contractions sharing their
-prefixes; K scaled by a constant, in one pass over alpha's ints; and
-`exterior_d_plus`, d alpha + c * beta.  The homotopy-operator construction
-of a moment map runs these three in turn, so each of its values leaves the
-ints three times.
+many multivectors; K scaled by a constant, in one pass over alpha's ints;
+and `exterior_d_plus`, d alpha + c * beta.  `contract` and
+`contraction_chains` read one walk (`_walk`), which contracts each distinct
+prefix of their index tuples once, by single vector fields, and keeps every
+contraction it makes until its caller returns.  The homotopy-operator
+construction of a moment map runs these three in turn, so each of its
+values leaves the ints three times.
 
 Conventions:
   * contraction: (X_1 ^ ... ^ X_k) . alpha applies iota_{X_1} innermost,
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import reduce
 from math import lcm
 from operator import add
 
@@ -218,18 +219,13 @@ _LOWER = _moves(-1)
 
 
 def _add_products(acc: dict, key: tuple, q: dict, p: dict, s: int) -> None:
-    """acc[key] += s * q * p.  A constant monomial of q leaves p's monomials
-    as they are, and x_i (in a linear field) raises exponent i by looking it
-    up in _RAISE; only a higher-degree monomial adds tuples."""
+    """acc[key] += s * q * p.  x_i (in a linear field) raises exponent i by
+    looking it up in _RAISE; every other monomial of q adds tuples."""
     poly = acc.setdefault(key, {})
     get = poly.get
     for m1, c1 in q.items():
         c1 *= s
-        degree = sum(m1)
-        if degree == 0:
-            for m2, c2 in p.items():
-                poly[m2] = get(m2, 0) + c1 * c2
-        elif degree == 1:
+        if sum(m1) == 1:
             raised = _RAISE[m1.index(1)]
             for m2, c2 in p.items():
                 m = raised[m2]
@@ -247,13 +243,10 @@ def _combination(reads):
     for num, d, ints in reads:
         s = num * (den // d)
         for idx, p in ints.items():
-            poly = acc.get(idx)
-            if poly is None:
-                acc[idx] = {m: s * v for m, v in p.items()}
-            else:
-                get = poly.get
-                for m, v in p.items():
-                    poly[m] = get(m, 0) + s * v
+            poly = acc.setdefault(idx, {})
+            get = poly.get
+            for m, v in p.items():
+                poly[m] = get(m, 0) + s * v
     return acc, den
 
 
@@ -430,21 +423,42 @@ def exterior_d_plus(alpha: Form, c, beta: Form) -> Form:
         [(1, da, _d(a, alpha.n)), (c.numerator, c.denominator * db, b)]))
 
 
+def _walk(fields: dict, alpha: tuple, tuples) -> dict:
+    """{t: (den, ints) of iota_{X_tk} ... iota_{X_t1} alpha} for each index
+    tuple t of `tuples`, with alpha and each vector field X_i of `fields`
+    ({i: (den, ints)}) as ints.  The tuples are visited in lexicographic
+    order with a stack of the contractions alpha, X_t1 . alpha, ... of the
+    current tuple, cut back to the prefix it shares with the previous one:
+    each distinct prefix is contracted once, and the denominators multiply
+    through unreduced."""
+    out, stack, prev = {}, [alpha], ()
+    for t in sorted(tuples):
+        while t[:len(stack) - 1] != prev[:len(stack) - 1]:
+            stack.pop()
+        for i in t[len(stack) - 1:]:
+            (df, f), (den, ints) = fields[i], stack[-1]
+            stack.append((den * df, _contract(f, ints)))
+        out[t], prev = stack[-1], t
+    return out
+
+
 def contract(field: MultiField, alpha: Form) -> Form:
     """(X_1 ^ .. ^ X_k) . alpha = alpha(X_1, .., X_k, ...): a component q
-    d/dx_{t_1} ^ .. ^ d/dx_{t_k} is iota over t_1 first, .., t_k, times q."""
+    d/dx_{t_1} ^ .. ^ d/dx_{t_k} is iota over t_1 first, .., t_k, times q,
+    the unit-field contractions of all components in one `_walk`."""
     if field.n != alpha.n:
         raise ValueError("dimension mismatch in contract")
     if field.degree > alpha.degree:
         raise ValueError("cannot contract: field degree exceeds form degree")
+    n = alpha.n
     df, f = _ints(field.comps)
     da, a = _ints(alpha.comps)
+    chains = _walk({i: (1, {(i,): {(0,) * n: 1}}) for i in range(n)}, (da, a), f)
     acc: dict = {}
     for t, q in f.items():
-        b = reduce(lambda b, i: _contract({(i,): {(0,) * alpha.n: 1}}, b), t, a)
-        for idx, p in b.items():
+        for idx, p in chains[t][1].items():
             _add_products(acc, idx, q, p, 1)
-    return _wrap(Form, alpha.n, alpha.degree - field.degree, acc, df * da)
+    return _wrap(Form, n, alpha.degree - field.degree, acc, df * da)
 
 
 def contraction_chains(fields, alpha: Form, mvs) -> list:
@@ -454,49 +468,33 @@ def contraction_chains(fields, alpha: Form, mvs) -> list:
     degree is the length of its first tuple; a degree above alpha's, or a
     nonzero term of another length, raises ValueError.
 
-    The distinct index tuples with a nonzero coefficient are visited in
-    lexicographic order, with a stack of the int contractions (den, ints) of
-    alpha, V_{t1} . alpha, ... for the current tuple, cut back to the prefix
-    it shares with the previous one: each distinct prefix is contracted once
-    per call, each field is read once, and the denominators multiply through
-    unreduced.  A result is summed from its tuples' ints over one common
-    denominator and wrapped once, at its multivector's last tuple; a tuple's
-    contraction lives only while a multivector that uses it is still open."""
+    The distinct index tuples with a nonzero coefficient are contracted in
+    one `_walk`, which reads each field once and contracts each distinct
+    prefix once per call; every contraction it makes lives until the call
+    returns.  Each result is then summed from its tuples' ints over one
+    common denominator and wrapped once."""
     n = alpha.n
-    users: dict = {}  # index tuple -> [(position in mvs, nonzero coefficient)]
-    out, sizes = [], []  # per multivector: zero until taken; its number of nonzero terms
-    for a, mv in enumerate(mvs):
+    terms = []  # per multivector: its degree and sorted nonzero (index tuple, coefficient) terms
+    for mv in mvs:
         degree = len(next(iter(mv))) if mv else 0
         if degree > alpha.degree:
             raise ValueError("cannot contract: multivector degree exceeds form degree")
-        nonzero = [(idx, frac(c)) for idx, c in mv.items() if c]
-        for idx, c in nonzero:
+        nonzero = sorted((idx, frac(c)) for idx, c in mv.items() if c)
+        for idx, _ in nonzero:
             if len(idx) != degree:
                 raise ValueError(f"multivector mixes degrees {degree} and {len(idx)}")
-            users.setdefault(idx, []).append((a, c))
-        out.append(Form.zero(n, alpha.degree - degree))
-        sizes.append(len(nonzero))
-    reached = [[] for _ in out]  # per open multivector: its (num, den, ints) reads
+        terms.append((degree, nonzero))
+    tuples = {idx for _, nonzero in terms for idx, _ in nonzero}
     field_ints = {}  # field index -> (den, ints) of each field the tuples use
-    for t in {t for idx in users for t in idx}:
+    for t in {t for idx in tuples for t in idx}:
         if fields[t].degree != 1 or fields[t].n != n:
             raise ValueError("contraction_chains needs vector fields on the form's space")
         field_ints[t] = _ints(fields[t].comps)
-    stack, prev = [_ints(alpha.comps)], ()
-    for idx in sorted(users):
-        while idx[:len(stack) - 1] != prev[:len(stack) - 1]:
-            stack.pop()
-        for t in idx[len(stack) - 1:]:
-            (df, f), (den, ints) = field_ints[t], stack[-1]
-            stack.append((den * df, _contract(f, ints)))
-        prev = idx
-        den, ints = stack[-1]
-        for a, c in users[idx]:
-            reached[a].append((c.numerator, c.denominator * den, ints))
-            if len(reached[a]) == sizes[a]:
-                out[a] = _wrap(Form, n, out[a].degree, *_combination(reached[a]))
-                reached[a] = None
-    return out
+    chains = _walk(field_ints, _ints(alpha.comps), tuples)
+    return [_wrap(Form, n, alpha.degree - degree, *_combination(
+                [(c.numerator, c.denominator * chains[idx][0], chains[idx][1])
+                 for idx, c in nonzero]))
+            for degree, nonzero in terms]
 
 
 def lie_derivative(x: MultiField, alpha: Form) -> Form:

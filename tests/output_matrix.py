@@ -4,7 +4,9 @@
 
 runs `python -m momentkit.cli` with <src-dir> (the directory holding the
 `momentkit` package) first on the module path, in a fresh interpreter per
-run: 8 commands x 10 problems x 5 flag sets x 2 formats (800 runs).  The problems are
+run: 8 commands x 10 problems x 5 flag sets x 2 formats (800 runs), as
+many at a time as `os.cpu_count()` gives, printed in the order of
+`matrix_runs`.  The problems are
 the 6 bundled ones and the fixtures co3_r3, heis_r3, scale_r3 and
 unclosed_r3 of tests/golden/.  Each line printed is the sha256 of the
 run's stdout, stderr and exit code, then the run's arguments.  Run it on two source trees and
@@ -19,6 +21,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 COMMANDS = ("check-action", "cohomology", "kernel", "invariants", "diagnose", "construct",
             "equivariance", "report")
@@ -52,5 +55,8 @@ def run_digest(src, argv):
 if __name__ == "__main__":
     if len(sys.argv) != 2 or not os.path.isdir(os.path.join(sys.argv[1], "momentkit")):
         sys.exit("usage: python tests/output_matrix.py <src-dir holding momentkit/>")
-    for run in matrix_runs():
-        print(run_digest(sys.argv[1], run), " ".join(run), flush=True)
+    runs = matrix_runs()
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        digests = pool.map(lambda run: run_digest(sys.argv[1], run), runs)
+        for run, digest in zip(runs, digests):
+            print(digest, " ".join(run), flush=True)

@@ -38,7 +38,8 @@ import momentkit.polyform
 from momentkit.action import LieAction, infinitesimal_generator
 from momentkit.cli import catalog_action, main
 from momentkit.lie_core import LieAlgebra, StructureError, sort_with_sign
-from momentkit.moment import MomentMap, _checked, construct_poincare, zeta
+from momentkit.moment import (MomentMap, _checked, construct_poincare, defining_residuals,
+                              zeta)
 from momentkit.polyform import (Form, MultiField, Poly, contract, contraction_chains,
                                 exterior_d, exterior_d_plus, lie_derivative,
                                 poincare_homotopy, vf_bracket, wedge)
@@ -312,7 +313,7 @@ def test_a_changed_coefficient_fails_the_recheck_naming_its_value():
     components[k][a] = f + Form.from_terms(f.n, f.degree, [(f.comps[idx].terms[mono], mono, idx)])
     mm = MomentMap(action, components)
     nonzero = []
-    for (kk, b), r in mm.residuals().items():
+    for (kk, b), r in defining_residuals(mm).items():
         value = components[kk][b]
         assert_same(r, oracle_linear_combination(Form, f.n, value.degree + 1, [
             (1, oracle_d(value)), (zeta(kk), action.contractions([kk])[kk][b])]))
@@ -568,7 +569,7 @@ def test_the_poincare_route_leaves_the_ints_three_times_per_element(build, eleme
     assert len(wraps) == 3 * elements
     assert set(wraps) == {Form}
     assert counts == {name: 0 for name in COUNTED}
-    assert all(r.is_zero() for r in mm.residuals().values())
+    assert all(r.is_zero() for r in defining_residuals(mm).values())
     for k in degrees:
         for f in mm.component(k):
             assert_fraction_valued(f)

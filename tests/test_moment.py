@@ -24,7 +24,7 @@ from momentkit.moment import (MomentMap, _checked, check_module_morphism,
                               sigma_cochain, sigma_is_zero, uniqueness_check,
                               verify_moment, zeta)
 
-from support import (count_calls, entry, golden_action, mv_add, mv_boundary, mv_wedge,
+from support import (count_calls, golden_action, mv_add, mv_boundary, mv_wedge,
                      oracle_actions, problem_actions, random_form, schouten, so5_action,
                      volume_form)
 
@@ -267,12 +267,12 @@ def oracle_module_act(action, k, i, row, scale=1):
     alpha takes the values `row` on the kernel basis and
     (e_i . alpha)(p_a) = s L_{V_i} alpha(p_a) - sum_b rho_i[b, a] alpha(p_b)."""
     s = action.sign()
-    rho_i = action.kernel(k).module.rho[i]
+    columns = action.kernel(k).module.rho[i].columns()
     v_i = action.fields[i]
     return [Form.linear_combination(
                 action.ambient_dim, alpha.degree,
                 [(scale * s, lie_derivative(v_i, alpha))]
-                + [(-scale * entry(rho_i, b, a), beta) for b, beta in enumerate(row)])
+                + [(-scale * columns[a].get(b, 0), beta) for b, beta in enumerate(row)])
             for a, alpha in enumerate(row)]
 
 

@@ -11,6 +11,7 @@ from functools import reduce
 
 import pytest
 
+import momentkit.polyform
 from momentkit.cli import main
 from momentkit.lie_core import format_sum, format_term
 from momentkit.polyform import (_MONO_TEXTS, Form, MultiField, Poly, contract,
@@ -18,8 +19,8 @@ from momentkit.polyform import (_MONO_TEXTS, Form, MultiField, Poly, contract,
                                 format_field, format_form, format_poly, lie_derivative,
                                 poincare_homotopy, vf_bracket, wedge)
 
-from support import (GOLDEN, PROBLEMS, contract_in_turn, euler_homotopy, random_form,
-                     vector_field, volume_form)
+from support import (GOLDEN, PROBLEMS, contract_in_turn, count_calls, euler_homotopy,
+                     random_form, vector_field, volume_form)
 
 
 def random_poly(rng, n, max_degree, max_coeff=6):
@@ -139,14 +140,24 @@ def test_contraction_applies_first_factor_first():
     assert contract(yx, vol) == Form.from_terms(n, 1, [(-1, (0, 0, 0), (2,))])
 
 
-def test_contraction_of_basis_covector():
+def test_contraction_of_basis_covector(monkeypatch):
     # iota_{d/dx_m} dx_J = (-1)^pos dx_{J minus m}
     n = 4
-    f = vector_field(n, [Poly.const(n, 0), Poly.const(n, 0),
-                          Poly.const(n, 1), Poly.const(n, 0)])  # d/dx3
+    units = [vector_field(n, [Poly.const(n, int(i == j)) for j in range(n)]) for i in range(n)]
     alpha = Form.from_terms(n, 3, [(1, (0,) * 4, (0, 2, 3))])       # dx(1,3,4)
     # position of index 2 in (0,2,3) is 1 -> sign (-1)^1
-    assert contract(f, alpha) == Form.from_terms(n, 2, [(-1, (0,) * 4, (0, 3))])
+    assert contract(units[2], alpha) == Form.from_terms(n, 2, [(-1, (0,) * 4, (0, 3))])
+    # d/dx1 ^ d/dx2 + d/dx1 ^ d/dx3: iota_{d/dx1} beta is made once and read
+    # by both components, so 3 unit-field contractions, not 4
+    beta = Form.from_terms(n, 3, [(1, (0, 1, 0, 0), (0, 1, 2)), (3, (0,) * 4, (0, 1, 3)),
+                                  (Fraction(-1, 2), (1, 0, 0, 0), (0, 2, 3))])
+    one = Poly.const(n, 1)
+    steps = count_calls(monkeypatch, momentkit.polyform._contract)
+    got = contract(MultiField(n, 2, {(0, 1): one, (0, 2): one}), beta)
+    assert len(steps) == 3
+    assert got == (contract_in_turn(units[:2], beta)
+                   + contract_in_turn([units[0], units[2]], beta))
+    assert not got.is_zero()
 
 
 def test_contracting_a_wedge_of_fields_contracts_each_field_in_turn():
